@@ -886,9 +886,10 @@ def run_churn_suite(
         submitted = CHURN_MAX_PENDING * CHURN_STORM_FACTOR
         futures = []
         bp_rejected = 0
-        # a tight synchronous submission loop: nothing yields, so no
-        # worker completion can interleave — exactly max_pending ops
-        # are admitted before the bound trips, deterministically
+        # a tight synchronous submission loop: nothing yields, and no
+        # operation body starts before the loop turn ends, so no
+        # completion can interleave — exactly max_pending ops are
+        # admitted before the bound trips, deterministically
         for j in range(submitted):
             tenant = f"s{j % CHURN_STORM_TENANTS}"
             op = service.testbed.make_operation(

@@ -12,11 +12,9 @@ between two rule generations (cache-hit identity) is proof that every
 rule in it is unchanged, which is what lets the transaction delta skip
 whole sub-switches without comparing (or even creating) their FlowMods.
 
-Integer columns are numpy arrays when numpy is available
-(``pip install .[fast]``) and plain tuples otherwise; the two
-representations materialize bit-identical FlowMods
-(``SDT_NO_NUMPY=1`` forces the fallback, and CI runs tier-1 both
-ways).
+Columns are plain tuples: they are written once at compile time and
+read once, row by row, at materialization — no array arithmetic ever
+runs on them.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from repro.openflow.actions import (
 )
 from repro.openflow.channel import FlowMod
 from repro.openflow.match import Match
-from repro.util.optdeps import numpy_or_none
 
 CLASSIFY_TABLE = 0
 ROUTE_TABLE = 1
@@ -93,21 +90,6 @@ def route_instructions(
     return instrs
 
 
-def _int_column(values: list[int]):
-    """An integer column: numpy-backed when available, tuple otherwise."""
-    np = numpy_or_none()
-    if np is not None:
-        return np.asarray(values, dtype=np.int32)
-    return tuple(values)
-
-
-def _column_list(column) -> list[int]:
-    """Back to a plain Python list (one bulk hop for numpy columns)."""
-    if isinstance(column, tuple):
-        return list(column)
-    return column.tolist()
-
-
 class CompiledBlock:
     """One sub-switch's compiled rules in columnar form.
 
@@ -139,21 +121,21 @@ class CompiledBlock:
         metadata_id: int,
         cookie: int,
         classify_switches: tuple[str, ...],
-        classify_ports: list[int],
+        classify_ports: tuple[int, ...],
         dsts: tuple[str, ...],
-        in_vcs: list[int],
-        out_vcs: list[int],
-        out_ports: list[int],
+        in_vcs: tuple[int, ...],
+        out_vcs: tuple[int, ...],
+        out_ports: tuple[int, ...],
     ) -> None:
         self.phys_switch = phys_switch
         self.metadata_id = metadata_id
         self.cookie = cookie
         self.classify_switches = classify_switches
-        self.classify_ports = _int_column(classify_ports)
+        self.classify_ports = classify_ports
         self.dsts = dsts
-        self.in_vcs = _int_column(in_vcs)
-        self.out_vcs = _int_column(out_vcs)
-        self.out_ports = _int_column(out_ports)
+        self.in_vcs = in_vcs
+        self.out_vcs = out_vcs
+        self.out_ports = out_ports
         self._pairs: tuple[tuple[str, FlowMod], ...] | None = None
 
     @property
@@ -182,9 +164,7 @@ class CompiledBlock:
         classify_instrs = (
             WriteMetadata(metadata_id), GotoTable(ROUTE_TABLE),
         )
-        for sw, port in zip(
-            self.classify_switches, _column_list(self.classify_ports)
-        ):
+        for sw, port in zip(self.classify_switches, self.classify_ports):
             out.append((
                 sw,
                 FlowMod(
@@ -198,10 +178,7 @@ class CompiledBlock:
         # --- table 1: destination-based routing within the sub-switch ---
         phys = self.phys_switch
         for dst, in_vc, out_vc, out_port in zip(
-            self.dsts,
-            _column_list(self.in_vcs),
-            _column_list(self.out_vcs),
-            _column_list(self.out_ports),
+            self.dsts, self.in_vcs, self.out_vcs, self.out_ports
         ):
             if in_vc == NO_VC:
                 match = Match(metadata=metadata_id, dst=dst)
@@ -231,10 +208,7 @@ def build_block(
     """Compile one sub-switch's classification + routing columns.
 
     ``resolved`` rows are (phys dst address, in-VC or None, out-VC,
-    phys out port) — see ``repro.core.rules._resolved_entries``. A pure
-    function of its arguments, which is what makes the sharded compile
-    pool safe: shards can build blocks in any order on any worker and
-    the merge is bit-identical to a serial compile.
+    phys out port) — see ``repro.core.rules._resolved_entries``.
     """
     classify_switches = []
     classify_ports = []
@@ -255,9 +229,9 @@ def build_block(
         metadata_id=sub.metadata_id,
         cookie=cookie,
         classify_switches=tuple(classify_switches),
-        classify_ports=classify_ports,
+        classify_ports=tuple(classify_ports),
         dsts=tuple(dsts),
-        in_vcs=in_vcs,
-        out_vcs=out_vcs,
-        out_ports=out_ports,
+        in_vcs=tuple(in_vcs),
+        out_vcs=tuple(out_vcs),
+        out_ports=tuple(out_ports),
     )

@@ -21,15 +21,12 @@ Synthesis is *columnar*: each sub-switch compiles into one
 :class:`~repro.core.columnar.CompiledBlock` (aligned integer/string
 columns), and FlowMod objects are only materialized when a block's
 rules actually cross the control channel. Blocks are the unit of
-caching and of the sharded compile pool — see DESIGN.md
-"Data-plane performance architecture".
+caching — see DESIGN.md "Data-plane performance architecture".
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
-import os
 import threading
 from dataclasses import dataclass
 
@@ -221,90 +218,20 @@ def switch_rule_key(
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-# --- sharded compilation ----------------------------------------------
-
-def _compile_shard(
-    shard: list[tuple[SubSwitch, list[tuple[str, int | None, int, int]]]],
-    cookie: int,
-) -> list[CompiledBlock]:
-    """Compile one shard's sub-switches. Top-level (picklable) so the
-    process backend can ship it to workers; :func:`build_block` is a
-    pure function of its arguments, so shards can run anywhere in any
-    order and the name-ordered merge stays bit-identical to serial."""
-    return [build_block(sub, resolved, cookie) for sub, resolved in shard]
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get("SDT_COMPILE_WORKERS", "").strip()
-        if not raw:
-            return 0
-        try:
-            workers = int(raw)
-        except ValueError:
-            return 0
-    return max(0, workers)
-
-
-def _compile_missing(
-    misses: list[tuple[SubSwitch, list[tuple[str, int | None, int, int]]]],
-    cookie: int,
-    workers: int | None,
-) -> list[CompiledBlock]:
-    """Compile cache misses, optionally sharded across a pool.
-
-    Shards are grouped by *physical* switch so one worker handles all
-    sub-switches co-located on a device (their resolved entries share
-    string interning and action pools). Results are re-flattened in
-    submission order, keeping the output independent of worker timing.
-    """
-    workers = _resolve_workers(workers)
-    if workers <= 1 or len(misses) <= 1:
-        return _compile_shard(misses, cookie)
-
-    by_phys: dict[str, list] = {}
-    for item in misses:
-        by_phys.setdefault(item[0].phys_switch, []).append(item)
-    shards = [by_phys[phys] for phys in sorted(by_phys)]
-    if len(shards) == 1:
-        return _compile_shard(shards[0], cookie)
-
-    backend = os.environ.get("SDT_COMPILE_BACKEND", "thread").strip().lower()
-    pool_cls: type[concurrent.futures.Executor]
-    if backend == "process":
-        pool_cls = concurrent.futures.ProcessPoolExecutor
-    else:
-        pool_cls = concurrent.futures.ThreadPoolExecutor
-    with pool_cls(max_workers=min(workers, len(shards))) as pool:
-        shard_blocks = list(pool.map(_compile_shard, shards,
-                                     [cookie] * len(shards)))
-    # re-associate: shards were grouped per physical switch; flatten
-    # back into the original miss order via a per-switch cursor
-    cursors = {phys: iter(blocks)
-               for phys, blocks in zip(sorted(by_phys), shard_blocks)}
-    return [next(cursors[item[0].phys_switch]) for item in misses]
-
-
 def synthesize_rules(
     projection: ProjectionResult,
     routes: RouteTable,
     *,
     cookie: int = 1,
     cache: RuleCache | None = None,
-    workers: int | None = None,
 ) -> RuleSet:
     """Compile a projection + route table into per-switch rule blocks.
 
     Compilation runs sub-switch by sub-switch; with a ``cache``, clean
     sub-switches (content hash unchanged since a previous compile)
-    reuse their compiled block instead of rebuilding it. ``workers``
-    shards cache-miss compilation across a pool (default serial; the
-    ``SDT_COMPILE_WORKERS`` / ``SDT_COMPILE_BACKEND`` environment
-    variables set a default count and choose thread vs process
-    workers). The output is identical with and without a cache, and
-    bit-identical at any worker count — cache lookups happen in the
-    calling thread and blocks merge in ``topology.switches`` order,
-    properties the differential tests pin down.
+    reuse their compiled block instead of rebuilding it. The output is
+    identical with and without a cache, a property the differential
+    tests pin down.
     """
     if routes.topology is not projection.topology:
         # allow equal-by-structure tables but insist on matching names
@@ -323,33 +250,24 @@ def synthesize_rules(
         else:
             bucket.append((dst, in_vc, hop))
 
-    # Phase 1 (calling thread): resolve routes + probe the cache. Keys
-    # and hit/miss metrics are sequential no matter the worker count.
+    # Probe the cache for every sub-switch before compiling any miss,
+    # so a put at capacity cannot evict a block this pass would hit.
     empty: list[tuple[str, int | None, Hop]] = []
     plan: list[tuple[SubSwitch, list, str | None, CompiledBlock | None]] = []
-    misses: list[tuple[SubSwitch, list]] = []
     for sw in topo.switches:
         sub = projection.subswitches[sw]
         resolved = _resolved_entries(projection, sub, by_switch.get(sw, empty))
         if cache is None:
             plan.append((sub, resolved, None, None))
-            misses.append((sub, resolved))
         else:
             key = switch_rule_key(sub, resolved, cookie)
-            block = cache.get(key)
-            plan.append((sub, resolved, key, block))
-            if block is None:
-                misses.append((sub, resolved))
+            plan.append((sub, resolved, key, cache.get(key)))
 
-    # Phase 2 (pool when sharded): compile the misses.
-    fresh = iter(_compile_missing(misses, cookie, workers))
-
-    # Phase 3 (calling thread): merge in topology order, fill the cache.
     rules = RuleSet(cookie=cookie)
     synthesized = 0
-    for _sub, _resolved, key, block in plan:
+    for sub, resolved, key, block in plan:
         if block is None:
-            block = next(fresh)
+            block = build_block(sub, resolved, cookie)
             synthesized += block.count
             if cache is not None and key is not None:
                 cache.put(key, block)

@@ -4,11 +4,11 @@ Everything needed to run one SDT pool as a long-lived daemon:
 
 * :mod:`repro.service.http` — minimal HTTP/1.1 on ``asyncio`` (no new
   dependencies) plus the raw-socket client the CLI and smoke tests use;
-* :mod:`repro.service.asyncsched` — the work-stealing asyncio
-  scheduler with the sync scheduler's exact ordering contract and an
-  explicit bounded-queue backpressure policy;
+* :mod:`repro.service.asyncsched` — the asyncio front over the
+  tenancy scheduler: awaitable results and an explicit bounded-queue
+  backpressure policy;
 * :mod:`repro.service.app` — :class:`ControlPlaneService`, composing
-  the tenancy layer, the async scheduler, the HTTP API, and the PR 7
+  the tenancy layer, that front, the HTTP API, and the PR 7
   snapshot+journal durability path into one restartable process.
 """
 

@@ -4,11 +4,11 @@
 :class:`~repro.tenancy.service.TestbedService` into a fleet-facing
 daemon: an asyncio event loop accepts HTTP/JSON requests for the
 tenant session lifecycle (``create`` / ``deploy`` / ``reconfigure`` /
-``status`` / ``evict``), a work-stealing
-:class:`~repro.service.asyncsched.AsyncScheduler` executes the
-control-plane operations with the same footprint-conflict
-serialization the scenario path has, and the PR 7 durability machinery
-makes the whole thing restartable:
+``status`` / ``evict``), the testbed's own
+:class:`~repro.tenancy.scheduler.Scheduler` executes the control-plane
+operations — admitted through the bounded, awaitable
+:class:`~repro.service.asyncsched.AsyncScheduler` front — and the PR 7
+durability machinery makes the whole thing restartable:
 
 * every transaction commit is journaled (process-wide journal owned by
   the service while it runs);
@@ -54,22 +54,6 @@ from repro.util.errors import (
 API_VERSION = "v1"
 
 
-def _quota_from(payload: dict) -> TenantQuota:
-    quota = payload.get("quota")
-    if not isinstance(quota, dict):
-        raise ConfigurationError("request needs a 'quota' object")
-    try:
-        return TenantQuota(
-            host_ports=int(quota["host_ports"]),
-            tcam_share=int(quota["tcam_share"]),
-            optical_circuits=int(quota.get("optical_circuits", 0)),
-        )
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"quota missing field {missing}"
-        ) from None
-
-
 def _config_from(payload: dict, field: str = "topology"):
     from repro.core.controller.config import TopologyConfig
 
@@ -103,15 +87,11 @@ class ControlPlaneService:
         port: int = 0,
         placement: str = "occupancy",
     ) -> None:
-        # the testbed's own thread-pool scheduler is bypassed (the
-        # async scheduler below owns dispatch), so keep it minimal
         self.testbed = TestbedService(
-            cluster, max_workers=1, placement=placement
+            cluster, max_workers=workers, placement=placement
         )
         self.scheduler = AsyncScheduler(
-            list(cluster.switch_names),
-            workers=workers,
-            max_pending=max_pending,
+            self.testbed.scheduler, max_pending=max_pending
         )
         self.host = host
         self.port = port
@@ -140,7 +120,6 @@ class ControlPlaneService:
                     self.testbed.sessions
                 )
             install_journal(self._journal)
-        await self.scheduler.start()
         if self.host is not None:
             self._http = HttpServer(self._handle, self.host, self.port)
             await self._http.start()
@@ -162,7 +141,6 @@ class ControlPlaneService:
             if self._journal is not None:
                 uninstall_journal()
                 self._journal = None
-        self.testbed.shutdown()
 
     async def serve_forever(self) -> None:
         assert self._stopping is not None, "service not started"
@@ -195,7 +173,6 @@ class ControlPlaneService:
     # --- in-process API --------------------------------------------------
     async def open_session(self, tenant_id: str, quota: TenantQuota) -> dict:
         """Admit a tenant; durable (snapshot) before returning."""
-        loop = asyncio.get_running_loop()
         t0 = time.perf_counter()
 
         def admit() -> dict:
@@ -204,9 +181,7 @@ class ControlPlaneService:
             return session.snapshot()
 
         try:
-            snap = await loop.run_in_executor(
-                self.scheduler._executor, admit
-            )
+            snap = await asyncio.to_thread(admit)
         finally:
             metrics.registry().histogram(
                 "sdt_service_admission_seconds"
@@ -245,10 +220,7 @@ class ControlPlaneService:
         if mode not in ("evict", "close"):
             raise ConfigurationError(f"unknown end-session mode {mode!r}")
         await self.submit(mode, tenant_id)
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            self.scheduler._executor, lambda: self._snapshot(force=True)
-        )
+        await asyncio.to_thread(self._snapshot, force=True)
         return {"tenant": tenant_id, "state": mode + "ed"}
 
     def status(self) -> dict:
@@ -257,7 +229,7 @@ class ControlPlaneService:
             "uptime_s": time.monotonic() - self._started_at,
             "queue_depth": self.scheduler.depth,
             "max_pending": self.scheduler.max_pending,
-            "workers": self.scheduler.workers,
+            "workers": self.testbed.scheduler.max_workers,
             "recovered": self.recovered,
         }
         return payload
@@ -332,7 +304,9 @@ class ControlPlaneService:
             tenant = payload.get("tenant")
             if not isinstance(tenant, str) or not tenant:
                 raise ConfigurationError("request needs a 'tenant' string")
-            snap = await self.open_session(tenant, _quota_from(payload))
+            snap = await self.open_session(
+                tenant, TenantQuota.from_dict(payload.get("quota"))
+            )
             return HttpResponse.json({"session": snap}, status=201)
 
         if len(tail) >= 2 and tail[0] == "sessions":

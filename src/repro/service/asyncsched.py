@@ -1,52 +1,37 @@
-"""Work-stealing asyncio scheduler for tenant control-plane operations.
+"""Asyncio front over the fair-share scheduler (DESIGN.md §8).
 
-The long-running service (DESIGN.md §8) replaces the scenario driver's
-thread-pool :class:`~repro.tenancy.scheduler.Scheduler` with an
-asyncio-native dispatcher that keeps *exactly* the same ordering
-contract — per-tenant FIFO, fair-share round-robin across tenants, and
-footprint-conflict serialization with no overtaking — while serving
-requests from a single event loop:
+The dispatch walk — per-tenant FIFO, fair-share round-robin across
+tenants, footprint reservation with no overtaking — exists once, in
+:class:`~repro.tenancy.scheduler.Scheduler`, and operation bodies run
+on its worker threads. :class:`AsyncScheduler` adds what an event-loop
+server needs on top of that dispatcher:
 
-* **submission** is loop-side bookkeeping: the operation joins its
-  tenant's FIFO and the shared dispatch pass runs (both are plain
-  synchronous mutations, so no lock is needed — everything that touches
-  the queues runs on the event loop);
-* **dispatch** is byte-for-byte the sync scheduler's algorithm
-  (round-robin cursor, queue heads only, blocked heads reserve their
-  footprints) — an eligible operation moves onto the shared *ready
-  queue*;
-* **work stealing**: ``workers`` long-lived tasks all pull from that
-  one ready queue — an idle worker steals whichever tenant's eligible
-  head is available rather than being pinned to a tenant. The
-  operation body (admission + controller mutation, which holds the
-  service mutex) runs in a thread pool via ``run_in_executor`` so
-  non-conflicting work genuinely overlaps and the event loop stays
-  responsive to new requests.
-
-**Backpressure** is the one behavior the sync scheduler does not have:
-the pending+running set is bounded (``max_pending``) and a submit over
-the bound raises :class:`BackpressureError` *before any state is
-touched* — a rejected submit is zero-mutation by construction. The
-error carries a ``retry_after`` hint derived from the queue depth and
-an EWMA of recent operation service times, so clients back off roughly
-one queue-drain, not a guess.
-
-Because conflicting operations execute strictly in submission order
-(deploy/reconfigure footprints are whole-pool until projection), a
-churn of admit/deploy/reconfigure/evict operations is *linearized* by
-construction: the final cluster state is bit-identical to the same
-submission sequence run through the synchronous scheduler — the
-property the churn interleaving suite asserts.
+* **awaitable results** — ``submit`` is a plain call on the loop that
+  returns ``asyncio.wrap_future`` of the operation's future;
+  ``drain`` and ``shutdown`` are awaitable.
+* **backpressure** — admitted-but-unfinished operations are bounded
+  (``max_pending``); a submit over the bound raises
+  :class:`BackpressureError` *before any state is touched*, carrying a
+  ``retry_after`` hint derived from the queue depth and an EWMA of
+  recent service times (roughly one queue-drain, not a guess).
+* **a burst is queued in full before any of it runs** — a body waits
+  for the loop turn that submitted it to end. The round-robin pick
+  depends on which tenant queues are non-empty when an operation
+  finishes; without this a fast first operation could finish while the
+  loop is still submitting its siblings, and the order would follow
+  thread timing. With it a churn of operations is linearized exactly
+  as the same sequence through the scheduler's synchronous API (the
+  churn interleaving suite asserts bit-identical final state).
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from repro.telemetry import metrics, trace
-from repro.tenancy.scheduler import Operation
+from repro.telemetry import metrics
+from repro.tenancy.scheduler import Operation, Scheduler
 from repro.util.errors import ConfigurationError, ReproError
 
 #: EWMA smoothing for per-op service time (higher = more history)
@@ -68,99 +53,31 @@ class BackpressureError(ReproError):
 
 
 class AsyncScheduler:
-    """Asyncio work-stealing dispatcher with a bounded admission queue.
+    """Bounded, awaitable admission to one :class:`Scheduler`.
 
-    Every public coroutine must be awaited on the loop that called
-    :meth:`start` — the scheduler's state is loop-confined by design.
+    ``submit`` must be called on a running event loop, and that loop
+    must keep running until the returned awaitable resolves.
     """
 
-    def __init__(
-        self,
-        pool_switches: list[str],
-        *,
-        workers: int = 4,
-        max_pending: int = 64,
-    ) -> None:
-        if workers < 1:
-            raise ConfigurationError(
-                f"scheduler needs >= 1 worker, got {workers}"
-            )
+    def __init__(self, core: Scheduler, *, max_pending: int = 64) -> None:
         if max_pending < 1:
             raise ConfigurationError(
                 f"max_pending must be >= 1, got {max_pending}"
             )
-        self.pool_switches = frozenset(pool_switches)
-        self.workers = workers
+        self.core = core
         self.max_pending = max_pending
-        self._pending: dict[str, list[Operation]] = {}
-        self._tenant_order: list[str] = []
-        self._rr = 0
-        self._running: list[Operation] = []
-        self._next_seq = 0
-        self._ready: asyncio.Queue[Operation | None] = asyncio.Queue()
-        self._tasks: list[asyncio.Task] = []
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="sdt-service"
-        )
-        self._idle: asyncio.Event = asyncio.Event()
-        self._idle.set()
+        #: operations admitted here whose body has not finished yet;
+        #: counted here rather than read off the dispatcher so that it
+        #: has already dropped when the operation's awaiter resumes
+        self.depth = 0
         self._ewma_op_seconds = _DEFAULT_OP_SECONDS
-        self._stopped = False
+        self._lock = threading.Lock()  # bodies finish on worker threads
 
-    # --- lifecycle -------------------------------------------------------
-    async def start(self) -> None:
-        """Spawn the worker tasks (idempotent)."""
-        if self._tasks:
-            return
-        loop = asyncio.get_running_loop()
-        self._tasks = [
-            loop.create_task(self._worker(i), name=f"sdt-worker-{i}")
-            for i in range(self.workers)
-        ]
-
-    async def shutdown(self) -> None:
-        """Drain pending work, then stop workers and the thread pool."""
-        if self._stopped:
-            return
-        await self.drain()
-        self._stopped = True
-        for _ in self._tasks:
-            self._ready.put_nowait(None)  # wake and retire each worker
-        for task in self._tasks:
-            await task
-        self._tasks = []
-        self._executor.shutdown(wait=True)
-
-    async def drain(self, timeout: float | None = None) -> bool:
-        """Wait until no operation is pending or running."""
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout)
-        except asyncio.TimeoutError:
-            return False
-        return True
-
-    # --- submission ------------------------------------------------------
-    @property
-    def depth(self) -> int:
-        """Operations admitted but not yet finished. Dispatched ops
-        live in ``_running`` from dispatch to completion (the ready
-        queue holds a subset of ``_running``), so the two sets below
-        partition the admitted work exactly."""
-        return sum(len(q) for q in self._pending.values()) + len(
-            self._running
-        )
-
-    @property
-    def queue_depths(self) -> dict[str, int]:
-        return {t: len(q) for t, q in self._pending.items() if q}
-
-    def retry_after(self, depth: int | None = None) -> float:
-        """Seconds until the queue has plausibly drained one slot: the
-        time for the backlog to pass through ``workers`` lanes at the
-        observed per-op service rate."""
-        if depth is None:
-            depth = self.depth
-        est = depth * self._ewma_op_seconds / self.workers
+    def retry_after(self, depth: int) -> float:
+        """Seconds until a queue ``depth`` deep has plausibly drained
+        one slot: the time for the backlog to pass through the worker
+        lanes at the observed per-op service rate."""
+        est = depth * self._ewma_op_seconds / self.core.max_workers
         return max(_MIN_RETRY_AFTER, est)
 
     def submit(self, op: Operation) -> asyncio.Future:
@@ -168,10 +85,8 @@ class AsyncScheduler:
 
         Raises :class:`BackpressureError` (touching nothing) when the
         bounded queue is full, and :class:`ConfigurationError` after
-        shutdown. Must be called on the scheduler's event loop.
+        shutdown.
         """
-        if self._stopped:
-            raise ConfigurationError("scheduler is shut down")
         depth = self.depth
         if depth >= self.max_pending:
             retry = self.retry_after(depth)
@@ -184,92 +99,45 @@ class AsyncScheduler:
                 retry_after=retry,
                 queue_depth=depth,
             )
-        op.seq = self._next_seq
-        self._next_seq += 1
-        if op.tenant_id not in self._pending:
-            self._pending[op.tenant_id] = []
-            self._tenant_order.append(op.tenant_id)
-        self._pending[op.tenant_id].append(op)
-        self._idle.clear()
-        metrics.registry().counter("tenant_ops_submitted_total").inc(
-            1, tenant=op.tenant_id, kind=op.kind
-        )
-        reg = metrics.registry()
-        reg.gauge("sdt_service_queue_depth").set(self.depth)
-        self._dispatch()
-        return asyncio.wrap_future(op.future)
+        turn_over = threading.Event()
+        asyncio.get_running_loop().call_soon(turn_over.set)
+        body = op.fn
 
-    # --- dispatch (the sync scheduler's algorithm, loop-confined) --------
-    def _dispatch(self) -> None:
-        """Move every currently-eligible head onto the ready queue."""
-        while True:
-            started = None
-            blocked: set[str] | None = set()
-            for sw_set in (op.footprint for op in self._running):
-                if sw_set is None:
-                    blocked = None
-                    break
-                blocked |= sw_set
-            if blocked is None and self._running:
-                return  # a whole-pool operation holds everything
-            if len(self._running) >= self.workers:
-                return
-            n = len(self._tenant_order)
-            for i in range(n):
-                tenant = self._tenant_order[(self._rr + i) % n]
-                queue = self._pending.get(tenant)
-                if not queue:
-                    continue
-                op = queue[0]
-                if not op.conflicts_with(blocked):
-                    queue.pop(0)
-                    self._rr = (self._rr + i + 1) % n
-                    started = op
-                    break
-                # no overtaking: a blocked head reserves its footprint
-                if op.footprint is None:
-                    blocked = None
-                    break
-                blocked |= op.footprint
-            if started is None:
-                return
-            self._running.append(started)
-            self._ready.put_nowait(started)
-
-    async def _worker(self, index: int) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            op = await self._ready.get()
-            if op is None:
-                return
+        def fn():
+            turn_over.wait()
             t0 = time.perf_counter()
-            with trace.span(
-                "service.op", tenant=op.tenant_id, kind=op.kind,
-                seq=op.seq, worker=index,
-            ):
-                try:
-                    result = await loop.run_in_executor(
-                        self._executor, op.fn
-                    )
-                except BaseException as exc:
-                    op.future.set_exception(exc)
-                    status = "error"
-                else:
-                    op.future.set_result(result)
-                    status = "ok"
-            elapsed = time.perf_counter() - t0
+            try:
+                return body()
+            finally:
+                # before the future resolves: whoever awaits this op
+                # sees a depth and a retry hint that already include it
+                self._finished(op, time.perf_counter() - t0)
+
+        op.fn = fn
+        future = self.core.submit(op)
+        with self._lock:  # the body cannot have finished: the turn is not over
+            self.depth += 1
+        metrics.registry().gauge("sdt_service_queue_depth").set(self.depth)
+        return asyncio.wrap_future(future)
+
+    def _finished(self, op: Operation, elapsed: float) -> None:
+        with self._lock:
+            self.depth -= 1
             self._ewma_op_seconds += _EWMA_ALPHA * (
                 elapsed - self._ewma_op_seconds
             )
-            reg = metrics.registry()
-            reg.counter("tenant_ops_finished_total").inc(
-                1, tenant=op.tenant_id, kind=op.kind, status=status
-            )
-            reg.histogram("sdt_service_commit_seconds").observe(
-                elapsed, kind=op.kind
-            )
-            self._running.remove(op)
-            self._dispatch()
-            reg.gauge("sdt_service_queue_depth").set(self.depth)
-            if not self._running and not any(self._pending.values()):
-                self._idle.set()
+        reg = metrics.registry()
+        reg.histogram("sdt_service_commit_seconds").observe(
+            elapsed, kind=op.kind
+        )
+        reg.gauge("sdt_service_queue_depth").set(self.depth)
+
+    async def drain(self, timeout: float | None = None) -> bool:
+        """Wait until no operation is pending or running; False on
+        timeout."""
+        return await asyncio.to_thread(self.core.drain, timeout)
+
+    async def shutdown(self) -> None:
+        """Drain pending work, then stop the worker pool; further
+        submits are refused."""
+        await asyncio.to_thread(self.core.shutdown)

@@ -58,14 +58,9 @@ class TenantSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "TenantSpec":
         try:
-            quota = data["quota"]
             return cls(
                 tenant_id=str(data["id"]),
-                quota=TenantQuota(
-                    host_ports=int(quota["host_ports"]),
-                    tcam_share=int(quota["tcam_share"]),
-                    optical_circuits=int(quota.get("optical_circuits", 0)),
-                ),
+                quota=TenantQuota.from_dict(data["quota"]),
                 topology=TopologyConfig.from_json(
                     json.dumps(data["topology"])
                 ),

@@ -238,10 +238,10 @@ class TestbedService:
     def make_operation(self, kind: str, tenant_id: str, **kwargs) -> Operation:
         """Build (but do not queue) one schedulable operation.
 
-        This is the single source of operation bodies and footprints
-        for *both* schedulers: the thread-pool
-        :class:`~repro.tenancy.scheduler.Scheduler` below and the
-        asyncio work-stealing scheduler in :mod:`repro.service`.
+        This is the single source of operation bodies and footprints,
+        whether the operation is submitted to the
+        :class:`~repro.tenancy.scheduler.Scheduler` directly (below) or
+        through the asyncio front in :mod:`repro.service`.
         Supported kinds: ``deploy`` / ``reconfigure`` (footprint =
         whole pool, placement unknown until projection), ``undeploy``
         (exact footprint when the deployment is live), and ``evict`` /

@@ -21,7 +21,7 @@ Sessions never touch hardware themselves; they are the ledger the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.core.controller.controller import Deployment
 from repro.hardware.wiring import HostPort
@@ -64,6 +64,24 @@ class TenantQuota:
                 f"optical circuit budget cannot be negative, "
                 f"got {self.optical_circuits}"
             )
+
+    @classmethod
+    def from_dict(cls, data: object) -> "TenantQuota":
+        """Parse the JSON form (API request, scenario file, snapshot):
+        integer ``host_ports`` and ``tcam_share``, optional integer
+        ``optical_circuits``. Anything else is a ConfigurationError."""
+        if not isinstance(data, dict):
+            raise ConfigurationError("quota must be an object")
+        fields = {"optical_circuits": 0, **data}
+        names = ("host_ports", "tcam_share", "optical_circuits")
+        for name in names:
+            value = fields.get(name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"quota field {name!r} must be an integer, "
+                    f"got {value!r}"
+                )
+        return cls(*(fields[name] for name in names))
 
 
 @dataclass
@@ -166,11 +184,7 @@ class TenantSession:
             "tenant": self.tenant_id,
             "state": self.state,
             "cookie_base": self.cookie_base,
-            "quota": {
-                "host_ports": self.quota.host_ports,
-                "tcam_share": self.quota.tcam_share,
-                "optical_circuits": self.quota.optical_circuits,
-            },
+            "quota": asdict(self.quota),
             "host_ports_leased": len(self.lease),
             "host_ports_used": self.host_ports_used(),
             "tcam_used": dict(sorted(self.tcam_used().items())),
@@ -193,11 +207,7 @@ class TenantSession:
             "tenant": self.tenant_id,
             "index": self.index,
             "state": self.state,
-            "quota": {
-                "host_ports": self.quota.host_ports,
-                "tcam_share": self.quota.tcam_share,
-                "optical_circuits": self.quota.optical_circuits,
-            },
+            "quota": asdict(self.quota),
             "next_seq": self._next_seq,
             "lease": [[hp.switch, hp.port, hp.host] for hp in self.lease],
             "deployments": sorted(self.deployments),
@@ -210,11 +220,7 @@ class TenantSession:
         session = cls(
             tenant_id=state["tenant"],
             index=state["index"],
-            quota=TenantQuota(
-                host_ports=state["quota"]["host_ports"],
-                tcam_share=state["quota"]["tcam_share"],
-                optical_circuits=state["quota"]["optical_circuits"],
-            ),
+            quota=TenantQuota.from_dict(state["quota"]),
             lease=tuple(
                 HostPort(switch=sw, port=port, host=host)
                 for sw, port, host in state["lease"]

@@ -1,24 +1,29 @@
-"""AsyncScheduler units: the sync scheduler's ordering contract on an
-event loop, plus the one new behavior — bounded-queue backpressure.
+"""AsyncScheduler units: what the asyncio front adds to the scheduler.
 
-The ordering tests mirror ``tests/tenancy/test_scheduler.py``: ops
-record their execution into a shared list, and the assertions pin
-per-tenant FIFO, whole-pool serialization in submission order, and
-no-overtaking footprint reservation.
+The ordering contract (per-tenant FIFO, fair share, footprint
+reservation) is the :class:`Scheduler`'s and is tested once, through
+both fronts, in ``tests/tenancy/test_scheduler.py``. Here: bounded-queue
+backpressure, the retry hint, awaitable results and lifecycle, and the
+rule that a burst submitted in one loop turn is queued in full before
+any of it runs.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import pytest
 
 from repro.service.asyncsched import AsyncScheduler, BackpressureError
-from repro.tenancy.scheduler import Operation
-from repro.util.errors import ConfigurationError
+from repro.tenancy.scheduler import Operation, Scheduler
 
 SWITCHES = ["p0", "p1", "p2"]
+
+
+def _sched(workers, **kwargs):
+    return AsyncScheduler(Scheduler(SWITCHES, max_workers=workers), **kwargs)
 
 
 def _op(tenant, fn, footprint=None, kind="work"):
@@ -32,104 +37,9 @@ def _run(coro):
     return asyncio.run(coro)
 
 
-def test_whole_pool_ops_serialize_like_the_sync_scheduler():
-    """footprint=None ops run one at a time, and the order is exactly
-    the sync Scheduler's fair-share round-robin walk — the property the
-    churn equivalence test builds on."""
-    from repro.tenancy.scheduler import Scheduler
-
-    def pattern():
-        for i in range(8):
-            yield f"t{i % 3}", f"t{i % 3}.{i}"
-
-    sync_order: list[str] = []
-    sync_sched = Scheduler(SWITCHES, max_workers=4)
-    gate = threading.Event()
-    sync_futures = []
-    for tenant, label in pattern():
-        def body(lb=label):
-            gate.wait(5)
-            sync_order.append(lb)
-        sync_futures.append(sync_sched.submit(_op(tenant, body)))
-    gate.set()
-    for future in sync_futures:
-        future.result()
-    sync_sched.shutdown()
-
-    async_order: list[str] = []
-
-    async def main():
-        sched = AsyncScheduler(SWITCHES, workers=4)
-        await sched.start()
-        futures = [
-            sched.submit(_op(tenant, lambda lb=label: async_order.append(lb)))
-            for tenant, label in pattern()
-        ]
-        await asyncio.gather(*futures)
-        await sched.shutdown()
-
-    _run(main())
-    assert len(async_order) == 8
-    assert async_order == sync_order
-
-
-def test_per_tenant_fifo_with_exact_footprints():
-    seen: dict[str, list[int]] = {"a": [], "b": []}
-    lock = threading.Lock()
-
-    async def main():
-        sched = AsyncScheduler(SWITCHES, workers=4)
-        await sched.start()
-        futures = []
-        for i in range(6):
-            for tenant, fp in (("a", ["p0"]), ("b", ["p1"])):
-                def body(t=tenant, n=i):
-                    with lock:
-                        seen[t].append(n)
-                futures.append(sched.submit(_op(tenant, body, fp)))
-        await asyncio.gather(*futures)
-        await sched.shutdown()
-
-    _run(main())
-    # disjoint footprints may interleave across tenants, but each
-    # tenant's own queue is FIFO
-    assert seen["a"] == sorted(seen["a"])
-    assert seen["b"] == sorted(seen["b"])
-    assert len(seen["a"]) == len(seen["b"]) == 6
-
-
-def test_blocked_head_reserves_footprint_no_overtaking():
-    order: list[str] = []
-    release = threading.Event()
-
-    async def main():
-        sched = AsyncScheduler(SWITCHES, workers=4)
-        await sched.start()
-
-        def slow():
-            release.wait(5)
-            order.append("a.slow")
-
-        f1 = sched.submit(_op("a", slow, ["p0"]))
-        await asyncio.sleep(0.05)  # let the worker pick it up
-        # b's head conflicts with the running op; b's second op does
-        # not — but it must NOT overtake its own blocked head
-        f2 = sched.submit(_op("b", lambda: order.append("b.head"), ["p0"]))
-        f3 = sched.submit(_op("b", lambda: order.append("b.tail"), ["p2"]))
-        await asyncio.sleep(0.05)
-        assert order == []  # everything parked behind the slow op
-        release.set()
-        await asyncio.gather(f1, f2, f3)
-        await sched.shutdown()
-
-    _run(main())
-    assert order == ["a.slow", "b.head", "b.tail"]
-
-
 def test_backpressure_rejects_over_bound_and_preserves_queue():
     async def main():
-        sched = AsyncScheduler(SWITCHES, workers=2, max_pending=3)
-        await sched.start()
+        sched = _sched(2, max_pending=3)
         gate = threading.Event()
         futures = [
             sched.submit(_op("a", lambda: gate.wait(5)))
@@ -141,7 +51,7 @@ def test_backpressure_rejects_over_bound_and_preserves_queue():
         # the reject is zero-mutation: nothing was queued for b, the
         # depth did not move, and the hint carries the observed depth
         assert sched.depth == depth_before == 3
-        assert "b" not in sched.queue_depths
+        assert "b" not in sched.core.queue_depths
         assert err.value.queue_depth == 3
         assert err.value.retry_after >= 0.05
         gate.set()
@@ -154,30 +64,27 @@ def test_backpressure_rejects_over_bound_and_preserves_queue():
 
 
 def test_retry_after_scales_with_depth_and_has_floor():
-    async def main():
-        sched = AsyncScheduler(SWITCHES, workers=2, max_pending=64)
-        await sched.start()
-        assert sched.retry_after(0) == pytest.approx(0.05)
-        assert sched.retry_after(8) > sched.retry_after(2)
-        # depth * ewma / workers with the default ewma
-        assert sched.retry_after(8) == pytest.approx(
-            8 * sched._ewma_op_seconds / 2
-        )
-        await sched.shutdown()
-
-    _run(main())
+    sched = _sched(2, max_pending=64)
+    assert sched.retry_after(0) == pytest.approx(0.05)
+    assert sched.retry_after(8) > sched.retry_after(2)
+    # depth * ewma / workers with the default ewma
+    assert sched.retry_after(8) == pytest.approx(
+        8 * sched._ewma_op_seconds / 2
+    )
+    sched.core.shutdown()
 
 
 def test_retry_after_tracks_observed_service_time():
     async def main():
-        sched = AsyncScheduler(SWITCHES, workers=1, max_pending=8)
-        await sched.start()
-        before = sched._ewma_op_seconds
+        sched = _sched(1, max_pending=8)
+        first = sched._ewma_op_seconds
         for _ in range(8):
+            before = sched._ewma_op_seconds
             await sched.submit(_op("a", lambda: None))
-        # instant ops must drag the EWMA (and the retry hint) down
-        assert sched._ewma_op_seconds < before
-        assert sched.retry_after(4) <= 4 * before
+            # an instant op drags the EWMA (and the retry hint) down,
+            # and has done so by the time its awaiter resumes
+            assert sched._ewma_op_seconds < before
+        assert sched.retry_after(4) < 4 * first
         await sched.shutdown()
 
     _run(main())
@@ -185,8 +92,7 @@ def test_retry_after_tracks_observed_service_time():
 
 def test_op_exception_propagates_and_scheduler_survives():
     async def main():
-        sched = AsyncScheduler(SWITCHES, workers=2)
-        await sched.start()
+        sched = _sched(2)
 
         def boom():
             raise ValueError("op failed")
@@ -199,26 +105,39 @@ def test_op_exception_propagates_and_scheduler_survives():
     _run(main())
 
 
-def test_submit_after_shutdown_refused():
-    async def main():
-        sched = AsyncScheduler(SWITCHES, workers=1)
-        await sched.start()
-        await sched.shutdown()
-        with pytest.raises(ConfigurationError):
-            sched.submit(_op("a", lambda: None))
-
-    _run(main())
-
-
 def test_shutdown_drains_pending_work():
     done: list[int] = []
 
     async def main():
-        sched = AsyncScheduler(SWITCHES, workers=1)
-        await sched.start()
+        sched = _sched(1)
         for i in range(5):
             sched.submit(_op("a", lambda n=i: done.append(n)))
         await sched.shutdown()
 
     _run(main())
     assert done == [0, 1, 2, 3, 4]
+
+
+def test_burst_is_queued_in_full_before_any_body_runs():
+    """The round-robin pick depends on which tenants have work queued
+    when an operation finishes. ``a0`` is instant: if it could finish
+    while the loop is still submitting, ``a1`` (alone in the queue)
+    would be picked ahead of ``b0`` and the order would follow thread
+    timing rather than the submission sequence."""
+    order: list[str] = []
+
+    async def main():
+        sched = _sched(2)
+        for tenant in ("a", "b"):  # both tenants known to the walk
+            await sched.submit(_op(tenant, lambda: None))
+        burst = [
+            sched.submit(_op("a", lambda: order.append("a0"))),
+            sched.submit(_op("a", lambda: order.append("a1"))),
+        ]
+        time.sleep(0.05)  # the loop is busy; a worker thread is not
+        burst.append(sched.submit(_op("b", lambda: order.append("b0"))))
+        await asyncio.gather(*burst)
+        await sched.shutdown()
+
+    _run(main())
+    assert order == ["a0", "b0", "a1"]

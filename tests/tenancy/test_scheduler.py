@@ -1,15 +1,81 @@
 """Scheduler: FIFO per tenant, fair share across tenants, conflict
-serialization by switch footprint."""
+serialization by switch footprint.
 
+Every test runs twice: against the :class:`Scheduler` itself and
+through the asyncio front the long-running service submits with
+(:class:`~repro.service.asyncsched.AsyncScheduler`, driven from the
+test thread through a loop on a helper thread). One dispatcher, one
+ordering contract, two ways in.
+"""
+
+import asyncio
 import threading
 import time
 
 import pytest
 
+from repro.service.asyncsched import AsyncScheduler
 from repro.tenancy import Operation, Scheduler
 from repro.util.errors import ConfigurationError
 
 POOL = ["p0", "p1", "p2"]
+
+
+class _Direct:
+    def __init__(self, max_workers):
+        self.core = Scheduler(POOL, max_workers=max_workers)
+        self.submit = self.core.submit
+        self.drain = self.core.drain
+        self.shutdown = self.close = self.core.shutdown
+
+
+class _ThroughLoop:
+    """The asyncio front with the same blocking surface: ``submit``
+    returns once the loop has admitted the operation, with a
+    ``concurrent.futures`` future for its result."""
+
+    def __init__(self, max_workers):
+        self.front = AsyncScheduler(Scheduler(POOL, max_workers=max_workers))
+        self.loop = asyncio.new_event_loop()
+        self.thread = threading.Thread(target=self.loop.run_forever)
+        self.thread.start()
+
+    def _on_loop(self, coro):
+        return asyncio.run_coroutine_threadsafe(coro, self.loop)
+
+    def submit(self, op):
+        async def admit():
+            return self.front.submit(op)
+
+        async def result(awaitable):
+            return await awaitable
+
+        return self._on_loop(result(self._on_loop(admit()).result(5)))
+
+    def drain(self, timeout):
+        return self._on_loop(self.front.drain(timeout)).result(timeout + 5)
+
+    def shutdown(self):
+        self._on_loop(self.front.shutdown()).result(10)
+
+    def close(self):
+        self.shutdown()
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(10)
+        self.loop.close()
+
+
+@pytest.fixture(params=[_Direct, _ThroughLoop], ids=["direct", "asyncio"])
+def make_sched(request):
+    made = []
+
+    def make(max_workers):
+        made.append(request.param(max_workers))
+        return made[-1]
+
+    yield make
+    for sched in made:
+        sched.close()
 
 
 def _op(tenant, record, *, footprint, kind="deploy", block=None, tag=None):
@@ -27,8 +93,8 @@ def _op(tenant, record, *, footprint, kind="deploy", block=None, tag=None):
     )
 
 
-def test_single_worker_runs_in_submission_order():
-    sched = Scheduler(POOL, max_workers=1)
+def test_single_worker_runs_in_submission_order(make_sched):
+    sched = make_sched(1)
     record = []
     futures = [
         sched.submit(_op("a", record, footprint=["p0"], tag=i))
@@ -37,24 +103,22 @@ def test_single_worker_runs_in_submission_order():
     assert sched.drain(5)
     assert record == [0, 1, 2, 3, 4]
     assert [f.result() for f in futures] == [0, 1, 2, 3, 4]
-    sched.shutdown()
 
 
-def test_fifo_per_tenant_despite_concurrency():
+def test_fifo_per_tenant_despite_concurrency(make_sched):
     """One tenant's ops never reorder even with spare workers, because
     they share a footprint."""
-    sched = Scheduler(POOL, max_workers=3)
+    sched = make_sched(3)
     record = []
     for i in range(6):
         sched.submit(_op("a", record, footprint=["p0"], tag=i))
     assert sched.drain(5)
     assert record == [0, 1, 2, 3, 4, 5]
-    sched.shutdown()
 
 
-def test_disjoint_footprints_overlap():
+def test_disjoint_footprints_overlap(make_sched):
     """Two tenants on disjoint switches genuinely run concurrently."""
-    sched = Scheduler(POOL, max_workers=2)
+    sched = make_sched(2)
     record = []
     gate = threading.Event()
     both_running = threading.Event()
@@ -78,13 +142,12 @@ def test_disjoint_footprints_overlap():
     assert both_running.wait(5), "disjoint ops did not overlap"
     gate.set()
     assert sched.drain(5)
-    sched.shutdown()
 
 
-def test_whole_pool_op_serializes_everything():
+def test_whole_pool_op_serializes_everything(make_sched):
     """A None-footprint op waits for all running work and blocks all
     queued work while it runs."""
-    sched = Scheduler(POOL, max_workers=3)
+    sched = make_sched(3)
     record = []
     gate = threading.Event()
     sched.submit(_op("a", record, footprint=["p0"], block=gate, tag="a1"))
@@ -96,13 +159,12 @@ def test_whole_pool_op_serializes_everything():
     gate.set()
     assert sched.drain(5)
     assert record.index("b-pool") < record.index("c1")
-    sched.shutdown()
 
 
-def test_round_robin_is_fair_across_tenants():
+def test_round_robin_is_fair_across_tenants(make_sched):
     """A tenant queueing many ops cannot starve one queueing a single
     op: with one worker, dispatch alternates tenants."""
-    sched = Scheduler(POOL, max_workers=1)
+    sched = make_sched(1)
     record = []
     gate = threading.Event()
     sched.submit(_op("hog", record, footprint=["p0"], block=gate, tag="h0"))
@@ -113,11 +175,56 @@ def test_round_robin_is_fair_across_tenants():
     assert sched.drain(5)
     # meek's single op ran before the hog's queue drained
     assert record.index("m0") < record.index("h3")
-    sched.shutdown()
 
 
-def test_exception_delivered_via_future():
-    sched = Scheduler(POOL, max_workers=1)
+def test_round_robin_order_is_exact(make_sched):
+    """Whole-pool ops run one at a time, and the order is the
+    fair-share walk over the tenants' queue heads — the order the
+    churn equivalence property builds on."""
+    sched = make_sched(4)
+    record = []
+    gate = threading.Event()
+    for tenant, tag in [
+        ("a", "a0"), ("a", "a1"), ("a", "a2"), ("b", "b0"), ("c", "c0"),
+        ("b", "b1"),
+    ]:
+        sched.submit(_op(tenant, record, footprint=None, block=gate, tag=tag))
+    gate.set()
+    assert sched.drain(5)
+    # the cursor wrapped to "a" while it was the only tenant known
+    assert record == ["a0", "a1", "b0", "c0", "a2", "b1"]
+
+
+def test_fifo_per_tenant_across_disjoint_tenants(make_sched):
+    """Disjoint footprints may interleave across tenants, but each
+    tenant's own queue stays FIFO."""
+    sched = make_sched(4)
+    seen = {"a": [], "b": []}
+    for i in range(6):
+        for tenant, switch in (("a", "p0"), ("b", "p1")):
+            sched.submit(_op(tenant, seen[tenant], footprint=[switch], tag=i))
+    assert sched.drain(5)
+    assert seen == {"a": list(range(6)), "b": list(range(6))}
+
+
+def test_blocked_head_is_not_overtaken_by_its_own_tail(make_sched):
+    sched = make_sched(4)
+    record = []
+    gate = threading.Event()
+    sched.submit(_op("a", record, footprint=["p0"], block=gate, tag="a.slow"))
+    # b's head conflicts with the running op; b's second op does not —
+    # but only queue heads are candidates
+    sched.submit(_op("b", record, footprint=["p0"], tag="b.head"))
+    sched.submit(_op("b", record, footprint=["p2"], tag="b.tail"))
+    time.sleep(0.05)
+    assert record == []  # everything parked behind the slow op
+    gate.set()
+    assert sched.drain(5)
+    assert record == ["a.slow", "b.head", "b.tail"]
+
+
+def test_exception_delivered_via_future(make_sched):
+    sched = make_sched(1)
 
     def boom():
         raise ValueError("nope")
@@ -130,11 +237,10 @@ def test_exception_delivered_via_future():
     with pytest.raises(ValueError, match="nope"):
         f.result(5)
     assert sched.drain(5)  # a failed op must not wedge the queue
-    sched.shutdown()
 
 
-def test_shutdown_refuses_new_work():
-    sched = Scheduler(POOL, max_workers=1)
+def test_shutdown_refuses_new_work(make_sched):
+    sched = make_sched(1)
     sched.shutdown()
     with pytest.raises(ConfigurationError, match="shut down"):
         sched.submit(

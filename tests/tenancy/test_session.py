@@ -23,6 +23,46 @@ def test_quota_validation():
         TenantQuota(host_ports=1, tcam_share=1, optical_circuits=-1)
 
 
+def test_quota_from_dict_accepts_the_json_form():
+    assert TenantQuota.from_dict(
+        {"host_ports": 4, "tcam_share": 100}
+    ) == TenantQuota(host_ports=4, tcam_share=100)
+    assert TenantQuota.from_dict(
+        {"host_ports": 4, "tcam_share": 100, "optical_circuits": 2}
+    ).optical_circuits == 2
+
+
+@pytest.mark.parametrize("data", [
+    None,
+    "4/100",
+    {"host_ports": 4},
+    {"host_ports": "many", "tcam_share": 100},
+    {"host_ports": True, "tcam_share": 100},
+    {"host_ports": 4, "tcam_share": 100, "optical_circuits": None},
+])
+def test_quota_from_dict_rejects_malformed_input(data):
+    with pytest.raises(ConfigurationError, match="quota"):
+        TenantQuota.from_dict(data)
+
+
+def test_scenario_file_with_a_malformed_quota_is_a_configuration_error(
+    tmp_path,
+):
+    import json
+
+    from repro.tenancy import Scenario
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"tenants": [{
+        "id": "alice",
+        "quota": {"host_ports": "many", "tcam_share": 100},
+        "topology": {"kind": "chain",
+                     "params": {"num_switches": 2, "hosts_per_switch": 1}},
+    }]}))
+    with pytest.raises(ConfigurationError, match="host_ports"):
+        Scenario.from_file(path)
+
+
 def test_cookie_namespace_block():
     s = _session(index=3)
     assert s.cookie_base == 3 * TENANT_COOKIE_SPACE
