@@ -12,16 +12,42 @@ Four modules, mirroring Fig. 9:
   repair alike (refusing to install a deadlockable configuration).
 * **Network Monitor** — :class:`~repro.core.controller.monitor.NetworkMonitor`.
 
-Every mutation of the data plane — deploy, undeploy, route update,
-failure repair, reconfigure — goes through a
-:class:`~repro.openflow.transaction.ControlTransaction` and is
-therefore **failure-atomic**: all validation (capacity, deadlock
-freedom, projection feasibility) runs before any rule is touched, and a
-mid-flight control-channel failure rolls every switch back to its
-pre-transaction rule set. Route swaps and reconfigurations install the
-new generation before deleting the old (make-before-break) whenever
-the flow tables can hold both; otherwise they fall back to
-break-before-make, still under rollback protection.
+The paper has *one* deployment function (check → project → route → vet
+→ push flow tables), and so does this module: every entry point that
+mutates the data plane — ``deploy``, ``deploy_prepared``,
+``swap_deployment``, ``undeploy``, ``undeploy_cookie``, ``reconfigure``
+(cold and incremental), ``update_routes``, ``fail_link``,
+``restore_links``, ``install_flow_override``, ``reconcile`` — plans its
+change, calls the shared stages, and updates its own books. Each stage
+is written once (DESIGN.md §4b has the per-entry-point table):
+
+1. **unpack + vet** — :func:`_unpack`,
+   :meth:`SDTController._routes_for`, :func:`_vet` (Deadlock Avoidance
+   for lossless installs);
+2. **stage** — :meth:`SDTController._stage_generation` stages a
+   generation change (a new rule set and/or cookie deletes of old
+   generations, installs first or deletes first);
+   :func:`_with_discipline` (public face:
+   :meth:`SDTController.stage_swap`) is the update-discipline *policy*:
+   make-before-break whenever the flow tables can hold both
+   generations (equal-priority lookups prefer the earlier-installed
+   entry, so there is no forwarding gap), break-before-make otherwise;
+3. **commit** — a :class:`~repro.openflow.transaction.ControlTransaction`,
+   therefore **failure-atomic**: all validation (capacity, deadlock
+   freedom, projection feasibility) runs before any rule is touched,
+   and a mid-flight control-channel failure rolls every switch back to
+   its pre-transaction rule set;
+4. **optics guard + account** — :meth:`SDTController.mutation`, the
+   frame every entry point runs in: on failure the optical circuit
+   switch is returned to its pre-mutation circuits (and a consumed
+   preparation's circuits are released) with all bookkeeping untouched;
+   on success one epilogue publishes the span attributes and counters.
+   A mutation's modeled time has one definition — optical mint +
+   transaction commit + optical release (:class:`Mutation`).
+
+Each stage runs under a child span of the ``controller.*`` root, named
+as the performance ledger names it (DESIGN.md §5), so a trace answers
+"where did this mutation's time go".
 
 Several topologies can coexist (disjoint wiring resources + disjoint
 metadata tags + disjoint cookies) — the hardware-isolation experiment
@@ -30,8 +56,9 @@ of §VI-B deploys two and shows no packet leakage.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.controller.config import TopologyConfig
 from repro.core.controller.monitor import NetworkMonitor
@@ -85,6 +112,67 @@ MAKE_BEFORE_BREAK = "make-before-break"
 BREAK_BEFORE_MAKE = "break-before-make"
 
 
+def _stage(name: str, fn: Callable, *args, **kwargs):
+    """Run one pipeline stage under a child span named as the
+    performance ledger names the stage.
+
+    The span always closes ``ok``: a stage that raises has *refused*,
+    and several callers turn a refusal into a change of plan
+    (make-before-break → break-before-make, incremental → cold), so
+    only the ``controller.*`` root reports a mutation's failure. The
+    refusal is kept as the ``raised`` attribute."""
+    sp = trace.span(name)
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        sp.set("raised", type(exc).__name__)
+        raise
+    finally:
+        sp.close()
+
+
+# --- the mutation pipeline: unpack + vet -----------------------------------
+def _unpack(
+    config: TopologyConfig | Topology,
+) -> tuple[Topology, TopologyConfig | None, str, bool]:
+    """``(topology, config, routing strategy, lossless)`` of a request;
+    a bare :class:`Topology` takes the config defaults."""
+    if isinstance(config, Topology):
+        return config, None, "auto", True
+    topology = _stage("topology.build", config.build)
+    return topology, config, config.routing, config.lossless
+
+
+def _vet(routes: RouteTable, lossless: bool) -> RouteTable:
+    """The Deadlock Avoidance module: refuse a deadlockable route table
+    on a lossless net — on *every* route install (initial deployment,
+    edit, route update, failure repair; §V-3)."""
+    if lossless:
+        _stage("routing.deadlock", assert_deadlock_free, routes)
+    return routes
+
+
+# --- the mutation pipeline: update discipline -------------------------------
+def _with_discipline(
+    stage: Callable[[bool], ControlTransaction],
+    prefer_make_before_break: bool = True,
+) -> tuple[ControlTransaction, str]:
+    """The update-discipline policy. ``stage(make_first)`` returns the
+    staged transaction; make-before-break is tried first and priced
+    with ``validate()``, and when the hardware cannot hold both
+    generations (``CapacityError`` from the flow tables,
+    ``ProjectionError`` from the wiring) the change is staged
+    break-before-make instead — *unpriced*: its commit validates."""
+    if prefer_make_before_break:
+        try:
+            txn = stage(True)
+            _stage("txn.validate", txn.validate)
+            return txn, MAKE_BEFORE_BREAK
+        except (CapacityError, ProjectionError):
+            pass
+    return stage(False), BREAK_BEFORE_MAKE
+
+
 @dataclass
 class Deployment:
     """A live projected topology."""
@@ -119,10 +207,11 @@ class Prepared:
 
     Produced by :meth:`SDTController.prepare` and consumed by
     :meth:`SDTController.deploy_prepared` /
-    :meth:`SDTController.swap_deployment`. Callers that abandon a
-    preparation on a hybrid rig must hand it to
-    :meth:`SDTController.release_preparation` so minted flex circuits
-    are returned (everything else in a preparation is pure state).
+    :meth:`SDTController.swap_deployment`, which release it themselves
+    if they fail. Callers that abandon a preparation on a hybrid rig
+    must hand it to :meth:`SDTController.release_preparation` so minted
+    flex circuits are returned (everything else in a preparation is
+    pure state).
     """
 
     config: TopologyConfig | None
@@ -134,6 +223,40 @@ class Prepared:
     lossless: bool
     hybrid_plan: HybridPlan | None
     optical_time: float
+
+
+@dataclass
+class Mutation:
+    """One mutation's ledger: filled in by its entry point while the
+    stages run, published once — on success only — by the epilogue of
+    :meth:`SDTController.mutation`."""
+
+    span: Any
+    #: OCS circuits when the mutation began (what a failure restores)
+    ocs_before: list[tuple[int, int]] | None
+    #: the three parts of the modeled time; a mutation that wraps
+    #: another one books the inner mutation's whole time as its commit
+    optical_mint: float = 0.0
+    commit_time: float = 0.0
+    optical_release: float = 0.0
+    #: update discipline of a generation swap (MAKE_BEFORE_BREAK /
+    #: BREAK_BEFORE_MAKE)
+    strategy: str | None = None
+    #: reconfigure path taken ("cold" / "incremental")
+    mode: str | None = None
+    #: rules in the generation this mutation installed
+    rules: int | None = None
+    #: control messages pushed / entries left untouched on the switches
+    #: (disruption accounting, uniform across swap and reconfigure)
+    pushed: int | None = None
+    unchanged: int | None = None
+
+    @property
+    def modeled_time(self) -> float:
+        """The one definition of a mutation's modeled time — what the
+        entry point returns, the root span's ``modeled_time`` and the
+        ``sdt_controller_mutation_seconds`` observation."""
+        return self.optical_mint + self.commit_time + self.optical_release
 
 
 @dataclass
@@ -172,13 +295,112 @@ class SDTController:
         self.rule_cache = RuleCache()
         self.partition_cache = PartitionCache()
 
-    def _record_mutation(self, op: str, modeled_time: float) -> None:
-        """Publish one mutation's outcome into the metrics registry.
-        Mutations are control-plane-rare, so these are always on."""
-        reg = metrics.registry()
-        reg.counter("sdt_controller_mutations_total").inc(1, op=op)
-        reg.histogram("sdt_controller_mutation_seconds").observe(
-            modeled_time, op=op
+    # --- the mutation pipeline: frame (optics guard + account) ----------
+    @contextmanager
+    def mutation(
+        self,
+        name: str,
+        *,
+        op: str | None = None,
+        consumed: Prepared | None = None,
+        **attrs: Any,
+    ) -> Iterator[Mutation]:
+        """The frame every mutation of this controller's cluster runs in.
+
+        Opens the root span ``controller.<name>`` and yields the
+        :class:`Mutation` ledger for the entry point to fill in.
+
+        *Optics guard*: if the body raises — the transaction has
+        already rolled the flow tables back — the OCS is returned to
+        its pre-mutation circuits and the ``consumed`` preparation's
+        minted circuits are released; nothing below runs, so no book,
+        counter or ``last_commit_strategy`` moves.
+
+        *Account*: on success, the one epilogue — span attributes,
+        ``last_commit_strategy`` and the ``sdt_controller_*`` /
+        ``sdt_reconfig_*`` series (mutations are control-plane-rare,
+        so these are always on), labelled ``op`` (default ``name``).
+        """
+        with trace.span(f"controller.{name}", **attrs) as sp:
+            m = Mutation(sp, self._ocs_circuits())
+            try:
+                yield m
+            except Exception:
+                self._restore_ocs(m.ocs_before)
+                if consumed is not None:
+                    self._release_optics(consumed.hybrid_plan)
+                raise
+            reg = metrics.registry()
+            if m.strategy is not None:
+                self.last_commit_strategy = m.strategy
+                sp.set("strategy", m.strategy)
+                reg.counter("sdt_controller_commit_strategy_total").inc(
+                    1, strategy=m.strategy
+                )
+            if m.mode is not None:
+                sp.set("mode", m.mode)
+                reg.counter("sdt_controller_reconfigure_mode_total").inc(
+                    1, mode=m.mode
+                )
+            if m.rules is not None:
+                sp.set("rules", m.rules)
+            if m.pushed is not None:
+                sp.set("rules_pushed", m.pushed)
+                reg.counter("sdt_reconfig_rules_pushed_total").inc(m.pushed)
+            if m.unchanged is not None:
+                sp.set("rules_unchanged", m.unchanged)
+                reg.counter("sdt_reconfig_rules_unchanged_total").inc(
+                    m.unchanged
+                )
+            sp.set("modeled_time", m.modeled_time)
+            reg.counter("sdt_controller_mutations_total").inc(1, op=op or name)
+            reg.histogram("sdt_controller_mutation_seconds").observe(
+                m.modeled_time, op=op or name
+            )
+
+    # --- the mutation pipeline: stage ------------------------------------
+    def _stage_generation(
+        self,
+        label: str,
+        new: RuleSet | None,
+        deletes: Iterable[tuple[Iterable[str], int]] = (),
+        *,
+        make_first: bool = True,
+    ) -> ControlTransaction:
+        """Stage one generation change: ``new``'s rules and/or a cookie
+        delete per ``(switch names, cookie)`` in ``deletes``, installs
+        first (``make_first``) or deletes first."""
+        with trace.span("openflow.stage"):
+            txn = ControlTransaction(self.cluster.control, label=label)
+            # two steps: install then delete, or the reverse
+            for install in (make_first, not make_first):
+                if not install:
+                    for switch_names, cookie in deletes:
+                        txn.stage_delete(switch_names, cookie)
+                elif new is not None:
+                    txn.stage_rules(new.mods)
+            return txn
+
+    def stage_swap(
+        self,
+        label: str,
+        new: RuleSet,
+        olds: Iterable[Deployment],
+        *,
+        prefer_make_before_break: bool = True,
+    ) -> tuple[ControlTransaction, str]:
+        """Stage replacing the ``olds`` generations with ``new`` under
+        the update-discipline policy; returns ``(transaction,
+        discipline)`` with nothing committed. A make-before-break
+        result has passed ``validate()``; a break-before-make one has
+        not (``commit`` does). Admission control prices tenant swaps
+        through this, so it admits exactly what a commit can apply."""
+        deletes = [(old.rules.mods, old.cookie) for old in olds]
+        return _with_discipline(
+            lambda make_first: self._stage_generation(
+                label, new, deletes, make_first=make_first
+            ),
+            prefer_make_before_break,
         )
 
     # --- resource bookkeeping ------------------------------------------
@@ -187,6 +409,25 @@ class SDTController:
         for d in self.deployments:
             used.update(d.projection.link_realization.values())
         return used
+
+    def _require_live(self, deployment: Deployment) -> None:
+        if deployment not in self.deployments:
+            raise ConfigurationError(f"{deployment.name!r} is not deployed")
+
+    def _require_free_cookie(self, cookie: int) -> None:
+        """Cookie-disjointness across live deployments is the foundation
+        of every isolation guarantee (cookie deletes, per-tenant
+        ledgers, the multi-tenant verifier), so a cookie reuse is
+        refused as a hard error rather than silently merging two
+        deployments' rules."""
+        holder = next(
+            (d.name for d in self.deployments if d.cookie == cookie), None
+        )
+        if holder is not None:
+            raise ConfigurationError(
+                f"cookie {cookie} already tags live deployment {holder!r}; "
+                "coexisting deployments need disjoint cookies"
+            )
 
     def _projector(self, exclude: set | None = None) -> LinkProjection:
         excl = self._occupied() if exclude is None else exclude
@@ -231,9 +472,7 @@ class SDTController:
     ) -> list[str]:
         """§VII-C: pre-estimate flow-entry demand against switch TCAMs."""
         routes = self._routes_for(topology, config.routing)
-        rules = synthesize_rules(
-            projection, routes, cookie=0, cache=self.rule_cache
-        )
+        rules = self._synthesize(projection, routes, cookie=0)
         problems = []
         for name, count in rules.per_switch_counts().items():
             sw = self.cluster.switches[name]
@@ -246,16 +485,31 @@ class SDTController:
                 )
         return problems
 
-    # --- Routing Strategy module ------------------------------------------
+    # --- the mutation pipeline: routes -------------------------------------
     def _routes_for(self, topology: Topology, strategy: str) -> RouteTable:
+        """The Routing Strategy module."""
         if strategy in _STRATEGIES:
-            return _STRATEGIES[strategy](topology)
+            return _stage("routing.routes", _STRATEGIES[strategy], topology)
         if strategy.startswith("torus-dateline"):
             dims = tuple(int(x) for x in topology.name.split("-")[1].split("x"))
-            return torus_dateline_routes(topology, dims)
+            return _stage(
+                "routing.routes", torus_dateline_routes, topology, dims
+            )
         raise ConfigurationError(
             f"unknown routing strategy {strategy!r}; choose from "
             f"{sorted(_STRATEGIES)} or 'torus-dateline'"
+        )
+
+    def _synthesize(
+        self, projection: ProjectionResult, routes: RouteTable, cookie: int
+    ) -> RuleSet:
+        return _stage(
+            "rules.synthesize",
+            synthesize_rules,
+            projection,
+            routes,
+            cookie=cookie,
+            cache=self.rule_cache,
         )
 
     # --- preparation (pure: no hardware mutation except optics) ----------
@@ -282,25 +536,12 @@ class SDTController:
         """
         if cookie is None:
             cookie = self._next_cookie
-        elif any(d.cookie == cookie for d in self.deployments):
-            raise ConfigurationError(
-                f"cookie {cookie} already tags a live deployment; "
-                "coexisting deployments need disjoint cookies"
-            )
-        if isinstance(config, Topology):
-            topology, cfg = config, None
-            strategy = "auto"
-            lossless = True
         else:
-            topology, cfg = config.build(), config
-            strategy = config.routing
-            lossless = config.lossless
-
+            self._require_free_cookie(cookie)
+        topology, cfg, strategy, lossless = _unpack(config)
         if routes is None:
             routes = self._routes_for(topology, strategy)
-        if lossless:
-            # Deadlock Avoidance module: refuse deadlockable lossless nets
-            assert_deadlock_free(routes)
+        _vet(routes, lossless)
 
         usage = (
             route_usage(topology, routes, active_hosts)
@@ -318,20 +559,22 @@ class SDTController:
                 exclude=self._occupied() if exclude is None else exclude,
                 metadata_base=self._next_metadata,
             )
-            projection, hybrid_plan, optical_time = hybrid.project(
-                topology, usage=usage
+            projection, hybrid_plan, optical_time = _stage(
+                "projection.project", hybrid.project, topology, usage=usage
             )
         else:
-            projection = self._projector(exclude).project(topology, usage=usage)
-        rules = synthesize_rules(
-            projection, routes, cookie=cookie, cache=self.rule_cache
-        )
+            projection = _stage(
+                "projection.project",
+                self._projector(exclude).project,
+                topology,
+                usage=usage,
+            )
         return Prepared(
             config=cfg,
             topology=topology,
             routes=routes,
             projection=projection,
-            rules=rules,
+            rules=self._synthesize(projection, routes, cookie),
             cookie=cookie,
             lossless=lossless,
             hybrid_plan=hybrid_plan,
@@ -339,20 +582,8 @@ class SDTController:
         )
 
     def _register(self, prep: Prepared, deployment_time: float) -> Deployment:
-        """Adopt a committed preparation as a live deployment.
-
-        Cookie-disjointness across live deployments is the foundation of
-        every isolation guarantee (cookie deletes, per-tenant ledgers,
-        the multi-tenant verifier), so a cookie reuse is refused here as
-        a hard error rather than silently merging two deployments'
-        rules.
-        """
-        if any(d.cookie == prep.cookie for d in self.deployments):
-            raise ConfigurationError(
-                f"cookie {prep.cookie} already tags live deployment "
-                f"{next(d.name for d in self.deployments if d.cookie == prep.cookie)!r}; "
-                "coexisting deployments need disjoint cookies"
-            )
+        """Adopt a committed preparation as a live deployment."""
+        self._require_free_cookie(prep.cookie)
         deployment = Deployment(
             config=prep.config,
             topology=prep.topology,
@@ -421,11 +652,11 @@ class SDTController:
         rolls every switch back to its prior rule set (and releases any
         flex circuits minted for the deployment) before re-raising.
         """
-        with trace.span("controller.deploy") as sp:
+        with self.mutation("deploy") as m:
             prep = self.prepare(
                 config, routes=routes, active_hosts=active_hosts
             )
-            return self._install(prep, sp)
+            return self._install(prep, m)
 
     def deploy_prepared(self, prep: Prepared) -> Deployment:
         """Install an already-:meth:`prepare`-d topology.
@@ -434,36 +665,26 @@ class SDTController:
         multi-tenant admission controller) run every check against the
         exact rules that will be installed and still guarantee that a
         rejection touches no switch. The same transactional install as
-        :meth:`deploy`.
+        :meth:`deploy`. The call consumes ``prep``: a failed call —
+        cookie collision or a rolled-back commit — has already released
+        the preparation's flex circuits.
         """
-        with trace.span("controller.deploy") as sp:
-            return self._install(prep, sp)
+        with self.mutation("deploy", consumed=prep) as m:
+            return self._install(prep, m)
 
-    def _install(self, prep: Prepared, sp) -> Deployment:
-        sp.set("topology", prep.topology.name)
-        sp.set("cookie", prep.cookie)
-        sp.set("rules", prep.rules.count())
-        if any(d.cookie == prep.cookie for d in self.deployments):
-            # _register re-checks, but catching the collision here keeps
-            # the reject zero-mutation (no commit, optics returned)
-            self._release_optics(prep.hybrid_plan)
-            raise ConfigurationError(
-                f"cookie {prep.cookie} already tags a live deployment; "
-                "coexisting deployments need disjoint cookies"
-            )
-        txn = ControlTransaction(
-            self.cluster.control, label=f"deploy {prep.topology.name}"
+    def _install(self, prep: Prepared, m: Mutation) -> Deployment:
+        m.span.set("topology", prep.topology.name)
+        m.span.set("cookie", prep.cookie)
+        m.rules = prep.rules.count()
+        # _register re-checks, but catching a collision before the
+        # commit keeps the reject zero-mutation
+        self._require_free_cookie(prep.cookie)
+        txn = self._stage_generation(
+            f"deploy {prep.topology.name}", prep.rules
         )
-        txn.stage_rules(prep.rules.mods)
-        try:
-            install_time = txn.commit()
-        except Exception:
-            self._release_optics(prep.hybrid_plan)
-            raise
-        deployment = self._register(prep, prep.optical_time + install_time)
-        sp.set("modeled_time", deployment.deployment_time)
-        self._record_mutation("deploy", deployment.deployment_time)
-        return deployment
+        m.optical_mint = prep.optical_time
+        m.commit_time = txn.commit()
+        return self._register(prep, m.modeled_time)
 
     def release_preparation(self, prep: Prepared) -> float:
         """Abandon a preparation that will not be installed, returning
@@ -490,61 +711,37 @@ class SDTController:
         excluded from ``exclude``) must pass
         ``prefer_make_before_break=False``: both generations would
         claim the same physical ports, so the old rules have to leave
-        first. Returns ``(new deployment, modeled swap time)``; a
-        mid-commit failure rolls every switch back with ``old`` still
-        live.
+        first. Returns ``(new deployment, modeled swap time)`` — the
+        preparation's optical mint, the commit, and the old
+        generation's optical release. The call consumes ``prep``: a
+        failed call (``old`` not live, or a mid-commit failure, which
+        rolls every switch back with ``old`` still live) has already
+        released the preparation's flex circuits.
         """
-        if old not in self.deployments:
-            raise ConfigurationError(f"{old.name!r} is not deployed")
-        with trace.span(
-            "controller.swap", topology=prep.topology.name
-        ) as sp:
-
-            def build(make_first: bool) -> ControlTransaction:
-                txn = ControlTransaction(
-                    self.cluster.control,
-                    label=f"swap {old.name}->{prep.topology.name}",
-                )
-                if make_first:
-                    txn.stage_rules(prep.rules.mods)
-                    txn.stage_delete(old.rules.mods, old.cookie)
-                else:
-                    txn.stage_delete(old.rules.mods, old.cookie)
-                    txn.stage_rules(prep.rules.mods)
-                return txn
-
-            strategy = BREAK_BEFORE_MAKE
-            if prefer_make_before_break:
-                txn = build(True)
-                try:
-                    txn.validate()
-                    strategy = MAKE_BEFORE_BREAK
-                except CapacityError:
-                    txn = build(False)
-            else:
-                txn = build(False)
-            elapsed = txn.commit()
-            self.last_commit_strategy = strategy
+        with self.mutation(
+            "swap", consumed=prep, topology=prep.topology.name
+        ) as m:
+            self._require_live(old)
+            txn, m.strategy = self.stage_swap(
+                f"swap {old.name}->{prep.topology.name}",
+                prep.rules,
+                [old],
+                prefer_make_before_break=prefer_make_before_break,
+            )
+            m.optical_mint = prep.optical_time
+            m.commit_time = txn.commit()
             self.deployments.remove(old)
-            release_time = self._release_optics(old.hybrid_plan)
+            m.optical_release = self._release_optics(old.hybrid_plan)
             deployment = self._register(
                 prep,
                 prep.optical_time + self._estimated_install_time(prep.rules),
             )
-            sp.set("strategy", strategy)
-            sp.set("rules", prep.rules.count())
-            sp.set("modeled_time", elapsed)
-            metrics.registry().counter(
-                "sdt_controller_commit_strategy_total"
-            ).inc(1, strategy=strategy)
+            m.rules = prep.rules.count()
             # a generation swap pushes the new rules plus the old
             # cookie's deletes; count them so disruption accounting is
             # uniform across the incremental and swap reconfigure paths
-            metrics.registry().counter(
-                "sdt_reconfig_rules_pushed_total"
-            ).inc(prep.rules.count() + old.rules.count())
-            self._record_mutation("swap", elapsed)
-            return deployment, elapsed + release_time
+            m.pushed = m.rules + old.rules.count()
+        return deployment, m.modeled_time
 
     def undeploy(self, deployment: Deployment) -> float:
         """Remove a deployment's rules; returns modeled removal time.
@@ -552,21 +749,16 @@ class SDTController:
         Transactional: if a delete fails mid-way, every switch is
         restored and the deployment stays live.
         """
-        if deployment not in self.deployments:
-            raise ConfigurationError(f"{deployment.name!r} is not deployed")
-        with trace.span(
-            "controller.undeploy", topology=deployment.name
-        ) as sp:
-            txn = ControlTransaction(
-                self.cluster.control, label=f"undeploy {deployment.name}"
-            )
-            txn.stage_delete(deployment.rules.mods, deployment.cookie)
-            removal_time = txn.commit()
+        self._require_live(deployment)
+        with self.mutation("undeploy", topology=deployment.name) as m:
+            m.commit_time = self._stage_generation(
+                f"undeploy {deployment.name}",
+                None,
+                [(deployment.rules.mods, deployment.cookie)],
+            ).commit()
             self.deployments.remove(deployment)
-            total = self._release_optics(deployment.hybrid_plan) + removal_time
-            sp.set("modeled_time", total)
-            self._record_mutation("undeploy", total)
-            return total
+            m.optical_release = self._release_optics(deployment.hybrid_plan)
+        return m.modeled_time
 
     def undeploy_cookie(
         self, cookie: int, switch_names: Iterable[str]
@@ -579,15 +771,13 @@ class SDTController:
         (DESIGN.md §7) but whose rules are live on the switches. The
         delete is transactional like :meth:`undeploy`.
         """
-        with trace.span("controller.undeploy_cookie", cookie=cookie) as sp:
-            txn = ControlTransaction(
-                self.cluster.control, label=f"undeploy cookie {cookie}"
-            )
-            txn.stage_delete(switch_names, cookie)
-            removal_time = txn.commit()
-            sp.set("modeled_time", removal_time)
-            self._record_mutation("undeploy", removal_time)
-            return removal_time
+        with self.mutation(
+            "undeploy_cookie", op="undeploy", cookie=cookie
+        ) as m:
+            m.commit_time = self._stage_generation(
+                f"undeploy cookie {cookie}", None, [(switch_names, cookie)]
+            ).commit()
+        return m.modeled_time
 
     def reconfigure(
         self,
@@ -607,114 +797,81 @@ class SDTController:
         mid-flight failure rolls every switch back to the previous
         deployment's rules and leaves ``deployments`` untouched.
         """
-        with trace.span("controller.reconfigure") as sp:
-            deployment, elapsed = self._reconfigure(
-                config, active_hosts=active_hosts, span=sp
-            )
-            sp.set("topology", deployment.name)
-            sp.set("modeled_time", elapsed)
-            self._record_mutation("reconfigure", elapsed)
-            return deployment, elapsed
-
-    def _reconfigure(
-        self,
-        config: TopologyConfig | Topology,
-        *,
-        active_hosts: list[str] | None,
-        span,
-    ) -> tuple[Deployment, float]:
-        olds = list(self.deployments)
-        if not olds:
-            deployment = self.deploy(config, active_hosts=active_hosts)
-            return deployment, deployment.deployment_time
-
-        if len(olds) == 1:
-            inc = self._reconfigure_incremental(
-                olds[0], config, active_hosts, span
-            )
-            if inc is not None:
-                return inc
-
-        ocs_before = self._ocs_circuits()
-        release_time = 0.0
-        released_old_optics = False
-        prep: Prepared | None = None
-        try:
-            # make-before-break: project alongside the live deployments
-            prep = self.prepare(
-                config, active_hosts=active_hosts, exclude=self._occupied()
-            )
-            txn = ControlTransaction(
-                self.cluster.control, label=f"reconfigure {prep.topology.name}"
-            )
-            txn.stage_rules(prep.rules.mods)
-            for old in olds:
-                txn.stage_delete(old.rules.mods, old.cookie)
-            txn.validate()
-            strategy = MAKE_BEFORE_BREAK
-        except (CapacityError, ProjectionError):
-            # the hardware cannot hold both generations: break first.
-            # The old generation's wiring *and* flex circuits become
-            # available to the new topology; the OCS snapshot restores
-            # them if the swap fails past this point.
-            self._restore_ocs(ocs_before)  # drop any aborted MBB mints
-            for old in olds:
-                release_time += self._release_optics(old.hybrid_plan)
-            released_old_optics = True
-            try:
-                prep = self.prepare(
-                    config, active_hosts=active_hosts, exclude=set()
+        with self.mutation("reconfigure") as m:
+            olds = list(self.deployments)
+            deployment = None
+            if not olds:
+                deployment = self.deploy(config, active_hosts=active_hosts)
+                m.commit_time = deployment.deployment_time
+            elif len(olds) == 1:
+                deployment = self._reconfigure_incremental(
+                    olds[0], config, active_hosts, m
                 )
-            except Exception:
-                self._restore_ocs(ocs_before)
-                raise
-            txn = ControlTransaction(
-                self.cluster.control, label=f"reconfigure {prep.topology.name}"
+            if deployment is None:
+                deployment = self._reconfigure_cold(
+                    olds, config, active_hosts, m
+                )
+            m.span.set("topology", deployment.name)
+        return deployment, m.modeled_time
+
+    def _reconfigure_cold(
+        self,
+        olds: list[Deployment],
+        config: TopologyConfig | Topology,
+        active_hosts: list[str] | None,
+        m: Mutation,
+    ) -> Deployment:
+        """Swap whole generations: every old deployment's cookie delete
+        against a freshly prepared topology."""
+        deletes = [(old.rules.mods, old.cookie) for old in olds]
+        prep: Prepared | None = None
+
+        def stage(make_first: bool) -> ControlTransaction:
+            nonlocal prep
+            if not make_first:
+                # the hardware cannot hold both generations: break
+                # first. The old generation's wiring *and* flex
+                # circuits become available to the new topology; the
+                # optics guard restores them if the swap fails past
+                # this point.
+                self._restore_ocs(m.ocs_before)  # drop aborted MBB mints
+                for old in olds:
+                    m.optical_release += self._release_optics(old.hybrid_plan)
+            # make-before-break projects alongside the live deployments
+            prep = self.prepare(
+                config,
+                active_hosts=active_hosts,
+                exclude=self._occupied() if make_first else set(),
             )
-            for old in olds:
-                txn.stage_delete(old.rules.mods, old.cookie)
-            txn.stage_rules(prep.rules.mods)
-            strategy = BREAK_BEFORE_MAKE
+            return self._stage_generation(
+                f"reconfigure {prep.topology.name}",
+                prep.rules,
+                deletes,
+                make_first=make_first,
+            )
 
-        try:
-            swap_time = txn.commit()
-        except Exception:
-            # flow tables were rolled back by the transaction; return
-            # the optics to their pre-reconfigure circuits too
-            self._restore_ocs(ocs_before)
-            raise
-        self.last_commit_strategy = strategy
-        span.set("strategy", strategy)
-        span.set("mode", "cold")
-        span.set("rules", prep.rules.count())
-        reg = metrics.registry()
-        reg.counter("sdt_controller_commit_strategy_total").inc(
-            1, strategy=strategy
-        )
-        reg.counter("sdt_controller_reconfigure_mode_total").inc(
-            1, mode="cold"
-        )
-        reg.counter("sdt_reconfig_rules_pushed_total").inc(
-            prep.rules.count() + sum(o.rules.count() for o in olds)
-        )
-
+        txn, m.strategy = _with_discipline(stage)
+        m.optical_mint = prep.optical_time
+        m.commit_time = txn.commit()
+        m.mode = "cold"
+        m.rules = prep.rules.count()
+        m.pushed = m.rules + sum(o.rules.count() for o in olds)
         for old in olds:
             self.deployments.remove(old)
-            if not released_old_optics:
-                release_time += self._release_optics(old.hybrid_plan)
-        deployment = self._register(
+            if m.strategy == MAKE_BEFORE_BREAK:
+                m.optical_release += self._release_optics(old.hybrid_plan)
+        return self._register(
             prep,
             prep.optical_time + self._estimated_install_time(prep.rules),
         )
-        return deployment, prep.optical_time + swap_time + release_time
 
     def _reconfigure_incremental(
         self,
         old: Deployment,
         config: TopologyConfig | Topology,
         active_hosts: list[str] | None,
-        span,
-    ) -> tuple[Deployment, float] | None:
+        m: Mutation,
+    ) -> Deployment | None:
         """Try the O(changed links) reconfiguration path (DESIGN.md §5b).
 
         Diffs the live topology against the requested one, re-projects
@@ -741,29 +898,25 @@ class SDTController:
             or old.flow_overrides
         ):
             return None
-        if isinstance(config, Topology):
-            topology, cfg = config, None
-            strategy, lossless = "auto", True
-        else:
-            topology, cfg = config.build(), config
-            strategy, lossless = config.routing, config.lossless
+        topology, cfg, strategy, lossless = _unpack(config)
         try:
-            diff = diff_topologies(old.topology, topology)
+            diff = _stage("topology.diff", diff_topologies, old.topology, topology)
         except TopologyError:
             return None
 
-        routes = self._routes_for(topology, strategy)
-        if lossless:
-            # Deadlock Avoidance vets edits exactly like fresh installs
-            assert_deadlock_free(routes)
+        routes = _vet(self._routes_for(topology, strategy), lossless)
 
         exclude: set = set()
         for d in self.deployments:
             if d is not old:
                 exclude.update(d.projection.link_realization.values())
-        partition = extend_partition(old.projection.partition, topology)
+        partition = _stage(
+            "partition.extend", extend_partition, old.projection.partition, topology
+        )
         try:
-            projection = project_delta(
+            projection = _stage(
+                "projection.delta",
+                project_delta,
                 self.cluster,
                 old.projection,
                 topology,
@@ -774,28 +927,26 @@ class SDTController:
         except (CapacityError, ProjectionError):
             return None
 
-        rules = synthesize_rules(
-            projection, routes, cookie=old.cookie, cache=self.rule_cache
-        )
-        txn = ControlTransaction(
-            self.cluster.control,
-            label=f"reconfigure-incremental {topology.name}",
-        )
-        # Block-identity fast path: sub-switches whose compiled block
-        # came back from the rule cache unchanged are excluded from the
-        # per-rule diff entirely (no FlowMod materialization for them).
-        delta = split_ruleset_delta(old.rules, rules)
-        stats = txn.stage_delta(delta.old_mods, delta.new_mods)
-        unchanged = stats.unchanged + delta.shared_rules
+        rules = self._synthesize(projection, routes, old.cookie)
+        with trace.span("openflow.stage"):
+            txn = ControlTransaction(
+                self.cluster.control,
+                label=f"reconfigure-incremental {topology.name}",
+            )
+            # Block-identity fast path: sub-switches whose compiled
+            # block came back from the rule cache unchanged are excluded
+            # from the per-rule diff entirely (no FlowMod
+            # materialization for them).
+            delta = split_ruleset_delta(old.rules, rules)
+            stats = txn.stage_delta(delta.old_mods, delta.new_mods)
         try:
-            elapsed = txn.commit()
+            m.commit_time = txn.commit()
         except CapacityError:
             # commit validates before touching hardware; the delta's
             # transient peak (steady state + additions) does not fit,
             # but the cold path can still price break-before-make
             return None
 
-        self.last_commit_strategy = MAKE_BEFORE_BREAK
         # the extended partition is now the edited topology's partition
         # of record: seed the cache so a later check/deploy of this
         # same topology hits instead of re-running the multilevel
@@ -815,22 +966,13 @@ class SDTController:
         old.lossless = lossless
         old.deployment_time = self._estimated_install_time(rules)
 
-        span.set("mode", "incremental")
-        span.set("strategy", MAKE_BEFORE_BREAK)
-        span.set("changes", diff.num_changes)
-        span.set("rules", rules.count())
-        span.set("rules_pushed", stats.pushed)
-        span.set("rules_unchanged", unchanged)
-        reg = metrics.registry()
-        reg.counter("sdt_controller_commit_strategy_total").inc(
-            1, strategy=MAKE_BEFORE_BREAK
-        )
-        reg.counter("sdt_controller_reconfigure_mode_total").inc(
-            1, mode="incremental"
-        )
-        reg.counter("sdt_reconfig_rules_pushed_total").inc(stats.pushed)
-        reg.counter("sdt_reconfig_rules_unchanged_total").inc(unchanged)
-        return old, elapsed
+        m.strategy = MAKE_BEFORE_BREAK
+        m.mode = "incremental"
+        m.span.set("changes", diff.num_changes)
+        m.rules = rules.count()
+        m.pushed = stats.pushed
+        m.unchanged = stats.unchanged + delta.shared_rules
+        return old
 
     # --- failure handling ----------------------------------------------------
     def update_routes(self, deployment: Deployment, routes: RouteTable) -> float:
@@ -843,60 +985,20 @@ class SDTController:
         when the flow tables can hold both route generations), so a
         control-channel failure leaves the previous rules in place.
         """
-        if deployment not in self.deployments:
-            raise ConfigurationError(f"{deployment.name!r} is not deployed")
-        with trace.span(
-            "controller.update_routes", topology=deployment.name
-        ) as sp:
-            if deployment.lossless:
-                # Deadlock Avoidance vets every route install, not just
-                # the initial deployment (§V-3)
-                assert_deadlock_free(routes)
+        self._require_live(deployment)
+        with self.mutation("update_routes", topology=deployment.name) as m:
+            _vet(routes, deployment.lossless)
             cookie = self._next_cookie
-            rules = synthesize_rules(
-                deployment.projection, routes, cookie=cookie,
-                cache=self.rule_cache,
+            rules = self._synthesize(deployment.projection, routes, cookie)
+            txn, m.strategy = self.stage_swap(
+                f"update-routes {deployment.name}", rules, [deployment]
             )
-            txn, strategy = self._stage_route_swap(rules, deployment)
-            elapsed = txn.commit()
-            self.last_commit_strategy = strategy
+            m.commit_time = txn.commit()
             self._next_cookie += 1
             deployment.routes = routes
             deployment.rules = rules
             deployment.cookie = cookie
-            sp.set("strategy", strategy)
-            sp.set("modeled_time", elapsed)
-            metrics.registry().counter(
-                "sdt_controller_commit_strategy_total"
-            ).inc(1, strategy=strategy)
-            self._record_mutation("update_routes", elapsed)
-            return elapsed
-
-    def _stage_route_swap(
-        self, rules: RuleSet, deployment: Deployment
-    ) -> tuple[ControlTransaction, str]:
-        """Stage new rules + old-cookie deletes, make-before-break when
-        both generations fit every switch's flow table."""
-
-        def build(make_first: bool) -> ControlTransaction:
-            txn = ControlTransaction(
-                self.cluster.control,
-                label=f"update-routes {deployment.name}",
-            )
-            if make_first:
-                txn.stage_rules(rules.mods)
-                txn.stage_delete(deployment.rules.mods, deployment.cookie)
-            else:
-                txn.stage_delete(deployment.rules.mods, deployment.cookie)
-                txn.stage_rules(rules.mods)
-            return txn
-
-        txn = build(True)
-        try:
-            txn.validate()
-            return txn, MAKE_BEFORE_BREAK
-        except CapacityError:
-            return build(False), BREAK_BEFORE_MAKE
+        return m.modeled_time
 
     def fail_link(self, deployment: Deployment, link_index: int) -> float:
         """Mark a logical link failed and reroute around it.
@@ -909,36 +1011,30 @@ class SDTController:
         keeps its prior value. Returns the modeled repair time — the
         figure of merit for fault-tolerance experiments on SDT.
         """
-        with trace.span(
-            "controller.fail_link",
-            topology=deployment.name,
-            link=link_index,
-        ) as sp:
+        with self.mutation(
+            "fail_link", topology=deployment.name, link=link_index
+        ) as m:
             failed = set(deployment.failed_links) | {link_index}
-            routes = reroute_avoiding(deployment.topology, failed)
-            elapsed = self.update_routes(deployment, routes)
+            routes = _stage(
+                "routing.routes", reroute_avoiding, deployment.topology, failed
+            )
+            m.commit_time = self.update_routes(deployment, routes)
             deployment.failed_links = failed
-            sp.set("modeled_time", elapsed)
-            self._record_mutation("fail_link", elapsed)
-            return elapsed
+        return m.modeled_time
 
     def restore_links(self, deployment: Deployment) -> float:
         """Clear all failures and reinstall the original strategy.
 
         ``failed_links`` is cleared only once the reinstall commits.
         """
-        with trace.span(
-            "controller.restore_links", topology=deployment.name
-        ) as sp:
+        with self.mutation("restore_links", topology=deployment.name) as m:
             strategy = (
                 deployment.config.routing if deployment.config else "auto"
             )
             routes = self._routes_for(deployment.topology, strategy)
-            elapsed = self.update_routes(deployment, routes)
+            m.commit_time = self.update_routes(deployment, routes)
             deployment.failed_links = set()
-            sp.set("modeled_time", elapsed)
-            self._record_mutation("restore_links", elapsed)
-            return elapsed
+        return m.modeled_time
 
     # --- active routing support (§VI-E) -----------------------------------
     def install_flow_override(
@@ -953,13 +1049,13 @@ class SDTController:
     ) -> None:
         """Steer one (src, dst) flow at one logical switch — the
         controller-side half of active routing."""
-        with trace.span(
-            "controller.flow_override",
+        with self.mutation(
+            "flow_override",
             topology=deployment.name,
             switch=logical_switch,
             src=src,
             dst=dst,
-        ) as sp:
+        ) as m:
             phys, mod = flow_override(
                 deployment.projection,
                 logical_switch,
@@ -973,10 +1069,8 @@ class SDTController:
                 self.cluster.control, label=f"flow-override {deployment.name}"
             )
             txn.stage(phys, mod)
-            elapsed = txn.commit()
+            m.commit_time = txn.commit()
             deployment.flow_overrides += 1
-            sp.set("modeled_time", elapsed)
-            self._record_mutation("flow_override", elapsed)
 
     # --- durability & recovery (DESIGN.md §7) ------------------------------
     def snapshot_state(self, sessions=None) -> dict:
@@ -991,12 +1085,10 @@ class SDTController:
         """Audit every switch's installed rules against this
         controller's deployments and repair drift (missing rules
         re-installed, orphans strict-deleted, modified rules replaced)
-        in one ordinary transaction; see
+        in one ordinary transaction, committed inside this controller's
+        :meth:`mutation` frame; see
         :func:`repro.recovery.reconcile.reconcile`. Returns the
         :class:`~repro.recovery.reconcile.ReconcileReport`."""
         from repro.recovery.reconcile import reconcile
 
-        report = reconcile(self, dry_run=dry_run)
-        if not report.dry_run and not report.clean:
-            self._record_mutation("reconcile", report.modeled_time)
-        return report
+        return reconcile(self, dry_run=dry_run)

@@ -17,8 +17,11 @@ intent and repairs three kinds of drift inside one ordinary
 
 Because the repair is a normal transaction it inherits every
 guarantee: capacity validation before hardware, barriers, snapshot
-rollback on failure. A clean audit stages nothing and touches no
-switch.
+rollback on failure. It commits inside the controller's
+:meth:`~repro.core.controller.controller.SDTController.mutation`
+frame, so it is traced (``controller.reconcile``) and counted
+(``op="reconcile"``) by the same epilogue as every other mutation. A
+clean audit stages nothing and touches no switch.
 
 Deployments with installed flow overrides are excluded from the audit
 (their override rules share the deployment cookie but live outside
@@ -33,7 +36,7 @@ from typing import Any
 
 from repro.openflow.channel import FlowDelete, FlowMod
 from repro.openflow.transaction import ControlTransaction
-from repro.telemetry import metrics, trace
+from repro.telemetry import metrics
 
 
 def _identity(m: FlowMod) -> tuple:
@@ -164,15 +167,17 @@ def reconcile(controller: Any, *, dry_run: bool = False) -> ReconcileReport:
 
     elapsed = 0.0
     if not clean and not dry_run:
-        with trace.span("controller.reconcile", drift=missing + orphaned
-                        + modified + duplicates):
+        with controller.mutation(
+            "reconcile", drift=missing + orphaned + modified + duplicates
+        ) as m:
             txn = ControlTransaction(
                 controller.cluster.control, label="reconcile"
             )
             for name, deletes in sorted(dup_deletes.items()):
                 txn.stage(name, *deletes)
             txn.stage_delta(actual, intent)
-            elapsed = txn.commit()
+            m.commit_time = txn.commit()
+        elapsed = m.modeled_time
     return ReconcileReport(
         missing=missing,
         orphaned=orphaned,

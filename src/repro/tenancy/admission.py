@@ -9,11 +9,15 @@ before it arrived, because
 
 * preparation (:meth:`~repro.core.controller.controller.SDTController.prepare`)
   is pure — projection and rule synthesis touch no hardware;
-* pool capacity is checked by staging the prepared rules into a
-  :class:`~repro.openflow.transaction.ControlTransaction` and calling
+* pool capacity is priced by the controller's own update-discipline
+  policy
+  (:meth:`~repro.core.controller.controller.SDTController.stage_swap`):
+  the prepared rules — and, for a swap, the old cookie's deletes — are
+  staged exactly as the commit will stage them, make-before-break
+  first and break-before-make if that does not fit, and checked with
   :meth:`~repro.openflow.transaction.ControlTransaction.validate`
   (never ``commit``) — the same exact peak-entry simulation a commit
-  would run;
+  runs, so admission admits precisely what the controller can apply;
 * on a hybrid pool, flex circuits minted during preparation are
   released before the rejection is raised.
 
@@ -27,12 +31,12 @@ from __future__ import annotations
 
 from repro.core.controller.config import TopologyConfig
 from repro.core.controller.controller import (
+    BREAK_BEFORE_MAKE,
     Deployment,
     Prepared,
     SDTController,
 )
 from repro.hardware.wiring import HostPort
-from repro.openflow.transaction import ControlTransaction
 from repro.telemetry import metrics, trace
 from repro.tenancy.session import TenantSession
 from repro.topology.graph import Topology
@@ -114,14 +118,14 @@ class AdmissionController:
                     exclude=(occupied - old_resources) | foreign,
                 )
                 mbb = False
-            problems = self._post_prepare_problems(session, prep, old=old)
+            if mbb and not self._transient_share_ok(session, prep, old):
+                # both generations may fit the pool but would transiently
+                # exceed the tenant's own TCAM share: break first
+                mbb = False
+            problems = self._post_prepare_problems(session, prep, old, mbb)
             if problems:
                 self.controller.release_preparation(prep)
                 self._reject(session, problems)
-            if mbb and not self._transient_share_ok(session, prep, old):
-                # both generations fit the pool but would transiently
-                # exceed the tenant's own TCAM share: break first
-                mbb = False
             sp.set("make_before_break", mbb)
             self._count(session, admitted=True)
             return prep, mbb
@@ -191,9 +195,12 @@ class AdmissionController:
         session: TenantSession,
         prep: Prepared,
         old: Deployment | None,
+        make_before_break: bool = True,
     ) -> list[str]:
         """Checks that need the exact preparation: per-switch TCAM
-        share, optical budget, and pool-wide transaction validation."""
+        share, optical budget, and pool-wide transaction validation
+        (``make_before_break`` is the discipline the swap will ask the
+        controller for)."""
         problems: list[str] = []
 
         # per-switch TCAM share (steady state after the mutation lands)
@@ -224,17 +231,19 @@ class AdmissionController:
                     f"{session.quota.optical_circuits}"
                 )
 
-        # pool remaining capacity: the same validation a commit runs,
-        # without committing (zero mutation on reject)
-        txn = ControlTransaction(
-            self.controller.cluster.control,
-            label=f"admission {session.tenant_id}",
-        )
-        txn.stage_rules(prep.rules.mods)
-        if old is not None:
-            txn.stage_delete(old.rules.mods, old.cookie)
+        # pool remaining capacity: the staging and validation the
+        # commit will run — including its make-before-break →
+        # break-before-make fallback — without committing (zero
+        # mutation on reject)
         try:
-            txn.validate()
+            txn, strategy = self.controller.stage_swap(
+                f"admission {session.tenant_id}",
+                prep.rules,
+                [] if old is None else [old],
+                prefer_make_before_break=make_before_break,
+            )
+            if strategy == BREAK_BEFORE_MAKE:
+                txn.validate()  # the fallback comes back unpriced
         except CapacityError as exc:
             problems.append(str(exc))
         return problems
