@@ -5,16 +5,26 @@ sub-switch: a handful of *columns* (classification ports, route
 destinations, VC and output-port vectors) instead of a list of FlowMod
 objects. Blocks are what the :class:`~repro.core.rules.RuleCache`
 stores and what rule synthesis passes around, so the hot
-reconfiguration path moves O(columns) of data per sub-switch and only
-*materializes* FlowMods — the per-rule Python objects — when a block's
-rules actually have to cross the control channel. A block shared
-between two rule generations (cache-hit identity) is proof that every
-rule in it is unchanged, which is what lets the transaction delta skip
-whole sub-switches without comparing (or even creating) their FlowMods.
+reconfiguration path moves O(columns) of data per sub-switch. A block
+has two row-by-row readings, and they describe the same rules in the
+same order (``tests/openflow/test_block_install.py`` holds them
+together):
+
+* :meth:`CompiledBlock.extend_rows` — the install reading: flow entries
+  with their hash-index keys, straight from the columns. This is what a
+  cold deploy pushes through the control channel; no FlowMod exists.
+* :meth:`CompiledBlock.pairs` — the per-message reading: FlowMods, the
+  per-rule control messages, *materialized* only for consumers that
+  need each message (journal, tracer, fault injection, per-rule
+  deltas) and counted by ``sdt_rules_materialized_total``.
+
+A block shared between two rule generations (cache-hit identity) is
+proof that every rule in it is unchanged, which is what lets the
+transaction delta skip whole sub-switches without comparing (or even
+creating) their FlowMods.
 
 Columns are plain tuples: they are written once at compile time and
-read once, row by row, at materialization — no array arithmetic ever
-runs on them.
+read row by row — no array arithmetic ever runs on them.
 """
 
 from __future__ import annotations
@@ -29,7 +39,10 @@ from repro.openflow.actions import (
     WriteMetadata,
 )
 from repro.openflow.channel import FlowMod
+from repro.openflow.flowtable import FlowEntry
 from repro.openflow.match import Match
+from repro.openflow.switch import TableRows
+from repro.telemetry import metrics
 
 CLASSIFY_TABLE = 0
 ROUTE_TABLE = 1
@@ -43,6 +56,14 @@ PRIORITY_OVERRIDE = 200
 
 #: encodes "no incoming-VC constraint" in the in_vc integer column
 NO_VC = -1
+
+#: the flow tables' hash-index shapes of the three kinds of row a block
+#: holds (field names in repro.openflow.flowtable's canonical order)
+_SHAPE_CLASSIFY = ("in_port",)
+_SHAPE_ROUTE_WILD = ("metadata", "dst")
+_SHAPE_ROUTE_EXACT = ("metadata", "dst", "vc")
+#: the full metadata mask a ``Match(metadata=...)`` carries by default
+_DEFAULT_MASK = Match().metadata_mask
 
 #: shared route-action tuples keyed by (in_vc, out_vc, out_port) —
 #: across a deployment most rules repeat a small set of action
@@ -105,6 +126,8 @@ class CompiledBlock:
     sequence lazily and caches it on the block — blocks are shared
     across rule generations via the RuleCache, so each block's FlowMods
     are built at most once no matter how many deployments reuse it.
+    ``extend_rows()`` reads the same rows as installable flow entries
+    (fresh ones per call: an entry belongs to one table).
     """
 
     __slots__ = (
@@ -153,10 +176,67 @@ class CompiledBlock:
             )
         return counts
 
+    def extend_rows(
+        self, switch: str, classify: TableRows, route: TableRows
+    ) -> None:
+        """Append this block's rows that land on ``switch`` to the two
+        tables' bulk-install rows: the rules :meth:`pairs` addresses to
+        ``switch``, in the same order, as flow entries with the
+        ``(shape, key)`` the hash index files them under and each
+        distinct instruction tuple listed once. No FlowMod is built."""
+        cookie = self.cookie
+        metadata_id = self.metadata_id
+        # --- table 0: port -> sub-switch classification ---
+        if switch in self.classify_switches:
+            instrs = (WriteMetadata(metadata_id), GotoTable(ROUTE_TABLE))
+            classify.instructions.append(instrs)
+            for sw, port in zip(self.classify_switches, self.classify_ports):
+                if sw == switch:
+                    classify.entries.append(FlowEntry(
+                        PRIORITY_CLASSIFY, _classify_match(port), instrs, cookie
+                    ))
+                    classify.keys.append((_SHAPE_CLASSIFY, (port,)))
+        # --- table 1: destination-based routing within the sub-switch ---
+        if switch != self.phys_switch:
+            return
+        add_entry = route.entries.append
+        add_key = route.keys.append
+        # Match._make skips the keyword-argument constructor (~3x the
+        # cost, once per rule): fields are in_port, metadata,
+        # metadata_mask, dst, src, proto, src_port, dst_port, vc
+        make_match = Match._make
+        mask = _DEFAULT_MASK
+        # the index keys metadata as Match.matches compares it: masked
+        md_key = metadata_id & mask
+        distinct: dict[tuple[int, int, int], tuple[Instruction, ...]] = {}
+        for dst, action in zip(
+            self.dsts, zip(self.in_vcs, self.out_vcs, self.out_ports)
+        ):
+            instrs = distinct.get(action)
+            if instrs is None:
+                instrs = distinct[action] = route_instructions(*action)
+            in_vc = action[0]
+            if in_vc == NO_VC:
+                match = make_match(
+                    (None, metadata_id, mask, dst, None, None, None, None, None)
+                )
+                add_entry(FlowEntry(PRIORITY_ROUTE_WILD, match, instrs, cookie))
+                add_key((_SHAPE_ROUTE_WILD, (md_key, dst)))
+            else:
+                match = make_match(
+                    (None, metadata_id, mask, dst, None, None, None, None, in_vc)
+                )
+                add_entry(FlowEntry(PRIORITY_ROUTE_EXACT, match, instrs, cookie))
+                add_key((_SHAPE_ROUTE_EXACT, (md_key, dst, in_vc)))
+        route.instructions.extend(distinct.values())
+
     def pairs(self) -> tuple[tuple[str, FlowMod], ...]:
         """Materialize (physical switch, FlowMod) rows, cached."""
         if self._pairs is not None:
             return self._pairs
+        metrics.registry().counter("sdt_rules_materialized_total").inc(
+            self.count
+        )
         cookie = self.cookie
         metadata_id = self.metadata_id
         out: list[tuple[str, FlowMod]] = []

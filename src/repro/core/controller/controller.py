@@ -378,7 +378,7 @@ class SDTController:
                     for switch_names, cookie in deletes:
                         txn.stage_delete(switch_names, cookie)
                 elif new is not None:
-                    txn.stage_rules(new.mods)
+                    txn.stage_rules(new)
             return txn
 
     def stage_swap(
@@ -395,7 +395,7 @@ class SDTController:
         result has passed ``validate()``; a break-before-make one has
         not (``commit`` does). Admission control prices tenant swaps
         through this, so it admits exactly what a commit can apply."""
-        deletes = [(old.rules.mods, old.cookie) for old in olds]
+        deletes = [(old.rules.switches(), old.cookie) for old in olds]
         return _with_discipline(
             lambda make_first: self._stage_generation(
                 label, new, deletes, make_first=make_first
@@ -754,7 +754,7 @@ class SDTController:
             m.commit_time = self._stage_generation(
                 f"undeploy {deployment.name}",
                 None,
-                [(deployment.rules.mods, deployment.cookie)],
+                [(deployment.rules.switches(), deployment.cookie)],
             ).commit()
             self.deployments.remove(deployment)
             m.optical_release = self._release_optics(deployment.hybrid_plan)
@@ -823,7 +823,7 @@ class SDTController:
     ) -> Deployment:
         """Swap whole generations: every old deployment's cookie delete
         against a freshly prepared topology."""
-        deletes = [(old.rules.mods, old.cookie) for old in olds]
+        deletes = [(old.rules.switches(), old.cookie) for old in olds]
         prep: Prepared | None = None
 
         def stage(make_first: bool) -> ControlTransaction:

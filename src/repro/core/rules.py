@@ -19,9 +19,10 @@ k=4 Fat-Tree on two switches falls out of this synthesis (see the
 
 Synthesis is *columnar*: each sub-switch compiles into one
 :class:`~repro.core.columnar.CompiledBlock` (aligned integer/string
-columns), and FlowMod objects are only materialized when a block's
-rules actually cross the control channel. Blocks are the unit of
-caching — see DESIGN.md "Data-plane performance architecture".
+columns). A :class:`RuleSet` crosses the control channel as blocks too
+(:meth:`RuleSet.runs`); FlowMod objects are only materialized for
+consumers that need each message. Blocks are the unit of caching — see
+DESIGN.md "Data-plane performance architecture".
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ from repro.core.columnar import (
 from repro.core.projection.base import ProjectionResult, SubSwitch
 from repro.openflow.actions import ApplyActions, Output, SetQueue, SetVC
 from repro.openflow.channel import FlowMod
+from repro.openflow.flowtable import FlowEntry
 from repro.openflow.match import Match
+from repro.openflow.switch import FlowModRun, TableRows
 from repro.routing.table import Hop, RouteTable
 from repro.telemetry import metrics
 from repro.util.errors import ProjectionError
@@ -71,9 +74,10 @@ class RuleSet:
     overflow for rules added one at a time (ECMP groups, ACLs,
     overrides). ``mods`` — the classic ``{phys_switch: [FlowMod]}``
     mapping — is materialized lazily and cached: rule *counting*
-    (admission control, install-time estimates) never has to build a
-    FlowMod, and a block shared with a previous generation reuses the
-    FlowMods it already materialized.
+    (admission control, install-time estimates), *placement*
+    (:meth:`switches`) and *installation* (:meth:`runs`) never have to
+    build a FlowMod, and a block shared with a previous generation
+    reuses the FlowMods it already materialized.
     """
 
     __slots__ = ("cookie", "_blocks", "_extra", "_mods")
@@ -112,6 +116,23 @@ class RuleSet:
             self._mods = mods
         return self._mods
 
+    def switches(self) -> tuple[str, ...]:
+        """The physical switches this rule set lands on — ``mods``'s
+        keys, in its order, from column lengths alone."""
+        return tuple(self.per_switch_counts())
+
+    def runs(self) -> dict[str, FlowModRun]:
+        """Per switch, this rule set's rows that land there as one
+        stageable message (``ControlTransaction.stage_rules`` takes the
+        rule set itself and calls this): ``mods[switch]`` exactly —
+        blocks in order, classification rows then routing rows, then
+        the rules added one at a time — without building it. The rule
+        set must be complete: a run's row count is fixed here."""
+        return {
+            switch: _SwitchRun(self, switch, rows)
+            for switch, rows in self.per_switch_counts().items()
+        }
+
     def count(self, phys_switch: str | None = None) -> int:
         if phys_switch is not None:
             return self.per_switch_counts().get(phys_switch, 0)
@@ -127,6 +148,46 @@ class RuleSet:
         for sw, extra in self._extra.items():
             counts[sw] = counts.get(sw, 0) + len(extra)
         return counts
+
+
+class _SwitchRun(FlowModRun):
+    """The rows of one :class:`RuleSet` that land on one switch."""
+
+    __slots__ = ("_rules", "_switch", "_rows")
+
+    def __init__(self, rules: RuleSet, switch: str, rows: int) -> None:
+        self._rules = rules
+        self._switch = switch
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __iter__(self):
+        # the per-message form: every consumer that needs it shares the
+        # rule set's one cached materialization
+        return iter(self._rules.mods[self._switch])
+
+    def table_rows(self) -> list[TableRows]:
+        tables = {
+            CLASSIFY_TABLE: TableRows(CLASSIFY_TABLE, [], [], []),
+            ROUTE_TABLE: TableRows(ROUTE_TABLE, [], [], []),
+        }
+        for block in self._rules.blocks:
+            block.extend_rows(
+                self._switch, tables[CLASSIFY_TABLE], tables[ROUTE_TABLE]
+            )
+        # rules added one at a time follow every block row of their
+        # table and carry no key: the flow table derives it
+        for m in self._rules._extra.get(self._switch, ()):
+            rows = tables.get(m.table_id)
+            if rows is None:
+                rows = tables[m.table_id] = TableRows(m.table_id, [], [], [])
+            rows.entries.append(FlowEntry(
+                m.priority, m.match, tuple(m.instructions), m.cookie
+            ))
+            rows.instructions.append(m.instructions)
+        return [rows for rows in tables.values() if rows.entries]
 
 
 class RuleCache:

@@ -25,10 +25,12 @@ from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.groups import Bucket, GroupEntry
 from repro.openflow.match import MATCH_ANY, Match, PacketHeader
 from repro.openflow.switch import (
+    FlowModRun,
     ForwardDecision,
     OpenFlowSwitch,
     PortStats,
     SwitchSnapshot,
+    TableRows,
 )
 from repro.openflow.transaction import ControlTransaction, RollbackReport
 
@@ -56,10 +58,12 @@ __all__ = [
     "MATCH_ANY",
     "Match",
     "PacketHeader",
+    "FlowModRun",
     "ForwardDecision",
     "OpenFlowSwitch",
     "PortStats",
     "SwitchSnapshot",
+    "TableRows",
     "ControlTransaction",
     "RollbackReport",
 ]

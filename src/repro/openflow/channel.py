@@ -14,10 +14,10 @@ accumulates *modeled* time; nothing sleeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.openflow.match import Match
-from repro.openflow.switch import OpenFlowSwitch, SwitchSnapshot
+from repro.openflow.switch import FlowModRun, OpenFlowSwitch, SwitchSnapshot
 from repro.telemetry import trace
 from repro.util.errors import ChannelError
 from repro.util.units import MICROSECONDS, MILLISECONDS
@@ -74,6 +74,20 @@ class FlowDelete:
     @property
     def strict(self) -> bool:
         return self.match is not None
+
+
+def flow_messages(
+    staged: Iterable[FlowMod | FlowDelete | FlowModRun],
+) -> Iterator[FlowMod | FlowDelete]:
+    """``staged`` message by message: every :class:`FlowModRun` gives
+    way to the FlowMods it stands for. This is where a run's FlowMods
+    get built, so only consumers that need each message (the journal's
+    intent record, capacity simulation across deletes) come here."""
+    for msg in staged:
+        if isinstance(msg, FlowModRun):
+            yield from msg
+        else:
+            yield msg
 
 
 @dataclass(frozen=True)
@@ -197,7 +211,7 @@ class ControlChannel:
             return {p: s for p, s in self.switch.port_stats.items()}
         raise TypeError(f"unknown control message {msg!r}")
 
-    def send_batch(self, mods: list[FlowMod]) -> list:
+    def send_batch(self, mods: list[FlowMod] | FlowModRun) -> list:
         """Apply a run of FlowMods as one bulk install.
 
         Observable behavior is identical to ``for m in mods: send(m)``
@@ -207,6 +221,13 @@ class ControlChannel:
         per-message trace events — but the hardware install itself goes
         through :meth:`OpenFlowSwitch.add_flow_batch`, amortizing table
         maintenance across the batch.
+
+        ``mods`` may be a :class:`FlowModRun`: it counts (``len``) as
+        the FlowMods it stands for and is handed to the switch whole,
+        so on the bulk path none of them is ever built. Which path runs
+        is read off the channel's own state, never chosen by the
+        caller: an armed fault or an installed tracer needs each
+        message, and iterating the run supplies them.
 
         One intentional divergence: when the switch rejects a mod during
         up-front batch *validation* (a :class:`SimulationError`, e.g. a

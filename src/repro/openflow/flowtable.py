@@ -18,10 +18,14 @@ insertion order asc), which is exactly what the linear scan over the
 priority-ordered list returns ("first added wins" among equal
 priorities, as commodity switches do).
 
-Strict deletes only *mark* victims dead (``_dead``); the entry list and
-hash buckets are pruned by a deferred compaction that runs on reads
-that need the dense list (snapshot, iteration, wildcard delete) or when
-the dead fraction crosses :data:`COMPACT_DEAD_MIN` /
+The shape index is the table's **only** index. A strict delete
+(priority + match given) resolves through it too: the match's own
+``(shape, key)`` names the one bucket — or the fallback list — that can
+hold its victims, which are then filtered on priority, match, cookie
+and liveness. Strict deletes only *mark* victims dead (``_dead``); the
+entry list and hash buckets are pruned by a deferred compaction that
+runs on reads that need the dense list (snapshot, iteration, wildcard
+delete) or when the dead fraction crosses :data:`COMPACT_DEAD_MIN` /
 :data:`COMPACT_DEAD_FRACTION` — so a delta batch of hundreds of strict
 deletes costs O(victims), not O(table) per message.
 
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from bisect import insort_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.openflow.actions import Instruction
 from repro.openflow.match import Match, PacketHeader
@@ -58,9 +62,10 @@ def _shape_key(match: Match) -> tuple[tuple[str, ...], tuple] | None:
     fallback scan can serve it (a partial metadata mask turns equality
     into a masked comparison the hash cannot express).
 
-    The field tests are spelled out attribute by attribute — this is
-    the hottest function of a batched install, and a ``getattr``-by-
-    name loop over ``_HASH_FIELDS`` costs ~2x."""
+    The field tests are spelled out attribute by attribute: a
+    ``getattr``-by-name loop over ``_HASH_FIELDS`` costs ~2x, and
+    every entry installed as a loose FlowMod (delta batches, restores)
+    and every strict delete goes through here."""
     md = match.metadata
     if md is not None and match.metadata_mask != _FULL_MASK:
         return None
@@ -129,18 +134,17 @@ def _neg_priority(entry: FlowEntry) -> int:
 class FlowTable:
     """A single numbered flow table.
 
-    Alongside the priority-ordered entry list the table keeps a
-    (priority, match) index so strict deletes — the bulk of an
-    incremental reconfiguration's delta batch — resolve without
-    comparing every entry's match, plus the per-shape hash index that
-    serves packet lookups in O(1).
+    Alongside the priority-ordered entry list the table keeps one
+    index, the per-shape hash index. It serves packet lookups in
+    O(#shapes) and strict deletes — the bulk of an incremental
+    reconfiguration's delta batch — in O(bucket): a delete's match
+    files under exactly one ``(shape, key)``, so its victims can only
+    sit in that bucket (or, for a partial metadata mask, in the
+    fallback list).
     """
 
     table_id: int
     _entries: list[FlowEntry] = field(default_factory=list)
-    _exact: dict[tuple[int, Match], list[FlowEntry]] = field(
-        init=False, repr=False, default_factory=dict
-    )
     #: serials of entries strict-deleted but not yet compacted out of
     #: ``_entries``. Serials are minted by ``_next_seq`` and never
     #: reused within a table, so a tombstone can never collide with a
@@ -166,7 +170,6 @@ class FlowTable:
 
     # --- index maintenance --------------------------------------------
     def _index_entry(self, entry: FlowEntry) -> None:
-        self._exact.setdefault((entry.priority, entry.match), []).append(entry)
         entry.serial = self._next_seq
         self._next_seq += 1
         sk = _shape_key(entry.match)
@@ -179,7 +182,6 @@ class FlowTable:
     def _rebuild_index(self) -> None:
         # serials stay monotonic across rebuilds (never reset): an old
         # tombstone must never be able to name a future entry
-        self._exact = {}
         self._shapes = {}
         self._wild = []
         for e in self._entries:
@@ -228,11 +230,22 @@ class FlowTable:
         insort_right(self._entries, entry, key=_neg_priority)
         self._index_entry(entry)
 
-    def add_batch(self, entries: Iterable[FlowEntry]) -> None:
+    def add_batch(
+        self,
+        entries: Iterable[FlowEntry],
+        keys: Sequence[tuple[tuple[str, ...], tuple] | None] = (),
+    ) -> None:
         """Insert many entries at once — one stable re-sort instead of a
         per-entry bisect, with semantics identical to sequential
         :meth:`add` calls (batch entries land *after* equal-priority
-        incumbents, in batch order)."""
+        incumbents, in batch order).
+
+        ``keys[i]`` is the hash-index ``(shape, key)`` the ``i``-th
+        entry files under — what :func:`_shape_key` returns for its
+        match — for the leading ``len(keys)`` entries. A caller that
+        built the matches from columns knows it without inspecting them
+        (:meth:`OpenFlowSwitch.add_flow_batch` passes a rule set's);
+        entries beyond ``keys`` have theirs derived from the match."""
         batch = list(entries)
         if not batch:
             return
@@ -253,20 +266,25 @@ class FlowTable:
         self._entries.sort(key=_neg_priority)
         # inlined _index_entry: batch installs are the data-plane fast
         # path and the per-entry call + attribute lookups were measurable
-        exact = self._exact
         shapes = self._shapes
         wild = self._wild
         nseq = self._next_seq
-        for e in batch:
-            exact.setdefault((e.priority, e.match), []).append(e)
+        derived = [_shape_key(e.match) for e in batch[len(keys):]]
+        for e, sk in zip(batch, [*keys, *derived]):
             e.serial = nseq
             nseq += 1
-            sk = _shape_key(e.match)
             if sk is None:
                 wild.append(e)
+                continue
+            shape, key = sk
+            buckets = shapes.get(shape)
+            if buckets is None:
+                buckets = shapes[shape] = {}
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [e]
             else:
-                shape, key = sk
-                shapes.setdefault(shape, {}).setdefault(key, []).append(e)
+                bucket.append(e)
         self._next_seq = nseq
 
     def remove(
@@ -279,23 +297,29 @@ class FlowTable:
         """Remove entries by cookie / exact match / priority (``None``
         fields are wildcards); returns count."""
         if match is not None and priority is not None:
-            # strict path: resolve through the index and only *mark*
-            # the victims dead — a delta batch of hundreds of strict
-            # deletes then costs O(victims), with one deferred
-            # compaction instead of a list rebuild per message
-            bucket = self._exact.get((priority, match), [])
-            victims = [
-                e for e in bucket if cookie is None or e.cookie == cookie
-            ]
-            if not victims:
-                return 0
-            self._dead.update(e.serial for e in victims)
-            survivors = [e for e in bucket if e.serial not in self._dead]
-            if survivors:
-                self._exact[(priority, match)] = survivors
+            # strict path: the match's own (shape, key) names the only
+            # bucket its victims can sit in. Victims are only *marked*
+            # dead — a delta batch of hundreds of strict deletes then
+            # costs O(victims), with one deferred compaction instead of
+            # a list rebuild per message (buckets keep their tombstoned
+            # entries until then, hence the liveness filter)
+            sk = _shape_key(match)
+            if sk is None:
+                bucket = self._wild
             else:
-                del self._exact[(priority, match)]
-            self._maybe_compact()
+                bucket = self._shapes.get(sk[0], {}).get(sk[1], ())
+            dead = self._dead
+            victims = [
+                e.serial
+                for e in bucket
+                if e.priority == priority
+                and e.match == match
+                and (cookie is None or e.cookie == cookie)
+                and e.serial not in dead
+            ]
+            if victims:
+                dead.update(victims)
+                self._maybe_compact()
             return len(victims)
         self._compact()
         before = len(self._entries)
@@ -316,7 +340,6 @@ class FlowTable:
     def clear(self) -> int:
         n = len(self)
         self._entries.clear()
-        self._exact.clear()
         self._dead.clear()
         self._shapes.clear()
         self._wild.clear()

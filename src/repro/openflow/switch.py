@@ -12,7 +12,9 @@ the TCAM limit that §VII-C identifies as SDT's scarcest resource.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from repro.openflow.actions import (
     ApplyActions,
@@ -69,6 +71,48 @@ class SwitchSnapshot:
     @property
     def num_entries(self) -> int:
         return sum(len(t) for t in self.tables)
+
+
+class TableRows(NamedTuple):
+    """The entries one bulk install adds to one table, in install
+    order, with what the switch would otherwise re-derive per entry."""
+
+    table_id: int
+    entries: list[FlowEntry]
+    #: ``keys[i]`` is the hash-index ``(shape, key)`` of ``entries[i]``
+    #: for the leading ``len(keys)`` entries (:meth:`FlowTable.add_batch`)
+    keys: list[tuple[tuple[str, ...], tuple]]
+    #: every distinct instruction tuple among ``entries`` (repeats
+    #: allowed): the switch validates each once, not once per entry
+    instructions: list[tuple]
+
+
+class FlowModRun(ABC):
+    """A run of FlowMod installs for one switch, staged and sent as one
+    message that stands for all of them.
+
+    Whoever compiled the rules (``repro.core.rules.RuleSet``) knows
+    them in bulk — columns, not messages — and subclasses this so the
+    control plane can carry that form to the switch without this
+    package knowing how rules are compiled. ``len()`` is the number of
+    FlowMods; iterating yields them in order, building them if need be,
+    for every consumer that works per message; :meth:`table_rows` is
+    the same run as :meth:`OpenFlowSwitch.add_flow_batch` installs it.
+    """
+
+    __slots__ = ()
+
+    @abstractmethod
+    def __len__(self) -> int: ...
+
+    @abstractmethod
+    def __iter__(self) -> Iterator: ...
+
+    @abstractmethod
+    def table_rows(self) -> list[TableRows]:
+        """Fresh entries per table. Within a table they are in the
+        run's message order — arrival serials and equal-priority
+        tie-breaks equal the per-message install's."""
 
 
 class OpenFlowSwitch:
@@ -143,7 +187,30 @@ class OpenFlowSwitch:
         overflowing one is installed and :class:`CapacityError` is
         raised for the first that does not fit — the per-message
         behavior transactions rely on for rollback accounting.
+
+        A :class:`FlowModRun` that fits is installed from its
+        :meth:`~FlowModRun.table_rows` without a FlowMod being built:
+        capacity is checked once for the run, table ids once per table,
+        each distinct instruction tuple once, and the flow tables take
+        the hash-index keys as given. The tables end up exactly as the
+        per-message install leaves them (the returned entries come
+        table by table instead of in message order). A run that would
+        overflow is expanded and takes the per-message path, which
+        installs the exact prefix.
         """
+        if isinstance(mods, FlowModRun) and len(mods) <= self.free_entries:
+            tables = mods.table_rows()
+            # like the loop below, validate everything before any
+            # table changes
+            for rows in tables:
+                self._check_table(rows.table_id)
+                for instructions in rows.instructions:
+                    self._check_instructions(rows.table_id, instructions)
+            for rows in tables:
+                self.tables[rows.table_id].add_batch(rows.entries, rows.keys)
+            if trace.enabled():
+                self._publish_occupancy()
+            return [e for rows in tables for e in rows.entries]
         mods = list(mods)
         free = self.flow_table_capacity - self.num_entries
         overflow = len(mods) > free

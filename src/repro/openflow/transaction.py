@@ -11,7 +11,9 @@ failure-atomic updates as table stakes; SDT's controller gets the same
 guarantee here.
 
 :class:`ControlTransaction` stages :class:`FlowMod` /
-:class:`FlowDelete` batches per switch, runs every validation *before*
+:class:`FlowDelete` batches per switch — a whole rule set as one
+:class:`FlowModRun` per switch, whose FlowMods are built only for the
+consumers that need each message — runs every validation *before*
 touching hardware (flow-table capacity against the worst in-flight
 entry count, plus caller-registered checks such as CDG acyclicity and
 projection feasibility), then commits switch by switch with barrier
@@ -45,13 +47,14 @@ from repro.openflow.channel import (
     ControlPlane,
     FlowDelete,
     FlowMod,
+    flow_messages,
 )
-from repro.openflow.switch import SwitchSnapshot
+from repro.openflow.switch import FlowModRun, SwitchSnapshot
 from repro.telemetry import metrics, trace
 from repro.util.errors import CapacityError, TransactionError
 
 #: messages a transaction may stage
-StagedMessage = FlowMod | FlowDelete
+StagedMessage = FlowMod | FlowDelete | FlowModRun
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,10 @@ class ControlTransaction:
         self.control = control
         self.label = label
         self._ops: dict[str, list[StagedMessage]] = {}
+        #: per switch, [FlowMods staged (a run counts as its rows),
+        #: FlowDeletes staged] — what validation and commit tally
+        #: instead of walking the messages
+        self._staged: dict[str, list[int]] = {}
         self._validators: list[Callable[[], None]] = []
         self._committed = False
 
@@ -109,25 +116,52 @@ class ControlTransaction:
             raise TransactionError(
                 f"{self._tag}: no control channel to {switch_name!r}"
             )
+        if not messages:
+            return
+        ops = self._ops.setdefault(switch_name, [])
+        staged = self._staged.setdefault(switch_name, [0, 0])
+        before = staged[0] + staged[1]
         for msg in messages:
-            if not isinstance(msg, (FlowMod, FlowDelete)):
+            if isinstance(msg, FlowMod):
+                staged[0] += 1
+            elif isinstance(msg, FlowDelete):
+                staged[1] += 1
+            elif isinstance(msg, FlowModRun):
+                staged[0] += len(msg)
+            else:
                 raise TransactionError(
                     f"{self._tag}: cannot stage {type(msg).__name__} "
                     "(only FlowMod/FlowDelete are transactional)"
                 )
-            self._ops.setdefault(switch_name, []).append(msg)
-        if messages:
-            trace.event(
-                "txn.stage",
-                label=self.label,
-                switch=switch_name,
-                messages=len(messages),
-            )
+            ops.append(msg)
+        trace.event(
+            "txn.stage",
+            label=self.label,
+            switch=switch_name,
+            messages=staged[0] + staged[1] - before,
+        )
 
-    def stage_rules(self, mods: Mapping[str, Iterable[FlowMod]]) -> None:
-        """Queue a per-switch FlowMod batch (a RuleSet's ``mods``)."""
-        for name, batch in mods.items():
-            self.stage(name, *batch)
+    def stage_rules(self, rules) -> None:
+        """Queue the installs of one rule set.
+
+        ``rules`` is a rule set — anything whose ``runs()`` returns one
+        :class:`FlowModRun` per switch it lands on, as
+        :class:`repro.core.rules.RuleSet` does — or the classic
+        ``{switch: [FlowMod]}`` mapping (a RuleSet's ``mods``). Either
+        way each switch ends up with the same FlowMods staged in the
+        same order; a run is staged as *one* message that counts as
+        its rows, and nothing on the way to the switch builds its
+        FlowMods unless it needs each message: the journal's intent
+        record, the capacity simulation when deletes are staged on the
+        same switch, and — on the channel — an armed fault, an
+        installed tracer, or an install that would overflow the TCAM
+        part-way."""
+        if isinstance(rules, Mapping):
+            for name, batch in rules.items():
+                self.stage(name, *batch)
+        else:
+            for name, run in rules.runs().items():
+                self.stage(name, run)
 
     def stage_delete(self, switch_names: Iterable[str], cookie: int | None) -> None:
         """Queue a cookie delete on each named switch."""
@@ -244,18 +278,20 @@ class ControlTransaction:
         peaks: dict[str, int] = {}
         for name, msgs in self._ops.items():
             switch = self.control.channel(name).switch
-            if not any(isinstance(msg, FlowDelete) for msg in msgs):
+            installs, deletes = self._staged[name]
+            if not deletes:
                 # install-only batch (cold deploys): the count only ever
-                # grows, so the peak is just steady state + batch size —
-                # no need to simulate the entry multiset at all
-                peaks[name] = switch.num_entries + len(msgs)
+                # grows, so the peak is just steady state + rows staged —
+                # no need to simulate the entry multiset (or to build a
+                # staged run's FlowMods) at all
+                peaks[name] = switch.num_entries + installs
                 continue
             entries: dict[tuple, int] = {}
             for key in switch.entry_keys():
                 entries[key] = entries.get(key, 0) + 1
             count = sum(entries.values())
             peak = count
-            for msg in msgs:
+            for msg in flow_messages(msgs):
                 if isinstance(msg, FlowMod):
                     key = (msg.table_id, msg.priority, msg.match, msg.cookie)
                     entries[key] = entries.get(key, 0) + 1
@@ -325,11 +361,8 @@ class ControlTransaction:
         (validation failures raise before hardware is touched)."""
         self._check_open()
         touched = self.touched_switches
-        n_mods = sum(
-            1 for msgs in self._ops.values()
-            for m in msgs if isinstance(m, FlowMod)
-        )
-        n_deletes = sum(len(msgs) for msgs in self._ops.values()) - n_mods
+        n_mods = sum(installs for installs, _ in self._staged.values())
+        n_deletes = sum(deletes for _, deletes in self._staged.values())
         reg = metrics.registry()
         with trace.span(
             "txn.commit",
@@ -369,7 +402,8 @@ class ControlTransaction:
                     channel = self.control.channel(name)
                     snapshots[name] = channel.snapshot_rules()
                     # send maximal runs of consecutive FlowMods as one
-                    # bulk install; deletes and barriers stay one-by-one
+                    # bulk install (a staged FlowModRun is one already);
+                    # deletes and barriers stay one-by-one
                     run: list[FlowMod] = []
                     for msg in self._ops[name]:
                         if isinstance(msg, FlowMod):
@@ -378,7 +412,10 @@ class ControlTransaction:
                         if run:
                             channel.send_batch(run)
                             run = []
-                        channel.send(msg)
+                        if isinstance(msg, FlowModRun):
+                            channel.send_batch(msg)
+                        else:
+                            channel.send(msg)
                     if run:
                         channel.send_batch(run)
                     channel.send(BarrierRequest())

@@ -5,7 +5,9 @@ writes (at most) two journal records:
 
 * **intent** — after validation passes, *before* the first control
   message reaches a switch: the full staged per-switch message list,
-  serialized with :mod:`repro.recovery.codec`. Its LSN names the
+  serialized with :mod:`repro.recovery.codec` (a rule set staged as
+  one run per switch is written out FlowMod by FlowMod, so the record
+  does not depend on how the messages were staged). Its LSN names the
   transaction.
 * **commit** — after every switch's barrier returns: the transaction
   is durable and replay must apply it.
@@ -41,6 +43,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from repro.openflow.channel import flow_messages
 from repro.recovery.codec import decode_message, encode_message
 from repro.telemetry.trace import tail_jsonl
 
@@ -84,7 +87,7 @@ class CommitJournal:
             "type": "intent",
             "label": label,
             "ops": {
-                name: [encode_message(m) for m in msgs]
+                name: [encode_message(m) for m in flow_messages(msgs)]
                 for name, msgs in ops.items()
             },
         })

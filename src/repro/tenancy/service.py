@@ -274,7 +274,7 @@ class TestbedService:
                 session.check_active()
                 deployment = session.deployments.get(name)
                 footprint = (
-                    frozenset(deployment.rules.mods)
+                    frozenset(deployment.rules.switches())
                     if deployment is not None
                     else None
                 )

@@ -1,0 +1,166 @@
+"""Who builds FlowMods, counted: ``sdt_rules_materialized_total``.
+
+A rule set crosses the control channel as compiled blocks; FlowMods —
+one Python object per rule — are built (``CompiledBlock.pairs()``, once
+per block) only for consumers that need each message. The counter makes
+that observable: it rises by a block's rule count the first time the
+block is materialized, so "did this mutation take the per-message path,
+and what did it cost?" is answered from the metrics registry.
+
+Pinned here: a plain deploy, undeploy and tenant deploy/undeploy build
+none; a journal, a tracer or an armed channel fault each cost exactly
+the deployed rule set; a generation swap costs the *new* generation
+only (the old one is named by cookie and by the switches it sits on);
+an incremental edit costs only its dirty blocks.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.bench import _config_for
+from repro.core import SDTController, TopologyConfig, build_cluster_for
+from repro.core.rules import split_ruleset_delta
+from repro.hardware import EVAL_256x10G
+from repro.recovery import CommitJournal, install_journal, uninstall_journal
+from repro.routing.strategies import shortest_path_routes
+from repro.telemetry import Tracer, install_tracer, metrics, uninstall_tracer
+from repro.tenancy import TenantQuota, TestbedService, build_pool_for_tenants
+from repro.topology import fat_tree, torus2d
+from repro.topology.diff import rebuild, removable_switch_links
+
+FT4 = TopologyConfig("fat-tree", {"k": 4})
+
+
+def _materialized() -> float:
+    return metrics.registry().counter("sdt_rules_materialized_total").value()
+
+
+def _controller() -> SDTController:
+    # a fresh controller has a cold rule cache: no block arrives with
+    # FlowMods some earlier test already built
+    return SDTController(
+        build_cluster_for([fat_tree(4), torus2d(4, 4)], 2, EVAL_256x10G)
+    )
+
+
+def test_plain_deploy_and_undeploy_build_no_flow_mod():
+    controller = _controller()
+    before = _materialized()
+    deployment = controller.deploy(FT4)
+    assert controller.cluster.control.total_flow_mods == deployment.rules.count()
+    assert _materialized() == before
+    # naming the switches the deployment sits on builds nothing either
+    controller.undeploy(deployment)
+    assert _materialized() == before
+    assert all(block._pairs is None for block in deployment.rules.blocks)
+    prepared = controller.prepare(TopologyConfig("torus2d", {"x": 4, "y": 4}))
+    controller.deploy_prepared(prepared)
+    assert _materialized() == before
+
+
+def test_switches_accessor_is_the_key_order_of_mods():
+    controller = _controller()
+    rules = controller.prepare(FT4).rules
+    before = _materialized()
+    switches = rules.switches()
+    assert _materialized() == before
+    assert switches == tuple(rules.mods)
+    assert _materialized() == before + rules.count()
+
+
+@pytest.mark.parametrize("needs_messages", ["journal", "tracer", "armed fault"])
+def test_per_message_consumers_cost_the_rule_set_once(tmp_path, needs_messages):
+    controller = _controller()
+    before = _materialized()
+    if needs_messages == "journal":
+        install_journal(CommitJournal(tmp_path / "journal.jsonl"))
+    elif needs_messages == "tracer":
+        install_tracer(Tracer())
+    else:
+        # armed but never reached: the channel still has to count
+        # every message against it
+        channel = next(iter(controller.cluster.control.channels.values()))
+        channel.fail_after(10**9)
+    try:
+        deployment = controller.deploy(FT4)
+    finally:
+        uninstall_journal()
+        uninstall_tracer()
+    assert _materialized() == before + deployment.rules.count()
+    # cached on the blocks: asking again is free
+    deployment.rules.mods
+    assert _materialized() == before + deployment.rules.count()
+
+
+def test_generation_swap_costs_the_new_generation_only():
+    controller = _controller()
+    deployment = controller.deploy(FT4)
+    old_rules = deployment.rules
+    before = _materialized()
+    controller.update_routes(
+        deployment, shortest_path_routes(deployment.topology)
+    )
+    # pricing make-before-break simulates the staged messages across
+    # the old cookie's delete, so the new rules are built; the old
+    # generation is only named (cookie + switches)
+    assert _materialized() == before + deployment.rules.count()
+    assert all(block._pairs is None for block in old_rules.blocks)
+
+
+def test_cold_reconfigure_costs_the_new_generation_only():
+    # a pool wired for both generations at once
+    chain3 = TopologyConfig("chain", {"num_switches": 3})
+    controller = SDTController(build_pool_for_tenants(
+        [fat_tree(4), chain3.build(), torus2d(4, 4)], 2, EVAL_256x10G
+    ))
+    first = controller.deploy(FT4)
+    second = controller.deploy(chain3)
+    before = _materialized()
+    swapped, _t = controller.reconfigure(
+        TopologyConfig("torus2d", {"x": 4, "y": 4})
+    )
+    assert controller.deployments == [swapped]
+    assert _materialized() == before + swapped.rules.count()
+    for old in (first, second):
+        assert all(block._pairs is None for block in old.rules.blocks)
+
+
+def test_incremental_edit_costs_only_its_dirty_blocks():
+    controller = _controller()
+    deployment = controller.deploy(_config_for(fat_tree(4)))
+    old_rules = deployment.rules
+    before = _materialized()
+    edited = rebuild(
+        deployment.topology,
+        drop_links={removable_switch_links(deployment.topology)[0]},
+    )
+    controller.reconfigure(_config_for(edited))
+    assert controller.last_commit_strategy  # the edit committed
+    delta = split_ruleset_delta(old_rules, deployment.rules)
+    shared = {id(b) for b in old_rules.blocks} & {
+        id(b) for b in deployment.rules.blocks
+    }
+    dirty = sum(
+        block.count
+        for rules in (old_rules, deployment.rules)
+        for block in rules.blocks
+        if id(block) not in shared
+    )
+    assert delta.shared_rules > 0 and dirty > 0
+    assert _materialized() == before + dirty
+
+
+def test_tenant_deploy_and_undeploy_build_no_flow_mod():
+    pool = build_pool_for_tenants([fat_tree(4)], 2, EVAL_256x10G, spare_hosts=8)
+    service = TestbedService(pool, max_workers=1)
+    try:
+        service.open_session("alice", TenantQuota(host_ports=24, tcam_share=2000))
+        before = _materialized()
+        deployment = service.deploy("alice", FT4)
+        # the scheduler's footprint of an undeploy is the deployment's
+        # switches: named from column lengths
+        service.undeploy("alice", deployment.name)
+        assert _materialized() == before
+    finally:
+        service.shutdown()

@@ -12,10 +12,12 @@ deletes, and reads:
   never reused, so — unlike the previous ``id(entry)`` keying, where
   CPython could recycle a freed id onto a brand-new entry — a stale
   mark can never name a future entry.
-* **index consistency** — the (priority, match) index always agrees
-  with the live membership: every bucket entry is alive and in
-  ``_entries``, every live entry is in its bucket, and ``len(table)``
-  equals the number of live entries.
+* **index consistency** — the per-shape hash index (the table's only
+  index: lookups and strict deletes both resolve through it) always
+  agrees with the membership: every live entry sits in exactly one
+  bucket, the one its match files under; no bucket holds an entry
+  that left ``_entries``; and ``len(table)`` equals the number of live
+  entries.
 
 Cases are seeded (reproduce with the printed case index); counts scale
 with ``SDT_PROP_CASES`` for CI's stress job.
@@ -24,8 +26,8 @@ with ``SDT_PROP_CASES`` for CI's stress job.
 from __future__ import annotations
 
 from repro.openflow.actions import ApplyActions, Output
-from repro.openflow.flowtable import FlowEntry, FlowTable
-from repro.openflow.match import Match
+from repro.openflow.flowtable import FlowEntry, FlowTable, _shape_key
+from repro.openflow.match import Match, PacketHeader
 from tests.proptools import prop_cases, seeded_cases
 
 ROOT_SEED = 20260806
@@ -65,19 +67,31 @@ def _check_invariants(table: FlowTable, case: int) -> None:
     )
     # __len__ counts live entries only
     assert len(table) == len(live), case
-    # index agrees with live membership, bucket by bucket
-    indexed = [e for bucket in table._exact.values() for e in bucket]
+    # the one index agrees with membership, bucket by bucket: every live
+    # entry sits in exactly one _shapes bucket or in _wild ...
+    filed = [
+        ((shape, key), e)
+        for shape, buckets in table._shapes.items()
+        for key, bucket in buckets.items()
+        for e in bucket
+    ] + [(None, e) for e in table._wild]
+    indexed = [e for _, e in filed]
     assert len(indexed) == len(set(map(id, indexed))), (
         f"case {case}: an entry appears in two index buckets"
     )
-    assert {id(e) for e in indexed} == {id(e) for e in live}, (
-        f"case {case}: index membership diverged from live entries"
+    assert {id(e) for e in live} <= {id(e) for e in indexed}, (
+        f"case {case}: a live entry is missing from the index"
     )
-    for (prio, match), bucket in table._exact.items():
-        for e in bucket:
-            assert (e.priority, e.match) == (prio, match), (
-                f"case {case}: entry filed under the wrong key"
-            )
+    # ... no bucket holds an entry that left _entries (tombstoned
+    # members stay filed until compaction drops them from both) ...
+    assert {id(e) for e in indexed} <= {id(e) for e in table._entries}, (
+        f"case {case}: the index holds an entry absent from _entries"
+    )
+    # ... and each is filed where a lookup or strict delete looks for it
+    for filed_under, e in filed:
+        assert _shape_key(e.match) == filed_under, (
+            f"case {case}: entry filed under the wrong key"
+        )
 
 
 def _random_ops(table: FlowTable, rng, steps: int, case: int) -> None:
@@ -222,3 +236,84 @@ def test_strict_delete_counts_match_membership():
                     priority=int(rng.choice(PRIORITIES)),
                 )
         assert added - removed == len(table), case
+
+
+# --- strict deletes through the one index -----------------------------------
+# With the (priority, match) index gone, a strict delete finds its
+# victims through the bucket its match files under and filters there.
+
+_OUT = (ApplyActions((Output(1),)),)
+_HDR = PacketHeader(src="a", dst="b")
+
+
+def test_strict_delete_of_a_masked_metadata_victim():
+    """A partial ``metadata_mask`` files in no bucket: the victim is
+    found in the fallback list, and only the exact match goes."""
+    table = FlowTable(table_id=0)
+    masked = Match(metadata=0x10, metadata_mask=0xF0)
+    other_mask = Match(metadata=0x10, metadata_mask=0xFF)
+    exact = Match(metadata=0x10)
+    for m in (masked, other_mask, exact):
+        table.add(FlowEntry(4, m, _OUT, cookie=1))
+    assert table.remove(match=masked, priority=3) == 0  # wrong priority
+    assert table.remove(match=masked, priority=4) == 1
+    _check_invariants(table, 0)
+    assert [e.match for e in table] == [other_mask, exact]
+    assert table.lookup(1, 0x1F, _HDR) is None  # only `masked` took 0x1F
+    assert table.remove(match=masked, priority=4) == 0
+
+
+def test_strict_delete_filters_generations_by_cookie():
+    """Two generations share (priority, match) — a make-before-break
+    swap mid-flight. A cookie names one; ``cookie=None`` takes both."""
+    for cookie, expected_left in ((7, [8, 9]), (None, [9])):
+        table = FlowTable(table_id=0)
+        shared = Match(in_port=1)
+        table.add(FlowEntry(5, shared, _OUT, cookie=7))
+        table.add(FlowEntry(5, shared, _OUT, cookie=8))
+        table.add(FlowEntry(5, Match(in_port=2), _OUT, cookie=9))
+        removed = table.remove(match=shared, priority=5, cookie=cookie)
+        assert removed == (1 if cookie is not None else 2)
+        _check_invariants(table, 0)
+        assert [e.cookie for e in table] == expected_left
+        winner = table.lookup(1, 0, _HDR)
+        assert (winner.cookie if winner else None) == (
+            8 if cookie is not None else None
+        )
+
+
+def test_strict_delete_skips_an_already_tombstoned_victim():
+    """The bucket still holds a tombstoned entry until compaction; a
+    repeated delete must not count (or re-mark) it."""
+    table = FlowTable(table_id=0)
+    e = _single_entry()
+    twin = _single_entry()
+    table.add(e)
+    table.add(twin)
+    assert table.remove(match=e.match, priority=e.priority) == 2
+    assert table._dead and len(table) == 0  # marked, not yet compacted
+    assert table.remove(match=e.match, priority=e.priority) == 0
+    _check_invariants(table, 0)
+    table.add(_single_entry())
+    assert table.remove(match=e.match, priority=e.priority) == 1
+    assert len(table) == 0
+
+
+def test_strict_delete_straight_after_restore():
+    """``restore()`` rebuilds the index from the snapshot: a strict
+    delete resolves against the restored entries at once, including
+    ones the pre-restore table had tombstoned."""
+    table = FlowTable(table_id=0)
+    keep, victim = _single_entry(), FlowEntry(5, Match(in_port=2), _OUT, 11)
+    table.add(keep)
+    table.add(victim)
+    snap = table.snapshot()
+    assert table.remove(match=victim.match, priority=5, cookie=11) == 1
+    table.add(FlowEntry(6, Match(in_port=3), _OUT, 12))
+    table.restore(snap)
+    _check_invariants(table, 0)
+    assert table.remove(match=Match(in_port=3), priority=6) == 0
+    assert table.remove(match=victim.match, priority=5, cookie=11) == 1
+    _check_invariants(table, 0)
+    assert list(table) == [keep]
+    assert table.lookup(2, 0, _HDR) is None
