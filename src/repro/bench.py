@@ -1,39 +1,36 @@
-"""Reconfiguration benchmarks: cold deploy vs incremental reconfigure.
+"""``repro bench``: deterministic correctness gates, one per suite.
 
-The paper's headline operational claim (Fig. 2, Table II) is that SDT
-turns topology changes into a flow-table push; DESIGN.md §5b sharpens
-that into *incremental* reconfiguration — a small logical edit should
-cost O(changed links), not O(topology). This module measures exactly
-that contrast, per scenario:
+Each suite drives one subsystem end to end — incremental reconfigure,
+cold-deploy scaling, crash recovery, the multi-tenant scenario driver,
+service churn, the topology-engineering loop, the campaign sweep — and
+writes a JSON report (``BENCH_<suite>.json``). ``--baseline`` gates
+that report against a committed ``benchmarks/baseline_<suite>.json``:
+every gated field is a *count* or a *modeled* quantity, so the
+comparison is exact and a mismatch is a behaviour change, never noise.
 
-* **cold deploy** — a fresh controller (empty caches) deploys the base
-  topology from scratch: full partition, full projection, full rule
-  synthesis, every rule installed.
-* **incremental reconfigure** — the same controller then applies a
-  1-link edit: topology diff, cached partition extension, delta
-  projection, cache-hit rule synthesis, and a FlowMod/strict-delete
-  delta push.
+:data:`SUITES` is the one place that knows which fields those are. A
+row names the suite's run function, the report key holding its
+per-case records and the field naming a case, and for every reported
+field one rule: :data:`EQ` (must equal the baseline's value),
+:data:`INFO` (reported, never read by the gate), or a literal the
+field must hold whatever the baseline says. :func:`compare` and
+:func:`render` are driven by that table and nothing else.
 
-Wall times are min-of-``repeats`` (each repeat on a fresh cluster, so
-every repeat sees identical cache state); rule counts and cache hit
-rates come from the telemetry metrics registry and are deterministic.
-Results are written as machine-readable JSON (``BENCH_reconfig.json``)
-and gated against a committed baseline by :func:`compare_to_baseline` —
-wall-clock ratios are compared *normalized* (incremental/cold on the
-same machine), so the gate is robust to absolute machine speed.
-
-Run via ``python -m repro bench`` or ``benchmarks/harness.py``.
+Wall-clock fields are one timed pass and are informational only:
+this module claims no speed. Speed is judged by the performance
+ledger (``BENCHMARK.json`` + ``benchmarks/perf/``).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 from repro.core import SDTController, TopologyConfig, build_cluster_for
 from repro.hardware import EVAL_256x10G, SCALE_2048x10G, SwitchSpec
@@ -43,36 +40,23 @@ from repro.topology.diff import rebuild, removable_switch_links
 from repro.topology.graph import Topology
 from repro.util import format_table
 
-SCHEMA_VERSION = 1
+#: bumped whenever a report's shape changes; :func:`compare` refuses a
+#: baseline written under another version
+SCHEMA_VERSION = 2
 
-#: every suite ``--suite`` accepts — the single source of truth read by
-#: this module's main(), the ``repro bench`` CLI parser, and the docs
-#: tests (the three drifted when each kept its own copy)
-BENCH_SUITES = (
-    "reconfig",
-    "scale",
-    "churn",
-    "recovery",
-    "multitenant",
-    "engineer",
-    "campaign",
-)
 
-#: gate tolerance: a run regresses when it is worse than baseline by
-#: more than this fraction
-DEFAULT_TOLERANCE = 0.25
-DEFAULT_REPEATS = 3
+def _counter(name: str, **labels: str) -> float:
+    inst = metrics.registry().get(name)
+    return inst.value(**labels) if inst is not None else 0.0
 
-#: wall-time ratios are only gated on scenarios whose cold deploy takes
-#: at least this long — below it, single-digit-millisecond jitter
-#: swamps a 25% tolerance (rules_pushed, being deterministic, is gated
-#: on every scenario regardless)
-MIN_GATE_SECONDS = 0.1
 
+# ---------------------------------------------------------------------------
+# reconfig suite: cold deploy, then a 1-link incremental edit
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Scenario:
-    """One benchmark case: a base topology and a rig to project it on."""
+    """One reconfig case: a base topology and a rig to project it on."""
 
     name: str
     build: Callable[[], Topology]
@@ -89,163 +73,106 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario("torus-10x10", lambda: torus2d(10, 10), 5, quick=False),
 )
 
-
-def _config_for(topology: Topology) -> TopologyConfig:
-    """A self-contained custom config for ``topology``.
-
-    Shortest-path routing works on *edited* topologies too (the named
-    strategies dispatch on generator structure and may refuse a
-    fat-tree missing a link); lossy mode keeps the Deadlock Avoidance
-    module from vetoing edits — deadlock behavior has its own tests,
-    this benchmark measures reconfiguration mechanics.
-    """
-    return TopologyConfig(
-        kind="custom",
-        params={
-            "name": topology.name,
-            "switches": list(topology.switches),
-            "hosts": list(topology.hosts),
-            "links": [list(link.endpoints) for link in topology.links],
-        },
-        routing="shortest-path",
-        lossless=False,
-    )
+#: the registry counters a reconfig scenario reads, as (name, labels)
+_RECONFIG_COUNTERS: dict[str, tuple[str, dict[str, str]]] = {
+    "synthesized": ("sdt_rules_synthesized_total", {}),
+    "pushed": ("sdt_reconfig_rules_pushed_total", {}),
+    "unchanged": ("sdt_reconfig_rules_unchanged_total", {}),
+    "cache_hits": ("sdt_rules_cache_total", {"result": "hit"}),
+    "cache_misses": ("sdt_rules_cache_total", {"result": "miss"}),
+    "incremental": (
+        "sdt_controller_reconfigure_mode_total", {"mode": "incremental"}
+    ),
+    "partition_hits": ("sdt_partition_cache_total", {"result": "hit"}),
+    "partition_misses": ("sdt_partition_cache_total", {"result": "miss"}),
+}
 
 
-def _counter(name: str, **labels) -> float:
-    inst = metrics.registry().get(name)
-    return inst.value(**labels) if inst is not None else 0.0
-
-
-def _cache_stats(name: str) -> dict:
-    hits = _counter(name, result="hit")
-    misses = _counter(name, result="miss")
-    total = hits + misses
-    return {
-        "hits": int(hits),
-        "misses": int(misses),
-        "hit_rate": hits / total if total else 0.0,
-    }
-
-
-def _delta(after: dict, before: dict) -> dict:
-    return {k: after[k] - before[k] for k in after}
-
-
-def run_scenario(scenario: Scenario, *, repeats: int = DEFAULT_REPEATS) -> dict:
-    """Benchmark one scenario; returns its JSON-safe result record."""
+def run_scenario(scenario: Scenario) -> dict:
+    """One reconfig scenario on a fresh rig: a cold deploy (empty
+    caches), a 1-link incremental edit, and a warm re-check."""
     base = scenario.build()
     edit_key = removable_switch_links(base)[0]
-    edited = rebuild(base, drop_links={edit_key})
-    base_cfg = _config_for(base)
-    edited_cfg = _config_for(edited)
+    edited_cfg = TopologyConfig.from_topology(
+        rebuild(base, drop_links={edit_key})
+    )
+    controller = SDTController(
+        build_cluster_for([base], scenario.num_switches, EVAL_256x10G)
+    )
 
-    cold_s = float("inf")
-    inc_s = float("inf")
-    warm_s = float("inf")
-    record: dict = {}
-    for _ in range(max(1, repeats)):
-        # a fresh rig per repeat: every repeat measures the same cold
-        # caches at deploy and the same warm caches at reconfigure
-        cluster = build_cluster_for(
-            [base], scenario.num_switches, EVAL_256x10G
-        )
-        controller = SDTController(cluster)
-
-        def snap() -> dict:
-            return {
-                "synthesized": _counter("sdt_rules_synthesized_total"),
-                "pushed": _counter("sdt_reconfig_rules_pushed_total"),
-                "unchanged": _counter("sdt_reconfig_rules_unchanged_total"),
-                "cache_hits": _counter("sdt_rules_cache_total", result="hit"),
-                "cache_misses": _counter(
-                    "sdt_rules_cache_total", result="miss"
-                ),
-                "mode_incremental": _counter(
-                    "sdt_controller_reconfigure_mode_total",
-                    mode="incremental",
-                ),
-                "mode_cold": _counter(
-                    "sdt_controller_reconfigure_mode_total", mode="cold"
-                ),
-                "partition_hits": _counter(
-                    "sdt_partition_cache_total", result="hit"
-                ),
-                "partition_misses": _counter(
-                    "sdt_partition_cache_total", result="miss"
-                ),
-            }
-
-        before_deploy = snap()
-        t0 = time.perf_counter()
-        deployment = controller.deploy(base_cfg)
-        cold_s = min(cold_s, time.perf_counter() - t0)
-        before_reconf = snap()
-
-        t0 = time.perf_counter()
-        _, modeled = controller.reconfigure(edited_cfg)
-        inc_s = min(inc_s, time.perf_counter() - t0)
-        after = snap()
-
-        # warm re-check of the now-live topology: the incremental path
-        # seeds the partition cache with the extended partition, so
-        # this must be served from the cache (the gate asserts it)
-        t0 = time.perf_counter()
-        controller.check(edited_cfg)
-        warm_s = min(warm_s, time.perf_counter() - t0)
-        after_warm = snap()
-
-        deploy_d = _delta(before_reconf, before_deploy)
-        reconf_d = _delta(after, before_reconf)
-        warm_d = _delta(after_warm, after)
-        reconf_lookups = reconf_d["cache_hits"] + reconf_d["cache_misses"]
-        record = {
-            "scenario": scenario.name,
-            "logical_switches": len(base.switches),
-            "logical_hosts": len(base.hosts),
-            "logical_links": len(base.links),
-            "phys_switches": scenario.num_switches,
-            "edit": {"removed_links": [list(edit_key)], "added_links": []},
-            "mode": (
-                "incremental"
-                if reconf_d["mode_incremental"] > 0
-                else "cold"
-            ),
-            "rules_installed_cold": deployment.rules.count(),
-            "rules_synthesized_cold": int(deploy_d["synthesized"]),
-            "rules_synthesized_incremental": int(reconf_d["synthesized"]),
-            "rules_pushed": int(reconf_d["pushed"]),
-            "rules_unchanged": int(reconf_d["unchanged"]),
-            "rule_cache_hit_rate": (
-                reconf_d["cache_hits"] / reconf_lookups
-                if reconf_lookups
-                else 0.0
-            ),
-            "modeled_reconfigure_s": modeled,
-            "partition_cache_hits_warm": int(warm_d["partition_hits"]),
-            "partition_cache_misses_warm": int(warm_d["partition_misses"]),
+    def snap() -> dict[str, float]:
+        return {
+            key: _counter(name, **labels)
+            for key, (name, labels) in _RECONFIG_COUNTERS.items()
         }
-    record["cold_deploy_s"] = cold_s
-    record["incremental_reconfigure_s"] = inc_s
-    record["warm_check_s"] = warm_s
-    record["speedup"] = cold_s / inc_s if inc_s > 0 else 0.0
-    return record
 
+    def delta(after: dict[str, float], before: dict[str, float]) -> dict:
+        return {key: int(after[key] - before[key]) for key in after}
 
-def run_suite(*, quick: bool = False, repeats: int = DEFAULT_REPEATS) -> dict:
-    """Run the (quick or full) scenario set; returns the report dict."""
-    chosen = [s for s in SCENARIOS if s.quick or not quick]
-    results = [run_scenario(s, repeats=repeats) for s in chosen]
+    before_deploy = snap()
+    t0 = time.perf_counter()
+    deployment = controller.deploy(TopologyConfig.from_topology(base))
+    cold_s = time.perf_counter() - t0
+    # counted now: reconfigure edits this deployment in place
+    rules_installed_cold = deployment.rules.count()
+    before_reconf = snap()
+
+    t0 = time.perf_counter()
+    _, modeled = controller.reconfigure(edited_cfg)
+    inc_s = time.perf_counter() - t0
+    after = snap()
+
+    # warm re-check of the now-live topology: the incremental path
+    # seeds the partition cache with the extended partition, so this
+    # must be served from the cache (the baseline pins the hit count)
+    t0 = time.perf_counter()
+    controller.check(edited_cfg)
+    warm_s = time.perf_counter() - t0
+
+    deploy_d = delta(before_reconf, before_deploy)
+    reconf_d = delta(after, before_reconf)
+    warm_d = delta(snap(), after)
+    lookups = reconf_d["cache_hits"] + reconf_d["cache_misses"]
     return {
-        "schema": SCHEMA_VERSION,
-        "suite": "reconfig",
-        "quick": quick,
-        "repeats": repeats,
-        "cache": _cache_stats("sdt_rules_cache_total"),
-        "partition_cache": _cache_stats("sdt_partition_cache_total"),
-        "scenarios": results,
+        "scenario": scenario.name,
+        "logical_switches": len(base.switches),
+        "logical_hosts": len(base.hosts),
+        "logical_links": len(base.links),
+        "phys_switches": scenario.num_switches,
+        "edit": {"removed_links": [list(edit_key)], "added_links": []},
+        "mode": "incremental" if reconf_d["incremental"] else "cold",
+        "rules_installed_cold": rules_installed_cold,
+        "rules_synthesized_cold": deploy_d["synthesized"],
+        "rules_synthesized_incremental": reconf_d["synthesized"],
+        "rules_pushed": reconf_d["pushed"],
+        "rules_unchanged": reconf_d["unchanged"],
+        "rule_cache_hit_rate": (
+            reconf_d["cache_hits"] / lookups if lookups else 0.0
+        ),
+        "modeled_reconfigure_s": modeled,
+        "partition_cache_hits_warm": warm_d["partition_hits"],
+        "partition_cache_misses_warm": warm_d["partition_misses"],
+        "cold_deploy_s": cold_s,
+        "incremental_reconfigure_s": inc_s,
+        "warm_check_s": warm_s,
     }
 
+
+def run_reconfig_suite(quick: bool) -> dict:
+    """The paper's headline operation (Fig. 2, Table II; DESIGN.md
+    §5b): a small logical edit costs O(changed links) — topology diff,
+    cached partition extension, delta projection, cache-hit synthesis,
+    a FlowMod/strict-delete delta push — not a redeploy."""
+    return {
+        "scenarios": [
+            run_scenario(s) for s in SCENARIOS if s.quick or not quick
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# scale suite: cold deploy over fat-tree k
+# ---------------------------------------------------------------------------
 
 #: scale-curve points: fat-tree k, physical switch count, and the rig
 #: spec. k=16 (320 switches, 1024 hosts, ~340k rules) needs the
@@ -257,33 +184,22 @@ SCALE_POINTS: tuple[tuple[int, int, SwitchSpec, bool], ...] = (
 )
 
 
-def run_scale_suite(
-    *, quick: bool = False, repeats: int = DEFAULT_REPEATS
-) -> dict:
-    """Cold-deploy scaling curve over fat-tree k (the data-plane fast
-    path end to end: partition, projection, routing, columnar rule
-    synthesis, batched install).
-
-    Each point deploys on a fresh controller (cold caches) and reports
-    min-of-``repeats`` wall time plus the deterministic rule count.
-    ``rules_per_s`` is the derived install throughput — the number the
-    scaling claim in DESIGN.md is pinned against.
-    """
+def run_scale_suite(quick: bool) -> dict:
+    """Cold deploy over fat-tree k (the data-plane fast path end to
+    end: partition, projection, routing, columnar rule synthesis,
+    block install), each point on a fresh controller."""
     points = []
     for k, num_switches, spec, in_quick in SCALE_POINTS:
         if quick and not in_quick:
             continue
         topo = fat_tree(k)
-        cfg = _config_for(topo)
-        cold_s = float("inf")
-        rules_installed = 0
-        for _ in range(max(1, repeats)):
-            cluster = build_cluster_for([topo], num_switches, spec)
-            controller = SDTController(cluster)
-            t0 = time.perf_counter()
-            deployment = controller.deploy(cfg)
-            cold_s = min(cold_s, time.perf_counter() - t0)
-            rules_installed = deployment.rules.count()
+        controller = SDTController(
+            build_cluster_for([topo], num_switches, spec)
+        )
+        t0 = time.perf_counter()
+        deployment = controller.deploy(TopologyConfig.from_topology(topo))
+        cold_s = time.perf_counter() - t0
+        rules_installed = deployment.rules.count()
         points.append({
             "k": k,
             "logical_switches": len(topo.switches),
@@ -295,86 +211,15 @@ def run_scale_suite(
             "cold_deploy_s": cold_s,
             "rules_per_s": rules_installed / cold_s if cold_s > 0 else 0.0,
         })
-    return {
-        "schema": SCHEMA_VERSION,
-        "suite": "scale",
-        "quick": quick,
-        "repeats": repeats,
-        "points": points,
-    }
+    return {"points": points}
 
 
-def compare_scale_to_baseline(
-    current: dict, baseline: dict, *, tolerance: float = DEFAULT_TOLERANCE
-) -> list[str]:
-    """Scale-suite regressions.
+# ---------------------------------------------------------------------------
+# multitenant suite: the scenario driver on a fixed four-tenant scenario
+# ---------------------------------------------------------------------------
 
-    ``rules_installed`` is deterministic and must match the baseline
-    exactly. Wall time is machine-dependent, so the gated quantity is
-    the *shape* of the curve: the cold-deploy time ratio between
-    consecutive points, which cancels absolute machine speed the same
-    way the reconfig suite's incremental/cold ratio does. Ratios are
-    only gated when the smaller point's cold deploy exceeds
-    :data:`MIN_GATE_SECONDS` in both reports; points present in only
-    one report are skipped (quick runs gate against a full baseline).
-    """
-    problems: list[str] = []
-    base_by_k = {p["k"]: p for p in baseline.get("points", [])}
-    cur_points = [
-        p for p in current.get("points", []) if p["k"] in base_by_k
-    ]
-    for cur in cur_points:
-        base = base_by_k[cur["k"]]
-        if cur["rules_installed"] != base["rules_installed"]:
-            problems.append(
-                f"k={cur['k']}: rules installed changed "
-                f"{base['rules_installed']} -> {cur['rules_installed']} "
-                "(synthesis is deterministic; this is a behavior change)"
-            )
-    for prev, cur in zip(cur_points, cur_points[1:]):
-        base_prev = base_by_k[prev["k"]]
-        base_cur = base_by_k[cur["k"]]
-        measurable = (
-            prev["cold_deploy_s"] >= MIN_GATE_SECONDS
-            and base_prev["cold_deploy_s"] >= MIN_GATE_SECONDS
-        )
-        if not measurable:
-            continue
-        base_ratio = base_cur["cold_deploy_s"] / base_prev["cold_deploy_s"]
-        cur_ratio = cur["cold_deploy_s"] / prev["cold_deploy_s"]
-        if cur_ratio > base_ratio * (1 + tolerance):
-            problems.append(
-                f"k={prev['k']}->k={cur['k']}: cold-deploy growth ratio "
-                f"regressed {base_ratio:.2f} -> {cur_ratio:.2f} "
-                f"(> {tolerance:.0%} over baseline)"
-            )
-    return problems
-
-
-def render_scale_report(report: dict) -> str:
-    rows = [
-        [
-            f"k={p['k']}",
-            p["logical_switches"],
-            p["logical_hosts"],
-            p["phys_switches"],
-            p["rules_installed"],
-            f"{p['cold_deploy_s'] * 1e3:.1f}",
-            f"{p['rules_per_s'] / 1e3:.0f}k",
-        ]
-        for p in report["points"]
-    ]
-    return format_table(
-        ["Point", "Switches", "Hosts", "Phys", "Rules", "Cold (ms)",
-         "Rules/s"],
-        rows,
-        title="Cold-deploy scaling curve (fat-tree)",
-    )
-
-
-#: the multi-tenant bench scenario: three tenants sharing one pool,
-#: plus one deliberately over-quota tenant whose rejection (and its
-#: zero-mutation guarantee) is part of what the gate pins down
+#: three tenants sharing one pool, plus one deliberately over-quota
+#: tenant whose rejection is part of what the gate pins down
 _MT_TENANTS: tuple[tuple[str, int, int, str, dict], ...] = (
     # (tenant, host_ports, tcam_share, kind, params)
     ("hpc-lab", 24, 2500, "fat-tree", {"k": 4}),
@@ -389,154 +234,64 @@ _MT_TENANTS: tuple[tuple[str, int, int, str, dict], ...] = (
 )
 
 
-def run_multitenant_suite(*, repeats: int = DEFAULT_REPEATS) -> dict:
-    """Benchmark the multi-tenant service path on a fixed scenario.
+def run_multitenant_suite(quick: bool) -> dict:
+    """The multi-tenant serve path through ``repro serve``'s own
+    driver (:func:`repro.tenancy.run_scenario`): session admission,
+    scheduling, preparation, transactional install, then the
+    post-commit isolation verification. One profile — ``quick``
+    selects nothing."""
+    from repro.tenancy import TenantQuota, TenantSpec, run_scenario
+    from repro.tenancy.scenario import Scenario as TenantScenario
 
-    Wall time covers the whole serve: session admission, scheduling,
-    preparation, transactional install, and the post-commit isolation
-    verification. The deterministic fields the baseline gate pins are
-    per-tenant installed rule counts, the admitted/rejected split, and
-    ``isolation_ok`` — any drift there is a behavior change, not noise.
-    """
-    from repro.tenancy import (
-        TenantQuota,
-        TestbedService,
-        build_pool_for_tenants,
-    )
-    from repro.util.errors import AdmissionError
-
-    configs = {
-        t: TopologyConfig(kind, dict(params))
-        for t, _, _, kind, params in _MT_TENANTS
-    }
-    planned = [
-        configs[t].build()
-        for t, _, _, _, _ in _MT_TENANTS
-        if t != "greedy"  # the pool is sized for the admitted set only
-    ]
-    serve_s = float("inf")
-    record: dict = {}
-    for _ in range(max(1, repeats)):
-        cluster = build_pool_for_tenants(
-            planned, 3, EVAL_256x10G, spare_hosts=4
-        )
-        service = TestbedService(cluster, max_workers=3)
-        tenants: dict = {}
-        rejected: list[str] = []
-        t0 = time.perf_counter()
-        try:
-            futures = []
-            for tenant, ports, share, _, _ in _MT_TENANTS:
-                try:
-                    service.open_session(
-                        tenant,
-                        TenantQuota(host_ports=ports, tcam_share=share),
-                    )
-                except AdmissionError:
-                    rejected.append(tenant)
-                    continue
-                futures.append(
-                    (tenant, service.submit_deploy(tenant, configs[tenant]))
-                )
-            for tenant, future in futures:
-                try:
-                    dep = future.result()
-                except AdmissionError:
-                    rejected.append(tenant)
-                else:
-                    tenants[tenant] = {
-                        "rules_installed": dep.rules.count(),
-                        "host_ports_used": sum(
-                            1
-                            for r in (
-                                dep.projection.link_realization.values()
-                            )
-                            if type(r).__name__ == "HostPort"
-                        ),
-                    }
-            service.drain(60)
-            serve_s = min(serve_s, time.perf_counter() - t0)
-            report = service.verifier.verify(
-                [
-                    s
-                    for s in service.sessions.values()
-                    if s.state == "active"
-                ],
-                strict=False,
+    scenario = TenantScenario(
+        switches=3,
+        spec=EVAL_256x10G,
+        spare_hosts=4,
+        max_workers=3,
+        tenants=[
+            TenantSpec(
+                tenant,
+                TenantQuota(host_ports=ports, tcam_share=share),
+                TopologyConfig(kind, dict(params)),
             )
-            record = {
-                "tenants": tenants,
-                "admitted": sorted(tenants),
-                "rejected": sorted(rejected),
-                "isolation_ok": report.ok,
-                "isolation_problems": report.problems,
-                "total_rules_installed": sum(
-                    v["rules_installed"] for v in tenants.values()
-                ),
-            }
-        finally:
-            service.shutdown()
-    record["serve_s"] = serve_s
+            for tenant, ports, share, kind, params in _MT_TENANTS
+        ],
+    )
+    t0 = time.perf_counter()
+    run = run_scenario(scenario)
+    service = run.service
+    try:
+        service.drain(60)
+        serve_s = time.perf_counter() - t0
+        isolation = service.verifier.verify(
+            [s for s in service.sessions.values() if s.state == "active"],
+            strict=False,
+        )
+    finally:
+        service.shutdown()
+    sessions = run.report["status"]["tenants"]
+    tenants = [
+        {
+            "tenant": tenant,
+            "rules_installed": record["rules_installed"],
+            "host_ports_used": sessions[tenant]["host_ports_used"],
+        }
+        for tenant, record in run.report["tenants"].items()
+    ]
     return {
-        "schema": SCHEMA_VERSION,
-        "suite": "multitenant",
-        "repeats": repeats,
-        **record,
+        "tenants": tenants,
+        "admitted": sorted(t["tenant"] for t in tenants),
+        "rejected": sorted(r["tenant"] for r in run.report["rejected"]),
+        "isolation_ok": isolation.ok,
+        "isolation_problems": isolation.problems,
+        "total_rules_installed": sum(t["rules_installed"] for t in tenants),
+        "serve_s": serve_s,
     }
 
 
-def compare_multitenant_to_baseline(
-    current: dict, baseline: dict
-) -> list[str]:
-    """Regressions in the multi-tenant suite are exact mismatches: the
-    scenario is deterministic, so rule counts and the admitted/rejected
-    split must match the baseline bit-for-bit, and isolation must hold.
-    (``serve_s`` is machine-dependent and informational only.)"""
-    problems: list[str] = []
-    if not current.get("isolation_ok", False):
-        problems.append(
-            "isolation verification failed: "
-            + "; ".join(current.get("isolation_problems", []))
-        )
-    for key in ("admitted", "rejected"):
-        if current.get(key) != baseline.get(key):
-            problems.append(
-                f"{key} tenants changed: "
-                f"{baseline.get(key)} -> {current.get(key)}"
-            )
-    base_tenants = baseline.get("tenants", {})
-    for tenant, cur in current.get("tenants", {}).items():
-        base = base_tenants.get(tenant)
-        if base is None:
-            continue
-        for field in ("rules_installed", "host_ports_used"):
-            if cur.get(field) != base.get(field):
-                problems.append(
-                    f"{tenant}: {field} changed "
-                    f"{base.get(field)} -> {cur.get(field)}"
-                )
-    return problems
-
-
-def render_multitenant_report(report: dict) -> str:
-    rows = [
-        [t, v["rules_installed"], v["host_ports_used"]]
-        for t, v in sorted(report["tenants"].items())
-    ]
-    rows.append([
-        "(rejected)", ", ".join(report["rejected"]) or "-", "",
-    ])
-    table = format_table(
-        ["Tenant", "Rules", "Host ports"],
-        rows,
-        title="Multi-tenant benchmark (3 tenants + 1 over-quota)",
-    )
-    return (
-        f"{table}\n"
-        f"serve wall time: {report['serve_s'] * 1e3:.1f} ms   "
-        f"isolation: {'OK' if report['isolation_ok'] else 'VIOLATED'}"
-    )
-
+# ---------------------------------------------------------------------------
+# recovery suite: snapshot + journal replay onto a fresh cluster
+# ---------------------------------------------------------------------------
 
 #: recovery suite points: committed mutations after the deploy, and
 #: whether the point is in ``--quick`` runs
@@ -549,27 +304,16 @@ RECOVERY_POINTS: tuple[tuple[int, bool], ...] = (
 #: snapshot cadence for the recovery suite (committed transactions)
 RECOVERY_SNAPSHOT_EVERY = 4
 
-#: recovery wall times below this are treated as trivially bounded —
-#: the sub-linearity check needs measurable times to divide
-MIN_RECOVERY_GATE_SECONDS = 0.05
 
-
-def run_recovery_suite(
-    *, quick: bool = False, repeats: int = DEFAULT_REPEATS
-) -> dict:
-    """Recovery-time-vs-journal-length curve.
+def run_recovery_suite(quick: bool) -> dict:
+    """Crash recovery over a growing journal.
 
     Each point deploys fat-tree k=4 with a commit journal installed,
     applies N link fail/restore mutations (each one a committed
-    transaction), snapshotting every
-    :data:`RECOVERY_SNAPSHOT_EVERY` commits — then measures cold
-    recovery (newest snapshot + journal replay, materialized onto a
-    fresh cluster) as min-of-``repeats`` wall time. Because snapshots
-    bound the replay window, recovery time should stay roughly flat
-    while the total journal grows — i.e. grow *sub-linearly* in
-    journal length, which the report records as ``sublinear`` (taken
-    as true when every recovery is under
-    :data:`MIN_RECOVERY_GATE_SECONDS`, where jitter dominates).
+    transaction), snapshotting every :data:`RECOVERY_SNAPSHOT_EVERY`
+    commits — then recovers cold (newest snapshot + journal replay,
+    materialized onto a fresh cluster) and checks the recovered switch
+    state is bit-identical to what the uninterrupted run installed.
     """
     import tempfile
 
@@ -581,6 +325,13 @@ def run_recovery_suite(
         uninstall_journal,
     )
 
+    def installed(cluster) -> dict[str, list]:
+        return {
+            name: sorted(sw.installed_rules())
+            for name, sw in cluster.switches.items()
+        }
+
+    topo = fat_tree(4)
     points: list[dict] = []
     for ops, in_quick in RECOVERY_POINTS:
         if quick and not in_quick:
@@ -591,47 +342,30 @@ def run_recovery_suite(
                 state_dir, every=RECOVERY_SNAPSHOT_EVERY
             )
             journal = manager.journal()
-            topo = fat_tree(4)
-            cfg = _config_for(topo)
             cluster = build_cluster_for([topo], 2, EVAL_256x10G)
             controller = SDTController(cluster)
             install_journal(journal)
             try:
-                deployment = controller.deploy(cfg)
+                deployment = controller.deploy(
+                    TopologyConfig.from_topology(topo)
+                )
                 links = deployment.topology.switch_links
-                failed = False
                 for i in range(ops):
-                    if failed:
+                    if i % 2:
                         controller.restore_links(deployment)
-                        failed = False
                     else:
                         controller.fail_link(
                             deployment, links[i % len(links)].index
                         )
-                        failed = True
                     manager.maybe_write(controller, journal)
             finally:
                 uninstall_journal()
 
-            # expected state: what the uninterrupted run installed
-            expected = {
-                name: sorted(sw.installed_rules())
-                for name, sw in cluster.switches.items()
-            }
-
-            recover_s = float("inf")
-            result = None
-            for _ in range(max(1, repeats)):
-                fresh = build_cluster_for([topo], 2, EVAL_256x10G)
-                t0 = time.perf_counter()
-                result = load_recovery(state_dir)
-                apply_recovery(result, fresh)
-                recover_s = min(recover_s, time.perf_counter() - t0)
-            recovered = {
-                name: sorted(sw.installed_rules())
-                for name, sw in fresh.switches.items()
-            }
-            assert result is not None
+            fresh = build_cluster_for([topo], 2, EVAL_256x10G)
+            t0 = time.perf_counter()
+            result = load_recovery(state_dir)
+            apply_recovery(result, fresh)
+            recover_s = time.perf_counter() - t0
             points.append({
                 "ops": ops,
                 "journal_records": result.journal_records,
@@ -642,112 +376,19 @@ def run_recovery_suite(
                 "skipped": result.skipped,
                 "entries": result.entries,
                 "recover_s": recover_s,
-                "bit_identical": recovered == expected,
+                "bit_identical": installed(fresh) == installed(cluster),
             })
-    first, last = points[0], points[-1]
-    records_ratio = (
-        last["journal_records"] / max(1, first["journal_records"])
-    )
-    if last["recover_s"] < MIN_RECOVERY_GATE_SECONDS:
-        sublinear = True  # bounded below measurable time
-        time_ratio = 0.0
-    else:
-        time_ratio = last["recover_s"] / max(first["recover_s"], 1e-9)
-        sublinear = time_ratio < records_ratio
-    return {
-        "schema": SCHEMA_VERSION,
-        "suite": "recovery",
-        "quick": quick,
-        "repeats": repeats,
-        "snapshot_every": RECOVERY_SNAPSHOT_EVERY,
-        "points": points,
-        "journal_growth_ratio": records_ratio,
-        "recover_time_ratio": time_ratio,
-        "sublinear": sublinear,
-    }
+    return {"snapshot_every": RECOVERY_SNAPSHOT_EVERY, "points": points}
 
 
-def compare_recovery_to_baseline(
-    current: dict, baseline: dict
-) -> list[str]:
-    """Recovery-suite regressions.
-
-    The workload is deterministic, so the journal shape and the
-    recovered state are gated exactly: record counts, replay windows,
-    replayed-transaction counts, and entry totals must match the
-    baseline, and every point must recover bit-identically. Wall time
-    is machine-dependent; what is gated is the *shape* — the current
-    report's own ``sublinear`` verdict (recovery time must not grow
-    as fast as the journal does). Points present in only one report
-    are skipped (quick runs gate against a full baseline).
-    """
-    problems: list[str] = []
-    base_by_ops = {p["ops"]: p for p in baseline.get("points", [])}
-    for cur in current.get("points", []):
-        base = base_by_ops.get(cur["ops"])
-        if base is None:
-            continue
-        for field_name in (
-            "journal_records", "snapshot_lsn", "replay_window",
-            "replayed", "skipped", "entries",
-        ):
-            if cur[field_name] != base[field_name]:
-                problems.append(
-                    f"ops={cur['ops']}: {field_name} changed "
-                    f"{base[field_name]} -> {cur[field_name]} "
-                    "(journal/replay is deterministic; this is a "
-                    "behavior change)"
-                )
-        if not cur["bit_identical"]:
-            problems.append(
-                f"ops={cur['ops']}: recovered switch state diverged "
-                "from the uninterrupted run"
-            )
-    if not current.get("sublinear", False):
-        problems.append(
-            "recovery time grew as fast as the journal "
-            f"(time ratio {current.get('recover_time_ratio', 0):.2f} vs "
-            f"journal ratio {current.get('journal_growth_ratio', 0):.2f}) "
-            "— snapshots are not bounding replay"
-        )
-    return problems
-
-
-def render_recovery_report(report: dict) -> str:
-    rows = [
-        [
-            p["ops"],
-            p["journal_records"],
-            p["snapshot_lsn"],
-            p["replay_window"],
-            p["replayed"],
-            p["entries"],
-            f"{p['recover_s'] * 1e3:.1f}",
-            "yes" if p["bit_identical"] else "NO",
-        ]
-        for p in report["points"]
-    ]
-    table = format_table(
-        ["Ops", "Journal", "Snap LSN", "Window", "Replayed", "Entries",
-         "Recover (ms)", "Identical"],
-        rows,
-        title=(
-            "Recovery benchmark (snapshot every "
-            f"{report['snapshot_every']} commits)"
-        ),
-    )
-    return (
-        f"{table}\n"
-        f"journal growth {report['journal_growth_ratio']:.1f}x, "
-        f"recovery time growth "
-        f"{report['recover_time_ratio']:.2f}x -> "
-        f"{'sub-linear' if report['sublinear'] else 'NOT sub-linear'}"
-    )
-
+# ---------------------------------------------------------------------------
+# churn suite: tenant lifecycles against the async control-plane service
+# ---------------------------------------------------------------------------
 
 #: churn-suite shape: live tenant slots per wave, and total sessions
-#: for the full and quick profiles. 1000+ sessions is the acceptance
-#: floor for the full profile (ISSUE 8); quick keeps CI under a minute.
+#: for the two profiles. 1000+ sessions is the acceptance floor for the
+#: full run (ISSUE 8); the quick profile keeps CI under a minute, and
+#: the full run includes it so one committed baseline gates both.
 CHURN_SLOTS = 8
 CHURN_SESSIONS_FULL = 1024
 CHURN_SESSIONS_QUICK = 160
@@ -776,31 +417,20 @@ def _latency_record(samples: list[float]) -> dict:
     }
 
 
-def run_churn_suite(
-    *, quick: bool = False, repeats: int = DEFAULT_REPEATS
-) -> dict:
-    """Fleet-churn benchmark against the async control-plane service.
+def _churn_profile(sessions_total: int) -> dict:
+    """One churn profile on a fresh pool and service, in two phases:
 
-    Drives the in-process :class:`~repro.service.app.
-    ControlPlaneService` (no HTTP: the suite measures the service, not
-    the socket) through two phases:
-
-    * **churn** — :data:`CHURN_SESSIONS_FULL` (or ``_QUICK``) tenant
-      sessions across :data:`CHURN_SLOTS` concurrent slots; each
-      session is admit → deploy → (seeded coin) reconfigure → evict,
-      with client-observed admission and commit latencies sampled on
-      every operation (p50/p99 reported);
+    * **churn** — ``sessions_total`` tenant sessions across
+      :data:`CHURN_SLOTS` concurrent slots; each session is admit →
+      deploy → (seeded coin) reconfigure → evict, with client-observed
+      admission and commit latencies sampled on every operation;
     * **storm** — a synchronous submission burst of ``max_pending x
-      CHURN_STORM_FACTOR`` deploys: exactly ``max_pending`` are
-      admitted to the queue, the rest are backpressure-rejected with
-      zero mutation; of the admitted ops, host-port quotas allow
-      exactly one deploy per storm tenant, so the admission-reject
-      count is deterministic too.
-
-    The gate pins the deterministic fields (session/op/reject counts,
-    final pool emptiness); latencies are machine-dependent and
-    informational. ``repeats`` is recorded but the suite runs once —
-    with 1000+ sessions the law of large numbers does the averaging.
+      CHURN_STORM_FACTOR`` deploys, each under its own deployment
+      name: exactly ``max_pending`` are admitted to the queue, the
+      rest are backpressure-rejected with zero mutation; of the
+      admitted ops, the 8-port lease holds two chain-3s per storm
+      tenant, so the quota refuses the rest — the admission-reject
+      count is deterministic too, and any *other* error is a bug.
     """
     import asyncio
     import random
@@ -810,8 +440,6 @@ def run_churn_suite(
     from repro.tenancy import TenantQuota, build_pool_for_tenants
     from repro.util.errors import AdmissionError
 
-    del repeats  # recorded by the caller's report; one pass is enough
-    sessions_total = CHURN_SESSIONS_QUICK if quick else CHURN_SESSIONS_FULL
     chain3 = TopologyConfig(
         "chain", {"num_switches": 3, "hosts_per_switch": 1}
     )
@@ -884,6 +512,7 @@ def run_churn_suite(
         for i in range(CHURN_STORM_TENANTS):
             await service.open_session(f"s{i}", quota)
         submitted = CHURN_MAX_PENDING * CHURN_STORM_FACTOR
+        storm_topo = chain3.build()
         futures = []
         bp_rejected = 0
         # a tight synchronous submission loop: nothing yields, and no
@@ -891,9 +520,12 @@ def run_churn_suite(
         # completion can interleave — exactly max_pending ops are
         # admitted before the bound trips, deterministically
         for j in range(submitted):
-            tenant = f"s{j % CHURN_STORM_TENANTS}"
             op = service.testbed.make_operation(
-                "deploy", tenant, config=chain3
+                "deploy",
+                f"s{j % CHURN_STORM_TENANTS}",
+                config=TopologyConfig.from_topology(
+                    storm_topo, name=f"storm-{j}"
+                ),
             )
             try:
                 futures.append(service.scheduler.submit(op))
@@ -904,7 +536,6 @@ def run_churn_suite(
         admission_rejected = sum(
             1 for o in outcomes if isinstance(o, AdmissionError)
         )
-        other = len(outcomes) - ok - admission_rejected
         for i in range(CHURN_STORM_TENANTS):
             await service.submit("evict", f"s{i}")
         return {
@@ -913,50 +544,33 @@ def run_churn_suite(
             "backpressure_rejected": bp_rejected,
             "deploys_ok": ok,
             "admission_rejected": admission_rejected,
-            "other_errors": other,
+            "other_errors": len(outcomes) - ok - admission_rejected,
         }
 
-    async def drive() -> dict:
+    async def drive() -> tuple[float, dict]:
         service = ControlPlaneService(
             pool, workers=4, max_pending=CHURN_MAX_PENDING
         )
         await service.start()
         try:
             t0 = time.perf_counter()
-            session_no = 0
-            while session_no < sessions_total:
-                wave = []
-                for slot in range(CHURN_SLOTS):
-                    if session_no >= sessions_total:
-                        break
-                    wave.append(lifecycle(service, session_no, slot))
-                    session_no += 1
-                await asyncio.gather(*wave)
+            for first in range(0, sessions_total, CHURN_SLOTS):
+                wave = range(first, min(first + CHURN_SLOTS, sessions_total))
+                await asyncio.gather(*(
+                    lifecycle(service, session_no, session_no - first)
+                    for session_no in wave
+                ))
             churn_wall = time.perf_counter() - t0
-            storm_record = await storm(service)
+            return churn_wall, await storm(service)
         finally:
             await service.stop()
-        final_entries = sum(
-            sw.num_entries for sw in pool.switches.values()
-        )
-        return {
-            "churn_wall_s": churn_wall,
-            "storm": storm_record,
-            "final_entries": final_entries,
-        }
 
-    run = asyncio.run(drive())
-    wall = run["churn_wall_s"]
+    wall, storm_record = asyncio.run(drive())
     return {
-        "schema": SCHEMA_VERSION,
-        "suite": "churn",
-        "quick": quick,
-        "slots": CHURN_SLOTS,
-        "max_pending": CHURN_MAX_PENDING,
         "sessions_target": sessions_total,
         **counts,
-        "storm": run["storm"],
-        "final_entries": run["final_entries"],
+        "storm": storm_record,
+        "final_entries": sum(sw.num_entries for sw in pool.switches.values()),
         "churn_wall_s": wall,
         "sessions_per_s": sessions_total / wall if wall > 0 else 0.0,
         "latency": {
@@ -967,84 +581,23 @@ def run_churn_suite(
     }
 
 
-def compare_churn_to_baseline(current: dict, baseline: dict) -> list[str]:
-    """Churn-suite regressions are exact mismatches on the
-    deterministic fields: every session must complete its lifecycle
-    (counts match), the storm's backpressure and admission splits must
-    match, and the pool must end empty. Latency numbers are
-    machine-dependent and not gated — the SLO lives in the report.
-    Reconfigure counts are seeded-RNG-deterministic per profile, so
-    they only gate when both reports ran the same profile."""
-    problems: list[str] = []
-    same_profile = current.get("quick") == baseline.get("quick")
-    fields = ["final_entries", "errors"]
-    if same_profile:
-        fields += [
-            "sessions_target", "sessions_admitted", "deploys_ok",
-            "reconfigures_ok", "evictions",
-        ]
-    for key in fields:
-        if current.get(key) != baseline.get(key):
-            problems.append(
-                f"{key} changed {baseline.get(key)} -> {current.get(key)} "
-                "(churn lifecycle is deterministic; this is a behavior "
-                "change)"
-            )
-    cur_storm = current.get("storm", {})
-    base_storm = baseline.get("storm", {})
-    for key in ("submitted", "accepted", "backpressure_rejected",
-                "deploys_ok", "admission_rejected", "other_errors"):
-        if cur_storm.get(key) != base_storm.get(key):
-            problems.append(
-                f"storm.{key} changed "
-                f"{base_storm.get(key)} -> {cur_storm.get(key)} "
-                "(bounded-queue admission is deterministic)"
-            )
-    if current.get("sessions_admitted", 0) < current.get(
-        "sessions_target", 0
-    ):
-        problems.append(
-            f"only {current.get('sessions_admitted')} of "
-            f"{current.get('sessions_target')} sessions were admitted"
-        )
-    return problems
+def run_churn_suite(quick: bool) -> dict:
+    """Fleet churn against the in-process :class:`~repro.service.app.
+    ControlPlaneService` (no HTTP: the suite exercises the service,
+    not the socket), one :func:`_churn_profile` per session count."""
+    sizes = [CHURN_SESSIONS_QUICK]
+    if not quick:
+        sizes.append(CHURN_SESSIONS_FULL)
+    return {
+        "slots": CHURN_SLOTS,
+        "max_pending": CHURN_MAX_PENDING,
+        "profiles": [_churn_profile(n) for n in sizes],
+    }
 
 
-def render_churn_report(report: dict) -> str:
-    lat = report["latency"]
-    rows = [
-        [
-            phase,
-            lat[phase]["samples"],
-            f"{lat[phase]['p50_s'] * 1e3:.1f}",
-            f"{lat[phase]['p99_s'] * 1e3:.1f}",
-            f"{lat[phase]['max_s'] * 1e3:.1f}",
-        ]
-        for phase in ("admission", "commit", "evict")
-    ]
-    table = format_table(
-        ["Phase", "Samples", "p50 (ms)", "p99 (ms)", "max (ms)"],
-        rows,
-        title=(
-            f"Churn benchmark ({report['sessions_admitted']} sessions, "
-            f"{report['slots']} slots)"
-        ),
-    )
-    storm = report["storm"]
-    return (
-        f"{table}\n"
-        f"churn: {report['sessions_per_s']:.0f} sessions/s over "
-        f"{report['churn_wall_s']:.1f}s   "
-        f"deploys {report['deploys_ok']}, "
-        f"reconfigures {report['reconfigures_ok']}, "
-        f"evictions {report['evictions']}\n"
-        f"storm: {storm['submitted']} submitted, "
-        f"{storm['accepted']} queued, "
-        f"{storm['backpressure_rejected']} backpressured, "
-        f"{storm['admission_rejected']} admission-rejected   "
-        f"final entries: {report['final_entries']}"
-    )
-
+# ---------------------------------------------------------------------------
+# engineer suite: the monitor → optimize → reconfigure loop vs. a static ring
+# ---------------------------------------------------------------------------
 
 #: engineer-suite shape: ring size, hot pairs per phase, and loop knobs
 ENGINEER_RING = 8
@@ -1060,36 +613,22 @@ ENGINEER_MIN_GAIN = 0.03
 ENGINEER_MAX_DEGREE = 4  # per-switch optical-port budget
 
 
-def _engineer_ring(n: int) -> Topology:
-    topo = Topology(f"ring{n}")
+def _engineer_topology(
+    name: str, n: int, switch_links: Iterable[tuple[int, int]]
+) -> Topology:
+    """``n`` switches joined by ``switch_links``, one host on each."""
+    topo = Topology(name)
     for i in range(n):
         topo.add_switch(f"s{i}")
-    for i in range(n):
-        topo.connect(f"s{i}", f"s{(i + 1) % n}")
+    for i, j in switch_links:
+        topo.connect(f"s{i}", f"s{j}")
     for i in range(n):
         topo.add_host(f"h{i}")
         topo.connect(f"h{i}", f"s{i}")
     return topo
 
 
-def _engineer_headroom(n: int) -> Topology:
-    """Planning envelope for the rig: the complete switch graph, so the
-    physical wiring can realize any topology the search may propose."""
-    topo = Topology(f"ring{n}-headroom")
-    for i in range(n):
-        topo.add_switch(f"s{i}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            topo.connect(f"s{i}", f"s{j}")
-    for i in range(n):
-        topo.add_host(f"h{i}")
-        topo.connect(f"h{i}", f"s{i}")
-    return topo
-
-
-def run_engineer_suite(
-    *, quick: bool = False, repeats: int = DEFAULT_REPEATS
-) -> dict:
+def run_engineer_suite(quick: bool) -> dict:
     """Closed-loop topology engineering vs. a static topology.
 
     Two rigs deploy the same 8-switch ring. Each phase replays a
@@ -1101,16 +640,16 @@ def run_engineer_suite(
     topology it already bent toward the first phase's demand.
 
     Reported per phase: application completion time (netsim modeled
-    seconds, deterministic) on both rigs, the improvement ratio, and
-    per-step disruption — moves, rules actually pushed (measured via
+    seconds, deterministic) on both rigs and per-step disruption —
+    moves, rules actually pushed (measured via
     ``sdt_reconfig_rules_pushed_total``), reconfigure mode, and commit
     strategy. Every applied step must take the incremental
     make-before-break path: that is the "zero admission-violating
     transients" acceptance check, since MBB validates both generations
     fit before any switch is touched.
 
-    ``quick`` and ``repeats`` are accepted for harness symmetry; the
-    workload is modeled-time, fully deterministic, and already CI-fast.
+    One profile — ``quick`` selects nothing: the workload is
+    modeled-time, fully deterministic, and already CI-fast.
     """
     from repro.engineering import (
         EngineerParams,
@@ -1119,7 +658,15 @@ def run_engineer_suite(
     )
     from repro.netsim import RoceTransport, build_sdt_network
 
-    topo = _engineer_ring(ENGINEER_RING)
+    n = ENGINEER_RING
+    topo = _engineer_topology(
+        f"ring{n}", n, [(i, (i + 1) % n) for i in range(n)]
+    )
+    # planning envelope for the rig: the complete switch graph, so the
+    # physical wiring can realize any topology the search may propose
+    headroom = _engineer_topology(
+        f"ring{n}-headroom", n, combinations(range(n), 2)
+    )
     params = EngineerParams(
         window=0.0,  # demand = the newest poll interval only
         max_moves=ENGINEER_MAX_MOVES,
@@ -1133,11 +680,9 @@ def run_engineer_suite(
     )
 
     def rig() -> tuple[SDTController, object]:
-        cluster = build_cluster_for(
-            [topo, _engineer_headroom(ENGINEER_RING)], 3, EVAL_256x10G
-        )
+        cluster = build_cluster_for([topo, headroom], 3, EVAL_256x10G)
         controller = SDTController(cluster)
-        deployment = controller.deploy(_config_for(topo))
+        deployment = controller.deploy(TopologyConfig.from_topology(topo))
         return controller, deployment
 
     static_ctrl, static_dep = rig()
@@ -1161,35 +706,28 @@ def run_engineer_suite(
         controller.monitor.poll(clocks[key], deployment.projection)
         return act
 
+    def incremental() -> float:
+        return _counter(
+            "sdt_controller_reconfigure_mode_total", mode="incremental"
+        )
+
+    def mbb() -> float:
+        return _counter(
+            "sdt_controller_commit_strategy_total",
+            strategy="make-before-break",
+        )
+
     phases: list[dict] = []
     for phase_name, pairs in ENGINEER_PHASES:
         act_static = drive(static_ctrl, static_dep, pairs, "static")
         act_eng = drive(eng_ctrl, engineer.deployment, pairs, "engineered")
         steps: list[dict] = []
         for _ in range(ENGINEER_MAX_STEPS):
-            mode_before = _counter(
-                "sdt_controller_reconfigure_mode_total", mode="incremental"
-            )
-            mbb_before = _counter(
-                "sdt_controller_commit_strategy_total",
-                strategy="make-before-break",
-            )
+            incremental_before, mbb_before = incremental(), mbb()
             step = engineer.step()
             record = step.summary()
-            record["incremental"] = bool(
-                _counter(
-                    "sdt_controller_reconfigure_mode_total",
-                    mode="incremental",
-                )
-                > mode_before
-            )
-            record["make_before_break"] = bool(
-                _counter(
-                    "sdt_controller_commit_strategy_total",
-                    strategy="make-before-break",
-                )
-                > mbb_before
-            )
+            record["incremental"] = incremental() > incremental_before
+            record["make_before_break"] = mbb() > mbb_before
             steps.append(record)
             if not step.applied:
                 break
@@ -1211,12 +749,8 @@ def run_engineer_suite(
             ),
         })
 
-    all_steps = [s for p in phases for s in p["steps"]]
-    applied_steps = [s for s in all_steps if s["applied"]]
+    applied_steps = [s for p in phases for s in p["steps"] if s["applied"]]
     return {
-        "schema": SCHEMA_VERSION,
-        "suite": "engineer",
-        "quick": quick,
         "ring": ENGINEER_RING,
         "rules_cap": ENGINEER_RULES_CAP,
         "max_moves": ENGINEER_MAX_MOVES,
@@ -1225,6 +759,9 @@ def run_engineer_suite(
         "moves_total": sum(len(s["moves"]) for s in applied_steps),
         "max_rules_pushed": max(
             (s["rules_pushed"] for s in applied_steps), default=0
+        ),
+        "phases_worse_than_static": sum(
+            1 for p in phases if p["act_engineered_s"] > p["act_static_s"]
         ),
         "cap_violations": sum(
             1 for s in applied_steps if s["cap_violation"]
@@ -1238,112 +775,19 @@ def run_engineer_suite(
     }
 
 
-def compare_engineer_to_baseline(
-    current: dict, baseline: dict, *, tolerance: float = DEFAULT_TOLERANCE
-) -> list[str]:
-    """Engineer-suite regressions.
-
-    The whole suite is deterministic (modeled netsim time, sorted
-    search, no RNG), so the loop's *decisions* gate exactly: steps
-    applied, moves, and rules pushed per phase must match the
-    baseline. ACT improvement gates with tolerance, plus two absolute
-    requirements independent of the baseline: the engineered topology
-    must never be worse than static (improvement >= 1), and disruption
-    must stay bounded — zero cap violations and every applied step on
-    the incremental make-before-break path (no admission-violating
-    transients)."""
-    problems: list[str] = []
-    base_by_phase = {p["phase"]: p for p in baseline.get("phases", [])}
-    for cur in current.get("phases", []):
-        name = cur["phase"]
-        if cur["improvement"] < 1.0:
-            problems.append(
-                f"{name}: engineered topology is WORSE than static "
-                f"(improvement {cur['improvement']:.2f}x)"
-            )
-        base = base_by_phase.get(name)
-        if base is None:
-            continue
-        if cur["improvement"] < base["improvement"] * (1 - tolerance):
-            problems.append(
-                f"{name}: ACT improvement regressed "
-                f"{base['improvement']:.2f}x -> {cur['improvement']:.2f}x "
-                f"(> {tolerance:.0%} below baseline)"
-            )
-        for field_name in ("steps_applied", "moves_total",
-                           "max_rules_pushed"):
-            if cur[field_name] != base[field_name]:
-                problems.append(
-                    f"{name}: {field_name} changed "
-                    f"{base[field_name]} -> {cur[field_name]} "
-                    "(the engineering loop is deterministic; this is "
-                    "a behavior change)"
-                )
-    if current.get("cap_violations", 0) != 0:
-        problems.append(
-            f"{current['cap_violations']} step(s) exceeded the "
-            f"per-step rules-pushed cap ({current.get('rules_cap')})"
-        )
-    if current.get("non_incremental_steps", 0) != 0:
-        problems.append(
-            f"{current['non_incremental_steps']} applied step(s) fell "
-            "off the incremental reconfigure path"
-        )
-    if current.get("non_mbb_steps", 0) != 0:
-        problems.append(
-            f"{current['non_mbb_steps']} applied step(s) committed "
-            "break-before-make (transient forwarding gap)"
-        )
-    return problems
-
-
-def render_engineer_report(report: dict) -> str:
-    rows = []
-    for p in report["phases"]:
-        rows.append([
-            p["phase"],
-            f"{p['act_static_s'] * 1e3:.2f}",
-            f"{p['act_engineered_s'] * 1e3:.2f}",
-            f"{p['improvement']:.2f}x",
-            p["steps_applied"],
-            p["moves_total"],
-            p["max_rules_pushed"],
-        ])
-    table = format_table(
-        ["Phase", "Static ACT (ms)", "Engineered (ms)", "Improvement",
-         "Steps", "Moves", "Max pushed"],
-        rows,
-        title=(
-            f"Topology-engineering benchmark (ring {report['ring']}, "
-            f"rules cap {report['rules_cap']}/step)"
-        ),
-    )
-    return (
-        f"{table}\n"
-        f"applied {report['steps_applied']} steps / "
-        f"{report['moves_total']} moves, "
-        f"max {report['max_rules_pushed']} rules pushed per step, "
-        f"{report['cap_violations']} cap violations, "
-        f"{report['non_mbb_steps']} non-MBB commits"
-    )
-
-
 # ---------------------------------------------------------------------------
 # campaign suite: the smoke sweep, gated on its deterministic summary
 # ---------------------------------------------------------------------------
 
-def run_campaign_suite(
-    *, quick: bool = False, repeats: int = DEFAULT_REPEATS
-) -> dict:
+def run_campaign_suite(quick: bool) -> dict:
     """Run the 6-topology x 2-protocol smoke campaign inline.
 
     Inline (``workers=1``) keeps the bench single-process; the campaign
     report is deterministic by construction either way, and the gate
     hashes the whole summary, so *any* behavior change in the protocol
     plug-ins, link-quality models, traffic accounting, or failure
-    selection shows up as a baseline mismatch. Wall time is recorded
-    but informational (cells are dominated by pure-python protocol
-    convergence, which varies by machine).
+    selection shows up as a baseline mismatch. One profile — ``quick``
+    selects nothing.
     """
     import hashlib
     import tempfile
@@ -1356,7 +800,7 @@ def run_campaign_suite(
         campaign_report = run_campaign(spec, tmp, workers=1)
     wall = time.perf_counter() - start
 
-    def _totals(group: dict) -> dict:
+    def _totals(name: str, group: dict) -> dict:
         repair = group.get("repair")
         traffic = dict(group["traffic"])
         messages = group["control_messages"]
@@ -1365,6 +809,7 @@ def run_campaign_suite(
                 traffic[key] += repair["traffic"][key]
             messages += repair["control_messages"]
         return {
+            "protocol": name,
             "repair_convergence_mean_s": (
                 repair["convergence_s"]["mean"] if repair else None
             ),
@@ -1378,269 +823,315 @@ def run_campaign_suite(
 
     blob = json.dumps(campaign_report, sort_keys=True).encode()
     return {
-        "schema": SCHEMA_VERSION,
-        "suite": "campaign",
-        "quick": quick,
         "campaign": campaign_report["campaign"],
         "seed": campaign_report["seed"],
         "cells_total": campaign_report["cells_total"],
         "cells_ok": campaign_report["cells_ok"],
         "cells_failed": campaign_report["cells_failed"],
         "summary_sha256": hashlib.sha256(blob).hexdigest(),
-        "protocols": {
-            name: _totals(group)
+        "protocols": [
+            _totals(name, group)
             for name, group in campaign_report["protocols"].items()
-        },
-        "wall_s": {"sweep": wall},
+        ],
+        "sweep_wall_s": wall,
     }
 
 
-def compare_campaign_to_baseline(
-    current: dict, baseline: dict
-) -> list[str]:
-    """Campaign-suite regressions: everything gated is deterministic,
-    so the comparison is exact — cell counts, per-protocol convergence
-    and traffic totals, and the summary hash (the catch-all)."""
-    problems: list[str] = []
-    for field_name in ("cells_total", "cells_ok", "cells_failed"):
-        if current.get(field_name) != baseline.get(field_name):
-            problems.append(
-                f"{field_name} changed "
-                f"{baseline.get(field_name)} -> {current.get(field_name)}"
-            )
-    for name, base_group in baseline.get("protocols", {}).items():
-        cur_group = current.get("protocols", {}).get(name)
-        if cur_group is None:
-            problems.append(f"protocol {name} missing from report")
-            continue
-        for key, base_value in base_group.items():
-            if cur_group.get(key) != base_value:
-                problems.append(
-                    f"{name}.{key} changed "
-                    f"{base_value} -> {cur_group.get(key)}"
-                )
-    if current.get("summary_sha256") != baseline.get("summary_sha256"):
-        problems.append(
-            "campaign summary hash diverged "
-            f"{baseline.get('summary_sha256')} -> "
-            f"{current.get('summary_sha256')} "
-            "(the sweep is seeded; this is a behavior change)"
-        )
-    return problems
+# ---------------------------------------------------------------------------
+# the suite table, and the one comparer / renderer it drives
+# ---------------------------------------------------------------------------
 
-
-def render_campaign_report(report: dict) -> str:
-    rows = []
-    for name, group in report["protocols"].items():
-        conv = group["repair_convergence_mean_s"]
-        rows.append([
-            name,
-            "-" if conv is None else f"{conv * 1e3:.2f}",
-            ",".join(
-                f"{k}:{v}" for k, v in group["repair_modes"].items()
-            ) or "-",
-            group["control_messages"],
-            f"{group['messages_delivered']}/{group['messages_sent']}",
-            group["packets_lost"],
-            group["packets_dropped"],
-        ])
-    table = format_table(
-        ["Protocol", "Repair conv (ms)", "Modes", "Ctrl msgs",
-         "Delivered", "Lost", "Dropped"],
-        rows,
-        title=(
-            f"Campaign smoke sweep ({report['cells_ok']}"
-            f"/{report['cells_total']} cells ok)"
-        ),
-    )
-    return (
-        f"{table}\n"
-        f"summary sha256 {report['summary_sha256'][:16]}..., "
-        f"sweep {report['wall_s']['sweep']:.2f}s"
-    )
-
-
-def compare_to_baseline(
-    current: dict, baseline: dict, *, tolerance: float = DEFAULT_TOLERANCE
-) -> list[str]:
-    """Regression messages comparing ``current`` against ``baseline``.
-
-    Wall time is compared as the machine-normalized ratio
-    ``incremental_reconfigure_s / cold_deploy_s`` — both halves ran on
-    the same machine in the same process, so the ratio cancels absolute
-    machine speed, and a regression means the *incremental path itself*
-    got slower relative to the work it avoids. The ratio check applies
-    only to scenarios whose cold deploy exceeds
-    :data:`MIN_GATE_SECONDS` in both reports — smaller runs are noise.
-    ``rules_pushed`` is a deterministic count and is compared
-    absolutely on every scenario. Scenarios present in only one report
-    are skipped (quick runs gate against a full baseline). An empty
-    list means no regression.
-    """
-    problems: list[str] = []
-    base_by_name = {
-        s["scenario"]: s for s in baseline.get("scenarios", [])
-    }
-    for cur in current.get("scenarios", []):
-        name = cur["scenario"]
-        base = base_by_name.get(name)
-        if base is None:
-            continue
-        if base["mode"] == "incremental" and cur["mode"] != "incremental":
-            problems.append(
-                f"{name}: reconfigure fell back to the cold path "
-                "(baseline ran incrementally)"
-            )
-            continue
-        base_ratio = base["incremental_reconfigure_s"] / base["cold_deploy_s"]
-        cur_ratio = cur["incremental_reconfigure_s"] / cur["cold_deploy_s"]
-        measurable = (
-            base["cold_deploy_s"] >= MIN_GATE_SECONDS
-            and cur["cold_deploy_s"] >= MIN_GATE_SECONDS
-        )
-        if measurable and cur_ratio > base_ratio * (1 + tolerance):
-            problems.append(
-                f"{name}: incremental/cold wall-time ratio regressed "
-                f"{base_ratio:.3f} -> {cur_ratio:.3f} "
-                f"(> {tolerance:.0%} over baseline)"
-            )
-        if cur["rules_pushed"] > base["rules_pushed"] * (1 + tolerance):
-            problems.append(
-                f"{name}: rules pushed regressed "
-                f"{base['rules_pushed']} -> {cur['rules_pushed']} "
-                f"(> {tolerance:.0%} over baseline)"
-            )
-        # scenarios that reconfigure incrementally must serve the warm
-        # re-check from the partition cache (the incremental path seeds
-        # it); zero hits means the warm path silently fell back to a
-        # from-scratch partition. Old baselines predate the field, so
-        # only gate when the current report carries it.
-        warm_hits = cur.get("partition_cache_hits_warm")
-        if (
-            warm_hits == 0
-            and cur["mode"] == "incremental"
-        ):
-            problems.append(
-                f"{name}: warm re-check missed the partition cache "
-                "(0 hits; incremental reconfigure should have seeded it)"
-            )
-    pc = current.get("partition_cache")
-    if pc is not None and pc.get("hits", 0) == 0:
-        problems.append(
-            "partition cache saw zero hits across the whole suite — "
-            "warm paths are not exercising it"
-        )
-    return problems
-
-
-def render_report(report: dict) -> str:
-    """Human-readable summary of one suite run."""
-    rows = []
-    for s in report["scenarios"]:
-        rows.append([
-            s["scenario"],
-            f"{s['cold_deploy_s'] * 1e3:.1f}",
-            f"{s['incremental_reconfigure_s'] * 1e3:.1f}",
-            f"{s['speedup']:.1f}x",
-            s["mode"],
-            s["rules_pushed"],
-            s["rules_unchanged"],
-            f"{s['rule_cache_hit_rate']:.0%}",
-        ])
-    return format_table(
-        ["Scenario", "Cold (ms)", "Incr (ms)", "Speedup", "Mode",
-         "Pushed", "Unchanged", "Cache hit"],
-        rows,
-        title="Reconfiguration benchmark (1-link edit)",
-    )
+#: field rule: must equal the baseline's value
+EQ = "= baseline"
+#: field rule: reported (wall clock and values derived from gated
+#: ones), never read by :func:`compare`
+INFO = "informational"
+# any other rule is the literal value the field must hold in every run
 
 
 @dataclass(frozen=True)
-class _SuiteImpl:
-    """One suite's run/render/compare trio (uniform call shapes)."""
+class Suite:
+    """One ``--suite``: how to run it and which fields gate how."""
 
-    run: Callable[..., dict]
-    render: Callable[[dict], str]
-    #: (current, baseline, tolerance=...) -> problem list; suites with
-    #: exact gates ignore the tolerance
-    compare: Callable[..., list]
+    run: Callable[[bool], dict]
+    title: str
+    #: report key holding the per-case records, and the record field
+    #: that names a case
+    cases: str
+    key: str
+    #: dotted path -> rule, for each case record / for the report
+    case_fields: dict[str, object]
+    fields: dict[str, object]
 
 
-_SUITE_IMPL: dict[str, _SuiteImpl] = {
-    "reconfig": _SuiteImpl(
-        run=lambda *, quick, repeats: run_suite(quick=quick, repeats=repeats),
-        render=render_report,
-        compare=lambda cur, base, *, tolerance: compare_to_baseline(
-            cur, base, tolerance=tolerance
-        ),
+SUITES: dict[str, Suite] = {
+    "reconfig": Suite(
+        run=run_reconfig_suite,
+        title="Reconfiguration (cold deploy, then a 1-link edit)",
+        cases="scenarios",
+        key="scenario",
+        case_fields={
+            "mode": EQ,
+            "rules_installed_cold": EQ,
+            "rules_synthesized_cold": EQ,
+            "rules_synthesized_incremental": EQ,
+            "rules_pushed": EQ,
+            "rules_unchanged": EQ,
+            "rule_cache_hit_rate": EQ,
+            "modeled_reconfigure_s": EQ,
+            "partition_cache_hits_warm": EQ,
+            "partition_cache_misses_warm": EQ,
+            "cold_deploy_s": INFO,
+            "incremental_reconfigure_s": INFO,
+            "warm_check_s": INFO,
+        },
+        fields={},
     ),
-    "scale": _SuiteImpl(
-        run=lambda *, quick, repeats: run_scale_suite(
-            quick=quick, repeats=repeats
-        ),
-        render=render_scale_report,
-        compare=lambda cur, base, *, tolerance: compare_scale_to_baseline(
-            cur, base, tolerance=tolerance
-        ),
+    "scale": Suite(
+        run=run_scale_suite,
+        title="Cold deploy over fat-tree k",
+        cases="points",
+        key="k",
+        case_fields={
+            "rules_installed": EQ,
+            "cold_deploy_s": INFO,
+            "rules_per_s": INFO,
+        },
+        fields={},
     ),
-    "churn": _SuiteImpl(
-        run=lambda *, quick, repeats: run_churn_suite(
-            quick=quick, repeats=repeats
-        ),
-        render=render_churn_report,
-        compare=lambda cur, base, *, tolerance: compare_churn_to_baseline(
-            cur, base
-        ),
+    "churn": Suite(
+        run=run_churn_suite,
+        title="Tenant churn against the control-plane service",
+        cases="profiles",
+        key="sessions_target",
+        case_fields={
+            "sessions_admitted": EQ,
+            "deploys_ok": EQ,
+            "reconfigures_ok": EQ,
+            "evictions": EQ,
+            "errors": 0,
+            "final_entries": 0,
+            "storm.submitted": EQ,
+            "storm.accepted": EQ,
+            "storm.backpressure_rejected": EQ,
+            "storm.deploys_ok": EQ,
+            "storm.admission_rejected": EQ,
+            "storm.other_errors": 0,
+            "churn_wall_s": INFO,
+            "sessions_per_s": INFO,
+            "latency.admission.p50_s": INFO,
+            "latency.admission.p99_s": INFO,
+            "latency.commit.p50_s": INFO,
+            "latency.commit.p99_s": INFO,
+            "latency.evict.p50_s": INFO,
+            "latency.evict.p99_s": INFO,
+        },
+        fields={"slots": EQ, "max_pending": EQ},
     ),
-    "recovery": _SuiteImpl(
-        run=lambda *, quick, repeats: run_recovery_suite(
-            quick=quick, repeats=repeats
-        ),
-        render=render_recovery_report,
-        compare=lambda cur, base, *, tolerance: compare_recovery_to_baseline(
-            cur, base
-        ),
+    "recovery": Suite(
+        run=run_recovery_suite,
+        title="Crash recovery over a growing journal (fat-tree k=4)",
+        cases="points",
+        key="ops",
+        case_fields={
+            "journal_records": EQ,
+            "snapshot_lsn": EQ,
+            "replay_window": EQ,
+            "replayed": EQ,
+            "skipped": EQ,
+            "entries": EQ,
+            "bit_identical": True,
+            "recover_s": INFO,
+        },
+        fields={"snapshot_every": EQ},
     ),
-    "multitenant": _SuiteImpl(
-        run=lambda *, quick, repeats: run_multitenant_suite(repeats=repeats),
-        render=render_multitenant_report,
-        compare=lambda cur, base, *, tolerance: (
-            compare_multitenant_to_baseline(cur, base)
-        ),
+    "multitenant": Suite(
+        run=run_multitenant_suite,
+        title="Multi-tenant scenario (3 tenants + 1 over-quota)",
+        cases="tenants",
+        key="tenant",
+        case_fields={"rules_installed": EQ, "host_ports_used": EQ},
+        fields={
+            "admitted": EQ,
+            "rejected": EQ,
+            "total_rules_installed": EQ,
+            "isolation_ok": True,
+            "isolation_problems": INFO,
+            "serve_s": INFO,
+        },
     ),
-    "engineer": _SuiteImpl(
-        run=lambda *, quick, repeats: run_engineer_suite(
-            quick=quick, repeats=repeats
-        ),
-        render=render_engineer_report,
-        compare=lambda cur, base, *, tolerance: compare_engineer_to_baseline(
-            cur, base, tolerance=tolerance
-        ),
+    "engineer": Suite(
+        run=run_engineer_suite,
+        title="Topology engineering vs. a static ring",
+        cases="phases",
+        key="phase",
+        case_fields={
+            "act_static_s": EQ,
+            "act_engineered_s": EQ,
+            "steps_applied": EQ,
+            "moves_total": EQ,
+            "max_rules_pushed": EQ,
+            "improvement": INFO,
+        },
+        fields={
+            "steps_applied": EQ,
+            "moves_total": EQ,
+            "max_rules_pushed": EQ,
+            "rules_cap": EQ,
+            "phases_worse_than_static": 0,
+            "cap_violations": 0,
+            "non_incremental_steps": 0,
+            "non_mbb_steps": 0,
+        },
     ),
-    "campaign": _SuiteImpl(
-        run=lambda *, quick, repeats: run_campaign_suite(
-            quick=quick, repeats=repeats
-        ),
-        render=render_campaign_report,
-        compare=lambda cur, base, *, tolerance: compare_campaign_to_baseline(
-            cur, base
-        ),
+    "campaign": Suite(
+        run=run_campaign_suite,
+        title="Campaign smoke sweep",
+        cases="protocols",
+        key="protocol",
+        case_fields={
+            "repair_convergence_mean_s": EQ,
+            "repair_modes": EQ,
+            "control_messages": EQ,
+            "messages_sent": EQ,
+            "messages_delivered": EQ,
+            "packets_lost": EQ,
+            "packets_dropped": EQ,
+        },
+        fields={
+            "cells_total": EQ,
+            "cells_ok": EQ,
+            "cells_failed": 0,
+            "summary_sha256": EQ,
+            "sweep_wall_s": INFO,
+        },
     ),
 }
 
-assert tuple(_SUITE_IMPL) == BENCH_SUITES  # keep the two lists aligned
+#: every suite ``--suite`` accepts, read by the ``repro bench`` parser
+#: and the docs tests
+BENCH_SUITES = tuple(SUITES)
+
+
+def _get(record: dict, path: str) -> Any:
+    """The value at a dotted path; a path the record lacks is a
+    ``KeyError``, so a typo in :data:`SUITES` cannot gate nothing."""
+    for part in path.split("."):
+        record = record[part]
+    return record
+
+
+def _fmt(path: str, value: object) -> object:
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "NO"
+    # seconds read better as milliseconds — but rates end in _s too
+    if (
+        isinstance(value, float)
+        and path.endswith("_s")
+        and not path.endswith("_per_s")
+    ):
+        return f"{value * 1e3:.2f} ms"
+    if isinstance(value, dict):
+        value = [f"{k}:{v}" for k, v in value.items()]
+    if isinstance(value, list):
+        return ", ".join(map(str, value)) or "-"
+    return value
+
+
+def run_suite(name: str, *, quick: bool = False) -> dict:
+    """Run one suite; returns its report under the common header."""
+    try:
+        suite = SUITES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown bench suite {name!r}; choose from {BENCH_SUITES}"
+        ) from None
+    return {
+        "schema": SCHEMA_VERSION,
+        "suite": name,
+        "quick": quick,
+        **suite.run(quick),
+    }
+
+
+def compare(report: dict, baseline: dict) -> list[str]:
+    """Every way ``report`` departs from ``baseline``; empty = pass.
+
+    :data:`EQ` fields must equal the baseline's, literal-rule fields
+    must hold their literal, :data:`INFO` fields are not read. A case
+    the baseline does not have skips its :data:`EQ` fields — which is
+    what lets a ``--quick`` run gate against the full-profile baseline.
+    """
+    ours = (report["suite"], report["schema"])
+    theirs = (baseline.get("suite"), baseline.get("schema"))
+    if theirs != ours:
+        return [f"baseline is (suite, schema) {theirs}, this run is {ours}"]
+    suite = SUITES[report["suite"]]
+    problems: list[str] = []
+
+    def check(where: str, fields: dict, cur: dict, base: dict | None) -> None:
+        for path, rule in fields.items():
+            if rule == INFO:
+                continue
+            want = rule
+            if rule == EQ:
+                if base is None:
+                    continue
+                want = _get(base, path)
+            got = _get(cur, path)
+            if got != want:
+                problems.append(
+                    f"{where}{path} is {got!r}, "
+                    f"{'baseline has' if rule == EQ else 'must be'} {want!r}"
+                )
+
+    check("", suite.fields, report, baseline)
+    base_cases = {c[suite.key]: c for c in baseline[suite.cases]}
+    for case in report[suite.cases]:
+        name = case[suite.key]
+        check(
+            f"{suite.key}={name}: ", suite.case_fields, case,
+            base_cases.get(name),
+        )
+    return problems
+
+
+def render(report: dict) -> str:
+    """Human-readable report: one row per field, one column per case,
+    each row labelled with the rule that gates it."""
+    suite = SUITES[report["suite"]]
+    cases = report[suite.cases]
+
+    def label(rule: object) -> object:
+        return rule if rule in (EQ, INFO) else f"= {_fmt('', rule)}"
+
+    table = format_table(
+        [suite.key, *(c[suite.key] for c in cases), "gate"],
+        [
+            [path, *(_fmt(path, _get(c, path)) for c in cases), label(rule)]
+            for path, rule in suite.case_fields.items()
+        ],
+        title=suite.title,
+    )
+    lines = [
+        f"{path}: {_fmt(path, _get(report, path))}  [{label(rule)}]"
+        for path, rule in suite.fields.items()
+    ]
+    return "\n".join([table, *lines])
 
 
 def run_and_report(
     *,
-    quick: bool,
-    repeats: int,
-    out: str | None,
-    baseline: str | None,
-    tolerance: float = DEFAULT_TOLERANCE,
     suite: str = "reconfig",
+    quick: bool = False,
+    out: str | None = None,
+    baseline: str | None = None,
 ) -> int:
-    """Run, write JSON, print the table, gate against a baseline."""
+    """Run, write JSON (default ``BENCH_<suite>.json``), print the
+    table, gate against a baseline. Exit status: 0 pass, 1 mismatch,
+    2 unusable baseline path."""
     # a typo'd --baseline path must fail *before* the suite runs, not
     # exit nonzero-after-the-fact (and never pass the gate silently)
     base: dict | None = None
@@ -1653,61 +1144,17 @@ def run_and_report(
             )
             return 2
         base = json.loads(baseline_path.read_text())
-    try:
-        impl = _SUITE_IMPL[suite]
-    except KeyError:
-        raise ValueError(
-            f"unknown bench suite {suite!r}; choose from {BENCH_SUITES}"
-        ) from None
-    report = impl.run(quick=quick, repeats=repeats)
-    # the CLI default out name belongs to the reconfig suite; give
-    # every other suite its own artifact unless the user chose a path
-    if out == "BENCH_reconfig.json" and suite != "reconfig":
-        out = f"BENCH_{suite}.json"
-    if out:
-        Path(out).write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {out}")
-    print(impl.render(report))
+    report = run_suite(suite, quick=quick)
+    out = out or f"BENCH_{suite}.json"
+    Path(out).write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {out}")
+    print(render(report))
     if base is not None:
-        problems = impl.compare(report, base, tolerance=tolerance)
+        problems = compare(report, base)
         if problems:
-            print(f"\nREGRESSION vs {baseline}:", file=sys.stderr)
+            print(f"\nMISMATCH vs {baseline}:", file=sys.stderr)
             for p in problems:
                 print(f"  - {p}", file=sys.stderr)
             return 1
-        print(f"\nno regression vs {baseline} "
-              f"(tolerance {tolerance:.0%})")
+        print(f"\nno regression vs {baseline}")
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="benchmarks/harness.py",
-        description="SDT reconfiguration benchmark harness",
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="CI subset of scenarios")
-    parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
-                        help="wall-time repeats, min taken (default 3)")
-    parser.add_argument("--out", default="BENCH_reconfig.json",
-                        metavar="PATH", help="JSON report path")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="baseline JSON to gate against")
-    parser.add_argument("--tolerance", type=float,
-                        default=DEFAULT_TOLERANCE,
-                        help="allowed regression fraction (default 0.25)")
-    parser.add_argument("--suite",
-                        choices=list(BENCH_SUITES),
-                        default="reconfig",
-                        help="benchmark suite to run: "
-                             f"{', '.join(BENCH_SUITES)} "
-                             "(default reconfig)")
-    args = parser.parse_args(argv)
-    return run_and_report(
-        quick=args.quick,
-        repeats=args.repeats,
-        out=args.out,
-        baseline=args.baseline,
-        tolerance=args.tolerance,
-        suite=args.suite,
-    )

@@ -26,7 +26,7 @@ Commands mirror what an SDT operator does with the real controller:
   SPEC.json --workers N`` shards topologies x protocols x link
   quality x failures across a process pool; ``campaign report DIR``
   re-summarizes an existing results directory
-* ``bench``     — the benchmark suites (``--suite`` lists them)
+* ``bench``     — the exact-count gate suites (``--suite`` lists them)
 * ``tables``    — regenerate the paper's Table I / II / III as text
 * ``zoo``       — the synthetic Internet Topology Zoo summary
 * ``list``      — available topology kinds and workloads
@@ -713,12 +713,10 @@ def cmd_bench(args) -> int:
     from repro.bench import run_and_report
 
     return run_and_report(
+        suite=args.suite,
         quick=args.quick,
-        repeats=args.repeats,
         out=args.out,
         baseline=args.baseline,
-        tolerance=args.tolerance,
-        suite=args.suite,
     )
 
 
@@ -984,24 +982,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="benchmark suites: " + ", ".join(BENCH_SUITES),
+        help="deterministic correctness gates: " + ", ".join(BENCH_SUITES),
+        description="Run one suite and gate its counts and modeled "
+                    "quantities exactly against a committed baseline. "
+                    "Wall-clock fields are informational; speed is "
+                    "judged by benchmarks/perf/ (BENCHMARK.json).",
     )
-    p.add_argument("--quick", action="store_true",
-                   help="CI subset of scenarios")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="wall-time repeats, min taken (default 3)")
-    p.add_argument("--out", default="BENCH_reconfig.json", metavar="PATH",
-                   help="JSON report path (default BENCH_<suite>.json)")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="baseline JSON to gate against (exit 1 on "
-                        "regression)")
-    p.add_argument("--tolerance", type=float, default=0.25,
-                   help="allowed regression fraction (default 0.25)")
     p.add_argument("--suite",
                    choices=list(BENCH_SUITES),
                    default="reconfig",
-                   help="benchmark suite to run: "
+                   help="suite to run: "
                         f"{', '.join(BENCH_SUITES)} (default reconfig)")
+    p.add_argument("--quick", action="store_true",
+                   help="CI subset of the suite's cases")
+    p.add_argument("--out", default=None, metavar="PATH",
+                   help="JSON report path (default BENCH_<suite>.json)")
+    p.add_argument("--baseline", default=None, metavar="PATH",
+                   help="baseline JSON to gate against (exit 1 on any "
+                        "mismatch)")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(

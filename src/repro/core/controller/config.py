@@ -102,6 +102,39 @@ class TopologyConfig:
                 f"topology kind {self.kind!r} missing parameter {missing}"
             ) from None
 
+    @classmethod
+    def from_topology(
+        cls,
+        topology: Topology,
+        *,
+        name: str | None = None,
+        lossless: bool = False,
+        monitor_interval: float = 1.0,
+        label: str = "",
+    ) -> "TopologyConfig":
+        """``topology`` as a self-contained, deployable custom config.
+
+        Routing is pinned to shortest-path because it works on *edited*
+        topologies too: the named strategies dispatch on generator
+        structure and may refuse a fat-tree missing a link. Lossy by
+        default so the Deadlock Avoidance module does not veto an edit
+        whose mechanics are what the caller is exercising. ``name``
+        renames the topology (deployments are keyed by it).
+        """
+        return cls(
+            kind="custom",
+            params={
+                "name": topology.name if name is None else name,
+                "switches": list(topology.switches),
+                "hosts": list(topology.hosts),
+                "links": [list(link.endpoints) for link in topology.links],
+            },
+            routing="shortest-path",
+            lossless=lossless,
+            monitor_interval=monitor_interval,
+            label=label,
+        )
+
     # --- JSON round trip --------------------------------------------------
     def to_json(self) -> str:
         return json.dumps(

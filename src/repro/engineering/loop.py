@@ -212,20 +212,13 @@ class TopologyEngineer:
             )
 
     def _config_for(self, proposal: Proposal) -> TopologyConfig:
-        """The engineered topology as a deployable config. Routing is
-        pinned to shortest-path (named strategies refuse irregular
-        edited topologies); lossless and monitor cadence carry over."""
+        """The engineered topology as a deployable config
+        (:meth:`TopologyConfig.from_topology`); lossless and monitor
+        cadence carry over."""
         engineered = apply_moves(self.deployment.topology, proposal.moves)
         old = self.deployment.config
-        return TopologyConfig(
-            kind="custom",
-            params={
-                "name": engineered.name,
-                "switches": engineered.switches,
-                "hosts": engineered.hosts,
-                "links": [list(l.endpoints) for l in engineered.links],
-            },
-            routing="shortest-path",
+        return TopologyConfig.from_topology(
+            engineered,
             lossless=self.deployment.lossless,
             monitor_interval=(
                 old.monitor_interval if old is not None else 1.0

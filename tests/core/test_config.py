@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import TopologyConfig
+from repro.topology import fat_tree, torus2d
+from repro.topology.diff import rebuild, removable_switch_links
 from repro.util.errors import ConfigurationError
 
 
@@ -33,6 +35,37 @@ def test_custom_topology():
     topo = cfg.build()
     assert topo.name == "mini"
     assert len(topo.links) == 2
+
+
+def _edited_fat_tree():
+    base = fat_tree(4)
+    return rebuild(base, drop_links={removable_switch_links(base)[0]})
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: fat_tree(4), lambda: torus2d(3, 4), _edited_fat_tree],
+    ids=["fat-tree", "torus", "edited"],
+)
+def test_from_topology_round_trips(make):
+    topo = make()
+    cfg = TopologyConfig.from_topology(topo)
+    assert (cfg.kind, cfg.routing, cfg.lossless) == (
+        "custom", "shortest-path", False
+    )
+    built = cfg.build()
+    assert built.name == topo.name
+    assert built.switches == topo.switches
+    assert built.hosts == topo.hosts
+    assert [l.endpoints for l in built.links] == [
+        l.endpoints for l in topo.links
+    ]
+    renamed = TopologyConfig.from_topology(
+        topo, name="other", lossless=True, monitor_interval=0.5, label="x"
+    )
+    assert renamed.build().name == "other"
+    assert (renamed.lossless, renamed.monitor_interval, renamed.label) == (
+        True, 0.5, "x"
+    )
 
 
 def test_unknown_kind_rejected():

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.bench import _config_for
-from repro.core import SDTController, build_cluster_for
+from repro.core import SDTController, TopologyConfig, build_cluster_for
 from repro.core.projection.base import PhysPort, SubSwitch
 from repro.core.rules import synthesize_rules, switch_rule_key
 from repro.hardware import H3C_S6861
@@ -87,12 +86,12 @@ def _rig(*topologies, num_switches=2, spec=H3C_S6861, **kw):
 
 def test_one_link_edit_takes_incremental_path():
     controller, cluster = _rig(FT4)
-    dep = controller.deploy(_config_for(FT4))
+    dep = controller.deploy(TopologyConfig.from_topology(FT4))
     total = dep.rules.count()
     inc0 = _counter("sdt_controller_reconfigure_mode_total", mode="incremental")
     pushed0 = _counter("sdt_reconfig_rules_pushed_total")
 
-    dep2, elapsed = controller.reconfigure(_config_for(FT4_EDITED))
+    dep2, elapsed = controller.reconfigure(TopologyConfig.from_topology(FT4_EDITED))
 
     assert dep2 is dep  # edited in place: same generation
     assert dep2.cookie == dep.cookie
@@ -108,12 +107,12 @@ def test_one_link_edit_takes_incremental_path():
 
 def test_noop_reconfigure_pushes_nothing():
     controller, _ = _rig(FT4)
-    controller.deploy(_config_for(FT4))
+    controller.deploy(TopologyConfig.from_topology(FT4))
     pushed0 = _counter("sdt_reconfig_rules_pushed_total")
     hits0 = _counter("sdt_rules_cache_total", result="hit")
     misses0 = _counter("sdt_rules_cache_total", result="miss")
 
-    dep, _ = controller.reconfigure(_config_for(FT4))
+    dep, _ = controller.reconfigure(TopologyConfig.from_topology(FT4))
 
     assert _counter("sdt_reconfig_rules_pushed_total") == pushed0
     # every sub-switch is clean: pure cache hits, zero recompiles
@@ -128,7 +127,7 @@ def test_routing_strategy_change_goes_incremental():
     """Same topology, new routing: an empty diff still re-vets routes,
     and changed route entries miss the rule cache per dirty sub-switch."""
     controller, _ = _rig(FT4)
-    cfg = _config_for(FT4)
+    cfg = TopologyConfig.from_topology(FT4)
     dep = controller.deploy(cfg)
     hits0 = _counter("sdt_rules_cache_total", result="hit")
     misses0 = _counter("sdt_rules_cache_total", result="miss")
@@ -151,13 +150,13 @@ def test_routing_strategy_change_goes_incremental():
 
 def test_added_host_invalidates_rule_cache_and_reseeds_partition():
     controller, _ = _rig(FT4, spare_hosts=1)
-    cfg = _config_for(FT4)
+    cfg = TopologyConfig.from_topology(FT4)
     controller.deploy(cfg)
 
     edited = fat_tree(4)
     edited.add_host("extra-host")
     edited.connect(edited.switches[0], "extra-host")
-    cfg2 = _config_for(edited)
+    cfg2 = TopologyConfig.from_topology(edited)
 
     misses0 = _counter("sdt_rules_cache_total", result="miss")
     dep, _ = controller.reconfigure(cfg2)
@@ -180,7 +179,7 @@ def test_added_host_invalidates_rule_cache_and_reseeds_partition():
 
 def test_check_of_unchanged_topology_hits_partition_cache():
     controller, _ = _rig(FT4)
-    cfg = _config_for(FT4)
+    cfg = TopologyConfig.from_topology(FT4)
     assert controller.check(cfg) == []  # miss: first sight
     phits0 = _counter("sdt_partition_cache_total", result="hit")
     assert controller.check(cfg) == []  # identical inputs: pure hit
@@ -226,7 +225,7 @@ def _assert_cold(controller, cfg, *, cold_before) -> None:
 
 def test_flow_override_pins_cold_path():
     controller, _ = _rig(FT4)
-    dep = controller.deploy(_config_for(FT4))
+    dep = controller.deploy(TopologyConfig.from_topology(FT4))
     host_link = dep.topology.host_links[0]
     sw = (
         host_link.a.node
@@ -240,12 +239,12 @@ def test_flow_override_pins_cold_path():
     )
     # overrides live outside ``rules``: a delta swap would strand them
     cold0 = _counter("sdt_controller_reconfigure_mode_total", mode="cold")
-    _assert_cold(controller, _config_for(FT4_EDITED), cold_before=cold0)
+    _assert_cold(controller, TopologyConfig.from_topology(FT4_EDITED), cold_before=cold0)
 
 
 def test_failed_link_pins_cold_path():
     controller, _ = _rig(FT4)
-    dep = controller.deploy(_config_for(FT4))
+    dep = controller.deploy(TopologyConfig.from_topology(FT4))
     safe = removable_switch_links(dep.topology)[0]
     failed = next(
         l for l in dep.topology.switch_links
@@ -254,15 +253,15 @@ def test_failed_link_pins_cold_path():
     controller.fail_link(dep, failed.index)
     assert dep.failed_links
     cold0 = _counter("sdt_controller_reconfigure_mode_total", mode="cold")
-    _assert_cold(controller, _config_for(FT4_EDITED), cold_before=cold0)
+    _assert_cold(controller, TopologyConfig.from_topology(FT4_EDITED), cold_before=cold0)
 
 
 def test_active_hosts_pin_cold_path():
     controller, _ = _rig(FT4)
-    dep = controller.deploy(_config_for(FT4))
+    dep = controller.deploy(TopologyConfig.from_topology(FT4))
     cold0 = _counter("sdt_controller_reconfigure_mode_total", mode="cold")
     controller.reconfigure(
-        _config_for(FT4_EDITED), active_hosts=dep.topology.hosts[:4]
+        TopologyConfig.from_topology(FT4_EDITED), active_hosts=dep.topology.hosts[:4]
     )
     assert _counter(
         "sdt_controller_reconfigure_mode_total", mode="cold"
@@ -277,7 +276,7 @@ def test_node_kind_change_falls_back_to_cold():
     base.connect("a", "b")
     base.add_host("n0")
     base.connect("a", "n0")
-    controller.deploy(_config_for(base))
+    controller.deploy(TopologyConfig.from_topology(base))
 
     flipped = Topology("kindswap")
     for s in ("a", "b", "n0"):  # n0 is now a switch
@@ -285,7 +284,7 @@ def test_node_kind_change_falls_back_to_cold():
     flipped.connect("a", "b")
     flipped.connect("a", "n0")
     cold0 = _counter("sdt_controller_reconfigure_mode_total", mode="cold")
-    _assert_cold(controller, _config_for(flipped), cold_before=cold0)
+    _assert_cold(controller, TopologyConfig.from_topology(flipped), cold_before=cold0)
 
 
 # --- TCAM accounting (the delta must not re-count unchanged rules) ----------
@@ -298,10 +297,10 @@ def test_delta_validation_does_not_recount_unchanged_rules():
 
     def run(spec):
         controller, cluster = _rig(FT4, spec=spec)
-        dep = controller.deploy(_config_for(FT4))
+        dep = controller.deploy(TopologyConfig.from_topology(FT4))
         old = {s: set(m) for s, m in dep.rules.mods.items()}
         steady = {s: sw.num_entries for s, sw in cluster.switches.items()}
-        dep, _ = controller.reconfigure(_config_for(FT4_EDITED))
+        dep, _ = controller.reconfigure(TopologyConfig.from_topology(FT4_EDITED))
         return controller, dep, old, steady
 
     inc0 = _counter("sdt_controller_reconfigure_mode_total", mode="incremental")
@@ -364,12 +363,12 @@ def test_incremental_matches_from_scratch_over_random_edit_sequences():
         current = rebuild(full, drop_links=set(dropped))
 
         try:
-            deployment = controller.deploy(_config_for(current))
+            deployment = controller.deploy(TopologyConfig.from_topology(current))
         except ReproError:
             # the pruned variant may partition differently from the
             # plan the rig was wired for; ``full`` itself always fits
             dropped, current = [], full
-            deployment = controller.deploy(_config_for(current))
+            deployment = controller.deploy(TopologyConfig.from_topology(current))
         _assert_converged(controller, deployment)
 
         for _ in range(int(rng.integers(1, 4))):
@@ -389,7 +388,7 @@ def test_incremental_matches_from_scratch_over_random_edit_sequences():
                 "sdt_controller_reconfigure_mode_total", mode="incremental"
             )
             try:
-                deployment, _ = controller.reconfigure(_config_for(current))
+                deployment, _ = controller.reconfigure(TopologyConfig.from_topology(current))
             except ReproError:
                 # the rig was wired for one partition of ``full``; some
                 # edits genuinely exceed its inter-switch wiring. The

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import _config_for
 from repro.core import SDTController, TopologyConfig, build_cluster_for
 from repro.core.rules import split_ruleset_delta
 from repro.hardware import EVAL_256x10G
@@ -128,14 +127,14 @@ def test_cold_reconfigure_costs_the_new_generation_only():
 
 def test_incremental_edit_costs_only_its_dirty_blocks():
     controller = _controller()
-    deployment = controller.deploy(_config_for(fat_tree(4)))
+    deployment = controller.deploy(TopologyConfig.from_topology(fat_tree(4)))
     old_rules = deployment.rules
     before = _materialized()
     edited = rebuild(
         deployment.topology,
         drop_links={removable_switch_links(deployment.topology)[0]},
     )
-    controller.reconfigure(_config_for(edited))
+    controller.reconfigure(TopologyConfig.from_topology(edited))
     assert controller.last_commit_strategy  # the edit committed
     delta = split_ruleset_delta(old_rules, deployment.rules)
     shared = {id(b) for b in old_rules.blocks} & {

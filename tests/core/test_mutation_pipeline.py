@@ -29,7 +29,6 @@ from typing import Callable
 
 import pytest
 
-from repro.bench import _config_for
 from repro.core import SDTController, TopologyConfig, build_cluster_for
 from repro.core.controller.controller import BREAK_BEFORE_MAKE
 from repro.hardware import H3C_S6861, OpticalCircuitSwitch
@@ -158,8 +157,8 @@ def reconfigure_cold_reusing_optics(rig):
 
 
 def reconfigure_incremental(rig):
-    rig.controller.deploy(_config_for(FT4))
-    return lambda: rig.controller.reconfigure(_config_for(FT4_EDITED))[1]
+    rig.controller.deploy(TopologyConfig.from_topology(FT4))
+    return lambda: rig.controller.reconfigure(TopologyConfig.from_topology(FT4_EDITED))[1]
 
 
 def reconfigure_nothing_deployed(rig):
@@ -517,10 +516,10 @@ def test_stage_spans_cover_a_lossless_deploy(registry):
 def test_stage_spans_cover_an_incremental_edit(registry):
     def run() -> Tracer:
         rig = pure_rig()
-        rig.controller.deploy(_config_for(FT4))
+        rig.controller.deploy(TopologyConfig.from_topology(FT4))
         tracer = install_tracer(Tracer(clock=time.perf_counter))
         try:
-            rig.controller.reconfigure(_config_for(FT4_EDITED))
+            rig.controller.reconfigure(TopologyConfig.from_topology(FT4_EDITED))
         finally:
             uninstall_tracer()
         assert registry.counter("sdt_controller_reconfigure_mode_total").value(

@@ -39,27 +39,13 @@ def headroom_topology(n: int = RING) -> Topology:
     return topo
 
 
-def ring_config(topo: Topology) -> TopologyConfig:
-    return TopologyConfig(
-        kind="custom",
-        params={
-            "name": topo.name,
-            "switches": list(topo.switches),
-            "hosts": list(topo.hosts),
-            "links": [list(link.endpoints) for link in topo.links],
-        },
-        routing="shortest-path",
-        lossless=False,
-    )
-
-
 @pytest.fixture()
 def rig():
     """(controller, deployment) for the ring, with engineering headroom."""
     topo = ring_topology()
     cluster = build_cluster_for([topo, headroom_topology()], 2, H3C_S6861)
     controller = SDTController(cluster)
-    deployment = controller.deploy(ring_config(topo))
+    deployment = controller.deploy(TopologyConfig.from_topology(topo))
     return controller, deployment
 
 

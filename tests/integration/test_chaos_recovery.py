@@ -31,20 +31,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import SDTController
+from repro.core import SDTController, TopologyConfig
 from repro.recovery import SnapshotManager, install_journal, recover, uninstall_journal
 from repro.topology import fat_tree
 from repro.util.errors import ReproError, TransactionError
 
 from tests.proptools import prop_cases, seeded_cases
-from tests.recovery.conftest import config_for, fresh_cluster, installed_state
+from tests.recovery.conftest import fresh_cluster, installed_state
 
 ROOT_SEED = 20260806
 
 
 @pytest.fixture()
 def ft4_config():
-    return config_for(fat_tree(4))
+    return TopologyConfig.from_topology(fat_tree(4))
 
 
 class _Killed(BaseException):

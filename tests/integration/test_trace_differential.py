@@ -20,7 +20,6 @@ import json
 
 import pytest
 
-from repro.bench import _config_for
 from repro.core import SDTController, TopologyConfig, build_cluster_for
 from repro.hardware import H3C_S6861
 from repro.openflow.channel import _entry_record
@@ -68,7 +67,7 @@ def _random_ops(controller: SDTController, rng) -> None:
                 drop_links={keys[int(rng.integers(len(keys)))]},
             )
             try:
-                deployment, _t = controller.reconfigure(_config_for(edited))
+                deployment, _t = controller.reconfigure(TopologyConfig.from_topology(edited))
             except ReproError:
                 pass  # edit refused (capacity): still journaled
         elif op == 1:
@@ -181,8 +180,8 @@ def test_incremental_edit_journals_strict_deletes_faithfully(tmp_path):
     controller = _fresh_controller()
     tracer = install_tracer(Tracer())
     try:
-        controller.deploy(_config_for(base))
-        deployment, _t = controller.reconfigure(_config_for(edited))
+        controller.deploy(TopologyConfig.from_topology(base))
+        deployment, _t = controller.reconfigure(TopologyConfig.from_topology(edited))
     finally:
         uninstall_tracer()
     path = tmp_path / "incremental.jsonl"

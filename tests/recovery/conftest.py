@@ -13,23 +13,6 @@ from repro.core import SDTController, TopologyConfig, build_cluster_for
 from repro.hardware import EVAL_256x10G
 from repro.recovery import SnapshotManager, install_journal, uninstall_journal
 from repro.topology import fat_tree
-from repro.topology.graph import Topology
-
-
-def config_for(topology: Topology) -> TopologyConfig:
-    """Self-contained custom config (shortest-path, lossy) so edited
-    and replayed topologies route without generator dispatch."""
-    return TopologyConfig(
-        kind="custom",
-        params={
-            "name": topology.name,
-            "switches": list(topology.switches),
-            "hosts": list(topology.hosts),
-            "links": [list(link.endpoints) for link in topology.links],
-        },
-        routing="shortest-path",
-        lossless=False,
-    )
 
 
 def fresh_cluster():
@@ -45,7 +28,7 @@ def installed_state(cluster) -> dict[str, list]:
 
 @pytest.fixture()
 def ft4_config():
-    return config_for(fat_tree(4))
+    return TopologyConfig.from_topology(fat_tree(4))
 
 
 @pytest.fixture()

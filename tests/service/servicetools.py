@@ -26,25 +26,12 @@ CHAIN3 = TopologyConfig("chain", {"num_switches": 3, "hosts_per_switch": 1})
 CHAIN4 = TopologyConfig("chain", {"num_switches": 4, "hosts_per_switch": 1})
 
 
-def custom_config(base: TopologyConfig, name: str) -> TopologyConfig:
-    """Rename ``base`` by re-expressing it as a custom topology."""
-    topo = base.build()
-    return TopologyConfig(
-        kind="custom",
-        params={
-            "name": name,
-            "switches": list(topo.switches),
-            "hosts": list(topo.hosts),
-            "links": [list(link.endpoints) for link in topo.links],
-        },
-        routing="shortest-path",
-        lossless=False,
-    )
-
-
 #: per-tenant (chain-3, chain-4) pair the reconfigures toggle between
 CONFIGS = {
-    t: (custom_config(CHAIN3, f"{t}-a"), custom_config(CHAIN4, f"{t}-b"))
+    t: (
+        TopologyConfig.from_topology(CHAIN3.build(), name=f"{t}-a"),
+        TopologyConfig.from_topology(CHAIN4.build(), name=f"{t}-b"),
+    )
     for t in TENANTS
 }
 
