@@ -5,6 +5,15 @@ switch holds a list of them. Entry capacity is enforced at the *switch*
 level (hardware TCAM budgets are shared) — see
 :class:`repro.openflow.switch.OpenFlowSwitch`.
 
+A table keeps each entry **once**, in a dict keyed by the entry's
+**serial** — a monotonic counter stamped on arrival and never reused —
+so dict order is arrival order. Priority order is not stored: it is
+computed where it is read (:meth:`FlowTable.snapshot`, iteration) by a
+stable sort on priority, which over arrival order yields the documented
+*(priority desc, arrival asc)* sequence. Writes therefore cost
+O(entries written), whatever the table holds — an incremental
+reconfiguration sends hundreds of one-entry batches per commit.
+
 Lookup is **hash-first**: every entry whose match constrains only
 exact-comparable fields (the common case — SDT synthesis emits
 ``in_port`` classification rules and ``(metadata, dst[, vc])`` routing
@@ -12,42 +21,29 @@ rules, all exact) is filed in a per-*shape* hash index, where a shape
 is the tuple of constrained field names. A packet lookup then probes
 one bucket per shape present in the table — O(#shapes), not
 O(#entries) — and only entries that hash-first cannot serve (a partial
-``metadata_mask``) fall back to the classic priority-ordered scan.
-The winner across probes and scan is ranked by (priority desc,
-insertion order asc), which is exactly what the linear scan over the
-priority-ordered list returns ("first added wins" among equal
-priorities, as commodity switches do).
+``metadata_mask``) fall back to a scan of just those entries. The
+winner across probes and scan is ranked by (priority desc, serial
+asc), which is exactly what a linear scan in snapshot order returns
+("first added wins" among equal priorities, as commodity switches do).
 
-The shape index is the table's **only** index. A strict delete
-(priority + match given) resolves through it too: the match's own
-``(shape, key)`` names the one bucket — or the fallback list — that can
-hold its victims, which are then filtered on priority, match, cookie
-and liveness. Strict deletes only *mark* victims dead (``_dead``); the
-entry list and hash buckets are pruned by a deferred compaction that
-runs on reads that need the dense list (snapshot, iteration, wildcard
-delete) or when the dead fraction crosses :data:`COMPACT_DEAD_MIN` /
-:data:`COMPACT_DEAD_FRACTION` — so a delta batch of hundreds of strict
-deletes costs O(victims), not O(table) per message.
-
-Tombstones are keyed by each entry's table-assigned **serial** — a
-monotonic counter stamped at index time — never by ``id(entry)``:
-serials are unique for the table's lifetime, so a tombstone can never
-alias a later entry the way a recycled CPython object id could.
+The shape index is the table's **only** index, and it holds exactly
+the store's members: a delete takes its victims out of the store and
+out of their bucket in the same step, and drops a bucket or shape it
+empties. A strict delete (priority + match given) finds its victims
+through the index too — the match's own ``(shape, key)`` names the one
+bucket, or the fallback list, that can hold them — so it costs
+O(bucket), not O(table).
 """
 
 from __future__ import annotations
 
-from bisect import insort_right
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.openflow.actions import Instruction
 from repro.openflow.match import Match, PacketHeader
-
-#: deferred compaction triggers once at least this many entries are
-#: dead *and* they exceed COMPACT_DEAD_FRACTION of the list
-COMPACT_DEAD_MIN = 64
-COMPACT_DEAD_FRACTION = 0.25
 
 #: match fields a hash bucket can key on, in canonical order
 _HASH_FIELDS = (
@@ -117,8 +113,9 @@ class FlowEntry:
     # counters
     packet_count: int = 0
     byte_count: int = 0
-    #: arrival serial stamped by the owning FlowTable at index time
-    #: (equal-priority tie-break and tombstone key); -1 = never indexed
+    #: arrival serial stamped by the owning FlowTable on every add (its
+    #: key in the table's store and the equal-priority tie-break);
+    #: -1 = never added
     serial: int = field(default=-1, compare=False)
 
     def hit(self, nbytes: int) -> None:
@@ -126,16 +123,15 @@ class FlowEntry:
         self.byte_count += nbytes
 
 
-def _neg_priority(entry: FlowEntry) -> int:
-    return -entry.priority
+_priority = attrgetter("priority")
 
 
 @dataclass
 class FlowTable:
     """A single numbered flow table.
 
-    Alongside the priority-ordered entry list the table keeps one
-    index, the per-shape hash index. It serves packet lookups in
+    One store (serial -> entry, in arrival order) and one index, the
+    per-shape hash index. The index serves packet lookups in
     O(#shapes) and strict deletes — the bulk of an incremental
     reconfiguration's delta batch — in O(bucket): a delete's match
     files under exactly one ``(shape, key)``, so its victims can only
@@ -144,101 +140,35 @@ class FlowTable:
     """
 
     table_id: int
-    _entries: list[FlowEntry] = field(default_factory=list)
-    #: serials of entries strict-deleted but not yet compacted out of
-    #: ``_entries``. Serials are minted by ``_next_seq`` and never
-    #: reused within a table, so a tombstone can never collide with a
-    #: later entry (an ``id(entry)`` key could: CPython recycles object
-    #: addresses, and a new allocation landing on a dead id would be
-    #: silently dropped at compaction)
-    _dead: set[int] = field(init=False, repr=False, default_factory=set)
+    #: every entry exactly once, keyed by its serial; serials only grow,
+    #: so insertion order is arrival order
+    _store: dict[int, FlowEntry] = field(
+        init=False, repr=False, default_factory=dict
+    )
     #: hash-first lookup index: shape -> packet-key -> entries (in
-    #: insertion order; may reference dead entries until compaction)
+    #: arrival order; never an empty bucket or shape)
     _shapes: dict[tuple[str, ...], dict[tuple, list[FlowEntry]]] = field(
         init=False, repr=False, default_factory=dict
     )
     #: entries only the fallback scan can serve (partial metadata mask)
     _wild: list[FlowEntry] = field(init=False, repr=False, default_factory=list)
-    #: next serial to stamp (monotonic; doubles as the arrival-order
-    #: tie-break for equal-priority lookups)
+    #: next serial to stamp (monotonic for the table's lifetime)
     _next_seq: int = field(init=False, repr=False, default=0)
-
-    def __post_init__(self) -> None:
-        if self._entries:
-            entries, self._entries = self._entries, []
-            self.add_batch(entries)
-
-    # --- index maintenance --------------------------------------------
-    def _index_entry(self, entry: FlowEntry) -> None:
-        entry.serial = self._next_seq
-        self._next_seq += 1
-        sk = _shape_key(entry.match)
-        if sk is None:
-            self._wild.append(entry)
-        else:
-            shape, key = sk
-            self._shapes.setdefault(shape, {}).setdefault(key, []).append(entry)
-
-    def _rebuild_index(self) -> None:
-        # serials stay monotonic across rebuilds (never reset): an old
-        # tombstone must never be able to name a future entry
-        self._shapes = {}
-        self._wild = []
-        for e in self._entries:
-            self._index_entry(e)
-
-    def _compact(self) -> None:
-        """Drop dead entries from the list and every index, preserving
-        the stable (priority desc, arrival asc) order of survivors —
-        ``entries()``/``lookup()`` results are identical before and
-        after compaction."""
-        if not self._dead:
-            return
-        dead = self._dead
-        self._entries = [e for e in self._entries if e.serial not in dead]
-        for shape, buckets in list(self._shapes.items()):
-            for key, bucket in list(buckets.items()):
-                live = [e for e in bucket if e.serial not in dead]
-                if live:
-                    buckets[key] = live
-                else:
-                    del buckets[key]
-            if not buckets:
-                del self._shapes[shape]
-        if any(e.serial in dead for e in self._wild):
-            self._wild = [e for e in self._wild if e.serial not in dead]
-        self._dead.clear()
-
-    def _maybe_compact(self) -> None:
-        if (
-            len(self._dead) >= COMPACT_DEAD_MIN
-            and len(self._dead) >= COMPACT_DEAD_FRACTION * len(self._entries)
-        ):
-            self._compact()
 
     # --- mutation ------------------------------------------------------
     def add(self, entry: FlowEntry) -> None:
-        """Insert keeping descending priority; stable for equal priority
-        (later adds lose, matching OpenFlow's 'first added wins' among
-        equal-priority overlapping entries as commodity switches do)."""
-        if entry.serial >= 0 and entry.serial in self._dead:
-            # the same object is being re-added while its previous
-            # occurrence in this table is still tombstoned: compact
-            # first (before insertion), or re-stamping the shared serial
-            # would let the pending tombstone claim the new occurrence
-            self._compact()
-        insort_right(self._entries, entry, key=_neg_priority)
-        self._index_entry(entry)
+        """Insert one entry. It ranks after every equal-priority
+        incumbent (OpenFlow's 'first added wins' among equal-priority
+        overlapping entries, as commodity switches do)."""
+        self.add_batch((entry,))
 
     def add_batch(
         self,
         entries: Iterable[FlowEntry],
         keys: Sequence[tuple[tuple[str, ...], tuple] | None] = (),
     ) -> None:
-        """Insert many entries at once — one stable re-sort instead of a
-        per-entry bisect, with semantics identical to sequential
-        :meth:`add` calls (batch entries land *after* equal-priority
-        incumbents, in batch order).
+        """Insert entries in order; each is stamped with the next serial
+        and filed once in the store and once in the index.
 
         ``keys[i]`` is the hash-index ``(shape, key)`` the ``i``-th
         entry files under — what :func:`_shape_key` returns for its
@@ -247,31 +177,14 @@ class FlowTable:
         (:meth:`OpenFlowSwitch.add_flow_batch` passes a rule set's);
         entries beyond ``keys`` have theirs derived from the match."""
         batch = list(entries)
-        if not batch:
-            return
-        # threshold-gated only: a delta commit interleaves small install
-        # runs with strict deletes, and a full compaction per run would
-        # cost O(table) each (dead entries sort and index harmlessly —
-        # every reader skips them, so none are needed for correctness)
-        self._maybe_compact()
-        if self._dead and any(
-            e.serial >= 0 and e.serial in self._dead for e in batch
-        ):
-            # same re-add-while-tombstoned hazard as _index_entry
-            self._compact()
-        self._entries.extend(batch)
-        # stable sort keeps incumbents' relative order and places the
-        # (later-appended) batch after equal-priority incumbents: the
-        # same order sequential add() calls would have produced
-        self._entries.sort(key=_neg_priority)
-        # inlined _index_entry: batch installs are the data-plane fast
-        # path and the per-entry call + attribute lookups were measurable
+        store = self._store
         shapes = self._shapes
         wild = self._wild
         nseq = self._next_seq
         derived = [_shape_key(e.match) for e in batch[len(keys):]]
         for e, sk in zip(batch, [*keys, *derived]):
             e.serial = nseq
+            store[nseq] = e
             nseq += 1
             if sk is None:
                 wild.append(e)
@@ -297,80 +210,75 @@ class FlowTable:
         """Remove entries by cookie / exact match / priority (``None``
         fields are wildcards); returns count."""
         if match is not None and priority is not None:
-            # strict path: the match's own (shape, key) names the only
-            # bucket its victims can sit in. Victims are only *marked*
-            # dead — a delta batch of hundreds of strict deletes then
-            # costs O(victims), with one deferred compaction instead of
-            # a list rebuild per message (buckets keep their tombstoned
-            # entries until then, hence the liveness filter)
+            # strict: the match's own (shape, key) names the only bucket
+            # its victims can sit in
             sk = _shape_key(match)
             if sk is None:
-                bucket = self._wild
+                candidates: Iterable[FlowEntry] = self._wild
             else:
-                bucket = self._shapes.get(sk[0], {}).get(sk[1], ())
-            dead = self._dead
-            victims = [
-                e.serial
-                for e in bucket
-                if e.priority == priority
-                and e.match == match
-                and (cookie is None or e.cookie == cookie)
-                and e.serial not in dead
-            ]
-            if victims:
-                dead.update(victims)
-                self._maybe_compact()
-            return len(victims)
-        self._compact()
-        before = len(self._entries)
-        self._entries = [
+                candidates = self._shapes.get(sk[0], {}).get(sk[1], ())
+        else:
+            candidates = self._store.values()
+        victims = [
             e
-            for e in self._entries
-            if not (
-                (cookie is None or e.cookie == cookie)
-                and (match is None or e.match == match)
-                and (priority is None or e.priority == priority)
-            )
+            for e in candidates
+            if (cookie is None or e.cookie == cookie)
+            and (match is None or e.match == match)
+            and (priority is None or e.priority == priority)
         ]
-        removed = before - len(self._entries)
-        if removed:
-            self._rebuild_index()
-        return removed
+        for e in victims:
+            self._unfile(e)
+        return len(victims)
+
+    def _unfile(self, entry: FlowEntry) -> None:
+        """Take one member out of the store and out of its bucket."""
+        del self._store[entry.serial]
+        sk = _shape_key(entry.match)
+        if sk is None:
+            bucket = self._wild
+        else:
+            shape, key = sk
+            buckets = self._shapes[shape]
+            bucket = buckets[key]
+        # by identity: equal-valued twins may share the bucket
+        bucket[:] = [e for e in bucket if e is not entry]
+        if sk is not None and not bucket:
+            del buckets[key]
+            if not buckets:
+                del self._shapes[shape]
 
     def clear(self) -> int:
         n = len(self)
-        self._entries.clear()
-        self._dead.clear()
+        self._store.clear()
         self._shapes.clear()
         self._wild.clear()
         return n
 
     def snapshot(self) -> tuple[FlowEntry, ...]:
-        """The table's entries in priority order, as an immutable copy
-        of the membership (entry objects are shared, so counters keep
-        accumulating across snapshot/restore)."""
-        self._compact()
-        return tuple(self._entries)
+        """The table's entries in (priority desc, arrival asc) order, as
+        an immutable copy of the membership (entry objects are shared,
+        so counters keep accumulating across snapshot/restore)."""
+        return tuple(sorted(self._store.values(), key=_priority, reverse=True))
 
     def entries(self) -> tuple[FlowEntry, ...]:
-        """Alias of :meth:`snapshot`: live entries in lookup order."""
+        """Alias of :meth:`snapshot`: entries in lookup order."""
         return self.snapshot()
 
     def restore(self, entries: tuple[FlowEntry, ...]) -> None:
-        """Replace the table's contents with a prior :meth:`snapshot`."""
-        self._entries = list(entries)
-        self._dead.clear()
-        # snapshots are already priority-ordered; the stable sort is a
-        # no-op for them and re-establishes the invariant otherwise
-        self._entries.sort(key=_neg_priority)
-        self._rebuild_index()
+        """Replace the table's contents with a prior :meth:`snapshot`
+        (its entries arrive afresh, in the snapshot's order)."""
+        self.clear()
+        self.add_batch(entries)
+
+    def cookie_counts(self) -> Counter[int]:
+        """Entries per cookie (an unordered walk of the store)."""
+        return Counter(e.cookie for e in self._store.values())
 
     # --- lookup --------------------------------------------------------
     def lookup(
         self, in_port: int, metadata: int, header: PacketHeader
     ) -> FlowEntry | None:
         """Highest-priority matching entry, or None (table miss)."""
-        dead = self._dead
         best_rank: tuple[int, int] | None = None
         best: FlowEntry | None = None
         packet = {
@@ -388,14 +296,10 @@ class FlowTable:
             if not bucket:
                 continue
             for e in bucket:
-                if dead and e.serial in dead:
-                    continue
                 rank = (-e.priority, e.serial)
                 if best_rank is None or rank < best_rank:
                     best_rank, best = rank, e
         for e in self._wild:
-            if dead and e.serial in dead:
-                continue
             rank = (-e.priority, e.serial)
             if (best_rank is None or rank < best_rank) and e.match.matches(
                 in_port, metadata, header
@@ -404,8 +308,7 @@ class FlowTable:
         return best
 
     def __len__(self) -> int:
-        return len(self._entries) - len(self._dead)
+        return len(self._store)
 
     def __iter__(self) -> Iterator[FlowEntry]:
-        self._compact()
-        return iter(self._entries)
+        return iter(self.snapshot())

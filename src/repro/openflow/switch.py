@@ -13,6 +13,7 @@ the TCAM limit that §VII-C identifies as SDT's scarcest resource.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -179,8 +180,8 @@ class OpenFlowSwitch:
     def add_flow_batch(self, mods) -> list[FlowEntry]:
         """Install a batch of FlowMod-shaped messages (anything with
         ``table_id``/``priority``/``match``/``instructions``/``cookie``)
-        in order, amortizing table re-sorts and capacity checks across
-        the batch.
+        in order, amortizing validation and capacity checks across the
+        batch.
 
         Semantics match a sequential :meth:`add_flow` loop exactly: if
         the TCAM budget runs out mid-batch, every entry *before* the
@@ -301,19 +302,16 @@ class OpenFlowSwitch:
         """Installed entries carrying ``cookie`` (None = all entries)."""
         if cookie is None:
             return self.num_entries
-        return sum(
-            1 for t in self.tables for e in t if e.cookie == cookie
-        )
+        return self.occupancy_by_cookie().get(cookie, 0)
 
     def occupancy_by_cookie(self) -> dict[int, int]:
         """Installed entries per cookie — the switch-side ledger of
         per-deployment (and, through cookie namespaces, per-tenant)
         TCAM consumption that admission control charges quotas against."""
-        counts: dict[int, int] = {}
+        counts: Counter[int] = Counter()
         for t in self.tables:
-            for e in t:
-                counts[e.cookie] = counts.get(e.cookie, 0) + 1
-        return counts
+            counts.update(t.cookie_counts())
+        return dict(counts)
 
     def entry_keys(self) -> list[tuple[int, int, Match, int]]:
         """Every installed entry as a (table, priority, match, cookie)

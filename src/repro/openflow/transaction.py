@@ -236,10 +236,9 @@ class ControlTransaction:
 
             self.stage(name, *fresh)
             for mod in modified:
-                old_mod = next(
-                    m for m in removed if identity(m) == identity(mod)
-                )
-                self.stage(name, strict_delete(old_mod), mod)
+                # a strict delete is built from the identity alone, and
+                # the old entry shares this mod's
+                self.stage(name, strict_delete(mod), mod)
             self.stage(
                 name,
                 *(

@@ -26,6 +26,9 @@ from repro.partition.objective import Partition
 from repro.util.errors import PartitionError
 from repro.util.rng import make_rng
 
+#: allowed relative node-weight overshoot per side at each bisection
+BALANCE_TOLERANCE = 0.15
+
 
 @dataclass
 class _Level:
@@ -132,13 +135,12 @@ def _kl_refine(
     g: nx.Graph,
     assign: dict[str, int],
     *,
-    balance_tolerance: float,
     max_passes: int = 8,
 ) -> dict[str, int]:
     """Boundary Kernighan–Lin refinement of a bisection.
 
     Repeatedly moves the best-gain boundary node whose move keeps node
-    weights within ``balance_tolerance`` of perfect balance, accepting
+    weights within :data:`BALANCE_TOLERANCE` of perfect balance, accepting
     a pass only if it improved the cut (with the usual KL hill-climb of
     tentative sequences and rollback to the best prefix).
     """
@@ -153,7 +155,7 @@ def _kl_refine(
         for n in nodes
     }
     total = sum(nw.values())
-    max_side = total / 2.0 * (1.0 + balance_tolerance)
+    max_side = total / 2.0 * (1.0 + BALANCE_TOLERANCE)
 
     weights = {
         0: sum(nw[n] for n, p in assign.items() if p == 0),
@@ -215,7 +217,7 @@ def _kl_refine(
     return assign
 
 
-def _bisect(g: nx.Graph, seed: int, balance_tolerance: float) -> dict[str, int]:
+def _bisect(g: nx.Graph, seed: int) -> dict[str, int]:
     """Full multilevel bisection of ``g``."""
     rng = make_rng(seed, "multilevel", g.number_of_nodes(), g.number_of_edges())
     if g.number_of_nodes() <= 1:
@@ -231,14 +233,14 @@ def _bisect(g: nx.Graph, seed: int, balance_tolerance: float) -> dict[str, int]:
         current = lvl.graph
 
     assign = _greedy_bisect(current, rng)
-    assign = _kl_refine(current, assign, balance_tolerance=balance_tolerance)
+    assign = _kl_refine(current, assign)
 
     for lvl in reversed(levels):
         assign = {fine: assign[coarse] for fine, coarse in lvl.fine_to_coarse.items()}
         fine_graph = (
             levels[levels.index(lvl) - 1].graph if levels.index(lvl) > 0 else g
         )
-        assign = _kl_refine(fine_graph, assign, balance_tolerance=balance_tolerance)
+        assign = _kl_refine(fine_graph, assign)
     return assign
 
 
@@ -247,7 +249,6 @@ def multilevel_partition(
     num_parts: int,
     *,
     seed: int = 0,
-    balance_tolerance: float = 0.15,
 ) -> Partition:
     """Partition ``graph`` into ``num_parts`` balanced low-cut parts.
 
@@ -261,9 +262,6 @@ def multilevel_partition(
     seed:
         Seed for the randomized matching/seeding steps; results are
         deterministic for a given seed.
-    balance_tolerance:
-        Allowed relative node-weight overshoot per side at each
-        bisection (0.15 = 15 %).
     """
     n = graph.number_of_nodes()
     if num_parts < 1:
@@ -277,15 +275,7 @@ def multilevel_partition(
     left_parts = num_parts // 2
     right_parts = num_parts - left_parts
 
-    # weight the bisection target by the sub-part ratio: give the left
-    # side left_parts/num_parts of total node weight by scaling weights.
-    work = graph.copy()
-    if left_parts != right_parts:
-        # Emulate uneven targets by adding a phantom balance weight: do
-        # the split, then rebalance greedily below. Simpler and robust
-        # for the small part counts used here (2-8 physical switches).
-        pass
-    assign2 = _bisect(work, seed, 0.15)
+    assign2 = _bisect(graph.copy(), seed)
     side_nodes = {
         0: [u for u, p in assign2.items() if p == 0],
         1: [u for u, p in assign2.items() if p == 1],
@@ -302,9 +292,7 @@ def multilevel_partition(
         (1, right_parts, left_parts),
     ):
         sub = graph.subgraph(side_nodes[side]).copy()
-        sub_partition = multilevel_partition(
-            sub, parts, seed=seed + 1 + side, balance_tolerance=balance_tolerance
-        )
+        sub_partition = multilevel_partition(sub, parts, seed=seed + 1 + side)
         for u, p in sub_partition.assignment.items():
             result[u] = offset + p
 

@@ -56,7 +56,7 @@ from repro.recovery import (
 )
 from repro.topology.zoo import zoo_catalog
 from repro.util.errors import CapacityError, SimulationError, TransactionError
-from tests.openflow.test_flowtable_dead import _check_invariants
+from tests.openflow.test_flowtable_store import _check_invariants
 from tests.proptools import prop_cases, seeded_cases
 
 ROOT_SEED = 20261002

@@ -1,23 +1,27 @@
-"""Property tests for FlowTable's strict-delete `_dead` bookkeeping.
+"""Property tests for FlowTable's one store and one index.
 
-Strict deletes only *mark* victims dead (``_dead`` holds their
-table-assigned serials) and defer the list rebuild to the next
-compaction. That optimization is only sound if two invariants hold
-under arbitrary interleavings of adds, strict deletes, wildcard
-deletes, and reads:
+A table holds each entry once, in ``_store`` (serial -> entry, dict
+order = arrival order), and files it once in the per-shape hash index
+(``_shapes`` buckets plus the ``_wild`` fallback list). Every mutation
+updates both in the same step, so two invariants must hold under
+arbitrary interleavings of adds, strict deletes, wildcard deletes,
+and reads:
 
-* **tombstones name only current members** — every marked serial is
-  still held by an entry in ``_entries`` until :meth:`FlowTable._compact`
-  drops the entry and the mark together. Serials are monotonic and
-  never reused, so — unlike the previous ``id(entry)`` keying, where
-  CPython could recycle a freed id onto a brand-new entry — a stale
-  mark can never name a future entry.
-* **index consistency** — the per-shape hash index (the table's only
-  index: lookups and strict deletes both resolve through it) always
-  agrees with the membership: every live entry sits in exactly one
-  bucket, the one its match files under; no bucket holds an entry
-  that left ``_entries``; and ``len(table)`` equals the number of live
-  entries.
+* **the store is arrival-ordered** — its keys are its members' own
+  serials, strictly increasing, all below the mint counter. Serials are
+  monotonic and never reused, so — unlike ``id(entry)``, which CPython
+  recycles — one can never name two entries in a table's lifetime.
+* **index consistency** — the index (the table's only one: lookups and
+  strict deletes both resolve through it) holds exactly the store's
+  members: every member sits in exactly one bucket, the one its match
+  files under; no bucket holds an entry the store lacks; no empty
+  bucket or shape is left behind by a delete; and ``len(table)`` is the
+  number of members.
+
+The last test is differential: a reference model that *is* the
+algorithm this representation replaced — a list kept priority-sorted on
+every write, linear-scan lookup — must agree with the table on every
+observable under random operation sequences.
 
 Cases are seeded (reproduce with the printed case index); counts scale
 with ``SDT_PROP_CASES`` for CI's stress job.
@@ -34,7 +38,7 @@ ROOT_SEED = 20260806
 NUM_CASES = prop_cases(120)
 
 #: small universes force heavy (priority, match) collisions — the
-#: interesting regime for the index and the dead-mark path
+#: interesting regime for the index and the strict-delete path
 PRIORITIES = (1, 2, 3)
 PORTS = (1, 2, 3, 4)
 COOKIES = (7, 8, 9)
@@ -50,25 +54,22 @@ def _entry(rng) -> FlowEntry:
 
 
 def _check_invariants(table: FlowTable, case: int) -> None:
-    live = [e for e in table._entries if e.serial not in table._dead]
-    # every dead serial still held by a member of _entries (entry and
-    # mark are only ever dropped together, by _compact)
-    referenced = {e.serial for e in table._entries}
-    assert table._dead <= referenced, (
-        f"case {case}: dead serials {table._dead - referenced} no "
-        "longer held by any entry in _entries"
+    members = list(table._store.values())
+    # store keys are the members' own serials, in strictly increasing
+    # (= arrival) order, all minted by this table
+    serials = list(table._store)
+    assert serials == [e.serial for e in members], (
+        f"case {case}: a member's serial differs from its store key"
     )
-    # serials are unique among members and below the mint counter
-    assert len(referenced) == len(table._entries), (
-        f"case {case}: two entries share a serial"
+    assert all(a < b for a, b in zip(serials, serials[1:])), (
+        f"case {case}: store not in arrival order"
     )
-    assert all(0 <= s < table._next_seq for s in referenced), (
+    assert all(0 <= s < table._next_seq for s in serials), (
         f"case {case}: serial outside the minted range"
     )
-    # __len__ counts live entries only
-    assert len(table) == len(live), case
-    # the one index agrees with membership, bucket by bucket: every live
-    # entry sits in exactly one _shapes bucket or in _wild ...
+    assert len(table) == len(members), case
+    # the one index agrees with membership, bucket by bucket: every
+    # member sits in exactly one _shapes bucket or in _wild ...
     filed = [
         ((shape, key), e)
         for shape, buckets in table._shapes.items()
@@ -79,19 +80,25 @@ def _check_invariants(table: FlowTable, case: int) -> None:
     assert len(indexed) == len(set(map(id, indexed))), (
         f"case {case}: an entry appears in two index buckets"
     )
-    assert {id(e) for e in live} <= {id(e) for e in indexed}, (
-        f"case {case}: a live entry is missing from the index"
+    assert {id(e) for e in members} <= {id(e) for e in indexed}, (
+        f"case {case}: a member is missing from the index"
     )
-    # ... no bucket holds an entry that left _entries (tombstoned
-    # members stay filed until compaction drops them from both) ...
-    assert {id(e) for e in indexed} <= {id(e) for e in table._entries}, (
-        f"case {case}: the index holds an entry absent from _entries"
+    # ... the index holds nothing the store lacks ...
+    assert {id(e) for e in indexed} <= {id(e) for e in members}, (
+        f"case {case}: the index holds an entry absent from the store"
     )
-    # ... and each is filed where a lookup or strict delete looks for it
+    # ... each is filed where a lookup or strict delete looks for it ...
     for filed_under, e in filed:
         assert _shape_key(e.match) == filed_under, (
             f"case {case}: entry filed under the wrong key"
         )
+    # ... and a delete leaves no empty bucket or shape for lookups to
+    # keep probing
+    assert all(table._shapes.values()), f"case {case}: empty shape"
+    assert all(
+        bucket for buckets in table._shapes.values()
+        for bucket in buckets.values()
+    ), f"case {case}: empty bucket"
 
 
 def _random_ops(table: FlowTable, rng, steps: int, case: int) -> None:
@@ -100,7 +107,7 @@ def _random_ops(table: FlowTable, rng, steps: int, case: int) -> None:
         if op < 0.5:
             table.add(_entry(rng))
         elif op < 0.85:
-            # strict delete: the deferred-compaction path under test
+            # strict delete: victims leave store and bucket at once
             table.remove(
                 match=Match(in_port=int(rng.choice(PORTS))),
                 priority=int(rng.choice(PRIORITIES)),
@@ -109,24 +116,20 @@ def _random_ops(table: FlowTable, rng, steps: int, case: int) -> None:
                 ),
             )
         elif op < 0.95:
-            # wildcard delete: compacts, then rebuilds the index
+            # wildcard delete: victims found by walking the store
             table.remove(cookie=int(rng.choice(COOKIES)))
         else:
-            table.snapshot()  # forces a compaction mid-stream
+            table.snapshot()  # a read mid-stream changes nothing
         _check_invariants(table, case)
 
 
-def test_dead_marks_stay_referenced_until_compact():
-    """Serials in ``_dead`` are never dropped from ``_entries``
-    separately: compaction removes entry and mark together, and the
-    mint counter never reuses a serial, so a stale mark can never name
-    a live entry."""
+def test_store_and_index_agree_under_random_ops():
+    """Store and index stay in lock-step after every single operation
+    of a random add / strict delete / wildcard delete / read stream, and
+    the mint counter never reuses a serial."""
     for case, rng in seeded_cases(NUM_CASES, ROOT_SEED, "dead"):
         table = FlowTable(table_id=0)
         _random_ops(table, rng, steps=40, case=case)
-        table._compact()
-        assert not table._dead, case
-        _check_invariants(table, case)
 
 
 def test_index_consistent_under_interleaved_bursts():
@@ -146,13 +149,22 @@ def test_index_consistent_under_interleaved_bursts():
                         match=e.match, priority=e.priority, cookie=e.cookie
                     )
             _check_invariants(table, case)
-        # reads see exactly the live entries, in descending priority
+        # reads see exactly the members, in descending priority and, at
+        # equal priority, arrival order
         seen = list(table)
-        assert not table._dead  # iteration compacts
-        assert [id(e) for e in seen] == [id(e) for e in table._entries]
+        assert sorted(e.serial for e in seen) == list(table._store), case
+        assert all(
+            a.serial < b.serial
+            for a, b in zip(seen, seen[1:])
+            if a.priority == b.priority
+        ), case
         assert all(
             a.priority >= b.priority for a, b in zip(seen, seen[1:])
         ), case
+
+
+_OUT = (ApplyActions((Output(1),)),)
+_HDR = PacketHeader(src="a", dst="b")
 
 
 def _single_entry() -> FlowEntry:
@@ -165,12 +177,10 @@ def _single_entry() -> FlowEntry:
 
 
 def test_forced_id_reuse_cannot_shadow_a_new_entry():
-    """Regression for the id-keyed tombstone hazard: re-adding the very
-    same entry object while its strict-delete tombstone is still pending
-    is the strongest possible id collision (``id()`` is literally equal).
-    Under id-keyed ``_dead`` the re-add was invisible to lookups and
-    silently dropped at the next compaction; serial keying re-stamps the
-    entry and keeps it live."""
+    """Re-adding the very same entry object straight after its strict
+    delete is the strongest possible id collision (``id()`` is literally
+    equal). The re-add gets a fresh serial and is a full member: visible
+    to lookups, reads and the next delete."""
     table = FlowTable(table_id=0)
     e = _single_entry()
     table.add(e)
@@ -178,14 +188,10 @@ def test_forced_id_reuse_cannot_shadow_a_new_entry():
     assert len(table) == 0
     table.add(e)  # same object → recycled id, fresh serial
     assert len(table) == 1
-    from repro.openflow.match import PacketHeader
-
-    hdr = PacketHeader(src="a", dst="b")
-    assert table.lookup(1, 0, hdr) is e
-    table._compact()
-    assert not table._dead
+    _check_invariants(table, 0)
+    assert table.lookup(1, 0, _HDR) is e
     assert list(table) == [e]
-    assert table.lookup(1, 0, hdr) is e
+    assert table.remove(match=e.match, priority=e.priority) == 1
 
 
 def test_forced_id_reuse_in_add_batch():
@@ -195,14 +201,14 @@ def test_forced_id_reuse_in_add_batch():
     table.add_batch([e])
     assert table.remove(match=e.match, priority=e.priority) == 1
     table.add_batch([e])
-    table._compact()
+    _check_invariants(table, 0)
     assert len(table) == 1
     assert list(table) == [e]
 
 
-def test_serials_stay_monotonic_across_index_rebuilds():
-    """A wildcard delete rebuilds the index; serials must keep counting
-    upward so an old tombstone can never name a future entry."""
+def test_serials_stay_monotonic_across_wildcard_deletes():
+    """Emptying the table does not reset the mint counter: serials keep
+    counting upward for the table's lifetime."""
     table = FlowTable(table_id=0)
     for i in range(4):
         table.add(
@@ -214,10 +220,11 @@ def test_serials_stay_monotonic_across_index_rebuilds():
             )
         )
     high_water = table._next_seq
-    table.remove(cookie=3)  # wildcard path: compact + rebuild
+    assert table.remove(cookie=3) == 4  # wildcard path
     assert len(table) == 0
+    _check_invariants(table, 0)
     table.add(_single_entry())
-    assert all(e.serial >= high_water for e in table._entries)
+    assert all(e.serial >= high_water for e in table)
 
 
 def test_strict_delete_counts_match_membership():
@@ -239,11 +246,8 @@ def test_strict_delete_counts_match_membership():
 
 
 # --- strict deletes through the one index -----------------------------------
-# With the (priority, match) index gone, a strict delete finds its
-# victims through the bucket its match files under and filters there.
-
-_OUT = (ApplyActions((Output(1),)),)
-_HDR = PacketHeader(src="a", dst="b")
+# A strict delete finds its victims through the bucket its match files
+# under and filters there.
 
 
 def test_strict_delete_of_a_masked_metadata_victim():
@@ -282,16 +286,16 @@ def test_strict_delete_filters_generations_by_cookie():
         )
 
 
-def test_strict_delete_skips_an_already_tombstoned_victim():
-    """The bucket still holds a tombstoned entry until compaction; a
-    repeated delete must not count (or re-mark) it."""
+def test_repeated_strict_delete_returns_zero():
+    """A strict delete's victims are gone when it returns: repeating it
+    counts nothing."""
     table = FlowTable(table_id=0)
     e = _single_entry()
     twin = _single_entry()
     table.add(e)
     table.add(twin)
     assert table.remove(match=e.match, priority=e.priority) == 2
-    assert table._dead and len(table) == 0  # marked, not yet compacted
+    assert len(table) == 0
     assert table.remove(match=e.match, priority=e.priority) == 0
     _check_invariants(table, 0)
     table.add(_single_entry())
@@ -300,9 +304,9 @@ def test_strict_delete_skips_an_already_tombstoned_victim():
 
 
 def test_strict_delete_straight_after_restore():
-    """``restore()`` rebuilds the index from the snapshot: a strict
-    delete resolves against the restored entries at once, including
-    ones the pre-restore table had tombstoned."""
+    """``restore()`` refiles the snapshot's entries: a strict delete
+    resolves against the restored entries at once, including ones the
+    pre-restore table had deleted."""
     table = FlowTable(table_id=0)
     keep, victim = _single_entry(), FlowEntry(5, Match(in_port=2), _OUT, 11)
     table.add(keep)

@@ -1,6 +1,9 @@
 """CLI command coverage (python -m repro ...)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -337,3 +340,23 @@ def test_bench_suite_choices_track_bench_module():
         if a.dest == "suite"
     )
     assert tuple(bench.choices) == BENCH_SUITES
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    """Only the spectral comparator needs scipy; ``import repro`` must
+    not pay for it (checked in a fresh interpreter: this process may
+    already have run a spectral partition)."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    subprocess.run(
+        [
+            sys.executable, "-c",
+            "import repro.cli, sys; assert 'scipy' not in sys.modules",
+        ],
+        env=env,
+        check=True,
+        timeout=60,
+    )
