@@ -1,9 +1,16 @@
 """The discrete-event engine.
 
-A single binary heap of ``(time, seq, callback)`` entries; ``seq``
-breaks ties FIFO so same-timestamp events run in schedule order (the
-determinism every experiment here depends on). Callbacks take no
-arguments — bind state with closures or ``functools.partial``.
+Events run in ``(fire time, schedule order)`` order — same-timestamp
+events run in the order they were scheduled (the determinism every
+experiment here depends on). The queue stores that order directly: a
+binary heap of the *distinct* fire times, plus one FIFO bucket per fire
+time holding ``(callback, schedule time)`` in arrival order. Scheduling
+is a dict probe and an append (a heap push only for an instant nobody
+has scheduled at yet), and ``run`` drains one bucket per heap pop; an
+event scheduled *at the instant being drained* joins the live bucket
+and runs after everything already in it, which is where a global
+sequence number would have put it. Callbacks take no arguments — bind
+state with closures or ``functools.partial``.
 
 The engine also counts events processed, which the testbed harness uses
 as the machine-independent measure of simulation work (Table IV's
@@ -29,28 +36,41 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self.events_processed: int = 0
-        # (fire time, seq, callback, schedule time) — schedule time
-        # feeds the queue-residency histogram when telemetry is on
-        self._heap: list[tuple[float, int, Callable[[], None], float]] = []
-        self._seq = 0
+        #: heap of the distinct fire times that have a bucket
+        self._times: list[float] = []
+        # fire time -> [(callback, schedule time)] in schedule order (a
+        # list read front to back, never popped: half the cost of a
+        # deque for the one-event bucket most instants are); schedule
+        # time feeds the queue-residency histogram when telemetry is on
+        self._buckets: dict[float, list[tuple[Callable[[], None], float]]] = {}
+        self._pending = 0
         self._running = False
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` seconds from now (delay >= 0)."""
-        if delay < 0:
+        if not delay >= 0:  # NaN too: it would be a key no pop reaches
             raise SimulationError(f"negative delay {delay!r}")
-        self._seq += 1
-        heapq.heappush(
-            self._heap, (self.now + delay, self._seq, callback, self.now)
-        )
+        self._insert(self.now + delay, callback)
 
     def at(self, time: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at absolute simulated time ``time``."""
-        self.schedule(max(0.0, time - self.now), callback)
+        """Run ``callback`` at exactly simulated time ``time`` (now, if
+        that is already past)."""
+        if time != time:
+            raise SimulationError(f"event time {time!r} is not a time")
+        self._insert(max(time, self.now), callback)
+
+    def _insert(self, time: float, callback: Callable[[], None]) -> None:
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [(callback, self.now)]
+            heapq.heappush(self._times, time)
+        else:
+            bucket.append((callback, self.now))
+        self._pending += 1
 
     @property
     def pending(self) -> int:
-        return len(self._heap)
+        return self._pending
 
     def run(self, *, until: float | None = None, max_events: int | None = None) -> float:
         """Drain the event queue; returns the final simulated time.
@@ -75,26 +95,45 @@ class Simulator:
             residency_hist = reg.histogram(
                 "sdt_netsim_queue_residency_seconds"
             )
+        times, buckets = self._times, self._buckets
+        limit = max_events if max_events is not None else float("inf")
+        taken = 0  # events this call took off the queue
         try:
-            budget = max_events if max_events is not None else float("inf")
-            while self._heap:
-                time, _seq, callback, sched_at = self._heap[0]
+            while times:
+                time = times[0]
                 if until is not None and time > until:
                     self.now = until
                     break
-                if budget <= 0:
-                    raise SimulationError(
-                        f"event budget exhausted at t={self.now:.6f}s "
-                        f"({self.events_processed} events; likely livelock)"
-                    )
-                heapq.heappop(self._heap)
-                self.now = time
-                if depth_hist is not None:
-                    depth_hist.observe(len(self._heap) + 1)
-                    residency_hist.observe(time - sched_at)
-                callback()
-                self.events_processed += 1
-                budget -= 1
+                bucket = buckets[time]
+                first = taken
+                try:
+                    # the iterator sees what callbacks append to the
+                    # live bucket, so same-instant events run last
+                    for callback, sched_at in bucket:
+                        if taken >= limit:
+                            raise SimulationError(
+                                f"event budget exhausted at t={self.now:.6f}s "
+                                f"({self.events_processed} events; likely livelock)"
+                            )
+                        taken += 1
+                        self.now = time
+                        if depth_hist is not None:
+                            depth_hist.observe(self._pending)
+                            residency_hist.observe(time - sched_at)
+                        self._pending -= 1
+                        callback()
+                        self.events_processed += 1
+                finally:
+                    # nothing a callback schedules fires before ``time``,
+                    # so it is still the heap's top; a bucket cut short
+                    # (the budget, a raising callback) keeps what it has
+                    # left for the next run()
+                    done = taken - first
+                    if done == len(bucket):
+                        heapq.heappop(times)
+                        del buckets[time]
+                    else:
+                        del bucket[:done]
             return self.now
         finally:
             self._running = False

@@ -31,7 +31,7 @@ from repro.netsim.packet import Packet
 from repro.netsim.port import PortConfig
 from repro.routing.table import RouteTable
 from repro.topology.graph import Topology
-from repro.util.errors import SimulationError
+from repro.util.errors import RoutingError, SimulationError
 from repro.util.rng import make_rng
 from repro.util.units import NANOSECONDS, gbps
 
@@ -146,7 +146,7 @@ def build_logical_network(
     def forward(name: str, in_port: int, packet: Packet):
         try:
             hop = routes.next_hop(name, packet.header.dst, packet.header.vc)
-        except Exception:
+        except RoutingError:
             return None  # unroutable -> drop (table miss)
         return (hop.port.index + 1, hop.vc, hop.vc)
 

@@ -60,24 +60,29 @@ class Node:
         if in_port == 0:
             return None  # locally generated (host injection)
         key = (in_port, queue)
-        self._ingress_bytes[key] = self._ingress_bytes.get(key, 0) + packet.size
-        cfg = self.ports[in_port].config if in_port in self.ports else None
-        if cfg is not None and cfg.pfc_enabled:
-            if (
-                self._ingress_bytes[key] > cfg.xoff_bytes
-                and not self._ingress_paused.get(key, False)
-            ):
-                self._ingress_paused[key] = True
-                self._send_pfc(in_port, queue, pause=True)
+        size = packet.size
+        ingress = self._ingress_bytes
+        paused = self._ingress_paused
+        charged = ingress[key] = ingress.get(key, 0) + size
+        port = self.ports.get(in_port)
+        cfg = port.config if port is not None else None
+        if (
+            cfg is not None
+            and cfg.pfc_enabled
+            and charged > cfg.xoff_bytes
+            and not paused.get(key, False)
+        ):
+            paused[key] = True
+            self._send_pfc(in_port, queue, pause=True)
 
         def release() -> None:
-            self._ingress_bytes[key] -= packet.size
+            left = ingress[key] = ingress[key] - size
             if (
-                self._ingress_paused.get(key, False)
-                and cfg is not None
-                and self._ingress_bytes[key] <= cfg.xon_bytes
+                cfg is not None
+                and left <= cfg.xon_bytes
+                and paused.get(key, False)
             ):
-                self._ingress_paused[key] = False
+                paused[key] = False
                 self._send_pfc(in_port, queue, pause=False)
 
         return release
@@ -146,14 +151,17 @@ class SwitchNode(Node):
         self.forwarded += 1
         release = self._charge_ingress(in_port, arrival_vc, packet)
         delay = self.proc_delay + self.extra_delay
+        schedule = self.sim.schedule
 
         if self.detail_flit_bytes:
             # detailed-simulator mode: per-flit router-pipeline events
-            # (route compute / VC alloc / switch alloc / traversal)
+            # (route compute / VC alloc / switch alloc / traversal),
+            # each its own scheduled event — their cost is what this
+            # mode exists to pay
             for _ in range(max(1, packet.size // self.detail_flit_bytes)):
-                self.sim.schedule(delay, _detail_noop)
+                schedule(delay, _detail_noop)
 
-        self.sim.schedule(delay, lambda: out.enqueue(packet, queue, release))
+        schedule(delay, lambda: out.enqueue(packet, queue, release))
 
 
 def _detail_noop() -> None:

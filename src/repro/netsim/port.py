@@ -109,22 +109,24 @@ class OutPort:
         (lossy mode only). ``ingress_release`` is called when the packet
         leaves this node (PFC ingress accounting)."""
         cfg = self.config
-        q = min(queue, cfg.num_queues - 1)
-        if not cfg.pfc_enabled and self.qbytes[q] + packet.size > cfg.buffer_bytes:
+        q = queue if queue < cfg.num_queues else cfg.num_queues - 1
+        qbytes = self.qbytes
+        occ = qbytes[q]
+        size = packet.size
+        if not cfg.pfc_enabled and occ + size > cfg.buffer_bytes:
             self.drops += 1
             if ingress_release is not None:
                 ingress_release()
             return False
-        if cfg.ecn_enabled and packet.kind == "data":
-            occ = self.qbytes[q]
-            if occ > cfg.ecn_kmin:
-                span = max(1, cfg.ecn_kmax - cfg.ecn_kmin)
-                p = min(1.0, (occ - cfg.ecn_kmin) / span) * cfg.ecn_pmax
-                if occ >= cfg.ecn_kmax or self._rng.random() < p:
-                    packet.ecn_ce = True
+        if occ > cfg.ecn_kmin and cfg.ecn_enabled and packet.kind == "data":
+            span = max(1, cfg.ecn_kmax - cfg.ecn_kmin)
+            p = min(1.0, (occ - cfg.ecn_kmin) / span) * cfg.ecn_pmax
+            if occ >= cfg.ecn_kmax or self._rng.random() < p:
+                packet.ecn_ce = True
         self.queues[q].append((packet, ingress_release))
-        self.qbytes[q] += packet.size
-        self.try_send()
+        qbytes[q] = occ + size
+        if not self.busy:
+            self.try_send()
         return True
 
     # --- PFC ----------------------------------------------------------------
@@ -139,19 +141,13 @@ class OutPort:
 
     # --- transmit loop --------------------------------------------------------
     def _pick_queue(self) -> int | None:
-        """Pick the next queue to serve.
-
-        Strict mode: highest index first (control rides 7). DWRR mode:
-        deficit-weighted round robin — each eligible queue earns
-        ``weight x quantum`` credit per visit and transmits while its
-        head packet fits the accumulated deficit, giving long-run
-        bandwidth shares proportional to the weights."""
+        """Pick the next queue to serve under DWRR (the strict-priority
+        scan lives in :meth:`try_send`): deficit-weighted round robin —
+        each eligible queue earns ``weight x quantum`` credit per visit
+        and transmits while its head packet fits the accumulated
+        deficit, giving long-run bandwidth shares proportional to the
+        weights."""
         cfg = self.config
-        if cfg.scheduler == "strict":
-            for q in range(cfg.num_queues - 1, -1, -1):
-                if self.queues[q] and not self.paused[q]:
-                    return q
-            return None
         # DWRR: stay on the current queue while its deficit covers the
         # head packet; on moving to a new eligible queue, grant it one
         # weight x quantum credit (the classic per-visit grant).
@@ -189,28 +185,43 @@ class OutPort:
         return min(eligible)
 
     def try_send(self) -> None:
-        if self.busy or self.peer is None:
+        peer = self.peer
+        if self.busy or peer is None:
             return
-        q = self._pick_queue()
-        if q is None:
-            return
-        packet, ingress_release = self.queues[q].popleft()
-        self.qbytes[q] -= packet.size
-        if not self.queues[q]:
+        cfg = self.config
+        queues = self.queues
+        if cfg.scheduler == "strict":
+            # highest index first (control rides 7)
+            paused = self.paused
+            for q in range(cfg.num_queues - 1, -1, -1):
+                if queues[q] and not paused[q]:
+                    break
+            else:
+                return
+        else:
+            q = self._pick_queue()
+            if q is None:
+                return
+        queue = queues[q]
+        packet, ingress_release = queue.popleft()
+        size = packet.size
+        self.qbytes[q] -= size
+        if not queue:
             self._deficit[q] = 0  # classic DWRR: empty queues hoard nothing
         self.busy = True
-        cfg = self.config
-        ser = packet.size / cfg.rate
+        rate = cfg.rate
+        ser = size / rate
+        schedule = self.sim.schedule
 
         def tx_done() -> None:
             self.busy = False
-            self.tx_bytes += packet.size
+            self.tx_bytes += size
             self.tx_packets += 1
             if ingress_release is not None:
                 ingress_release()
             self.try_send()
 
-        self.sim.schedule(ser, tx_done)
+        schedule(ser, tx_done)
 
         # wire loss (link-quality model): the transmitter pays the full
         # serialization either way, but a lost packet never arrives.
@@ -223,16 +234,16 @@ class OutPort:
         # arrival at the peer: cut-through forwards after the header —
         # but hosts consume whole packets, so delivery to a host is
         # always at the tail (a message isn't complete at its header)
-        peer_is_host = getattr(self.peer, "is_host", False)
-        if cfg.cut_through and not peer_is_host:
-            lead = min(ser, cfg.header_bytes / cfg.rate)
-        else:
-            lead = ser
-        delay = lead + cfg.prop_delay
+        delay = ser
+        if cfg.cut_through and not peer.is_host:
+            head = cfg.header_bytes / rate
+            if head < ser:
+                delay = head
+        delay += cfg.prop_delay
         if cfg.jitter > 0.0:
             delay += cfg.jitter * self._rng.random()
-        peer, peer_port = self.peer, self.peer_port
-        self.sim.schedule(delay, lambda: peer.receive(peer_port, packet))
+        peer_port = self.peer_port
+        schedule(delay, lambda: peer.receive(peer_port, packet))
 
     # --- introspection -----------------------------------------------------
     @property

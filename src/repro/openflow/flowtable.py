@@ -33,6 +33,15 @@ empties. A strict delete (priority + match given) finds its victims
 through the index too — the match's own ``(shape, key)`` names the one
 bucket, or the fallback list, that can hold them — so it costs
 O(bucket), not O(table).
+
+Every membership change also bumps the table's **mutation epoch**, a
+one-element list (``_epoch``) that anything memoising over
+:meth:`FlowTable.lookup` results compares against. Every write path
+ends in :meth:`~FlowTable.add_batch`, ``_unfile`` or
+:meth:`~FlowTable.clear`, so those three bump it and nothing else
+needs to. An :class:`~repro.openflow.switch.OpenFlowSwitch` makes its
+tables share one cell, so one comparison tells it whether *any* of
+them changed — however the change arrived.
 """
 
 from __future__ import annotations
@@ -154,6 +163,11 @@ class FlowTable:
     _wild: list[FlowEntry] = field(init=False, repr=False, default_factory=list)
     #: next serial to stamp (monotonic for the table's lifetime)
     _next_seq: int = field(init=False, repr=False, default=0)
+    #: mutation epoch cell: ``_epoch[0]`` grows on every membership
+    #: change; the owning switch swaps in a cell shared by its tables
+    _epoch: list[int] = field(
+        init=False, repr=False, compare=False, default_factory=lambda: [0]
+    )
 
     # --- mutation ------------------------------------------------------
     def add(self, entry: FlowEntry) -> None:
@@ -177,6 +191,7 @@ class FlowTable:
         (:meth:`OpenFlowSwitch.add_flow_batch` passes a rule set's);
         entries beyond ``keys`` have theirs derived from the match."""
         batch = list(entries)
+        self._epoch[0] += 1
         store = self._store
         shapes = self._shapes
         wild = self._wild
@@ -232,6 +247,7 @@ class FlowTable:
 
     def _unfile(self, entry: FlowEntry) -> None:
         """Take one member out of the store and out of its bucket."""
+        self._epoch[0] += 1
         del self._store[entry.serial]
         sk = _shape_key(entry.match)
         if sk is None:
@@ -249,6 +265,7 @@ class FlowTable:
 
     def clear(self) -> int:
         n = len(self)
+        self._epoch[0] += 1
         self._store.clear()
         self._shapes.clear()
         self._wild.clear()

@@ -135,6 +135,18 @@ class OpenFlowSwitch:
         self.num_ports = num_ports
         self.flow_table_capacity = flow_table_capacity
         self.tables = [FlowTable(i) for i in range(num_tables)]
+        # one mutation-epoch cell for all tables: any membership change,
+        # however it reaches a table, shows as one changed integer
+        self._epoch = [0]
+        for table in self.tables:
+            table._epoch = self._epoch
+        # forwarding memo: (in_port, header) -> (decision, entries hit),
+        # valid while the epoch equals ``_decisions_epoch``
+        self._decisions: dict[
+            tuple[int, PacketHeader],
+            tuple[ForwardDecision, tuple[FlowEntry, ...]],
+        ] = {}
+        self._decisions_epoch = 0
         self.groups: dict[int, GroupEntry] = {}
         # instruction tuples already validated for a given table —
         # synthesis pools identical tuples across rules, so a bulk
@@ -407,25 +419,67 @@ class OpenFlowSwitch:
     def forward(
         self, in_port: int, header: PacketHeader, nbytes: int = 0
     ) -> ForwardDecision:
-        """Run one packet through the pipeline; updates counters."""
+        """Run one packet through the pipeline; updates counters.
+
+        Between table mutations the pipeline's outcome is a pure
+        function of ``(in_port, header)``, so it is memoised: a repeat
+        packet replays the side effects of its first walk — the rx/tx
+        port counters and each hit entry's packet/byte counts — and
+        touches no table. The memo is dropped whenever the tables'
+        shared mutation epoch has moved (see :mod:`.flowtable`), and an
+        outcome is never stored if the walk ended in a table miss (the
+        miss counter and ``switch.packet_in`` must fire per packet) or
+        met a ``Group`` action (group membership changes without
+        touching a table). Like ``_instr_ok`` it stops growing at a
+        fixed size."""
         if not 1 <= in_port <= self.num_ports:
             raise SimulationError(
                 f"switch {self.dpid}: packet on bad port {in_port}"
             )
-        self.port_stats[in_port].rx_packets += 1
-        self.port_stats[in_port].rx_bytes += nbytes
+        port_stats = self.port_stats
+        stats = port_stats[in_port]
+        stats.rx_packets += 1
+        stats.rx_bytes += nbytes
 
+        if self._decisions_epoch != self._epoch[0]:
+            self._decisions.clear()
+            self._decisions_epoch = self._epoch[0]
+        memo = self._decisions.get((in_port, header))
+        if memo is not None:
+            decision, hits = memo
+            for entry in hits:
+                entry.hit(nbytes)
+        else:
+            decision, hits = self._walk(in_port, header, nbytes)
+            if hits is not None and len(self._decisions) < 65536:
+                self._decisions[in_port, header] = decision, hits
+        for p in decision.out_ports:
+            stats = port_stats[p]
+            stats.tx_packets += 1
+            stats.tx_bytes += nbytes
+        return decision
+
+    def _walk(
+        self, in_port: int, header: PacketHeader, nbytes: int
+    ) -> tuple[ForwardDecision, tuple[FlowEntry, ...] | None]:
+        """The pipeline walk behind :meth:`forward`: bumps the counters
+        of the entries it hits and returns the decision plus those
+        entries — or ``None`` in their place when the outcome may not
+        be memoised (a table miss, a ``Group`` action)."""
         metadata = 0
         queue = 0
         vc: int | None = None
         out_ports: list[int] = []
         matched: list[int] = []
+        hits: list[FlowEntry] = []
+        reusable = True
         table_id = 0
         hdr = header
         while True:
             entry = self.tables[table_id].lookup(in_port, metadata, hdr)
             if entry is None:
                 # table miss => drop (default-deny isolation)
+                reusable = False
                 tracer = trace.active_tracer()
                 if tracer is not None:
                     metrics.registry().counter(
@@ -443,6 +497,7 @@ class OpenFlowSwitch:
                         )
                 break
             entry.hit(nbytes)
+            hits.append(entry)
             matched.append(table_id)
             next_table: int | None = None
             for ins in entry.instructions:
@@ -455,6 +510,7 @@ class OpenFlowSwitch:
                         if isinstance(a, Output):
                             out_ports.append(a.port)
                         elif isinstance(a, Group):
+                            reusable = False
                             group_entry = self.groups.get(a.group_id)
                             if group_entry is None:
                                 continue  # group removed: act like drop
@@ -484,15 +540,13 @@ class OpenFlowSwitch:
                 break
             table_id = next_table
 
-        for p in out_ports:
-            self.port_stats[p].tx_packets += 1
-            self.port_stats[p].tx_bytes += nbytes
-        return ForwardDecision(
+        decision = ForwardDecision(
             out_ports=tuple(out_ports),
             queue=queue,
             vc=vc,
             matched_tables=tuple(matched),
         )
+        return decision, tuple(hits) if reusable else None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -58,6 +58,30 @@ def test_negative_delay_rejected():
         sim.schedule(-1, lambda: None)
 
 
+def test_nan_delay_rejected():
+    """NaN passes a ``delay < 0`` test; queued, it would poison the
+    order of everything behind it."""
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        sim.at(float("nan"), lambda: None)
+    assert sim.pending == 0
+
+
+def test_at_fires_at_exactly_the_time_given():
+    """``now + (t - now)`` is not always ``t``; ``at(t)`` must be."""
+    start, target = 0.000992951788610287, 0.10274852528222143
+    assert start + (target - start) != target  # the case worth testing
+    sim = Simulator()
+    hit = []
+    sim.schedule(start, lambda: sim.at(target, lambda: hit.append(sim.now)))
+    # an event scheduled for the same instant by delay shares its bucket
+    sim.at(target, lambda: hit.append("first"))
+    sim.run()
+    assert hit == ["first", target]
+
+
 def test_at_absolute_time():
     sim = Simulator()
     hit = []

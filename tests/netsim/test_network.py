@@ -130,3 +130,37 @@ def test_network_config_knobs_applied(chain8):
     some_port = next(iter(net.switches["s0"].ports.values()))
     assert not some_port.config.pfc_enabled
     assert not some_port.config.cut_through
+
+
+def _inject(net, src, dst):
+    from repro.netsim.packet import Packet
+    from repro.openflow.match import PacketHeader
+
+    net.hosts[src].inject(
+        Packet(header=PacketHeader(src=src, dst=dst, proto="roce"), size=256), 0
+    )
+
+
+def test_unroutable_packet_is_dropped_and_counted(chain8):
+    net = build_logical_network(chain8, routes_for(chain8))
+    _inject(net, "h0", "ghost")
+    net.sim.run()
+    assert net.switches["s0"].dropped == 1
+    assert net.switches["s0"].forwarded == 0
+
+
+def test_forwarder_bug_is_not_mistaken_for_a_table_miss(chain8, monkeypatch):
+    """Only RoutingError means "no route"; anything else raised while
+    resolving the next hop is a bug on the reference arm and must
+    surface, not turn into silent loss."""
+    routes = routes_for(chain8)
+
+    def broken(switch, dst, in_vc=0):
+        raise ZeroDivisionError("bug in next_hop")
+
+    monkeypatch.setattr(routes, "next_hop", broken)
+    net = build_logical_network(chain8, routes)
+    _inject(net, "h0", "h7")
+    with pytest.raises(ZeroDivisionError, match="bug in next_hop"):
+        net.sim.run()
+    assert net.switches["s0"].dropped == 0
