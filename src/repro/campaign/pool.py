@@ -3,14 +3,20 @@
 ``concurrent.futures.ProcessPoolExecutor`` is the wrong tool here: one
 SIGKILLed worker raises ``BrokenProcessPool`` and abandons every
 pending future, which would abort a 1000-cell sweep because one cell
-segfaulted. This pool instead gives each worker its **own** task queue
-and assigns one cell at a time, so the parent always knows exactly
+segfaulted. This pool instead gives each worker its **own** duplex
+pipe and assigns one cell at a time, so the parent always knows exactly
 which cell a dead worker was holding: that cell is recorded as failed
 (never silently retried — it might be the poison) and a replacement
 worker is spawned to keep the sweep's parallelism.
 
+Nothing is shared between workers: a worker killed at any instant —
+mid-cell, mid-way through writing its result — can only break its own
+pipe, which the parent reads as end-of-file. (A result queue shared by
+all workers cannot promise that: a worker killed while holding the
+queue's write lock blocks every other worker's ``put`` forever.)
+
 Workers receive the *spec* (a plain dict) and re-expand it locally, so
-nothing richer than ints and dicts ever crosses a queue — the same
+nothing richer than ints and dicts ever crosses a pipe — the same
 trick :mod:`repro.core.rules` plays for sharded compilation.
 
 Chaos hooks (used by the chaos tests, honored in workers only):
@@ -25,17 +31,13 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue as queue_mod
 import signal
 import traceback
 from collections import deque
+from multiprocessing.connection import Connection, wait
 from typing import Iterator
 
 from repro.campaign.spec import CampaignCell
-
-#: how long the parent waits on the result queue before checking worker
-#: liveness (wall-clock only; never surfaces in results)
-_POLL_INTERVAL = 0.2
 
 
 def failure_record(cell: CampaignCell, error: str) -> dict:
@@ -66,33 +68,48 @@ def safe_run(cell: CampaignCell) -> dict:
         return failure_record(cell, f"{type(exc).__name__}: {exc} ({detail})")
 
 
-def _worker_main(spec_dict: dict, task_q, result_q) -> None:
+def _worker_main(spec_dict: dict, conn: Connection) -> None:
     from repro.campaign.spec import CampaignSpec
 
     cells = CampaignSpec.from_dict(spec_dict).expand()
     chaos_kill = os.environ.get("SDT_CAMPAIGN_CHAOS_KILL", "")
     while True:
-        index = task_q.get()
+        index = conn.recv()
         if index is None:
             return
         cell = cells[index]
         if chaos_kill and cell.cell_id == chaos_kill:
             os.kill(os.getpid(), signal.SIGKILL)
-        result_q.put((os.getpid(), index, safe_run(cell)))
+        conn.send(safe_run(cell))
 
 
 class _Worker:
-    __slots__ = ("proc", "task_q", "current")
+    __slots__ = ("proc", "conn", "current")
 
-    def __init__(self, ctx, spec_dict: dict, result_q) -> None:
-        self.task_q = ctx.Queue()
+    def __init__(self, ctx, spec_dict: dict) -> None:
+        self.conn, child_conn = ctx.Pipe()
         self.current: int | None = None
         self.proc = ctx.Process(
-            target=_worker_main,
-            args=(spec_dict, self.task_q, result_q),
-            daemon=True,
+            target=_worker_main, args=(spec_dict, child_conn), daemon=True
         )
         self.proc.start()
+        # the worker holds the only other end: its death is our EOF
+        child_conn.close()
+
+    def send(self, message: int | None) -> None:
+        try:
+            self.conn.send(message)
+        except OSError:
+            pass  # already dead: its sentinel reports it
+
+    def result(self) -> dict | None:
+        """The finished cell's record; None when the worker died with
+        the cell (nothing, or only part of a record, in its pipe)."""
+        try:
+            # poll() is true at end-of-file too; recv() then raises
+            return self.conn.recv() if self.conn.poll() else None
+        except (EOFError, OSError):
+            return None
 
 
 class CampaignPool:
@@ -113,70 +130,50 @@ class CampaignPool:
         """Yield ``(cell index, record)`` as cells finish (any order)."""
         by_index = {cell.index: cell for cell in cells}
         pending = deque(cell.index for cell in cells)
-        done: set[int] = set()
-        result_q = self._ctx.Queue()
         workers = [
-            _Worker(self._ctx, self._spec_dict, result_q)
+            _Worker(self._ctx, self._spec_dict)
             for _ in range(min(self._num_workers, max(1, len(pending))))
         ]
-        outstanding = 0
         try:
-            while pending or outstanding:
-                # hand a cell to every idle live worker
-                for worker in workers:
-                    if (
-                        pending
-                        and worker.current is None
-                        and worker.proc.is_alive()
-                    ):
-                        index = pending.popleft()
-                        worker.current = index
-                        worker.task_q.put(index)
-                        outstanding += 1
-                try:
-                    _pid, index, record = result_q.get(
-                        timeout=_POLL_INTERVAL
-                    )
-                except queue_mod.Empty:
-                    # no result: check for workers that died mid-cell
-                    for i, worker in enumerate(workers):
-                        if worker.proc.is_alive():
-                            continue
-                        if worker.current is not None:
-                            self.workers_died += 1
-                            dead_index = worker.current
-                            worker.current = None
-                            outstanding -= 1
-                            if dead_index not in done:
-                                done.add(dead_index)
-                                yield (
-                                    dead_index,
-                                    failure_record(
-                                        by_index[dead_index],
-                                        "worker died mid-cell",
-                                    ),
-                                )
-                        if pending or outstanding:
-                            workers[i] = _Worker(
-                                self._ctx, self._spec_dict, result_q
+            while True:
+                # hand a cell to every idle worker, replacing dead ones
+                for i, worker in enumerate(workers):
+                    if pending and worker.current is None:
+                        if not worker.proc.is_alive():
+                            worker.conn.close()
+                            worker = workers[i] = _Worker(
+                                self._ctx, self._spec_dict
                             )
-                    continue
-                owner = next(
-                    (w for w in workers if w.current == index), None
+                        worker.current = pending.popleft()
+                        worker.send(worker.current)
+                busy = [w for w in workers if w.current is not None]
+                if not busy:
+                    return
+                ready = set(
+                    wait([x for w in busy for x in (w.conn, w.proc.sentinel)])
                 )
-                if owner is not None:
-                    # a dead worker's queued result can arrive after its
-                    # cell was failure-marked; only live ownership counts
-                    owner.current = None
-                    outstanding -= 1
-                if index not in done:
-                    done.add(index)
+                for worker in busy:
+                    if ready.isdisjoint((worker.conn, worker.proc.sentinel)):
+                        continue
+                    index, worker.current = worker.current, None
+                    record = worker.result()
+                    if record is None:
+                        # its pipe is closed or cut short, yet the
+                        # process may still be exiting: reap it, so the
+                        # next hand-out sees it dead and replaces it
+                        worker.proc.kill()
+                        worker.proc.join()
+                        self.workers_died += 1
+                        record = failure_record(
+                            by_index[index], "worker died mid-cell"
+                        )
                     yield (index, record)
         finally:
             for worker in workers:
                 if worker.proc.is_alive():
-                    worker.task_q.put(None)
+                    worker.send(None)
             for worker in workers:
                 worker.proc.join(timeout=2.0)
                 if worker.proc.is_alive():  # pragma: no cover - stuck worker
                     worker.proc.terminate()
+                worker.conn.close()

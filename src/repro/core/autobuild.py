@@ -21,7 +21,6 @@ def build_cluster_for(
     num_switches: int,
     spec: SwitchSpec,
     *,
-    partition_method: str = "multilevel",
     seed: int = 0,
     spare_hosts: int = 0,
     usages: list | None = None,
@@ -37,7 +36,6 @@ def build_cluster_for(
     budget = plan_inter_switch_reservation(
         topologies,
         num_switches,
-        partition_method=partition_method,
         seed=seed,
         usages=usages,
     )

@@ -64,7 +64,12 @@ from repro.core.controller.config import TopologyConfig
 from repro.core.controller.monitor import NetworkMonitor
 from repro.core.projection.base import ProjectionResult
 from repro.core.projection.delta import project_delta
-from repro.core.projection.hybrid import HybridLinkProjection, HybridPlan
+from repro.core.projection.hybrid import (
+    HybridLinkProjection,
+    HybridPlan,
+    live_circuits,
+    release_circuits,
+)
 from repro.core.projection.linkproj import LinkProjection
 from repro.core.projection.pruning import route_usage
 from repro.core.rules import (
@@ -264,7 +269,6 @@ class SDTController:
     """Drives one physical cluster; owns deployments and their resources."""
 
     cluster: PhysicalCluster
-    partition_method: str = "multilevel"
     seed: int = 0
     #: part→physical-switch placement policy: "fixed" keeps the pool's
     #: wiring order (part i on switch i, the paper's layout);
@@ -441,7 +445,6 @@ class SDTController:
             )
         return LinkProjection(
             self.cluster,
-            partition_method=self.partition_method,
             seed=self.seed,
             exclude=excl,
             metadata_base=self._next_metadata,
@@ -548,24 +551,16 @@ class SDTController:
             if active_hosts is not None
             else None
         )
-        hybrid_plan = None
-        optical_time = 0.0
-        if self.optical is not None:
-            hybrid = HybridLinkProjection(
-                self.cluster,
-                self.optical,
-                partition_method=self.partition_method,
-                seed=self.seed,
-                exclude=self._occupied() if exclude is None else exclude,
-                metadata_base=self._next_metadata,
-            )
-            projection, hybrid_plan, optical_time = _stage(
-                "projection.project", hybrid.project, topology, usage=usage
+        hybrid_plan, optical_time = None, 0.0
+        projector = self._projector(exclude)
+        if self.optical is None:
+            projection = _stage(
+                "projection.project", projector.project, topology, usage=usage
             )
         else:
-            projection = _stage(
+            projection, hybrid_plan, optical_time = _stage(
                 "projection.project",
-                self._projector(exclude).project,
+                HybridLinkProjection(projector, self.optical).project,
                 topology,
                 usage=usage,
             )
@@ -606,15 +601,11 @@ class SDTController:
         """Tear down a deployment's flex circuits; returns optical time."""
         if plan is None or self.optical is None:
             return 0.0
-        return HybridLinkProjection(self.cluster, self.optical).release(plan)
+        return release_circuits(self.optical, plan)
 
     def _ocs_circuits(self) -> list[tuple[int, int]] | None:
         """The OCS crossbar state, for restore-on-failure."""
-        if self.optical is None:
-            return None
-        return sorted(
-            {(min(a, b), max(a, b)) for a, b in self.optical.circuits.items()}
-        )
+        return None if self.optical is None else live_circuits(self.optical)
 
     def _restore_ocs(self, circuits: list[tuple[int, int]] | None) -> None:
         """Reprogram the OCS back to a prior :meth:`_ocs_circuits` state
@@ -951,12 +942,7 @@ class SDTController:
         # of record: seed the cache so a later check/deploy of this
         # same topology hits instead of re-running the multilevel
         # partitioner from scratch
-        self.partition_cache.seed(
-            topology,
-            partition,
-            method=self.partition_method,
-            seed=self.seed,
-        )
+        self.partition_cache.seed(topology, partition, seed=self.seed)
         self._next_metadata += len(diff.added_switches)
         old.config = cfg
         old.topology = topology

@@ -19,20 +19,21 @@ The result is a complete, validated :class:`ProjectionResult` for the
 *new* topology in which every untouched sub-switch projects to exactly
 the same physical ports as before — which is what lets cached rule
 synthesis hit and delta staging push O(changed links) messages.
+
+The allocation itself is
+:func:`~repro.core.projection.linkproj.realize` — the routine a cold
+projection runs from the empty projection; this module adds only the
+preconditions that make its output placement-stable.
 """
 
 from __future__ import annotations
 
-from repro.core.projection.base import (
-    PhysPort,
-    ProjectionResult,
-    SubSwitch,
-)
+from repro.core.projection.base import ProjectionResult
+from repro.core.projection.linkproj import realize, require_projectable
 from repro.hardware.cluster import PhysicalCluster
 from repro.partition.objective import Partition
-from repro.topology.diff import link_key
 from repro.topology.graph import Topology
-from repro.util.errors import CapacityError, ProjectionError
+from repro.util.errors import ProjectionError
 
 
 def project_delta(
@@ -60,13 +61,7 @@ def project_delta(
         raise ProjectionError(
             "cannot incrementally edit a route-usage-pruned projection"
         )
-    new_topology.validate()
-    for h in new_topology.hosts:
-        if new_topology.radix(h) > 1:
-            raise ProjectionError(
-                f"host {h!r} is multi-homed ({new_topology.radix(h)} NICs); "
-                "projection currently supports single-homed hosts"
-            )
+    require_projectable(new_topology)
     for sw in new_topology.switches:
         if sw in old.partition.assignment:
             if partition.part_of(sw) != old.partition.part_of(sw):
@@ -74,130 +69,11 @@ def project_delta(
                     f"incremental partition moved surviving switch {sw!r}; "
                     "placement stability requires it to keep its part"
                 )
-
-    exclude = exclude or set()
-    names = cluster.switch_names
-    wiring = cluster.wiring
-    part_to_phys = dict(old.part_to_phys)
-
-    old_links = {link_key(*l.endpoints): l for l in old.topology.links}
-    surviving: dict[int, object] = {}  # new link index -> old realization
-    for link in new_topology.links:
-        old_link = old_links.get(link_key(*link.endpoints))
-        if old_link is not None:
-            surviving[link.index] = old.link_realization[old_link.index]
-    kept = set(surviving.values())
-
-    def free(items: list) -> list:
-        return [i for i in items if i not in exclude and i not in kept]
-
-    self_pool = {n: free(wiring.self_links_of(n)) for n in names}
-    inter_pool = {
-        (a, b): free(wiring.inter_links_between(a, b))
-        for i, a in enumerate(names)
-        for b in names[i + 1 :]
-    }
-    host_pool = {n: free(wiring.hosts_of(n)) for n in names}
-
-    next_meta = metadata_base
-    subswitches: dict[str, SubSwitch] = {}
-    for sw in new_topology.switches:
-        old_sub = old.subswitches.get(sw)
-        if old_sub is not None:
-            meta = old_sub.metadata_id
-        else:
-            meta = next_meta
-            next_meta += 1
-        subswitches[sw] = SubSwitch(
-            logical_switch=sw,
-            phys_switch=part_to_phys[partition.part_of(sw)],
-            metadata_id=meta,
-        )
-
-    port_map: dict = {}
-    host_map: dict[str, str] = {}
-    link_realization: dict = {}
-
-    def bind(logical_port, phys_port: PhysPort) -> None:
-        port_map[logical_port] = phys_port
-        subswitches[logical_port.node].ports[logical_port.index] = phys_port
-
-    for link in new_topology.switch_links:
-        keep = surviving.get(link.index)
-        if keep is not None:
-            # stability: rebind the (possibly renumbered) new ports to
-            # the exact physical ports the old projection used
-            old_link = old_links[link_key(*link.endpoints)]
-            for node in link.endpoints:
-                bind(
-                    link.port_on(node),
-                    old.port_map[old_link.port_on(node)],
-                )
-            link_realization[link.index] = keep
-            continue
-        pa = partition.part_of(link.a.node)
-        pb = partition.part_of(link.b.node)
-        if pa == pb:
-            phys = part_to_phys[pa]
-            if not self_pool[phys]:
-                raise CapacityError(
-                    f"{phys}: ran out of self-links for added link "
-                    f"{link.a.node!r}--{link.b.node!r}"
-                )
-            cable = self_pool[phys].pop(0)
-            bind(link.a, PhysPort(phys, cable.port_a))
-            bind(link.b, PhysPort(phys, cable.port_b))
-            link_realization[link.index] = cable
-        else:
-            a_name, b_name = part_to_phys[pa], part_to_phys[pb]
-            key = (
-                (a_name, b_name)
-                if (a_name, b_name) in inter_pool
-                else (b_name, a_name)
-            )
-            pool = inter_pool.get(key, [])
-            if not pool:
-                raise CapacityError(
-                    f"{a_name}<->{b_name}: ran out of inter-switch links "
-                    f"for added link {link.a.node!r}--{link.b.node!r}"
-                )
-            cable = pool.pop(0)
-            bind(link.a, PhysPort(a_name, cable.endpoint_on(a_name)))
-            bind(link.b, PhysPort(b_name, cable.endpoint_on(b_name)))
-            link_realization[link.index] = cable
-
-    for link in new_topology.host_links:
-        if new_topology.is_switch(link.a.node):
-            sw_port, host_end = link.a, link.b
-        else:
-            sw_port, host_end = link.b, link.a
-        host = host_end.node
-        keep = surviving.get(link.index)
-        if keep is not None:
-            old_link = old_links[link_key(*link.endpoints)]
-            bind(sw_port, old.port_map[old_link.port_on(sw_port.node)])
-            host_map[host] = keep.host  # type: ignore[attr-defined]
-            link_realization[link.index] = keep
-            continue
-        phys = part_to_phys[partition.part_of(sw_port.node)]
-        if not host_pool[phys]:
-            raise CapacityError(
-                f"{phys}: ran out of host ports for added host {host!r}"
-            )
-        hp = host_pool[phys].pop(0)
-        bind(sw_port, PhysPort(phys, hp.port))
-        host_map[host] = hp.host
-        link_realization[link.index] = hp
-
-    result = ProjectionResult(
-        topology=new_topology,
-        partition=partition,
-        part_to_phys=part_to_phys,
-        subswitches=subswitches,
-        port_map=port_map,
-        host_map=host_map,
-        link_realization=link_realization,
-        usage=None,
+    return realize(
+        cluster.wiring,
+        old,
+        new_topology,
+        partition,
+        exclude=exclude or set(),
+        metadata_base=metadata_base,
     )
-    result.validate()
-    return result

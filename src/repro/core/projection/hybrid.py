@@ -11,29 +11,29 @@ link (ends on different switches) in ~tens of milliseconds.
 :class:`HybridLinkProjection` wraps the plain
 :class:`~repro.core.projection.linkproj.LinkProjection`:
 
-1. run the normal feasibility check against the fixed wiring;
+1. partition through the wrapped projector (its placement order,
+   partition cache and exclusions apply unchanged) and read its deficit
+   ledger against the fixed wiring;
 2. convert every self-link / inter-switch-link deficit into flex-port
    circuits (host-port deficits cannot be fixed optically and still
    fail);
-3. project against the augmented wiring and report the optical
-   reconfiguration time alongside the result.
+3. have the wrapped projector allocate against the augmented wiring and
+   report the optical reconfiguration time alongside the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.projection.base import (
-    ProjectionResult,
-    host_port_demand,
-    inter_switch_link_demand,
-    self_link_demand,
+from repro.core.projection.base import ProjectionResult
+from repro.core.projection.linkproj import (
+    HOST_PORTS,
+    SELF_LINKS,
+    LinkProjection,
 )
-from repro.core.projection.linkproj import LinkProjection
-from repro.hardware.cluster import PhysicalCluster
 from repro.hardware.optical import OpticalCircuitSwitch
 from repro.hardware.wiring import FlexPort, InterSwitchLink, SelfLink
-from repro.partition import Partition, partition_topology
+from repro.partition import Partition
 from repro.topology.graph import Topology
 from repro.util.errors import CapacityError
 
@@ -51,34 +51,40 @@ class HybridPlan:
         return len(self.extra_self_links) + len(self.extra_inter_links)
 
 
+def live_circuits(optical: OpticalCircuitSwitch) -> list[tuple[int, int]]:
+    """The OCS crossbar as sorted ``(low, high)`` port pairs."""
+    return sorted((a, b) for a, b in optical.circuits.items() if a < b)
+
+
+def release_circuits(optical: OpticalCircuitSwitch, plan: HybridPlan) -> float:
+    """Tear down a deployment's circuits (undeploy path); returns the
+    modeled optical time."""
+    if not plan.circuits:
+        return 0.0
+    drop = {(min(a, b), max(a, b)) for a, b in plan.circuits}
+    return optical.configure(
+        [pair for pair in live_circuits(optical) if pair not in drop]
+    )
+
+
 class HybridLinkProjection:
-    """LP over fixed wiring + on-demand optical flex links."""
+    """LP over fixed wiring + on-demand optical flex links: wraps the
+    :class:`LinkProjection` the caller would have used without optics."""
 
     def __init__(
-        self,
-        cluster: PhysicalCluster,
-        optical: OpticalCircuitSwitch,
-        *,
-        partition_method: str = "multilevel",
-        seed: int = 0,
-        exclude: set | None = None,
-        metadata_base: int = 1,
+        self, projector: LinkProjection, optical: OpticalCircuitSwitch
     ) -> None:
-        self.cluster = cluster
+        self.projector = projector
         self.optical = optical
-        self.partition_method = partition_method
-        self.seed = seed
-        self.exclude = exclude or set()
-        self.metadata_base = metadata_base
 
     # --- flex pool ---------------------------------------------------------
     def _free_flex_ports(self, switch: str) -> list[FlexPort]:
         """Flex ports of ``switch`` whose OCS side is currently dark."""
         return [
             f
-            for f in self.cluster.wiring.flex_ports_of(switch)
+            for f in self.projector.cluster.wiring.flex_ports_of(switch)
             if self.optical.connected_to(f.ocs_port) is None
-            and f not in self.exclude
+            and f not in self.projector.exclude
         ]
 
     # --- planning ----------------------------------------------------------
@@ -89,69 +95,49 @@ class HybridLinkProjection:
         usage=None,
     ) -> tuple[Partition, HybridPlan]:
         """Decide which flex circuits cover the fixed wiring's deficits."""
-        topology.validate()
-        names = self.cluster.switch_names
-        if partition is None:
-            parts = min(len(names), len(topology.switches))
-            partition = partition_topology(
-                topology, parts, method=self.partition_method, seed=self.seed
-            )
-        wiring = self.cluster.wiring
-        avail = lambda items: [i for i in items if i not in self.exclude]
-
-        free_flex = {n: self._free_flex_ports(n) for n in names}
+        partition = self.projector.partition_for(topology, partition)
+        free_flex = {
+            n: self._free_flex_ports(n) for n in self.projector.names
+        }
         extra_self: list[SelfLink] = []
         extra_inter: list[InterSwitchLink] = []
         circuits: list[tuple[int, int]] = []
         problems: list[str] = []
 
-        for part, needed in sorted(
-            self_link_demand(topology, partition, usage).items()
+        for resource, switches, needed, have in self.projector.ledger(
+            topology, partition, usage
         ):
-            name = names[part]
-            deficit = needed - len(avail(wiring.self_links_of(name)))
-            for _ in range(max(0, deficit)):
-                pool = free_flex[name]
-                if len(pool) < 2:
-                    problems.append(
-                        f"{name}: self-link deficit needs 2 flex ports, "
-                        f"{len(pool)} free"
-                    )
-                    break
-                a, b = pool.pop(0), pool.pop(0)
-                extra_self.append(SelfLink(name, a.port, b.port))
-                circuits.append((a.ocs_port, b.ocs_port))
-
-        for (pa, pb), needed in sorted(
-            inter_switch_link_demand(topology, partition, usage).items()
-        ):
-            na, nb = names[pa], names[pb]
-            deficit = needed - len(avail(wiring.inter_links_between(na, nb)))
-            for _ in range(max(0, deficit)):
-                if not free_flex[na] or not free_flex[nb]:
-                    problems.append(
-                        f"{na}<->{nb}: inter-link deficit needs flex ports "
-                        "on both switches "
-                        f"({len(free_flex[na])}/{len(free_flex[nb])} free)"
-                    )
-                    break
-                a = free_flex[na].pop(0)
-                b = free_flex[nb].pop(0)
-                extra_inter.append(
-                    InterSwitchLink(na, a.port, nb, b.port)
-                )
-                circuits.append((a.ocs_port, b.ocs_port))
-
-        for part, needed in sorted(
-            host_port_demand(topology, partition, usage).items()
-        ):
-            name = names[part]
-            have = len(avail(wiring.hosts_of(name)))
-            if needed > have:
+            if needed <= have:
+                continue
+            if resource is HOST_PORTS:
                 problems.append(
-                    f"{name}: needs {needed} host ports, wired {have} "
-                    "(optics cannot mint host ports)"
+                    f"{switches[0]}: needs {needed} host ports, wired "
+                    f"{have} (optics cannot mint host ports)"
                 )
+                continue
+            for _ in range(needed - have):
+                if resource is SELF_LINKS:
+                    pool = free_flex[switches[0]]
+                    if len(pool) < 2:
+                        problems.append(
+                            f"{switches[0]}: self-link deficit needs 2 flex "
+                            f"ports, {len(pool)} free"
+                        )
+                        break
+                    a, b = pool.pop(0), pool.pop(0)
+                    extra_self.append(SelfLink(switches[0], a.port, b.port))
+                else:
+                    na, nb = switches
+                    if not free_flex[na] or not free_flex[nb]:
+                        problems.append(
+                            f"{na}<->{nb}: inter-link deficit needs flex "
+                            "ports on both switches "
+                            f"({len(free_flex[na])}/{len(free_flex[nb])} free)"
+                        )
+                        break
+                    a, b = free_flex[na].pop(0), free_flex[nb].pop(0)
+                    extra_inter.append(InterSwitchLink(na, a.port, nb, b.port))
+                circuits.append((a.ocs_port, b.ocs_port))
 
         if problems:
             raise CapacityError(
@@ -175,14 +161,8 @@ class HybridLinkProjection:
 
         optical_time = 0.0
         if plan.circuits:
-            existing = sorted(
-                {
-                    (min(a, b), max(a, b))
-                    for a, b in self.optical.circuits.items()
-                }
-            )
             optical_time = self.optical.configure(
-                existing + list(plan.circuits)
+                live_circuits(self.optical) + list(plan.circuits)
             )
 
         consumed: set[tuple[str, int]] = set()
@@ -192,37 +172,16 @@ class HybridLinkProjection:
             consumed.update(
                 {(il.switch_a, il.port_a), (il.switch_b, il.port_b)}
             )
+        wiring = self.projector.cluster.wiring
         augmented = replace(
-            self.cluster.wiring,
-            self_links=[*self.cluster.wiring.self_links,
-                        *plan.extra_self_links],
-            inter_links=[*self.cluster.wiring.inter_links,
-                         *plan.extra_inter_links],
+            wiring,
+            self_links=[*wiring.self_links, *plan.extra_self_links],
+            inter_links=[*wiring.inter_links, *plan.extra_inter_links],
             flex_ports=[
-                f for f in self.cluster.wiring.flex_ports
+                f for f in wiring.flex_ports
                 if (f.switch, f.port) not in consumed
             ],
         )
         augmented.validate()
-        aug_cluster = replace(self.cluster, wiring=augmented)
-        lp = LinkProjection(
-            aug_cluster,
-            partition_method=self.partition_method,
-            seed=self.seed,
-            exclude=self.exclude,
-            metadata_base=self.metadata_base,
-        )
-        result = lp.project(topology, partition, usage)
+        result = self.projector.allocate(topology, partition, usage, augmented)
         return result, plan, optical_time
-
-    def release(self, plan: HybridPlan) -> float:
-        """Tear down a deployment's circuits (undeploy path)."""
-        if not plan.circuits:
-            return 0.0
-        drop = {(min(a, b), max(a, b)) for a, b in plan.circuits}
-        keep = [
-            (min(a, b), max(a, b))
-            for a, b in self.optical.circuits.items()
-            if a < b and (a, b) not in drop
-        ]
-        return self.optical.configure(keep)

@@ -10,9 +10,19 @@ no rewiring — only new flow tables.
 Multi-switch LP (§IV-B) first partitions the logical topology so that
 each part's internal links fit the owning switch's self-links and each
 part pair's crossing links fit the reserved inter-switch links.
+
+The pipeline is *partition → deficits → allocate*, each step written
+once: :meth:`LinkProjection.partition_for`, :meth:`LinkProjection.ledger`
+(rendered as messages by :meth:`LinkProjection.check`, turned into flex
+circuits by :mod:`~repro.core.projection.hybrid`) and :func:`realize`
+(a cold projection is a delta from :func:`empty_projection`;
+:func:`~repro.core.projection.delta.project_delta` runs it from the
+live one).
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 from repro.core.projection.base import (
     PhysPort,
@@ -23,9 +33,174 @@ from repro.core.projection.base import (
     self_link_demand,
 )
 from repro.hardware.cluster import PhysicalCluster
+from repro.hardware.wiring import WiringPlan
 from repro.partition import Partition, partition_topology
+from repro.topology.diff import link_key
 from repro.topology.graph import Topology
 from repro.util.errors import CapacityError, ProjectionError
+
+
+class Resource(NamedTuple):
+    """One kind of fixed wiring a projection consumes."""
+
+    kind: str  # as the ledger and the messages name it
+    demand: Callable  # Eq. 1/2: needed per part (or part pair)
+    wired: Callable  # the cables wired on a switch (or switch pair)
+    budget: str  # its key in plan_inter_switch_reservation's result
+    remedy: str  # the paper's "necessary link modification"
+
+
+SELF_LINKS = Resource(
+    "self-links", self_link_demand, WiringPlan.self_links_of,
+    "self_links_per_switch", "add {} loop cables",
+)
+INTER_LINKS = Resource(
+    "inter-switch links", inter_switch_link_demand,
+    WiringPlan.inter_links_between,
+    "inter_links_per_pair", "add {} cables",
+)
+HOST_PORTS = Resource(
+    "host ports", host_port_demand, WiringPlan.hosts_of,
+    "hosts_per_switch", "attach {} more hosts",
+)
+#: in ledger order
+RESOURCES = (SELF_LINKS, INTER_LINKS, HOST_PORTS)
+
+
+def require_projectable(topology: Topology) -> None:
+    """What every projection demands of its input: a valid topology
+    whose hosts are single-homed."""
+    topology.validate()
+    for h in topology.hosts:
+        if topology.radix(h) > 1:
+            raise ProjectionError(
+                f"host {h!r} is multi-homed ({topology.radix(h)} NICs); "
+                "projection currently supports single-homed hosts "
+                "(server-centric topologies like BCube run on the "
+                "logical simulator arm)"
+            )
+
+
+def empty_projection(names: list[str], num_parts: int) -> ProjectionResult:
+    """The projection of nothing, with part ``i`` on ``names[i]`` —
+    what a cold projection is a delta from."""
+    return ProjectionResult(
+        topology=Topology("empty"),
+        partition=Partition({}, num_parts),
+        part_to_phys={p: names[p] for p in range(num_parts)},
+        subswitches={},
+        port_map={},
+        host_map={},
+        link_realization={},
+    )
+
+
+def realize(
+    wiring: WiringPlan,
+    old: ProjectionResult,
+    topology: Topology,
+    partition: Partition,
+    *,
+    exclude: set,
+    metadata_base: int,
+    usage=None,
+) -> ProjectionResult:
+    """The one allocator: give every (used) link of ``topology`` a
+    physical realization, starting from the projection ``old``.
+
+    A link that ``old`` already realized (same endpoint names) keeps its
+    cable and physical ports, a sub-switch that ``old`` had keeps its
+    metadata tag; everything else takes the first free cable of the
+    right kind — free meaning not in ``exclude`` and not kept by a
+    surviving link — and the next tag from ``metadata_base`` (tag 0 means
+    unclassified). Raises :class:`CapacityError` when a pool runs dry.
+    """
+    part_to_phys = dict(old.part_to_phys)
+    old_links = {link_key(*l.endpoints): l for l in old.topology.links}
+    was_of = {
+        link.index: old_links[key]
+        for link in topology.links
+        if (key := link_key(*link.endpoints)) in old_links
+    }
+    # cables a coexisting deployment or a surviving link holds
+    taken = exclude | {
+        old.link_realization[was.index] for was in was_of.values()
+    }
+    pools: dict[tuple, list] = {}
+
+    def take(resource: Resource, *switches: str):
+        """The next free cable, for the ``link`` being realized."""
+        pool = pools.get((resource, switches))
+        if pool is None:
+            pool = pools[resource, switches] = [
+                c for c in resource.wired(wiring, *switches) if c not in taken
+            ]
+        if not pool:
+            raise CapacityError(
+                f"{'<->'.join(switches)}: ran out of {resource.kind} for "
+                f"link {link.a.node!r}--{link.b.node!r}"
+            )
+        return pool.pop(0)
+
+    next_meta = metadata_base
+    subswitches: dict[str, SubSwitch] = {}
+    for sw in topology.switches:
+        old_sub = old.subswitches.get(sw)
+        if old_sub is None:
+            meta, next_meta = next_meta, next_meta + 1
+        else:
+            meta = old_sub.metadata_id
+        subswitches[sw] = SubSwitch(
+            logical_switch=sw,
+            phys_switch=part_to_phys[partition.part_of(sw)],
+            metadata_id=meta,
+        )
+
+    port_map: dict = {}
+    host_map: dict[str, str] = {}
+    link_realization: dict = {}
+    for link in topology.links:
+        if usage is not None and not usage.uses_link(link.index):
+            continue
+        ends = [p for p in (link.a, link.b) if p.node in subswitches]
+        homes = [subswitches[p.node].phys_switch for p in ends]
+        was = was_of.get(link.index)
+        if was is not None:
+            # stability: rebind the (possibly renumbered) new ports to
+            # the exact physical ports the old projection used
+            cable = old.link_realization[was.index]
+            phys_ports = [old.port_map[was.port_on(p.node)] for p in ends]
+        elif len(ends) == 1:
+            cable = take(HOST_PORTS, *homes)
+            phys_ports = [PhysPort(cable.switch, cable.port)]
+        elif homes[0] == homes[1]:
+            cable = take(SELF_LINKS, homes[0])
+            phys_ports = [
+                PhysPort(cable.switch, cable.port_a),
+                PhysPort(cable.switch, cable.port_b),
+            ]
+        else:
+            cable = take(INTER_LINKS, *sorted(homes))
+            phys_ports = [PhysPort(n, cable.endpoint_on(n)) for n in homes]
+        for logical, physical in zip(ends, phys_ports):
+            port_map[logical] = physical
+            subswitches[logical.node].ports[logical.index] = physical
+        link_realization[link.index] = cable
+        if len(ends) == 1:
+            host_map[link.other(ends[0].node)] = cable.host
+
+    result = ProjectionResult(
+        topology=topology,
+        partition=partition,
+        part_to_phys=part_to_phys,
+        subswitches=subswitches,
+        port_map=port_map,
+        host_map=host_map,
+        link_realization=link_realization,
+        usage=usage,
+    )
+    result.validate()
+    return result
 
 
 class LinkProjection:
@@ -35,7 +210,6 @@ class LinkProjection:
         self,
         cluster: PhysicalCluster,
         *,
-        partition_method: str = "multilevel",
         seed: int = 0,
         exclude: set | None = None,
         metadata_base: int = 1,
@@ -56,7 +230,6 @@ class LinkProjection:
         passes an occupancy ranking here so new deployments prefer the
         switches with the most remaining capacity."""
         self.cluster = cluster
-        self.partition_method = partition_method
         self.seed = seed
         self.exclude = exclude or set()
         self.metadata_base = metadata_base
@@ -72,17 +245,46 @@ class LinkProjection:
                 )
             self.names = list(phys_names)
 
-    def _partition(self, topology: Topology, parts: int) -> Partition:
-        if self.partition_cache is not None:
-            return self.partition_cache.partition(
-                topology, parts, method=self.partition_method, seed=self.seed
-            )
-        return partition_topology(
-            topology, parts, method=self.partition_method, seed=self.seed
+    # --- partition ------------------------------------------------------
+    def partition_for(
+        self, topology: Topology, partition: Partition | None = None
+    ) -> Partition:
+        """Vet ``topology`` and return ``partition``, or (through the
+        partition cache, if any) its partition over this cluster."""
+        require_projectable(topology)
+        if partition is not None:
+            return partition
+        parts = min(len(self.names), len(topology.switches))
+        partitioner = (
+            partition_topology
+            if self.partition_cache is None
+            else self.partition_cache.partition
         )
+        return partitioner(topology, parts, seed=self.seed)
 
-    def _available(self, items: list) -> list:
-        return [i for i in items if i not in self.exclude]
+    # --- deficits -------------------------------------------------------
+    def ledger(
+        self, topology: Topology, partition: Partition, usage=None
+    ) -> list[tuple[Resource, tuple[str, ...], int, int]]:
+        """The deficit ledger: ``(resource, switches, needed, available)``
+        per switch (self-links, host ports) or switch pair (inter-switch
+        links) with a demand — self-links first, then inter-switch
+        links, then host ports, each in part order. ``available`` counts
+        the wired cables no coexisting deployment holds."""
+        rows = []
+        for resource in RESOURCES:
+            for parts, needed in sorted(
+                resource.demand(topology, partition, usage).items()
+            ):
+                if isinstance(parts, int):
+                    parts = (parts,)
+                switches = tuple(self.names[p] for p in parts)
+                have = sum(
+                    c not in self.exclude
+                    for c in resource.wired(self.cluster.wiring, *switches)
+                )
+                rows.append((resource, switches, needed, have))
+        return rows
 
     # --- feasibility (the controller's "checking function", §V-1) -------
     def check(
@@ -99,52 +301,37 @@ class LinkProjection:
         (the paper: "the module will inform the user of the necessary
         link modification").
         """
-        topology.validate()
-        for h in topology.hosts:
-            if topology.radix(h) > 1:
-                raise ProjectionError(
-                    f"host {h!r} is multi-homed ({topology.radix(h)} NICs); "
-                    "projection currently supports single-homed hosts "
-                    "(server-centric topologies like BCube run on the "
-                    "logical simulator arm)"
-                )
-        num_phys = len(self.cluster.switch_names)
-        if partition is None:
-            parts = min(num_phys, len(topology.switches))
-            partition = self._partition(topology, parts)
-        problems: list[str] = []
-        wiring = self.cluster.wiring
-        names = self.names
-
-        selfd = self_link_demand(topology, partition, usage)
-        for part, needed in sorted(selfd.items()):
-            have = len(self._available(wiring.self_links_of(names[part])))
-            if needed > have:
-                problems.append(
-                    f"{names[part]}: needs {needed} self-links, wired {have} "
-                    f"(add {needed - have} loop cables)"
-                )
-
-        interd = inter_switch_link_demand(topology, partition, usage)
-        for (pa, pb), needed in sorted(interd.items()):
-            have = len(self._available(wiring.inter_links_between(names[pa], names[pb])))
-            if needed > have:
-                problems.append(
-                    f"{names[pa]}<->{names[pb]}: needs {needed} inter-switch "
-                    f"links, wired {have} (add {needed - have} cables)"
-                )
-
-        hostd = host_port_demand(topology, partition, usage)
-        for part, needed in sorted(hostd.items()):
-            have = len(self._available(wiring.hosts_of(names[part])))
-            if needed > have:
-                problems.append(
-                    f"{names[part]}: needs {needed} host ports, wired {have} "
-                    f"(attach {needed - have} more hosts)"
-                )
-        return partition, problems
+        partition = self.partition_for(topology, partition)
+        return partition, [
+            f"{'<->'.join(switches)}: needs {needed} {resource.kind}, "
+            f"wired {have} ({resource.remedy.format(needed - have)})"
+            for resource, switches, needed, have in self.ledger(
+                topology, partition, usage
+            )
+            if needed > have
+        ]
 
     # --- projection ---------------------------------------------------
+    def allocate(
+        self,
+        topology: Topology,
+        partition: Partition,
+        usage=None,
+        wiring: WiringPlan | None = None,
+    ) -> ProjectionResult:
+        """:func:`realize` from the empty projection, over this
+        cluster's wiring (or ``wiring``: the hybrid projector's
+        optically augmented copy of it)."""
+        return realize(
+            wiring or self.cluster.wiring,
+            empty_projection(self.names, partition.num_parts),
+            topology,
+            partition,
+            exclude=self.exclude,
+            metadata_base=self.metadata_base,
+            usage=usage,
+        )
+
     def project(
         self,
         topology: Topology,
@@ -160,100 +347,13 @@ class LinkProjection:
             raise CapacityError(
                 f"cannot project {topology.name!r}: " + "; ".join(problems)
             )
-
-        names = self.names
-        wiring = self.cluster.wiring
-        part_to_phys = {p: names[p] for p in range(partition.num_parts)}
-
-        # free-resource pools, consumed as links are realized
-        self_pool = {n: self._available(wiring.self_links_of(n)) for n in names}
-        inter_pool = {
-            (a, b): self._available(wiring.inter_links_between(a, b))
-            for i, a in enumerate(names)
-            for b in names[i + 1 :]
-        }
-        host_pool = {n: self._available(wiring.hosts_of(n)) for n in names}
-
-        subswitches = {
-            sw: SubSwitch(
-                logical_switch=sw,
-                phys_switch=part_to_phys[partition.part_of(sw)],
-                metadata_id=self.metadata_base + i,  # 0 = unclassified
-            )
-            for i, sw in enumerate(topology.switches)
-        }
-        port_map: dict = {}
-        host_map: dict[str, str] = {}
-        link_realization: dict = {}
-
-        def bind(logical_port, phys_port: PhysPort) -> None:
-            port_map[logical_port] = phys_port
-            subswitches[logical_port.node].ports[logical_port.index] = phys_port
-
-        for link in topology.switch_links:
-            if usage is not None and not usage.uses_link(link.index):
-                continue
-            pa = partition.part_of(link.a.node)
-            pb = partition.part_of(link.b.node)
-            if pa == pb:
-                phys = part_to_phys[pa]
-                if not self_pool[phys]:
-                    raise CapacityError(f"{phys}: ran out of self-links")
-                cable = self_pool[phys].pop(0)
-                bind(link.a, PhysPort(phys, cable.port_a))
-                bind(link.b, PhysPort(phys, cable.port_b))
-                link_realization[link.index] = cable
-            else:
-                a_name, b_name = part_to_phys[pa], part_to_phys[pb]
-                key = (a_name, b_name) if (a_name, b_name) in inter_pool else (
-                    b_name,
-                    a_name,
-                )
-                pool = inter_pool.get(key, [])
-                if not pool:
-                    raise CapacityError(
-                        f"{a_name}<->{b_name}: ran out of inter-switch links"
-                    )
-                cable = pool.pop(0)
-                bind(link.a, PhysPort(a_name, cable.endpoint_on(a_name)))
-                bind(link.b, PhysPort(b_name, cable.endpoint_on(b_name)))
-                link_realization[link.index] = cable
-
-        for link in topology.host_links:
-            if usage is not None and not usage.uses_link(link.index):
-                continue
-            if topology.is_switch(link.a.node):
-                sw_port, host_end = link.a, link.b
-            else:
-                sw_port, host_end = link.b, link.a
-            host = host_end.node
-            phys = part_to_phys[partition.part_of(sw_port.node)]
-            if not host_pool[phys]:
-                raise CapacityError(f"{phys}: ran out of host ports")
-            hp = host_pool[phys].pop(0)
-            bind(sw_port, PhysPort(phys, hp.port))
-            host_map[host] = hp.host
-            link_realization[link.index] = hp
-
-        result = ProjectionResult(
-            topology=topology,
-            partition=partition,
-            part_to_phys=part_to_phys,
-            subswitches=subswitches,
-            port_map=port_map,
-            host_map=host_map,
-            link_realization=link_realization,
-            usage=usage,
-        )
-        result.validate()
-        return result
+        return self.allocate(topology, partition, usage)
 
 
 def plan_inter_switch_reservation(
     topologies: list[Topology],
     num_switches: int,
     *,
-    partition_method: str = "multilevel",
     seed: int = 0,
     usages: list | None = None,
 ) -> dict[str, int]:
@@ -270,25 +370,14 @@ def plan_inter_switch_reservation(
         usages = [None] * len(topologies)
     if len(usages) != len(topologies):
         raise ProjectionError("usages list must parallel topologies list")
-    max_inter = 0
-    max_self = 0
-    max_hosts = 0
+    budget = {resource.budget: 0 for resource in RESOURCES}
     for topo, usage in zip(topologies, usages):
         parts = min(num_switches, len(topo.switches))
-        partition = partition_topology(
-            topo, parts, method=partition_method, seed=seed
-        )
-        interd = inter_switch_link_demand(topo, partition, usage)
-        if interd:
-            max_inter = max(max_inter, max(interd.values()))
-        selfd = self_link_demand(topo, partition, usage)
-        if selfd:
-            max_self = max(max_self, max(selfd.values()))
-        hostd = host_port_demand(topo, partition, usage)
-        if hostd:
-            max_hosts = max(max_hosts, max(hostd.values()))
-    return {
-        "inter_links_per_pair": max_inter,
-        "self_links_per_switch": max_self,
-        "hosts_per_switch": max_hosts,
-    }
+        partition = partition_topology(topo, parts, seed=seed)
+        for resource in RESOURCES:
+            demand = resource.demand(topo, partition, usage)
+            # the trailing 0 keeps max() two-argument when nothing is needed
+            budget[resource.budget] = max(
+                budget[resource.budget], *demand.values(), 0
+            )
+    return budget

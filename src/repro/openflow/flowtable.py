@@ -54,11 +54,6 @@ from typing import Iterable, Iterator, Sequence
 from repro.openflow.actions import Instruction
 from repro.openflow.match import Match, PacketHeader
 
-#: match fields a hash bucket can key on, in canonical order
-_HASH_FIELDS = (
-    "in_port", "metadata", "dst", "src", "proto",
-    "src_port", "dst_port", "vc",
-)
 _FULL_MASK = 0xFFFFFFFF
 
 
@@ -67,10 +62,10 @@ def _shape_key(match: Match) -> tuple[tuple[str, ...], tuple] | None:
     fallback scan can serve it (a partial metadata mask turns equality
     into a masked comparison the hash cannot express).
 
-    The field tests are spelled out attribute by attribute: a
-    ``getattr``-by-name loop over ``_HASH_FIELDS`` costs ~2x, and
-    every entry installed as a loose FlowMod (delta batches, restores)
-    and every strict delete goes through here."""
+    The fields a hash bucket can key on are tested one attribute at a
+    time, in canonical order: a ``getattr``-by-name loop over a field
+    list costs ~2x, and every entry installed as a loose FlowMod (delta
+    batches, restores) and every strict delete goes through here."""
     md = match.metadata
     if md is not None and match.metadata_mask != _FULL_MASK:
         return None

@@ -244,6 +244,23 @@ def _bisect(g: nx.Graph, seed: int) -> dict[str, int]:
     return assign
 
 
+def _induced(graph: nx.Graph, keep: list[str]) -> nx.Graph:
+    """The sub-graph of ``graph`` on ``keep``, in ``graph``'s own node
+    and edge order. (``graph.subgraph(keep).copy()`` iterates the *set*
+    of kept nodes whenever that is the smaller side, so its node order —
+    and every shuffle and tie-break downstream — would follow ``str``
+    hashing and differ from process to process.)"""
+    kept = set(keep)
+    sub = nx.Graph()
+    sub.add_nodes_from((n, graph.nodes[n]) for n in graph.nodes if n in kept)
+    sub.add_edges_from(
+        (u, v, d)
+        for u, v, d in graph.edges(data=True)
+        if u in kept and v in kept
+    )
+    return sub
+
+
 def multilevel_partition(
     graph: nx.Graph,
     num_parts: int,
@@ -261,7 +278,8 @@ def multilevel_partition(
         Number of parts (physical switches); must be >= 1 and <= |V|.
     seed:
         Seed for the randomized matching/seeding steps; results are
-        deterministic for a given seed.
+        deterministic for a given seed and node/edge insertion order,
+        in every process (no step iterates a set of node names).
     """
     n = graph.number_of_nodes()
     if num_parts < 1:
@@ -291,7 +309,7 @@ def multilevel_partition(
         (0, left_parts, 0),
         (1, right_parts, left_parts),
     ):
-        sub = graph.subgraph(side_nodes[side]).copy()
+        sub = _induced(graph, side_nodes[side])
         sub_partition = multilevel_partition(sub, parts, seed=seed + 1 + side)
         for u, p in sub_partition.assignment.items():
             result[u] = offset + p

@@ -85,7 +85,6 @@ def controller_state(
         })
     state = {
         "schema": SNAPSHOT_SCHEMA,
-        "partition_method": controller.partition_method,
         "seed": controller.seed,
         "placement": controller.placement,
         "next_cookie": controller._next_cookie,

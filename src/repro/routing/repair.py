@@ -77,8 +77,6 @@ def _switch_order(
 def reroute_avoiding(
     topology: Topology,
     failed_links: set[int],
-    *,
-    require_deadlock_free: bool = True,
 ) -> RouteTable:
     """Destination-based up*/down* routes avoiding ``failed_links``.
 
@@ -178,11 +176,10 @@ def reroute_avoiding(
                     f"failure set severs {src}->{dst}: no surviving path"
                 )
 
-    if require_deadlock_free:
-        cycle = find_cycle(table)
-        if cycle is not None:  # pragma: no cover - up/down forbids this
-            raise DeadlockError(
-                "repair routes acquired a channel dependency cycle "
-                f"(cycle through {cycle[0]})"
-            )
+    cycle = find_cycle(table)
+    if cycle is not None:  # pragma: no cover - up/down forbids this
+        raise DeadlockError(
+            "repair routes acquired a channel dependency cycle "
+            f"(cycle through {cycle[0]})"
+        )
     return table

@@ -7,10 +7,17 @@ completion with no hang and no lost JSONL lines.
 """
 
 import json
+import multiprocessing
+import os
+import pickle
 import signal
+import struct
 from contextlib import contextmanager
 
+import pytest
+
 from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign import pool as pool_module
 
 
 @contextmanager
@@ -75,3 +82,59 @@ def test_worker_chaos_raise_is_per_cell_not_per_worker(
     assert report["cells_failed"] == 1
     assert report["failed_cells"][0]["cell"] == victim
     assert "chaos" in report["failed_cells"][0]["error"]
+
+
+class _DiesWhileReplying:
+    """A worker's end of its pipe that, for one cell, writes only the
+    first ``sent`` bytes of the framed reply and then SIGKILLs the
+    worker — the instants a kill can land while the worker holds its
+    result channel: before the first byte, inside the length header,
+    inside the body."""
+
+    def __init__(self, conn, victim_index: int, sent: int) -> None:
+        self._conn = conn
+        self._index = None
+        self._victim_index = victim_index
+        self._sent = sent
+
+    def recv(self):
+        self._index = self._conn.recv()
+        return self._index
+
+    def send(self, record) -> None:
+        if self._index == self._victim_index:
+            body = pickle.dumps(record)
+            frame = struct.pack("!i", len(body)) + body
+            os.write(self._conn.fileno(), frame[: self._sent])
+            os.kill(os.getpid(), signal.SIGKILL)
+        self._conn.send(record)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched worker entry point reaches workers by fork",
+)
+@pytest.mark.parametrize("sent", [0, 2, 40])
+def test_worker_killed_mid_reply_breaks_only_its_own_pipe(monkeypatch, sent):
+    """With one result queue shared by all workers this hangs: the
+    victim dies owning the queue's write lock (or half a message), and
+    every other worker blocks in ``put`` forever."""
+    cells = pool_spec().expand()
+    victim = cells[3]
+    worker_main = pool_module._worker_main
+    monkeypatch.setattr(
+        pool_module,
+        "_worker_main",
+        lambda spec_dict, conn: worker_main(
+            spec_dict, _DiesWhileReplying(conn, victim.index, sent)
+        ),
+    )
+    pool = pool_module.CampaignPool(pool_spec().to_dict(), workers=3)
+    with deadline(120):
+        got = dict(pool.run(cells))
+    assert sorted(got) == [cell.index for cell in cells]
+    assert pool.workers_died == 1
+    assert got.pop(victim.index) == pool_module.failure_record(
+        victim, "worker died mid-cell"
+    )
+    assert {record["status"] for record in got.values()} == {"ok"}

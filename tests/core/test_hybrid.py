@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import SDTController
-from repro.core.projection import HybridLinkProjection
+from repro.core.projection import HybridLinkProjection, LinkProjection
 from repro.hardware import (
     H3C_S6861,
     OpticalCircuitSwitch,
@@ -102,7 +102,7 @@ def test_flex_pool_exhaustion_reported(fattree4):
 def test_host_deficit_not_fixable_optically(fattree4):
     cluster = starved_cluster(hosts=2, inter=12, flex_per_switch=8)
     ocs = OpticalCircuitSwitch(num_ports=16)
-    hybrid = HybridLinkProjection(cluster, ocs)
+    hybrid = HybridLinkProjection(LinkProjection(cluster), ocs)
     with pytest.raises(CapacityError, match="cannot mint host ports"):
         hybrid.plan(fattree4)
 
@@ -138,3 +138,37 @@ def test_hybrid_links_work_in_netsim(fattree4):
     w = workload("imb-alltoall", msglen=4096, repetitions=1)
     res = MpiJob(net, addrs, w.build(4)).run()
     assert res.act > 0
+
+
+def test_optical_rig_keeps_occupancy_placement_and_the_partition_cache():
+    """The hybrid projector wraps the projector the controller builds
+    for every rig, so the placement policy and the partition cache hold
+    on an optical rig too (they used to be dropped on the way)."""
+    from repro.core import TopologyConfig
+    from repro.partition import occupancy_order
+    from repro.telemetry import metrics
+
+    names = ["phys0", "phys1", "phys2"]
+    wiring = default_wiring(
+        names, 64,
+        hosts_per_switch=6, inter_links_per_pair=2, flex_ports_per_switch=4,
+    )
+    cluster = PhysicalCluster.build(3, H3C_S6861, wiring=wiring)
+    controller = SDTController(
+        cluster, optical=OpticalCircuitSwitch(num_ports=12),
+        placement="occupancy",
+    )
+    first = controller.deploy(TopologyConfig.from_topology(chain(2)))
+    taken = set(first.projection.part_to_phys.values())
+    assert len(taken) == 2
+
+    emptiest = occupancy_order(cluster, controller._occupied())[:2]
+    assert set(emptiest) != taken  # the untouched switch now ranks first
+    config = TopologyConfig.from_topology(chain(2, hosts_per_switch=2))
+    second = controller.deploy(config)
+    assert [second.projection.part_to_phys[p] for p in (0, 1)] == emptiest
+
+    hits = metrics.registry().counter("sdt_partition_cache_total")
+    before = hits.value(result="hit")
+    assert controller.check(config) == []
+    assert hits.value(result="hit") == before + 1

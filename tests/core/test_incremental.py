@@ -6,13 +6,15 @@ from dataclasses import replace
 
 from repro.core import SDTController, TopologyConfig, build_cluster_for
 from repro.core.projection.base import PhysPort, SubSwitch
+from repro.core.projection.delta import project_delta
+from repro.core.projection.linkproj import LinkProjection, empty_projection
 from repro.core.rules import synthesize_rules, switch_rule_key
 from repro.hardware import H3C_S6861
 from repro.telemetry import metrics
 from repro.topology import Topology, fat_tree
 from repro.topology.diff import link_key, rebuild, removable_switch_links
 from repro.util.errors import ReproError
-from tests.proptools import random_topology, seeded_cases
+from tests.proptools import prop_cases, random_topology, seeded_cases
 
 ROOT_SEED = 20260806
 
@@ -327,6 +329,26 @@ def test_delta_validation_does_not_recount_unchanged_rules():
     ) == inc1 + 1
     assert dep2.cookie == 1  # still the original generation, no cold swap
     _assert_converged(controller, dep2)
+
+
+# --- one allocator -----------------------------------------------------------
+
+def test_cold_projection_is_a_delta_from_the_empty_projection():
+    """``LinkProjection.project`` and ``project_delta`` share one
+    allocator: projecting cold equals editing the projection of nothing
+    (no survivors, nothing kept, tags numbered from the base)."""
+    for idx, rng in seeded_cases(prop_cases(40), ROOT_SEED, "cold-is-delta"):
+        topo = random_topology(rng, max_switches=12, name=f"rand-{idx}")
+        cluster = build_cluster_for([topo], int(rng.integers(1, 4)), H3C_S6861)
+        base = int(rng.integers(1, 50))
+        names = [str(n) for n in rng.permutation(cluster.switch_names)]
+        cold = LinkProjection(
+            cluster, metadata_base=base, phys_names=names
+        ).project(topo)
+        nothing = empty_projection(names, cold.partition.num_parts)
+        assert project_delta(
+            cluster, nothing, topo, cold.partition, metadata_base=base
+        ) == cold, f"case {idx}"
 
 
 # --- the incremental == from-scratch property -------------------------------
