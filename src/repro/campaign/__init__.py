@@ -9,7 +9,7 @@ the deterministic report, and :mod:`repro.campaign.report`
 (re)summarizes and renders it.
 """
 
-from repro.campaign.driver import resolve_workers, resummarize, run_campaign
+from repro.campaign.driver import resummarize, run_campaign
 from repro.campaign.report import (
     load_results,
     render_report,
@@ -27,7 +27,6 @@ __all__ = [
     "CampaignSpec",
     "load_results",
     "render_report",
-    "resolve_workers",
     "resummarize",
     "run_campaign",
     "smoke_spec",

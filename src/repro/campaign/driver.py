@@ -5,9 +5,8 @@ cells, runs them inline (``workers <= 1``) or through the
 kill-tolerant :class:`~repro.campaign.pool.CampaignPool`, streams every
 record to ``results.jsonl`` the moment it lands (a killed sweep loses
 at most the in-flight cells), and writes the deterministic
-``report.json`` at the end. Worker count resolves like the sharded
-rule compiler: explicit argument, else ``SDT_CAMPAIGN_WORKERS``, else
-inline.
+``report.json`` at the end. ``workers`` is the one way to ask for
+processes; without it the sweep runs inline.
 
 Per-cell failures — exceptions, chaos injections, dead workers — are
 *recorded*, not fatal: the sweep always completes and the report
@@ -17,7 +16,6 @@ counts them under ``cells_failed``.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Callable
 
@@ -31,18 +29,8 @@ __all__ = ["resolve_workers", "run_campaign"]
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument > ``SDT_CAMPAIGN_WORKERS`` > inline (1)."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("SDT_CAMPAIGN_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(
-                f"SDT_CAMPAIGN_WORKERS={env!r} is not an integer"
-            ) from None
-    return 1
+    """The explicit argument (floored at 1), else inline (1)."""
+    return 1 if workers is None else max(1, int(workers))
 
 
 def run_campaign(

@@ -651,7 +651,7 @@ def cmd_status(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    """Replay a state directory (pure record space) and summarize."""
+    """Replay a state directory (no switch is touched) and summarize."""
     import json
 
     from repro.recovery import load_recovery
@@ -1017,8 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", default="campaign-out", metavar="DIR",
                     help="results directory (default campaign-out)")
     pc.add_argument("--workers", type=int, default=None, metavar="N",
-                    help="worker processes (default "
-                         "$SDT_CAMPAIGN_WORKERS or inline)")
+                    help="worker processes (default: run inline)")
     pc.add_argument("--limit", type=int, default=None, metavar="N",
                     help="run only the first N cells")
     pc.add_argument("--quiet", action="store_true",

@@ -155,6 +155,12 @@ class TopologyConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"bad config JSON: {exc}") from None
+        return cls.from_dict(data)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TopologyConfig":
+        """Validate an already-parsed config object: unknown keys and
+        a missing ``kind`` are rejected here, for every entry point."""
         unknown = set(data) - {
             "kind", "params", "routing", "lossless", "monitor_interval", "label",
         }

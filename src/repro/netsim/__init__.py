@@ -19,7 +19,6 @@ from repro.netsim.network import (
 from repro.netsim.node import HostNode, Node, SwitchNode
 from repro.netsim.packet import Packet, next_flow_id
 from repro.netsim.port import OutPort, PortConfig
-from repro.netsim.sniffer import CaptureRecord, Sniffer
 from repro.netsim.stats import FlowRecord, FlowStats
 from repro.netsim.transport import (
     WIRE_OVERHEAD,
@@ -47,8 +46,6 @@ __all__ = [
     "next_flow_id",
     "OutPort",
     "PortConfig",
-    "CaptureRecord",
-    "Sniffer",
     "FlowRecord",
     "FlowStats",
     "WIRE_OVERHEAD",

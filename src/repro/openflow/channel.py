@@ -22,6 +22,11 @@ from repro.telemetry import trace
 from repro.util.errors import ChannelError
 from repro.util.units import MICROSECONDS, MILLISECONDS
 
+#: modeled cost of one flow install and of one control round trip —
+#: the one definition; the routing protocols' push-time model imports it
+FLOW_INSTALL_LATENCY = 250 * MICROSECONDS
+CONTROL_RTT = 1 * MILLISECONDS
+
 
 def _entry_record(table_id: int, entry) -> dict:
     """A flow entry as a JSON-safe journal record. ``repr`` of the
@@ -118,8 +123,8 @@ class ControlChannel:
         self,
         switch: OpenFlowSwitch,
         *,
-        flow_install_latency: float = 250 * MICROSECONDS,
-        rtt: float = 1 * MILLISECONDS,
+        flow_install_latency: float = FLOW_INSTALL_LATENCY,
+        rtt: float = CONTROL_RTT,
     ) -> None:
         self.switch = switch
         self.flow_install_latency = flow_install_latency

@@ -324,3 +324,29 @@ class FlowTable:
 
     def __iter__(self) -> Iterator[FlowEntry]:
         return iter(self.snapshot())
+
+
+def remove_from_tables(
+    tables: Sequence[FlowTable],
+    *,
+    cookie: int | None = None,
+    table_id: int | None = None,
+    priority: int | None = None,
+    match: Match | None = None,
+) -> int:
+    """What a FlowDelete does to a pipeline's tables: remove entries
+    matching every given filter from table ``table_id`` (``None`` =
+    every table); all-``None`` filters clear the selected table(s).
+    Returns entries removed. The switch and journal replay both delete
+    through here, so a replayed delete cannot drift from a live one."""
+    strict = not (cookie is None and priority is None and match is None)
+    removed = 0
+    for tid, t in enumerate(tables):
+        if table_id is not None and tid != table_id:
+            continue
+        removed += (
+            t.remove(cookie=cookie, match=match, priority=priority)
+            if strict
+            else t.clear()
+        )
+    return removed

@@ -28,7 +28,7 @@ from repro.openflow.actions import (
     WriteMetadata,
 )
 from repro.openflow.groups import GroupEntry
-from repro.openflow.flowtable import FlowEntry, FlowTable
+from repro.openflow.flowtable import FlowEntry, FlowTable, remove_from_tables
 from repro.openflow.match import Match, PacketHeader
 from repro.telemetry import metrics, trace
 from repro.util.errors import CapacityError, SimulationError
@@ -296,16 +296,10 @@ class OpenFlowSwitch:
         specified (table, priority, match, cookie) filter is the
         OFPFC_DELETE_STRICT the incremental reconfigurer uses to retire
         individual stale rules."""
-        strict = not (cookie is None and priority is None and match is None)
-        removed = 0
-        for tid, t in enumerate(self.tables):
-            if table_id is not None and tid != table_id:
-                continue
-            removed += (
-                t.remove(cookie=cookie, match=match, priority=priority)
-                if strict
-                else t.clear()
-            )
+        removed = remove_from_tables(
+            self.tables,
+            cookie=cookie, table_id=table_id, priority=priority, match=match,
+        )
         if removed and trace.enabled():
             self._publish_occupancy()
         return removed

@@ -1,7 +1,7 @@
-"""Durability & recovery: crash-safe snapshots, journal replay,
-standby failover, and switch-state reconciliation (DESIGN.md §7).
+"""Durability & recovery: crash-safe snapshots, journal replay and
+switch-state reconciliation (DESIGN.md §7).
 
-The durable-controller story has three legs:
+The durable-controller story has two legs:
 
 * **journal** (:mod:`repro.recovery.journal`) — a write-ahead commit
   journal hooked into every ``ControlTransaction``: intent before
@@ -10,16 +10,15 @@ The durable-controller story has three legs:
 * **snapshots + replay** (:mod:`repro.recovery.snapshot`) — periodic
   full-state snapshots bound the journal replay; :func:`recover`
   rebuilds a crashed controller's switch state from snapshot +
-  committed intents.
-* **standby** (:mod:`repro.recovery.standby`) — a second controller
-  that tails the journal and takes over with a warm cache.
+  committed intents. :class:`JournalReplay` is the one journal reader:
+  polled once it is a cold restart, polled again it is a warm follower.
 
 Plus :mod:`repro.recovery.reconcile`: audit live ``FlowTable``
 contents against controller intent and repair drift inside a normal
 transaction.
 
 The journal/codec layer is imported eagerly (it sits *below* the
-transaction layer); snapshot/standby/reconcile touch the controller
+transaction layer); snapshot/reconcile touch the controller
 and are re-exported lazily to keep import edges acyclic.
 """
 
@@ -31,7 +30,6 @@ from repro.recovery.journal import (
     JOURNAL_NAME,
     CommitJournal,
     active_journal,
-    committed_ops,
     install_journal,
     uninstall_journal,
 )
@@ -39,13 +37,12 @@ from repro.recovery.journal import (
 __all__ = [
     "JOURNAL_NAME",
     "CommitJournal",
+    "JournalReplay",
     "RecoveryResult",
     "ReconcileReport",
     "SnapshotManager",
-    "StandbyController",
     "active_journal",
     "apply_recovery",
-    "committed_ops",
     "controller_state",
     "install_journal",
     "latest_snapshot",
@@ -59,13 +56,13 @@ __all__ = [
 
 _LAZY = {
     "SnapshotManager": "repro.recovery.snapshot",
+    "JournalReplay": "repro.recovery.snapshot",
     "RecoveryResult": "repro.recovery.snapshot",
     "controller_state": "repro.recovery.snapshot",
     "latest_snapshot": "repro.recovery.snapshot",
     "load_recovery": "repro.recovery.snapshot",
     "apply_recovery": "repro.recovery.snapshot",
     "recover": "repro.recovery.snapshot",
-    "StandbyController": "repro.recovery.standby",
     "ReconcileReport": "repro.recovery.reconcile",
     "reconcile": "repro.recovery.reconcile",
     "recover_service": "repro.recovery.servicestate",

@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.openflow.channel import flow_messages
-from repro.recovery.codec import decode_message, encode_message
+from repro.recovery.codec import encode_message
 from repro.telemetry.trace import tail_jsonl
 
 JOURNAL_NAME = "journal.jsonl"
@@ -108,34 +108,6 @@ class CommitJournal:
 
     def __len__(self) -> int:
         return self._next_lsn
-
-
-def committed_ops(
-    records: list[dict], after_lsn: int = -1
-) -> list[tuple[int, str, dict[str, list]]]:
-    """The replay set: ``(intent_lsn, label, decoded per-switch ops)``
-    for every intent with a matching commit record, in LSN order,
-    restricted to intents with ``lsn > after_lsn`` (the snapshot
-    frontier). Aborted and unresolved (crashed mid-commit) intents are
-    skipped — that is the whole durability argument: replay applies
-    exactly the committed transactions, so the recovered state is the
-    pre- or post-commit state of every transaction, never a hybrid.
-    """
-    committed = {
-        r["txn"] for r in records if r["type"] == "commit"
-    }
-    out = []
-    for r in records:
-        if r["type"] != "intent" or r["lsn"] <= after_lsn:
-            continue
-        if r["lsn"] not in committed:
-            continue
-        ops = {
-            name: [decode_message(m) for m in msgs]
-            for name, msgs in r["ops"].items()
-        }
-        out.append((r["lsn"], r.get("label", ""), ops))
-    return out
 
 
 # --- process-wide journal --------------------------------------------------

@@ -5,19 +5,17 @@ state: per-switch flow tables and groups, per-deployment metadata
 (cookie, failed links, override count, topology), tenancy sessions,
 and the cookie/metadata allocation counters. Snapshots bound replay:
 recovery loads the newest snapshot, then applies only the journal's
-*committed* intents with LSNs past the snapshot frontier
-(:func:`repro.recovery.journal.committed_ops`), so replay time scales
-with the journal length since the last snapshot, not with history.
+*committed* intents with LSNs past the snapshot frontier.
 
-Replay happens in **record space** — plain encoded-entry lists that
-mirror :class:`~repro.openflow.flowtable.FlowTable` semantics (append
-for a FlowMod, filter-by-every-non-None-field for a FlowDelete) —
-and is only materialized onto switches at the end, via
-:meth:`~repro.openflow.switch.OpenFlowSwitch.restore`. Entry order is
-preserved end to end (snapshot order, then replay-append order), and
-``FlowTable.restore``'s stable priority sort re-derives exactly the
-arrival-order tie-break a live run would have, which is what makes
-recovered tables bit-identical to an uninterrupted run's.
+:class:`JournalReplay` is the one journal reader. It decodes the
+snapshot once into real :class:`~repro.openflow.flowtable.FlowTable`
+objects and applies each committed intent with the table's own
+``add`` / ``remove`` / ``clear``, so replay cannot drift from what the
+live switch did with the same messages. Entry order is preserved end
+to end (snapshot order, then replay-append order), and the table's
+stable priority sort re-derives exactly the arrival-order tie-break a
+live run would have, which is what makes recovered tables
+bit-identical to an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -29,10 +27,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.openflow.channel import FlowDelete, FlowMod
+from repro.openflow.actions import WriteMetadata
+from repro.openflow.channel import FlowMod
+from repro.openflow.flowtable import FlowEntry, FlowTable, remove_from_tables
 from repro.openflow.switch import SwitchSnapshot
 from repro.recovery import codec
-from repro.recovery.journal import JOURNAL_NAME, CommitJournal, committed_ops
+from repro.recovery.journal import JOURNAL_NAME, CommitJournal
 from repro.telemetry.trace import tail_jsonl
 from repro.util.errors import ReproError
 
@@ -100,6 +100,16 @@ def controller_state(
     return state
 
 
+def _snapshot_paths(state_dir: Path) -> list[Path]:
+    """The complete snapshot files in ``state_dir``, oldest first."""
+    if not state_dir.is_dir():
+        return []
+    return sorted(
+        (p for p in state_dir.iterdir() if _SNAPSHOT_RE.match(p.name)),
+        key=lambda p: p.name,
+    )
+
+
 class SnapshotManager:
     """Periodic snapshot writer for one state directory.
 
@@ -107,7 +117,10 @@ class SnapshotManager:
     :meth:`maybe_write` consults the journal's commit counter and
     writes a snapshot once ``every`` commits have landed since the
     last one. Writes are atomic (temp file + ``os.replace``), so a
-    crash mid-snapshot leaves the previous snapshot intact.
+    crash mid-snapshot leaves the previous snapshot intact. Only the
+    newest snapshot is ever read, so each write unlinks the one it
+    supersedes and opening a directory prunes it to its newest; a crash
+    between replace and unlink leaves two, and the newer still wins.
     """
 
     def __init__(self, state_dir: str | Path, *, every: int = 8) -> None:
@@ -117,6 +130,11 @@ class SnapshotManager:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.every = every
         self._commits_at_last = 0
+        paths = _snapshot_paths(self.state_dir)
+        for stale in paths[:-1]:
+            stale.unlink()
+        #: the snapshot the next write supersedes
+        self._last: Path | None = paths[-1] if paths else None
 
     def journal(self) -> CommitJournal:
         """Open (or create) this state directory's commit journal."""
@@ -140,6 +158,9 @@ class SnapshotManager:
         tmp = path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(state, sort_keys=True))
         os.replace(tmp, path)
+        if self._last is not None and self._last != path:
+            self._last.unlink(missing_ok=True)
+        self._last = path
         self._commits_at_last = journal.commits_total
         return path
 
@@ -160,17 +181,10 @@ class SnapshotManager:
 def latest_snapshot(state_dir: str | Path) -> tuple[dict, int] | None:
     """The newest complete snapshot in ``state_dir`` as ``(state,
     lsn)``, or None when the directory holds no snapshot."""
-    state_dir = Path(state_dir)
-    if not state_dir.is_dir():
+    paths = _snapshot_paths(Path(state_dir))
+    if not paths:
         return None
-    best: Path | None = None
-    for p in state_dir.iterdir():
-        if _SNAPSHOT_RE.match(p.name):
-            if best is None or p.name > best.name:
-                best = p
-    if best is None:
-        return None
-    state = json.loads(best.read_text())
+    state = json.loads(paths[-1].read_text())
     return state, int(state.get("lsn", -1))
 
 
@@ -190,8 +204,12 @@ class RecoveryResult:
     #: flow entries in the recovered state, total and per switch
     entries: int
     per_switch: dict[str, int] = field(default_factory=dict)
-    #: the full record-space controller state (snapshot schema)
+    #: the snapshot's controller state minus its rule state (counters,
+    #: deployments, sessions, service record)
     state: dict = field(default_factory=dict)
+    #: the recovered rule state: the entries themselves, per switch, in
+    #: table order — what :func:`apply_recovery` restores
+    switches: dict[str, SwitchSnapshot] = field(default_factory=dict)
 
     def summary(self) -> dict:
         """JSON-safe roll-up (the ``repro recover`` output)."""
@@ -208,85 +226,129 @@ class RecoveryResult:
         }
 
 
-def _apply_message(
-    tables: dict[str, list[list[dict]]],
-    switch: str,
-    msg: FlowMod | FlowDelete,
-    num_tables: int,
-) -> None:
-    """Mirror FlowTable semantics in record space."""
-    per_table = tables.setdefault(
-        switch, [[] for _ in range(num_tables)]
-    )
-    if isinstance(msg, FlowMod):
-        per_table[msg.table_id].append(
-            codec.encode_entry(msg.table_id, msg)
-        )
-        return
-    enc_match = None if msg.match is None else codec.encode_match(msg.match)
-    for tid, entries in enumerate(per_table):
-        if msg.table_id is not None and tid != msg.table_id:
-            continue
-        per_table[tid] = [
-            e for e in entries
-            if not (
-                (msg.cookie is None or e["cookie"] == msg.cookie)
-                and (msg.priority is None or e["priority"] == msg.priority)
-                and (enc_match is None or e["match"] == enc_match)
-            )
+class JournalReplay:
+    """The one reader of a state directory: newest snapshot as the
+    base, then the commit journal from a byte offset.
+
+    :meth:`poll` consumes whatever complete records the journal gained
+    since the last call, so the same object serves a cold restart (poll
+    once) and a warm follower (poll again). An intent past the snapshot
+    frontier is held by LSN until its outcome arrives: a commit record
+    applies it — in commit order, the order hardware saw — an abort
+    drops it, and one that never resolves (the process died mid-commit)
+    is never applied. That is the whole durability argument: the
+    recovered state is the pre- or post-commit state of every
+    transaction, never a hybrid. Pure — touches no switch.
+    """
+
+    def __init__(self, state_dir: str | Path, *, num_tables: int = 4) -> None:
+        self.state_dir = Path(state_dir)
+        self.num_tables = num_tables
+        snap = latest_snapshot(self.state_dir)
+        if snap is None:
+            snap = ({"schema": SNAPSHOT_SCHEMA, "deployments": []}, -1)
+        self._state, self.snapshot_lsn = snap
+        self._tables: dict[str, list[FlowTable]] = {}
+        self._groups: dict[str, tuple] = {}
+        for name, sw_state in self._state.pop("switches", {}).items():
+            tables = self._new_tables(len(sw_state["tables"]))
+            for table, records in zip(tables, sw_state["tables"]):
+                table.add_batch(codec.decode_entry(r)[1] for r in records)
+            self._tables[name] = tables
+            groups = [codec.decode_group(g) for g in sw_state["groups"]]
+            self._groups[name] = tuple((g.group_id, g) for g in groups)
+        self._offset = 0
+        #: intents past the frontier whose outcome is not yet known
+        self._pending: dict[int, dict] = {}
+        self._intents = 0
+        self.journal_records = 0
+        self.replayed = 0
+
+    def _new_tables(self, at_least: int = 0) -> list[FlowTable]:
+        return [
+            FlowTable(i) for i in range(max(self.num_tables, at_least))
         ]
+
+    def poll(self) -> int:
+        """Consume newly flushed journal records; returns how many."""
+        records, self._offset = tail_jsonl(
+            self.state_dir / JOURNAL_NAME, self._offset
+        )
+        for rec in records:
+            kind = rec["type"]
+            if kind == "intent":
+                self._intents += 1
+                if rec["lsn"] > self.snapshot_lsn:
+                    self._pending[rec["lsn"]] = rec["ops"]
+            elif kind == "commit":
+                ops = self._pending.pop(rec["txn"], None)
+                if ops is not None:
+                    self._apply(ops)
+                    self.replayed += 1
+            elif kind == "abort":
+                self._pending.pop(rec["txn"], None)
+        self.journal_records += len(records)
+        return len(records)
+
+    def _apply(self, ops: dict[str, list[dict]]) -> None:
+        for switch, messages in ops.items():
+            tables = self._tables.get(switch)
+            if tables is None:
+                tables = self._tables[switch] = self._new_tables()
+            for data in messages:
+                msg = codec.decode_message(data)
+                if isinstance(msg, FlowMod):
+                    tables[msg.table_id].add(FlowEntry(
+                        msg.priority, msg.match, msg.instructions,
+                        cookie=msg.cookie,
+                    ))
+                else:
+                    remove_from_tables(
+                        tables,
+                        cookie=msg.cookie,
+                        table_id=msg.table_id,
+                        priority=msg.priority,
+                        match=msg.match,
+                    )
+
+    @property
+    def pending_transactions(self) -> list[int]:
+        """Intent LSNs seen whose outcome is still unknown."""
+        return sorted(self._pending)
+
+    def result(self) -> RecoveryResult:
+        """The state replayed so far. The result carries the replayer's
+        own entry objects; :func:`apply_recovery` hands them to the
+        switches, so apply a result once, and last."""
+        switches = {
+            name: SwitchSnapshot(
+                dpid=name,
+                tables=tuple(t.snapshot() for t in tables),
+                groups=self._groups.get(name, ()),
+            )
+            for name, tables in sorted(self._tables.items())
+        }
+        per_switch = {n: s.num_entries for n, s in switches.items()}
+        return RecoveryResult(
+            snapshot_lsn=self.snapshot_lsn,
+            journal_records=self.journal_records,
+            replayed=self.replayed,
+            skipped=self._intents - self.replayed,
+            entries=sum(per_switch.values()),
+            per_switch=per_switch,
+            state=self._state,
+            switches=switches,
+        )
 
 
 def load_recovery(
     state_dir: str | Path, *, num_tables: int = 4
 ) -> RecoveryResult:
-    """Reconstruct the committed controller state in record space:
-    newest snapshot as the base, then replay of every committed intent
-    past its frontier, in LSN order. Pure — touches no switch."""
-    state_dir = Path(state_dir)
-    snap = latest_snapshot(state_dir)
-    if snap is None:
-        state: dict = {"schema": SNAPSHOT_SCHEMA, "switches": {},
-                       "deployments": []}
-        frontier = -1
-    else:
-        state, frontier = snap
-    # record-space working set: switch -> [table -> [entry dicts]]
-    tables: dict[str, list[list[dict]]] = {}
-    for name, sw_state in state.get("switches", {}).items():
-        tables[name] = [list(t) for t in sw_state["tables"]]
-        while len(tables[name]) < num_tables:
-            tables[name].append([])
-
-    records, _ = tail_jsonl(state_dir / JOURNAL_NAME)
-    to_replay = committed_ops(records, after_lsn=frontier)
-    intents_total = sum(1 for r in records if r["type"] == "intent")
-    for _lsn, _label, ops in to_replay:
-        for switch, msgs in sorted(ops.items()):
-            for msg in msgs:
-                _apply_message(tables, switch, msg, num_tables)
-
-    # fold the replayed tables back into the snapshot-shaped state
-    switches_out = {}
-    per_switch = {}
-    total = 0
-    for name in sorted(tables):
-        groups = state.get("switches", {}).get(name, {}).get("groups", [])
-        switches_out[name] = {"tables": tables[name], "groups": groups}
-        n = sum(len(t) for t in tables[name])
-        per_switch[name] = n
-        total += n
-    state = dict(state)
-    state["switches"] = switches_out
-    return RecoveryResult(
-        snapshot_lsn=frontier,
-        journal_records=len(records),
-        replayed=len(to_replay),
-        skipped=intents_total - len(to_replay),
-        entries=total,
-        per_switch=per_switch,
-        state=state,
-    )
+    """Reconstruct the committed controller state: newest snapshot,
+    then every committed intent past its frontier."""
+    replay = JournalReplay(state_dir, num_tables=num_tables)
+    replay.poll()
+    return replay.result()
 
 
 def apply_recovery(result: RecoveryResult, cluster: Any) -> int:
@@ -295,29 +357,14 @@ def apply_recovery(result: RecoveryResult, cluster: Any) -> int:
     fault injection, like transaction rollback). Switches absent from
     the recovered state are wiped. Returns entries installed."""
     installed = 0
-    recovered = result.state.get("switches", {})
     for name, sw in cluster.switches.items():
-        sw_state = recovered.get(name)
-        if sw_state is None:
-            table_entries: list[tuple] = [() for _ in sw.tables]
-            groups: list = []
-        else:
-            per_table: list[list] = [[] for _ in sw.tables]
-            for tid, entries in enumerate(sw_state["tables"]):
-                for rec in entries:
-                    _tid, entry = codec.decode_entry(rec)
-                    per_table[tid].append(entry)
-            table_entries = [tuple(t) for t in per_table]
-            groups = [codec.decode_group(g) for g in sw_state["groups"]]
-        snap = SwitchSnapshot(
-            dpid=sw.dpid,
-            tables=tuple(table_entries),
-            groups=tuple((g.group_id, g) for g in groups),
-        )
-        installed += sw.restore(snap)
+        snap = result.switches.get(name)
+        tables, groups = (snap.tables, snap.groups) if snap else ((), ())
+        # name every table the switch has: restore leaves the rest alone
+        width = len(sw.tables)
+        tables = tables[:width] + ((),) * (width - len(tables))
+        installed += sw.restore(SwitchSnapshot(sw.dpid, tables, groups))
     return installed
-
-
 def recover(
     state_dir: str | Path,
     *,
@@ -365,17 +412,16 @@ def recover(
         max_meta = -1
         from repro.tenancy.session import TENANT_COOKIE_SPACE
 
-        for sw_state in state.get("switches", {}).values():
-            for table in sw_state["tables"]:
-                for rec in table:
-                    if rec["cookie"] < TENANT_COOKIE_SPACE:
-                        max_cookie = max(max_cookie, rec["cookie"])
-                    meta = rec["match"][1]  # Match.metadata
-                    if meta is not None:
-                        max_meta = max(max_meta, meta)
-                    for ins in rec["instructions"]:
-                        if ins[0] == "meta":
-                            max_meta = max(max_meta, ins[1])
+        for snap in result.switches.values():
+            for table in snap.tables:
+                for entry in table:
+                    if entry.cookie < TENANT_COOKIE_SPACE:
+                        max_cookie = max(max_cookie, entry.cookie)
+                    if entry.match.metadata is not None:
+                        max_meta = max(max_meta, entry.match.metadata)
+                    for ins in entry.instructions:
+                        if isinstance(ins, WriteMetadata):
+                            max_meta = max(max_meta, ins.value)
         controller._next_cookie = max(
             controller._next_cookie, max_cookie + 1
         )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.openflow.channel import CONTROL_RTT
 from repro.routing.protocols import register_protocol
 from repro.routing.protocols.base import (
     ConvergenceReport,
@@ -30,7 +31,6 @@ from repro.routing.protocols.base import (
     RoutingProtocol,
 )
 from repro.routing.protocols.precomputed import (
-    CONTROL_RTT,
     DETECTION_DELAY,
     modeled_push_time,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from repro.openflow.channel import CONTROL_RTT, FLOW_INSTALL_LATENCY
 from repro.routing.protocols import register_protocol
 from repro.routing.protocols.base import (
     ConvergenceReport,
@@ -26,13 +27,10 @@ from repro.routing.repair import reroute_avoiding
 from repro.routing.strategies import routes_for
 from repro.routing.table import RouteTable
 from repro.topology.graph import Topology
-from repro.util.units import MICROSECONDS, MILLISECONDS
+from repro.util.units import MILLISECONDS
 
 #: port-down signal latency (hardware LOS -> controller event)
 DETECTION_DELAY = 1 * MILLISECONDS
-#: per-flow-mod install latency / control RTT (ControlChannel defaults)
-FLOW_INSTALL_LATENCY = 250 * MICROSECONDS
-CONTROL_RTT = 1 * MILLISECONDS
 
 
 def modeled_push_time(routes: RouteTable) -> tuple[float, int]:

@@ -60,9 +60,7 @@ def _config_from(payload: dict, field: str = "topology"):
     spec = payload.get(field)
     if not isinstance(spec, dict):
         raise ConfigurationError(f"request needs a {field!r} object")
-    import json as _json
-
-    return TopologyConfig.from_json(_json.dumps(spec))
+    return TopologyConfig.from_dict(spec)
 
 
 class ControlPlaneService:

@@ -61,9 +61,7 @@ class TenantSpec:
             return cls(
                 tenant_id=str(data["id"]),
                 quota=TenantQuota.from_dict(data["quota"]),
-                topology=TopologyConfig.from_json(
-                    json.dumps(data["topology"])
-                ),
+                topology=TopologyConfig.from_dict(data["topology"]),
             )
         except KeyError as missing:
             raise ConfigurationError(

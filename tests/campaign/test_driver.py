@@ -6,11 +6,11 @@ import pytest
 
 from repro.campaign import (
     CampaignSpec,
-    resolve_workers,
     resummarize,
     run_campaign,
     summarize,
 )
+from repro.campaign.driver import resolve_workers
 from repro.campaign.report import load_results, render_report
 from repro.util.errors import ConfigurationError
 
@@ -29,17 +29,10 @@ def tiny_spec(**over):
     return CampaignSpec.from_dict(base)
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("SDT_CAMPAIGN_WORKERS", raising=False)
+def test_resolve_workers():
     assert resolve_workers() == 1
     assert resolve_workers(4) == 4
     assert resolve_workers(0) == 1
-    monkeypatch.setenv("SDT_CAMPAIGN_WORKERS", "3")
-    assert resolve_workers() == 3
-    assert resolve_workers(2) == 2  # explicit beats env
-    monkeypatch.setenv("SDT_CAMPAIGN_WORKERS", "many")
-    with pytest.raises(ConfigurationError):
-        resolve_workers()
 
 
 def test_inline_run_streams_jsonl_and_writes_report(tmp_path):

@@ -98,11 +98,15 @@ def test_bad_json_rejected():
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigurationError, match="unknown config keys"):
         TopologyConfig.from_json('{"kind": "chain", "speed": 9}')
+    with pytest.raises(ConfigurationError, match="unknown config keys"):
+        TopologyConfig.from_dict({"kind": "chain", "speed": 9})
 
 
 def test_kind_required():
     with pytest.raises(ConfigurationError, match="missing required"):
         TopologyConfig.from_json('{"params": {}}')
+    with pytest.raises(ConfigurationError, match="missing required"):
+        TopologyConfig.from_dict({"params": {}})
 
 
 def test_defaults():

@@ -1,14 +1,13 @@
-"""Commit-journal mechanics: LSNs, reopen, torn tails, replay sets."""
+"""Commit-journal mechanics: LSNs, reopen, torn tails."""
 
 from __future__ import annotations
 
 from repro.openflow.actions import ApplyActions, Output
-from repro.openflow.channel import FlowDelete, FlowMod
+from repro.openflow.channel import FlowMod
 from repro.openflow.match import Match
 from repro.recovery import (
     CommitJournal,
     active_journal,
-    committed_ops,
     install_journal,
     uninstall_journal,
 )
@@ -67,32 +66,6 @@ def test_torn_tail_is_ignored_until_overwritten(tmp_path):
     assert len(journal.read()) == 2  # torn line not consumed
     reopened = CommitJournal(path)
     assert len(reopened) == 2  # next LSN derived from complete records
-
-
-def test_committed_ops_filters_and_orders(tmp_path):
-    journal = CommitJournal(tmp_path / "journal.jsonl")
-    committed = journal.append_intent("deploy", _ops(MOD))
-    journal.append_commit(committed)
-    aborted = journal.append_intent("bad-edit", _ops(MOD))
-    journal.append_abort(aborted, reason="rolled back")
-    late = journal.append_intent(
-        "late", _ops(MOD, FlowDelete(cookie=9))
-    )
-    journal.append_commit(late)
-    journal.append_intent("crashed", _ops(MOD))  # unresolved: no record
-
-    replay = committed_ops(journal.read())
-    assert [(lsn, label) for lsn, label, _ in replay] == [
-        (committed, "deploy"), (late, "late"),
-    ]
-    # ops decode back to real message objects, order preserved
-    _, _, ops = replay[1]
-    assert ops["phys0"] == [MOD, FlowDelete(cookie=9)]
-
-    # the snapshot frontier restricts the replay set
-    assert [lsn for lsn, _, _ in committed_ops(
-        journal.read(), after_lsn=committed
-    )] == [late]
 
 
 def test_install_uninstall_roundtrip(tmp_path):

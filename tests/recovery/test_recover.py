@@ -9,14 +9,42 @@ run's.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from repro.core import SDTController
-from repro.recovery import load_recovery, recover
+from repro.openflow import (
+    ApplyActions,
+    ControlChannel,
+    FlowDelete,
+    FlowMod,
+    GotoTable,
+    Match,
+    OpenFlowSwitch,
+    Output,
+    WriteMetadata,
+)
+from repro.recovery import (
+    CommitJournal,
+    JournalReplay,
+    SnapshotManager,
+    load_recovery,
+    recover,
+)
 from repro.recovery.snapshot import apply_recovery
 from repro.hardware.wiring import HostPort
 from repro.tenancy import TenantQuota
 from repro.tenancy.session import TenantSession
 
+from tests.openflow.test_flowtable_lookup_prop import (
+    PORTS,
+    PRIORITIES,
+    _random_match,
+)
+from tests.proptools import prop_cases, seeded_cases
 from tests.recovery.conftest import fresh_cluster, installed_state
+
+ROOT_SEED = 20261004
+NUM_CASES = prop_cases(40)
 
 
 def _mutate(controller, deployment, ops, manager, journal):
@@ -122,10 +150,244 @@ def test_load_recovery_is_pure(journaled):
     _mutate(controller, deployment, 2, manager, journal)
     before = installed_state(controller.cluster)
     result = load_recovery(manager.state_dir)
-    # pure record space: no switch touched by loading
+    # pure: no switch touched by loading
     assert installed_state(controller.cluster) == before
 
     cluster = fresh_cluster()
     installed = apply_recovery(result, cluster)
     assert installed == result.entries
     assert installed_state(cluster) == before
+
+
+# --- the replayer itself: tailing, pending intents, commit order ----------
+
+def _one_op(controller, deployment):
+    controller.fail_link(
+        deployment, deployment.topology.switch_links[0].index
+    )
+
+
+def _staged(deployment) -> dict:
+    return {name: list(mods) for name, mods in deployment.rules.mods.items()}
+
+
+def test_second_poll_consumes_only_new_records(journaled):
+    controller, deployment, manager, _journal = journaled
+    replay = JournalReplay(manager.state_dir)
+    assert replay.poll() >= 2  # the deploy's intent + commit
+    assert replay.poll() == 0  # nothing new: the offset advanced
+
+    _one_op(controller, deployment)
+    assert replay.poll() == 2  # exactly the new intent + commit
+    result = replay.result()
+    assert result.replayed == 2
+    assert result.journal_records == len(_journal)
+
+
+def test_unresolved_intent_stays_pending_and_is_never_applied(journaled):
+    controller, deployment, manager, journal = journaled
+    lsn = journal.append_intent("crashed", _staged(deployment))
+
+    replay = JournalReplay(manager.state_dir)
+    replay.poll()
+    assert replay.pending_transactions == [lsn]
+    # later traffic does not flush it out
+    _one_op(controller, deployment)
+    controller.restore_links(deployment)
+    replay.poll()
+    assert replay.pending_transactions == [lsn]
+    expected = installed_state(controller.cluster)
+
+    result = replay.result()
+    assert result.skipped == 1
+    cluster = fresh_cluster()
+    apply_recovery(result, cluster)
+    assert installed_state(cluster) == expected
+
+
+def test_abort_resolves_a_pending_intent(journaled):
+    controller, deployment, manager, journal = journaled
+    expected = installed_state(controller.cluster)
+    replay = JournalReplay(manager.state_dir)
+    lsn = journal.append_intent("doomed", _staged(deployment))
+    replay.poll()
+    assert replay.pending_transactions == [lsn]
+
+    journal.append_abort(lsn, reason="rolled back")
+    replay.poll()
+    assert replay.pending_transactions == []
+
+    cluster = fresh_cluster()
+    apply_recovery(replay.result(), cluster)
+    assert installed_state(cluster) == expected
+
+
+def test_polling_after_every_mutation_matches_polling_once(journaled):
+    controller, deployment, manager, journal = journaled
+    warm = JournalReplay(manager.state_dir)
+    warm.poll()
+    for _ in range(2):
+        _one_op(controller, deployment)
+        warm.poll()
+        controller.restore_links(deployment)
+        warm.poll()
+    expected = installed_state(controller.cluster)
+
+    promoted = fresh_cluster()
+    installed = apply_recovery(warm.result(), promoted)
+    assert installed == sum(len(v) for v in expected.values())
+    cold = fresh_cluster()
+    recover(manager.state_dir, cluster=cold)
+    for name in expected:
+        assert promoted.switches[name].installed_rules() == expected[name]
+        assert cold.switches[name].installed_rules() == expected[name]
+
+
+def test_replay_bootstraps_from_the_snapshot(journaled):
+    controller, deployment, manager, journal = journaled
+    _one_op(controller, deployment)
+    manager.write(controller, journal)
+    controller.restore_links(deployment)
+
+    replay = JournalReplay(manager.state_dir)
+    assert replay.poll() == len(journal)
+    # intents at or before the snapshot frontier are already inside the
+    # snapshot: read, counted as skipped, not replayed
+    result = replay.result()
+    assert (result.replayed, result.skipped) == (1, 2)
+
+    cluster = fresh_cluster()
+    apply_recovery(result, cluster)
+    assert installed_state(cluster) == installed_state(controller.cluster)
+
+
+_MOD = FlowMod(
+    table_id=0,
+    priority=5,
+    match=Match(in_port=1),
+    instructions=(ApplyActions((Output(2),)),),
+    cookie=9,
+)
+
+
+def test_replay_skips_aborted_and_unresolved_and_keeps_commit_order(tmp_path):
+    journal = CommitJournal(tmp_path / "journal.jsonl")
+    add = journal.append_intent("deploy", {"phys0": [_MOD]})
+    aborted = journal.append_intent(
+        "bad-edit", {"phys0": [_MOD._replace(cookie=7)]}
+    )
+    journal.append_abort(aborted, reason="rolled back")
+    wipe = journal.append_intent("wipe", {"phys0": [FlowDelete(cookie=9)]})
+    # the wipe's commit record lands first: hardware saw it before the add
+    journal.append_commit(wipe)
+    journal.append_commit(add)
+    crashed = journal.append_intent(
+        "crashed", {"phys0": [_MOD._replace(cookie=8)]}
+    )
+
+    replay = JournalReplay(tmp_path)
+    assert replay.poll() == len(journal)
+    assert replay.pending_transactions == [crashed]
+    result = replay.result()
+    assert (result.replayed, result.skipped) == (2, 2)
+    # applied in commit order the add survives the wipe; the aborted and
+    # the unresolved intents left nothing behind
+    switch = OpenFlowSwitch("phys0", 4)
+    apply_recovery(result, SimpleNamespace(switches={"phys0": switch}))
+    assert switch.installed_rules() == [
+        (0, 5, _MOD.match, _MOD.instructions, 9)
+    ]
+
+
+# --- differential: raw message lists against a live switch ---------------
+
+def _raw_message(rng, live: OpenFlowSwitch) -> FlowMod | FlowDelete:
+    """A FlowMod, or one of the five FlowDelete shapes: strict,
+    cookie-only, cookie+priority, table-scoped, all-``None``."""
+    kind = rng.random()
+    table = int(rng.integers(0, len(live.tables)))
+    if kind < 0.6:
+        if table + 1 < len(live.tables) and rng.random() < 0.3:
+            instructions = (
+                WriteMetadata(int(rng.integers(1, 4))), GotoTable(table + 1),
+            )
+        else:
+            instructions = (ApplyActions((Output(int(rng.choice(PORTS))),)),)
+        return FlowMod(
+            table_id=table,
+            priority=int(rng.choice(PRIORITIES)),
+            match=_random_match(rng),
+            instructions=instructions,
+            cookie=int(rng.integers(0, 3)),
+        )
+    cookie = int(rng.integers(0, 3))
+    if kind < 0.8:
+        keys = live.entry_keys()
+        if keys and rng.random() < 0.7:  # an installed entry's own key
+            table, priority, match, cookie = keys[int(rng.integers(len(keys)))]
+        else:
+            priority, match = int(rng.choice(PRIORITIES)), _random_match(rng)
+        return FlowDelete(
+            cookie=cookie if rng.random() < 0.7 else None,
+            table_id=table if rng.random() < 0.7 else None,
+            priority=priority,
+            match=match,
+        )
+    if kind < 0.88:
+        return FlowDelete(cookie=cookie)
+    if kind < 0.94:
+        return FlowDelete(cookie=cookie, priority=int(rng.choice(PRIORITIES)))
+    if kind < 0.98:
+        return FlowDelete(table_id=table)
+    return FlowDelete()
+
+
+def test_replay_of_raw_messages_matches_a_live_switch(tmp_path):
+    """The controller only ever stages what synthesis emits; this
+    journals arbitrary message lists, applies the committed ones to a
+    live switch through its control channel, snapshots at a random
+    point, and demands that a follower polled after every transaction
+    and a cold replay both rebuild exactly ``installed_rules()``."""
+    for case, rng in seeded_cases(NUM_CASES, ROOT_SEED, "raw-replay"):
+        manager = SnapshotManager(tmp_path / f"case{case}")
+        journal = manager.journal()
+        live = OpenFlowSwitch("phys0", len(PORTS))
+        channel = ControlChannel(live)
+        controller = SimpleNamespace(
+            cluster=SimpleNamespace(switches={"phys0": live}),
+            deployments=[], seed=0, placement="", _next_cookie=0,
+            _next_metadata=0, last_commit_strategy="",
+        )
+        warm = JournalReplay(manager.state_dir)
+        transactions = int(rng.integers(3, 10))
+        snapshot_at = int(rng.integers(0, transactions + 1))
+        for txn in range(transactions):
+            messages = [
+                _raw_message(rng, live)
+                for _ in range(int(rng.integers(1, 12)))
+            ]
+            lsn = journal.append_intent(f"txn{txn}", {"phys0": messages})
+            fate = rng.random()
+            if fate < 0.75:
+                for msg in messages:
+                    channel.send(msg)
+                journal.append_commit(lsn)
+            elif fate < 0.9:
+                journal.append_abort(lsn, reason="rolled back")
+            # else: died between intent and hardware — never resolved
+            warm.poll()
+            if txn == snapshot_at:
+                manager.write(controller, journal)
+        expected = live.installed_rules()
+
+        for label, result in (
+            ("warm", warm.result()),
+            ("cold", load_recovery(manager.state_dir)),
+        ):
+            target = OpenFlowSwitch("phys0", len(PORTS))
+            apply_recovery(
+                result, SimpleNamespace(switches={"phys0": target})
+            )
+            assert target.installed_rules() == expected, (
+                f"case {case} ({label}): replay diverged from the switch"
+            )

@@ -6,11 +6,11 @@ import json
 
 import pytest
 
-from repro.recovery import SnapshotManager
+from repro.recovery import SnapshotManager, recover
 from repro.recovery.snapshot import controller_state, latest_snapshot
 from repro.util.errors import ReproError
 
-from tests.recovery.conftest import installed_state
+from tests.recovery.conftest import fresh_cluster, installed_state
 
 
 def test_cadence_must_be_positive(tmp_path):
@@ -51,6 +51,51 @@ def test_latest_snapshot_picks_newest(journaled):
     state, lsn = latest_snapshot(manager.state_dir)
     assert lsn == len(journal) - 1
     assert state["lsn"] == lsn
+
+
+def _snapshots(manager) -> list[str]:
+    return sorted(p.name for p in manager.state_dir.glob("snapshot-*.json"))
+
+
+def test_write_unlinks_the_snapshot_it_supersedes(journaled):
+    controller, deployment, manager, journal = journaled
+    link = deployment.topology.switch_links[0].index
+    for _ in range(3):
+        controller.fail_link(deployment, link)
+        manager.write(controller, journal)
+        controller.restore_links(deployment)
+        last = manager.write(controller, journal)
+    assert _snapshots(manager) == [last.name]
+    # a second write at the same frontier replaces the file in place
+    assert manager.write(controller, journal) == last
+    assert _snapshots(manager) == [last.name]
+
+    cluster = fresh_cluster()
+    result = recover(manager.state_dir, cluster=cluster)
+    assert (result.snapshot_lsn, result.replayed) == (len(journal) - 1, 0)
+    assert installed_state(cluster) == installed_state(controller.cluster)
+
+
+def test_crash_between_replace_and_unlink_recovers_from_the_newer(journaled):
+    controller, deployment, manager, journal = journaled
+    older = manager.write(controller, journal)
+    stale = older.read_text()
+    controller.fail_link(deployment, deployment.topology.switch_links[0].index)
+    newer = manager.write(controller, journal)
+    older.write_text(stale)  # the unlink never happened
+    assert _snapshots(manager) == [older.name, newer.name]
+
+    cluster = fresh_cluster()
+    result = recover(manager.state_dir, cluster=cluster)
+    assert result.snapshot_lsn == len(journal) - 1
+    assert installed_state(cluster) == installed_state(controller.cluster)
+    # the next manager opened on the directory prunes it to the newest,
+    # and its first write supersedes that one
+    reopened = SnapshotManager(manager.state_dir)
+    assert _snapshots(manager) == [newer.name]
+    controller.restore_links(deployment)
+    latest = reopened.write(controller, journal)
+    assert _snapshots(manager) == [latest.name]
 
 
 def test_latest_snapshot_missing_dir_is_none(tmp_path):

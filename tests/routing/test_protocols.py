@@ -1,7 +1,10 @@
 """The routing-protocol plug-in interface and its three built-ins."""
 
+from collections import Counter
+
 import pytest
 
+from repro.openflow import ControlChannel, OpenFlowSwitch
 from repro.routing.protocols import (
     RoutingProtocol,
     protocol,
@@ -9,6 +12,7 @@ from repro.routing.protocols import (
     registered_protocols,
 )
 from repro.routing.protocols.distvec import DistanceVectorProtocol
+from repro.routing.protocols.precomputed import modeled_push_time
 from repro.topology import chain, fat_tree
 from repro.topology.zoo import build_zoo_topology, zoo_entry
 from repro.util.errors import RoutingError
@@ -149,6 +153,16 @@ def test_precomputed_reports_modeled_push_time():
     outcome = proto.initial_routes(topo)
     assert outcome.convergence.messages > 0  # flow-mods pushed
     assert outcome.convergence.time > 0
+
+
+def test_modeled_push_time_is_the_control_channels_model():
+    routes = protocol("precomputed", seed=0).initial_routes(fat_tree(4)).routes
+    per_switch = Counter(switch for switch, _d, _v, _h in routes.entries())
+    channel = ControlChannel(OpenFlowSwitch("probe", 4))
+    assert modeled_push_time(routes) == (
+        max(per_switch.values()) * channel.flow_install_latency + channel.rtt,
+        sum(per_switch.values()),
+    )
 
 
 def test_live_neighbors_masks_failed_links():
