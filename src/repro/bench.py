@@ -236,11 +236,15 @@ _MT_TENANTS: tuple[tuple[str, int, int, str, dict], ...] = (
 
 def run_multitenant_suite(quick: bool) -> dict:
     """The multi-tenant serve path through ``repro serve``'s own
-    driver (:func:`repro.tenancy.run_scenario`): session admission,
+    driver (:func:`repro.tenancy.serve_scenario` against a
+    :class:`~repro.service.app.ControlPlaneService`): session admission,
     scheduling, preparation, transactional install, then the
     post-commit isolation verification. One profile — ``quick``
     selects nothing."""
-    from repro.tenancy import TenantQuota, TenantSpec, run_scenario
+    import asyncio
+
+    from repro.service.app import ControlPlaneService
+    from repro.tenancy import TenantQuota, TenantSpec, serve_scenario
     from repro.tenancy.scenario import Scenario as TenantScenario
 
     scenario = TenantScenario(
@@ -257,31 +261,37 @@ def run_multitenant_suite(quick: bool) -> dict:
             for tenant, ports, share, kind, params in _MT_TENANTS
         ],
     )
-    t0 = time.perf_counter()
-    run = run_scenario(scenario)
-    service = run.service
-    try:
-        service.drain(60)
-        serve_s = time.perf_counter() - t0
-        isolation = service.verifier.verify(
-            [s for s in service.sessions.values() if s.state == "active"],
-            strict=False,
+
+    async def serve() -> tuple[ControlPlaneService, dict]:
+        service = ControlPlaneService(
+            scenario.pool(), workers=scenario.max_workers
         )
-    finally:
-        service.shutdown()
-    sessions = run.report["status"]["tenants"]
+        await service.start()
+        try:
+            return service, await serve_scenario(service, scenario)
+        finally:
+            await service.stop()
+
+    t0 = time.perf_counter()
+    service, report = asyncio.run(serve())
+    serve_s = time.perf_counter() - t0
+    isolation = service.testbed.verifier.verify(
+        [s for s in service.testbed.sessions.values() if s.state == "active"],
+        strict=False,
+    )
+    sessions = report["status"]["tenants"]
     tenants = [
         {
             "tenant": tenant,
             "rules_installed": record["rules_installed"],
             "host_ports_used": sessions[tenant]["host_ports_used"],
         }
-        for tenant, record in run.report["tenants"].items()
+        for tenant, record in report["tenants"].items()
     ]
     return {
         "tenants": tenants,
         "admitted": sorted(t["tenant"] for t in tenants),
-        "rejected": sorted(r["tenant"] for r in run.report["rejected"]),
+        "rejected": sorted(r["tenant"] for r in report["rejected"]),
         "isolation_ok": isolation.ok,
         "isolation_problems": isolation.problems,
         "total_rules_installed": sum(t["rules_installed"] for t in tenants),

@@ -454,20 +454,13 @@ def _hostport(value: str) -> tuple[str, int]:
 def _serve_listen(args) -> int:
     """Long-running service mode: bind the HTTP control-plane API."""
     from repro.service.app import run_service
-    from repro.tenancy import Scenario, build_pool_for_tenants
+    from repro.tenancy import Scenario
 
     host, port = _hostport(args.listen)
     if args.scenario:
         # scenario file sizes the pool; its tenants are NOT admitted —
         # clients open their own sessions over the API
-        scenario = Scenario.from_file(args.scenario)
-        cluster = build_pool_for_tenants(
-            [t.topology.build() for t in scenario.tenants],
-            scenario.switches,
-            scenario.spec,
-            seed=scenario.seed,
-            spare_hosts=scenario.spare_hosts,
-        )
+        cluster = Scenario.from_file(args.scenario).pool()
     else:
         from repro.hardware.cluster import PhysicalCluster
 
@@ -489,6 +482,31 @@ def _serve_listen(args) -> int:
     return 0
 
 
+def _serve_scenario(scenario) -> dict:
+    """Replay a scenario through a fresh in-process control-plane
+    service on its own pool; returns the run report."""
+    import asyncio
+
+    from repro.service.app import ControlPlaneService
+    from repro.tenancy import serve_scenario
+
+    async def run() -> dict:
+        # every deploy is queued at once: bound the queue by the file,
+        # not by the service default
+        service = ControlPlaneService(
+            scenario.pool(),
+            workers=scenario.max_workers,
+            max_pending=len(scenario.tenants),
+        )
+        await service.start()
+        try:
+            return await serve_scenario(service, scenario)
+        finally:
+            await service.stop()
+
+    return asyncio.run(run())
+
+
 def cmd_serve(args) -> int:
     """Run a multi-tenant scenario: admit every tenant, deploy their
     topologies through the fair-share scheduler, report the outcome.
@@ -496,44 +514,33 @@ def cmd_serve(args) -> int:
     HTTP control-plane service (see DESIGN.md §8)."""
     import json
 
-    from repro.tenancy import Scenario, ScenarioAborted, run_scenario
+    from repro.tenancy import Scenario
 
     if args.listen:
         return _serve_listen(args)
     if not args.scenario:
         raise ReproError("serve needs a scenario file (or --listen)")
     scenario = Scenario.from_file(args.scenario)
-    code = 0
-    try:
-        run = run_scenario(scenario)
-    except ScenarioAborted as exc:
-        # partial run: report what happened, then flush like any run —
-        # a mid-scenario error must not eat the report
-        print(f"error: {exc}", file=sys.stderr)
-        run = exc.run
-        code = 2
-    try:
-        report = run.report
-        print(f"served {len(scenario.tenants)} tenants on "
-              f"{scenario.switches}x {scenario.spec.model}")
-        for tenant, info in sorted(report["tenants"].items()):
-            print(f"  {tenant:12s} {info['deployment']:16s} "
-                  f"{info['rules_installed']:5d} rules  "
-                  f"install {time_str(info['install_time'])}")
-        for rej in report["rejected"]:
-            print(f"  {rej['tenant']:12s} REJECTED ({rej['stage']}): "
-                  + "; ".join(rej["problems"]))
-        if report.get("error"):
-            print(f"  run aborted: {report['error']}")
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-            print(f"report written: {args.json}")
-        if code == 0 and report["rejected"]:
-            code = 1
-        return code
-    finally:
-        run.service.shutdown()
+    report = _serve_scenario(scenario)
+    print(f"served {len(scenario.tenants)} tenants on "
+          f"{scenario.switches}x {scenario.spec.model}")
+    for tenant, info in sorted(report["tenants"].items()):
+        print(f"  {tenant:12s} {info['deployment']:16s} "
+              f"{info['rules_installed']:5d} rules  "
+              f"install {time_str(info['install_time'])}")
+    for rej in report["rejected"]:
+        print(f"  {rej['tenant']:12s} REJECTED ({rej['stage']}): "
+              + "; ".join(rej["problems"]))
+    if report.get("error"):
+        # a partial run still flushes its report below
+        print(f"  run aborted: {report['error']}")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+        print(f"report written: {args.json}")
+    if report.get("error"):
+        return 2
+    return 1 if report["rejected"] else 0
 
 
 def cmd_client(args) -> int:
@@ -636,18 +643,16 @@ def cmd_status(args) -> int:
     """Deploy a scenario and print the live pool/tenant status."""
     import json
 
-    from repro.tenancy import Scenario, run_scenario
+    from repro.tenancy import Scenario
 
-    run = run_scenario(Scenario.from_file(args.scenario))
-    try:
-        status = run.report["status"]
-        if args.json:
-            print(json.dumps(status, indent=2, sort_keys=True))
-        else:
-            _print_status(status)
-        return 0
-    finally:
-        run.service.shutdown()
+    report = _serve_scenario(Scenario.from_file(args.scenario))
+    if report.get("error"):
+        raise ReproError(f"scenario aborted mid-run: {report['error']}")
+    if args.json:
+        print(json.dumps(report["status"], indent=2, sort_keys=True))
+    else:
+        _print_status(report["status"])
+    return 0
 
 
 def cmd_recover(args) -> int:

@@ -1,8 +1,10 @@
 """The long-running control-plane service (DESIGN.md §8).
 
-:class:`ControlPlaneService` promotes the scenario-driven
-:class:`~repro.tenancy.service.TestbedService` into a fleet-facing
-daemon: an asyncio event loop accepts HTTP/JSON requests for the
+:class:`ControlPlaneService` is the one entry point for tenant work on a
+:class:`~repro.tenancy.service.TestbedService`: scenario replays
+(:func:`~repro.tenancy.scenario.serve_scenario`), ``engineer --watch``
+and the churn suites call its in-process API, and as a fleet-facing
+daemon an asyncio event loop accepts HTTP/JSON requests for the
 tenant session lifecycle (``create`` / ``deploy`` / ``reconfigure`` /
 ``status`` / ``evict``), the testbed's own
 :class:`~repro.tenancy.scheduler.Scheduler` executes the control-plane
@@ -36,6 +38,7 @@ import asyncio
 import time
 from pathlib import Path
 from typing import Any
+from urllib.parse import parse_qs
 
 from repro.hardware.cluster import PhysicalCluster
 from repro.recovery import SnapshotManager, install_journal, uninstall_journal
@@ -219,7 +222,7 @@ class ControlPlaneService:
             raise ConfigurationError(f"unknown end-session mode {mode!r}")
         await self.submit(mode, tenant_id)
         await asyncio.to_thread(self._snapshot, force=True)
-        return {"tenant": tenant_id, "state": mode + "ed"}
+        return {"tenant": tenant_id, "state": self.testbed.sessions[tenant_id].state}
 
     def status(self) -> dict:
         payload = self.testbed.status()
@@ -307,11 +310,13 @@ class ControlPlaneService:
             )
             return HttpResponse.json({"session": snap}, status=201)
 
-        if len(tail) >= 2 and tail[0] == "sessions":
+        if len(tail) in (2, 3) and tail[0] == "sessions":
             tenant = tail[1]
             action = tail[2] if len(tail) == 3 else None
             if method == "DELETE" and action is None:
-                mode = "close" if request.query == "mode=close" else "evict"
+                modes = parse_qs(request.query, keep_blank_values=True)
+                # a repeated or empty mode joins into one end_session refuses
+                mode = ",".join(modes.get("mode", ["evict"]))
                 return HttpResponse.json(
                     await self.end_session(tenant, mode=mode)
                 )

@@ -61,7 +61,7 @@ class HttpRequest:
     path: str
     headers: dict[str, str]
     body: bytes = b""
-    #: ``path`` split at the first ``?`` (query is not parsed further)
+    #: ``path`` split at the first ``?`` (the router parses it)
     query: str = ""
 
     def json(self) -> dict:
@@ -145,7 +145,10 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         raise HttpError(400, f"bad Content-Length {raw_len!r}") from None
     if length < 0 or length > MAX_BODY_BYTES:
         raise HttpError(400, f"unacceptable Content-Length {length}")
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError:
+        raise HttpError(400, "truncated request body") from None
     path, _, query = target.partition("?")
     return HttpRequest(
         method=method.upper(), path=path, headers=headers, body=body,

@@ -8,19 +8,20 @@ zero mutation on reject (:mod:`~repro.tenancy.admission`),
 deterministic fair-share scheduling of control-plane transactions
 (:mod:`~repro.tenancy.scheduler`), post-commit isolation verification
 (:mod:`~repro.tenancy.isolation`), and the front-end binding them
-together (:mod:`~repro.tenancy.service`), driven declaratively by
-scenario files (:mod:`~repro.tenancy.scenario`).
+together (:mod:`~repro.tenancy.service`), whose operations every
+caller submits through that scheduler. Scenario files
+(:mod:`~repro.tenancy.scenario`) are replayed as a client of
+:class:`~repro.service.app.ControlPlaneService`, the one entry point
+for tenant work.
 """
 
 from repro.tenancy.admission import AdmissionController
 from repro.tenancy.isolation import IsolationReport, IsolationVerifier
 from repro.tenancy.scenario import (
     Scenario,
-    ScenarioAborted,
-    ScenarioRun,
     TenantSpec,
     build_pool_for_tenants,
-    run_scenario,
+    serve_scenario,
 )
 from repro.tenancy.scheduler import Operation, Scheduler
 from repro.tenancy.service import TestbedService
@@ -39,8 +40,6 @@ __all__ = [
     "IsolationVerifier",
     "Operation",
     "Scenario",
-    "ScenarioAborted",
-    "ScenarioRun",
     "Scheduler",
     "SESSION_ACTIVE",
     "SESSION_CLOSED",
@@ -51,5 +50,5 @@ __all__ = [
     "TenantSpec",
     "TestbedService",
     "build_pool_for_tenants",
-    "run_scenario",
+    "serve_scenario",
 ]

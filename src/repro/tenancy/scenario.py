@@ -18,24 +18,27 @@ A scenario JSON describes one shared pool and the tenants to admit:
       ]
     }
 
-``run_scenario`` wires a pool large enough to hold every tenant's
+:meth:`Scenario.pool` wires a pool large enough to hold every tenant's
 topology *concurrently* (summed demand, not §IV-B's one-at-a-time
-max), opens the sessions in file order,
-submits every deploy through the scheduler, and returns the service
-plus a JSON-safe run report — the driver behind ``repro serve``.
+max). :func:`serve_scenario` is a client of a running
+:class:`~repro.service.app.ControlPlaneService` on that pool: it opens
+the sessions in file order, submits every deploy, and returns a
+JSON-safe run report — the driver behind ``repro serve`` and
+``repro status``.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.core.controller.config import TopologyConfig
 from repro.core.projection.linkproj import plan_inter_switch_reservation
 from repro.hardware.cluster import PhysicalCluster
 from repro.hardware.spec import SwitchSpec
-from repro.tenancy.service import TestbedService
 from repro.tenancy.session import TenantQuota
 from repro.topology.graph import Topology
 from repro.util.errors import (
@@ -45,6 +48,9 @@ from repro.util.errors import (
     ReproError,
 )
 from repro.util.units import gbps
+
+if TYPE_CHECKING:  # the service package is built on this one
+    from repro.service.app import ControlPlaneService
 
 
 @dataclass
@@ -110,6 +116,16 @@ class Scenario:
     def from_file(cls, path: str | Path) -> "Scenario":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
+    def pool(self) -> PhysicalCluster:
+        """The shared pool every tenant's topology fits into at once."""
+        return build_pool_for_tenants(
+            [t.topology.build() for t in self.tenants],
+            self.switches,
+            self.spec,
+            seed=self.seed,
+            spare_hosts=self.spare_hosts,
+        )
+
 
 def build_pool_for_tenants(
     topologies: list[Topology],
@@ -157,93 +173,49 @@ def build_pool_for_tenants(
     )
 
 
-@dataclass
-class ScenarioRun:
-    """Outcome of one scenario execution."""
+async def serve_scenario(service: ControlPlaneService, scenario: Scenario) -> dict:
+    """Admit every tenant and deploy every topology through ``service``.
 
-    service: TestbedService
-    report: dict = field(default_factory=dict)
-
-
-class ScenarioAborted(ReproError):
-    """A scenario died mid-run on a non-admission error.
-
-    Admission rejections are answers and live in the report; anything
-    else (a bad per-tenant config, a capacity blow-up during
-    projection) aborts the run — but the work already done is not
-    lost: the exception carries the partial :class:`ScenarioRun` so
-    the driver can flush the report and shut the service down on
-    *every* exit path, not just the happy one.
+    Sessions open in file order; the deploys are then submitted as one
+    burst and awaited together. Admission rejections are recorded under
+    ``rejected`` (per the paper's checking function, a refusal is an
+    answer, not a crash); any other error ends the run and is recorded
+    under ``error``, after every queued deploy has finished, so the
+    ``status`` the report closes with is stable either way.
     """
-
-    def __init__(self, message: str, *, run: ScenarioRun) -> None:
-        super().__init__(message)
-        self.run = run
-
-
-def run_scenario(scenario: Scenario) -> ScenarioRun:
-    """Build the pool, admit every tenant, deploy every topology.
-
-    Admission rejections are recorded in the report (per the paper's
-    checking function, a refusal is an answer, not a crash); any other
-    mid-scenario error raises :class:`ScenarioAborted` carrying the
-    partial run. Errors *before* the service exists (an unbuildable
-    pool) propagate as themselves — there is no partial state to save.
-    """
-    topologies = [t.topology.build() for t in scenario.tenants]
-    cluster = build_pool_for_tenants(
-        topologies,
-        scenario.switches,
-        scenario.spec,
-        seed=scenario.seed,
-        spare_hosts=scenario.spare_hosts,
-    )
-    service = TestbedService(cluster, max_workers=scenario.max_workers)
     report: dict = {"tenants": {}, "rejected": []}
-    run = ScenarioRun(service=service, report=report)
-    futures = []
+
+    def reject(tenant: TenantSpec, stage: str, exc: AdmissionError) -> None:
+        report["rejected"].append(
+            {"tenant": tenant.tenant_id, "stage": stage, "problems": exc.problems}
+        )
+
     try:
+        admitted = []
         for tenant in scenario.tenants:
             try:
-                service.open_session(tenant.tenant_id, tenant.quota)
+                await service.open_session(tenant.tenant_id, tenant.quota)
             except AdmissionError as exc:
-                report["rejected"].append(
-                    {"tenant": tenant.tenant_id, "stage": "session",
-                     "problems": exc.problems}
-                )
-                continue
-            futures.append(
-                (tenant,
-                 service.submit_deploy(tenant.tenant_id, tenant.topology))
-            )
-        for tenant, future in futures:
-            try:
-                deployment = future.result()
-            except AdmissionError as exc:
-                report["rejected"].append(
-                    {"tenant": tenant.tenant_id, "stage": "deploy",
-                     "problems": exc.problems}
-                )
+                reject(tenant, "session", exc)
+            else:
+                admitted.append(tenant)
+        outcomes = await asyncio.gather(
+            *(service.submit("deploy", t.tenant_id, config=t.topology)
+              for t in admitted),
+            return_exceptions=True,
+        )
+        for tenant, outcome in zip(admitted, outcomes):
+            if isinstance(outcome, AdmissionError):
+                reject(tenant, "deploy", outcome)
+            elif isinstance(outcome, BaseException):
+                raise outcome  # a ReproError ends the run below
             else:
                 report["tenants"][tenant.tenant_id] = {
-                    "deployment": deployment.name,
-                    "rules_installed": sum(
-                        deployment.rules.per_switch_counts().values()
-                    ),
-                    "install_time": deployment.deployment_time,
+                    "deployment": outcome.name,
+                    "rules_installed": outcome.rules.count(),
+                    "install_time": outcome.deployment_time,
                 }
     except ReproError as exc:
-        # drain whatever is still queued so the status below is stable
-        for _tenant, future in futures:
-            if not future.done():
-                try:
-                    future.result()
-                except ReproError:
-                    pass
         report["error"] = str(exc)
-        report["status"] = service.status()
-        raise ScenarioAborted(
-            f"scenario aborted mid-run: {exc}", run=run
-        ) from exc
-    report["status"] = service.status()
-    return run
+    report["status"] = service.testbed.status()
+    return report

@@ -21,7 +21,6 @@ keeps conflicting transactions strictly in submission order.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future
 
 from repro.core.controller.config import TopologyConfig
 from repro.core.controller.controller import Deployment, SDTController
@@ -45,7 +44,7 @@ ConfigLike = TopologyConfig | Topology
 
 
 class TestbedService:
-    """Shared-pool front-end with per-tenant deploy/reconfigure APIs."""
+    """Shared-pool tenant state and the operations that change it."""
 
     __test__ = False  # "Test" prefix is the product name, not a pytest class
 
@@ -187,24 +186,12 @@ class TestbedService:
                             break
             self._verify()
 
-    def close_session(self, tenant_id: str) -> None:
-        """Tear down every deployment and release the lease."""
-        self._end_session(tenant_id, SESSION_CLOSED)
-
-    def evict(self, tenant_id: str) -> None:
-        """Forcibly reclaim a tenant's resources (operator action).
-
-        The session ends EVICTED; the tenant may later be re-admitted
-        with :meth:`open_session`, receiving a fresh cookie block and a
-        fresh lease.
-        """
-        self._end_session(tenant_id, SESSION_EVICTED)
-
     def _end_session(self, tenant_id: str, final_state: str) -> None:
         with self._lock, trace.span(
             "tenant.end_session", tenant=tenant_id, state=final_state
         ):
             session = self._session(tenant_id)
+            session.check_active()
             for name in sorted(session.deployments):
                 self.controller.undeploy(session.deployments.pop(name))
             # strip adopted pre-restart generations by cookie: their
@@ -234,20 +221,24 @@ class TestbedService:
             raise ConfigurationError(f"unknown tenant {tenant_id!r}")
         return session
 
-    # --- async operation API --------------------------------------------
+    # --- operations -----------------------------------------------------
     def make_operation(self, kind: str, tenant_id: str, **kwargs) -> Operation:
         """Build (but do not queue) one schedulable operation.
 
         This is the single source of operation bodies and footprints,
-        whether the operation is submitted to the
-        :class:`~repro.tenancy.scheduler.Scheduler` directly (below) or
-        through the asyncio front in :mod:`repro.service`.
-        Supported kinds: ``deploy`` / ``reconfigure`` (footprint =
-        whole pool, placement unknown until projection), ``undeploy``
-        (exact footprint when the deployment is live), and ``evict`` /
-        ``close`` (whole pool: they tear down every deployment the
-        tenant owns, so they serialize against everything queued
-        before them).
+        and the only way tenant work reaches the controller: callers
+        submit the result to :attr:`scheduler`, directly or through the
+        asyncio front in :mod:`repro.service`. Supported kinds:
+        ``deploy`` / ``reconfigure`` (footprint = whole pool, placement
+        unknown until projection), ``undeploy`` (exact footprint when
+        the deployment is live; existence is checked when it runs, so
+        it may name a deployment an earlier-queued operation of the
+        same tenant creates), and ``evict`` / ``close`` (whole pool:
+        they tear down every deployment the tenant owns, so they
+        serialize against everything queued before them; the session
+        ends EVICTED or CLOSED, and an evicted tenant may be
+        re-admitted with :meth:`open_session` under a fresh cookie
+        block and lease).
         """
         if kind == "deploy":
             config = kwargs["config"]
@@ -293,50 +284,6 @@ class TestbedService:
                 footprint=None,  # tears down every owned deployment
             )
         raise ConfigurationError(f"unknown operation kind {kind!r}")
-
-    def submit_deploy(
-        self, tenant_id: str, config: ConfigLike
-    ) -> Future:
-        """Queue a deployment; resolves to the live Deployment."""
-        return self.scheduler.submit(
-            self.make_operation("deploy", tenant_id, config=config)
-        )
-
-    def submit_reconfigure(
-        self, tenant_id: str, name: str, config: ConfigLike
-    ) -> Future:
-        """Queue an atomic swap of deployment ``name`` to ``config``."""
-        return self.scheduler.submit(
-            self.make_operation(
-                "reconfigure", tenant_id, name=name, config=config
-            )
-        )
-
-    def submit_undeploy(self, tenant_id: str, name: str) -> Future:
-        """Queue removal of deployment ``name``; resolves to the
-        modeled removal time.
-
-        ``name`` may refer to a deployment an earlier-queued operation
-        of the same tenant will create (per-tenant FIFO guarantees the
-        order); existence is checked when the operation runs. The
-        footprint is exact when the deployment is already live and
-        conservative (whole pool) otherwise.
-        """
-        return self.scheduler.submit(
-            self.make_operation("undeploy", tenant_id, name=name)
-        )
-
-    # --- sync wrappers ---------------------------------------------------
-    def deploy(self, tenant_id: str, config: ConfigLike) -> Deployment:
-        return self.submit_deploy(tenant_id, config).result()
-
-    def reconfigure(
-        self, tenant_id: str, name: str, config: ConfigLike
-    ) -> Deployment:
-        return self.submit_reconfigure(tenant_id, name, config).result()
-
-    def undeploy(self, tenant_id: str, name: str) -> float:
-        return self.submit_undeploy(tenant_id, name).result()
 
     # --- operation bodies (run on scheduler workers) ---------------------
     def _do_deploy(self, tenant_id: str, config: ConfigLike) -> Deployment:
@@ -435,9 +382,6 @@ class TestbedService:
             }
 
     # --- lifecycle --------------------------------------------------------
-    def drain(self, timeout: float | None = None) -> bool:
-        return self.scheduler.drain(timeout)
-
     def shutdown(self) -> None:
         """Drain pending work and stop the scheduler. Sessions stay
         queryable via :meth:`status`."""

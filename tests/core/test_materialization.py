@@ -27,6 +27,7 @@ from repro.telemetry import Tracer, install_tracer, metrics, uninstall_tracer
 from repro.tenancy import TenantQuota, TestbedService, build_pool_for_tenants
 from repro.topology import fat_tree, torus2d
 from repro.topology.diff import rebuild, removable_switch_links
+from tests.tenancy.conftest import run_op
 
 FT4 = TopologyConfig("fat-tree", {"k": 4})
 
@@ -156,10 +157,10 @@ def test_tenant_deploy_and_undeploy_build_no_flow_mod():
     try:
         service.open_session("alice", TenantQuota(host_ports=24, tcam_share=2000))
         before = _materialized()
-        deployment = service.deploy("alice", FT4)
+        deployment = run_op(service, "deploy", "alice", config=FT4)
         # the scheduler's footprint of an undeploy is the deployment's
         # switches: named from column lengths
-        service.undeploy("alice", deployment.name)
+        run_op(service, "undeploy", "alice", name=deployment.name)
         assert _materialized() == before
     finally:
         service.shutdown()

@@ -46,6 +46,7 @@ from repro.topology.diff import rebuild, removable_switch_links
 from repro.util.errors import AdmissionError, TransactionError
 from repro.util.units import gbps
 from tests.core.test_hybrid import starved_cluster
+from tests.tenancy.conftest import run_op
 
 FT4 = fat_tree(4)
 FT4_EDITED = rebuild(FT4, drop_links={removable_switch_links(FT4)[0]})
@@ -445,11 +446,11 @@ def test_admission_admits_a_swap_that_fits_break_before_make(
     own fallback commits (peak 26)."""
     svc = tight_service
     svc.open_session("t", TenantQuota(host_ports=12, tcam_share=tcam_share))
-    dep = svc.deploy("t", CHAIN5)
+    dep = run_op(svc, "deploy", "t", config=CHAIN5)
     entries = {n: sw.num_entries for n, sw in svc.controller.cluster.switches.items()}
     assert entries == {"phys0": 23, "phys1": 15}
 
-    new = svc.reconfigure("t", dep.name, CHAIN6)
+    new = run_op(svc, "reconfigure", "t", name=dep.name, config=CHAIN6)
 
     assert svc.controller.last_commit_strategy == BREAK_BEFORE_MAKE
     assert {
@@ -462,13 +463,13 @@ def test_admission_admits_a_swap_that_fits_break_before_make(
 def test_admission_still_rejects_a_swap_that_fits_neither_way(tight_service):
     svc = tight_service
     svc.open_session("t", TenantQuota(host_ports=12, tcam_share=100))
-    dep = svc.deploy("t", CHAIN5)
+    dep = run_op(svc, "deploy", "t", config=CHAIN5)
     before = {
         n: Counter(sw.entry_keys())
         for n, sw in svc.controller.cluster.switches.items()
     }
     with pytest.raises(AdmissionError, match="capacity 40"):
-        svc.reconfigure("t", dep.name, CHAIN9)
+        run_op(svc, "reconfigure", "t", name=dep.name, config=CHAIN9)
     assert {
         n: Counter(sw.entry_keys())
         for n, sw in svc.controller.cluster.switches.items()

@@ -1,6 +1,7 @@
 """ControlPlaneService regressions: status must describe the dispatcher
-that actually runs the operations, and a malformed quota is the
-client's error (400), not the server's (500)."""
+that actually runs the operations, a malformed quota is the client's
+error (400), not the server's (500), a session path means exactly the
+resource it names, and a session ends once."""
 
 from __future__ import annotations
 
@@ -12,8 +13,9 @@ import pytest
 from repro.service.app import ControlPlaneService
 from repro.service.http import http_call
 from repro.tenancy.scheduler import Operation
+from repro.util.errors import ConfigurationError
 
-from tests.service.servicetools import service_pool
+from tests.service.servicetools import QUOTA, service_pool
 
 
 def test_status_reports_the_live_per_tenant_queues():
@@ -67,6 +69,88 @@ def test_malformed_quota_is_a_400(quota):
             assert status == 400
             assert "quota" in body["error"]
             assert "alice" not in service.testbed.sessions
+        finally:
+            await service.stop()
+
+    asyncio.run(main())
+
+
+def _drive_http(drive) -> None:
+    """Run ``await drive(service, call)`` against a live HTTP service
+    where alice holds an open session; ``call(method, path)`` is one
+    blocking request on the service's port, run off the loop."""
+    async def main():
+        service = ControlPlaneService(
+            service_pool(), workers=1, host="127.0.0.1", port=0
+        )
+        await service.start()
+        try:
+            await service.open_session("alice", QUOTA)
+            loop = asyncio.get_running_loop()
+
+            async def call(method: str, path: str):
+                return await loop.run_in_executor(
+                    None, http_call, "127.0.0.1", service.bound_port,
+                    method, path,
+                )
+
+            await drive(service, call)
+        finally:
+            await service.stop()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("method, path", [
+    ("DELETE", "/v1/sessions/alice/typo/x"),
+    ("DELETE", "/v1/sessions/alice/deploy"),
+    ("GET", "/v1/sessions/alice/a/b"),
+    ("GET", "/v1/sessions/alice/deploy"),
+    ("POST", "/v1/sessions/alice/deploy/x"),
+])
+def test_malformed_session_paths_are_404(method, path):
+    """The session resource is exactly two segments and an action
+    exactly three; anything longer used to alias the session."""
+    async def drive(service, call):
+        status, _, _ = await call(method, path)
+        assert status == 404
+        assert service.testbed.sessions["alice"].state == "active"
+
+    _drive_http(drive)
+
+
+@pytest.mark.parametrize("query, status, state", [
+    ("", 200, "evicted"),
+    ("?mode=evict", 200, "evicted"),
+    ("?mode=close", 200, "closed"),
+    ("?mode=close&x=1", 200, "closed"),
+    ("?mode=clsoe", 400, "active"),
+    ("?mode=", 400, "active"),
+    ("?mode=close&mode=evict", 400, "active"),
+])
+def test_end_session_honours_evict_and_close_only(query, status, state):
+    async def drive(service, call):
+        got, _, body = await call("DELETE", "/v1/sessions/alice" + query)
+        assert got == status, body
+        assert service.testbed.sessions["alice"].state == state
+        if status == 200:
+            assert body == {"tenant": "alice", "state": state}
+
+    _drive_http(drive)
+
+
+def test_ending_an_ended_session_is_refused():
+    """A second end-session must not rewrite the first one's outcome."""
+    async def main():
+        service = ControlPlaneService(service_pool(), workers=1)
+        await service.start()
+        try:
+            await service.open_session("alice", QUOTA)
+            closed = await service.end_session("alice", mode="close")
+            assert closed == {"tenant": "alice", "state": "closed"}
+            with pytest.raises(ConfigurationError, match="session is closed"):
+                await service.end_session("alice", mode="evict")
+            assert service.testbed.sessions["alice"].state == "closed"
         finally:
             await service.stop()
 

@@ -1,6 +1,10 @@
-"""Shared multi-tenant fixtures: a pool sized for three tenants."""
+"""Shared multi-tenant fixtures: a pool sized for three tenants, and
+the one way tests drive tenant work — an operation built by
+``make_operation`` and run through the service's own scheduler."""
 
 from __future__ import annotations
+
+from concurrent.futures import Future
 
 import pytest
 
@@ -15,6 +19,19 @@ SPEC = SwitchSpec(
     port_rate=gbps(10),
     flow_table_capacity=4096,
 )
+
+
+def submit(service: TestbedService, kind: str, tenant_id: str, **kwargs) -> Future:
+    """Queue one tenant operation; resolves to its result."""
+    return service.scheduler.submit(
+        service.make_operation(kind, tenant_id, **kwargs)
+    )
+
+
+def run_op(service: TestbedService, kind: str, tenant_id: str, **kwargs):
+    """Run one tenant operation to completion and return its result."""
+    return submit(service, kind, tenant_id, **kwargs).result()
+
 
 #: each tenant's primary topology and the shape it reconfigures to
 FATTREE = TopologyConfig("fat-tree", {"k": 4})

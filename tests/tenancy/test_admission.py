@@ -5,7 +5,7 @@ import pytest
 
 from repro.tenancy import TenantQuota
 from repro.util.errors import AdmissionError
-from tests.tenancy.conftest import CHAIN4, FATTREE, TORUS
+from tests.tenancy.conftest import CHAIN4, FATTREE, TORUS, run_op
 
 
 def _tables(cluster):
@@ -13,7 +13,7 @@ def _tables(cluster):
 
 
 def test_admitted_deploy_installs(service, three_tenants):
-    dep = service.deploy("alice", FATTREE)
+    dep = run_op(service, "deploy", "alice", config=FATTREE)
     assert dep.cookie == three_tenants[0].cookie_base
     assert sum(
         sw.num_entries for sw in service.cluster.switches.values()
@@ -21,10 +21,10 @@ def test_admitted_deploy_installs(service, three_tenants):
 
 
 def test_over_host_quota_rejected_bit_identical(service, three_tenants):
-    service.deploy("carol", CHAIN4)
+    run_op(service, "deploy", "carol", config=CHAIN4)
     before = _tables(service.cluster)
     with pytest.raises(AdmissionError) as e:
-        service.deploy("carol", FATTREE)  # 16 hosts > 9-port quota
+        run_op(service, "deploy", "carol", config=FATTREE)  # 16 hosts > 9-port quota
     assert e.value.problems
     assert _tables(service.cluster) == before
 
@@ -35,7 +35,7 @@ def test_over_tcam_share_rejected_bit_identical(service):
     )
     before = _tables(service.cluster)
     with pytest.raises(AdmissionError) as e:
-        service.deploy("tiny", TORUS)
+        run_op(service, "deploy", "tiny", config=TORUS)
     assert any("quota is 10" in p for p in e.value.problems)
     assert _tables(service.cluster) == before
     assert tiny.deployments == {}
@@ -47,15 +47,15 @@ def test_infeasible_projection_is_rejection_not_crash(service, three_tenants):
     with pytest.raises(AdmissionError):
         # bob's 12-port lease spreads 4/switch; fat-tree k=4 demands
         # 8 hosts on one switch
-        service.deploy("bob", FATTREE)
+        run_op(service, "deploy", "bob", config=FATTREE)
     assert _tables(service.cluster) == before
 
 
 def test_reject_leaves_other_tenants_running(service, three_tenants):
-    dep = service.deploy("alice", FATTREE)
+    dep = run_op(service, "deploy", "alice", config=FATTREE)
     before = _tables(service.cluster)
     with pytest.raises(AdmissionError):
-        service.deploy("carol", FATTREE)
+        run_op(service, "deploy", "carol", config=FATTREE)
     assert _tables(service.cluster) == before
     assert three_tenants[0].deployments == {dep.name: dep}
 
@@ -63,9 +63,11 @@ def test_reject_leaves_other_tenants_running(service, three_tenants):
 def test_swap_admission_charges_net_usage(service, three_tenants):
     """A reconfigure is charged for the *delta*: the old generation's
     host ports and TCAM count as freed."""
-    service.deploy("bob", TORUS)  # uses all 9 of... bob has 12
+    run_op(service, "deploy", "bob", config=TORUS)  # uses all 9 of... bob has 12
     # swapping to CHAIN4 (4 hosts) must pass even though 9 + 4 > 12
-    dep = service.reconfigure("bob", "torus2d-3x3", CHAIN4)
+    dep = run_op(
+        service, "reconfigure", "bob", name="torus2d-3x3", config=CHAIN4
+    )
     assert dep.name == "chain-4"
     assert list(three_tenants[1].deployments) == ["chain-4"]
 

@@ -20,6 +20,8 @@ from tests.tenancy.conftest import (
     MESH22,
     SPEC,
     TORUS,
+    run_op,
+    submit,
 )
 
 ROOT_SEED = 20260806
@@ -133,7 +135,7 @@ def test_concurrent_tenants_randomized_interleavings():
         try:
             # phase 1: all tenants deploy their primary shape at once
             futures = [
-                svc.submit_deploy(t, TENANT_SHAPES[t][0])
+                submit(svc, "deploy", t, config=TENANT_SHAPES[t][0])
                 for t in sorted(TENANT_SHAPES, key=lambda _: rng.random())
             ]
             for f in futures:
@@ -156,23 +158,24 @@ def test_concurrent_tenants_randomized_interleavings():
                 )
                 if rng.random() < 0.6 and flip is not current:
                     burst.append(
-                        svc.submit_reconfigure(
-                            tenant, current.build().name, flip
+                        submit(
+                            svc, "reconfigure", tenant,
+                            name=current.build().name, config=flip,
                         )
                     )
                     expected[tenant] = flip
                 else:
                     burst.append(
-                        svc.submit_undeploy(tenant, current.build().name)
+                        submit(svc, "undeploy", tenant, name=current.build().name)
                     )
-                    burst.append(svc.submit_deploy(tenant, flip))
+                    burst.append(submit(svc, "deploy", tenant, config=flip))
                     expected[tenant] = flip
             for f in burst:
                 try:
                     f.result(30)
                 except AdmissionError:
                     pass  # pool contention is a legal outcome
-            assert svc.drain(30)
+            assert svc.scheduler.drain(30)
             _assert_isolated(svc, case)
             _assert_data_plane_isolated(svc, case)
         finally:
@@ -182,13 +185,13 @@ def test_concurrent_tenants_randomized_interleavings():
 def test_over_quota_mid_run_rejects_bit_identical():
     svc = _fresh_service()
     try:
-        svc.deploy("alice", FATTREE)
-        svc.deploy("bob", TORUS)
+        run_op(svc, "deploy", "alice", config=FATTREE)
+        run_op(svc, "deploy", "bob", config=TORUS)
         before = {
             n: sw.entry_keys() for n, sw in svc.cluster.switches.items()
         }
         with pytest.raises(AdmissionError):
-            svc.deploy("carol", FATTREE)  # 16 hosts > 9-port quota
+            run_op(svc, "deploy", "carol", config=FATTREE)  # 16 hosts > 9-port quota
         after = {
             n: sw.entry_keys() for n, sw in svc.cluster.switches.items()
         }
@@ -201,10 +204,10 @@ def test_over_quota_mid_run_rejects_bit_identical():
 def test_evict_reclaims_and_readmit_gets_fresh_namespace():
     svc = _fresh_service()
     try:
-        dep = svc.deploy("bob", TORUS)
+        dep = run_op(svc, "deploy", "bob", config=TORUS)
         old_base = svc.sessions["bob"].cookie_base
         bob_switches = set(dep.rules.per_switch_counts())
-        svc.evict("bob")
+        run_op(svc, "evict", "bob")
         assert svc.sessions["bob"].state == "evicted"
         for name in bob_switches:
             assert old_base not in {
@@ -214,7 +217,7 @@ def test_evict_reclaims_and_readmit_gets_fresh_namespace():
         # the freed lease is reusable immediately
         again = svc.open_session("bob", QUOTAS["bob"])
         assert again.cookie_base != old_base  # fresh namespace, no reuse
-        dep2 = svc.deploy("bob", TORUS)
+        dep2 = run_op(svc, "deploy", "bob", config=TORUS)
         assert dep2.cookie == again.cookie_base
         _assert_isolated(svc, -2)
     finally:

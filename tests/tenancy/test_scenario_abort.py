@@ -2,18 +2,21 @@
 
 ``repro serve`` used to exit nonzero on a non-admission error without
 flushing the JSON run report — losing the record of everything that
-*did* deploy. ``run_scenario`` now raises :class:`ScenarioAborted`
-carrying the partial :class:`ScenarioRun`, and the CLI flushes the
-report on that path exactly like on the happy one.
+*did* deploy. A partial run is now simply a report with an ``error``
+key: :func:`serve_scenario` records the error next to the work that
+did deploy, and the CLI flushes that report exactly like a successful
+one before exiting 2.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
 
-from repro.tenancy import Scenario, ScenarioAborted, run_scenario
+from repro.service.app import ControlPlaneService
+from repro.tenancy import Scenario, serve_scenario
 from repro.tenancy.service import TestbedService
 from repro.util.errors import ReproError
 
@@ -52,21 +55,26 @@ def bob_deploy_blows_up(monkeypatch):
 
 
 def test_abort_carries_the_partial_run(bob_deploy_blows_up):
-    with pytest.raises(ScenarioAborted) as err:
-        run_scenario(_scenario())
-    run = err.value.run
-    try:
-        report = run.report
-        # alice's completed work survived the abort
-        assert report["tenants"]["alice"]["rules_installed"] > 0
-        assert "bob" not in report["tenants"]
-        assert "injected projection failure" in report["error"]
-        # the report closes with a stable service status, same as a
-        # successful run's
-        assert "status" in report
-        assert json.dumps(report)  # still JSON-serializable
-    finally:
-        run.service.shutdown()
+    scenario = _scenario()
+
+    async def main() -> dict:
+        service = ControlPlaneService(scenario.pool(), workers=2)
+        await service.start()
+        try:
+            return await serve_scenario(service, scenario)
+        finally:
+            await service.stop()
+
+    report = asyncio.run(main())
+    # alice's completed work survived the abort
+    assert report["tenants"]["alice"]["rules_installed"] > 0
+    assert "bob" not in report["tenants"]
+    assert "injected projection failure" in report["error"]
+    # the report closes with a stable service status, same as a
+    # successful run's: both sessions admitted, nothing left queued
+    assert set(report["status"]["tenants"]) == {"alice", "bob"}
+    assert report["status"]["queue_depths"] == {}
+    assert json.dumps(report)  # still JSON-serializable
 
 
 def test_cli_flushes_report_and_exits_2(
