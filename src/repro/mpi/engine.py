@@ -114,7 +114,7 @@ class MpiJob:
                 state.pc += 1
                 if op.seconds > 0:
                     state.blocked_on = "compute"
-                    self.sim.schedule(op.seconds, lambda: self._step(state))
+                    self.sim.schedule(op.seconds, self._step, state)
                     return
             elif isinstance(op, (Send, ISend)):
                 state.pc += 1

@@ -24,7 +24,6 @@ from repro.util.errors import SimulationError
 from repro.util.units import NANOSECONDS
 
 #: forward decision: (out_port_no, queue, new_vc | None) or None to drop
-ForwardDecisionT = "tuple[int, int, int | None] | None"
 ForwardFn = Callable[[str, int, Packet], "tuple[int, int, int | None] | None"]
 
 
@@ -54,38 +53,41 @@ class Node:
         raise NotImplementedError
 
     # --- PFC ingress accounting ------------------------------------------
-    def _charge_ingress(self, in_port: int, queue: int, packet: Packet):
+    def _charge_ingress(
+        self, in_port: int, queue: int, packet: Packet
+    ) -> tuple[tuple[int, int], int] | None:
         """Charge a parked packet against its input port; returns the
-        release callback to invoke when it leaves this node."""
+        charge, ``(key, size)``, for :meth:`_release_ingress` when the
+        packet leaves this node."""
         if in_port == 0:
             return None  # locally generated (host injection)
         key = (in_port, queue)
         size = packet.size
         ingress = self._ingress_bytes
-        paused = self._ingress_paused
         charged = ingress[key] = ingress.get(key, 0) + size
         port = self.ports.get(in_port)
-        cfg = port.config if port is not None else None
-        if (
-            cfg is not None
-            and cfg.pfc_enabled
-            and charged > cfg.xoff_bytes
-            and not paused.get(key, False)
-        ):
-            paused[key] = True
-            self._send_pfc(in_port, queue, pause=True)
-
-        def release() -> None:
-            left = ingress[key] = ingress[key] - size
+        if port is not None:
+            cfg = port.config
+            paused = self._ingress_paused
             if (
-                cfg is not None
-                and left <= cfg.xon_bytes
-                and paused.get(key, False)
+                cfg.pfc_enabled
+                and charged > cfg.xoff_bytes
+                and not paused.get(key, False)
             ):
-                paused[key] = False
-                self._send_pfc(in_port, queue, pause=False)
+                paused[key] = True
+                self._send_pfc(in_port, queue, pause=True)
+        return key, size
 
-        return release
+    def _release_ingress(self, key: tuple[int, int], size: int) -> None:
+        """Undo a :meth:`_charge_ingress`; resume the upstream
+        transmitter once the input port drains to XON."""
+        ingress = self._ingress_bytes
+        left = ingress[key] = ingress[key] - size
+        paused = self._ingress_paused
+        # only a port that exists can have paused its upstream
+        if paused.get(key, False) and left <= self.ports[key[0]].config.xon_bytes:
+            paused[key] = False
+            self._send_pfc(key[0], key[1], pause=False)
 
     def _send_pfc(self, in_port: int, queue: int, *, pause: bool) -> None:
         """Tell the upstream transmitter on ``in_port`` to pause/resume."""
@@ -94,12 +96,8 @@ class Node:
             return
         upstream_port: OutPort = port.peer.ports[port.peer_port]
         upstream_port.pfc_pauses_sent += pause
-        delay = port.config.pause_delay
-
-        if pause:
-            self.sim.schedule(delay, lambda: upstream_port.pause(queue))
-        else:
-            self.sim.schedule(delay, lambda: upstream_port.resume(queue))
+        action = upstream_port.pause if pause else upstream_port.resume
+        self.sim.schedule(port.config.pause_delay, action, queue)
 
 
 class SwitchNode(Node):
@@ -149,7 +147,7 @@ class SwitchNode(Node):
                 f"{self.name}: forward to nonexistent port {out_port_no}"
             )
         self.forwarded += 1
-        release = self._charge_ingress(in_port, arrival_vc, packet)
+        ingress = self._charge_ingress(in_port, arrival_vc, packet)
         delay = self.proc_delay + self.extra_delay
         schedule = self.sim.schedule
 
@@ -161,7 +159,7 @@ class SwitchNode(Node):
             for _ in range(max(1, packet.size // self.detail_flit_bytes)):
                 schedule(delay, _detail_noop)
 
-        schedule(delay, lambda: out.enqueue(packet, queue, release))
+        schedule(delay, out.enqueue, packet, queue, ingress)
 
 
 def _detail_noop() -> None:
@@ -223,17 +221,14 @@ class HostNode(Node):
                     f"{self.name}: forward to nonexistent NIC {out_port_no}"
                 )
             self.forwarded += 1
-            release = self._charge_ingress(in_port, arrival_vc, packet)
-            self.sim.schedule(
-                self.nic_delay, lambda: out.enqueue(packet, queue, release)
-            )
+            ingress = self._charge_ingress(in_port, arrival_vc, packet)
+            self.sim.schedule(self.nic_delay, out.enqueue, packet, queue, ingress)
             return
+        self.sim.schedule(self.nic_delay, self._deliver, packet)
 
-        def deliver() -> None:
-            for cb in self._receivers:
-                cb(packet)
-
-        self.sim.schedule(self.nic_delay, deliver)
+    def _deliver(self, packet: Packet) -> None:
+        for cb in self._receivers:
+            cb(packet)
 
     def inject(self, packet: Packet, queue: int) -> None:
         """Send a packet out (after host-stack latency). Multi-NIC
@@ -246,10 +241,6 @@ class HostNode(Node):
                 if new_vc is not None and new_vc != packet.header.vc:
                     packet.clone_header_with_vc(new_vc)
                 out = self.ports.get(out_port_no, self.nic)
-                self.sim.schedule(
-                    self.nic_delay, lambda: out.enqueue(packet, q, None)
-                )
+                self.sim.schedule(self.nic_delay, out.enqueue, packet, q)
                 return
-        self.sim.schedule(
-            self.nic_delay, lambda: self.nic.enqueue(packet, queue, None)
-        )
+        self.sim.schedule(self.nic_delay, self.nic.enqueue, packet, queue)

@@ -19,9 +19,9 @@ def next_flow_id() -> int:
     return next(_flow_ids)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
-    """One packet in flight."""
+    """One packet in flight (slotted: one is built per packet sent)."""
 
     header: PacketHeader
     size: int  # bytes on the wire

@@ -69,8 +69,8 @@ class OutPort:
     __slots__ = (
         "sim", "owner", "port_no", "config", "peer", "peer_port",
         "queues", "qbytes", "paused", "busy", "tx_bytes", "tx_packets",
-        "drops", "lost", "pfc_pauses_sent", "_rng", "_ingress_of",
-        "_deficit", "_rr_next",
+        "drops", "lost", "pfc_pauses_sent", "_rng", "_deficit", "_rr_next",
+        "_tx_size", "_tx_release",
     )
 
     def __init__(
@@ -100,14 +100,20 @@ class OutPort:
         # DWRR state
         self._deficit = [0] * config.num_queues
         self._rr_next = 0
-        # ingress charge release hooks: packet id -> callback
-        self._ingress_of: dict[int, object] = {}
+        # the packet on the wire (``busy`` admits one at a time): its
+        # size and its ingress release, settled by :meth:`_tx_done`
+        self._tx_size = 0
+        self._tx_release = None
 
     # --- enqueue ------------------------------------------------------------
-    def enqueue(self, packet: Packet, queue: int, ingress_release=None) -> bool:
+    def enqueue(
+        self, packet: Packet, queue: int,
+        ingress: tuple[tuple[int, int], int] | None = None,
+    ) -> bool:
         """Queue a packet for transmission; returns False if dropped
-        (lossy mode only). ``ingress_release`` is called when the packet
-        leaves this node (PFC ingress accounting)."""
+        (lossy mode only). ``ingress`` is the owner's PFC ingress charge,
+        ``(key, size)`` from ``Node._charge_ingress``: it is handed back
+        to ``owner._release_ingress`` when the packet leaves this node."""
         cfg = self.config
         q = queue if queue < cfg.num_queues else cfg.num_queues - 1
         qbytes = self.qbytes
@@ -115,15 +121,15 @@ class OutPort:
         size = packet.size
         if not cfg.pfc_enabled and occ + size > cfg.buffer_bytes:
             self.drops += 1
-            if ingress_release is not None:
-                ingress_release()
+            if ingress is not None:
+                self.owner._release_ingress(*ingress)
             return False
         if occ > cfg.ecn_kmin and cfg.ecn_enabled and packet.kind == "data":
             span = max(1, cfg.ecn_kmax - cfg.ecn_kmin)
             p = min(1.0, (occ - cfg.ecn_kmin) / span) * cfg.ecn_pmax
             if occ >= cfg.ecn_kmax or self._rng.random() < p:
                 packet.ecn_ce = True
-        self.queues[q].append((packet, ingress_release))
+        self.queues[q].append((packet, ingress))
         qbytes[q] = occ + size
         if not self.busy:
             self.try_send()
@@ -188,8 +194,10 @@ class OutPort:
         peer = self.peer
         if self.busy or peer is None:
             return
-        cfg = self.config
         queues = self.queues
+        if not any(queues):  # the common case: nothing left to send
+            return
+        cfg = self.config
         if cfg.scheduler == "strict":
             # highest index first (control rides 7)
             paused = self.paused
@@ -203,25 +211,16 @@ class OutPort:
             if q is None:
                 return
         queue = queues[q]
-        packet, ingress_release = queue.popleft()
-        size = packet.size
+        packet, self._tx_release = queue.popleft()
+        size = self._tx_size = packet.size
         self.qbytes[q] -= size
         if not queue:
             self._deficit[q] = 0  # classic DWRR: empty queues hoard nothing
         self.busy = True
         rate = cfg.rate
         ser = size / rate
-        schedule = self.sim.schedule
-
-        def tx_done() -> None:
-            self.busy = False
-            self.tx_bytes += size
-            self.tx_packets += 1
-            if ingress_release is not None:
-                ingress_release()
-            self.try_send()
-
-        schedule(ser, tx_done)
+        sim = self.sim
+        sim.schedule(ser, self._tx_done)
 
         # wire loss (link-quality model): the transmitter pays the full
         # serialization either way, but a lost packet never arrives.
@@ -242,8 +241,17 @@ class OutPort:
         delay += cfg.prop_delay
         if cfg.jitter > 0.0:
             delay += cfg.jitter * self._rng.random()
-        peer_port = self.peer_port
-        schedule(delay, lambda: peer.receive(peer_port, packet))
+        sim.schedule(delay, peer.receive, self.peer_port, packet)
+
+    def _tx_done(self) -> None:
+        """The packet on the wire has left: settle it, send the next."""
+        self.busy = False
+        self.tx_bytes += self._tx_size
+        self.tx_packets += 1
+        ingress = self._tx_release
+        if ingress is not None:
+            self.owner._release_ingress(*ingress)
+        self.try_send()
 
     # --- introspection -----------------------------------------------------
     @property

@@ -127,18 +127,18 @@ class RoceTransport:
 
     # --- DCQCN timers ------------------------------------------------------
     def _start_timers(self, qp: _QueuePair) -> None:
-        def alpha_tick() -> None:
-            qp.rp.on_alpha_timer(self.sim.now)
-            if qp.active or qp.pending:
-                self.sim.schedule(self.params.alpha_timer, alpha_tick)
+        self.sim.schedule(self.params.alpha_timer, self._alpha_tick, qp)
+        self.sim.schedule(self.params.increase_timer, self._increase_tick, qp)
 
-        def increase_tick() -> None:
-            qp.rp.on_increase_timer(self.sim.now)
-            if qp.active or qp.pending:
-                self.sim.schedule(self.params.increase_timer, increase_tick)
+    def _alpha_tick(self, qp: _QueuePair) -> None:
+        qp.rp.on_alpha_timer(self.sim.now)
+        if qp.active or qp.pending:
+            self.sim.schedule(self.params.alpha_timer, self._alpha_tick, qp)
 
-        self.sim.schedule(self.params.alpha_timer, alpha_tick)
-        self.sim.schedule(self.params.increase_timer, increase_tick)
+    def _increase_tick(self, qp: _QueuePair) -> None:
+        qp.rp.on_increase_timer(self.sim.now)
+        if qp.active or qp.pending:
+            self.sim.schedule(self.params.increase_timer, self._increase_tick, qp)
 
     # --- sender pump ---------------------------------------------------------
     def _pump(self, dst: str, qp: _QueuePair) -> None:
@@ -150,8 +150,7 @@ class RoceTransport:
         nic = self._host.nic
         if nic.backlog_bytes > 16384:
             self.sim.schedule(
-                nic.backlog_bytes / self.params.line_rate,
-                lambda: self._pump(dst, qp),
+                nic.backlog_bytes / self.params.line_rate, self._pump, dst, qp
             )
             return
         msg = qp.pending[0]
@@ -178,7 +177,7 @@ class RoceTransport:
                 msg.on_sent()
         # pace the next packet at the DCQCN rate
         delay = packet.size / max(qp.rp.rate, self.params.min_rate)
-        self.sim.schedule(delay, lambda: self._pump(dst, qp))
+        self.sim.schedule(delay, self._pump, dst, qp)
 
     # --- receive path ---------------------------------------------------------
     def _on_packet(self, packet: Packet) -> None:
@@ -312,22 +311,20 @@ class TcpFlow:
 
     def _arm_rto(self) -> None:
         self._rto_epoch += 1
-        epoch = self._rto_epoch
+        self.sim.schedule(self.rto, self._on_rto, self._rto_epoch)
 
-        def timeout() -> None:
-            if self.finished or epoch != self._rto_epoch:
-                return
-            if self.snd_una >= self.snd_nxt:
-                return  # nothing outstanding
-            # RTO: collapse to one segment, slow-start again
-            self.ssthresh = max(2 * self.mss, self.cwnd // 2)
-            self.cwnd = self.mss
-            self.dup_acks = 0
-            self.retransmits += 1
-            self.rto = min(2 * self.rto, 200 * MILLISECONDS)
-            self._transmit(self.snd_una)
-
-        self.sim.schedule(self.rto, timeout)
+    def _on_rto(self, epoch: int) -> None:
+        if self.finished or epoch != self._rto_epoch:
+            return
+        if self.snd_una >= self.snd_nxt:
+            return  # nothing outstanding
+        # RTO: collapse to one segment, slow-start again
+        self.ssthresh = max(2 * self.mss, self.cwnd // 2)
+        self.cwnd = self.mss
+        self.dup_acks = 0
+        self.retransmits += 1
+        self.rto = min(2 * self.rto, 200 * MILLISECONDS)
+        self._transmit(self.snd_una)
 
     def _on_sender_packet(self, packet: Packet) -> None:
         if (

@@ -12,13 +12,16 @@ OpenFlow ``metadata/mask`` syntax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class PacketHeader:
-    """The header fields our data plane forwards on."""
+class PacketHeader(NamedTuple):
+    """The header fields our data plane forwards on.
+
+    A NamedTuple for the reason :class:`Match` is one: the switch's
+    forwarding memo is keyed on ``(in_port, header)`` and hashes it on
+    every hop, which the tuple machinery does at C speed.
+    """
 
     src: str  # source host address
     dst: str  # destination host address
@@ -29,10 +32,7 @@ class PacketHeader:
     vc: int = 0  # virtual channel (deadlock avoidance lifts this)
 
     def with_vc(self, vc: int) -> "PacketHeader":
-        return PacketHeader(
-            self.src, self.dst, self.proto, self.src_port, self.dst_port,
-            self.traffic_class, vc,
-        )
+        return self._replace(vc=vc)
 
 
 class Match(NamedTuple):

@@ -69,6 +69,30 @@ def test_nan_delay_rejected():
     assert sim.pending == 0
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+def test_infinite_times_rejected(bad):
+    """An event at infinity would let a bare ``run()`` set ``now`` to
+    inf, after which every later event fires at inf too."""
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(bad, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.at(bad, lambda: None)
+    assert sim.pending == 0
+    sim.schedule(1.0, lambda: None)
+    assert sim.run() == 1.0
+
+
+def test_callbacks_receive_their_arguments():
+    sim = Simulator()
+    log = []
+    sim.schedule(1.0, log.append, "a")
+    sim.at(0.5, lambda *args: log.append(args), 1, 2, 3)
+    sim.schedule(1.0, lambda: log.append("none"))
+    sim.run()
+    assert log == [(1, 2, 3), "a", "none"]
+
+
 def test_at_fires_at_exactly_the_time_given():
     """``now + (t - now)`` is not always ``t``; ``at(t)`` must be."""
     start, target = 0.000992951788610287, 0.10274852528222143

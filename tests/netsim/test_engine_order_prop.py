@@ -7,6 +7,9 @@ run on both in lockstep and must agree on everything observable:
 
 * delays come from a small set, so instants collide, and include 0 —
   a callback re-scheduling into the instant being drained;
+* events go in through ``schedule(delay, fn, *args)`` and through
+  ``at(time, fn, *args)`` (some of those already past, so clamped to
+  ``now``), each carrying zero, one or several arguments of its own;
 * callbacks schedule further callbacks (nested), and some raise part
   way through doing so — the rest of their instant must stay queued;
 * ``run(until=...)`` stops between, on and after instants, and
@@ -14,7 +17,8 @@ run on both in lockstep and must agree on everything observable:
   stop is followed by more scheduling and a resumed ``run()``.
 
 After every ``run()`` call the two must show the same outcome (return
-value or error text), callback order with fire times, ``now``,
+value or error text), callback order with fire times and the arguments
+each callback received, ``now``,
 ``events_processed`` and ``pending`` — and, under an installed tracer,
 the same observations in ``sdt_netsim_event_depth`` and
 ``sdt_netsim_queue_residency_seconds``.
@@ -43,6 +47,10 @@ DELAYS = (0.0, 0.0, 0.25, 0.25, 0.5, 1.0, 2.0)
 #: ``until`` offsets from ``now``: on the 0.25 grid (on an instant),
 #: off it (between instants), and beyond everything queued
 UNTIL_OFFSETS = (0.0, 0.25, 0.3, 0.5, 0.7, 1.0, 1.25, 2.1, 1000.0)
+#: ``at`` offsets from ``now``: the delays, plus two already past
+AT_OFFSETS = DELAYS + (-0.25, -1.0)
+#: argument values: an event carries 0-3 arguments, the last its ident
+ARG_VALUES = (None, 0, 1.5, "x", ("t", 2))
 HISTOGRAMS = ("sdt_netsim_event_depth", "sdt_netsim_queue_residency_seconds")
 
 
@@ -56,10 +64,13 @@ class _ReferenceSimulator:
         self._seq = 0
         self.observed = {name: [] for name in HISTOGRAMS} if traced else None
 
-    def schedule(self, delay, callback) -> None:
+    def schedule(self, delay, fn, *args) -> None:
+        self.at(self.now + delay, fn, *args)
+
+    def at(self, time, fn, *args) -> None:
         self._seq += 1
         heapq.heappush(
-            self._heap, (self.now + delay, self._seq, callback, self.now)
+            self._heap, (max(time, self.now), self._seq, fn, args, self.now)
         )
 
     @property
@@ -69,7 +80,7 @@ class _ReferenceSimulator:
     def run(self, *, until=None, max_events=None) -> float:
         budget = max_events if max_events is not None else float("inf")
         while self._heap:
-            time, _seq, callback, sched_at = self._heap[0]
+            time, _seq, fn, args, sched_at = self._heap[0]
             if until is not None and time > until:
                 self.now = until
                 break
@@ -83,7 +94,7 @@ class _ReferenceSimulator:
             if self.observed is not None:
                 self.observed[HISTOGRAMS[0]].append(len(self._heap) + 1)
                 self.observed[HISTOGRAMS[1]].append(time - sched_at)
-            callback()
+            fn(*args)
             self.events_processed += 1
             budget -= 1
         return self.now
@@ -115,20 +126,35 @@ class _Boom(Exception):
 @dataclass
 class _Node:
     """One scripted callback: log, then schedule ``children`` in order,
-    raising before child number ``raises_at`` (``len`` = after all)."""
+    raising before child number ``raises_at`` (``len`` = after all).
+    It is queued with ``args`` as its arguments, through ``at(now +
+    offset)`` when ``via_at`` is set and ``schedule(offset)`` otherwise."""
 
     ident: int
+    args: tuple = ()
+    via_at: bool = False
     children: list[tuple[float, "_Node"]] = field(default_factory=list)
     raises_at: int | None = None
 
 
+def _random_offset(rng, node: _Node) -> float:
+    offsets = AT_OFFSETS if node.via_at else DELAYS
+    return offsets[int(rng.integers(0, len(offsets)))]
+
+
 def _random_node(rng, counter: list[int], depth: int) -> _Node:
-    node = _Node(counter[0])
+    ident = counter[0]
     counter[0] += 1
+    arity = int(rng.integers(0, 4))
+    args = tuple(
+        ARG_VALUES[int(rng.integers(0, len(ARG_VALUES)))]
+        for _ in range(arity - 1)
+    ) + (ident,) if arity else ()
+    node = _Node(ident, args, via_at=bool(rng.random() < 0.3))
     if depth < 4:
         for _ in range(int(rng.integers(0, 4 - depth // 2))):
-            delay = DELAYS[int(rng.integers(0, len(DELAYS)))]
-            node.children.append((delay, _random_node(rng, counter, depth + 1)))
+            child = _random_node(rng, counter, depth + 1)
+            node.children.append((_random_offset(rng, child), child))
     if rng.random() < 0.06:
         node.raises_at = int(rng.integers(0, len(node.children) + 1))
     return node
@@ -141,8 +167,8 @@ def _random_program(rng) -> tuple[list[tuple], int]:
     steps: list[tuple] = []
     for _round in range(int(rng.integers(2, 6))):
         for _ in range(int(rng.integers(1, 7))):
-            delay = DELAYS[int(rng.integers(0, len(DELAYS)))]
-            steps.append(("schedule", delay, _random_node(rng, counter, 0)))
+            node = _random_node(rng, counter, 0)
+            steps.append(("schedule", _random_offset(rng, node), node))
         for _ in range(int(rng.integers(1, 4))):
             until = (
                 UNTIL_OFFSETS[int(rng.integers(0, len(UNTIL_OFFSETS)))]
@@ -154,13 +180,24 @@ def _random_program(rng) -> tuple[list[tuple], int]:
     return steps, counter[0]
 
 
+def _enqueue(sim, offset: float, node: _Node, log: list) -> None:
+    fire = _callback(sim, node, log)
+    if node.via_at:
+        sim.at(sim.now + offset, fire, *node.args)
+    else:
+        sim.schedule(offset, fire, *node.args)
+
+
 def _callback(sim, node: _Node, log: list):
-    def fire() -> None:
-        log.append((node.ident, sim.now))
-        for index, (delay, child) in enumerate(node.children):
+    def fire(*args) -> None:
+        # the received arguments are logged, not just checked, so a
+        # mix-up shows as a difference from the reference
+        log.append((node.ident, sim.now, args))
+        assert args == node.args, (node.ident, args)
+        for index, (offset, child) in enumerate(node.children):
             if node.raises_at == index:
                 raise _Boom(node.ident)
-            sim.schedule(delay, _callback(sim, child, log))
+            _enqueue(sim, offset, child, log)
         if node.raises_at == len(node.children):
             raise _Boom(node.ident)
 
@@ -182,7 +219,7 @@ def _play(sim, steps: list[tuple], nodes: int) -> list[tuple]:
     seen = []
     for kind, a, b in steps:
         if kind == "schedule":
-            sim.schedule(a, _callback(sim, b, log))
+            _enqueue(sim, a, b, log)
         else:
             until = None if a is None else sim.now + a
             seen.append(_run(sim, log, until=until, max_events=b))
@@ -231,21 +268,40 @@ def _has_zero_delay_child(node: _Node) -> bool:
     )
 
 
+def _nodes(steps: list[tuple]):
+    """Every node of a program with the offset it is queued at."""
+    stack = [(a, b) for kind, a, b in steps if kind == "schedule"]
+    while stack:
+        offset, node = stack.pop()
+        yield offset, node
+        stack.extend(node.children)
+
+
 def test_programs_reach_the_corners():
     """The generator is only worth its cases if they hit the situations
     the differential exists for."""
     hit = dict.fromkeys(
-        ("collision", "zero_delay_child", "raise", "budget", "until"), 0
+        ("collision", "zero_delay_child", "raise", "budget", "until",
+         "no_args", "one_arg", "several_args", "at", "at_past"), 0
     )
     for _case, rng in seeded_cases(NUM_CASES, ROOT_SEED, "engine-order"):
         steps, nodes = _random_program(rng)
         seen = _play(_ReferenceSimulator(False), steps, nodes)
-        times = [t for _ident, t in seen[-1][1]]
+        times = [t for _ident, t, _args in seen[-1][1]]
         hit["collision"] += len(times) != len(set(times))
         hit["raise"] += any(o[0][0] == "_Boom" for o in seen)
         hit["budget"] += any(o[0][0] == "SimulationError" for o in seen)
         hit["until"] += any(k == "run" and a is not None for k, a, _ in steps)
         hit["zero_delay_child"] += any(
             k == "schedule" and _has_zero_delay_child(b) for k, _a, b in steps
+        )
+        queued = list(_nodes(steps))
+        arity = {len(node.args) for _offset, node in queued}
+        hit["no_args"] += 0 in arity
+        hit["one_arg"] += 1 in arity
+        hit["several_args"] += any(n > 1 for n in arity)
+        hit["at"] += any(node.via_at for _offset, node in queued)
+        hit["at_past"] += any(
+            node.via_at and offset < 0 for offset, node in queued
         )
     assert all(count >= NUM_CASES // 10 for count in hit.values()), hit
