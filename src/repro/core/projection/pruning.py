@@ -51,28 +51,15 @@ def route_usage(
     used_links: set[int] = set()
     used_switches: set[str] = set()
     for src in hosts:
-        attach = topology.link_between(topology.host_switch(src), src)
-        used_links.add(attach.index)
-        used_switches.add(topology.host_switch(src))
+        attach_switch = topology.host_switch(src)
+        used_links.add(topology.link_between(attach_switch, src).index)
+        used_switches.add(attach_switch)
         for dst in hosts:
             if src == dst:
                 continue
-            current = topology.host_switch(src)
-            vc = 0
-            for _ in range(512):
-                hop = routes.next_hop(current, dst, vc)
-                link = topology.link_of_port(hop.port)
+            for node, _hop, link, _nxt in routes.walk(attach_switch, dst):
                 used_links.add(link.index)
-                nxt = link.other(current)
-                vc = hop.vc
-                if nxt == dst:
-                    break
-                used_switches.add(nxt)
-                current = nxt
-            else:
-                raise ProjectionError(
-                    f"route {src}->{dst} did not terminate during usage trace"
-                )
+                used_switches.add(node)
     return UsageSet(
         links=frozenset(used_links),
         switches=frozenset(used_switches),

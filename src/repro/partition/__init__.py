@@ -8,8 +8,6 @@ balancing per-switch link counts.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.partition.greedy import greedy_partition
 from repro.partition.multilevel import multilevel_partition
 from repro.partition.occupancy import occupancy_order, switch_headroom
@@ -55,35 +53,9 @@ def partition_topology(
     return fn(graph, num_parts, seed=seed)
 
 
-def best_partition(
-    topology: Topology,
-    num_parts: int,
-    *,
-    methods: tuple[str, ...] = ("multilevel", "spectral", "greedy"),
-    seed: int = 0,
-    alpha: float = 1.0,
-    beta: float = 10.0,
-) -> tuple[Partition, str]:
-    """Run several methods and keep the best §IV-C objective value."""
-    graph = topology.switch_graph()
-    best: tuple[float, Partition, str] | None = None
-    for m in methods:
-        try:
-            p = partition_topology(topology, num_parts, method=m, seed=seed)
-        except PartitionError:
-            continue
-        score = objective(graph, p, alpha=alpha, beta=beta)
-        if best is None or score < best[0]:
-            best = (score, p, m)
-    if best is None:
-        raise PartitionError(f"no partition method produced a valid {num_parts}-way split")
-    return best[1], best[2]
-
-
 __all__ = [
     "Partition",
     "PartitionQuality",
-    "best_partition",
     "cut_edges_between",
     "greedy_partition",
     "multilevel_partition",

@@ -6,9 +6,9 @@ between two reconfigurations the switch graph is usually identical or
 nearly so. Two tools avoid recomputing it:
 
 * :class:`PartitionCache` — a content-hash cache over the exact inputs
-  of :func:`~repro.partition.partition_topology` (switch graph
-  structure, per-node weights, part count, method, seed). Re-deploying
-  or re-checking an unchanged topology is a pure cache hit.
+  of :func:`~repro.partition.partition_topology`'s default multilevel
+  method (switch graph structure, per-node weights, part count, seed).
+  Re-deploying or re-checking an unchanged topology is a pure cache hit.
 * :func:`extend_partition` — for *edited* topologies: surviving
   switches keep their old part (so their sub-switches stay on the same
   physical switch and their rules stay byte-identical), added switches
@@ -17,7 +17,7 @@ nearly so. Two tools avoid recomputing it:
 
 Cache keys are SHA-256 over a canonical serialization; anything that
 could change the partition — node set, link set, node weights, part
-count, method, seed — changes the key (see the invalidation tests in
+count, seed — changes the key (see the invalidation tests in
 ``tests/partition/test_cache.py``).
 """
 
@@ -36,9 +36,7 @@ def _digest(*parts: object) -> str:
     return hashlib.sha256("|".join(map(repr, parts)).encode()).hexdigest()
 
 
-def partition_key(
-    topology: Topology, num_parts: int, *, method: str, seed: int
-) -> str:
+def partition_key(topology: Topology, num_parts: int, *, seed: int) -> str:
     """Content hash of everything :func:`partition_topology` reads.
 
     Node weights are the switch radices (ports in use), so adding a
@@ -51,7 +49,7 @@ def partition_key(
     edges = tuple(
         sorted(tuple(sorted(link.endpoints)) for link in topology.switch_links)
     )
-    return _digest("partition-v1", method, seed, num_parts, nodes, edges)
+    return _digest("partition-v1", seed, num_parts, nodes, edges)
 
 
 class PartitionCache:
@@ -76,15 +74,10 @@ class PartitionCache:
         self._pinned: set[str] = set()
 
     def partition(
-        self,
-        topology: Topology,
-        num_parts: int,
-        *,
-        method: str = "multilevel",
-        seed: int = 0,
+        self, topology: Topology, num_parts: int, *, seed: int = 0
     ) -> Partition:
         """``partition_topology`` with content-hash memoization."""
-        key = partition_key(topology, num_parts, method=method, seed=seed)
+        key = partition_key(topology, num_parts, seed=seed)
         reg = metrics.registry()
         cached = self._store.get(key)
         if cached is not None:
@@ -93,20 +86,12 @@ class PartitionCache:
             reg.counter("sdt_partition_cache_total").inc(1, result="hit")
             return Partition(dict(cached.assignment), cached.num_parts)
         reg.counter("sdt_partition_cache_total").inc(1, result="miss")
-        part = partition_topology(
-            topology, num_parts, method=method, seed=seed
-        )
+        part = partition_topology(topology, num_parts, seed=seed)
         self._put(key, part)
         return part
 
     def seed(
-        self,
-        topology: Topology,
-        part: Partition,
-        *,
-        method: str = "multilevel",
-        seed: int = 0,
-        pin: bool = True,
+        self, topology: Topology, part: Partition, *, seed: int = 0
     ) -> None:
         """Store an already-computed partition under ``topology``'s
         content key without running the partitioner (and without
@@ -122,15 +107,13 @@ class PartitionCache:
         switches on their physical homes, which is the assignment the
         live deployment actually uses.
 
-        The entry is pinned against eviction until its first lookup
-        (``pin=False`` opts out). Seeding an already-present key
-        replaces the stored partition in place — it never evicts
-        another entry and never changes the cache's size.
+        The entry is pinned against eviction until its first lookup.
+        Seeding an already-present key replaces the stored partition in
+        place — it never evicts another entry and never changes the
+        cache's size.
         """
-        key = partition_key(
-            topology, part.num_parts, method=method, seed=seed
-        )
-        self._put(key, part, pin=pin)
+        key = partition_key(topology, part.num_parts, seed=seed)
+        self._put(key, part, pin=True)
 
     def _put(self, key: str, part: Partition, *, pin: bool = False) -> None:
         copied = Partition(dict(part.assignment), part.num_parts)

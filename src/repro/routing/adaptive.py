@@ -35,6 +35,8 @@ if TYPE_CHECKING:  # netsim imports routing; keep the cycle import-lazy
 
 #: VC offset applied to the post-detour (second minimal) segment
 DETOUR_VC_OFFSET = 2
+#: hops of each candidate path the injection router inspects
+PROBE_HOPS = 3
 
 
 class AdaptiveDragonflyForwarder:
@@ -104,25 +106,18 @@ class AdaptiveDragonflyForwarder:
         port = node.ports.get(port_no)
         return port.backlog_bytes if port is not None else 0
 
-    def _path_congestion(self, switch: str, dst: str, max_hops: int = 3) -> int:
-        """Worst queue backlog on the minimal path from ``switch`` until
-        the packet would enter the destination's group."""
-        topo = self.topology
-        dst_group = _dragonfly_group(topo.host_switch(dst))
-        current = switch
-        vc = 0
+    def _path_congestion(self, switch: str, dst: str) -> int:
+        """Worst queue backlog on the first :data:`PROBE_HOPS` hops of the
+        minimal path from ``switch`` until the packet would enter the
+        destination's group."""
+        dst_group = _dragonfly_group(self.topology.host_switch(dst))
         worst = 0
-        for _ in range(max_hops):
-            if _dragonfly_group(current) == dst_group:
+        for _, (node, hop, _link, _nxt) in zip(
+            range(PROBE_HOPS), self.routes.walk(switch, dst)
+        ):
+            if _dragonfly_group(node) == dst_group:
                 break
-            hop = self.routes.next_hop(current, dst, vc)
-            worst = max(worst, self._backlog(current, hop.port.index + 1))
-            link = topo.link_of_port(hop.port)
-            nxt = link.other(current)
-            if not topo.is_switch(nxt):
-                break
-            vc = hop.vc
-            current = nxt
+            worst = max(worst, self._backlog(node, hop.port.index + 1))
         return worst
 
     # --- forwarding -----------------------------------------------------------

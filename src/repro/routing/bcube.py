@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.routing.table import Hop, RouteTable
 from repro.topology.graph import Topology
-from repro.util.errors import RoutingError
+from repro.util.errors import RoutingError, TopologyError
 
 
 def _host_digits(host: str) -> str:
@@ -77,7 +77,7 @@ def bcube_routes(topo: Topology) -> RouteTable:
             target_host = f"h{target_digits}"
             try:
                 link = topo.link_between(sw, target_host)
-            except Exception:
+            except TopologyError:
                 continue  # this switch column cannot carry dst traffic
             table.set_hop(sw, dst, Hop(link.port_on(sw), 0))
     return table
@@ -124,7 +124,7 @@ def hyper_bcube_routes(topo: Topology) -> RouteTable:
                 raise RoutingError(f"{sw!r} is not a hyper-bcube switch name")
             try:
                 link = topo.link_between(sw, target)
-            except Exception:
+            except TopologyError:
                 continue
             table.set_hop(sw, dst, Hop(link.port_on(sw), 0))
     return table

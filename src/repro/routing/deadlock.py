@@ -40,46 +40,25 @@ def channel_dependency_graph(table: RouteTable) -> nx.DiGraph:
     Tracing (rather than statically enumerating rule combinations)
     yields exactly the dependencies reachable in operation, which is
     the correct graph for Dally's criterion under deterministic
-    destination-based routing.
+    destination-based routing. The delivery hop is left out (a
+    destination always drains); hops through *forwarding* hosts
+    (BCube) are transit channels like any other.
     """
     topo: Topology = table.topology
     cdg = nx.DiGraph()
     for src in topo.hosts:
+        start = src if table.allow_host_forwarding else topo.host_switch(src)
         for dst in topo.hosts:
-            if src == dst:
-                continue
-            start = src if table.allow_host_forwarding else topo.host_switch(src)
-            if not table.has_route(start, dst):
+            if src == dst or not table.has_route(start, dst):
                 continue  # unreachable pair (e.g. failed attach link)
-            channels = _channels_of_path(topo, table, src, dst)
-            for ch in channels:
-                cdg.add_node(ch)
-            for a, b in zip(channels, channels[1:]):
-                cdg.add_edge(a, b)
+            channels = [
+                Channel(node, nxt, hop.vc)
+                for node, hop, _link, nxt in table.walk(start, dst)
+                if nxt != dst
+            ]
+            cdg.add_nodes_from(channels)
+            cdg.add_edges_from(zip(channels, channels[1:]))
     return cdg
-
-
-def _channels_of_path(
-    topo: Topology, table: RouteTable, src: str, dst: str
-) -> list[Channel]:
-    """The transit channels used by the (deterministic) route
-    src -> dst, in order. The final delivery hop into ``dst`` is
-    excluded (a destination host always drains), but channels through
-    *forwarding* hosts (server-centric topologies like BCube) are
-    transit channels like any other and are included."""
-    channels: list[Channel] = []
-    current = src if table.allow_host_forwarding else topo.host_switch(src)
-    vc = 0
-    for _ in range(512):
-        hop = table.next_hop(current, dst, vc)
-        link = topo.link_of_port(hop.port)
-        nxt = link.other(current)
-        if nxt == dst:
-            return channels
-        channels.append(Channel(current, nxt, hop.vc))
-        vc = hop.vc
-        current = nxt
-    raise DeadlockError(f"route {src}->{dst} did not terminate while tracing CDG")
 
 
 def find_cycle(table: RouteTable) -> list[Channel] | None:

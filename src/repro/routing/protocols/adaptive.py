@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.openflow.channel import CONTROL_RTT
 from repro.routing.protocols import register_protocol
 from repro.routing.protocols.base import (
     ConvergenceReport,
@@ -36,7 +35,7 @@ from repro.routing.protocols.precomputed import (
 )
 from repro.routing.table import Hop, RouteTable
 from repro.topology.graph import Topology
-from repro.util.errors import RoutingError
+from repro.util.errors import RoutingError, TopologyError
 from repro.util.units import MICROSECONDS
 
 #: switch-local egress re-selection latency (no controller round-trip)
@@ -186,7 +185,7 @@ class AdaptiveEgressProtocol(RoutingProtocol):
             try:
                 link = topology.link_between(sw, choice)
                 link_ok = link.index not in failed
-            except Exception:
+            except TopologyError:
                 link_ok = False
             if link_ok:
                 continue

@@ -19,18 +19,18 @@ The classical fix (Autonet, InfiniBand) is **up*/down*** routing:
 
 :func:`reroute_avoiding` computes destination-based up*/down* tables
 that avoid the failed links, so the repaired fabric stays PFC-safe with
-a single VC. The table it returns is verified cycle-free before the
-controller installs it.
+a single VC. The controller's Deadlock Avoidance module vets the table
+before installing it on a lossless fabric, as it does every route
+table.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from repro.routing.deadlock import find_cycle
 from repro.routing.table import Hop, RouteTable
 from repro.topology.graph import Topology
-from repro.util.errors import DeadlockError, RoutingError
+from repro.util.errors import RoutingError
 
 _INF = float("inf")
 
@@ -175,11 +175,4 @@ def reroute_avoiding(
                 raise RoutingError(
                     f"failure set severs {src}->{dst}: no surviving path"
                 )
-
-    cycle = find_cycle(table)
-    if cycle is not None:  # pragma: no cover - up/down forbids this
-        raise DeadlockError(
-            "repair routes acquired a channel dependency cycle "
-            f"(cycle through {cycle[0]})"
-        )
     return table

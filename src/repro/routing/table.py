@@ -11,9 +11,13 @@ SDT rule synthesizer, and the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from repro.topology.graph import Port, Topology
+from repro.topology.graph import Link, Port, Topology
 from repro.util.errors import RoutingError
+
+#: a route longer than this is a forwarding loop
+MAX_HOPS = 512
 
 
 @dataclass(frozen=True)
@@ -98,35 +102,49 @@ class RouteTable:
         return len(self._exact) + len(self._wild)
 
     # --- path tracing ----------------------------------------------------
-    def trace(self, src_host: str, dst_host: str, *, max_hops: int = 256) -> list[str]:
-        """The switch sequence a packet follows src->dst (for tests and
-        latency math). Raises RoutingError on loops or dead ends."""
+    def walk(self, src: str, dst: str) -> Iterator[tuple[str, Hop, Link, str]]:
+        """The one route walker: ``(node, hop, link, next node)`` per hop
+        from ``src`` toward host ``dst``, the delivery hop last.
+
+        A host ``src`` starts at its attachment switch (at itself when
+        hosts forward); a switch ``src`` starts at itself. Raises
+        RoutingError on a dead end, an exit into a host other than
+        ``dst``, or a loop past :data:`MAX_HOPS`."""
+        if src == dst:
+            return
         topo = self.topology
-        if src_host == dst_host:
-            return []
-        current = (
-            src_host if self.allow_host_forwarding
-            else topo.host_switch(src_host)
+        forwarding_hosts = self.allow_host_forwarding
+        node = (
+            topo.host_switch(src)
+            if not forwarding_hosts and topo.is_host(src) else src
         )
+        exact, wild = self._exact, self._wild
         vc = 0
-        path = [current]
-        for _ in range(max_hops):
-            hop = self.next_hop(current, dst_host, vc)
+        for _ in range(MAX_HOPS):
+            # next_hop's lookup inlined (it is most of a walk's cost);
+            # a miss falls through to next_hop for its dead-end error
+            hop = (
+                (exact.get((node, dst, vc)) if exact else None)
+                or wild.get((node, dst))
+                or self.next_hop(node, dst, vc)
+            )
             link = topo.link_of_port(hop.port)
-            nxt = link.other(current)
-            vc = hop.vc
-            if nxt == dst_host:
-                return path
-            if not topo.is_switch(nxt) and not self.allow_host_forwarding:
+            nxt = link.other(node)
+            yield node, hop, link, nxt
+            if nxt == dst:
+                return
+            if not (forwarding_hosts or topo.is_switch(nxt)):
                 raise RoutingError(
-                    f"route at {current} for {dst_host} exits to wrong host {nxt}"
+                    f"route at {node} for {dst} exits to wrong host {nxt}"
                 )
-            current = nxt
-            path.append(current)
-        raise RoutingError(
-            f"routing loop: {src_host}->{dst_host} exceeded {max_hops} hops "
-            f"(path so far: {path[:8]}...)"
-        )
+            node = nxt
+            vc = hop.vc
+        raise RoutingError(f"routing loop: {src}->{dst} exceeded {MAX_HOPS} hops")
+
+    def trace(self, src_host: str, dst_host: str) -> list[str]:
+        """The node sequence a packet follows src->dst (for tests and
+        latency math). Raises RoutingError on loops or dead ends."""
+        return [node for node, _hop, _link, _nxt in self.walk(src_host, dst_host)]
 
     def validate_all_pairs(self) -> None:
         """Trace every host pair; raises on any loop/dead-end."""

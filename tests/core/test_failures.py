@@ -2,14 +2,18 @@
 
 import pytest
 
+from repro.analysis.table3 import TABLE3_CASES
 from repro.core import SDTController, build_cluster_for
 from repro.hardware import EVAL_256x10G
 from repro.mpi import MpiJob
 from repro.netsim import build_sdt_network
-from repro.routing import reroute_avoiding, routes_for
+from repro.routing import find_cycle, reroute_avoiding, routes_for
 from repro.topology import chain, fat_tree, torus2d
+from repro.topology.diff import link_key, rebuild, removable_switch_links
+from repro.topology.zoo import build_zoo_topology, zoo_catalog
 from repro.util.errors import RoutingError
 from repro.workloads import workload
+from tests.proptools import prop_cases, random_topology, seeded_cases
 
 
 @pytest.fixture()
@@ -29,25 +33,68 @@ def run_alltoall(controller, deployment, n=6):
     return MpiJob(net, addrs, w.build(n)).run()
 
 
+def crossed_failed_links(table, failed):
+    """Failed links some host pair's route in ``table`` crosses."""
+    hosts = table.topology.hosts
+    return {
+        link.index
+        for src in hosts
+        for dst in hosts
+        for _node, _hop, link, _nxt in table.walk(src, dst)
+        if link.index in failed
+    }
+
+
 def test_reroute_avoids_failed_link():
     topo = torus2d(4, 4)
     failed = topo.link_between("s0-0", "s0-1").index
     table = reroute_avoiding(topo, {failed})
     table.validate_all_pairs()
-    # no route traverses the failed link
-    for src in topo.hosts:
-        for dst in topo.hosts:
-            if src == dst:
-                continue
-            current = topo.host_switch(src)
-            for _ in range(64):
-                hop = table.next_hop(current, dst, 0)
-                link = topo.link_of_port(hop.port)
-                assert link.index != failed
-                nxt = link.other(current)
-                if nxt == dst:
-                    break
-                current = nxt
+    assert not crossed_failed_links(table, {failed})
+
+
+def _failure_set(topo, rng, max_failures=3):
+    """1..max_failures switch links whose joint removal keeps ``topo``
+    connected: each is drawn from the non-bridges of what survives the
+    ones before it."""
+    dropped = set()
+    for _ in range(int(rng.integers(1, max_failures + 1))):
+        candidates = removable_switch_links(rebuild(topo, drop_links=dropped))
+        if not candidates:
+            break
+        dropped.add(candidates[int(rng.integers(0, len(candidates)))])
+    return {l.index for l in topo.links if link_key(*l.endpoints) in dropped}
+
+
+def _zoo(i, rng):
+    small = [e for e in zoo_catalog() if e.num_links <= 40]
+    entry = small[int(rng.integers(0, len(small)))]
+    return build_zoo_topology(entry, hosts_per_switch=1)
+
+
+def _table3(i, rng):
+    _name, build, *_ = TABLE3_CASES[i % len(TABLE3_CASES)]
+    return build()
+
+
+@pytest.mark.parametrize("family, topology_of, cases", [
+    ("zoo", _zoo, 30),
+    ("random", lambda i, rng: random_topology(rng, min_switches=3), 40),
+    ("table3", _table3, 12),
+], ids=["zoo", "random", "table3"])
+def test_updown_repair_is_cycle_free_and_avoids_failures(
+    family, topology_of, cases
+):
+    """For any failure set that leaves the fabric connected, the
+    up*/down* repair has an acyclic CDG — so the controller's Deadlock
+    Avoidance vetting admits it on a lossless fabric — and no route
+    crosses a failed link."""
+    for i, rng in seeded_cases(prop_cases(cases), 27, "repair", family):
+        topo = topology_of(i, rng)
+        failed = _failure_set(topo, rng)
+        table = reroute_avoiding(topo, failed)
+        assert find_cycle(table) is None, (family, i, topo.name, failed)
+        assert not crossed_failed_links(table, failed), (family, i, topo.name)
 
 
 def test_reroute_severed_pair_raises():

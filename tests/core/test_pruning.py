@@ -39,19 +39,9 @@ def test_route_usage_contains_all_route_links(torus444, torus_routes):
     u = route_usage(torus444, torus_routes, active)
     for src in active:
         for dst in active:
-            if src == dst:
-                continue
-            current = torus444.host_switch(src)
-            vc = 0
-            for _ in range(64):
-                hop = torus_routes.next_hop(current, dst, vc)
-                link = torus444.link_of_port(hop.port)
+            for node, _hop, link, _nxt in torus_routes.walk(src, dst):
                 assert u.uses_link(link.index)
-                nxt = link.other(current)
-                if nxt == dst:
-                    break
-                vc = hop.vc
-                current = nxt
+                assert node in u.switches
 
 
 def test_route_usage_rejects_non_host(torus444, torus_routes):

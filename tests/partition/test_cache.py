@@ -9,10 +9,8 @@ from repro.topology import Topology, fat_tree
 from repro.topology.diff import rebuild, removable_switch_links
 
 
-def _key(topo, num_parts=2, **kw):
-    kw.setdefault("method", "multilevel")
-    kw.setdefault("seed", 0)
-    return partition_key(topo, num_parts, **kw)
+def _key(topo, num_parts=2, seed=0):
+    return partition_key(topo, num_parts, seed=seed)
 
 
 @pytest.fixture()
@@ -106,7 +104,7 @@ def test_topology_edits_change_the_key(edit):
 
 
 @pytest.mark.parametrize(
-    "kw", [{"num_parts": 3}, {"method": "spectral"}, {"seed": 7}],
+    "kw", [{"num_parts": 3}, {"seed": 7}],
     ids=lambda kw: next(iter(kw)),
 )
 def test_partitioner_arguments_change_the_key(kw):
