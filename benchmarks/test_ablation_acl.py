@@ -30,7 +30,10 @@ def run_all():
         cluster = build_cluster_for([topo], nsw, spec)
         dep = SDTController(cluster).deploy(topo, routes=routes)
         multi = dep.rules.count()
-        acl = synthesize_acl_rules(dep.projection, routes).count()
+        acl = sum(
+            len(mods)
+            for mods in synthesize_acl_rules(dep.projection, routes).values()
+        )
         rows.append({
             "label": label,
             "multi_table": multi,

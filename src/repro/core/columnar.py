@@ -6,17 +6,16 @@ destinations, VC and output-port vectors) instead of a list of FlowMod
 objects. Blocks are what the :class:`~repro.core.rules.RuleCache`
 stores and what rule synthesis passes around, so the hot
 reconfiguration path moves O(columns) of data per sub-switch. A block
-has two row-by-row readings, and they describe the same rules in the
-same order (``tests/openflow/test_block_install.py`` holds them
-together):
+builds its rows in one place, and has two readings of them:
 
-* :meth:`CompiledBlock.extend_rows` — the install reading: flow entries
-  with their hash-index keys, straight from the columns. This is what a
-  cold deploy pushes through the control channel; no FlowMod exists.
-* :meth:`CompiledBlock.pairs` — the per-message reading: FlowMods, the
-  per-rule control messages, *materialized* only for consumers that
-  need each message (journal, tracer, fault injection, per-rule
-  deltas) and counted by ``sdt_rules_materialized_total``.
+* :meth:`CompiledBlock.extend_rows` — where the rows are built, and the
+  install reading: flow entries with their hash-index keys, straight
+  from the columns. This is what a cold deploy pushes through the control
+  channel; no FlowMod exists.
+* :meth:`CompiledBlock.pairs` — the per-message reading: the same rows
+  as FlowMods, the per-rule control messages, *materialized* only for
+  consumers that need each message (journal, tracer, fault injection,
+  per-rule deltas) and counted by ``sdt_rules_materialized_total``.
 
 A block shared between two rule generations (cache-hit identity) is
 proof that every rule in it is unchanged, which is what lets the
@@ -180,10 +179,11 @@ class CompiledBlock:
         self, switch: str, classify: TableRows, route: TableRows
     ) -> None:
         """Append this block's rows that land on ``switch`` to the two
-        tables' bulk-install rows: the rules :meth:`pairs` addresses to
-        ``switch``, in the same order, as flow entries with the
-        ``(shape, key)`` the hash index files them under and each
-        distinct instruction tuple listed once. No FlowMod is built."""
+        tables' bulk-install rows: flow entries with the ``(shape,
+        key)`` the hash index files them under and each distinct
+        instruction tuple listed once. No FlowMod is built. This is the
+        one place a block's rows are built; :meth:`pairs` reads its
+        FlowMods off it."""
         cookie = self.cookie
         metadata_id = self.metadata_id
         # --- table 0: port -> sub-switch classification ---
@@ -231,51 +231,26 @@ class CompiledBlock:
         route.instructions.extend(distinct.values())
 
     def pairs(self) -> tuple[tuple[str, FlowMod], ...]:
-        """Materialize (physical switch, FlowMod) rows, cached."""
+        """Materialize (physical switch, FlowMod) rows, cached: per
+        switch, in :meth:`per_switch_counts` order, the rows
+        :meth:`extend_rows` builds for it, as control messages."""
         if self._pairs is not None:
             return self._pairs
         metrics.registry().counter("sdt_rules_materialized_total").inc(
             self.count
         )
-        cookie = self.cookie
-        metadata_id = self.metadata_id
         out: list[tuple[str, FlowMod]] = []
-        # --- table 0: port -> sub-switch classification ---
-        classify_instrs = (
-            WriteMetadata(metadata_id), GotoTable(ROUTE_TABLE),
-        )
-        for sw, port in zip(self.classify_switches, self.classify_ports):
-            out.append((
-                sw,
-                FlowMod(
-                    table_id=CLASSIFY_TABLE,
-                    priority=PRIORITY_CLASSIFY,
-                    match=_classify_match(port),
-                    instructions=classify_instrs,
-                    cookie=cookie,
-                ),
-            ))
-        # --- table 1: destination-based routing within the sub-switch ---
-        phys = self.phys_switch
-        for dst, in_vc, out_vc, out_port in zip(
-            self.dsts, self.in_vcs, self.out_vcs, self.out_ports
-        ):
-            if in_vc == NO_VC:
-                match = Match(metadata=metadata_id, dst=dst)
-                priority = PRIORITY_ROUTE_WILD
-            else:
-                match = Match(metadata=metadata_id, dst=dst, vc=in_vc)
-                priority = PRIORITY_ROUTE_EXACT
-            out.append((
-                phys,
-                FlowMod(
-                    table_id=ROUTE_TABLE,
-                    priority=priority,
-                    match=match,
-                    instructions=route_instructions(in_vc, out_vc, out_port),
-                    cookie=cookie,
-                ),
-            ))
+        for switch in self.per_switch_counts():
+            classify = TableRows(CLASSIFY_TABLE, [], [], [])
+            route = TableRows(ROUTE_TABLE, [], [], [])
+            self.extend_rows(switch, classify, route)
+            for table_id, entries, _keys, _instrs in (classify, route):
+                out.extend(
+                    (switch, FlowMod(
+                        table_id, e.priority, e.match, e.instructions, e.cookie
+                    ))
+                    for e in entries
+                )
         self._pairs = tuple(out)
         return self._pairs
 

@@ -19,10 +19,14 @@ k=4 Fat-Tree on two switches falls out of this synthesis (see the
 
 Synthesis is *columnar*: each sub-switch compiles into one
 :class:`~repro.core.columnar.CompiledBlock` (aligned integer/string
-columns). A :class:`RuleSet` crosses the control channel as blocks too
-(:meth:`RuleSet.runs`); FlowMod objects are only materialized for
-consumers that need each message. Blocks are the unit of caching — see
-DESIGN.md "Data-plane performance architecture".
+columns), and a :class:`RuleSet` is nothing but its blocks. It crosses
+the control channel as blocks too (:meth:`RuleSet.runs`); FlowMod
+objects are only materialized for consumers that need each message.
+Blocks are the unit of caching — see DESIGN.md "Data-plane performance
+architecture". The rule forms outside this pipeline — the flat ACL
+table of :mod:`repro.core.rules_acl` and the ECMP rules of
+:mod:`repro.core.rules_ecmp` — are plain ``{switch: [FlowMod]}``
+mappings, which ``ControlTransaction.stage_rules`` accepts as they are.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from repro.core.columnar import (
 from repro.core.projection.base import ProjectionResult, SubSwitch
 from repro.openflow.actions import ApplyActions, Output, SetQueue, SetVC
 from repro.openflow.channel import FlowMod
-from repro.openflow.flowtable import FlowEntry
 from repro.openflow.match import Match
 from repro.openflow.switch import FlowModRun, TableRows
 from repro.routing.table import Hop, RouteTable
@@ -67,25 +70,23 @@ __all__ = [
 
 
 class RuleSet:
-    """FlowMods per physical switch, plus provenance counters.
+    """One compiled rule generation: FlowMods per physical switch.
 
-    Internally a list of :class:`CompiledBlock` (one per compiled
-    sub-switch, in ``topology.switches`` order) plus an ``_extra``
-    overflow for rules added one at a time (ECMP groups, ACLs,
-    overrides). ``mods`` — the classic ``{phys_switch: [FlowMod]}``
-    mapping — is materialized lazily and cached: rule *counting*
-    (admission control, install-time estimates), *placement*
-    (:meth:`switches`) and *installation* (:meth:`runs`) never have to
-    build a FlowMod, and a block shared with a previous generation
-    reuses the FlowMods it already materialized.
+    It holds nothing but a list of :class:`CompiledBlock` (one per
+    compiled sub-switch, in ``topology.switches`` order). ``mods`` — the
+    classic ``{phys_switch: [FlowMod]}`` mapping — is materialized
+    lazily and cached: rule *counting* (admission control, install-time
+    estimates), *placement* (:meth:`switches`) and *installation*
+    (:meth:`runs`) never have to build a FlowMod, and a block shared
+    with a previous generation reuses the FlowMods it already
+    materialized.
     """
 
-    __slots__ = ("cookie", "_blocks", "_extra", "_mods")
+    __slots__ = ("cookie", "_blocks", "_mods")
 
     def __init__(self, cookie: int) -> None:
         self.cookie = cookie
         self._blocks: list[CompiledBlock] = []
-        self._extra: dict[str, list[FlowMod]] = {}
         self._mods: dict[str, list[FlowMod]] | None = None
 
     @property
@@ -96,24 +97,10 @@ class RuleSet:
         self._blocks.append(block)
         self._mods = None
 
-    def add(self, phys_switch: str, mod: FlowMod) -> None:
-        self._extra.setdefault(phys_switch, []).append(mod)
-        self._mods = None
-
     @property
     def mods(self) -> dict[str, list[FlowMod]]:
         if self._mods is None:
-            mods: dict[str, list[FlowMod]] = {}
-            for block in self._blocks:
-                for phys, mod in block.pairs():
-                    bucket = mods.get(phys)
-                    if bucket is None:
-                        mods[phys] = [mod]
-                    else:
-                        bucket.append(mod)
-            for phys, extra in self._extra.items():
-                mods.setdefault(phys, []).extend(extra)
-            self._mods = mods
+            self._mods = _mods_of(self._blocks)
         return self._mods
 
     def switches(self) -> tuple[str, ...]:
@@ -125,9 +112,9 @@ class RuleSet:
         """Per switch, this rule set's rows that land there as one
         stageable message (``ControlTransaction.stage_rules`` takes the
         rule set itself and calls this): ``mods[switch]`` exactly —
-        blocks in order, classification rows then routing rows, then
-        the rules added one at a time — without building it. The rule
-        set must be complete: a run's row count is fixed here."""
+        blocks in order, classification rows then routing rows —
+        without building it. The rule set must be complete: a run's row
+        count is fixed here."""
         return {
             switch: _SwitchRun(self, switch, rows)
             for switch, rows in self.per_switch_counts().items()
@@ -136,18 +123,27 @@ class RuleSet:
     def count(self, phys_switch: str | None = None) -> int:
         if phys_switch is not None:
             return self.per_switch_counts().get(phys_switch, 0)
-        return sum(b.count for b in self._blocks) + sum(
-            len(v) for v in self._extra.values()
-        )
+        return sum(b.count for b in self._blocks)
 
     def per_switch_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for block in self._blocks:
             for sw, n in block.per_switch_counts().items():
                 counts[sw] = counts.get(sw, 0) + n
-        for sw, extra in self._extra.items():
-            counts[sw] = counts.get(sw, 0) + len(extra)
         return counts
+
+
+def _mods_of(blocks) -> dict[str, list[FlowMod]]:
+    """The blocks' FlowMods per physical switch, in block order."""
+    mods: dict[str, list[FlowMod]] = {}
+    for block in blocks:
+        for phys, mod in block.pairs():
+            bucket = mods.get(phys)
+            if bucket is None:
+                mods[phys] = [mod]
+            else:
+                bucket.append(mod)
+    return mods
 
 
 class _SwitchRun(FlowModRun):
@@ -169,25 +165,11 @@ class _SwitchRun(FlowModRun):
         return iter(self._rules.mods[self._switch])
 
     def table_rows(self) -> list[TableRows]:
-        tables = {
-            CLASSIFY_TABLE: TableRows(CLASSIFY_TABLE, [], [], []),
-            ROUTE_TABLE: TableRows(ROUTE_TABLE, [], [], []),
-        }
+        classify = TableRows(CLASSIFY_TABLE, [], [], [])
+        route = TableRows(ROUTE_TABLE, [], [], [])
         for block in self._rules.blocks:
-            block.extend_rows(
-                self._switch, tables[CLASSIFY_TABLE], tables[ROUTE_TABLE]
-            )
-        # rules added one at a time follow every block row of their
-        # table and carry no key: the flow table derives it
-        for m in self._rules._extra.get(self._switch, ()):
-            rows = tables.get(m.table_id)
-            if rows is None:
-                rows = tables[m.table_id] = TableRows(m.table_id, [], [], [])
-            rows.entries.append(FlowEntry(
-                m.priority, m.match, tuple(m.instructions), m.cookie
-            ))
-            rows.instructions.append(m.instructions)
-        return [rows for rows in tables.values() if rows.entries]
+            block.extend_rows(self._switch, classify, route)
+        return [rows for rows in (classify, route) if rows.entries]
 
 
 class RuleCache:
@@ -358,8 +340,8 @@ def split_ruleset_delta(old: RuleSet, new: RuleSet) -> RulesDelta:
     returns the same object for an unchanged content hash) are proof
     that every rule in them survives unchanged — their switches are
     excluded from the mappings without materializing a single FlowMod.
-    Only switches touched by a non-shared block or by ``_extra`` rules
-    get their FlowMods built for the transaction's per-rule diff.
+    Only switches touched by a non-shared block get their FlowMods built
+    for the transaction's per-rule diff.
 
     Correctness: a shared block contributes identical (switch, rule)
     pairs to both sides, so removing it from both mappings leaves the
@@ -371,23 +353,11 @@ def split_ruleset_delta(old: RuleSet, new: RuleSet) -> RulesDelta:
     shared = {
         id(b) for b in old.blocks
     } & {id(b) for b in new.blocks}
-
-    def reduced(rs: RuleSet) -> tuple[dict[str, list[FlowMod]], int]:
-        mods: dict[str, list[FlowMod]] = {}
-        kept = 0
-        for block in rs.blocks:
-            if id(block) in shared:
-                kept += block.count
-                continue
-            for phys, mod in block.pairs():
-                mods.setdefault(phys, []).append(mod)
-        for phys, extra in rs._extra.items():
-            mods.setdefault(phys, []).extend(extra)
-        return mods, kept
-
-    old_mods, kept = reduced(old)
-    new_mods, _ = reduced(new)
-    return RulesDelta(old_mods=old_mods, new_mods=new_mods, shared_rules=kept)
+    return RulesDelta(
+        old_mods=_mods_of(b for b in old.blocks if id(b) not in shared),
+        new_mods=_mods_of(b for b in new.blocks if id(b) not in shared),
+        shared_rules=sum(b.count for b in old.blocks if id(b) in shared),
+    )
 
 
 def flow_override(

@@ -17,7 +17,6 @@ trades against.
 from __future__ import annotations
 
 from repro.core.projection.base import ProjectionResult
-from repro.core.rules import RuleSet
 from repro.openflow.actions import ApplyActions, Output, SetQueue, SetVC
 from repro.openflow.channel import FlowMod
 from repro.openflow.match import Match
@@ -33,9 +32,10 @@ def synthesize_acl_rules(
     routes: RouteTable,
     *,
     cookie: int = 1,
-) -> RuleSet:
-    """Compile to a single flat ACL table: (in_port, dst[, vc]) rules."""
-    rules = RuleSet(cookie=cookie)
+) -> dict[str, list[FlowMod]]:
+    """Compile to a single flat ACL table: (in_port, dst[, vc]) rules,
+    as FlowMods per physical switch."""
+    rules: dict[str, list[FlowMod]] = {}
 
     for sw, dst, in_vc, hop in routes.entries():
         sub = projection.subswitches[sw]
@@ -65,8 +65,7 @@ def synthesize_acl_rules(
                 dst=phys_dst,
                 vc=in_vc,
             )
-            rules.add(
-                phys_out.switch,
+            rules.setdefault(phys_out.switch, []).append(
                 FlowMod(
                     table_id=ACL_TABLE,
                     priority=priority,

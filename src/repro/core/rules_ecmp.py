@@ -7,84 +7,26 @@ uplinks. OpenFlow expresses that with SELECT groups, and so does our
 substrate: table-1 rules point at a per-(sub-switch, uplink-set) group
 whose buckets are the candidate ports; the switch hashes the 5-tuple.
 
-This module synthesizes that deployment for a projected fat-tree:
-downward hops stay plain destination rules (the downward path is
-unique), upward hops go through SELECT groups. A companion experiment
-(``tests/core/test_ecmp.py``) shows flows spreading over cores and the
-resulting ACT gain on adversarial traffic.
+This module synthesizes that deployment for a projected fat-tree from
+the same candidate walk up/down routing hashes over
+(:func:`repro.routing.strategies.fattree_candidates`): table 0 is the
+standard pipeline's classification, downward hops stay plain
+destination rules (the downward path is unique), upward hops go through
+SELECT groups. The result is a plain ``{switch: [FlowMod]}`` mapping,
+the per-message form ``ControlTransaction.stage_rules`` accepts. A
+companion experiment (``tests/core/test_ecmp.py``) shows flows
+spreading over cores and the resulting ACT gain on adversarial traffic.
 """
 
 from __future__ import annotations
 
+from repro.core.columnar import PRIORITY_ROUTE_WILD, ROUTE_TABLE, build_block
 from repro.core.projection.base import ProjectionResult
-from repro.core.rules import (
-    CLASSIFY_TABLE,
-    PRIORITY_CLASSIFY,
-    PRIORITY_ROUTE_WILD,
-    ROUTE_TABLE,
-    RuleSet,
-)
-from repro.openflow.actions import (
-    ApplyActions,
-    GotoTable,
-    Group,
-    Output,
-    SetQueue,
-    WriteMetadata,
-)
+from repro.openflow.actions import ApplyActions, Group, Output, SetQueue
 from repro.openflow.channel import FlowMod
 from repro.openflow.groups import Bucket, GroupEntry
 from repro.openflow.match import Match
-from repro.routing.strategies import _fattree_tier
-from repro.topology.graph import Topology
-from repro.util.errors import ProjectionError
-
-
-def fattree_ecmp_candidates(topo: Topology) -> dict[tuple[str, str], list]:
-    """For every (switch, dst host): the equivalent next-hop logical
-    ports — one for downward hops, all uplinks for upward hops."""
-    below: dict[str, set[str]] = {s: set() for s in topo.switches}
-    for h in topo.hosts:
-        below[topo.host_switch(h)].add(h)
-    for _ in range(2):
-        for sw in topo.switches:
-            tier = _fattree_tier(sw)
-            for nb in topo.neighbors(sw):
-                if topo.is_switch(nb):
-                    if (tier, _fattree_tier(nb)) in (
-                        ("agg", "edge"), ("core", "agg"),
-                    ):
-                        below[sw] |= below[nb]
-
-    candidates: dict[tuple[str, str], list] = {}
-    for dst in topo.hosts:
-        for sw in topo.switches:
-            tier = _fattree_tier(sw)
-            if dst in topo.hosts_of_switch(sw):
-                link = topo.link_between(sw, dst)
-                candidates[(sw, dst)] = [link.port_on(sw)]
-                continue
-            down = [
-                nb for nb in topo.neighbors(sw)
-                if topo.is_switch(nb)
-                and _fattree_tier(nb) == {"core": "agg", "agg": "edge"}.get(tier)
-                and dst in below[nb]
-            ]
-            if down:
-                link = topo.link_between(sw, down[0])
-                candidates[(sw, dst)] = [link.port_on(sw)]
-                continue
-            if tier == "core":
-                raise ProjectionError(f"core {sw} cannot reach {dst}")
-            ups = sorted(
-                nb for nb in topo.neighbors(sw)
-                if topo.is_switch(nb)
-                and _fattree_tier(nb) == {"edge": "agg", "agg": "core"}[tier]
-            )
-            candidates[(sw, dst)] = [
-                topo.link_between(sw, nb).port_on(sw) for nb in ups
-            ]
-    return candidates
+from repro.routing.strategies import fattree_candidates
 
 
 def synthesize_ecmp(
@@ -92,7 +34,7 @@ def synthesize_ecmp(
     *,
     cookie: int = 1,
     group_base: int = 1,
-) -> tuple[RuleSet, dict[str, list[GroupEntry]]]:
+) -> tuple[dict[str, list[FlowMod]], dict[str, list[GroupEntry]]]:
     """Compile ECMP rules + SELECT groups for a projected fat-tree.
 
     Returns the FlowMods per physical switch and the group entries to
@@ -101,44 +43,26 @@ def synthesize_ecmp(
     stay plain Output rules.
     """
     topo = projection.topology
-    candidates = fattree_ecmp_candidates(topo)
-    rules = RuleSet(cookie=cookie)
     groups: dict[str, list[GroupEntry]] = {}
     group_ids: dict[tuple[str, tuple[int, ...]], int] = {}
     next_group = group_base
 
-    # table 0: identical classification to the standard pipeline
+    # table 0: the standard pipeline's classification rows
+    mods: dict[str, list[FlowMod]] = {}
     for sw in topo.switches:
-        sub = projection.subswitches[sw]
-        for _idx, phys_port in sorted(sub.ports.items()):
-            rules.add(
-                phys_port.switch,
-                FlowMod(
-                    table_id=CLASSIFY_TABLE,
-                    priority=PRIORITY_CLASSIFY,
-                    match=Match(in_port=phys_port.port),
-                    instructions=(
-                        WriteMetadata(sub.metadata_id),
-                        GotoTable(ROUTE_TABLE),
-                    ),
-                    cookie=cookie,
-                ),
-            )
+        block = build_block(projection.subswitches[sw], [], cookie)
+        for phys, mod in block.pairs():
+            mods.setdefault(phys, []).append(mod)
 
     # table 1: groups where several equivalent uplinks exist
-    for (sw, dst), ports in candidates.items():
+    for (sw, dst), nbs in fattree_candidates(topo).items():
         sub = projection.subswitches[sw]
-        if dst not in projection.host_map:
-            continue
-        phys_ports = []
-        skip = False
-        for lp in ports:
-            if lp.index not in sub.ports:
-                skip = True
-                break
-            phys_ports.append(sub.ports[lp.index].port)
-        if skip:
-            continue
+        ports = [topo.link_between(sw, nb).port_on(sw) for nb in nbs]
+        if dst not in projection.host_map or any(
+            lp.index not in sub.ports for lp in ports
+        ):
+            continue  # pruned
+        phys_ports = [sub.ports[lp.index].port for lp in ports]
         match = Match(metadata=sub.metadata_id, dst=projection.host_map[dst])
         if len(phys_ports) == 1:
             actions = (ApplyActions((SetQueue(0), Output(phys_ports[0]))),)
@@ -157,8 +81,7 @@ def synthesize_ecmp(
                     )
                 )
             actions = (ApplyActions((SetQueue(0), Group(gid))),)
-        rules.add(
-            sub.phys_switch,
+        mods.setdefault(sub.phys_switch, []).append(
             FlowMod(
                 table_id=ROUTE_TABLE,
                 priority=PRIORITY_ROUTE_WILD,
@@ -167,24 +90,26 @@ def synthesize_ecmp(
                 cookie=cookie,
             ),
         )
-    return rules, groups
+    return mods, groups
 
 
-def install_ecmp(cluster, projection: ProjectionResult, *, cookie: int = 7777):
+def install_ecmp(
+    cluster, projection: ProjectionResult, *, cookie: int = 7777
+) -> dict[str, list[FlowMod]]:
     """Install ECMP groups + rules on a cluster's switches directly.
 
     A substrate-level helper (the SDT controller's strategy registry
     stays destination-based; ECMP is offered for user experiments).
-    Returns the RuleSet for accounting.
+    Returns the installed FlowMods per physical switch for accounting.
     """
-    rules, groups = synthesize_ecmp(projection, cookie=cookie)
+    mods, groups = synthesize_ecmp(projection, cookie=cookie)
     for phys, entries in groups.items():
         for entry in entries:
             cluster.switches[phys].add_group(entry)
-    for phys, mods in rules.mods.items():
-        for m in mods:
+    for phys, batch in mods.items():
+        for m in batch:
             cluster.switches[phys].add_flow(
                 m.table_id, m.priority, m.match, m.instructions,
                 cookie=m.cookie,
             )
-    return rules
+    return mods

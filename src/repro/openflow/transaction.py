@@ -13,14 +13,14 @@ guarantee here.
 :class:`ControlTransaction` stages :class:`FlowMod` /
 :class:`FlowDelete` batches per switch — a whole rule set as one
 :class:`FlowModRun` per switch, whose FlowMods are built only for the
-consumers that need each message — runs every validation *before*
-touching hardware (flow-table capacity against the worst in-flight
-entry count, plus caller-registered checks such as CDG acyclicity and
-projection feasibility), then commits switch by switch with barrier
-semantics. Each switch's rule state is snapshotted just before its
-batch is applied; if any send or barrier fails, every already-touched
-switch is rolled back to its snapshot and a
-:class:`~repro.util.errors.TransactionError` carrying the
+consumers that need each message — validates flow-table capacity
+against the worst in-flight entry count *before* touching hardware,
+then commits switch by switch with barrier semantics. (Checks on the
+rules' meaning, such as Deadlock Avoidance's CDG acyclicity, run in
+the controller before anything is staged.) Each switch's rule state is
+snapshotted just before its batch is applied; if any send or barrier
+fails, every already-touched switch is rolled back to its snapshot and
+a :class:`~repro.util.errors.TransactionError` carrying the
 :class:`RollbackReport` is raised. After a failed commit the network is
 byte-identical to its pre-transaction state.
 
@@ -40,7 +40,7 @@ machinery prices both update disciplines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.openflow.channel import (
     BarrierRequest,
@@ -67,6 +67,9 @@ class DeltaStats:
     deletes: int
     #: entries shared by both generations, left untouched on-switch
     unchanged: int
+    #: identities in both generations whose instructions differ: each
+    #: is counted once in ``installs`` and once in ``deletes``
+    modified: int
 
     @property
     def pushed(self) -> int:
@@ -105,7 +108,6 @@ class ControlTransaction:
         #: FlowDeletes staged] — what validation and commit tally
         #: instead of walking the messages
         self._staged: dict[str, list[int]] = {}
-        self._validators: list[Callable[[], None]] = []
         self._committed = False
 
     # --- staging ------------------------------------------------------
@@ -200,8 +202,10 @@ class ControlTransaction:
         def identity(m: FlowMod) -> tuple:
             return (m.table_id, m.priority, m.match, m.cookie)
 
-        installs = deletes = unchanged = 0
-        for name in {*old_mods, *new_mods}:
+        installs = deletes = unchanged = n_modified = 0
+        # staging order is commit and rollback order: first-seen switch
+        # order, never a set's (which follows the string-hash seed)
+        for name in dict.fromkeys([*old_mods, *new_mods]):
             old_list = list(old_mods.get(name, ()))
             new_list = list(new_mods.get(name, ()))
             old_keys = {identity(m) for m in old_list}
@@ -225,6 +229,7 @@ class ControlTransaction:
             fresh = [m for m in added if identity(m) not in removed_keys]
             modified = [m for m in added if identity(m) in removed_keys]
             modified_keys = {identity(m) for m in modified}
+            n_modified += len(modified)
 
             def strict_delete(m: FlowMod) -> FlowDelete:
                 return FlowDelete(
@@ -248,14 +253,11 @@ class ControlTransaction:
                 ),
             )
         return DeltaStats(
-            installs=installs, deletes=deletes, unchanged=unchanged
+            installs=installs,
+            deletes=deletes,
+            unchanged=unchanged,
+            modified=n_modified,
         )
-
-    def add_validator(self, check: Callable[[], None]) -> None:
-        """Register an extra pre-commit check (raise to veto the
-        commit); runs after the built-in capacity validation."""
-        self._check_open()
-        self._validators.append(check)
 
     @property
     def touched_switches(self) -> tuple[str, ...]:
@@ -347,8 +349,6 @@ class ControlTransaction:
                 f"{self._tag}: would overflow flow tables: "
                 + "; ".join(problems)
             )
-        for check in self._validators:
-            check()
 
     # --- commit / rollback --------------------------------------------
     def commit(self) -> float:

@@ -17,7 +17,10 @@ intent and repairs three kinds of drift inside one ordinary
 
 Because the repair is a normal transaction it inherits every
 guarantee: capacity validation before hardware, barriers, snapshot
-rollback on failure. It commits inside the controller's
+rollback on failure. The repair is staged inside a
+``reconcile.audit`` span — the drift counts are read off what
+``stage_delta`` staged, so a dry run stages too and never commits — and
+commits inside the controller's
 :meth:`~repro.core.controller.controller.SDTController.mutation`
 frame, so it is traced (``controller.reconcile``) and counted
 (``op="reconcile"``) by the same epilogue as every other mutation. A
@@ -36,7 +39,7 @@ from typing import Any
 
 from repro.openflow.channel import FlowDelete, FlowMod
 from repro.openflow.transaction import ControlTransaction
-from repro.telemetry import metrics
+from repro.telemetry import metrics, trace
 
 
 def _identity(m: FlowMod) -> tuple:
@@ -137,24 +140,20 @@ def reconcile(controller: Any, *, dry_run: bool = False) -> ReconcileReport:
         if mods:
             actual[name] = mods
 
-    # classify drift for the report
-    missing = orphaned = modified = 0
-    drifted = set(dup_deletes)
-    for name in {*intent, *actual}:
-        by_key_intent = {_identity(m): m for m in intent.get(name, ())}
-        by_key_actual = {_identity(m): m for m in actual.get(name, ())}
-        for key, m in by_key_intent.items():
-            have = by_key_actual.get(key)
-            if have is None:
-                missing += 1
-                drifted.add(name)
-            elif have.instructions != m.instructions:
-                modified += 1
-                drifted.add(name)
-        for key in by_key_actual:
-            if key not in by_key_intent:
-                orphaned += 1
-                drifted.add(name)
+    # stage the repair — the duplicate flush, then the diff to intent —
+    # and read the drift off what the diff staged; a dry run stops here.
+    # The audit span holds the staging, committed or not.
+    with trace.span("reconcile.audit", dry_run=dry_run) as sp:
+        txn = ControlTransaction(controller.cluster.control, label="reconcile")
+        for name, deletes in sorted(dup_deletes.items()):
+            txn.stage(name, *deletes)
+        stats = txn.stage_delta(actual, intent)
+        modified = stats.modified
+        missing = stats.installs - modified
+        orphaned = stats.deletes - modified
+        for kind, n in (("missing", missing), ("orphaned", orphaned),
+                        ("modified", modified), ("duplicates", duplicates)):
+            sp.set(kind, n)
 
     clean = not (missing or orphaned or modified or duplicates)
     reg = metrics.registry()
@@ -170,12 +169,6 @@ def reconcile(controller: Any, *, dry_run: bool = False) -> ReconcileReport:
         with controller.mutation(
             "reconcile", drift=missing + orphaned + modified + duplicates
         ) as m:
-            txn = ControlTransaction(
-                controller.cluster.control, label="reconcile"
-            )
-            for name, deletes in sorted(dup_deletes.items()):
-                txn.stage(name, *deletes)
-            txn.stage_delta(actual, intent)
             m.commit_time = txn.commit()
         elapsed = m.modeled_time
     return ReconcileReport(
@@ -184,7 +177,7 @@ def reconcile(controller: Any, *, dry_run: bool = False) -> ReconcileReport:
         modified=modified,
         duplicates=duplicates,
         skipped_cookies=skipped,
-        drifted_switches=tuple(sorted(drifted)),
+        drifted_switches=tuple(sorted(txn.touched_switches)),
         modeled_time=elapsed,
         dry_run=dry_run,
     )

@@ -109,16 +109,21 @@ class AdaptiveEgressProtocol(RoutingProtocol):
     def _bootstrap(self, topology: Topology) -> None:
         self._topology = topology
         self._failed = set()
+        self._converge(topology, set())
+
+    def _converge(self, topology: Topology, failed: set[int]) -> None:
+        """Distances on the graph without ``failed`` and every switch's
+        best downhill egress toward each destination switch."""
         dests = sorted({topology.host_switch(h) for h in topology.hosts})
         self._dist = {
-            dst: self._bfs_dist(topology, dst, set()) for dst in dests
+            dst: self._bfs_dist(topology, dst, failed) for dst in dests
         }
         self._choice = {}
         for dst in dests:
             for sw in topology.switches:
                 if sw == dst:
                     continue
-                cands = self._candidates(topology, sw, dst, set())
+                cands = self._candidates(topology, sw, dst, failed)
                 if cands:
                     self._choice[(sw, dst)] = cands[0]
 
@@ -212,18 +217,7 @@ class AdaptiveEgressProtocol(RoutingProtocol):
                 )
 
         # global fallback: recompute distances on the surviving graph
-        dests = sorted({topology.host_switch(h) for h in topology.hosts})
-        self._dist = {
-            dst: self._bfs_dist(topology, dst, failed) for dst in dests
-        }
-        self._choice = {}
-        for dst in dests:
-            for sw in topology.switches:
-                if sw == dst:
-                    continue
-                cands = self._candidates(topology, sw, dst, failed)
-                if cands:
-                    self._choice[(sw, dst)] = cands[0]
+        self._converge(topology, failed)
         routes = self._build_table(topology)
         push_time, flow_mods = modeled_push_time(routes)
         return RoutingOutcome(

@@ -104,6 +104,58 @@ def _fattree_tier(switch: str) -> str:
     raise RoutingError(f"{switch!r} is not a fat-tree switch name")
 
 
+def fattree_candidates(
+    topo: Topology,
+) -> dict[tuple[str, str], tuple[str, ...]]:
+    """The fat-tree's equivalent next hops: for every (switch,
+    destination host), in destination-then-switch order, the neighbors
+    toward it — the host itself or the one downward switch when the
+    destination lies below, else every uplink neighbor, sorted by name.
+
+    Up/down routing (:func:`fattree_updown_routes`) hashes one of them;
+    ECMP (:mod:`repro.core.rules_ecmp`) spreads flows over all of them.
+    Resolving a neighbor to the switch's port is left to the caller, so
+    up/down routing looks up only the uplink it picks.
+    """
+    # each switch's downward (in neighbor order) and upward neighbors
+    downs: dict[str, list[str]] = {}
+    ups: dict[str, tuple[str, ...]] = {}
+    for sw in topo.switches:
+        tier = _fattree_tier(sw)
+        nbs = [nb for nb in topo.neighbors(sw) if topo.is_switch(nb)]
+        child = {"core": "agg", "agg": "edge"}.get(tier)
+        parent = {"edge": "agg", "agg": "core"}.get(tier)
+        downs[sw] = [nb for nb in nbs if _fattree_tier(nb) == child]
+        ups[sw] = tuple(sorted(nb for nb in nbs if _fattree_tier(nb) == parent))
+
+    # downward reachability: which hosts live below each switch
+    below: dict[str, set[str]] = {s: set() for s in topo.switches}
+    for h in topo.hosts:
+        below[topo.host_switch(h)].add(h)
+    # edges feed aggs, aggs feed cores (2 sweeps are enough: 3 tiers)
+    for _ in range(2):
+        for sw in topo.switches:
+            for nb in downs[sw]:
+                below[sw] |= below[nb]
+
+    candidates: dict[tuple[str, str], tuple[str, ...]] = {}
+    for dst in topo.hosts:
+        dst_sw = topo.host_switch(dst)
+        for sw in topo.switches:
+            if sw == dst_sw:
+                candidates[(sw, dst)] = (dst,)
+                continue
+            # downward if some child subtree holds dst
+            down = next((nb for nb in downs[sw] if dst in below[nb]), None)
+            if down is not None:
+                candidates[(sw, dst)] = (down,)
+                continue
+            if not ups[sw]:
+                raise RoutingError(f"{sw} cannot reach {dst}")
+            candidates[(sw, dst)] = ups[sw]
+    return candidates
+
+
 def fattree_updown_routes(topo: Topology) -> RouteTable:
     """Fat-Tree routing (the paper's "DFS" strategy).
 
@@ -113,50 +165,12 @@ def fattree_updown_routes(topo: Topology) -> RouteTable:
     DFS over the fabric yields. Up-down paths cannot deadlock.
     """
     table = RouteTable(topo, num_vcs=1)
-
-    # downward reachability: which hosts live below each switch
-    below: dict[str, set[str]] = {s: set() for s in topo.switches}
-    for h in topo.hosts:
-        below[topo.host_switch(h)].add(h)
-    # edges feed aggs, aggs feed cores (2 sweeps are enough: 3 tiers)
-    for _ in range(2):
-        for sw in topo.switches:
-            tier = _fattree_tier(sw)
-            for nb in topo.neighbors(sw):
-                if topo.is_switch(nb):
-                    nb_tier = _fattree_tier(nb)
-                    if (tier, nb_tier) in (("agg", "edge"), ("core", "agg")):
-                        below[sw] |= below[nb]
-
-    for dst in topo.hosts:
-        for sw in topo.switches:
-            tier = _fattree_tier(sw)
-            if dst in topo.hosts_of_switch(sw):
-                table.set_hop(sw, dst, _host_port_hop(topo, sw, dst))
-                continue
-            # downward if some child subtree holds dst
-            down = [
-                nb
-                for nb in topo.neighbors(sw)
-                if topo.is_switch(nb)
-                and _fattree_tier(nb) == {"core": "agg", "agg": "edge"}.get(tier)
-                and dst in below[nb]
-            ]
-            if down:
-                link = topo.link_between(sw, down[0])
-                table.set_hop(sw, dst, Hop(link.port_on(sw), 0))
-                continue
-            if tier == "core":
-                raise RoutingError(f"core {sw} cannot reach {dst}")
-            ups = sorted(
-                nb
-                for nb in topo.neighbors(sw)
-                if topo.is_switch(nb)
-                and _fattree_tier(nb) == {"edge": "agg", "agg": "core"}[tier]
-            )
-            pick = ups[_stable_hash(dst, sw) % len(ups)]
-            link = topo.link_between(sw, pick)
-            table.set_hop(sw, dst, Hop(link.port_on(sw), 0))
+    items: list[tuple[str, str, int | None, Hop]] = []
+    for (sw, dst), nbs in fattree_candidates(topo).items():
+        # hash only a real choice: host and downward hops are unique
+        nb = nbs[_stable_hash(dst, sw) % len(nbs)] if len(nbs) > 1 else nbs[0]
+        items.append((sw, dst, None, Hop(topo.link_between(sw, nb).port_on(sw), 0)))
+    table.set_hops(items)
     return table
 
 

@@ -19,13 +19,14 @@ from repro.topology import chain, dragonfly, fat_tree, torus2d
 
 
 def install(cluster_template, rules):
-    """Fresh emulated switches with one rule set installed."""
+    """Fresh emulated switches with one ``{switch: [FlowMod]}`` rule
+    mapping installed."""
     switches = {
         name: OpenFlowSwitch(name, sw.num_ports,
                              flow_table_capacity=sw.flow_table_capacity)
         for name, sw in cluster_template.switches.items()
     }
-    for name, mods in rules.mods.items():
+    for name, mods in rules.items():
         for m in mods:
             switches[name].add_flow(
                 m.table_id, m.priority, m.match, m.instructions,
@@ -46,7 +47,7 @@ def test_acl_matches_pipeline(build, nsw):
     cluster = build_cluster_for([topo], nsw, OPENFLOW_128x100G)
     projection = LinkProjection(cluster).project(topo)
 
-    pipeline = install(cluster, synthesize_rules(projection, routes))
+    pipeline = install(cluster, synthesize_rules(projection, routes).mods)
     acl = install(cluster, synthesize_acl_rules(projection, routes))
 
     # probe every reachable (ingress port, dst, vc) combination of the

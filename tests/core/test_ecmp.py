@@ -4,13 +4,10 @@ import pytest
 
 from repro.core import build_cluster_for
 from repro.core.projection import LinkProjection
-from repro.core.rules_ecmp import (
-    fattree_ecmp_candidates,
-    install_ecmp,
-    synthesize_ecmp,
-)
+from repro.core.rules_ecmp import install_ecmp
 from repro.hardware import OPENFLOW_128x100G
 from repro.openflow import Bucket, GroupEntry, OpenFlowSwitch, Output, PacketHeader
+from repro.routing.strategies import fattree_candidates
 from repro.topology import fat_tree
 from repro.util.errors import SimulationError
 
@@ -85,11 +82,13 @@ def test_bad_group_construction():
 
 def test_candidates_multipath_upward():
     topo = fat_tree(4)
-    c = fattree_ecmp_candidates(topo)
+    c = fattree_candidates(topo)
     # edge switch to a remote host: 2 aggregation uplinks
     assert len(c[("edge0-0", "h15")]) == 2
     # downward hop is unique
     assert len(c[("agg3-0", "h15")]) == 1
+    # the last hop is the host itself
+    assert c[(topo.host_switch("h15"), "h15")] == ("h15",)
 
 
 def test_groups_installed_and_deduped(deployed):
@@ -181,7 +180,7 @@ def test_rule_count_comparable_to_baseline(deployed):
     from repro.core.rules import ROUTE_TABLE
 
     route_rules = sum(
-        1 for mods in rules.mods.values() for m in mods
+        1 for mods in rules.values() for m in mods
         if m.table_id == ROUTE_TABLE
     )
     assert route_rules == len(topo.switches) * len(topo.hosts)

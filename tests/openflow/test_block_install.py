@@ -22,10 +22,11 @@ reference is the same transaction staged the classic way, from
 
 Cases are seeded (reproduce with the printed case index) over
 fat-tree, torus (exact-VC rows), dragonfly, chain and a zoo sample on
-1–3 physical switches, with and without rules added one at a time (a
-flow override, a masked-metadata rule, a rule in a third table), plus
-an all-``_extra`` ECMP rule set; counts scale with ``SDT_PROP_CASES``
-for CI's stress job.
+1–3 physical switches; counts scale with ``SDT_PROP_CASES`` for CI's
+stress job. A rule set holds only compiled blocks; rules outside that
+form (ACL, ECMP, masked-metadata or keyless rows) are staged as
+``{switch: [FlowMod]}`` mappings — the reference path here — and are
+covered by the flow-table suites.
 """
 
 from __future__ import annotations
@@ -35,17 +36,27 @@ from functools import lru_cache
 import pytest
 
 from repro.core import SDTController, TopologyConfig, build_cluster_for
-from repro.core.columnar import ROUTE_TABLE, CompiledBlock
-from repro.core.rules import RuleSet, flow_override, synthesize_rules
-from repro.core.rules_ecmp import synthesize_ecmp
+from repro.core.columnar import (
+    CLASSIFY_TABLE,
+    PRIORITY_CLASSIFY,
+    PRIORITY_ROUTE_EXACT,
+    PRIORITY_ROUTE_WILD,
+    ROUTE_TABLE,
+    CompiledBlock,
+)
+from repro.core.rules import RuleSet, synthesize_rules
 from repro.hardware import EVAL_256x10G
 from repro.openflow import (
     ApplyActions,
     ControlTransaction,
     FlowMod,
+    GotoTable,
     Match,
     Output,
     PacketHeader,
+    SetQueue,
+    SetVC,
+    WriteMetadata,
 )
 from repro.recovery import (
     CommitJournal,
@@ -82,7 +93,7 @@ CONFIGS = [
 def _prepared(config_index: int, num_switches: int):
     """``(topology, preparation)`` of one config on one rig size; pure,
     so every case of that shape shares it (rule sets are never mutated
-    here — :func:`_with_extras` copies)."""
+    here)."""
     config = CONFIGS[config_index]
     topology = config.build()
     cluster = build_cluster_for([topology], num_switches, EVAL_256x10G)
@@ -96,44 +107,12 @@ def _twins(topology, num_switches: int):
     )
 
 
-def _with_extras(prep, rng, cookie: int) -> RuleSet:
-    """``prep``'s blocks plus rules added one at a time: a flow
-    override, a masked-metadata rule (only the fallback scan can serve
-    it) and a rule in a table no block writes to."""
-    rules = RuleSet(cookie=cookie)
-    for block in prep.rules.blocks:
-        rules.add_block(block)
-    projection = prep.projection
-    hosts = sorted(projection.host_map)
-    switches = list(projection.topology.switches)
-    logical = switches[int(rng.integers(len(switches)))]
-    sub = projection.subswitches[logical]
-    rules.add(*flow_override(
-        projection,
-        logical,
-        src=hosts[0],
-        dst=hosts[-1],
-        out_port_index=sorted(sub.ports)[0],
-        cookie=cookie,
-    ))
-    out = (ApplyActions((Output(1),)),)
-    rules.add(sub.phys_switch, FlowMod(
-        ROUTE_TABLE, 10, Match(metadata=sub.metadata_id, metadata_mask=0xF0),
-        out, cookie,
-    ))
-    rules.add(sub.phys_switch, FlowMod(
-        2, 10, Match(dst=projection.host_map[hosts[0]]), out, cookie
-    ))
-    return rules
-
-
 def _case(case: int, rng):
     """One seeded case: topology, rig size, rule set, twin clusters."""
     config_index = case % len(CONFIGS)
     num_switches = int(rng.integers(1, 4))
     topology, prep = _prepared(config_index, num_switches)
-    rules = prep.rules if rng.random() < 0.5 else _with_extras(prep, rng, 1)
-    return topology, prep, rules, _twins(topology, num_switches)
+    return topology, prep, prep.rules, _twins(topology, num_switches)
 
 
 def _commit(cluster, rules, *, as_mods: bool) -> float:
@@ -219,7 +198,7 @@ def _assert_same_lookups(block, mods, prep, rng, case) -> None:
 # --- what lands ---------------------------------------------------------------
 
 def test_staged_rule_set_installs_like_its_flow_mods():
-    seen_exact_vc = seen_extras = False
+    seen_exact_vc = False
     for case, rng in seeded_cases(NUM_CASES, ROOT_SEED, "install"):
         _topology, prep, rules, (block, mods) = _case(case, rng)
         assert _commit(block, rules, as_mods=False) == _commit(
@@ -232,8 +211,7 @@ def test_staged_rule_set_installs_like_its_flow_mods():
         seen_exact_vc |= any(
             m.match.vc is not None for ms in rules.mods.values() for m in ms
         )
-        seen_extras |= bool(rules._extra)
-    assert seen_exact_vc and seen_extras  # the sample reached both kinds
+    assert seen_exact_vc  # the sample reached exact-VC routing rows
 
 
 def test_second_generation_lands_behind_the_first():
@@ -249,21 +227,40 @@ def test_second_generation_lands_behind_the_first():
         _assert_same_lookups(block, mods, prep, rng, case)
 
 
-def test_ecmp_rule_set_of_loose_rules_only():
-    """An all-``_extra`` rule set (no blocks): every row is a loose
-    FlowMod whose index key the flow table derives itself."""
-    topology, prep = _prepared(0, 2)
-    rules, groups = synthesize_ecmp(prep.projection, cookie=5)
-    assert not rules.blocks and rules.count() > 0
-    block, mods = _twins(topology, 2)
-    for cluster in (block, mods):
-        for name, entries in groups.items():
-            for entry in entries:
-                cluster.switches[name].add_group(entry)
-    assert _commit(block, rules, as_mods=False) == _commit(
-        mods, rules, as_mods=True
+def test_block_pairs_are_its_columns_as_flow_mods():
+    """``pairs()`` reads its FlowMods off the install rows; pinned here
+    against FlowMods built from the columns with the public
+    constructors, per switch in first-seen order."""
+    block = CompiledBlock(
+        phys_switch="phys0",
+        metadata_id=7,
+        cookie=3,
+        classify_switches=("phys1", "phys0", "phys1"),
+        classify_ports=(4, 5, 6),
+        dsts=("a", "b"),
+        in_vcs=(-1, 1),
+        out_vcs=(0, 2),
+        out_ports=(1, 2),
     )
-    _assert_same_tables(block, mods, "ecmp")
+    tag = (WriteMetadata(7), GotoTable(ROUTE_TABLE))
+
+    def classify(port):
+        return FlowMod(CLASSIFY_TABLE, PRIORITY_CLASSIFY, Match(in_port=port), tag, 3)
+
+    assert block.pairs() == (
+        ("phys1", classify(4)),
+        ("phys1", classify(6)),
+        ("phys0", classify(5)),
+        ("phys0", FlowMod(
+            ROUTE_TABLE, PRIORITY_ROUTE_WILD, Match(metadata=7, dst="a"),
+            (ApplyActions((SetQueue(0), Output(1))),), 3,
+        )),
+        ("phys0", FlowMod(
+            ROUTE_TABLE, PRIORITY_ROUTE_EXACT, Match(metadata=7, dst="b", vc=1),
+            (ApplyActions((SetVC(2), SetQueue(2), Output(2))),), 3,
+        )),
+    )
+    assert block.pairs() is block.pairs()  # built once
 
 
 def test_block_whose_rows_land_on_several_switches():
@@ -427,20 +424,11 @@ def _bad_port_rules(prep, bad_port: int) -> RuleSet:
     return rules
 
 
-@pytest.mark.parametrize("fault", ["port in a block column", "table of a loose rule"])
+@pytest.mark.parametrize("fault", ["port in a block column"])
 def test_refused_rule_applies_nothing(fault):
     topology, prep = _prepared(1, 2)
-    if fault == "port in a block column":
-        rules = _bad_port_rules(prep, EVAL_256x10G.num_ports + 1)
-        victim = next(b for b in prep.rules.blocks if b.dsts).phys_switch
-    else:
-        rules = RuleSet(cookie=1)
-        for block in prep.rules.blocks:
-            rules.add_block(block)
-        victim = rules.switches()[0]
-        rules.add(victim, FlowMod(
-            99, 10, Match(in_port=1), (ApplyActions((Output(1),)),), 1
-        ))
+    rules = _bad_port_rules(prep, EVAL_256x10G.num_ports + 1)
+    victim = next(b for b in prep.rules.blocks if b.dsts).phys_switch
     twins = _twins(topology, 2)
     _install_base(twins, prep)
     before = _state(twins[0])

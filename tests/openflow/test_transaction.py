@@ -138,17 +138,19 @@ def test_wildcard_delete_resets_the_peak_walk(plane):
     assert sw.num_entries == CAPACITY
 
 
-def test_registered_validator_vetoes_commit(plane):
+def test_delta_stages_switches_in_first_seen_order(plane):
+    rewired = FlowMod(0, 10, Match(in_port=2), (ApplyActions((Output(5),)),), 1)
+    old = {"p2": [mod(1), mod(2)], "p0": [mod(3)]}
+    new = {"p1": [mod(4)], "p2": [mod(1), rewired], "p0": []}
     txn = ControlTransaction(plane)
-    txn.stage("p0", mod())
-
-    def veto():
-        raise RuntimeError("projection infeasible")
-
-    txn.add_validator(veto)
-    with pytest.raises(RuntimeError, match="infeasible"):
-        txn.commit()
-    assert plane.channel("p0").stats.flow_mods == 0
+    stats = txn.stage_delta(old, new)
+    # old generation's switches first, then the new one's: never the
+    # string-hash order of a set
+    assert txn.touched_switches == ("p2", "p0", "p1")
+    # mod(2) -> rewired is one modified rule: an install and a delete
+    assert (stats.installs, stats.deletes, stats.unchanged, stats.modified) == (
+        2, 2, 1, 1,
+    )
 
 
 # --- rollback ------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.telemetry import Tracer, install_tracer, uninstall_tracer
 from tests.recovery.conftest import installed_state
 
 
@@ -129,6 +130,31 @@ def test_dry_run_reports_without_repairing(deployed):
     assert report.missing == 1
     assert report.modeled_time == 0.0
     assert installed_state(controller.cluster) == drifted  # untouched
+
+
+def test_repair_is_staged_in_the_audit_span(deployed):
+    """The staging events land in ``reconcile.audit`` — a dry run's as
+    well, which opens no mutation — and the commit in the
+    ``controller.reconcile`` mutation that follows it."""
+    controller, deployment = deployed
+    name, mod = _some_intent_mod(deployment)
+    _delete_from_hardware(controller, name, mod)
+    for dry_run in (True, False):
+        tracer = install_tracer(Tracer())
+        try:
+            controller.reconcile(dry_run=dry_run)
+        finally:
+            uninstall_tracer()
+        (audit,) = tracer.spans("reconcile.audit")
+        assert audit["parent"] is None and audit["attrs"]["missing"] == 1
+        stages = tracer.events("txn.stage")
+        assert stages and {e["span"] for e in stages} == {audit["id"]}
+        roots = [s for s in tracer.spans("controller.reconcile")
+                 if s["parent"] is None]
+        assert len(roots) == (0 if dry_run else 1)
+        if not dry_run:
+            (commit,) = tracer.spans("txn.commit")
+            assert commit["parent"] == roots[0]["id"]
 
 
 def test_override_deployments_are_skipped(deployed):

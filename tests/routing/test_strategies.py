@@ -1,5 +1,7 @@
 """Table III routing strategies: reachability, minimality, VC usage."""
 
+import hashlib
+
 import pytest
 
 from repro.routing import (
@@ -44,6 +46,20 @@ def test_fattree_same_edge_is_one_hop(fattree4):
     table = fattree_updown_routes(fattree4)
     # h0 and h1 share edge switch edge0-0
     assert table.trace("h0", "h1") == ["edge0-0"]
+
+
+def test_fattree_updown_table_is_pinned():
+    """Up/down routing is a destination-hash pick over the candidate
+    walk it shares with ECMP. The k=8 table — every hop, in insertion
+    order — is pinned by hash, so any change to the walk or the pick
+    shows here."""
+    rows = [
+        (sw, dst, in_vc, hop.port.node, hop.port.index, hop.vc)
+        for sw, dst, in_vc, hop in fattree_updown_routes(fat_tree(8)).entries()
+    ]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "e12972076f4299c457026240040bb33773456eb83cdc3eb311ac8ea50f87bc6b"
+    )
 
 
 def test_dragonfly_minimal_at_most_4_switches(dragonfly492):
