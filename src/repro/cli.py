@@ -31,9 +31,10 @@ Commands mirror what an SDT operator does with the real controller:
 * ``zoo``       — the synthetic Internet Topology Zoo summary
 * ``list``      — available topology kinds and workloads
 
-``check``/``deploy``/``run``/``telemetry`` all accept ``--trace-out
-PATH``: a tracer is installed for the command and the span/event
-journal is written to ``PATH`` as JSONL (schema: DESIGN.md §5).
+``check``/``deploy``/``run``/``telemetry``/``engineer``/``reconcile``/
+``serve`` accept ``--trace-out PATH``: a tracer is installed for the
+command and its spans and events are written to ``PATH`` as JSONL
+(schema: DESIGN.md §5).
 """
 
 from __future__ import annotations

@@ -187,7 +187,7 @@ class RuleCache:
 
     The cache stores :class:`CompiledBlock` objects. A hit hands the
     *same* block object to the new RuleSet — block identity is what
-    :func:`stage_ruleset_delta` uses to skip whole sub-switches in the
+    :func:`split_ruleset_delta` uses to skip whole sub-switches in the
     reconfiguration delta without materializing their FlowMods.
     """
 

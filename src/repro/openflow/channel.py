@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.openflow.match import Match
 from repro.openflow.switch import FlowModRun, OpenFlowSwitch, SwitchSnapshot
-from repro.telemetry import trace
 from repro.util.errors import ChannelError
 from repro.util.units import MICROSECONDS, MILLISECONDS
 
@@ -26,20 +25,6 @@ from repro.util.units import MICROSECONDS, MILLISECONDS
 #: the one definition; the routing protocols' push-time model imports it
 FLOW_INSTALL_LATENCY = 250 * MICROSECONDS
 CONTROL_RTT = 1 * MILLISECONDS
-
-
-def _entry_record(table_id: int, entry) -> dict:
-    """A flow entry as a JSON-safe journal record. ``repr`` of the
-    frozen Match/Instruction dataclasses is deterministic, so two
-    entries are interchangeable iff their records are equal — the
-    property the trace-replay differential test leans on."""
-    return {
-        "table": table_id,
-        "priority": entry.priority,
-        "cookie": entry.cookie,
-        "match": repr(entry.match),
-        "instructions": repr(tuple(entry.instructions)),
-    }
 
 
 class FlowMod(NamedTuple):
@@ -152,67 +137,32 @@ class ControlChannel:
                     f"control channel to {self.switch.dpid} dropped "
                     f"(injected failure on {type(msg).__name__})"
                 )
-        tracer = trace.active_tracer()
         if isinstance(msg, FlowMod):
             self.stats.flow_mods += 1
             self.stats.modeled_time += self.flow_install_latency
-            entry = self.switch.add_flow(
+            return self.switch.add_flow(
                 msg.table_id,
                 msg.priority,
                 msg.match,
                 msg.instructions,
                 cookie=msg.cookie,
             )
-            if tracer is not None:
-                tracer.event(
-                    "ctrl.flow_mod",
-                    switch=self.switch.dpid,
-                    latency=self.flow_install_latency,
-                    **_entry_record(msg.table_id, entry),
-                )
-            return entry
         if isinstance(msg, FlowDelete):
             self.stats.flow_deletes += 1
             self.stats.modeled_time += self.flow_install_latency
-            removed = self.switch.remove_flows(
+            return self.switch.remove_flows(
                 cookie=msg.cookie,
                 table_id=msg.table_id,
                 priority=msg.priority,
                 match=msg.match,
             )
-            if tracer is not None:
-                tracer.event(
-                    "ctrl.flow_delete",
-                    switch=self.switch.dpid,
-                    cookie=msg.cookie,
-                    table=msg.table_id,
-                    priority=msg.priority,
-                    match=None if msg.match is None else repr(msg.match),
-                    removed=removed,
-                    latency=self.flow_install_latency,
-                )
-            return removed
         if isinstance(msg, BarrierRequest):
             self.stats.barriers += 1
             self.stats.modeled_time += self.rtt
-            if tracer is not None:
-                tracer.event(
-                    "ctrl.barrier",
-                    switch=self.switch.dpid,
-                    latency=self.rtt,
-                )
             return None
         if isinstance(msg, PortStatsRequest):
             self.stats.stats_requests += 1
             self.stats.modeled_time += self.rtt
-            if tracer is not None:
-                # journaled so trace replay can reconstruct every
-                # channel's modeled_time accumulator bit-for-bit
-                tracer.event(
-                    "ctrl.port_stats",
-                    switch=self.switch.dpid,
-                    latency=self.rtt,
-                )
             return {p: s for p, s in self.switch.port_stats.items()}
         raise TypeError(f"unknown control message {msg!r}")
 
@@ -220,19 +170,21 @@ class ControlChannel:
         """Apply a run of FlowMods as one bulk install.
 
         Observable behavior is identical to ``for m in mods: send(m)``
-        — per-message latency accounting, per-message fault injection
+        — per-message latency accounting and per-message fault injection
         (an armed :meth:`fail_after` fires on exactly the same message
-        it would have fired on, with every earlier mod applied), and
-        per-message trace events — but the hardware install itself goes
-        through :meth:`OpenFlowSwitch.add_flow_batch`, amortizing table
+        it would have fired on, with every earlier mod applied) — but
+        the hardware install itself goes through
+        :meth:`OpenFlowSwitch.add_flow_batch`, amortizing table
         maintenance across the batch.
 
         ``mods`` may be a :class:`FlowModRun`: it counts (``len``) as
         the FlowMods it stands for and is handed to the switch whole,
         so on the bulk path none of them is ever built. Which path runs
         is read off the channel's own state, never chosen by the
-        caller: an armed fault or an installed tracer needs each
-        message, and iterating the run supplies them.
+        caller: only an armed fault needs each message, and iterating
+        the run supplies them. The channel emits no trace events — the
+        per-message history is the recovery commit journal's, and the
+        trace's ``txn.commit`` span records each switch's modeled time.
 
         One intentional divergence: when the switch rejects a mod during
         up-front batch *validation* (a :class:`SimulationError`, e.g. a
@@ -244,8 +196,8 @@ class ControlChannel:
         matching what sequential :meth:`send` would have accumulated at
         the point of a mid-batch capacity failure.
         """
-        if self._fail_countdown is not None or trace.active_tracer() is not None:
-            # slow paths keep exact per-message semantics trivially
+        if self._fail_countdown is not None:
+            # an armed fault keeps exact per-message semantics trivially
             return [self.send(m) for m in mods]
         before = self.switch.num_entries
         try:
@@ -285,20 +237,6 @@ class ControlChannel:
         self.stats.flow_mods += restored
         self.stats.barriers += 1
         self.stats.modeled_time += elapsed
-        tracer = trace.active_tracer()
-        if tracer is not None:
-            # journal the full restored state so trace replay stays a
-            # faithful reconstruction even across rollbacks
-            tracer.event(
-                "ctrl.restore",
-                switch=self.switch.dpid,
-                entries=[
-                    _entry_record(tid, e)
-                    for tid, entries in enumerate(snap.tables)
-                    for e in entries
-                ],
-                latency=elapsed,
-            )
         return elapsed
 
 

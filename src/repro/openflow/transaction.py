@@ -155,9 +155,8 @@ class ControlTransaction:
         its rows, and nothing on the way to the switch builds its
         FlowMods unless it needs each message: the journal's intent
         record, the capacity simulation when deletes are staged on the
-        same switch, and — on the channel — an armed fault, an
-        installed tracer, or an install that would overflow the TCAM
-        part-way."""
+        same switch, and — on the channel — an armed fault or an
+        install that would overflow the TCAM part-way."""
         if isinstance(rules, Mapping):
             for name, batch in rules.items():
                 self.stage(name, *batch)
@@ -443,12 +442,14 @@ class ControlTransaction:
                 # every barrier returned: the transaction is durable
                 journal.append_commit(txn_lsn)
             self._committed = True
-            elapsed = 0.0
-            if touched:
-                elapsed = max(
-                    self.control.channel(n).stats.modeled_time - before[n]
-                    for n in touched
-                )
+            # each switch's share of the commit: installs proceed in
+            # parallel, so the commit takes as long as its straggler
+            switch_times = {
+                n: self.control.channel(n).stats.modeled_time - before[n]
+                for n in touched
+            }
+            elapsed = max(switch_times.values(), default=0.0)
+            sp.set("switch_times", switch_times)
             sp.set("modeled_time", elapsed)
             reg.counter("sdt_txn_commits_total").inc(1, status="ok")
             reg.counter("sdt_txn_rules_installed_total").inc(n_mods)

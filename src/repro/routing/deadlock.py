@@ -6,9 +6,8 @@ Dally's criterion: a routing function is deadlock-free on a lossless
 a packet can hold one channel while requesting the next.
 
 The SDT controller's Deadlock Avoidance module (§V-3) runs this check
-before deploying a route table to a lossless (RoCE/PFC) topology, and
-the simulator's watchdog uses :func:`find_cycle` output in its error
-message when a misconfigured experiment actually deadlocks.
+before deploying a route table to a lossless (RoCE/PFC) topology;
+:func:`find_cycle` names the offending channel cycle when it refuses.
 """
 
 from __future__ import annotations

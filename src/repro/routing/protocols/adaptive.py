@@ -33,7 +33,7 @@ from repro.routing.protocols.precomputed import (
     DETECTION_DELAY,
     modeled_push_time,
 )
-from repro.routing.table import Hop, RouteTable
+from repro.routing.table import RouteTable
 from repro.topology.graph import Topology
 from repro.util.errors import RoutingError, TopologyError
 from repro.util.units import MICROSECONDS
@@ -128,22 +128,7 @@ class AdaptiveEgressProtocol(RoutingProtocol):
                     self._choice[(sw, dst)] = cands[0]
 
     def _build_table(self, topology: Topology) -> RouteTable:
-        table = RouteTable(topology, num_vcs=1)
-        items: list[tuple[str, str, int | None, Hop]] = []
-        for host in topology.hosts:
-            attach = topology.host_switch(host)
-            attach_port = topology.link_between(host, attach).port_on(attach)
-            for sw in topology.switches:
-                if sw == attach:
-                    items.append((sw, host, None, Hop(attach_port)))
-                    continue
-                nxt = self._choice.get((sw, attach))
-                if nxt is None:
-                    continue
-                port = topology.link_between(sw, nxt).port_on(sw)
-                items.append((sw, host, None, Hop(port)))
-        table.set_hops(items)
-        return table
+        return self.build_table(topology, lambda sw, dst: self._choice.get((sw, dst)))
 
     def _validate(self, topology: Topology, routes: RouteTable) -> bool:
         """Every host pair that should be reachable still traces."""

@@ -26,7 +26,6 @@ from repro.routing.protocols.base import (
     RoutingOutcome,
     RoutingProtocol,
 )
-from repro.routing.table import Hop, RouteTable
 from repro.topology.graph import Topology
 from repro.util.units import MILLISECONDS
 
@@ -162,25 +161,6 @@ class DistanceVectorProtocol(RoutingProtocol):
             sw: {dst: None for dst in dests} for sw in topology.switches
         }
 
-    def _build_table(self, topology: Topology) -> RouteTable:
-        infinity = max(16, len(topology.switches))
-        table = RouteTable(topology, num_vcs=1)
-        items: list[tuple[str, str, int | None, Hop]] = []
-        for host in topology.hosts:
-            attach = topology.host_switch(host)
-            attach_port = topology.link_between(host, attach).port_on(attach)
-            for sw in topology.switches:
-                if sw == attach:
-                    items.append((sw, host, None, Hop(attach_port)))
-                    continue
-                nxt = self._via[sw].get(attach)
-                if nxt is None or self._dist[sw][attach] >= infinity:
-                    continue  # unreachable: no entry, packets drop
-                port = topology.link_between(sw, nxt).port_on(sw)
-                items.append((sw, host, None, Hop(port)))
-        table.set_hops(items)
-        return table
-
     def _all_reachable(self, topology: Topology) -> bool:
         infinity = max(16, len(topology.switches))
         import networkx as nx
@@ -207,7 +187,7 @@ class DistanceVectorProtocol(RoutingProtocol):
         self._failed = set()
         self._reset_vectors(topology)
         rounds, messages = self._iterate(topology, set(), triggered=False)
-        routes = self._build_table(topology)
+        routes = self.build_table(topology, lambda sw, dst: self._via[sw][dst])
         return RoutingOutcome(
             routes=routes,
             convergence=ConvergenceReport(
@@ -230,7 +210,7 @@ class DistanceVectorProtocol(RoutingProtocol):
         rounds, messages = self._iterate(
             topology, self._failed, triggered=True
         )
-        routes = self._build_table(topology)
+        routes = self.build_table(topology, lambda sw, dst: self._via[sw][dst])
         return RoutingOutcome(
             routes=routes,
             convergence=ConvergenceReport(

@@ -74,11 +74,11 @@ class AsyncScheduler:
         self._lock = threading.Lock()  # bodies finish on worker threads
 
     def retry_after(self, depth: int) -> float:
-        """Seconds until a queue ``depth`` deep has plausibly drained
-        one slot: the time for the backlog to pass through the worker
-        lanes at the observed per-op service rate."""
-        est = depth * self._ewma_op_seconds / self.core.max_workers
-        return max(_MIN_RETRY_AFTER, est)
+        """Seconds until a queue ``depth`` deep has plausibly drained:
+        the backlog at the observed per-op service time, one operation
+        at a time — service bodies hold the testbed lock, so extra
+        worker lanes do not drain it faster."""
+        return max(_MIN_RETRY_AFTER, depth * self._ewma_op_seconds)
 
     def submit(self, op: Operation) -> asyncio.Future:
         """Admit one operation; returns an awaitable for its result.

@@ -9,9 +9,12 @@ This module gives every layer of the reproduction a common journal:
   ``txn.commit``) and records its start/end timestamps, attributes and
   nesting;
 * an **event** is a point-in-time record attached to the innermost
-  open span (``ctrl.flow_mod``, ``txn.rollback``) — the control-plane
-  events form a *faithful journal*: replaying the ``ctrl.*`` events of
-  a trace reconstructs every switch's flow-table state exactly.
+  open span (``txn.stage``, ``switch.packet_in``).
+
+The trace records timing, not content: a ``txn.commit`` span carries
+each switch's modeled time (``switch_times``), while the per-message
+history of what reached the switches is the recovery commit journal's
+(:mod:`repro.recovery.journal`).
 
 One tracer can be installed process-wide (:func:`install_tracer`);
 instrumentation sites throughout :mod:`repro` consult
@@ -30,7 +33,7 @@ JSONL schema (one object per line; ``v`` = schema version):
 ``{"type": "span", "id": 7, "parent": 3, "name": "txn.commit",
 "t0": 1.0, "t1": 1.5, "seq": 42, "status": "ok", "attrs": {...}}``
 
-``{"type": "event", "span": 7, "name": "ctrl.flow_mod", "t": 1.2,
+``{"type": "event", "span": 7, "name": "txn.stage", "t": 1.2,
 "seq": 40, "attrs": {...}}``
 
 Span records are appended when the span *closes*, so a parent's record

@@ -7,9 +7,9 @@ that observable: it rises by a block's rule count the first time the
 block is materialized, so "did this mutation take the per-message path,
 and what did it cost?" is answered from the metrics registry.
 
-Pinned here: a plain deploy, undeploy and tenant deploy/undeploy build
-none; a journal, a tracer or an armed channel fault each cost exactly
-the deployed rule set; a generation swap costs the *new* generation
+Pinned here: a plain deploy, undeploy, traced deploy and tenant
+deploy/undeploy build none; a journal or an armed channel fault each
+cost exactly the deployed rule set; a generation swap costs the *new* generation
 only (the old one is named by cookie and by the switches it sits on);
 an incremental edit costs only its dirty blocks.
 """
@@ -59,6 +59,20 @@ def test_plain_deploy_and_undeploy_build_no_flow_mod():
     assert _materialized() == before
 
 
+def test_traced_deploy_builds_no_flow_mod():
+    # a tracer observes commits, not messages: the install stays on the
+    # block path
+    controller = _controller()
+    before = _materialized()
+    install_tracer(Tracer())
+    try:
+        deployment = controller.deploy(FT4)
+    finally:
+        uninstall_tracer()
+    assert controller.cluster.control.total_flow_mods == deployment.rules.count()
+    assert _materialized() == before
+
+
 def test_switches_accessor_is_the_key_order_of_mods():
     controller = _controller()
     rules = controller.prepare(FT4).rules
@@ -69,14 +83,12 @@ def test_switches_accessor_is_the_key_order_of_mods():
     assert _materialized() == before + rules.count()
 
 
-@pytest.mark.parametrize("needs_messages", ["journal", "tracer", "armed fault"])
+@pytest.mark.parametrize("needs_messages", ["journal", "armed fault"])
 def test_per_message_consumers_cost_the_rule_set_once(tmp_path, needs_messages):
     controller = _controller()
     before = _materialized()
     if needs_messages == "journal":
         install_journal(CommitJournal(tmp_path / "journal.jsonl"))
-    elif needs_messages == "tracer":
-        install_tracer(Tracer())
     else:
         # armed but never reached: the channel still has to count
         # every message against it
@@ -86,7 +98,6 @@ def test_per_message_consumers_cost_the_rule_set_once(tmp_path, needs_messages):
         deployment = controller.deploy(FT4)
     finally:
         uninstall_journal()
-        uninstall_tracer()
     assert _materialized() == before + deployment.rules.count()
     # cached on the blocks: asking again is free
     deployment.rules.mods

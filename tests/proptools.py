@@ -7,8 +7,9 @@ and case index (``pytest -k`` the test, read the failing index from the
 assertion message, and re-derive the same RNG in a REPL).
 
 Used by the projection round-trip properties
-(``tests/core/test_projection_properties.py``) and the trace-replay
-differential suite (``tests/integration/test_trace_differential.py``).
+(``tests/core/test_projection_properties.py``) and the commit-journal
+replay differentials (``tests/recovery/test_recover.py``), among
+others.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -148,6 +149,41 @@ def test_retry_after_covers_the_observed_drain():
             await service.submit(
                 "deploy", "alice", config=CONFIGS["alice"][0]
             )
+        finally:
+            await service.stop()
+
+    asyncio.run(main())
+
+
+def test_retry_after_is_not_divided_by_idle_workers():
+    """Whole-pool operations drain one at a time however many workers
+    the scheduler has, so the hint a reject carries must be of the
+    order of the drain that follows it."""
+
+    def op(kind: str) -> Operation:
+        return Operation(
+            kind=kind, tenant_id="filler",
+            fn=lambda: threading.Event().wait(0.1), footprint=None,
+        )
+
+    async def main():
+        service = ControlPlaneService(
+            service_pool(), workers=4, max_pending=4
+        )
+        await service.start()
+        try:
+            await service.open_session("alice", QUOTA)
+            for _ in range(3):  # teach the EWMA the op duration
+                await service.scheduler.submit(op("warm"))
+            fillers = [service.scheduler.submit(op("slow")) for _ in range(4)]
+            with pytest.raises(BackpressureError) as err:
+                await service.submit(
+                    "deploy", "alice", config=CONFIGS["alice"][0]
+                )
+            t0 = time.perf_counter()
+            await asyncio.gather(*fillers)
+            drain = time.perf_counter() - t0
+            assert err.value.retry_after >= drain / 2
         finally:
             await service.stop()
 

@@ -104,7 +104,7 @@ def test_trace_out_writes_jsonl(ft4_config, tmp_path, capsys):
     assert "controller.deploy" in names
     assert "controller.reconfigure" in names
     assert "txn.commit" in names
-    assert "ctrl.flow_mod" in names
+    assert "txn.stage" in names
 
 
 def test_trace_out_on_deploy(ft4_config, tmp_path, capsys):
