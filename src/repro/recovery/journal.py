@@ -1,4 +1,5 @@
-"""The controller's append-only commit journal (write-ahead intents).
+"""The controller's append-only commit journal (write-ahead intents)
+and the tenant session history.
 
 Every :class:`~repro.openflow.transaction.ControlTransaction` commit
 writes (at most) two journal records:
@@ -24,17 +25,27 @@ A crash leaves the tail in one of three shapes, all safe:
   unconsumed.
 * a clean commit/abort → normal.
 
+A tenant session that opens or ends writes one more kind:
+
+* **session** — after the lease is granted or released, before the
+  caller is answered: the session's durable identity
+  (:meth:`~repro.tenancy.session.TenantSession.to_state`) and the
+  service's admission-index counter. Replay past the snapshot frontier
+  replaces that tenant's session with it.
+
 Record schema (JSONL, one object per line)::
 
     {"lsn": 12, "type": "intent", "label": "deploy", "ops":
         {"switch": [{"kind": "mod", ...}, ...], ...}}
     {"lsn": 13, "type": "commit", "txn": 12}
     {"lsn": 14, "type": "abort", "txn": 12, "reason": "..."}
+    {"lsn": 15, "type": "session", "session": {"tenant": "alice", ...},
+        "next_index": 3}
 
 Like the tracer, one journal can be installed process-wide
-(:func:`install_journal`); the transaction layer consults
-:func:`active_journal` and pays one ``None`` check when durability is
-off.
+(:func:`install_journal`); the transaction layer and the tenancy
+service consult :func:`active_journal` and pay one ``None`` check when
+durability is off.
 """
 
 from __future__ import annotations
@@ -100,6 +111,13 @@ class CommitJournal:
         return self._append({"type": "abort", "txn": txn_lsn,
                              "reason": reason})
 
+    def append_session(self, state: dict, next_index: int) -> int:
+        """Journal one session's state (``TenantSession.to_state()``)
+        after it opened or ended, with the service's next admission
+        index."""
+        return self._append({"type": "session", "session": state,
+                             "next_index": next_index})
+
     # --- reading ------------------------------------------------------
     def read(self) -> list[dict]:
         """Every complete record currently on disk (torn tail skipped)."""
@@ -118,7 +136,8 @@ _ACTIVE: CommitJournal | None = None
 def install_journal(journal: CommitJournal) -> CommitJournal:
     """Make ``journal`` the process-wide commit journal: every
     subsequent ControlTransaction commit writes intent/commit/abort
-    records through it."""
+    records through it, and every TestbedService session open or end
+    a session record."""
     global _ACTIVE
     _ACTIVE = journal
     return journal

@@ -2,8 +2,10 @@
 
 The long-running service (DESIGN.md §8) persists through the same
 snapshot + journal path the controller uses (§7): flow-table state and
-tenant sessions already ride in the snapshot, and this module adds the
-*service-level* record — currently the session-index counter, the one
+tenant sessions ride in the snapshot, every session open or end since
+the snapshot is a journal ``session`` record that replay folds in, and
+this module adds the *service-level* record — currently the
+session-index counter (each session record carries it too), the one
 piece of state that lives in :class:`~repro.tenancy.service.
 TestbedService` rather than in the controller or any session. Losing
 it across a restart would be a correctness bug: a fresh service would
@@ -53,8 +55,9 @@ def recover_service(
     * controller counters — cookie/metadata allocators advanced past
       everything visible in the recovered rules;
     * tenant sessions — leases, cookie-block indices and per-session
-      cookie counters, adopted with the service's index counter
-      resumed from the service record (or past every adopted index).
+      cookie counters from the snapshot and the session records past
+      it, adopted with the service's index counter resumed from the
+      service record (or past every adopted index).
 
     Deployment *objects* are not rebuilt (PR 7's contract): their
     rules are live on the switches and re-adoption is a prepare-level

@@ -5,7 +5,8 @@ state: per-switch flow tables and groups, per-deployment metadata
 (cookie, failed links, override count, topology), tenancy sessions,
 and the cookie/metadata allocation counters. Snapshots bound replay:
 recovery loads the newest snapshot, then applies only the journal's
-*committed* intents with LSNs past the snapshot frontier.
+*committed* intents and its session records with LSNs past the
+snapshot frontier.
 
 :class:`JournalReplay` is the one journal reader. It decodes the
 snapshot once into real :class:`~repro.openflow.flowtable.FlowTable`
@@ -194,7 +195,8 @@ class RecoveryResult:
 
     #: journal frontier of the snapshot replay started from (-1: none)
     snapshot_lsn: int
-    #: complete journal records read (intents + commits + aborts)
+    #: complete journal records read (intents + commits + aborts +
+    #: sessions)
     journal_records: int
     #: committed intents applied past the snapshot frontier
     replayed: int
@@ -205,7 +207,8 @@ class RecoveryResult:
     entries: int
     per_switch: dict[str, int] = field(default_factory=dict)
     #: the snapshot's controller state minus its rule state (counters,
-    #: deployments, sessions, service record)
+    #: deployments, sessions, service record), with the session
+    #: records past the frontier applied
     state: dict = field(default_factory=dict)
     #: the recovered rule state: the entries themselves, per switch, in
     #: table order — what :func:`apply_recovery` restores
@@ -238,7 +241,9 @@ class JournalReplay:
     drops it, and one that never resolves (the process died mid-commit)
     is never applied. That is the whole durability argument: the
     recovered state is the pre- or post-commit state of every
-    transaction, never a hybrid. Pure — touches no switch.
+    transaction, never a hybrid. A session record past the frontier
+    replaces its tenant's entry in the state's ``sessions`` and sets
+    the service record's ``next_index``. Pure — touches no switch.
     """
 
     def __init__(self, state_dir: str | Path, *, num_tables: int = 4) -> None:
@@ -287,8 +292,18 @@ class JournalReplay:
                     self.replayed += 1
             elif kind == "abort":
                 self._pending.pop(rec["txn"], None)
+            elif kind == "session" and rec["lsn"] > self.snapshot_lsn:
+                self._apply_session(rec["session"], rec["next_index"])
         self.journal_records += len(records)
         return len(records)
+
+    def _apply_session(self, session: dict, next_index: int) -> None:
+        """Replace the tenant's session record in place; a new tenant
+        goes last — the order the live service's dict keeps."""
+        by_tenant = {s["tenant"]: s for s in self._state.get("sessions", [])}
+        by_tenant[session["tenant"]] = session
+        self._state["sessions"] = list(by_tenant.values())
+        self._state.setdefault("service", {})["next_index"] = next_index
 
     def _apply(self, ops: dict[str, list[dict]]) -> None:
         for switch, messages in ops.items():
@@ -384,7 +399,8 @@ def recover(
       concern) — the snapshot records them by name for the operator.
     * ``sessions`` — a mutable list; refilled with
       :class:`~repro.tenancy.session.TenantSession` objects rebuilt
-      from the snapshot (cookie counters preserved).
+      from the snapshot and the session records past it (cookie
+      counters preserved).
     """
     num_tables = 4
     if cluster is not None and cluster.switches:

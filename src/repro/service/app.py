@@ -14,13 +14,14 @@ durability machinery makes the whole thing restartable:
 
 * every transaction commit is journaled (process-wide journal owned by
   the service while it runs);
-* session lifecycle changes (open / evict / close) snapshot
-  *synchronously* before the response is sent — a client that has been
-  told its lease exists will find it after a crash, and a crash before
-  the snapshot simply never confirmed the grant (no lease or cookie
-  block is ever lost-after-ack or double-granted);
+* session lifecycle changes (open / evict / close) append one journal
+  ``session`` record before the response is sent — a client that has
+  been told its lease exists will find it after a crash, and a crash
+  before the record simply never confirmed the grant (no lease or
+  cookie block is ever lost-after-ack or double-granted);
 * mutating operations snapshot opportunistically on the usual
-  every-N-commits cadence, bounding journal replay.
+  every-N-commits cadence, bounding journal replay; session records
+  do not count toward it.
 
 Overload is explicit: the scheduler's bounded queue turns excess
 submissions into HTTP 429 with a ``Retry-After`` derived from the
@@ -173,13 +174,11 @@ class ControlPlaneService:
 
     # --- in-process API --------------------------------------------------
     async def open_session(self, tenant_id: str, quota: TenantQuota) -> dict:
-        """Admit a tenant; durable (snapshot) before returning."""
+        """Admit a tenant; durable (journaled) before returning."""
         t0 = time.perf_counter()
 
         def admit() -> dict:
-            session = self.testbed.open_session(tenant_id, quota)
-            self._snapshot(force=True)
-            return session.snapshot()
+            return self.testbed.open_session(tenant_id, quota).snapshot()
 
         try:
             snap = await asyncio.to_thread(admit)
@@ -216,12 +215,11 @@ class ControlPlaneService:
 
     async def end_session(self, tenant_id: str, *, mode: str = "evict") -> dict:
         """Evict (or close) through the scheduler — the teardown
-        serializes after everything the tenant already queued — then
-        snapshot synchronously (lease release must survive restart)."""
+        serializes after everything the tenant already queued, and the
+        lease release is journaled before the operation returns."""
         if mode not in ("evict", "close"):
             raise ConfigurationError(f"unknown end-session mode {mode!r}")
         await self.submit(mode, tenant_id)
-        await asyncio.to_thread(self._snapshot, force=True)
         return {"tenant": tenant_id, "state": self.testbed.sessions[tenant_id].state}
 
     def status(self) -> dict:

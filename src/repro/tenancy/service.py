@@ -26,6 +26,7 @@ from repro.core.controller.config import TopologyConfig
 from repro.core.controller.controller import Deployment, SDTController
 from repro.hardware.cluster import PhysicalCluster
 from repro.hardware.wiring import HostPort
+from repro.recovery.journal import active_journal
 from repro.telemetry import metrics, trace
 from repro.tenancy.admission import AdmissionController
 from repro.tenancy.isolation import IsolationVerifier
@@ -95,6 +96,7 @@ class TestbedService:
             )
             self._next_index += 1
             self.sessions[tenant_id] = session
+            self._journal_session(session)
             reg = metrics.registry()
             reg.gauge("tenant_host_ports_leased").set(
                 len(lease), tenant=tenant_id
@@ -151,7 +153,8 @@ class TestbedService:
     ) -> None:
         """Adopt recovered sessions (service restart, DESIGN.md §8).
 
-        The sessions come from a snapshot's ``sessions`` records via
+        The sessions come from a snapshot's ``sessions`` records and
+        the journal's session records via
         :func:`repro.recovery.recover` — leases, cookie-block indices
         and ``_next_seq`` counters intact, deployments unlinked (their
         rule state is restored onto the switches separately). The
@@ -165,7 +168,10 @@ class TestbedService:
         generations stay attributable to their owner (so the isolation
         verifier passes on the next commit), chargeable against the
         TCAM quota, and strippable on evict — even though their
-        :class:`Deployment` objects are gone.
+        :class:`Deployment` objects are gone. Its ``_next_seq`` moves
+        past every adopted cookie: the recorded counter predates any
+        deploy committed after the last snapshot or session record,
+        and must not re-mint a cookie those rules carry.
         """
         with self._lock:
             for session in sessions:
@@ -183,8 +189,20 @@ class TestbedService:
                             session.adopted.setdefault(cookie, {})[
                                 name
                             ] = count
+                            session._next_seq = max(
+                                session._next_seq,
+                                cookie - session.cookie_base + 1,
+                            )
                             break
             self._verify()
+
+    def _journal_session(self, session: TenantSession) -> None:
+        """Make a session open or end durable: one journal record,
+        written under the caller's lock so it takes its place in the
+        commits' LSN order."""
+        journal = active_journal()
+        if journal is not None:
+            journal.append_session(session.to_state(), self._next_index)
 
     def _end_session(self, tenant_id: str, final_state: str) -> None:
         with self._lock, trace.span(
@@ -203,6 +221,7 @@ class TestbedService:
             session.adopted = {}
             session.state = final_state
             session.lease = ()
+            self._journal_session(session)
             reg = metrics.registry()
             reg.gauge("tenant_host_ports_leased").set(0, tenant=tenant_id)
             reg.gauge("tenant_deployments").set(0, tenant=tenant_id)
