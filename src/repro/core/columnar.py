@@ -17,10 +17,13 @@ builds its rows in one place, and has two readings of them:
   consumers that need each message (journal, tracer, fault injection,
   per-rule deltas) and counted by ``sdt_rules_materialized_total``.
 
-A block shared between two rule generations (cache-hit identity) is
-proof that every rule in it is unchanged, which is what lets the
-transaction delta skip whole sub-switches without comparing (or even
-creating) their FlowMods.
+:func:`block_columns` compiles a sub-switch into those columns in one
+pass over its route entries. The column tuple is the block's identity:
+two blocks with equal columns emit the same rules, so the rule cache
+interns blocks by it, and a block shared between two rule generations
+(cache-hit identity) is proof that every rule in it is unchanged —
+which is what lets the transaction delta skip whole sub-switches
+without comparing (or even creating) their FlowMods.
 
 Columns are plain tuples: they are written once at compile time and
 read row by row — no array arithmetic ever runs on them.
@@ -42,6 +45,7 @@ from repro.openflow.flowtable import FlowEntry
 from repro.openflow.match import Match
 from repro.openflow.switch import TableRows
 from repro.telemetry import metrics
+from repro.util.errors import ProjectionError
 
 CLASSIFY_TABLE = 0
 ROUTE_TABLE = 1
@@ -55,6 +59,15 @@ PRIORITY_OVERRIDE = 200
 
 #: encodes "no incoming-VC constraint" in the in_vc integer column
 NO_VC = -1
+
+#: a block's columns in :class:`CompiledBlock` constructor order: phys
+#: switch, metadata id, cookie, classify switches, classify ports,
+#: dsts, in-VCs, out-VCs, out-ports (see :func:`block_columns`)
+Columns = tuple[
+    str, int, int,
+    tuple[str, ...], tuple[int, ...],
+    tuple[str, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...],
+]
 
 #: the flow tables' hash-index shapes of the three kinds of row a block
 #: holds (field names in repro.openflow.flowtable's canonical order)
@@ -138,7 +151,6 @@ class CompiledBlock:
 
     def __init__(
         self,
-        *,
         phys_switch: str,
         metadata_id: int,
         cookie: int,
@@ -159,6 +171,16 @@ class CompiledBlock:
         self.out_vcs = out_vcs
         self.out_ports = out_ports
         self._pairs: tuple[tuple[str, FlowMod], ...] | None = None
+
+    @property
+    def columns(self) -> Columns:
+        """The block's columns in constructor order: its identity (what
+        :func:`block_columns` returned for it)."""
+        return (
+            self.phys_switch, self.metadata_id, self.cookie,
+            self.classify_switches, self.classify_ports,
+            self.dsts, self.in_vcs, self.out_vcs, self.out_ports,
+        )
 
     @property
     def count(self) -> int:
@@ -255,38 +277,48 @@ class CompiledBlock:
         return self._pairs
 
 
-def build_block(
-    sub,
-    resolved: list[tuple[str, int | None, int, int]],
-    cookie: int,
-) -> CompiledBlock:
-    """Compile one sub-switch's classification + routing columns.
+def block_columns(sub, host_map, entries, cookie: int) -> Columns:
+    """One sub-switch's compiled rules, as its block's columns.
 
-    ``resolved`` rows are (phys dst address, in-VC or None, out-VC,
-    phys out port) — see ``repro.core.rules._resolved_entries``.
+    ``entries`` are the route-table entries through ``sub``'s logical
+    switch, as :meth:`~repro.routing.table.RouteTable.entries` yields
+    them; ``host_map`` gives a host's physical address. In one pass
+    each entry is resolved to the physical facts its rule depends on —
+    (phys dst address, in-VC, out-VC, phys out port) — and an entry
+    whose destination or port got no hardware is dropped (route-usage
+    pruning). The result is :class:`CompiledBlock`'s constructor
+    arguments in order, and the block's identity: the
+    :class:`~repro.core.rules.RuleCache` interns blocks by it.
     """
-    classify_switches = []
-    classify_ports = []
-    for _idx, phys_port in sorted(sub.ports.items()):
-        classify_switches.append(phys_port.switch)
-        classify_ports.append(phys_port.port)
+    ports = sub.ports
+    logical = sub.logical_switch
+    classify = sorted(ports.items())
     dsts = []
     in_vcs = []
     out_vcs = []
     out_ports = []
-    for phys_dst, in_vc, out_vc, out_port in resolved:
+    for _switch, dst, in_vc, hop in entries:
+        phys_dst = host_map.get(dst)
+        if phys_dst is None:
+            continue
+        port = hop.port
+        phys_out = ports.get(port.index)
+        if phys_out is None:
+            continue
+        if port.node != logical:
+            raise ProjectionError(f"port {port} is not on {logical!r}")
         dsts.append(phys_dst)
         in_vcs.append(NO_VC if in_vc is None else in_vc)
-        out_vcs.append(out_vc)
-        out_ports.append(out_port)
-    return CompiledBlock(
-        phys_switch=sub.phys_switch,
-        metadata_id=sub.metadata_id,
-        cookie=cookie,
-        classify_switches=tuple(classify_switches),
-        classify_ports=tuple(classify_ports),
-        dsts=tuple(dsts),
-        in_vcs=tuple(in_vcs),
-        out_vcs=tuple(out_vcs),
-        out_ports=tuple(out_ports),
+        out_vcs.append(hop.vc)
+        out_ports.append(phys_out.port)
+    return (
+        sub.phys_switch,
+        sub.metadata_id,
+        cookie,
+        tuple(pp.switch for _idx, pp in classify),
+        tuple(pp.port for _idx, pp in classify),
+        tuple(dsts),
+        tuple(in_vcs),
+        tuple(out_vcs),
+        tuple(out_ports),
     )

@@ -288,7 +288,7 @@ class SDTController:
     _next_cookie: int = 1
     _next_metadata: int = 1
     monitor: NetworkMonitor = field(init=False)
-    #: content-hash caches behind the incremental pipeline (DESIGN.md §5b)
+    #: the caches behind the incremental pipeline (DESIGN.md §5b)
     rule_cache: RuleCache = field(init=False)
     partition_cache: PartitionCache = field(init=False)
 
@@ -868,9 +868,10 @@ class SDTController:
         Diffs the live topology against the requested one, re-projects
         only the changed links (placement stability keeps every
         surviving sub-switch on its physical switch, ports and metadata
-        tag included), re-synthesizes rules through the content-hash
-        cache, and stages only the FlowMod/strict-FlowDelete *delta*
-        against live switch state — keeping the deployment's cookie,
+        tag included), re-synthesizes rules through the rule cache
+        (unchanged sub-switches get their block back), and stages only
+        the FlowMod/strict-FlowDelete *delta* against live switch
+        state — keeping the deployment's cookie,
         because this is an edit of the same generation, not a new one.
 
         Returns ``None`` when the edit cannot be applied incrementally,

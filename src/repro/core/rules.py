@@ -31,7 +31,6 @@ mappings, which ``ControlTransaction.stage_rules`` accepts as they are.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 
@@ -42,10 +41,11 @@ from repro.core.columnar import (
     PRIORITY_ROUTE_EXACT,
     PRIORITY_ROUTE_WILD,
     ROUTE_TABLE,
+    Columns,
     CompiledBlock,
-    build_block,
+    block_columns,
 )
-from repro.core.projection.base import ProjectionResult, SubSwitch
+from repro.core.projection.base import ProjectionResult
 from repro.openflow.actions import ApplyActions, Output, SetQueue, SetVC
 from repro.openflow.channel import FlowMod
 from repro.openflow.match import Match
@@ -63,7 +63,6 @@ __all__ = [
     "PRIORITY_OVERRIDE",
     "RuleSet",
     "RuleCache",
-    "switch_rule_key",
     "synthesize_rules",
     "flow_override",
 ]
@@ -173,45 +172,51 @@ class _SwitchRun(FlowModRun):
 
 
 class RuleCache:
-    """Content-hash cache of per-sub-switch rule compilation.
+    """Interning cache of compiled blocks, keyed by their own columns.
 
-    A sub-switch's rules are a pure function of its metadata tag, its
-    logical-port -> physical-port bindings, the resolved route entries
-    through it, and the deployment cookie. :func:`switch_rule_key`
-    hashes exactly those inputs, so any change that could alter a
-    single emitted FlowMod — rerouted traffic, a re-projected port, a
-    repartitioned neighbor shifting the sub-switch to another physical
-    switch, a new host address, a fresh cookie — misses the cache,
-    while sub-switches untouched by a topology edit hit it and skip
-    recompilation entirely (the "dirty set" of DESIGN.md §5b).
+    A block's columns (:func:`~repro.core.columnar.block_columns`) are
+    every fact its rules are built from — physical switch, metadata
+    tag, cookie, classification ports, and the resolved destination /
+    VC / output-port rows — so equal columns mean equal rules, and any
+    change that could alter a single emitted FlowMod (rerouted traffic,
+    a re-projected port, a repartitioned neighbor shifting the
+    sub-switch to another physical switch, a new host address, a fresh
+    cookie) misses, while sub-switches untouched by a topology edit hit
+    (the "dirty set" of DESIGN.md §5b). What the rules do not depend on
+    does not split the cache either: a logical port renumbering that
+    leaves every row in place hits.
 
-    The cache stores :class:`CompiledBlock` objects. A hit hands the
-    *same* block object to the new RuleSet — block identity is what
-    :func:`split_ruleset_delta` uses to skip whole sub-switches in the
-    reconfiguration delta without materializing their FlowMods.
+    A hit hands the *same* block object to the new RuleSet — block
+    identity is what :func:`split_ruleset_delta` uses to skip whole
+    sub-switches in the reconfiguration delta without materializing
+    their FlowMods. A stored key is the block's own column tuples, so
+    the cache keeps no second copy of the rows.
     """
 
     def __init__(self, max_entries: int = 8192) -> None:
         self.max_entries = max_entries
-        self._store: dict[str, CompiledBlock] = {}
+        self._store: dict[Columns, CompiledBlock] = {}
         self._lock = threading.Lock()
 
-    def get(self, key: str) -> CompiledBlock | None:
+    def get(self, key: Columns) -> CompiledBlock | None:
         with self._lock:
             hit = self._store.get(key)
             if hit is not None:
-                # move-to-back so eviction drops the least recently used
-                self._store[key] = self._store.pop(key)
+                # move-to-back so eviction drops the least recently
+                # used, re-keyed by the block's own columns: the probe's
+                # equal tuples must not outlive it
+                del self._store[key]
+                self._store[hit.columns] = hit
         metrics.registry().counter("sdt_rules_cache_total").inc(
             1, result="hit" if hit is not None else "miss"
         )
         return hit
 
-    def put(self, key: str, compiled: CompiledBlock) -> None:
+    def put(self, compiled: CompiledBlock) -> None:
         with self._lock:
             while len(self._store) >= self.max_entries:
                 self._store.pop(next(iter(self._store)))
-            self._store[key] = compiled
+            self._store[compiled.columns] = compiled
 
     def __len__(self) -> int:
         return len(self._store)
@@ -219,46 +224,6 @@ class RuleCache:
     def clear(self) -> None:
         with self._lock:
             self._store.clear()
-
-
-def _resolved_entries(
-    projection: ProjectionResult,
-    sub: SubSwitch,
-    entries: list[tuple[str, int | None, Hop]],
-) -> list[tuple[str, int | None, int, int]]:
-    """Route entries through one sub-switch, resolved to the physical
-    facts the emitted rules depend on: (phys dst address, in-VC,
-    out-VC, phys out port). Entries whose destination or port got no
-    hardware are dropped here (route-usage pruning)."""
-    resolved = []
-    host_map = projection.host_map
-    ports = sub.ports
-    for dst, in_vc, hop in entries:
-        phys_dst = host_map.get(dst)
-        if phys_dst is None:
-            continue
-        port = hop.port
-        if port.index not in ports:
-            continue
-        phys_out = sub.phys_port_of(port)
-        resolved.append((phys_dst, in_vc, hop.vc, phys_out.port))
-    return resolved
-
-
-def switch_rule_key(
-    sub: SubSwitch,
-    resolved: list[tuple[str, int | None, int, int]],
-    cookie: int,
-) -> str:
-    """Content hash of every input one sub-switch's rules depend on."""
-    ports = tuple(
-        (idx, pp.switch, pp.port) for idx, pp in sorted(sub.ports.items())
-    )
-    payload = repr(
-        ("rules-v1", cookie, sub.phys_switch, sub.metadata_id, ports,
-         tuple(resolved))
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def synthesize_rules(
@@ -270,11 +235,11 @@ def synthesize_rules(
 ) -> RuleSet:
     """Compile a projection + route table into per-switch rule blocks.
 
-    Compilation runs sub-switch by sub-switch; with a ``cache``, clean
-    sub-switches (content hash unchanged since a previous compile)
-    reuse their compiled block instead of rebuilding it. The output is
-    identical with and without a cache, a property the differential
-    tests pin down.
+    Compilation runs sub-switch by sub-switch, one pass over its route
+    entries into the block's columns; with a ``cache``, a sub-switch
+    whose columns equal a previously compiled block's gets that block
+    back instead of a new one. The output is identical with and
+    without a cache, a property the differential tests pin down.
     """
     if routes.topology is not projection.topology:
         # allow equal-by-structure tables but insist on matching names
@@ -285,35 +250,34 @@ def synthesize_rules(
             )
     topo = projection.topology
 
-    by_switch: dict[str, list[tuple[str, int | None, Hop]]] = {}
-    for sw, dst, in_vc, hop in routes.entries():
-        bucket = by_switch.get(sw)
+    by_switch: dict[str, list[tuple[str, str, int | None, Hop]]] = {}
+    for entry in routes.entries():
+        bucket = by_switch.get(entry[0])
         if bucket is None:
-            by_switch[sw] = [(dst, in_vc, hop)]
+            by_switch[entry[0]] = [entry]
         else:
-            bucket.append((dst, in_vc, hop))
+            bucket.append(entry)
 
-    # Probe the cache for every sub-switch before compiling any miss,
-    # so a put at capacity cannot evict a block this pass would hit.
-    empty: list[tuple[str, int | None, Hop]] = []
-    plan: list[tuple[SubSwitch, list, str | None, CompiledBlock | None]] = []
+    # Probe the cache for every sub-switch before storing any miss, so
+    # a put at capacity cannot evict a block this pass would hit.
+    host_map = projection.host_map
+    empty: list[tuple[str, str, int | None, Hop]] = []
+    plan: list[tuple[Columns, CompiledBlock | None]] = []
     for sw in topo.switches:
-        sub = projection.subswitches[sw]
-        resolved = _resolved_entries(projection, sub, by_switch.get(sw, empty))
-        if cache is None:
-            plan.append((sub, resolved, None, None))
-        else:
-            key = switch_rule_key(sub, resolved, cookie)
-            plan.append((sub, resolved, key, cache.get(key)))
+        columns = block_columns(
+            projection.subswitches[sw], host_map, by_switch.get(sw, empty),
+            cookie,
+        )
+        plan.append((columns, None if cache is None else cache.get(columns)))
 
     rules = RuleSet(cookie=cookie)
     synthesized = 0
-    for sub, resolved, key, block in plan:
+    for columns, block in plan:
         if block is None:
-            block = build_block(sub, resolved, cookie)
+            block = CompiledBlock(*columns)
             synthesized += block.count
-            if cache is not None and key is not None:
-                cache.put(key, block)
+            if cache is not None:
+                cache.put(block)
         rules.add_block(block)
     if synthesized:
         metrics.registry().counter("sdt_rules_synthesized_total").inc(
@@ -337,7 +301,7 @@ def split_ruleset_delta(old: RuleSet, new: RuleSet) -> RulesDelta:
     """Reduce two RuleSets to the switches that can differ.
 
     Blocks present in both generations *by identity* (the RuleCache
-    returns the same object for an unchanged content hash) are proof
+    returns the same object for unchanged columns) are proof
     that every rule in them survives unchanged — their switches are
     excluded from the mappings without materializing a single FlowMod.
     Only switches touched by a non-shared block get their FlowMods built

@@ -20,7 +20,12 @@ spreading over cores and the resulting ACT gain on adversarial traffic.
 
 from __future__ import annotations
 
-from repro.core.columnar import PRIORITY_ROUTE_WILD, ROUTE_TABLE, build_block
+from repro.core.columnar import (
+    PRIORITY_ROUTE_WILD,
+    ROUTE_TABLE,
+    CompiledBlock,
+    block_columns,
+)
 from repro.core.projection.base import ProjectionResult
 from repro.openflow.actions import ApplyActions, Group, Output, SetQueue
 from repro.openflow.channel import FlowMod
@@ -50,7 +55,9 @@ def synthesize_ecmp(
     # table 0: the standard pipeline's classification rows
     mods: dict[str, list[FlowMod]] = {}
     for sw in topo.switches:
-        block = build_block(projection.subswitches[sw], [], cookie)
+        block = CompiledBlock(
+            *block_columns(projection.subswitches[sw], {}, (), cookie)
+        )
         for phys, mod in block.pairs():
             mods.setdefault(phys, []).append(mod)
 

@@ -63,7 +63,15 @@ class FlowDelete:
 
     @property
     def strict(self) -> bool:
-        return self.match is not None
+        """Does this delete name one entry identity (table, priority,
+        match and cookie all given), as the incremental reconfigurer's
+        strict deletes do?"""
+        return (
+            self.table_id is not None
+            and self.priority is not None
+            and self.match is not None
+            and self.cookie is not None
+        )
 
 
 def flow_messages(

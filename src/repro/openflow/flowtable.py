@@ -220,25 +220,43 @@ class FlowTable:
         """Remove entries by cookie / exact match / priority (``None``
         fields are wildcards); returns count."""
         if match is not None and priority is not None:
-            # strict: the match's own (shape, key) names the only bucket
-            # its victims can sit in
-            sk = _shape_key(match)
-            if sk is None:
-                candidates: Iterable[FlowEntry] = self._wild
-            else:
-                candidates = self._shapes.get(sk[0], {}).get(sk[1], ())
+            victims = self._strict_victims(match, priority, cookie)
         else:
-            candidates = self._store.values()
-        victims = [
-            e
-            for e in candidates
-            if (cookie is None or e.cookie == cookie)
-            and (match is None or e.match == match)
-            and (priority is None or e.priority == priority)
-        ]
+            victims = [
+                e
+                for e in self._store.values()
+                if (cookie is None or e.cookie == cookie)
+                and (match is None or e.match == match)
+                and (priority is None or e.priority == priority)
+            ]
         for e in victims:
             self._unfile(e)
         return len(victims)
+
+    def count_strict(
+        self, *, match: Match, priority: int, cookie: int | None = None
+    ) -> int:
+        """How many entries a strict :meth:`remove` with these filters
+        would take, found the same way, without removing them."""
+        return len(self._strict_victims(match, priority, cookie))
+
+    def _strict_victims(
+        self, match: Match, priority: int, cookie: int | None
+    ) -> list[FlowEntry]:
+        """A strict delete's victims: the match's own (shape, key)
+        names the only bucket (or the fallback list) they can sit in."""
+        sk = _shape_key(match)
+        if sk is None:
+            candidates: Iterable[FlowEntry] = self._wild
+        else:
+            candidates = self._shapes.get(sk[0], {}).get(sk[1], ())
+        return [
+            e
+            for e in candidates
+            if (cookie is None or e.cookie == cookie)
+            and e.match == match
+            and e.priority == priority
+        ]
 
     def _unfile(self, entry: FlowEntry) -> None:
         """Take one member out of the store and out of its bucket."""

@@ -274,6 +274,11 @@ class ControlTransaction:
         same transaction. Unchanged live entries that the batch never
         touches are counted once, never re-counted — a delta batch's
         peak is ``steady state + additions``, not ``2x steady state``.
+
+        Only a batch with a cookie or wildcard delete has the switch's
+        whole multiset expanded. Install-only batches and delta batches
+        (installs plus fully-strict deletes) start from ``num_entries``
+        and look up just the identities their deletes name.
         """
         peaks: dict[str, int] = {}
         for name, msgs in self._ops.items():
@@ -285,34 +290,72 @@ class ControlTransaction:
                 # no need to simulate the entry multiset (or to build a
                 # staged run's FlowMods) at all
                 peaks[name] = switch.num_entries + installs
-                continue
-            entries: dict[tuple, int] = {}
-            for key in switch.entry_keys():
-                entries[key] = entries.get(key, 0) + 1
-            count = sum(entries.values())
-            peak = count
-            for msg in flow_messages(msgs):
-                if isinstance(msg, FlowMod):
-                    key = (msg.table_id, msg.priority, msg.match, msg.cookie)
-                    entries[key] = entries.get(key, 0) + 1
-                    count += 1
-                    if count > peak:
-                        peak = count
-                else:  # FlowDelete
-                    count -= self._simulate_delete(entries, msg)
-            peaks[name] = peak
+            elif all(
+                msg.strict for msg in msgs if isinstance(msg, FlowDelete)
+            ):
+                peaks[name] = self._strict_peak(switch, msgs)
+            else:
+                peaks[name] = self._simulated_peak(switch, msgs)
         return peaks
+
+    @staticmethod
+    def _strict_peak(switch, msgs: list[StagedMessage]) -> int:
+        """The peak of a batch whose deletes are all fully strict.
+
+        A strict delete names one identity and takes its entries: the
+        ones this batch staged so far, plus — the first time the
+        identity is deleted — the live ones, counted by the flow table
+        the same way its strict remove finds them."""
+        tables = switch.tables
+        count = peak = switch.num_entries
+        #: per identity, entries staged by this batch and not yet deleted
+        staged: dict[tuple, int] = {}
+        #: identities whose live entries a delete already took
+        cleared: set[tuple] = set()
+        for msg in flow_messages(msgs):
+            key = (msg.table_id, msg.priority, msg.match, msg.cookie)
+            if isinstance(msg, FlowMod):
+                staged[key] = staged.get(key, 0) + 1
+                count += 1
+                if count > peak:
+                    peak = count
+                continue
+            removed = staged.pop(key, 0)
+            if key not in cleared:
+                cleared.add(key)
+                if 0 <= msg.table_id < len(tables):
+                    removed += tables[msg.table_id].count_strict(
+                        match=msg.match, priority=msg.priority,
+                        cookie=msg.cookie,
+                    )
+            count -= removed
+        return peak
+
+    @classmethod
+    def _simulated_peak(cls, switch, msgs: list[StagedMessage]) -> int:
+        """The peak of any batch, by simulating the switch's whole
+        entry multiset."""
+        entries: dict[tuple, int] = {}
+        for key in switch.entry_keys():
+            entries[key] = entries.get(key, 0) + 1
+        count = sum(entries.values())
+        peak = count
+        for msg in flow_messages(msgs):
+            if isinstance(msg, FlowMod):
+                key = (msg.table_id, msg.priority, msg.match, msg.cookie)
+                entries[key] = entries.get(key, 0) + 1
+                count += 1
+                if count > peak:
+                    peak = count
+            else:  # FlowDelete
+                count -= cls._simulate_delete(entries, msg)
+        return peak
 
     @staticmethod
     def _simulate_delete(entries: dict[tuple, int], msg: FlowDelete) -> int:
         """Apply ``msg`` to a simulated entry multiset; returns how many
         entries it removes (mirrors OpenFlowSwitch.remove_flows)."""
-        if (
-            msg.table_id is not None
-            and msg.priority is not None
-            and msg.match is not None
-            and msg.cookie is not None
-        ):
+        if msg.strict:
             # fully-strict delete: the filter IS an entry identity, so
             # it maps to one multiset key (O(1), not a table scan —
             # delta batches stage hundreds of these)

@@ -46,49 +46,61 @@ def _host_port_hop(topo: Topology, switch: str, host: str, vc: int = 0) -> Hop:
 
 def shortest_path_routes(topo: Topology) -> RouteTable:
     """BFS shortest-path, destination-based. The WAN default and the
-    fallback for topologies without a dedicated strategy."""
+    fallback for topologies without a dedicated strategy.
+
+    A BFS tree rooted at a destination's switch points every reachable
+    switch along the tree toward that root, so it depends on the
+    destination's switch, not on the host: it runs once per destination
+    switch, and every host on that switch reuses the resulting hop
+    list. Entries come out host by host in ``topo.hosts`` order, each
+    host's switches in ``topo.switches`` order; a switch adopts the
+    first neighbor the BFS reached it from (neighbors in link order)."""
     table = RouteTable(topo, num_vcs=1)
     switches = topo.switches
-    # switch-only adjacency with per-edge exit ports, computed once:
-    # port_to[v][u] is v's port on the v--u link
+    # switch-only adjacency with one hop per edge, built once: hops
+    # are identical across destinations sharing an exit port, so a
+    # k-ary fat-tree allocates O(ports), not O(routes).
+    # hop_to[v][u] leaves v on the v--u link
     sw_nbrs: dict[str, list[str]] = {}
-    port_to: dict[str, dict[str, "object"]] = {}
+    hop_to: dict[str, dict[str, Hop]] = {}
     for sw in switches:
         nbrs = []
-        ports = {}
+        hops = {}
         for link in topo.links_of(sw):
             nb = link.other(sw)
             if topo.is_switch(nb):
                 nbrs.append(nb)
-                ports[nb] = link.port_on(sw)
+                hops[nb] = Hop(link.port_on(sw), 0)
         sw_nbrs[sw] = nbrs
-        port_to[sw] = ports
-    # hops are identical across destinations sharing an exit port —
-    # pool them so a k-ary fat-tree allocates O(ports), not O(routes)
-    hop_pool: dict[object, Hop] = {}
+        hop_to[sw] = hops
+    # per destination switch: (switch, hop toward it) in switch order,
+    # hop None at the root itself (its hop is the host's own port)
+    trees: dict[str, list[tuple[str, Hop | None]]] = {}
     items: list[tuple[str, str, int | None, Hop]] = []
     for dst in topo.hosts:
         root = topo.host_switch(dst)
-        # BFS tree rooted at the destination's switch; each switch's hop
-        # points along the tree toward the root.
-        parent: dict[str, str] = {root: root}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in sw_nbrs[u]:
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        for sw in switches:
-            if sw == root:
-                items.append((sw, dst, None, _host_port_hop(topo, sw, dst)))
-            elif sw in parent:
-                port = port_to[sw][parent[sw]]
-                hop = hop_pool.get(port)
-                if hop is None:
-                    hop = hop_pool[port] = Hop(port, 0)
-                items.append((sw, dst, None, hop))
-            # unreachable switches simply get no entry (table miss = drop)
+        tree = trees.get(root)
+        if tree is None:
+            parent: dict[str, str] = {root: root}
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                for v in sw_nbrs[u]:
+                    if v not in parent:
+                        parent[v] = u
+                        queue.append(v)
+            tree = trees[root] = []
+            for sw in switches:
+                if sw == root:
+                    tree.append((sw, None))
+                elif sw in parent:
+                    tree.append((sw, hop_to[sw][parent[sw]]))
+                # unreachable switches get no entry (table miss = drop)
+        host_hop = _host_port_hop(topo, root, dst)
+        items.extend([
+            (sw, dst, None, host_hop if hop is None else hop)
+            for sw, hop in tree
+        ])
     table.set_hops(items)
     return table
 
