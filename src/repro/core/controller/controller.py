@@ -78,6 +78,7 @@ from repro.core.rules import (
     flow_override,
     split_ruleset_delta,
     synthesize_rules,
+    unchanged_blocks,
 )
 from repro.hardware.cluster import PhysicalCluster
 from repro.hardware.optical import OpticalCircuitSwitch
@@ -91,6 +92,7 @@ from repro.routing.strategies import (
     dragonfly_minimal_routes,
     fattree_updown_routes,
     mesh_dimension_order_routes,
+    repair_shortest_path,
     routes_for,
     shortest_path_routes,
     torus_dateline_routes,
@@ -194,6 +196,11 @@ class Deployment:
     lossless: bool = True
     #: optical circuits minted for this deployment (hybrid SDT-OS only)
     hybrid_plan: "HybridPlan | None" = None
+    #: the routing strategy whose unmodified output for ``topology``
+    #: ``routes`` is; None for a table from anywhere else (a caller, a
+    #: route update, a failure repair). ``config.routing`` says what
+    #: was asked for, not what is installed
+    routes_strategy: str | None = None
     #: logical links currently marked failed (indices into topology.links)
     failed_links: set[int] = field(default_factory=set)
     #: per-flow override rules installed (active routing); a non-zero
@@ -228,6 +235,8 @@ class Prepared:
     lossless: bool
     hybrid_plan: HybridPlan | None
     optical_time: float
+    #: see :attr:`Deployment.routes_strategy`
+    routes_strategy: str | None = None
 
 
 @dataclass
@@ -504,7 +513,11 @@ class SDTController:
         )
 
     def _synthesize(
-        self, projection: ProjectionResult, routes: RouteTable, cookie: int
+        self,
+        projection: ProjectionResult,
+        routes: RouteTable,
+        cookie: int,
+        unchanged: dict | None = None,
     ) -> RuleSet:
         return _stage(
             "rules.synthesize",
@@ -513,6 +526,7 @@ class SDTController:
             routes,
             cookie=cookie,
             cache=self.rule_cache,
+            unchanged=unchanged,
         )
 
     # --- preparation (pure: no hardware mutation except optics) ----------
@@ -542,8 +556,10 @@ class SDTController:
         else:
             self._require_free_cookie(cookie)
         topology, cfg, strategy, lossless = _unpack(config)
+        routes_strategy = None
         if routes is None:
             routes = self._routes_for(topology, strategy)
+            routes_strategy = strategy
         _vet(routes, lossless)
 
         usage = (
@@ -574,6 +590,7 @@ class SDTController:
             lossless=lossless,
             hybrid_plan=hybrid_plan,
             optical_time=optical_time,
+            routes_strategy=routes_strategy,
         )
 
     def _register(self, prep: Prepared, deployment_time: float) -> Deployment:
@@ -589,6 +606,7 @@ class SDTController:
             deployment_time=deployment_time,
             lossless=prep.lossless,
             hybrid_plan=prep.hybrid_plan,
+            routes_strategy=prep.routes_strategy,
         )
         self.deployments.append(deployment)
         if prep.cookie == self._next_cookie:
@@ -874,6 +892,17 @@ class SDTController:
         state — keeping the deployment's cookie,
         because this is an edit of the same generation, not a new one.
 
+        When the live routes are the shortest-path strategy's own output
+        (:attr:`Deployment.routes_strategy`, not ``config.routing``: a
+        route update installs any table) and shortest-path is asked for
+        again, the routes are repaired from the live table
+        (:func:`~repro.routing.strategies.repair_shortest_path`) and
+        synthesis resolves only the sub-switches whose routes moved or
+        whose projection changed; every other sub-switch keeps its block
+        unresolved (:func:`~repro.core.rules.unchanged_blocks`). Any
+        other strategy recomputes every route and resolves every
+        sub-switch.
+
         Returns ``None`` when the edit cannot be applied incrementally,
         and the caller runs the cold swap instead: multiple or pruned
         deployments, optics in play, active link failures, installed
@@ -896,7 +925,15 @@ class SDTController:
         except TopologyError:
             return None
 
-        routes = _vet(self._routes_for(topology, strategy), lossless)
+        # the switches whose route entries moved, when only they did
+        moved = None
+        if strategy == "shortest-path" and old.routes_strategy == strategy:
+            routes, moved = _stage(
+                "routing.routes", repair_shortest_path, old.routes, topology, diff
+            )
+        else:
+            routes = self._routes_for(topology, strategy)
+        _vet(routes, lossless)
 
         exclude: set = set()
         for d in self.deployments:
@@ -919,7 +956,12 @@ class SDTController:
         except (CapacityError, ProjectionError):
             return None
 
-        rules = self._synthesize(projection, routes, old.cookie)
+        unchanged = None
+        if moved is not None:
+            unchanged = unchanged_blocks(
+                old.projection, old.rules, projection, moved, old.cookie
+            )
+        rules = self._synthesize(projection, routes, old.cookie, unchanged)
         with trace.span("openflow.stage"):
             txn = ControlTransaction(
                 self.cluster.control,
@@ -949,6 +991,7 @@ class SDTController:
         old.topology = topology
         old.projection = projection
         old.routes = routes
+        old.routes_strategy = strategy
         old.rules = rules
         old.lossless = lossless
         old.deployment_time = self._estimated_install_time(rules)
@@ -983,6 +1026,7 @@ class SDTController:
             m.commit_time = txn.commit()
             self._next_cookie += 1
             deployment.routes = routes
+            deployment.routes_strategy = None
             deployment.rules = rules
             deployment.cookie = cookie
         return m.modeled_time
@@ -1020,6 +1064,7 @@ class SDTController:
             )
             routes = self._routes_for(deployment.topology, strategy)
             m.commit_time = self.update_routes(deployment, routes)
+            deployment.routes_strategy = strategy
             deployment.failed_links = set()
         return m.modeled_time
 

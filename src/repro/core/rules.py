@@ -32,6 +32,7 @@ mappings, which ``ControlTransaction.stage_rules`` accepts as they are.
 from __future__ import annotations
 
 import threading
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 
 from repro.core.columnar import (
@@ -50,7 +51,7 @@ from repro.openflow.actions import ApplyActions, Output, SetQueue, SetVC
 from repro.openflow.channel import FlowMod
 from repro.openflow.match import Match
 from repro.openflow.switch import FlowModRun, TableRows
-from repro.routing.table import Hop, RouteTable
+from repro.routing.table import RouteTable
 from repro.telemetry import metrics
 from repro.util.errors import ProjectionError
 
@@ -64,6 +65,7 @@ __all__ = [
     "RuleSet",
     "RuleCache",
     "synthesize_rules",
+    "unchanged_blocks",
     "flow_override",
 ]
 
@@ -181,10 +183,14 @@ class RuleCache:
     change that could alter a single emitted FlowMod (rerouted traffic,
     a re-projected port, a repartitioned neighbor shifting the
     sub-switch to another physical switch, a new host address, a fresh
-    cookie) misses, while sub-switches untouched by a topology edit hit
-    (the "dirty set" of DESIGN.md §5b). What the rules do not depend on
-    does not split the cache either: a logical port renumbering that
-    leaves every row in place hits.
+    cookie) misses, while a sub-switch whose rows an edit left in
+    place hits. What the rules do not depend on does not split the
+    cache either: a logical port renumbering that leaves every row in
+    place hits. An incremental edit probes only its dirty set (DESIGN.md
+    §5b): the sub-switches whose routes moved or whose projection
+    changed. The rest get their old block from :func:`unchanged_blocks`
+    without a probe, counted as the hits their probes would have been;
+    such a block keeps its place in the LRU order.
 
     A hit hands the *same* block object to the new RuleSet — block
     identity is what :func:`split_ruleset_delta` uses to skip whole
@@ -232,14 +238,20 @@ def synthesize_rules(
     *,
     cookie: int = 1,
     cache: RuleCache | None = None,
+    unchanged: Mapping[str, CompiledBlock] | None = None,
 ) -> RuleSet:
     """Compile a projection + route table into per-switch rule blocks.
 
     Compilation runs sub-switch by sub-switch, one pass over its route
     entries into the block's columns; with a ``cache``, a sub-switch
     whose columns equal a previously compiled block's gets that block
-    back instead of a new one. The output is identical with and
-    without a cache, a property the differential tests pin down.
+    back instead of a new one. ``unchanged`` maps logical switches to
+    blocks the caller has proved these inputs would compile to again
+    (:func:`unchanged_blocks`): they are handed back as they are, and
+    only the other sub-switches' rows are read and resolved. A reused
+    block counts as the cache hit its probe would have been. The output
+    is identical with and without a cache or reused blocks, a property
+    the differential tests pin down.
     """
     if routes.topology is not projection.topology:
         # allow equal-by-structure tables but insist on matching names
@@ -249,26 +261,25 @@ def synthesize_rules(
                 f"for {projection.topology.name!r}"
             )
     topo = projection.topology
-
-    by_switch: dict[str, list[tuple[str, str, int | None, Hop]]] = {}
-    for entry in routes.entries():
-        bucket = by_switch.get(entry[0])
-        if bucket is None:
-            by_switch[entry[0]] = [entry]
-        else:
-            bucket.append(entry)
+    unchanged = unchanged or {}
 
     # Probe the cache for every sub-switch before storing any miss, so
     # a put at capacity cannot evict a block this pass would hit.
     host_map = projection.host_map
-    empty: list[tuple[str, str, int | None, Hop]] = []
-    plan: list[tuple[Columns, CompiledBlock | None]] = []
+    plan: list[tuple[Columns | None, CompiledBlock | None]] = []
     for sw in topo.switches:
+        block = unchanged.get(sw)
+        if block is not None:
+            plan.append((None, block))
+            continue
         columns = block_columns(
-            projection.subswitches[sw], host_map, by_switch.get(sw, empty),
-            cookie,
+            projection.subswitches[sw], host_map, routes.entries_at(sw), cookie
         )
         plan.append((columns, None if cache is None else cache.get(columns)))
+    if cache is not None and unchanged:
+        metrics.registry().counter("sdt_rules_cache_total").inc(
+            len(unchanged), result="hit"
+        )
 
     rules = RuleSet(cookie=cookie)
     synthesized = 0
@@ -284,6 +295,37 @@ def synthesize_rules(
             synthesized
         )
     return rules
+
+
+def unchanged_blocks(
+    old_projection: ProjectionResult,
+    old_rules: RuleSet,
+    projection: ProjectionResult,
+    moved: Collection[str],
+    cookie: int,
+) -> dict[str, CompiledBlock]:
+    """The blocks of ``old_rules`` — compiled from ``old_projection``
+    and some route table — that :func:`synthesize_rules` would compile
+    again from ``projection``, a route table whose entries differ from
+    the old one's only at the switches in ``moved`` (with the same keys
+    in the same order), and ``cookie``: a block's columns are a function
+    of its sub-switch, the host map, its switch's route entries and the
+    cookie, so a block whose four inputs are equal is its own
+    recompilation. Keyed by logical switch."""
+    switches = old_projection.topology.switches
+    if (
+        old_rules.cookie != cookie
+        or len(old_rules.blocks) != len(switches)
+        or projection.host_map != old_projection.host_map
+    ):
+        return {}
+    old_subs = old_projection.subswitches
+    subs = projection.subswitches
+    return {
+        sw: block
+        for sw, block in zip(switches, old_rules.blocks)
+        if sw not in moved and subs.get(sw) == old_subs[sw]
+    }
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import hashlib
 from collections import deque
 
 from repro.routing.table import Hop, RouteTable
+from repro.topology.diff import TopologyDiff, link_key
 from repro.topology.graph import Topology
 from repro.topology.torus import coords_of
 from repro.util.errors import RoutingError
@@ -44,6 +45,36 @@ def _host_port_hop(topo: Topology, switch: str, host: str, vc: int = 0) -> Hop:
 # Generic shortest path (BFS)
 # ---------------------------------------------------------------------------
 
+def _switch_neighbors(topo: Topology) -> dict[str, list[str]]:
+    """Per switch, its switch neighbors in link order: what a BFS
+    scans."""
+    is_switch = topo.is_switch
+    return {
+        sw: [nb for nb in topo.neighbors(sw) if is_switch(nb)]
+        for sw in topo.switches
+    }
+
+
+def _bfs_parents(root: str, sw_nbrs: dict[str, list[str]]) -> dict[str, str]:
+    """The BFS tree rooted at ``root`` as each reached switch's parent
+    (the root is its own): a switch adopts the first neighbor the BFS
+    reached it from. Unreachable switches are left out (table miss =
+    drop)."""
+    parent: dict[str, str] = {root: root}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in sw_nbrs[u]:
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
+def _uplink_hop(topo: Topology, switch: str, parent: str) -> Hop:
+    return Hop(topo.link_between(switch, parent).port_on(switch), 0)
+
+
 def shortest_path_routes(topo: Topology) -> RouteTable:
     """BFS shortest-path, destination-based. The WAN default and the
     fallback for topologies without a dedicated strategy.
@@ -51,28 +82,20 @@ def shortest_path_routes(topo: Topology) -> RouteTable:
     A BFS tree rooted at a destination's switch points every reachable
     switch along the tree toward that root, so it depends on the
     destination's switch, not on the host: it runs once per destination
-    switch, and every host on that switch reuses the resulting hop
-    list. Entries come out host by host in ``topo.hosts`` order, each
-    host's switches in ``topo.switches`` order; a switch adopts the
-    first neighbor the BFS reached it from (neighbors in link order)."""
+    switch (:func:`_bfs_parents`), and every host on that switch reuses
+    the resulting hop list. Entries come out host by host in
+    ``topo.hosts`` order, each host's switches in ``topo.switches``
+    order."""
     table = RouteTable(topo, num_vcs=1)
     switches = topo.switches
-    # switch-only adjacency with one hop per edge, built once: hops
-    # are identical across destinations sharing an exit port, so a
-    # k-ary fat-tree allocates O(ports), not O(routes).
-    # hop_to[v][u] leaves v on the v--u link
-    sw_nbrs: dict[str, list[str]] = {}
-    hop_to: dict[str, dict[str, Hop]] = {}
-    for sw in switches:
-        nbrs = []
-        hops = {}
-        for link in topo.links_of(sw):
-            nb = link.other(sw)
-            if topo.is_switch(nb):
-                nbrs.append(nb)
-                hops[nb] = Hop(link.port_on(sw), 0)
-        sw_nbrs[sw] = nbrs
-        hop_to[sw] = hops
+    sw_nbrs = _switch_neighbors(topo)
+    # one hop per edge, built once: hops are identical across
+    # destinations sharing an exit port, so a k-ary fat-tree allocates
+    # O(ports), not O(routes). hop_to[v][u] leaves v on the v--u link
+    hop_to = {
+        sw: {nb: _uplink_hop(topo, sw, nb) for nb in nbrs}
+        for sw, nbrs in sw_nbrs.items()
+    }
     # per destination switch: (switch, hop toward it) in switch order,
     # hop None at the root itself (its hop is the host's own port)
     trees: dict[str, list[tuple[str, Hop | None]]] = {}
@@ -81,21 +104,12 @@ def shortest_path_routes(topo: Topology) -> RouteTable:
         root = topo.host_switch(dst)
         tree = trees.get(root)
         if tree is None:
-            parent: dict[str, str] = {root: root}
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for v in sw_nbrs[u]:
-                    if v not in parent:
-                        parent[v] = u
-                        queue.append(v)
-            tree = trees[root] = []
-            for sw in switches:
-                if sw == root:
-                    tree.append((sw, None))
-                elif sw in parent:
-                    tree.append((sw, hop_to[sw][parent[sw]]))
-                # unreachable switches get no entry (table miss = drop)
+            parent = _bfs_parents(root, sw_nbrs)
+            tree = trees[root] = [
+                (sw, None if sw == root else hop_to[sw][parent[sw]])
+                for sw in switches
+                if sw in parent
+            ]
         host_hop = _host_port_hop(topo, root, dst)
         items.extend([
             (sw, dst, None, host_hop if hop is None else hop)
@@ -103,6 +117,126 @@ def shortest_path_routes(topo: Topology) -> RouteTable:
         ])
     table.set_hops(items)
     return table
+
+
+def _rewired_switches(
+    old: Topology, new: Topology, diff: TopologyDiff
+) -> set[str] | None:
+    """The switches whose ports the edit renumbered — the endpoints of
+    the diff's links — or None when the edit is not a plain link edit
+    the repair can follow: a node or a host link changed, another
+    node's neighbors differ, or an endpoint's surviving neighbors
+    changed order (a reordered scan can change any BFS tree)."""
+    touched = diff.touched_nodes()
+    if (
+        old.switches != new.switches
+        or old.hosts != new.hosts
+        or not all(map(new.is_switch, touched))
+    ):
+        return None
+    for node in new.nodes:
+        if node not in touched and old.neighbors(node) != new.neighbors(node):
+            return None
+    for node in touched:
+        kept_old = [
+            nb for nb in old.neighbors(node)
+            if link_key(node, nb) not in diff.removed_links
+        ]
+        kept_new = [
+            nb for nb in new.neighbors(node)
+            if link_key(node, nb) not in diff.added_links
+        ]
+        if kept_old != kept_new:
+            return None
+    return touched
+
+
+def repair_shortest_path(
+    old: RouteTable, topo: Topology, diff: TopologyDiff
+) -> tuple[RouteTable, frozenset[str]]:
+    """``shortest_path_routes(topo)``, derived from ``old`` — which must
+    be ``shortest_path_routes`` of the topology ``diff`` starts from —
+    together with the switches that have an entry whose hop moved.
+
+    The BFS runs again only for the destination switches whose tree the
+    edit can change. The old tree, read off ``old``'s hops, decides:
+
+    * a removed link changes a tree only if it is a tree edge;
+    * an added link a--b, with a the end the BFS dequeues first,
+      changes a tree only if b's parent is dequeued after a, so that b
+      is still undiscovered when a scans it. Otherwise both scans of
+      the link find their far end discovered, and every other scan
+      keeps its order. BFS dequeues by depth, then by the neighbor
+      positions along the tree path, compared in order.
+
+    Every entry at an edited link's endpoint is derived again, host
+    hops included, because its ports renumber. ``old``'s keys and their
+    order are kept (:meth:`RouteTable.repaired`). An edit that adds or
+    removes a node, moves a host, reorders a node's neighbors or would
+    add or drop an entry falls back to the full strategy, with every
+    switch reported moved."""
+    src = old.topology
+    switches = topo.switches
+    rewired = None
+    if not old._exact and len(old) == len(switches) * len(src.hosts):
+        rewired = _rewired_switches(src, topo, diff)
+    if rewired is None:
+        return shortest_path_routes(topo), frozenset(switches)
+
+    wild = old._wild
+    removed = [tuple(key) for key in diff.removed_links]
+    added = [tuple(key) for key in diff.added_links]
+    dsts_of: dict[str, list[str]] = {}
+    for dst in topo.hosts:
+        dsts_of.setdefault(topo.host_switch(dst), []).append(dst)
+    sw_nbrs = None
+    hops: dict[tuple[str, str], Hop] = {}
+    for root, dsts in dsts_of.items():
+        rep = dsts[0]
+
+        def parent(v: str) -> str:
+            """v's parent in the old tree; the root is its own."""
+            if v == root:
+                return v
+            return src.link_of_port(wild[(v, rep)].port).other(v)
+
+        def rank(v: str) -> tuple[int, list[int]]:
+            """v's place in the old BFS's dequeue order."""
+            path = []
+            while v != root:
+                p = parent(v)
+                path.append(src.neighbors(p).index(v))
+                v = p
+            return len(path), path[::-1]
+
+        regrown = any(parent(a) == b or parent(b) == a for a, b in removed)
+        for a, b in added:
+            if regrown:
+                break
+            ra, rb = rank(a), rank(b)
+            regrown = min(ra, rb) < rank(parent(b if ra < rb else a))
+        if regrown:
+            if sw_nbrs is None:
+                sw_nbrs = _switch_neighbors(topo)
+            redo = _bfs_parents(root, sw_nbrs)
+            if len(redo) != len(switches):  # an entry would disappear
+                return shortest_path_routes(topo), frozenset(switches)
+        else:
+            redo = {sw: parent(sw) for sw in rewired}
+        for sw, p in redo.items():
+            if sw == root:
+                if sw in rewired:
+                    for dst in dsts:
+                        hop = _host_port_hop(topo, sw, dst)
+                        if hop != wild[(sw, dst)]:
+                            hops[(sw, dst)] = hop
+            elif sw in rewired or p != parent(sw):
+                hop = _uplink_hop(topo, sw, p)
+                if hop != wild[(sw, rep)]:
+                    for dst in dsts:
+                        hops[(sw, dst)] = hop
+    table = old.repaired(topo, hops)
+    return table, frozenset(sw for sw, _dst in hops)
 
 
 # ---------------------------------------------------------------------------

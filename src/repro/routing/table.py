@@ -44,6 +44,12 @@ class RouteTable:
     allow_host_forwarding: bool = False
     _exact: dict[tuple[str, str, int], Hop] = field(default_factory=dict)
     _wild: dict[tuple[str, str], Hop] = field(default_factory=dict)
+    #: per switch, the keys of its wildcard and its exact-VC entries in
+    #: :meth:`entries` order: built by the first :meth:`entries_at`,
+    #: dropped by every write, shared by a :meth:`repaired` copy
+    _keys_at: dict[
+        str, tuple[list[tuple[str, str]], list[tuple[str, str, int]]]
+    ] | None = field(default=None, init=False, repr=False, compare=False)
 
     def set_hop(
         self, switch: str, dst: str, hop: Hop, *, in_vc: int | None = None
@@ -58,6 +64,7 @@ class RouteTable:
             )
         if not 0 <= hop.vc < self.num_vcs:
             raise RoutingError(f"hop VC {hop.vc} out of range (num_vcs={self.num_vcs})")
+        self._keys_at = None
         if in_vc is None:
             self._wild[(switch, dst)] = hop
         else:
@@ -72,6 +79,7 @@ class RouteTable:
         ports, and their output is validated end-to-end by path
         tracing; per-call checks were a measurable slice of route
         compilation at fat-tree k>=8 scale."""
+        self._keys_at = None
         wild = self._wild
         exact = self._exact
         for sw, dst, in_vc, hop in items:
@@ -97,6 +105,49 @@ class RouteTable:
             yield sw, dst, None, hop
         for (sw, dst, vc), hop in self._exact.items():
             yield sw, dst, vc, hop
+
+    def entries_at(self, switch: str) -> list[tuple[str, str, int | None, Hop]]:
+        """:meth:`entries` at one switch, in their order. The first call
+        buckets the table's keys by switch; later calls, and a
+        :meth:`repaired` copy, reuse the buckets."""
+        if self._keys_at is None:
+            at: dict[
+                str, tuple[list[tuple[str, str]], list[tuple[str, str, int]]]
+            ] = {}
+            for keys, which in ((self._wild, 0), (self._exact, 1)):
+                for key in keys:
+                    bucket = at.get(key[0])
+                    if bucket is None:
+                        bucket = at[key[0]] = ([], [])
+                    bucket[which].append(key)  # type: ignore[arg-type]
+            self._keys_at = at
+        bucket = self._keys_at.get(switch)
+        if bucket is None:
+            return []
+        wild, exact = self._wild, self._exact
+        return [
+            (switch, key[1], None, wild[key]) for key in bucket[0]
+        ] + [
+            (switch, key[1], key[2], exact[key]) for key in bucket[1]
+        ]
+
+    def repaired(
+        self, topology: Topology, hops: dict[tuple[str, str], Hop]
+    ) -> "RouteTable":
+        """A copy of this table on ``topology`` with the VC-wildcard
+        entries named in ``hops`` replaced. Every key of ``hops`` must
+        already be in the table: keys, and so the :meth:`entries`
+        order, are kept, and so are :meth:`entries_at`'s buckets."""
+        wild = dict(self._wild)
+        wild.update(hops)
+        if len(wild) != len(self._wild):
+            raise RoutingError("a repair may only replace existing entries")
+        table = RouteTable(
+            topology, self.num_vcs, self.allow_host_forwarding,
+            dict(self._exact), wild,
+        )
+        table._keys_at = self._keys_at
+        return table
 
     def __len__(self) -> int:
         return len(self._exact) + len(self._wild)

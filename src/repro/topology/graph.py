@@ -327,8 +327,22 @@ class Topology:
             raise TopologyError(f"{self.name!r} is not connected")
 
     def is_connected(self) -> bool:
-        g = self.to_networkx()
-        return nx.is_connected(g) if g.number_of_nodes() else False
+        """Whether every node reaches every other over the links; a
+        topology with no nodes is not connected."""
+        nodes = self.nodes
+        if not nodes:
+            return False
+        if self._nbrs is None:
+            self._build_adjacency()
+        nbrs = self._nbrs
+        seen = {nodes[0]}
+        stack = [nodes[0]]
+        while stack:
+            for nb in nbrs[stack.pop()]:  # type: ignore[index]
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        return len(seen) == len(nodes)
 
     # --- iteration helpers ----------------------------------------------
     def switch_pairs(self) -> Iterator[tuple[str, str]]:

@@ -12,6 +12,7 @@ from repro.core.projection.linkproj import LinkProjection, empty_projection
 from repro.core.columnar import CompiledBlock, block_columns
 from repro.core.rules import RuleCache, synthesize_rules
 from repro.hardware import H3C_S6861
+from repro.routing import shortest_path_routes
 from repro.routing.table import Hop
 from repro.telemetry import metrics
 from repro.topology import Topology, fat_tree
@@ -81,6 +82,10 @@ def _assert_converged(controller: SDTController, deployment) -> None:
         cache=None,
     )
     assert _rules_multiset(scratch) == expected
+    if deployment.config is not None and deployment.config.routing == "shortest-path":
+        assert list(deployment.routes.entries()) == list(
+            shortest_path_routes(deployment.topology).entries()
+        )
 
 
 def _rig(*topologies, num_switches=2, spec=H3C_S6861, **kw):
