@@ -251,7 +251,6 @@ def run_multitenant_suite(quick: bool) -> dict:
         switches=3,
         spec=EVAL_256x10G,
         spare_hosts=4,
-        max_workers=3,
         tenants=[
             TenantSpec(
                 tenant,
@@ -263,9 +262,7 @@ def run_multitenant_suite(quick: bool) -> dict:
     )
 
     async def serve() -> tuple[ControlPlaneService, dict]:
-        service = ControlPlaneService(
-            scenario.pool(), workers=scenario.max_workers
-        )
+        service = ControlPlaneService(scenario.pool())
         await service.start()
         try:
             return service, await serve_scenario(service, scenario)
@@ -558,9 +555,7 @@ def _churn_profile(sessions_total: int) -> dict:
         }
 
     async def drive() -> tuple[float, dict]:
-        service = ControlPlaneService(
-            pool, workers=4, max_pending=CHURN_MAX_PENDING
-        )
+        service = ControlPlaneService(pool, max_pending=CHURN_MAX_PENDING)
         await service.start()
         try:
             t0 = time.perf_counter()

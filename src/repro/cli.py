@@ -366,7 +366,10 @@ def _engineer_watch(args, config, cluster, budget, params, drive):
     """Continuous mode: apply proposals through the asyncio
     control-plane service (DESIGN.md §8) instead of calling the
     controller directly, so engineering serializes with any other
-    tenant operations the service is scheduling."""
+    tenant operations the service is scheduling. Each applied step is
+    a tenant ``reconfigure``, i.e. a generation swap that pushes the
+    whole new rule set, not the incremental delta the one-shot
+    ``--steps`` mode pushes."""
     import asyncio
 
     from repro.engineering import TopologyEngineer
@@ -384,7 +387,7 @@ def _engineer_watch(args, config, cluster, budget, params, drive):
         # occupancy spreading is for multi-tenant pools, and a single-
         # tenant engineering session must project exactly where the
         # headroom was reserved
-        service = ControlPlaneService(cluster, workers=2, placement="fixed")
+        service = ControlPlaneService(cluster, placement="fixed")
         await service.start()
         steps: list = []
         try:
@@ -475,7 +478,6 @@ def _serve_listen(args) -> int:
         cluster,
         host=host,
         port=port,
-        workers=args.workers,
         max_pending=args.max_pending,
         state_dir=args.state_dir,
         snapshot_every=args.snapshot_every,
@@ -496,7 +498,6 @@ def _serve_scenario(scenario) -> dict:
         # not by the service default
         service = ControlPlaneService(
             scenario.pool(),
-            workers=scenario.max_workers,
             max_pending=len(scenario.tenants),
         )
         await service.start()
@@ -917,8 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-dir", metavar="DIR", default=None,
                    help="durable state directory (snapshot + journal); "
                         "restart recovers sessions and flow state")
-    p.add_argument("--workers", type=int, default=4,
-                   help="async scheduler worker lanes (default 4)")
     p.add_argument("--max-pending", type=int, default=64,
                    help="bounded queue size; over it requests get 429")
     p.add_argument("--snapshot-every", type=int, default=8,

@@ -39,6 +39,22 @@ def build_cluster_for(
         seed=seed,
         usages=usages,
     )
+    return _wire_for_budget(budget, num_switches, spec, spare_hosts)
+
+
+def _wire_for_budget(
+    budget: dict[str, int],
+    num_switches: int,
+    spec: SwitchSpec,
+    spare_hosts: int,
+    *,
+    needs: str = "needs",
+    has: str = "has",
+) -> PhysicalCluster:
+    """Wire ``num_switches`` switches for a wiring budget (the dict
+    :func:`plan_inter_switch_reservation` returns), or raise a
+    :class:`CapacityError` naming the per-switch port shortfall;
+    ``needs`` / ``has`` word the error for the caller."""
     hosts_per_switch = budget["hosts_per_switch"] + spare_hosts
     inter_per_pair = budget["inter_links_per_pair"]
     self_needed = budget["self_links_per_switch"]
@@ -47,9 +63,9 @@ def build_cluster_for(
     needed = hosts_per_switch + inter_ports + 2 * self_needed
     if needed > spec.num_ports:
         raise CapacityError(
-            f"{spec.model}: needs {needed} ports per switch "
+            f"{spec.model}: {needs} {needed} ports per switch "
             f"({hosts_per_switch} host + {inter_ports} inter-switch + "
-            f"{2 * self_needed} self-link) but has {spec.num_ports}; "
+            f"{2 * self_needed} self-link) but {has} {spec.num_ports}; "
             "add switches or use a larger switch"
         )
     return PhysicalCluster.build(

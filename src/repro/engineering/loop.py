@@ -2,11 +2,12 @@
 
 :class:`TopologyEngineer` ties the pieces together: read the traffic
 matrix out of the controller's Network Monitor, ask the local search
-for a proposal, and — when the proposal clears hysteresis — schedule
-it through the controller's incremental ``reconfigure``, which stages
-only the rule delta inside one make-before-break ControlTransaction
-(so transient capacity is validated before any switch is touched, and
-a mid-commit failure rolls back with the old topology still live).
+for a proposal, and — when the proposal clears hysteresis — apply it.
+:meth:`step` applies it through the controller's incremental
+``reconfigure``, which stages only the rule delta inside one
+make-before-break ControlTransaction (so transient capacity is
+validated before any switch is touched, and a mid-commit failure rolls
+back with the old topology still live).
 
 Disruption is capped twice: *a priori* by ``max_moves`` per step (the
 incremental path pushes O(changed links) rules), and *measured* — the
@@ -23,7 +24,13 @@ pure observation + search, ``finish()`` is bookkeeping; a driver that
 must apply the config through ``ControlPlaneService.submit`` (the
 ``repro engineer --watch`` mode) awaits between the two, while the
 synchronous :meth:`step` composes them around a direct
-``controller.reconfigure``.
+``controller.reconfigure``. The two paths push different amounts: a
+tenant ``reconfigure`` through the service is a generation swap
+(``admit_swap`` + ``swap_deployment``: the whole new rule set goes in
+under a fresh cookie and the old cookie's rules come out), not the
+incremental delta. On a ring of 6 switches adding ``s0``–``s3``, the
+one-shot step pushes 10 rules and the ``--watch`` step 110, and the
+measured cap judges those 110.
 """
 
 from __future__ import annotations

@@ -81,17 +81,18 @@ class ControlPlaneService:
         self,
         cluster: PhysicalCluster,
         *,
-        workers: int = 4,
         max_pending: int = 64,
         state_dir: str | Path | None = None,
         snapshot_every: int = 8,
         host: str | None = None,
         port: int = 0,
         placement: str = "occupancy",
+        workers: int | None = None,
     ) -> None:
-        self.testbed = TestbedService(
-            cluster, max_workers=workers, placement=placement
-        )
+        # workers is accepted and ignored only for the frozen perf
+        # ledger (benchmarks/perf/wl_churn.py); the next [benchmark]
+        # change drops it
+        self.testbed = TestbedService(cluster, placement=placement)
         self.scheduler = AsyncScheduler(
             self.testbed.scheduler, max_pending=max_pending
         )
@@ -228,7 +229,6 @@ class ControlPlaneService:
             "uptime_s": time.monotonic() - self._started_at,
             "queue_depth": self.scheduler.depth,
             "max_pending": self.scheduler.max_pending,
-            "workers": self.testbed.scheduler.max_workers,
             "recovered": self.recovered,
         }
         return payload
@@ -291,7 +291,8 @@ class ControlPlaneService:
                 "uptime_s": time.monotonic() - self._started_at,
             })
         if tail == ["status"] and method == "GET":
-            return HttpResponse.json(self.status())
+            # status() takes the testbed lock an operation body holds
+            return HttpResponse.json(await asyncio.to_thread(self.status))
         if tail == ["metrics"] and method == "GET":
             return HttpResponse.json(metrics.registry().to_dict())
         if tail == ["shutdown"] and method == "POST":
@@ -370,7 +371,6 @@ def run_service(
     *,
     host: str,
     port: int,
-    workers: int = 4,
     max_pending: int = 64,
     state_dir: str | Path | None = None,
     snapshot_every: int = 8,
@@ -386,7 +386,6 @@ def run_service(
     async def _main() -> None:
         service = ControlPlaneService(
             cluster,
-            workers=workers,
             max_pending=max_pending,
             state_dir=state_dir,
             snapshot_every=snapshot_every,

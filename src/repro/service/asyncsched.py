@@ -1,9 +1,9 @@
 """Asyncio front over the fair-share scheduler (DESIGN.md §8).
 
 The dispatch walk — per-tenant FIFO, fair-share round-robin across
-tenants, footprint reservation with no overtaking — exists once, in
+tenants, one operation at a time — exists once, in
 :class:`~repro.tenancy.scheduler.Scheduler`, and operation bodies run
-on its worker threads. :class:`AsyncScheduler` adds what an event-loop
+on its worker thread. :class:`AsyncScheduler` adds what an event-loop
 server needs on top of that dispatcher:
 
 * **awaitable results** — ``submit`` is a plain call on the loop that
@@ -71,13 +71,12 @@ class AsyncScheduler:
         #: has already dropped when the operation's awaiter resumes
         self.depth = 0
         self._ewma_op_seconds = _DEFAULT_OP_SECONDS
-        self._lock = threading.Lock()  # bodies finish on worker threads
+        self._lock = threading.Lock()  # bodies finish on the worker thread
 
     def retry_after(self, depth: int) -> float:
         """Seconds until a queue ``depth`` deep has plausibly drained:
-        the backlog at the observed per-op service time, one operation
-        at a time — service bodies hold the testbed lock, so extra
-        worker lanes do not drain it faster."""
+        the backlog at the observed per-op service time, since the
+        scheduler runs one operation at a time."""
         return max(_MIN_RETRY_AFTER, depth * self._ewma_op_seconds)
 
     def submit(self, op: Operation) -> asyncio.Future:
@@ -138,6 +137,6 @@ class AsyncScheduler:
         return await asyncio.to_thread(self.core.drain, timeout)
 
     async def shutdown(self) -> None:
-        """Drain pending work, then stop the worker pool; further
-        submits are refused."""
+        """Drain pending work, then stop the worker; further submits
+        are refused."""
         await asyncio.to_thread(self.core.shutdown)

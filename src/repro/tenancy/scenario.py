@@ -8,7 +8,6 @@ A scenario JSON describes one shared pool and the tenants to admit:
       "switches": 4,
       "spec": {"num_ports": 256, "flow_table_capacity": 4096},
       "spare_hosts": 0,
-      "max_workers": 2,
       "tenants": [
         {
           "id": "alice",
@@ -25,6 +24,10 @@ max). :func:`serve_scenario` is a client of a running
 the sessions in file order, submits every deploy, and returns a
 JSON-safe run report — the driver behind ``repro serve`` and
 ``repro status``.
+
+Every object in the file is parsed strictly: a key the parser does not
+know (a typo such as ``spare_host``) is a :class:`ConfigurationError`
+that names it, never a silent default.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.core.autobuild import _wire_for_budget
 from repro.core.controller.config import TopologyConfig
 from repro.core.projection.linkproj import plan_inter_switch_reservation
 from repro.hardware.cluster import PhysicalCluster
@@ -43,7 +47,6 @@ from repro.tenancy.session import TenantQuota
 from repro.topology.graph import Topology
 from repro.util.errors import (
     AdmissionError,
-    CapacityError,
     ConfigurationError,
     ReproError,
 )
@@ -63,6 +66,7 @@ class TenantSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TenantSpec":
+        _check_keys(data, {"id", "quota", "topology"}, "tenant")
         try:
             return cls(
                 tenant_id=str(data["id"]),
@@ -83,12 +87,20 @@ class Scenario:
     spec: SwitchSpec
     tenants: list[TenantSpec]
     spare_hosts: int = 0
-    max_workers: int = 2
     seed: int = 0
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        _check_keys(
+            data, {"switches", "spec", "spare_hosts", "seed", "tenants"},
+            "scenario",
+        )
         spec_data = dict(data.get("spec", {}))
+        _check_keys(
+            spec_data,
+            {"model", "num_ports", "port_rate_gbps", "flow_table_capacity"},
+            "scenario spec",
+        )
         spec = SwitchSpec(
             model=spec_data.get("model", "scenario-switch"),
             num_ports=int(spec_data.get("num_ports", 256)),
@@ -108,7 +120,6 @@ class Scenario:
             spec=spec,
             tenants=tenants,
             spare_hosts=int(data.get("spare_hosts", 0)),
-            max_workers=int(data.get("max_workers", 2)),
             seed=int(data.get("seed", 0)),
         )
 
@@ -145,32 +156,25 @@ def build_pool_for_tenants(
     inter-switch-link demands are added up (self-links come out of the
     leftover free ports, as usual).
     """
-    total_hosts = 0
-    total_inter = 0
-    total_self = 0
-    for topo in topologies:
-        budget = plan_inter_switch_reservation(
-            [topo], num_switches, seed=seed
-        )
-        total_hosts += budget["hosts_per_switch"]
-        total_inter += budget["inter_links_per_pair"]
-        total_self += budget["self_links_per_switch"]
-    hosts_per_switch = total_hosts + spare_hosts
-    inter_ports = total_inter * (num_switches - 1)
-    needed = hosts_per_switch + inter_ports + 2 * total_self
-    if needed > spec.num_ports:
-        raise CapacityError(
-            f"{spec.model}: concurrent tenants need {needed} ports per "
-            f"switch ({hosts_per_switch} host + {inter_ports} "
-            f"inter-switch + {2 * total_self} self-link) but it has "
-            f"{spec.num_ports}; add switches or use a larger switch"
-        )
-    return PhysicalCluster.build(
-        num_switches,
-        spec,
-        hosts_per_switch=hosts_per_switch,
-        inter_links_per_pair=total_inter,
+    budgets = [
+        plan_inter_switch_reservation([topo], num_switches, seed=seed)
+        for topo in topologies
+    ]
+    summed = {
+        key: sum(budget[key] for budget in budgets)
+        for key in ("hosts_per_switch", "inter_links_per_pair",
+                    "self_links_per_switch")
+    }
+    return _wire_for_budget(
+        summed, num_switches, spec, spare_hosts,
+        needs="concurrent tenants need", has="it has",
     )
+
+
+def _check_keys(data: dict, known: set[str], what: str) -> None:
+    unknown = set(data) - known
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 async def serve_scenario(service: ControlPlaneService, scenario: Scenario) -> dict:

@@ -1,33 +1,22 @@
 """Deterministic fair-share scheduling of tenant control-plane operations.
 
-The shared pool's control plane is a serially-consistent resource: two
-transactions that touch the same physical switch must not interleave
-(a commit snapshots and mutates per-switch rule state). The scheduler
-turns the tenants' concurrent requests into a deterministic execution:
+The shared pool has one control program: every operation body runs
+the single-threaded :class:`SDTController` under the testbed service's
+lock, so no two operations can make progress at once. The scheduler
+says so. It turns the tenants' concurrent requests into one serial
+execution:
 
 * **FIFO per tenant** — one tenant's operations run in the order it
   submitted them (a reconfigure never overtakes the deploy it edits);
-* **fair share across tenants** — dispatch round-robins over tenants in
-  admission order, so a tenant queueing 50 deploys cannot starve one
-  queueing a single request;
-* **conflict serialization** — each operation declares the physical
-  switches it may touch (its *footprint*; ``None`` means the whole
-  pool, the conservative footprint of a deploy whose placement is not
-  yet known). An operation starts only when no running operation's
-  footprint intersects its own, and a skipped operation blocks its
-  footprint so later-queued work cannot overtake it on those switches
-  (no reordering of conflicting transactions, ever);
-* **concurrency for the rest** — non-conflicting operations dispatch to
-  a thread pool. The underlying :class:`SDTController` is not itself
-  thread-safe, so the service additionally holds a controller mutex
-  around prepare/commit; concurrency covers the per-operation pure work
-  (config build, quota arithmetic, result assembly) while conflicting
-  transactions are *ordered* here, deterministically, rather than by
-  lock-acquisition races.
+* **fair share across tenants** — the next operation is the queue head
+  of the next tenant, round-robin in admission order, so a tenant
+  queueing 50 deploys cannot starve one queueing a single request;
+* **one at a time** — operations run one after another on one worker
+  thread, off the caller's thread, so an asyncio front keeps serving
+  while an operation runs.
 
-With a single worker the execution order is a pure function of
-submission order; with more workers, conflicting operations still
-execute in submission order — only disjoint work overlaps.
+The execution order is therefore a pure function of the submission
+order and of which tenant queues are non-empty when an operation ends.
 """
 
 from __future__ import annotations
@@ -46,52 +35,32 @@ from repro.util.errors import ConfigurationError
 class Operation:
     """One schedulable unit of tenant work."""
 
-    kind: str  # "deploy" | "reconfigure" | "undeploy" | "teardown"
+    kind: str  # "deploy" | "reconfigure" | "undeploy" | "evict" | "close"
     tenant_id: str
     fn: Callable[[], Any]
-    #: physical switches the operation may touch; None = whole pool
-    footprint: frozenset[str] | None
     seq: int = -1  # global submission stamp, set by the scheduler
     future: Future = field(default_factory=Future)
 
-    def conflicts_with(self, switches: set[str] | None) -> bool:
-        if switches is None:
-            return True  # someone holds the whole pool
-        if self.footprint is None:
-            return bool(switches)  # whole-pool op vs anything held
-        return bool(self.footprint & switches)
-
-    @property
-    def label(self) -> str:
-        return f"{self.tenant_id}:{self.kind}#{self.seq}"
-
 
 class Scheduler:
-    """FIFO/fair-share dispatcher over a bounded thread pool."""
+    """Per-tenant FIFO with a round-robin fair-share pick, run one
+    operation at a time on one worker thread."""
 
-    def __init__(self, pool_switches: list[str], *, max_workers: int = 4) -> None:
-        if max_workers < 1:
-            raise ConfigurationError(
-                f"scheduler needs >= 1 worker, got {max_workers}"
-            )
-        self.pool_switches = frozenset(pool_switches)
-        self.max_workers = max_workers
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="sdt-tenant"
-        )
+    def __init__(self) -> None:
+        self._executor = ThreadPoolExecutor(1, thread_name_prefix="sdt-tenant")
         self._lock = threading.Lock()
         self._pending: dict[str, deque[Operation]] = {}
         self._tenant_order: list[str] = []
         self._rr = 0  # round-robin cursor into _tenant_order
-        self._running: list[Operation] = []
+        self._running: Operation | None = None
         self._next_seq = 0
         self._idle = threading.Condition(self._lock)
         self._shutdown = False
 
     # --- submission ------------------------------------------------------
     def submit(self, op: Operation) -> Future:
-        """Queue an operation; returns its future. Dispatch happens
-        immediately if the operation is eligible."""
+        """Queue an operation; returns its future. It starts at once
+        if nothing is running."""
         with self._lock:
             if self._shutdown:
                 raise ConfigurationError("scheduler is shut down")
@@ -109,49 +78,20 @@ class Scheduler:
 
     # --- dispatch --------------------------------------------------------
     def _dispatch_locked(self) -> None:
-        """Start every eligible operation (caller holds the lock).
-
-        Walks tenants round-robin from the fair-share cursor; per
-        tenant only the queue head is a candidate (FIFO per tenant).
-        A candidate that conflicts with running work — or with an
-        earlier-queued candidate that could not start — adds its own
-        footprint to the blocked set, so later candidates cannot
-        overtake it on those switches.
-        """
-        while True:
-            started = None
-            blocked: set[str] | None = set()
-            for sw_set in (op.footprint for op in self._running):
-                if sw_set is None:
-                    blocked = None
-                    break
-                blocked |= sw_set
-            if blocked is None and self._running:
-                return  # a whole-pool operation is running: nothing starts
-            free_workers = self.max_workers - len(self._running)
-            if free_workers <= 0:
+        """Start the next operation if none is running (caller holds
+        the lock): the queue head of the first tenant with work, walking
+        round-robin from the fair-share cursor."""
+        if self._running is not None:
+            return
+        n = len(self._tenant_order)
+        for i in range(n):
+            tenant = self._tenant_order[(self._rr + i) % n]
+            queue = self._pending[tenant]
+            if queue:
+                self._rr = (self._rr + i + 1) % n
+                self._running = queue.popleft()
+                self._executor.submit(self._run, self._running)
                 return
-            n = len(self._tenant_order)
-            for i in range(n):
-                tenant = self._tenant_order[(self._rr + i) % n]
-                queue = self._pending.get(tenant)
-                if not queue:
-                    continue
-                op = queue[0]
-                if not op.conflicts_with(blocked):
-                    queue.popleft()
-                    self._rr = (self._rr + i + 1) % n
-                    started = op
-                    break
-                # no overtaking: a blocked head reserves its footprint
-                if op.footprint is None:
-                    blocked = None
-                    break
-                blocked |= op.footprint
-            if started is None:
-                return
-            self._running.append(started)
-            self._executor.submit(self._run, started)
 
     def _run(self, op: Operation) -> None:
         with trace.span(
@@ -170,9 +110,9 @@ class Scheduler:
                     1, tenant=op.tenant_id, kind=op.kind, status="ok"
                 )
         with self._lock:
-            self._running.remove(op)
+            self._running = None
             self._dispatch_locked()
-            if not self._running and not any(self._pending.values()):
+            if self._running is None:
                 self._idle.notify_all()
 
     # --- lifecycle -------------------------------------------------------
@@ -181,13 +121,11 @@ class Scheduler:
         False on timeout."""
         with self._idle:
             return self._idle.wait_for(
-                lambda: not self._running
-                and not any(self._pending.values()),
-                timeout=timeout,
+                lambda: self._running is None, timeout=timeout
             )
 
     def shutdown(self) -> None:
-        """Drain and stop the worker pool; further submits are refused."""
+        """Drain and stop the worker; further submits are refused."""
         self.drain()
         with self._lock:
             self._shutdown = True

@@ -6,21 +6,21 @@ occupancy-aware placement, so tenants spread over the pool instead of
 piling onto the first switch), an
 :class:`~repro.tenancy.admission.AdmissionController` that vets every
 request before a switch is touched, a
-:class:`~repro.tenancy.scheduler.Scheduler` that serializes conflicting
-control-plane transactions while letting disjoint tenant work overlap,
-and an :class:`~repro.tenancy.isolation.IsolationVerifier` that
-re-proves cross-tenant disjointness after every commit.
+:class:`~repro.tenancy.scheduler.Scheduler` that runs tenant operations
+one at a time in per-tenant FIFO, fair-share order, and an
+:class:`~repro.tenancy.isolation.IsolationVerifier` that re-proves
+cross-tenant disjointness after every commit.
 
-Threading model: the scheduler orders operations deterministically;
-the actual controller mutation (prepare/commit/register) additionally
-runs under one service-wide mutex because :class:`SDTController` is not
-thread-safe. Concurrency therefore overlaps the schedulable work and
-keeps conflicting transactions strictly in submission order.
+Threading model: the scheduler's one worker thread runs the operation
+bodies; each body also holds one service-wide lock, because
+:class:`SDTController` is not thread-safe and session opens and status
+reads run on other threads.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import partial
 
 from repro.core.controller.config import TopologyConfig
 from repro.core.controller.controller import Deployment, SDTController
@@ -53,15 +53,16 @@ class TestbedService:
         self,
         cluster: PhysicalCluster,
         *,
-        max_workers: int = 4,
         placement: str = "occupancy",
+        max_workers: int | None = None,
     ) -> None:
+        # max_workers is accepted and ignored only for the frozen perf
+        # ledger (benchmarks/perf/wl_churn.py); the next [benchmark]
+        # change drops it
         self.cluster = cluster
         self.controller = SDTController(cluster, placement=placement)
         self.admission = AdmissionController(self.controller)
-        self.scheduler = Scheduler(
-            cluster.switch_names, max_workers=max_workers
-        )
+        self.scheduler = Scheduler()
         self.verifier = IsolationVerifier(cluster)
         self.sessions: dict[str, TenantSession] = {}
         self._next_index = 1  # indices are never reused: cookie blocks stay unique
@@ -244,67 +245,41 @@ class TestbedService:
     def make_operation(self, kind: str, tenant_id: str, **kwargs) -> Operation:
         """Build (but do not queue) one schedulable operation.
 
-        This is the single source of operation bodies and footprints,
-        and the only way tenant work reaches the controller: callers
-        submit the result to :attr:`scheduler`, directly or through the
-        asyncio front in :mod:`repro.service`. Supported kinds:
-        ``deploy`` / ``reconfigure`` (footprint = whole pool, placement
-        unknown until projection), ``undeploy`` (exact footprint when
-        the deployment is live; existence is checked when it runs, so
-        it may name a deployment an earlier-queued operation of the
-        same tenant creates), and ``evict`` / ``close`` (whole pool:
-        they tear down every deployment the tenant owns, so they
-        serialize against everything queued before them; the session
-        ends EVICTED or CLOSED, and an evicted tenant may be
-        re-admitted with :meth:`open_session` under a fresh cookie
-        block and lease).
+        This is the single source of operation bodies, and the only way
+        tenant work reaches the controller: callers submit the result
+        to :attr:`scheduler`, directly or through the asyncio front in
+        :mod:`repro.service`. Supported kinds: ``deploy``,
+        ``reconfigure``, ``undeploy`` (the deployment's existence is
+        checked when it runs, so it may name a deployment an
+        earlier-queued operation of the same tenant creates), and
+        ``evict`` / ``close`` (they tear down every deployment the
+        tenant owns after everything it queued before them; the session
+        ends EVICTED or CLOSED, and an evicted tenant may be re-admitted
+        with :meth:`open_session` under a fresh cookie block and lease).
+        ``deploy``, ``reconfigure`` and ``undeploy`` refuse an unknown
+        or ended session here, on the caller's thread, without taking
+        the service lock.
         """
         if kind == "deploy":
             config = kwargs["config"]
             self._session(tenant_id).check_active()
-            return Operation(
-                kind="deploy",
-                tenant_id=tenant_id,
-                fn=lambda: self._do_deploy(tenant_id, config),
-                footprint=None,  # placement unknown until projection
-            )
-        if kind == "reconfigure":
+            fn = partial(self._do_deploy, tenant_id, config)
+        elif kind == "reconfigure":
             name, config = kwargs["name"], kwargs["config"]
             self._session(tenant_id).check_active()
-            return Operation(
-                kind="reconfigure",
-                tenant_id=tenant_id,
-                fn=lambda: self._do_reconfigure(tenant_id, name, config),
-                footprint=None,  # new placement unknown until projection
-            )
-        if kind == "undeploy":
+            fn = partial(self._do_reconfigure, tenant_id, name, config)
+        elif kind == "undeploy":
             name = kwargs["name"]
-            with self._lock:
-                session = self._session(tenant_id)
-                session.check_active()
-                deployment = session.deployments.get(name)
-                footprint = (
-                    frozenset(deployment.rules.switches())
-                    if deployment is not None
-                    else None
-                )
-            return Operation(
-                kind="undeploy",
-                tenant_id=tenant_id,
-                fn=lambda: self._do_undeploy(tenant_id, name),
-                footprint=footprint,
-            )
-        if kind in ("evict", "close"):
+            self._session(tenant_id).check_active()
+            fn = partial(self._do_undeploy, tenant_id, name)
+        elif kind in ("evict", "close"):
             final = SESSION_EVICTED if kind == "evict" else SESSION_CLOSED
-            return Operation(
-                kind=kind,
-                tenant_id=tenant_id,
-                fn=lambda: self._end_session(tenant_id, final),
-                footprint=None,  # tears down every owned deployment
-            )
-        raise ConfigurationError(f"unknown operation kind {kind!r}")
+            fn = partial(self._end_session, tenant_id, final)
+        else:
+            raise ConfigurationError(f"unknown operation kind {kind!r}")
+        return Operation(kind=kind, tenant_id=tenant_id, fn=fn)
 
-    # --- operation bodies (run on scheduler workers) ---------------------
+    # --- operation bodies (run on the scheduler's worker) ----------------
     def _do_deploy(self, tenant_id: str, config: ConfigLike) -> Deployment:
         with self._lock:
             session = self._session(tenant_id)

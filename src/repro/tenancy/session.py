@@ -69,11 +69,15 @@ class TenantQuota:
     def from_dict(cls, data: object) -> "TenantQuota":
         """Parse the JSON form (API request, scenario file, snapshot):
         integer ``host_ports`` and ``tcam_share``, optional integer
-        ``optical_circuits``. Anything else is a ConfigurationError."""
+        ``optical_circuits``. Anything else, an unknown key included,
+        is a ConfigurationError."""
         if not isinstance(data, dict):
             raise ConfigurationError("quota must be an object")
         fields = {"optical_circuits": 0, **data}
         names = ("host_ports", "tcam_share", "optical_circuits")
+        unknown = set(fields) - set(names)
+        if unknown:
+            raise ConfigurationError(f"unknown quota keys: {sorted(unknown)}")
         for name in names:
             value = fields.get(name)
             if not isinstance(value, int) or isinstance(value, bool):

@@ -164,13 +164,11 @@ def test_incremental_edit_costs_only_its_dirty_blocks():
 
 def test_tenant_deploy_and_undeploy_build_no_flow_mod():
     pool = build_pool_for_tenants([fat_tree(4)], 2, EVAL_256x10G, spare_hosts=8)
-    service = TestbedService(pool, max_workers=1)
+    service = TestbedService(pool)
     try:
         service.open_session("alice", TenantQuota(host_ports=24, tcam_share=2000))
         before = _materialized()
         deployment = run_op(service, "deploy", "alice", config=FT4)
-        # the scheduler's footprint of an undeploy is the deployment's
-        # switches: named from column lengths
         run_op(service, "undeploy", "alice", name=deployment.name)
         assert _materialized() == before
     finally:

@@ -430,7 +430,7 @@ def tight_service():
     pool = build_pool_for_tenants(
         [CHAIN9.build(), CHAIN9.build()], 2, TIGHT, spare_hosts=4
     )
-    svc = TestbedService(pool, max_workers=1)
+    svc = TestbedService(pool)
     yield svc
     svc.shutdown()
 

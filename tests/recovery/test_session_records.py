@@ -47,7 +47,7 @@ from tests.service.test_service_chaos import _crash
 
 async def _boot(state_dir, *, snapshot_every: int = 8) -> ControlPlaneService:
     service = ControlPlaneService(
-        service_pool(), workers=2, state_dir=str(state_dir),
+        service_pool(), state_dir=str(state_dir),
         snapshot_every=snapshot_every,
     )
     await service.start()
@@ -73,7 +73,7 @@ def _session_records(state_dir) -> list[dict]:
 def journaled_testbed(tmp_path):
     """A TestbedService with the state directory's journal installed."""
     journal = CommitJournal(tmp_path / "state" / JOURNAL_NAME)
-    testbed = TestbedService(service_pool(), max_workers=1)
+    testbed = TestbedService(service_pool())
     install_journal(journal)
     try:
         yield testbed, journal

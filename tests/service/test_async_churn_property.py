@@ -3,13 +3,13 @@
 For a randomized admit/deploy/reconfigure/evict interleaving across
 three tenants, the final cluster state after driving the async
 control-plane service must be **bit-identical** to running the same
-operation sequence through the thread-pool
+operation sequence through the synchronous
 :class:`~repro.tenancy.scheduler.Scheduler` — installed rules per
 switch, tenant session records, and controller allocation counters.
 
-Why this holds: every churn operation has a whole-pool footprint, so
-both schedulers serialize them with the same algorithm (fair-share
-round-robin over queue heads, no overtaking). The one subtlety is
+Why this holds: both fronts submit to the same scheduler, which runs
+one operation at a time in the same order (fair-share round-robin
+over per-tenant FIFO queue heads). The one subtlety is
 *when* dispatch decisions happen: the round-robin pick depends on
 which tenant queues are non-empty at that instant, so both drivers
 submit each barrier-delimited segment in full before any operation
@@ -112,7 +112,7 @@ def _fingerprint(service: TestbedService) -> dict:
 
 
 def _drive_sync(ops: list[tuple]) -> dict:
-    service = TestbedService(service_pool(), max_workers=3)
+    service = TestbedService(service_pool())
     toggles: dict = {}
     try:
         for segment, admit in _segments(ops):
@@ -140,7 +140,7 @@ def _drive_async(ops: list[tuple]) -> dict:
     from repro.service.app import ControlPlaneService
 
     async def run() -> dict:
-        service = ControlPlaneService(service_pool(), workers=3, max_pending=256)
+        service = ControlPlaneService(service_pool(), max_pending=256)
         await service.start()
         toggles: dict = {}
         try:

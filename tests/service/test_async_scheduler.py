@@ -1,7 +1,7 @@
 """AsyncScheduler units: what the asyncio front adds to the scheduler.
 
-The ordering contract (per-tenant FIFO, fair share, footprint
-reservation) is the :class:`Scheduler`'s and is tested once, through
+The ordering contract (per-tenant FIFO, fair share, one at a time)
+is the :class:`Scheduler`'s and is tested once, through
 both fronts, in ``tests/tenancy/test_scheduler.py``. Here: bounded-queue
 backpressure, the retry hint, awaitable results and lifecycle, and the
 rule that a burst submitted in one loop turn is queued in full before
@@ -19,18 +19,12 @@ import pytest
 from repro.service.asyncsched import AsyncScheduler, BackpressureError
 from repro.tenancy.scheduler import Operation, Scheduler
 
-SWITCHES = ["p0", "p1", "p2"]
+def _sched(**kwargs):
+    return AsyncScheduler(Scheduler(), **kwargs)
 
 
-def _sched(workers, **kwargs):
-    return AsyncScheduler(Scheduler(SWITCHES, max_workers=workers), **kwargs)
-
-
-def _op(tenant, fn, footprint=None, kind="work"):
-    return Operation(
-        kind=kind, tenant_id=tenant, fn=fn,
-        footprint=None if footprint is None else frozenset(footprint),
-    )
+def _op(tenant, fn, kind="work"):
+    return Operation(kind=kind, tenant_id=tenant, fn=fn)
 
 
 def _run(coro):
@@ -39,7 +33,7 @@ def _run(coro):
 
 def test_backpressure_rejects_over_bound_and_preserves_queue():
     async def main():
-        sched = _sched(2, max_pending=3)
+        sched = _sched(max_pending=3)
         gate = threading.Event()
         futures = [
             sched.submit(_op("a", lambda: gate.wait(5)))
@@ -64,17 +58,17 @@ def test_backpressure_rejects_over_bound_and_preserves_queue():
 
 
 def test_retry_after_scales_with_depth_and_has_floor():
-    sched = _sched(2, max_pending=64)
+    sched = _sched(max_pending=64)
     assert sched.retry_after(0) == pytest.approx(0.05)
     assert sched.retry_after(8) > sched.retry_after(2)
-    # depth * ewma with the default ewma, whatever the worker count
+    # depth * ewma with the default ewma
     assert sched.retry_after(8) == pytest.approx(8 * sched._ewma_op_seconds)
     sched.core.shutdown()
 
 
 def test_retry_after_tracks_observed_service_time():
     async def main():
-        sched = _sched(1, max_pending=8)
+        sched = _sched(max_pending=8)
         first = sched._ewma_op_seconds
         for _ in range(8):
             before = sched._ewma_op_seconds
@@ -90,7 +84,7 @@ def test_retry_after_tracks_observed_service_time():
 
 def test_op_exception_propagates_and_scheduler_survives():
     async def main():
-        sched = _sched(2)
+        sched = _sched()
 
         def boom():
             raise ValueError("op failed")
@@ -107,7 +101,7 @@ def test_shutdown_drains_pending_work():
     done: list[int] = []
 
     async def main():
-        sched = _sched(1)
+        sched = _sched()
         for i in range(5):
             sched.submit(_op("a", lambda n=i: done.append(n)))
         await sched.shutdown()
@@ -125,7 +119,7 @@ def test_burst_is_queued_in_full_before_any_body_runs():
     order: list[str] = []
 
     async def main():
-        sched = _sched(2)
+        sched = _sched()
         for tenant in ("a", "b"):  # both tenants known to the walk
             await sched.submit(_op(tenant, lambda: None))
         burst = [

@@ -44,14 +44,14 @@ def _fingerprint(service: ControlPlaneService) -> dict:
 def _filler(gate: threading.Event) -> Operation:
     return Operation(
         kind="filler", tenant_id="filler",
-        fn=lambda: gate.wait(10), footprint=None,
+        fn=lambda: gate.wait(10),
     )
 
 
 def test_overload_reject_is_zero_mutation():
     async def main():
         service = ControlPlaneService(
-            service_pool(), workers=2, max_pending=4
+            service_pool(), max_pending=4
         )
         await service.start()
         try:
@@ -84,7 +84,7 @@ def test_overload_reject_is_zero_mutation():
 def test_reject_then_drain_then_same_request_succeeds():
     async def main():
         service = ControlPlaneService(
-            service_pool(), workers=2, max_pending=2
+            service_pool(), max_pending=2
         )
         await service.start()
         try:
@@ -119,7 +119,7 @@ def test_retry_after_covers_the_observed_drain():
 
     async def main():
         service = ControlPlaneService(
-            service_pool(), workers=1, max_pending=3
+            service_pool(), max_pending=3
         )
         await service.start()
         try:
@@ -129,13 +129,11 @@ def test_retry_after_covers_the_observed_drain():
                 await service.scheduler.submit(Operation(
                     kind="warm", tenant_id="filler",
                     fn=lambda: threading.Event().wait(0.02),
-                    footprint=None,
                 ))
             fillers = [
                 service.scheduler.submit(Operation(
                     kind="slow", tenant_id="filler",
                     fn=lambda: threading.Event().wait(0.02),
-                    footprint=None,
                 ))
                 for _ in range(3)
             ]
@@ -156,19 +154,18 @@ def test_retry_after_covers_the_observed_drain():
 
 
 def test_retry_after_is_not_divided_by_idle_workers():
-    """Whole-pool operations drain one at a time however many workers
-    the scheduler has, so the hint a reject carries must be of the
-    order of the drain that follows it."""
+    """Operations drain one at a time, so the hint a reject carries
+    must be of the order of the drain that follows it."""
 
     def op(kind: str) -> Operation:
         return Operation(
             kind=kind, tenant_id="filler",
-            fn=lambda: threading.Event().wait(0.1), footprint=None,
+            fn=lambda: threading.Event().wait(0.1),
         )
 
     async def main():
         service = ControlPlaneService(
-            service_pool(), workers=4, max_pending=4
+            service_pool(), max_pending=4
         )
         await service.start()
         try:
@@ -193,7 +190,7 @@ def test_retry_after_is_not_divided_by_idle_workers():
 def test_http_overload_returns_429_with_retry_after():
     async def main():
         service = ControlPlaneService(
-            service_pool(), workers=2, max_pending=2,
+            service_pool(), max_pending=2,
             host="127.0.0.1", port=0,
         )
         await service.start()

@@ -99,7 +99,6 @@ def test_serve_drive_restart_state_survives(tmp_path):
 
         status, _, body = _call(port, "GET", "/v1/status")
         assert status == 200
-        assert body["service"]["workers"] >= 1
         entries_before = sum(
             sw["flow_entries"] for sw in body["switches"].values()
         )

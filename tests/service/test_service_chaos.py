@@ -52,7 +52,7 @@ def _minus_deployments(states: dict) -> dict:
 
 async def _boot(state_dir) -> ControlPlaneService:
     service = ControlPlaneService(
-        service_pool(), workers=2, state_dir=str(state_dir),
+        service_pool(), state_dir=str(state_dir),
         snapshot_every=1,
     )
     await service.start()

@@ -55,7 +55,7 @@ def pool():
 
 @pytest.fixture()
 def service(pool):
-    svc = TestbedService(pool, max_workers=3)
+    svc = TestbedService(pool)
     yield svc
     svc.shutdown()
 

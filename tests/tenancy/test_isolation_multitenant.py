@@ -47,7 +47,7 @@ def _fresh_service() -> TestbedService:
         SPEC,
         spare_hosts=8,
     )
-    svc = TestbedService(pool, max_workers=3)
+    svc = TestbedService(pool)
     for tenant, quota in QUOTAS.items():
         svc.open_session(tenant, quota)
     return svc

@@ -26,7 +26,6 @@ def _scenario() -> Scenario:
         "switches": 3,
         "spec": {"num_ports": 256, "flow_table_capacity": 4096},
         "spare_hosts": 4,
-        "max_workers": 2,
         "tenants": [
             {"id": "alice",
              "quota": {"host_ports": 8, "tcam_share": 1000},
@@ -58,7 +57,7 @@ def test_abort_carries_the_partial_run(bob_deploy_blows_up):
     scenario = _scenario()
 
     async def main() -> dict:
-        service = ControlPlaneService(scenario.pool(), workers=2)
+        service = ControlPlaneService(scenario.pool())
         await service.start()
         try:
             return await serve_scenario(service, scenario)
@@ -87,7 +86,6 @@ def test_cli_flushes_report_and_exits_2(
         "switches": 3,
         "spec": {"num_ports": 256, "flow_table_capacity": 4096},
         "spare_hosts": 4,
-        "max_workers": 2,
         "tenants": [
             {"id": "alice",
              "quota": {"host_ports": 8, "tcam_share": 1000},

@@ -1,5 +1,5 @@
-"""Scheduler: FIFO per tenant, fair share across tenants, conflict
-serialization by switch footprint.
+"""Scheduler: FIFO per tenant, fair share across tenants, one
+operation at a time.
 
 Every test runs twice: against the :class:`Scheduler` itself and
 through the asyncio front the long-running service submits with
@@ -18,12 +18,9 @@ from repro.service.asyncsched import AsyncScheduler
 from repro.tenancy import Operation, Scheduler
 from repro.util.errors import ConfigurationError
 
-POOL = ["p0", "p1", "p2"]
-
-
 class _Direct:
-    def __init__(self, max_workers):
-        self.core = Scheduler(POOL, max_workers=max_workers)
+    def __init__(self):
+        self.core = Scheduler()
         self.submit = self.core.submit
         self.drain = self.core.drain
         self.shutdown = self.close = self.core.shutdown
@@ -34,8 +31,8 @@ class _ThroughLoop:
     returns once the loop has admitted the operation, with a
     ``concurrent.futures`` future for its result."""
 
-    def __init__(self, max_workers):
-        self.front = AsyncScheduler(Scheduler(POOL, max_workers=max_workers))
+    def __init__(self):
+        self.front = AsyncScheduler(Scheduler())
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(target=self.loop.run_forever)
         self.thread.start()
@@ -69,8 +66,8 @@ class _ThroughLoop:
 def make_sched(request):
     made = []
 
-    def make(max_workers):
-        made.append(request.param(max_workers))
+    def make():
+        made.append(request.param())
         return made[-1]
 
     yield make
@@ -78,83 +75,46 @@ def make_sched(request):
         sched.close()
 
 
-def _op(tenant, record, *, footprint, kind="deploy", block=None, tag=None):
+def _op(tenant, record, *, kind="deploy", block=None, tag=None):
     def fn():
         if block is not None:
             block.wait(5)
         record.append(tag if tag is not None else tenant)
         return tag
 
-    return Operation(
-        kind=kind,
-        tenant_id=tenant,
-        fn=fn,
-        footprint=None if footprint is None else frozenset(footprint),
-    )
+    return Operation(kind=kind, tenant_id=tenant, fn=fn)
 
 
 def test_single_worker_runs_in_submission_order(make_sched):
-    sched = make_sched(1)
+    sched = make_sched()
     record = []
-    futures = [
-        sched.submit(_op("a", record, footprint=["p0"], tag=i))
-        for i in range(5)
-    ]
+    futures = [sched.submit(_op("a", record, tag=i)) for i in range(5)]
     assert sched.drain(5)
     assert record == [0, 1, 2, 3, 4]
     assert [f.result() for f in futures] == [0, 1, 2, 3, 4]
 
 
 def test_fifo_per_tenant_despite_concurrency(make_sched):
-    """One tenant's ops never reorder even with spare workers, because
-    they share a footprint."""
-    sched = make_sched(3)
+    """One tenant's ops run in the order it submitted them."""
+    sched = make_sched()
     record = []
     for i in range(6):
-        sched.submit(_op("a", record, footprint=["p0"], tag=i))
+        sched.submit(_op("a", record, tag=i))
     assert sched.drain(5)
     assert record == [0, 1, 2, 3, 4, 5]
 
 
-def test_disjoint_footprints_overlap(make_sched):
-    """Two tenants on disjoint switches genuinely run concurrently."""
-    sched = make_sched(2)
-    record = []
-    gate = threading.Event()
-    both_running = threading.Event()
-    running = []
-
-    def make(tenant, switches):
-        def fn():
-            running.append(tenant)
-            if len(running) == 2:
-                both_running.set()
-            gate.wait(5)
-            record.append(tenant)
-
-        return Operation(
-            kind="deploy", tenant_id=tenant, fn=fn,
-            footprint=frozenset(switches),
-        )
-
-    sched.submit(make("a", ["p0"]))
-    sched.submit(make("b", ["p1"]))
-    assert both_running.wait(5), "disjoint ops did not overlap"
-    gate.set()
-    assert sched.drain(5)
-
-
 def test_whole_pool_op_serializes_everything(make_sched):
-    """A None-footprint op waits for all running work and blocks all
-    queued work while it runs."""
-    sched = make_sched(3)
+    """An op waits for the running one, and blocks all queued work
+    while it runs."""
+    sched = make_sched()
     record = []
     gate = threading.Event()
-    sched.submit(_op("a", record, footprint=["p0"], block=gate, tag="a1"))
-    sched.submit(_op("b", record, footprint=None, tag="b-pool"))
-    sched.submit(_op("c", record, footprint=["p2"], tag="c1"))
+    sched.submit(_op("a", record, block=gate, tag="a1"))
+    sched.submit(_op("b", record, tag="b-pool"))
+    sched.submit(_op("c", record, tag="c1"))
     time.sleep(0.05)
-    # only a1 can be running; b needs the pool, c must not overtake b
+    # only a1 can be running; c must not overtake b
     assert record == []
     gate.set()
     assert sched.drain(5)
@@ -164,13 +124,13 @@ def test_whole_pool_op_serializes_everything(make_sched):
 def test_round_robin_is_fair_across_tenants(make_sched):
     """A tenant queueing many ops cannot starve one queueing a single
     op: with one worker, dispatch alternates tenants."""
-    sched = make_sched(1)
+    sched = make_sched()
     record = []
     gate = threading.Event()
-    sched.submit(_op("hog", record, footprint=["p0"], block=gate, tag="h0"))
+    sched.submit(_op("hog", record, block=gate, tag="h0"))
     for i in range(1, 4):
-        sched.submit(_op("hog", record, footprint=["p0"], tag=f"h{i}"))
-    sched.submit(_op("meek", record, footprint=["p1"], tag="m0"))
+        sched.submit(_op("hog", record, tag=f"h{i}"))
+    sched.submit(_op("meek", record, tag="m0"))
     gate.set()
     assert sched.drain(5)
     # meek's single op ran before the hog's queue drained
@@ -178,17 +138,17 @@ def test_round_robin_is_fair_across_tenants(make_sched):
 
 
 def test_round_robin_order_is_exact(make_sched):
-    """Whole-pool ops run one at a time, and the order is the
+    """Ops run one at a time, and the order is the
     fair-share walk over the tenants' queue heads — the order the
     churn equivalence property builds on."""
-    sched = make_sched(4)
+    sched = make_sched()
     record = []
     gate = threading.Event()
     for tenant, tag in [
         ("a", "a0"), ("a", "a1"), ("a", "a2"), ("b", "b0"), ("c", "c0"),
         ("b", "b1"),
     ]:
-        sched.submit(_op(tenant, record, footprint=None, block=gate, tag=tag))
+        sched.submit(_op(tenant, record, block=gate, tag=tag))
     gate.set()
     assert sched.drain(5)
     # the cursor wrapped to "a" while it was the only tenant known
@@ -196,26 +156,24 @@ def test_round_robin_order_is_exact(make_sched):
 
 
 def test_fifo_per_tenant_across_disjoint_tenants(make_sched):
-    """Disjoint footprints may interleave across tenants, but each
-    tenant's own queue stays FIFO."""
-    sched = make_sched(4)
+    """Tenants interleave, but each tenant's own queue stays FIFO."""
+    sched = make_sched()
     seen = {"a": [], "b": []}
     for i in range(6):
-        for tenant, switch in (("a", "p0"), ("b", "p1")):
-            sched.submit(_op(tenant, seen[tenant], footprint=[switch], tag=i))
+        for tenant in ("a", "b"):
+            sched.submit(_op(tenant, seen[tenant], tag=i))
     assert sched.drain(5)
     assert seen == {"a": list(range(6)), "b": list(range(6))}
 
 
 def test_blocked_head_is_not_overtaken_by_its_own_tail(make_sched):
-    sched = make_sched(4)
+    sched = make_sched()
     record = []
     gate = threading.Event()
-    sched.submit(_op("a", record, footprint=["p0"], block=gate, tag="a.slow"))
-    # b's head conflicts with the running op; b's second op does not —
-    # but only queue heads are candidates
-    sched.submit(_op("b", record, footprint=["p0"], tag="b.head"))
-    sched.submit(_op("b", record, footprint=["p2"], tag="b.tail"))
+    sched.submit(_op("a", record, block=gate, tag="a.slow"))
+    # only queue heads are candidates: b's tail waits for b's head
+    sched.submit(_op("b", record, tag="b.head"))
+    sched.submit(_op("b", record, tag="b.tail"))
     time.sleep(0.05)
     assert record == []  # everything parked behind the slow op
     gate.set()
@@ -223,27 +181,55 @@ def test_blocked_head_is_not_overtaken_by_its_own_tail(make_sched):
     assert record == ["a.slow", "b.head", "b.tail"]
 
 
+def test_no_two_bodies_overlap(make_sched):
+    """Whatever their kinds and tenants, operation bodies never run at
+    the same time: the control program is serial."""
+    sched = make_sched()
+    lock = threading.Lock()
+    running = [0]
+    peak = [0]
+    ran = []
+
+    def body(tag):
+        def fn():
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.005)
+            with lock:
+                running[0] -= 1
+            ran.append(tag)
+
+        return fn
+
+    kinds = ("deploy", "reconfigure", "undeploy", "evict", "close")
+    tenants = ("a", "b", "c")
+    for i in range(15):
+        sched.submit(Operation(
+            kind=kinds[i % len(kinds)], tenant_id=tenants[i % len(tenants)],
+            fn=body(i),
+        ))
+    assert sched.drain(5)
+    assert sorted(ran) == list(range(15))
+    assert peak[0] == 1
+
+
 def test_exception_delivered_via_future(make_sched):
-    sched = make_sched(1)
+    sched = make_sched()
 
     def boom():
         raise ValueError("nope")
 
-    f = sched.submit(
-        Operation(
-            kind="deploy", tenant_id="a", fn=boom, footprint=frozenset(["p0"])
-        )
-    )
+    f = sched.submit(Operation(kind="deploy", tenant_id="a", fn=boom))
     with pytest.raises(ValueError, match="nope"):
         f.result(5)
     assert sched.drain(5)  # a failed op must not wedge the queue
 
 
 def test_shutdown_refuses_new_work(make_sched):
-    sched = make_sched(1)
+    sched = make_sched()
     sched.shutdown()
     with pytest.raises(ConfigurationError, match="shut down"):
         sched.submit(
-            Operation(kind="deploy", tenant_id="a", fn=lambda: None,
-                      footprint=None)
+            Operation(kind="deploy", tenant_id="a", fn=lambda: None)
         )

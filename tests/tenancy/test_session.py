@@ -45,6 +45,11 @@ def test_quota_from_dict_rejects_malformed_input(data):
         TenantQuota.from_dict(data)
 
 
+def test_quota_from_dict_refuses_an_unknown_key():
+    with pytest.raises(ConfigurationError, match="unknown quota keys.*tcam"):
+        TenantQuota.from_dict({"host_ports": 4, "tcam_share": 100, "tcam": 9})
+
+
 def test_scenario_file_with_a_malformed_quota_is_a_configuration_error(
     tmp_path,
 ):

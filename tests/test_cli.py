@@ -136,7 +136,6 @@ def scenario_file(tmp_path):
         "switches": 3,
         "spec": {"num_ports": 256, "flow_table_capacity": 4096},
         "spare_hosts": 4,
-        "max_workers": 2,
         "tenants": [
             {"id": "alice",
              "quota": {"host_ports": 24, "tcam_share": 2500},
