@@ -32,7 +32,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core import SDTController, TopologyConfig, build_cluster_for
+from repro.core import Deployment, SDTController, TopologyConfig, build_cluster_for
+from repro.core.projection import inter_switch_link_demand
 from repro.hardware import EVAL_256x10G, SCALE_2048x10G, SwitchSpec
 from repro.telemetry import metrics
 from repro.topology import dragonfly, fat_tree, torus2d
@@ -48,6 +49,23 @@ SCHEMA_VERSION = 2
 def _counter(name: str, **labels: str) -> float:
     inst = metrics.registry().get(name)
     return inst.value(**labels) if inst is not None else 0.0
+
+
+def _placement(controller: SDTController, deployment: Deployment) -> dict:
+    """Where a cold deploy put things, as exact counts: logical switch
+    links cut between physical switches (the performance ledger's
+    ``partition.cut_links``) and each physical switch's installed
+    entries. Any drift in the partition moves one of them."""
+    demand = inter_switch_link_demand(
+        deployment.topology, deployment.projection.partition
+    )
+    cluster = controller.cluster
+    return {
+        "cut_links": sum(demand.values()),
+        "installed_entries": [
+            cluster.switches[n].num_entries for n in cluster.switch_names
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +133,7 @@ def run_scenario(scenario: Scenario) -> dict:
     cold_s = time.perf_counter() - t0
     # counted now: reconfigure edits this deployment in place
     rules_installed_cold = deployment.rules.count()
+    placement = _placement(controller, deployment)
     before_reconf = snap()
 
     t0 = time.perf_counter()
@@ -142,6 +161,7 @@ def run_scenario(scenario: Scenario) -> dict:
         "edit": {"removed_links": [list(edit_key)], "added_links": []},
         "mode": "incremental" if reconf_d["incremental"] else "cold",
         "rules_installed_cold": rules_installed_cold,
+        **placement,
         "rules_synthesized_cold": deploy_d["synthesized"],
         "rules_synthesized_incremental": reconf_d["synthesized"],
         "rules_pushed": reconf_d["pushed"],
@@ -208,6 +228,7 @@ def run_scale_suite(quick: bool) -> dict:
             "phys_switches": num_switches,
             "spec": spec.model,
             "rules_installed": rules_installed,
+            **_placement(controller, deployment),
             "cold_deploy_s": cold_s,
             "rules_per_s": rules_installed / cold_s if cold_s > 0 else 0.0,
         })
@@ -878,6 +899,8 @@ SUITES: dict[str, Suite] = {
         case_fields={
             "mode": EQ,
             "rules_installed_cold": EQ,
+            "cut_links": EQ,
+            "installed_entries": EQ,
             "rules_synthesized_cold": EQ,
             "rules_synthesized_incremental": EQ,
             "rules_pushed": EQ,
@@ -899,6 +922,8 @@ SUITES: dict[str, Suite] = {
         key="k",
         case_fields={
             "rules_installed": EQ,
+            "cut_links": EQ,
+            "installed_entries": EQ,
             "cold_deploy_s": INFO,
             "rules_per_s": INFO,
         },

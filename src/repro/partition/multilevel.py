@@ -14,125 +14,157 @@ same classic multilevel scheme from scratch:
 
 k-way partitions are produced by recursive bisection, which is how the
 original METIS paper (Karypis & Kumar, 1998) bootstraps k-way too.
+
+Every step works on one plain representation, converted once from the
+caller's ``nx.Graph``: node weights (``dict[str, int]`` in node order)
+and a weighted adjacency (``dict[str, dict[str, int]]``). The neighbour
+order of that adjacency is the one ``nx.Graph.copy()`` produces — a
+node's earlier neighbours in node order, then its own later neighbours
+in their original order. The matching's tie-breaks and the coarse
+graph's edge order follow it, so it is part of the output; an induced
+sub-graph in that order keeps it, so one conversion serves the whole
+recursion. Coarse node names are ``f"{u}+{v}"``: the refinement breaks
+gain ties by name, so the names are part of the output too.
+
+The refinement keeps each node's gain and its count of external
+neighbours up to date move by move, and picks among a boundary set. No
+result depends on that set's order: every pick breaks ties by the
+smallest node name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.partition.objective import Partition
 from repro.util.errors import PartitionError
 from repro.util.rng import make_rng
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 #: allowed relative node-weight overshoot per side at each bisection
 BALANCE_TOLERANCE = 0.15
 
-
-@dataclass
-class _Level:
-    """One coarsening level: graph plus the fine->coarse node map."""
-
-    graph: nx.Graph
-    fine_to_coarse: dict[str, str]
+#: node -> weight, in node order
+Weights = dict[str, int]
+#: node -> {neighbour -> edge weight}; a self-loop is the node itself
+Adjacency = dict[str, dict[str, int]]
 
 
-def _node_weight(g: nx.Graph, n: str) -> int:
-    return g.nodes[n].get("weight", 1)
+def _num_edges(adj: Adjacency) -> int:
+    ends = loops = 0
+    for u, nbrs in adj.items():
+        ends += len(nbrs)
+        loops += u in nbrs
+    return (ends + loops) // 2
 
 
-def _edge_weight(g: nx.Graph, u: str, v: str) -> int:
-    return g.edges[u, v].get("weight", 1)
-
-
-def _coarsen_once(g: nx.Graph, rng) -> _Level | None:
-    """One round of heavy-edge matching; None when no progress is made."""
-    nodes = list(g.nodes)
+def _coarsen_once(
+    nw: Weights, adj: Adjacency, rng
+) -> tuple[Weights, Adjacency, dict[str, str]] | None:
+    """One round of heavy-edge matching: the coarse graph and the
+    fine->coarse node map, or None when nothing matches."""
+    nodes = list(nw)
     rng.shuffle(nodes)
-    matched: set[str] = set()
     mate: dict[str, str] = {}
     for u in nodes:
-        if u in matched:
+        if u in mate:
             continue
-        candidates = [v for v in g.neighbors(u) if v not in matched]
-        if not candidates:
-            continue
-        # heavy-edge: pick the neighbor with the largest edge weight,
-        # breaking ties toward lighter nodes to keep weights balanced
-        v = max(
-            candidates,
-            key=lambda c: (_edge_weight(g, u, c), -_node_weight(g, c)),
-        )
-        matched.update((u, v))
-        mate[u] = v
-        mate[v] = u
+        # heavy-edge: pick the neighbour with the largest edge weight,
+        # breaking ties toward lighter nodes to keep weights balanced,
+        # then toward the first in neighbour order
+        best = None
+        best_w = best_nw = 0
+        for v, w in adj[u].items():
+            if v in mate:
+                continue
+            if best is None or w > best_w or (w == best_w and nw[v] < best_nw):
+                best, best_w, best_nw = v, w, nw[v]
+        if best is not None:
+            mate[u] = best
+            mate[best] = u
     if not mate:
         return None
 
-    coarse = nx.Graph()
+    coarse_nw: Weights = {}
     fine_to_coarse: dict[str, str] = {}
-    for u in g.nodes:
+    for u in nw:
         if u in fine_to_coarse:
             continue
-        if u in mate:
-            v = mate[u]
-            cname = f"{u}+{v}"
-            fine_to_coarse[u] = cname
-            fine_to_coarse[v] = cname
-            coarse.add_node(cname, weight=_node_weight(g, u) + _node_weight(g, v))
-        else:
+        v = mate.get(u)
+        if v is None:
             fine_to_coarse[u] = u
-            coarse.add_node(u, weight=_node_weight(g, u))
-    for u, v, data in g.edges(data=True):
-        cu, cv = fine_to_coarse[u], fine_to_coarse[v]
-        if cu == cv:
-            continue
-        w = data.get("weight", 1)
-        if coarse.has_edge(cu, cv):
-            coarse.edges[cu, cv]["weight"] += w
+            coarse_nw[u] = nw[u]
         else:
-            coarse.add_edge(cu, cv, weight=w)
-    return _Level(graph=coarse, fine_to_coarse=fine_to_coarse)
+            cname = f"{u}+{v}"
+            fine_to_coarse[u] = fine_to_coarse[v] = cname
+            coarse_nw[cname] = nw[u] + nw[v]
+    # each fine edge once, in ``nx.Graph.edges()`` order (from its
+    # endpoint first in node order), merged into the coarse adjacency
+    coarse_adj: Adjacency = {c: {} for c in coarse_nw}
+    done: set[str] = set()
+    for u, nbrs in adj.items():
+        cu = fine_to_coarse[u]
+        coarse_nbrs = coarse_adj[cu]
+        for v, w in nbrs.items():
+            if v in done:
+                continue
+            cv = fine_to_coarse[v]
+            if cu == cv:
+                continue
+            if cv in coarse_nbrs:
+                coarse_nbrs[cv] += w
+                coarse_adj[cv][cu] += w
+            else:
+                coarse_nbrs[cv] = w
+                coarse_adj[cv][cu] = w
+        done.add(u)
+    return coarse_nw, coarse_adj, fine_to_coarse
 
 
-def _greedy_bisect(g: nx.Graph, rng) -> dict[str, int]:
+def _greedy_bisect(nw: Weights, adj: Adjacency, rng) -> dict[str, int]:
     """Greedy graph-growing bisection of the coarsest graph.
 
     Grows part 0 from a random seed following max-gain frontier nodes
-    until it holds half the total node weight.
+    (ties to the smallest name) until it holds half the total node
+    weight. A node's gain — edge weight into part 0 minus edge weight
+    out, the classic GGGP score — rises by ``2w`` per edge as its
+    neighbours join.
     """
-    total = sum(_node_weight(g, n) for n in g.nodes)
-    target = total / 2.0
-    nodes = list(g.nodes)
+    nodes = list(nw)
     if len(nodes) == 1:
         return {nodes[0]: 0}
+    target = sum(nw.values()) / 2.0
     seed = nodes[int(rng.integers(0, len(nodes)))]
+    gain = {n: -sum(nbrs.values()) for n, nbrs in adj.items()}
+    for v, w in adj[seed].items():
+        gain[v] += 2 * w
     in_zero = {seed}
-    weight = _node_weight(g, seed)
-    frontier = set(g.neighbors(seed))
+    weight = nw[seed]
+    frontier = set(adj[seed])
     while weight < target and len(in_zero) < len(nodes) - 1:
         if not frontier:
             # disconnected remainder: pull in an arbitrary outside node
             outside = [n for n in nodes if n not in in_zero]
             frontier = {outside[int(rng.integers(0, len(outside)))]}
-        # gain = edges into part 0 minus edges out (classic GGGP)
-        def gain(n: str) -> int:
-            s = 0
-            for v in g.neighbors(n):
-                s += _edge_weight(g, n, v) if v in in_zero else -_edge_weight(g, n, v)
-            return s
-
-        pick = max(sorted(frontier), key=gain)
+        pick = min(frontier, key=lambda n: (-gain[n], n))
         frontier.discard(pick)
-        in_zero.add(pick)
-        weight += _node_weight(g, pick)
-        frontier.update(v for v in g.neighbors(pick) if v not in in_zero)
+        weight += nw[pick]
+        # only a seed with a self-loop (its own neighbour) is picked
+        # while already in part 0: its weight counts twice, its edges once
+        if pick not in in_zero:
+            in_zero.add(pick)
+            for v, w in adj[pick].items():
+                gain[v] += 2 * w
+                if v not in in_zero:
+                    frontier.add(v)
     return {n: (0 if n in in_zero else 1) for n in nodes}
 
 
 def _kl_refine(
-    g: nx.Graph,
+    nw: Weights,
+    adj: Adjacency,
     assign: dict[str, int],
     *,
     max_passes: int = 8,
@@ -143,73 +175,92 @@ def _kl_refine(
     weights within :data:`BALANCE_TOLERANCE` of perfect balance, accepting
     a pass only if it improved the cut (with the usual KL hill-climb of
     tentative sequences and rollback to the best prefix).
+
+    A pass computes every node's gain (external minus internal edge
+    weight; a self-loop counts as internal) and its count of external
+    neighbours once. A move then touches only the moved node's
+    neighbours: one left behind gains ``2w``, one on the destination
+    side loses ``2w``, and the boundary set — unmoved nodes with at
+    least one external neighbour — gains or loses them as their count
+    crosses zero. Each step picks, among boundary nodes that fit the
+    balance bound, the highest gain, ties going to the smallest name,
+    so the pick never depends on the set's order.
     """
     assign = dict(assign)
-    # hoist the graph into plain dicts: the refinement loop reads node
-    # weights and weighted adjacency thousands of times per pass, and
-    # networkx attribute-dict access dominated its runtime
-    nodes = list(g.nodes)
-    nw = {n: g.nodes[n].get("weight", 1) for n in nodes}
-    adj: dict[str, list[tuple[str, int]]] = {
-        n: [(v, d.get("weight", 1)) for v, d in g.adj[n].items()]
-        for n in nodes
-    }
     total = sum(nw.values())
     max_side = total / 2.0 * (1.0 + BALANCE_TOLERANCE)
-
-    weights = {
-        0: sum(nw[n] for n, p in assign.items() if p == 0),
-        1: sum(nw[n] for n, p in assign.items() if p == 1),
-    }
-    hopeless_tail = 2 * len(nodes) ** 0.5 + 16
+    weights = [
+        sum(nw[n] for n, p in assign.items() if p == 0),
+        sum(nw[n] for n, p in assign.items() if p == 1),
+    ]
+    hopeless_tail = 2 * len(nw) ** 0.5 + 16
 
     for _ in range(max_passes):
-        moved: set[str] = set()
-        sequence: list[tuple[str, int]] = []  # (node, gain)
-        cumulative: list[int] = []
         work = dict(assign)
-        wts = dict(weights)
-
-        def gain_of(n: str) -> int:
+        wts = list(weights)
+        gain: dict[str, int] = {}
+        external: dict[str, int] = {}
+        boundary: set[str] = set()
+        for n, nbrs in adj.items():
             here = work[n]
-            g_in = g_out = 0
-            for v, w in adj[n]:
+            g = ext = 0
+            for v, w in nbrs.items():
                 if work[v] == here:
-                    g_in += w
+                    g -= w
                 else:
-                    g_out += w
-            return g_out - g_in
+                    g += w
+                    ext += 1
+            gain[n] = g
+            external[n] = ext
+            if ext:
+                boundary.add(n)
 
-        for _step in range(len(nodes)):
-            feasible = []
-            for n in nodes:
-                if n in moved:
+        moved: set[str] = set()
+        sequence: list[str] = []
+        cumulative: list[int] = []
+        running = 0
+        for _step in range(len(nw)):
+            best = None
+            best_gain = 0
+            for n in boundary:
+                if wts[1 - work[n]] + nw[n] > max_side:
                     continue
-                here = work[n]
-                if all(work[v] == here for v, _w in adj[n]):
-                    continue  # interior node, not on the boundary
-                if wts[1 - here] + nw[n] <= max_side:
-                    feasible.append(n)
-            if not feasible:
+                g = gain[n]
+                if best is None or g > best_gain or (g == best_gain and n < best):
+                    best, best_gain = n, g
+            if best is None:
                 break
-            best = max(sorted(feasible), key=gain_of)
-            gain = gain_of(best)
             side = work[best]
             work[best] = 1 - side
             wts[side] -= nw[best]
             wts[1 - side] += nw[best]
+            boundary.discard(best)
             moved.add(best)
-            sequence.append((best, gain))
-            cumulative.append((cumulative[-1] if cumulative else 0) + gain)
-            if len(sequence) > hopeless_tail and cumulative[-1] < 0:
+            for v, w in adj[best].items():
+                if v == best:
+                    continue
+                if work[v] == side:  # left behind: the edge is now cut
+                    gain[v] += 2 * w
+                    external[v] += 1
+                    if external[v] == 1 and v not in moved:
+                        boundary.add(v)
+                else:  # on the destination side: the edge is now internal
+                    gain[v] -= 2 * w
+                    external[v] -= 1
+                    if not external[v]:
+                        boundary.discard(v)
+            sequence.append(best)
+            running += best_gain
+            cumulative.append(running)
+            if len(sequence) > hopeless_tail and running < 0:
                 break  # hopeless tail; stop early
 
         if not sequence:
             break
-        best_prefix = max(range(len(cumulative)), key=lambda i: cumulative[i])
+        best_prefix = max(range(len(cumulative)), key=cumulative.__getitem__)
         if cumulative[best_prefix] <= 0:
             break
-        for node, _gain in sequence[: best_prefix + 1]:
+        for node in sequence[: best_prefix + 1]:
             side = assign[node]
             assign[node] = 1 - side
             weights[side] -= nw[node]
@@ -217,48 +268,72 @@ def _kl_refine(
     return assign
 
 
-def _bisect(g: nx.Graph, seed: int) -> dict[str, int]:
-    """Full multilevel bisection of ``g``."""
-    rng = make_rng(seed, "multilevel", g.number_of_nodes(), g.number_of_edges())
-    if g.number_of_nodes() <= 1:
-        return {n: 0 for n in g.nodes}
+def _bisect(nw: Weights, adj: Adjacency, seed: int) -> dict[str, int]:
+    """Full multilevel bisection."""
+    rng = make_rng(seed, "multilevel", len(nw), _num_edges(adj))
+    if len(nw) <= 1:
+        return {n: 0 for n in nw}
 
-    levels: list[_Level] = []
-    current = g
-    while current.number_of_nodes() > 24:
-        lvl = _coarsen_once(current, rng)
-        if lvl is None or lvl.graph.number_of_nodes() >= current.number_of_nodes():
+    # (fine weights, fine adjacency, fine->coarse) per coarsening level
+    levels: list[tuple[Weights, Adjacency, dict[str, str]]] = []
+    cur_nw, cur_adj = nw, adj
+    while len(cur_nw) > 24:
+        coarse = _coarsen_once(cur_nw, cur_adj, rng)
+        if coarse is None or len(coarse[0]) >= len(cur_nw):
             break
-        levels.append(lvl)
-        current = lvl.graph
+        levels.append((cur_nw, cur_adj, coarse[2]))
+        cur_nw, cur_adj = coarse[0], coarse[1]
 
-    assign = _greedy_bisect(current, rng)
-    assign = _kl_refine(current, assign)
-
-    for lvl in reversed(levels):
-        assign = {fine: assign[coarse] for fine, coarse in lvl.fine_to_coarse.items()}
-        fine_graph = (
-            levels[levels.index(lvl) - 1].graph if levels.index(lvl) > 0 else g
-        )
-        assign = _kl_refine(fine_graph, assign)
+    assign = _greedy_bisect(cur_nw, cur_adj, rng)
+    assign = _kl_refine(cur_nw, cur_adj, assign)
+    for fine_nw, fine_adj, fine_to_coarse in reversed(levels):
+        assign = {fine: assign[c] for fine, c in fine_to_coarse.items()}
+        assign = _kl_refine(fine_nw, fine_adj, assign)
     return assign
 
 
-def _induced(graph: nx.Graph, keep: list[str]) -> nx.Graph:
-    """The sub-graph of ``graph`` on ``keep``, in ``graph``'s own node
-    and edge order. (``graph.subgraph(keep).copy()`` iterates the *set*
-    of kept nodes whenever that is the smaller side, so its node order —
-    and every shuffle and tie-break downstream — would follow ``str``
-    hashing and differ from process to process.)"""
+def _induced(nw: Weights, adj: Adjacency, keep: list[str]) -> tuple[Weights, Adjacency]:
+    """The sub-graph on ``keep``, in the parent's node and neighbour
+    order (never the order of a set of names, which follows ``str``
+    hashing and would differ from process to process)."""
     kept = set(keep)
-    sub = nx.Graph()
-    sub.add_nodes_from((n, graph.nodes[n]) for n in graph.nodes if n in kept)
-    sub.add_edges_from(
-        (u, v, d)
-        for u, v, d in graph.edges(data=True)
-        if u in kept and v in kept
-    )
-    return sub
+    sub_nw = {n: w for n, w in nw.items() if n in kept}
+    sub_adj = {
+        n: {v: w for v, w in adj[n].items() if v in kept} for n in sub_nw
+    }
+    return sub_nw, sub_adj
+
+
+def _split(nw: Weights, adj: Adjacency, num_parts: int, seed: int) -> dict[str, int]:
+    """Recursive bisection of one (sub-)graph into ``num_parts``."""
+    if not 0 < num_parts <= len(nw):
+        raise PartitionError(f"cannot split {len(nw)} nodes into {num_parts} parts")
+    if num_parts == 1:
+        return {u: 0 for u in nw}
+
+    # split part counts as evenly as possible; the extra part of an odd
+    # count goes to the side the bisection made larger
+    left_parts = num_parts // 2
+    right_parts = num_parts - left_parts
+    assign2 = _bisect(nw, adj, seed)
+    side_nodes = [
+        [u for u, p in assign2.items() if p == 0],
+        [u for u, p in assign2.items() if p == 1],
+    ]
+    if right_parts > left_parts and len(side_nodes[1]) < len(side_nodes[0]):
+        side_nodes.reverse()
+    if len(side_nodes[0]) < left_parts or len(side_nodes[1]) < right_parts:
+        # a side holds fewer nodes than its share: give it at most one
+        # part per node
+        left_parts = min(len(side_nodes[0]), num_parts - 1)
+        right_parts = num_parts - left_parts
+
+    result: dict[str, int] = {}
+    for side, parts, offset in ((0, left_parts, 0), (1, right_parts, left_parts)):
+        sub_nw, sub_adj = _induced(nw, adj, side_nodes[side])
+        for u, p in _split(sub_nw, sub_adj, parts, seed + 1 + side).items():
+            result[u] = offset + p
+    return result
 
 
 def multilevel_partition(
@@ -273,47 +348,31 @@ def multilevel_partition(
     ----------
     graph:
         Undirected graph; optional integer ``weight`` attributes on
-        nodes and edges are honored.
+        nodes and edges are honored (default 1).
     num_parts:
         Number of parts (physical switches); must be >= 1 and <= |V|.
+        When a bisection leaves a side fewer nodes than its share of
+        parts, that side gets one part per node and the other side the
+        rest.
     seed:
         Seed for the randomized matching/seeding steps; results are
         deterministic for a given seed and node/edge insertion order,
-        in every process (no step iterates a set of node names).
+        in every process: no result depends on the order of a set of
+        node names, because every pick from one breaks ties by name.
+
+    The graph is converted once into node weights and a weighted
+    adjacency in ``nx.Graph.copy()`` neighbour order (see the module
+    docstring); the result is validated against ``graph`` once.
     """
-    n = graph.number_of_nodes()
     if num_parts < 1:
         raise PartitionError(f"num_parts must be >= 1, got {num_parts}")
-    if num_parts > n:
-        raise PartitionError(f"cannot split {n} nodes into {num_parts} parts")
-    if num_parts == 1:
-        return Partition({u: 0 for u in graph.nodes}, 1)
-
-    # recursive bisection, splitting part counts as evenly as possible
-    left_parts = num_parts // 2
-    right_parts = num_parts - left_parts
-
-    assign2 = _bisect(graph.copy(), seed)
-    side_nodes = {
-        0: [u for u, p in assign2.items() if p == 0],
-        1: [u for u, p in assign2.items() if p == 1],
-    }
-    # make side 0 the larger side when parts are uneven
-    if left_parts > right_parts and len(side_nodes[0]) < len(side_nodes[1]):
-        side_nodes = {0: side_nodes[1], 1: side_nodes[0]}
-    if right_parts > left_parts and len(side_nodes[1]) < len(side_nodes[0]):
-        side_nodes = {0: side_nodes[1], 1: side_nodes[0]}
-
-    result: dict[str, int] = {}
-    for side, parts, offset in (
-        (0, left_parts, 0),
-        (1, right_parts, left_parts),
-    ):
-        sub = _induced(graph, side_nodes[side])
-        sub_partition = multilevel_partition(sub, parts, seed=seed + 1 + side)
-        for u, p in sub_partition.assignment.items():
-            result[u] = offset + p
-
-    partition = Partition(result, num_parts)
+    nw: Weights = dict(graph.nodes(data="weight", default=1))
+    # rebuilt from edges(), each from its endpoint first in node order:
+    # the neighbour order nx.Graph.copy() gives
+    adj: Adjacency = {u: {} for u in nw}
+    for u, v, w in graph.edges(data="weight", default=1):
+        adj[u][v] = w
+        adj[v][u] = w
+    partition = Partition(_split(nw, adj, num_parts, seed), num_parts)
     partition.validate(graph)
     return partition

@@ -30,10 +30,10 @@ def connected_graphs(draw):
     return g
 
 
-@given(connected_graphs(), st.integers(min_value=1, max_value=4))
+@given(connected_graphs(), st.data())
 @settings(max_examples=40, deadline=None)
-def test_multilevel_always_valid(g, k):
-    k = min(k, g.number_of_nodes())
+def test_multilevel_always_valid(g, data):
+    k = data.draw(st.integers(min_value=1, max_value=g.number_of_nodes()))
     p = multilevel_partition(g, k)
     p.validate(g)
     assert p.num_parts == k

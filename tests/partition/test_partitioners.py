@@ -12,7 +12,7 @@ from repro.partition import (
     quality,
     spectral_partition,
 )
-from repro.topology import dragonfly, fat_tree, torus2d
+from repro.topology import chain, dragonfly, fat_tree, torus2d
 from repro.util.errors import PartitionError
 
 METHODS = ["multilevel", "spectral", "greedy", "ncut"]
@@ -121,6 +121,20 @@ def test_multilevel_deterministic_per_seed():
     a = partition_topology(topo, 3, seed=5).assignment
     b = partition_topology(topo, 3, seed=5).assignment
     assert a == b
+
+
+def test_multilevel_splits_every_chain_into_every_feasible_part_count():
+    """A bisection balances node weight, not node count, so it can
+    leave a side fewer nodes than its share of parts (chain 7 into 7
+    parts once raised "cannot split 1 nodes into 2 parts"). That side
+    now gets one part per node and the other side the rest."""
+    for n in range(2, 30):
+        topo = chain(n)
+        graph = topo.switch_graph()
+        for k in range(1, n + 1):
+            p = partition_topology(topo, k)
+            p.validate(graph)
+            assert p.num_parts == k
 
 
 def test_multilevel_large_graph():
