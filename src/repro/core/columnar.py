@@ -6,12 +6,18 @@ destinations, VC and output-port vectors) instead of a list of FlowMod
 objects. Blocks are what the :class:`~repro.core.rules.RuleCache`
 stores and what rule synthesis passes around, so the hot
 reconfiguration path moves O(columns) of data per sub-switch. A block
-builds its rows in one place, and has two readings of them:
+builds its rows in one place — one row producer per table,
+:meth:`CompiledBlock.classify_rows` and :meth:`CompiledBlock.route_rows`
+— and has two readings of them:
 
-* :meth:`CompiledBlock.extend_rows` — where the rows are built, and the
-  install reading: flow entries with their hash-index keys, straight
-  from the columns. This is what a cold deploy pushes through the control
-  channel; no FlowMod exists.
+* :meth:`CompiledBlock.row_parts` — the install reading: per table, the
+  row count, the producer and the distinct instruction tuples the
+  switch validates. This is what a cold deploy pushes through the
+  control channel, and the flow tables hold it as *pending rows*: the
+  producer runs — flow entries with their hash-index keys, straight
+  from the columns — only when a lookup, snapshot or strict delete
+  needs the entries. No FlowMod exists, and a deploy nobody reads
+  builds no entry either.
 * :meth:`CompiledBlock.pairs` — the per-message reading: the same rows
   as FlowMods, the per-rule control messages, *materialized* only for
   consumers that need each message (journal, tracer, fault injection,
@@ -31,6 +37,8 @@ read row by row — no array arithmetic ever runs on them.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.openflow.actions import (
     ApplyActions,
     GotoTable,
@@ -41,9 +49,8 @@ from repro.openflow.actions import (
     WriteMetadata,
 )
 from repro.openflow.channel import FlowMod
-from repro.openflow.flowtable import FlowEntry
+from repro.openflow.flowtable import FlowEntry, IndexKey, RowBuilder
 from repro.openflow.match import Match
-from repro.openflow.switch import TableRows
 from repro.telemetry import metrics
 from repro.util.errors import ProjectionError
 
@@ -138,15 +145,16 @@ class CompiledBlock:
     sequence lazily and caches it on the block — blocks are shared
     across rule generations via the RuleCache, so each block's FlowMods
     are built at most once no matter how many deployments reuse it.
-    ``extend_rows()`` reads the same rows as installable flow entries
-    (fresh ones per call: an entry belongs to one table).
+    ``row_parts()`` reads the same rows as a bulk install, unbuilt; its
+    producers build fresh flow entries per call (an entry belongs to
+    one table).
     """
 
     __slots__ = (
         "phys_switch", "metadata_id", "cookie",
         "classify_switches", "classify_ports",
         "dsts", "in_vcs", "out_vcs", "out_ports",
-        "_pairs",
+        "_pairs", "_tag", "_actions",
     )
 
     def __init__(
@@ -171,6 +179,11 @@ class CompiledBlock:
         self.out_vcs = out_vcs
         self.out_ports = out_ports
         self._pairs: tuple[tuple[str, FlowMod], ...] | None = None
+        #: the classification rows' instructions, and the routing rows'
+        #: per distinct (in_vc, out_vc, out_port), in row order — built
+        #: on first use, like ``_pairs``
+        self._tag: tuple[Instruction, ...] | None = None
+        self._actions: dict[tuple[int, int, int], tuple[Instruction, ...]] | None = None
 
     @property
     def columns(self) -> Columns:
@@ -197,32 +210,66 @@ class CompiledBlock:
             )
         return counts
 
-    def extend_rows(
-        self, switch: str, classify: TableRows, route: TableRows
+    def _tag_instructions(self) -> tuple[Instruction, ...]:
+        if self._tag is None:
+            self._tag = (WriteMetadata(self.metadata_id), GotoTable(ROUTE_TABLE))
+        return self._tag
+
+    def _route_actions(self) -> dict[tuple[int, int, int], tuple[Instruction, ...]]:
+        if self._actions is None:
+            actions = dict.fromkeys(zip(self.in_vcs, self.out_vcs, self.out_ports))
+            for action in actions:
+                actions[action] = route_instructions(*action)
+            self._actions = actions
+        return self._actions
+
+    def row_parts(
+        self, switch: str
+    ) -> list[tuple[int, int, RowBuilder, list[tuple[Instruction, ...]]]]:
+        """This block's rows that land on ``switch``, unbuilt: per table
+        with rows there — classification, then routing — ``(table id,
+        rows, build, instructions)``. ``build(entries, keys)`` appends
+        the rows as flow entries with the ``(shape, key)`` the hash index
+        files them under; ``instructions`` lists each distinct
+        instruction tuple among them once. This is the one place a
+        block's rows are laid out; :meth:`pairs` reads its FlowMods off
+        it."""
+        parts = []
+        rows = self.classify_switches.count(switch)
+        if rows:
+            parts.append((
+                CLASSIFY_TABLE, rows, partial(self.classify_rows, switch),
+                [self._tag_instructions()],
+            ))
+        if switch == self.phys_switch and self.dsts:
+            parts.append((
+                ROUTE_TABLE, len(self.dsts), self.route_rows,
+                list(self._route_actions().values()),
+            ))
+        return parts
+
+    def classify_rows(
+        self, switch: str, entries: list[FlowEntry], keys: list[IndexKey]
     ) -> None:
-        """Append this block's rows that land on ``switch`` to the two
-        tables' bulk-install rows: flow entries with the ``(shape,
-        key)`` the hash index files them under and each distinct
-        instruction tuple listed once. No FlowMod is built. This is the
-        one place a block's rows are built; :meth:`pairs` reads its
-        FlowMods off it."""
+        """Table 0, port -> sub-switch classification: append the rows
+        on ``switch`` to ``entries`` and their index keys to ``keys``."""
+        instrs = self._tag_instructions()
+        cookie = self.cookie
+        for sw, port in zip(self.classify_switches, self.classify_ports):
+            if sw == switch:
+                entries.append(FlowEntry(
+                    PRIORITY_CLASSIFY, _classify_match(port), instrs, cookie
+                ))
+                keys.append((_SHAPE_CLASSIFY, (port,)))
+
+    def route_rows(self, entries: list[FlowEntry], keys: list[IndexKey]) -> None:
+        """Table 1, destination-based routing within the sub-switch (on
+        its own physical switch): append the rows to ``entries`` and
+        their index keys to ``keys``."""
         cookie = self.cookie
         metadata_id = self.metadata_id
-        # --- table 0: port -> sub-switch classification ---
-        if switch in self.classify_switches:
-            instrs = (WriteMetadata(metadata_id), GotoTable(ROUTE_TABLE))
-            classify.instructions.append(instrs)
-            for sw, port in zip(self.classify_switches, self.classify_ports):
-                if sw == switch:
-                    classify.entries.append(FlowEntry(
-                        PRIORITY_CLASSIFY, _classify_match(port), instrs, cookie
-                    ))
-                    classify.keys.append((_SHAPE_CLASSIFY, (port,)))
-        # --- table 1: destination-based routing within the sub-switch ---
-        if switch != self.phys_switch:
-            return
-        add_entry = route.entries.append
-        add_key = route.keys.append
+        add_entry = entries.append
+        add_key = keys.append
         # Match._make skips the keyword-argument constructor (~3x the
         # cost, once per rule): fields are in_port, metadata,
         # metadata_mask, dst, src, proto, src_port, dst_port, vc
@@ -230,13 +277,11 @@ class CompiledBlock:
         mask = _DEFAULT_MASK
         # the index keys metadata as Match.matches compares it: masked
         md_key = metadata_id & mask
-        distinct: dict[tuple[int, int, int], tuple[Instruction, ...]] = {}
+        actions = self._route_actions()
         for dst, action in zip(
             self.dsts, zip(self.in_vcs, self.out_vcs, self.out_ports)
         ):
-            instrs = distinct.get(action)
-            if instrs is None:
-                instrs = distinct[action] = route_instructions(*action)
+            instrs = actions[action]
             in_vc = action[0]
             if in_vc == NO_VC:
                 match = make_match(
@@ -250,12 +295,11 @@ class CompiledBlock:
                 )
                 add_entry(FlowEntry(PRIORITY_ROUTE_EXACT, match, instrs, cookie))
                 add_key((_SHAPE_ROUTE_EXACT, (md_key, dst, in_vc)))
-        route.instructions.extend(distinct.values())
 
     def pairs(self) -> tuple[tuple[str, FlowMod], ...]:
         """Materialize (physical switch, FlowMod) rows, cached: per
         switch, in :meth:`per_switch_counts` order, the rows
-        :meth:`extend_rows` builds for it, as control messages."""
+        :meth:`row_parts` lays out for it, as control messages."""
         if self._pairs is not None:
             return self._pairs
         metrics.registry().counter("sdt_rules_materialized_total").inc(
@@ -263,10 +307,9 @@ class CompiledBlock:
         )
         out: list[tuple[str, FlowMod]] = []
         for switch in self.per_switch_counts():
-            classify = TableRows(CLASSIFY_TABLE, [], [], [])
-            route = TableRows(ROUTE_TABLE, [], [], [])
-            self.extend_rows(switch, classify, route)
-            for table_id, entries, _keys, _instrs in (classify, route):
+            for table_id, _rows, build, _instrs in self.row_parts(switch):
+                entries: list[FlowEntry] = []
+                build(entries, [])
                 out.extend(
                     (switch, FlowMod(
                         table_id, e.priority, e.match, e.instructions, e.cookie

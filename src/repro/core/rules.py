@@ -50,7 +50,7 @@ from repro.core.projection.base import ProjectionResult
 from repro.openflow.actions import ApplyActions, Output, SetQueue, SetVC
 from repro.openflow.channel import FlowMod
 from repro.openflow.match import Match
-from repro.openflow.switch import FlowModRun, TableRows
+from repro.openflow.switch import FlowModRun, PendingRows
 from repro.routing.table import RouteTable
 from repro.telemetry import metrics
 from repro.util.errors import ProjectionError
@@ -165,12 +165,21 @@ class _SwitchRun(FlowModRun):
         # rule set's one cached materialization
         return iter(self._rules.mods[self._switch])
 
-    def table_rows(self) -> list[TableRows]:
-        classify = TableRows(CLASSIFY_TABLE, [], [], [])
-        route = TableRows(ROUTE_TABLE, [], [], [])
+    def pending_rows(self) -> list[PendingRows]:
+        # each block's row producers, in block order: what the switch's
+        # tables hold until a reader needs the entries
+        tables = {
+            CLASSIFY_TABLE: PendingRows(CLASSIFY_TABLE, [], []),
+            ROUTE_TABLE: PendingRows(ROUTE_TABLE, [], []),
+        }
         for block in self._rules.blocks:
-            block.extend_rows(self._switch, classify, route)
-        return [rows for rows in (classify, route) if rows.entries]
+            for table_id, rows, build, instructions in block.row_parts(
+                self._switch
+            ):
+                table = tables[table_id]
+                table.parts.append((rows, block.cookie, build))
+                table.instructions.extend(instructions)
+        return [table for table in tables.values() if table.parts]
 
 
 class RuleCache:

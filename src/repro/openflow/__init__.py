@@ -28,9 +28,9 @@ from repro.openflow.switch import (
     FlowModRun,
     ForwardDecision,
     OpenFlowSwitch,
+    PendingRows,
     PortStats,
     SwitchSnapshot,
-    TableRows,
 )
 from repro.openflow.transaction import ControlTransaction, RollbackReport
 
@@ -61,9 +61,9 @@ __all__ = [
     "FlowModRun",
     "ForwardDecision",
     "OpenFlowSwitch",
+    "PendingRows",
     "PortStats",
     "SwitchSnapshot",
-    "TableRows",
     "ControlTransaction",
     "RollbackReport",
 ]

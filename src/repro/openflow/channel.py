@@ -174,7 +174,7 @@ class ControlChannel:
             return {p: s for p, s in self.switch.port_stats.items()}
         raise TypeError(f"unknown control message {msg!r}")
 
-    def send_batch(self, mods: list[FlowMod] | FlowModRun) -> list:
+    def send_batch(self, mods: list[FlowMod] | FlowModRun) -> None:
         """Apply a run of FlowMods as one bulk install.
 
         Observable behavior is identical to ``for m in mods: send(m)``
@@ -206,10 +206,12 @@ class ControlChannel:
         """
         if self._fail_countdown is not None:
             # an armed fault keeps exact per-message semantics trivially
-            return [self.send(m) for m in mods]
+            for m in mods:
+                self.send(m)
+            return
         before = self.switch.num_entries
         try:
-            entries = self.switch.add_flow_batch(mods)
+            self.switch.add_flow_batch(mods)
         except Exception:
             # partial batch: add_flow_batch installed a prefix (possibly
             # empty) before raising. Count the applied mods plus the one
@@ -224,7 +226,6 @@ class ControlChannel:
             raise
         self.stats.flow_mods += len(mods)
         self.stats.modeled_time += self.flow_install_latency * len(mods)
-        return entries
 
     # --- transaction support ------------------------------------------
     def snapshot_rules(self) -> SwitchSnapshot:

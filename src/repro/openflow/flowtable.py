@@ -34,14 +34,30 @@ through the index too — the match's own ``(shape, key)`` names the one
 bucket, or the fallback list, that can hold them — so it costs
 O(bucket), not O(table).
 
+A bulk install is held as **pending rows** until something reads its
+entries (:meth:`FlowTable.add_pending`): per part, a row count, the
+cookie every row carries, a builder that appends the rows and their
+``(shape, key)`` when called, and the serials reserved for them on
+arrival. Pending serials are always newer than every stored serial —
+any write that would file an entry behind them builds them first — so
+building them appends to the store in arrival order and every reader
+sees exactly the entries, serials and order a row-by-row install
+leaves. ``len()``, :meth:`~FlowTable.cookie_counts`,
+:meth:`~FlowTable.clear` and a delete that filters on the cookie alone
+work on the parts as they are; every other reader (lookup, snapshot,
+iteration, a strict or match delete, ``count_strict``, a loose
+``add_batch``) builds them first.
+
 Every membership change also bumps the table's **mutation epoch**, a
 one-element list (``_epoch``) that anything memoising over
 :meth:`FlowTable.lookup` results compares against. Every write path
-ends in :meth:`~FlowTable.add_batch`, ``_unfile`` or
-:meth:`~FlowTable.clear`, so those three bump it and nothing else
-needs to. An :class:`~repro.openflow.switch.OpenFlowSwitch` makes its
-tables share one cell, so one comparison tells it whether *any* of
-them changed — however the change arrived.
+ends in :meth:`~FlowTable.add_batch`, :meth:`~FlowTable.add_pending`,
+``_drop_pending``, ``_unfile`` or :meth:`~FlowTable.clear`, so those
+bump it and nothing else needs to; building pending rows changes no
+membership and leaves it alone. An
+:class:`~repro.openflow.switch.OpenFlowSwitch` makes its tables share
+one cell, so one comparison tells it whether *any* of them changed —
+however the change arrived.
 """
 
 from __future__ import annotations
@@ -49,7 +65,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.openflow.actions import Instruction
 from repro.openflow.match import Match, PacketHeader
@@ -129,6 +145,11 @@ class FlowEntry:
 
 _priority = attrgetter("priority")
 
+#: a hash-index ``(shape, key)``, or ``None`` for the fallback scan
+IndexKey = tuple[tuple[str, ...], tuple] | None
+#: appends a part's rows to ``entries`` and their index keys to ``keys``
+RowBuilder = Callable[[list[FlowEntry], list[IndexKey]], None]
+
 
 @dataclass
 class FlowTable:
@@ -140,7 +161,8 @@ class FlowTable:
     reconfiguration's delta batch — in O(bucket): a delete's match
     files under exactly one ``(shape, key)``, so its victims can only
     sit in that bucket (or, for a partial metadata mask, in the
-    fallback list).
+    fallback list). Bulk installs wait, unbuilt, in ``_pending`` until
+    a reader needs their entries (see the module docstring).
     """
 
     table_id: int
@@ -156,6 +178,13 @@ class FlowTable:
     )
     #: entries only the fallback scan can serve (partial metadata mask)
     _wild: list[FlowEntry] = field(init=False, repr=False, default_factory=list)
+    #: rows installed but not built: ``(first serial, rows, cookie,
+    #: build)`` per part, in arrival order, every serial above the store's
+    _pending: list[tuple[int, int, int, RowBuilder]] = field(
+        init=False, repr=False, default_factory=list
+    )
+    #: rows across ``_pending``
+    _pending_rows: int = field(init=False, repr=False, default=0)
     #: next serial to stamp (monotonic for the table's lifetime)
     _next_seq: int = field(init=False, repr=False, default=0)
     #: mutation epoch cell: ``_epoch[0]`` grows on every membership
@@ -171,31 +200,59 @@ class FlowTable:
         overlapping entries, as commodity switches do)."""
         self.add_batch((entry,))
 
-    def add_batch(
-        self,
-        entries: Iterable[FlowEntry],
-        keys: Sequence[tuple[tuple[str, ...], tuple] | None] = (),
-    ) -> None:
+    def add_batch(self, entries: Iterable[FlowEntry]) -> None:
         """Insert entries in order; each is stamped with the next serial
-        and filed once in the store and once in the index.
-
-        ``keys[i]`` is the hash-index ``(shape, key)`` the ``i``-th
-        entry files under — what :func:`_shape_key` returns for its
-        match — for the leading ``len(keys)`` entries. A caller that
-        built the matches from columns knows it without inspecting them
-        (:meth:`OpenFlowSwitch.add_flow_batch` passes a rule set's);
-        entries beyond ``keys`` have theirs derived from the match."""
+        and filed once in the store and once in the index, under the
+        ``(shape, key)`` its match gives. Pending rows are built first:
+        they arrived earlier, so they keep the lower serials."""
         batch = list(entries)
         self._epoch[0] += 1
+        if self._pending:
+            self._materialize()
+        keys = [_shape_key(e.match) for e in batch]
+        self._next_seq = self._file(batch, keys, self._next_seq)
+
+    def add_pending(self, parts: Iterable[tuple[int, int, RowBuilder]]) -> None:
+        """Install ``(rows, cookie, build)`` parts in order without
+        building them: each reserves the next ``rows`` serials, and
+        ``build`` is called — with the lists to append its entries and
+        their index keys to — only when a reader needs the entries.
+        ``build`` must append exactly ``rows`` entries, each carrying
+        ``cookie``."""
+        self._epoch[0] += 1
+        nseq = self._next_seq
+        pending = self._pending
+        for rows, cookie, build in parts:
+            if rows:
+                pending.append((nseq, rows, cookie, build))
+                nseq += rows
+        self._pending_rows += nseq - self._next_seq
+        self._next_seq = nseq
+
+    def _materialize(self) -> None:
+        """Build every pending row into an entry filed under the serial
+        reserved for it. Members do not change, so the epoch stays."""
+        pending = self._pending
+        self._pending = []
+        self._pending_rows = 0
+        for serial, _rows, _cookie, build in pending:
+            entries: list[FlowEntry] = []
+            keys: list[IndexKey] = []
+            build(entries, keys)
+            self._file(entries, keys, serial)
+
+    def _file(
+        self, entries: list[FlowEntry], keys: Sequence[IndexKey], serial: int
+    ) -> int:
+        """Stamp ``entries`` with serials from ``serial`` on and file
+        each in the store and under its key; returns the next serial."""
         store = self._store
         shapes = self._shapes
         wild = self._wild
-        nseq = self._next_seq
-        derived = [_shape_key(e.match) for e in batch[len(keys):]]
-        for e, sk in zip(batch, [*keys, *derived]):
-            e.serial = nseq
-            store[nseq] = e
-            nseq += 1
+        for e, sk in zip(entries, keys):
+            e.serial = serial
+            store[serial] = e
+            serial += 1
             if sk is None:
                 wild.append(e)
                 continue
@@ -208,7 +265,7 @@ class FlowTable:
                 buckets[key] = [e]
             else:
                 bucket.append(e)
-        self._next_seq = nseq
+        return serial
 
     def remove(
         self,
@@ -218,7 +275,13 @@ class FlowTable:
         priority: int | None = None,
     ) -> int:
         """Remove entries by cookie / exact match / priority (``None``
-        fields are wildcards); returns count."""
+        fields are wildcards); returns count. A delete that filters on
+        the cookie alone drops matching pending parts unbuilt."""
+        dropped = 0
+        if match is None and priority is None:
+            dropped = self._drop_pending(cookie)
+        elif self._pending:
+            self._materialize()
         if match is not None and priority is not None:
             victims = self._strict_victims(match, priority, cookie)
         else:
@@ -231,13 +294,28 @@ class FlowTable:
             ]
         for e in victims:
             self._unfile(e)
-        return len(victims)
+        return dropped + len(victims)
+
+    def _drop_pending(self, cookie: int | None) -> int:
+        """Drop the pending parts carrying ``cookie`` (``None`` = all);
+        returns the rows dropped."""
+        kept = [
+            p for p in self._pending if cookie is not None and p[2] != cookie
+        ]
+        dropped = self._pending_rows - sum(p[1] for p in kept)
+        if dropped:
+            self._epoch[0] += 1
+            self._pending = kept
+            self._pending_rows -= dropped
+        return dropped
 
     def count_strict(
         self, *, match: Match, priority: int, cookie: int | None = None
     ) -> int:
         """How many entries a strict :meth:`remove` with these filters
         would take, found the same way, without removing them."""
+        if self._pending:
+            self._materialize()
         return len(self._strict_victims(match, priority, cookie))
 
     def _strict_victims(
@@ -282,12 +360,16 @@ class FlowTable:
         self._store.clear()
         self._shapes.clear()
         self._wild.clear()
+        self._pending.clear()
+        self._pending_rows = 0
         return n
 
     def snapshot(self) -> tuple[FlowEntry, ...]:
         """The table's entries in (priority desc, arrival asc) order, as
         an immutable copy of the membership (entry objects are shared,
         so counters keep accumulating across snapshot/restore)."""
+        if self._pending:
+            self._materialize()
         return tuple(sorted(self._store.values(), key=_priority, reverse=True))
 
     def entries(self) -> tuple[FlowEntry, ...]:
@@ -301,14 +383,20 @@ class FlowTable:
         self.add_batch(entries)
 
     def cookie_counts(self) -> Counter[int]:
-        """Entries per cookie (an unordered walk of the store)."""
-        return Counter(e.cookie for e in self._store.values())
+        """Entries per cookie (an unordered walk of the store, plus the
+        pending parts' row counts)."""
+        counts = Counter(e.cookie for e in self._store.values())
+        for _serial, rows, cookie, _build in self._pending:
+            counts[cookie] += rows
+        return counts
 
     # --- lookup --------------------------------------------------------
     def lookup(
         self, in_port: int, metadata: int, header: PacketHeader
     ) -> FlowEntry | None:
         """Highest-priority matching entry, or None (table miss)."""
+        if self._pending:
+            self._materialize()
         best_rank: tuple[int, int] | None = None
         best: FlowEntry | None = None
         packet = {
@@ -338,7 +426,7 @@ class FlowTable:
         return best
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._store) + self._pending_rows
 
     def __iter__(self) -> Iterator[FlowEntry]:
         return iter(self.snapshot())

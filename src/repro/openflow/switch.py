@@ -28,7 +28,12 @@ from repro.openflow.actions import (
     WriteMetadata,
 )
 from repro.openflow.groups import GroupEntry
-from repro.openflow.flowtable import FlowEntry, FlowTable, remove_from_tables
+from repro.openflow.flowtable import (
+    FlowEntry,
+    FlowTable,
+    RowBuilder,
+    remove_from_tables,
+)
 from repro.openflow.match import Match, PacketHeader
 from repro.telemetry import metrics, trace
 from repro.util.errors import CapacityError, SimulationError
@@ -74,16 +79,15 @@ class SwitchSnapshot:
         return sum(len(t) for t in self.tables)
 
 
-class TableRows(NamedTuple):
-    """The entries one bulk install adds to one table, in install
-    order, with what the switch would otherwise re-derive per entry."""
+class PendingRows(NamedTuple):
+    """The rows one bulk install adds to one table, not yet built, with
+    what the switch validates before accepting them."""
 
     table_id: int
-    entries: list[FlowEntry]
-    #: ``keys[i]`` is the hash-index ``(shape, key)`` of ``entries[i]``
-    #: for the leading ``len(keys)`` entries (:meth:`FlowTable.add_batch`)
-    keys: list[tuple[tuple[str, ...], tuple]]
-    #: every distinct instruction tuple among ``entries`` (repeats
+    #: ``(rows, cookie, build)`` per part, in install order, as
+    #: :meth:`FlowTable.add_pending` takes them
+    parts: list[tuple[int, int, RowBuilder]]
+    #: every distinct instruction tuple among the rows (repeats
     #: allowed): the switch validates each once, not once per entry
     instructions: list[tuple]
 
@@ -97,7 +101,7 @@ class FlowModRun(ABC):
     control plane can carry that form to the switch without this
     package knowing how rules are compiled. ``len()`` is the number of
     FlowMods; iterating yields them in order, building them if need be,
-    for every consumer that works per message; :meth:`table_rows` is
+    for every consumer that works per message; :meth:`pending_rows` is
     the same run as :meth:`OpenFlowSwitch.add_flow_batch` installs it.
     """
 
@@ -110,10 +114,11 @@ class FlowModRun(ABC):
     def __iter__(self) -> Iterator: ...
 
     @abstractmethod
-    def table_rows(self) -> list[TableRows]:
-        """Fresh entries per table. Within a table they are in the
-        run's message order — arrival serials and equal-priority
-        tie-breaks equal the per-message install's."""
+    def pending_rows(self) -> list[PendingRows]:
+        """The run per table, unbuilt. Within a table the parts' rows
+        come in the run's message order — so the serials they reserve
+        and their equal-priority tie-breaks equal the per-message
+        install's — and their counts add up to ``len()``."""
 
 
 class OpenFlowSwitch:
@@ -189,7 +194,7 @@ class OpenFlowSwitch:
             self._publish_occupancy()
         return entry
 
-    def add_flow_batch(self, mods) -> list[FlowEntry]:
+    def add_flow_batch(self, mods) -> None:
         """Install a batch of FlowMod-shaped messages (anything with
         ``table_id``/``priority``/``match``/``instructions``/``cookie``)
         in order, amortizing validation and capacity checks across the
@@ -202,17 +207,17 @@ class OpenFlowSwitch:
         behavior transactions rely on for rollback accounting.
 
         A :class:`FlowModRun` that fits is installed from its
-        :meth:`~FlowModRun.table_rows` without a FlowMod being built:
-        capacity is checked once for the run, table ids once per table,
-        each distinct instruction tuple once, and the flow tables take
-        the hash-index keys as given. The tables end up exactly as the
-        per-message install leaves them (the returned entries come
-        table by table instead of in message order). A run that would
-        overflow is expanded and takes the per-message path, which
-        installs the exact prefix.
+        :meth:`~FlowModRun.pending_rows` without a FlowMod or a flow
+        entry being built: capacity is checked once for the run, table
+        ids once per table and each distinct instruction tuple once,
+        then each table holds its rows pending
+        (:meth:`FlowTable.add_pending`) until a reader needs them. The
+        tables read exactly as the per-message install leaves them. A
+        run that would overflow is expanded and takes the per-message
+        path, which installs the exact prefix.
         """
         if isinstance(mods, FlowModRun) and len(mods) <= self.free_entries:
-            tables = mods.table_rows()
+            tables = mods.pending_rows()
             # like the loop below, validate everything before any
             # table changes
             for rows in tables:
@@ -220,17 +225,16 @@ class OpenFlowSwitch:
                 for instructions in rows.instructions:
                     self._check_instructions(rows.table_id, instructions)
             for rows in tables:
-                self.tables[rows.table_id].add_batch(rows.entries, rows.keys)
+                self.tables[rows.table_id].add_pending(rows.parts)
             if trace.enabled():
                 self._publish_occupancy()
-            return [e for rows in tables for e in rows.entries]
+            return
         mods = list(mods)
         free = self.flow_table_capacity - self.num_entries
         overflow = len(mods) > free
         if overflow:
             mods, rejected = mods[:free], mods[free:]
         by_table: dict[int, list[FlowEntry]] = {}
-        entries: list[FlowEntry] = []
         # synthesis pools instruction tuples, so batches repeat a small
         # set of (table, instructions) combinations — validate each
         # distinct one once per batch, keyed by identity (the mods list
@@ -243,11 +247,9 @@ class OpenFlowSwitch:
                 self._check_table(tid)
                 self._check_instructions(tid, m.instructions)
                 checked.add(ck)
-            entry = FlowEntry(
+            by_table.setdefault(tid, []).append(FlowEntry(
                 m.priority, m.match, tuple(m.instructions), cookie=m.cookie
-            )
-            by_table.setdefault(tid, []).append(entry)
-            entries.append(entry)
+            ))
         for table_id, batch in by_table.items():
             self.tables[table_id].add_batch(batch)
         if trace.enabled():
@@ -263,7 +265,6 @@ class OpenFlowSwitch:
                 f"switch {self.dpid}: flow table full "
                 f"({self.flow_table_capacity} entries)"
             )
-        return entries
 
     def _publish_occupancy(self) -> None:
         metrics.registry().gauge("sdt_switch_table_entries").set(

@@ -154,9 +154,11 @@ class ControlTransaction:
         same order; a run is staged as *one* message that counts as
         its rows, and nothing on the way to the switch builds its
         FlowMods unless it needs each message: the journal's intent
-        record, the capacity simulation when deletes are staged on the
-        same switch, and — on the channel — an armed fault or an
-        install that would overflow the TCAM part-way."""
+        record, the capacity simulation when deletes that name a
+        priority or match are staged on the same switch, and — on the
+        channel — an armed fault or an install that would overflow the
+        TCAM part-way. On the switch its rows stay pending until a
+        reader needs the entries."""
         if isinstance(rules, Mapping):
             for name, batch in rules.items():
                 self.stage(name, *batch)
@@ -275,28 +277,71 @@ class ControlTransaction:
         touches are counted once, never re-counted — a delta batch's
         peak is ``steady state + additions``, not ``2x steady state``.
 
-        Only a batch with a cookie or wildcard delete has the switch's
-        whole multiset expanded. Install-only batches and delta batches
+        Only a batch that mixes strict deletes with looser ones, or
+        deletes by priority or match alone, has the switch's whole
+        multiset expanded. Install-only batches and delta batches
         (installs plus fully-strict deletes) start from ``num_entries``
-        and look up just the identities their deletes name.
+        and look up just the identities their deletes name; swaps and
+        evictions (installs plus deletes by table and cookie at most)
+        are priced from per-(table, cookie) counts.
         """
         peaks: dict[str, int] = {}
         for name, msgs in self._ops.items():
             switch = self.control.channel(name).switch
             installs, deletes = self._staged[name]
+            flow_deletes = [m for m in msgs if isinstance(m, FlowDelete)]
             if not deletes:
                 # install-only batch (cold deploys): the count only ever
                 # grows, so the peak is just steady state + rows staged —
                 # no need to simulate the entry multiset (or to build a
                 # staged run's FlowMods) at all
                 peaks[name] = switch.num_entries + installs
-            elif all(
-                msg.strict for msg in msgs if isinstance(msg, FlowDelete)
-            ):
+            elif all(msg.strict for msg in flow_deletes):
                 peaks[name] = self._strict_peak(switch, msgs)
+            elif all(
+                msg.priority is None and msg.match is None
+                for msg in flow_deletes
+            ):
+                peaks[name] = self._cookie_peak(switch, msgs)
             else:
                 peaks[name] = self._simulated_peak(switch, msgs)
         return peaks
+
+    @staticmethod
+    def _cookie_peak(switch, msgs: list[StagedMessage]) -> int:
+        """The peak of a batch whose deletes filter on table and cookie
+        at most (a cookie delete, a table or switch wipe).
+
+        Such a delete takes every entry of the (table, cookie) pairs it
+        selects, so entries per pair are all the walk needs: the tables'
+        :meth:`~FlowTable.cookie_counts` and a staged run's row counts
+        per part. No entry is built or listed, and no FlowMod."""
+        counts: dict[tuple[int, int], int] = {}
+        for tid, table in enumerate(switch.tables):
+            for cookie, n in table.cookie_counts().items():
+                counts[tid, cookie] = n
+        count = peak = switch.num_entries
+        for msg in msgs:
+            if isinstance(msg, FlowDelete):
+                for key in [
+                    key for key in counts
+                    if (msg.table_id is None or key[0] == msg.table_id)
+                    and (msg.cookie is None or key[1] == msg.cookie)
+                ]:
+                    count -= counts.pop(key)
+                continue
+            if isinstance(msg, FlowModRun):
+                for rows in msg.pending_rows():
+                    for n, cookie, _build in rows.parts:
+                        key = (rows.table_id, cookie)
+                        counts[key] = counts.get(key, 0) + n
+                        count += n
+            else:
+                key = (msg.table_id, msg.cookie)
+                counts[key] = counts.get(key, 0) + 1
+                count += 1
+            peak = max(peak, count)
+        return peak
 
     @staticmethod
     def _strict_peak(switch, msgs: list[StagedMessage]) -> int:

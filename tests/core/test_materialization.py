@@ -9,9 +9,10 @@ and what did it cost?" is answered from the metrics registry.
 
 Pinned here: a plain deploy, undeploy, traced deploy and tenant
 deploy/undeploy build none; a journal or an armed channel fault each
-cost exactly the deployed rule set; a generation swap costs the *new* generation
-only (the old one is named by cookie and by the switches it sits on);
-an incremental edit costs only its dirty blocks.
+cost exactly the deployed rule set; a generation swap builds none
+either (the old generation is named by cookie and by the switches it
+sits on, and the swap's capacity check prices the new one from its
+row counts); an incremental edit costs only its dirty blocks.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def test_per_message_consumers_cost_the_rule_set_once(tmp_path, needs_messages):
     assert _materialized() == before + deployment.rules.count()
 
 
-def test_generation_swap_costs_the_new_generation_only():
+def test_generation_swap_builds_no_flow_mod():
     controller = _controller()
     deployment = controller.deploy(FT4)
     old_rules = deployment.rules
@@ -112,14 +113,15 @@ def test_generation_swap_costs_the_new_generation_only():
     controller.update_routes(
         deployment, shortest_path_routes(deployment.topology)
     )
-    # pricing make-before-break simulates the staged messages across
-    # the old cookie's delete, so the new rules are built; the old
-    # generation is only named (cookie + switches)
-    assert _materialized() == before + deployment.rules.count()
+    # make-before-break is priced from per-(table, cookie) counts across
+    # the old cookie's delete, so neither generation is built; the old
+    # one is only named (cookie + switches)
+    assert _materialized() == before
     assert all(block._pairs is None for block in old_rules.blocks)
+    assert all(block._pairs is None for block in deployment.rules.blocks)
 
 
-def test_cold_reconfigure_costs_the_new_generation_only():
+def test_cold_reconfigure_builds_no_flow_mod():
     # a pool wired for both generations at once
     chain3 = TopologyConfig("chain", {"num_switches": 3})
     controller = SDTController(build_pool_for_tenants(
@@ -132,9 +134,9 @@ def test_cold_reconfigure_costs_the_new_generation_only():
         TopologyConfig("torus2d", {"x": 4, "y": 4})
     )
     assert controller.deployments == [swapped]
-    assert _materialized() == before + swapped.rules.count()
-    for old in (first, second):
-        assert all(block._pairs is None for block in old.rules.blocks)
+    assert _materialized() == before
+    for deployment in (first, second, swapped):
+        assert all(block._pairs is None for block in deployment.rules.blocks)
 
 
 def test_incremental_edit_costs_only_its_dirty_blocks():

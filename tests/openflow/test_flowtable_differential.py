@@ -7,10 +7,9 @@ arrival asc) order by a bisect insert on every write, scanned linearly
 by lookup — so any way the arrival-ordered store could disagree with
 "sorted on write" shows up as a diverging snapshot, length, delete
 count or lookup winner under random operation sequences: single and
-batched adds (with and without precomputed index keys), strict and
-cookie deletes, snapshots, restores of older snapshots, re-adds of the
-same entry object after its delete, and deletes issued from inside an
-iteration over the table.
+batched adds, strict and cookie deletes, snapshots, restores of older
+snapshots, re-adds of the same entry object after its delete, and
+deletes issued from inside an iteration over the table.
 
 Cases are seeded (reproduce by index); counts scale with
 ``SDT_PROP_CASES`` for CI's stress job.
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 from bisect import insort_right
 
-from repro.openflow.flowtable import FlowEntry, FlowTable, _shape_key
+from repro.openflow.flowtable import FlowEntry, FlowTable
 from tests.openflow.test_flowtable_lookup_prop import (
     PRIORITIES,
     _entry,
@@ -121,10 +120,7 @@ def test_flowtable_matches_the_sorted_list_model():
             elif op < 0.4:
                 batch = [_entry(rng) for _ in range(int(rng.integers(0, 8)))]
                 seen.extend(batch)
-                # precomputed index keys for a random prefix of the batch
-                prefix = int(rng.integers(0, len(batch) + 1))
-                keys = [_shape_key(e.match) for e in batch[:prefix]]
-                table.add_batch(batch, keys)
+                table.add_batch(batch)
                 model.add_batch(batch)
             elif op < 0.6:
                 flt = _strict_filter(rng, model)

@@ -17,6 +17,11 @@ and reads:
   files under; no bucket holds an entry the store lacks; no empty
   bucket or shape is left behind by a delete; and ``len(table)`` is the
   number of members.
+* **pending rows** — rows a bulk install left unbuilt hold disjoint,
+  arrival-ordered serial ranges above every stored serial, their counts
+  add up, and building them files exactly those serials
+  (``_check_pending``; ``_check_invariants`` builds them before the
+  member checks).
 
 The last test is differential: a reference model that *is* the
 algorithm this representation replaced — a list kept priority-sorted on
@@ -53,7 +58,42 @@ def _entry(rng) -> FlowEntry:
     )
 
 
+def _check_pending(table: FlowTable, case: int) -> None:
+    """A bulk install's pending parts: arrival-ordered, disjoint serial
+    ranges, all above every stored serial and inside the minted range,
+    with row counts that add up to ``len(table)``; building them files
+    exactly the reserved serials, each entry carrying its part's
+    cookie."""
+    parts = list(table._pending)
+    ranges = [(first, first + rows) for first, rows, _cookie, _b in parts]
+    assert all(lo < hi for lo, hi in ranges), (
+        f"case {case}: an empty pending part"
+    )
+    assert all(a[1] <= b[0] for a, b in zip(ranges, ranges[1:])), (
+        f"case {case}: pending serial ranges overlap or are out of order"
+    )
+    if ranges:
+        assert ranges[0][0] >= 0 and ranges[-1][1] <= table._next_seq, (
+            f"case {case}: pending serials outside the minted range"
+        )
+        assert not table._store or max(table._store) < ranges[0][0], (
+            f"case {case}: a stored serial is newer than a pending one"
+        )
+    assert table._pending_rows == sum(hi - lo for lo, hi in ranges), case
+    assert len(table) == len(table._store) + table._pending_rows, case
+    if parts:
+        table._materialize()
+        for (lo, hi), (_first, _rows, cookie, _b) in zip(ranges, parts):
+            built = [table._store.get(serial) for serial in range(lo, hi)]
+            assert all(e is not None and e.cookie == cookie for e in built), (
+                f"case {case}: a pending part built other rows than it held"
+            )
+    assert not table._pending and table._pending_rows == 0, case
+
+
 def _check_invariants(table: FlowTable, case: int) -> None:
+    # pending rows first; the checks below need every member built
+    _check_pending(table, case)
     members = list(table._store.values())
     # store keys are the members' own serials, in strictly increasing
     # (= arrival) order, all minted by this table

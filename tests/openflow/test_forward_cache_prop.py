@@ -28,6 +28,8 @@ Cases are seeded (reproduce by index); counts scale with
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.openflow.actions import (
@@ -41,10 +43,10 @@ from repro.openflow.actions import (
     WriteMetadata,
 )
 from repro.openflow.channel import FlowMod
-from repro.openflow.flowtable import FlowEntry
+from repro.openflow.flowtable import FlowEntry, _shape_key
 from repro.openflow.groups import Bucket, GroupEntry
 from repro.openflow.match import Match, PacketHeader
-from repro.openflow.switch import FlowModRun, OpenFlowSwitch, TableRows
+from repro.openflow.switch import FlowModRun, OpenFlowSwitch, PendingRows
 from repro.telemetry import metrics, trace
 from repro.util.errors import SimulationError
 from tests.proptools import prop_cases, seeded_cases
@@ -73,15 +75,14 @@ class _Run(FlowModRun):
     def __iter__(self):
         return iter(self.mods)
 
-    def table_rows(self) -> list[TableRows]:
+    def pending_rows(self) -> list[PendingRows]:
         by_table: dict[int, list[FlowMod]] = {}
         for mod in self.mods:
             by_table.setdefault(mod.table_id, []).append(mod)
         return [
-            TableRows(
+            PendingRows(
                 table_id,
-                [_entry(m) for m in mods],
-                [],
+                [(1, m.cookie, partial(_build, m)) for m in mods],
                 [m.instructions for m in mods],
             )
             for table_id, mods in by_table.items()
@@ -92,6 +93,11 @@ def _entry(mod: FlowMod) -> FlowEntry:
     return FlowEntry(
         mod.priority, mod.match, tuple(mod.instructions), cookie=mod.cookie
     )
+
+
+def _build(mod: FlowMod, entries: list, keys: list) -> None:
+    entries.append(_entry(mod))
+    keys.append(_shape_key(mod.match))
 
 
 def _pick(rng, options):

@@ -2,13 +2,18 @@
 
 ``ControlTransaction.peak_entry_counts`` prices a switch whose deletes
 are all fully strict (table, priority, match and cookie given) from
-``num_entries`` plus lookups of just the identities those deletes name;
-any other delete falls back to simulating the switch's whole entry
-multiset. Seeded random live tables and delta batches check that both
-give the multiset simulation's exact peak, including the awkward
+``num_entries`` plus lookups of just the identities those deletes name,
+and a switch whose deletes filter on table and cookie at most (the
+swap's and the eviction's cookie deletes) from per-(table, cookie)
+counts; any other mix falls back to simulating the switch's whole entry
+multiset. Seeded random live tables and batches check that every path
+gives the multiset simulation's exact peak, including the awkward
 orders a delta batch stages: modified rules (strict delete right
 before the install), deletes of rows staged earlier in the same batch,
-repeated deletes of one identity, and duplicate live identities.
+repeated deletes of one identity, and duplicate live identities; and,
+for the cookie path, rule-set runs staged whole on tables that still
+hold earlier runs as pending rows — priced without building an entry
+or a FlowMod.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from collections import Counter
 import pytest
 
 from repro.core import SDTController, TopologyConfig, build_cluster_for
+from repro.core.columnar import NO_VC, CompiledBlock
+from repro.core.rules import RuleSet
 from repro.hardware import H3C_S6861
 from repro.openflow import (
     ApplyActions,
@@ -154,10 +161,19 @@ def test_peak_matches_full_multiset_simulation(monkeypatch):
         txn.stage("p0", *msgs)
         expansions.clear()
         assert txn.peak_entry_counts() == {"p0": expected}, f"case {idx}"
-        deletes = any(isinstance(m, FlowDelete) for m in msgs)
-        # only a loose delete makes the switch's multiset expand
-        assert bool(expansions) == loose, f"case {idx}"
-        paths["fallback" if loose else "strict" if deletes else "installs"] += 1
+        deletes = [m for m in msgs if isinstance(m, FlowDelete)]
+        by_cookie = loose and all(
+            m.priority is None and m.match is None for m in deletes
+        )
+        # only a loose delete mixed with strict ones, or one that names
+        # a priority or match, makes the switch's multiset expand
+        assert bool(expansions) == (loose and not by_cookie), f"case {idx}"
+        paths[
+            "cookie" if by_cookie
+            else "fallback" if loose
+            else "strict" if deletes
+            else "installs"
+        ] += 1
     assert paths["strict"] and paths["fallback"], paths
 
 
@@ -197,3 +213,89 @@ def test_modified_rule_then_redelete(live_copies):
     txn.stage("p0", *msgs)
     assert txn.peak_entry_counts() == {"p0": _reference_peak(switch, msgs)}
     assert txn.peak_entry_counts() == {"p0": max(live_copies + 1, 3)}
+
+
+def _random_rules(rng, cookies=(1, 2)) -> RuleSet:
+    """A rule set of a few random blocks, some landing rows on ``p0``
+    (classification, wildcard- and exact-VC routing), cookies mixed."""
+    rules = RuleSet(cookie=cookies[0])
+    for _ in range(int(rng.integers(1, 5))):
+        n_cls, n_route = int(rng.integers(0, 4)), int(rng.integers(0, 5))
+        rules.add_block(CompiledBlock(
+            phys_switch=("p0", "p1")[int(rng.integers(2))],
+            metadata_id=int(rng.integers(1, 4)),
+            cookie=int(rng.choice(cookies)),
+            classify_switches=tuple(
+                ("p0", "p1")[int(rng.integers(2))] for _ in range(n_cls)
+            ),
+            classify_ports=tuple(int(rng.integers(1, 6)) for _ in range(n_cls)),
+            dsts=tuple(f"h{rng.integers(4)}" for _ in range(n_route)),
+            in_vcs=tuple(int(rng.choice([NO_VC, 0, 1])) for _ in range(n_route)),
+            out_vcs=tuple(int(rng.integers(2)) for _ in range(n_route)),
+            out_ports=tuple(int(rng.integers(1, 8)) for _ in range(n_route)),
+        ))
+    return rules
+
+
+def _cookie_delete(rng) -> FlowDelete:
+    return [
+        FlowDelete(cookie=int(rng.integers(1, 3))),
+        FlowDelete(cookie=int(rng.integers(1, 3)), table_id=int(rng.integers(TABLES))),
+        FlowDelete(table_id=int(rng.integers(TABLES))),
+        FlowDelete(),
+    ][int(rng.choice([0, 0, 1, 1, 2, 3]))]
+
+
+def test_cookie_deletes_are_priced_from_counts(monkeypatch):
+    """Runs, loose adds and deletes by table and cookie, on tables that
+    hold earlier runs pending: the peak is the full simulation's, and
+    pricing it lists no entry, builds no pending row and materializes
+    no FlowMod."""
+    materialized = metrics.registry().counter("sdt_rules_materialized_total")
+    entry_keys = OpenFlowSwitch.entry_keys
+    expansions = []
+
+    def spy(self):
+        expansions.append(self.dpid)
+        return entry_keys(self)
+
+    monkeypatch.setattr(OpenFlowSwitch, "entry_keys", spy)
+    runs_staged = priced_pending = 0
+    for idx, rng in seeded_cases(prop_cases(200), ROOT_SEED, "cookie"):
+        switch = OpenFlowSwitch(
+            "p0", 8, flow_table_capacity=10_000, num_tables=TABLES
+        )
+        for _ in range(int(rng.integers(0, 6))):  # live, built entries
+            identity = _identity(rng)
+            switch.add_flow(*identity[:3], (), cookie=identity[3])
+        for _ in range(int(rng.integers(0, 3))):  # live, pending rows
+            run = _random_rules(rng).runs().get("p0")
+            if run is not None:
+                switch.add_flow_batch(run)
+        msgs: list = []
+        for _ in range(int(rng.integers(1, 12))):
+            op = int(rng.integers(3))
+            if op == 0:
+                run = _random_rules(rng).runs().get("p0")
+                if run is not None:
+                    msgs.append(run)
+                    runs_staged += 1
+            elif op == 1:
+                msgs.append(_mod(_identity(rng), int(rng.integers(1, 8))))
+            else:
+                msgs.append(_cookie_delete(rng))
+        if not any(isinstance(m, FlowDelete) for m in msgs):
+            msgs.append(_cookie_delete(rng))
+        pending = [len(t._pending) for t in switch.tables]
+        priced_pending += any(pending)
+        txn = ControlTransaction(ControlPlane({"p0": switch}))
+        txn.stage("p0", *msgs)
+        expansions.clear()
+        before = materialized.value()
+        peak = txn.peak_entry_counts()["p0"]
+        assert not expansions, f"case {idx}"
+        assert materialized.value() == before, f"case {idx}"
+        assert [len(t._pending) for t in switch.tables] == pending, idx
+        assert peak == ControlTransaction._simulated_peak(switch, msgs), idx
+        assert peak == _reference_peak(switch, msgs), f"case {idx}"
+    assert runs_staged and priced_pending
