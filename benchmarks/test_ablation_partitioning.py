@@ -7,7 +7,12 @@ objective per method on the evaluation topologies. Fewer cut edges =
 fewer scarce inter-switch links consumed (Eq. 2).
 """
 
-from repro.partition import objective, partition_topology, quality
+from repro.partition import (
+    objective,
+    partition_topology,
+    quality,
+    weighted_switch_graph,
+)
 from repro.topology import dragonfly, fat_tree, torus2d, torus3d
 from repro.util import format_table
 
@@ -24,14 +29,14 @@ def run_all():
     results = {}
     for label, build, k in TOPOLOGIES:
         topo = build()
-        g = topo.switch_graph()
+        g = weighted_switch_graph(topo)
         for method in METHODS:
             p = partition_topology(topo, k, method=method)
-            q = quality(g, p)
+            q = quality(*g, p)
             results[(label, method)] = {
                 "cut": q.cut_edges,
                 "imbalance": q.edge_imbalance,
-                "objective": objective(g, p),
+                "objective": objective(*g, p),
             }
     return results
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import time
 
-import networkx as nx
-
 from repro.campaign.spec import CampaignCell
 from repro.core.controller.config import TopologyConfig
 from repro.netsim.linkquality import LinkQualityProfile
@@ -31,7 +29,7 @@ from repro.netsim.transport import RoceTransport
 from repro.routing.protocols import protocol
 from repro.routing.protocols.precomputed import modeled_push_time
 from repro.routing.table import RouteTable
-from repro.topology.graph import Topology
+from repro.topology.graph import Topology, bridges
 from repro.util.errors import RoutingError
 from repro.util.rng import make_rng
 
@@ -69,17 +67,14 @@ def pick_failed_links(
     rng = make_rng(cell.seed, "failure")
     failed: list[int] = []
     for _ in range(count):
-        graph = topology.switch_graph()
-        graph.remove_edges_from(
-            (topology.links[i].a.node, topology.links[i].b.node)
-            for i in failed
-        )
-        bridges = {frozenset(edge) for edge in nx.bridges(graph)}
+        cut = {
+            frozenset(edge) for edge in bridges(topology.switch_neighbors(failed))
+        }
         candidates = [
             link.index
             for link in topology.switch_links
             if link.index not in failed
-            and frozenset((link.a.node, link.b.node)) not in bridges
+            and frozenset(link.endpoints) not in cut
         ]
         if not candidates:
             break  # tree-like survivor: every remaining link is a bridge

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from repro.topology.diff import link_key
-from repro.topology.graph import Topology
+from repro.topology.graph import Topology, bfs_parents
 
 Adjacency = dict[str, set[str]]
 
@@ -70,11 +70,7 @@ DISCONNECTED = Score(
 
 def switch_adjacency(topology: Topology) -> Adjacency:
     """The switch-to-switch graph as a plain adjacency mapping."""
-    adj: Adjacency = {sw: set() for sw in topology.switches}
-    for a, b in topology.switch_pairs():
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
+    return {sw: set(nbrs) for sw, nbrs in topology.switch_neighbors().items()}
 
 
 def _bfs(adj: Adjacency, src: str) -> tuple[dict[str, int], dict[str, str]]:
@@ -141,17 +137,4 @@ def connected(adj: Adjacency) -> bool:
     """Whether the switch graph is one component (host reachability:
     every switch may carry host attachments, so engineering must never
     disconnect any switch, demand or not)."""
-    if not adj:
-        return True
-    start = min(adj)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt: list[str] = []
-        for node in frontier:
-            for nbr in adj[node]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    nxt.append(nbr)
-        frontier = nxt
-    return len(seen) == len(adj)
+    return not adj or len(bfs_parents(min(adj), adj)) == len(adj)

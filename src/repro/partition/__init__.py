@@ -8,12 +8,16 @@ balancing per-switch link counts.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.partition.greedy import greedy_partition
 from repro.partition.multilevel import multilevel_partition
 from repro.partition.occupancy import occupancy_order, switch_headroom
 from repro.partition.objective import (
+    Adjacency,
     Partition,
     PartitionQuality,
+    Weights,
     cut_edges_between,
     objective,
     quality,
@@ -24,10 +28,19 @@ from repro.util.errors import PartitionError
 
 _METHODS = {
     "multilevel": multilevel_partition,
-    "spectral": lambda g, k, seed=0: spectral_partition(g, k, seed=seed),
-    "ncut": lambda g, k, seed=0: spectral_partition(g, k, method="ncut", seed=seed),
+    "spectral": spectral_partition,
+    "ncut": partial(spectral_partition, method="ncut"),
     "greedy": greedy_partition,
 }
+
+
+def weighted_switch_graph(topology: Topology) -> tuple[Weights, Adjacency]:
+    """``topology``'s switch graph as the partitioners take it: each
+    switch weighted by its total radix, so port usage balances too, and
+    every link of weight 1, in :meth:`Topology.switch_neighbors` order."""
+    nbrs = topology.switch_neighbors()
+    weights = {s: topology.radix(s) for s in nbrs}
+    return weights, {s: dict.fromkeys(ns, 1) for s, ns in nbrs.items()}
 
 
 def partition_topology(
@@ -46,14 +59,11 @@ def partition_topology(
         raise PartitionError(
             f"unknown partition method {method!r}; choose from {sorted(_METHODS)}"
         ) from None
-    graph = topology.switch_graph()
-    # weight each switch by its total radix so port usage balances too
-    for s in graph.nodes:
-        graph.nodes[s]["weight"] = topology.radix(s)
-    return fn(graph, num_parts, seed=seed)
+    return fn(*weighted_switch_graph(topology), num_parts, seed=seed)
 
 
 __all__ = [
+    "Adjacency",
     "Partition",
     "PartitionQuality",
     "cut_edges_between",
@@ -65,4 +75,6 @@ __all__ = [
     "switch_headroom",
     "quality",
     "spectral_partition",
+    "Weights",
+    "weighted_switch_graph",
 ]

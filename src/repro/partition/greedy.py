@@ -11,22 +11,20 @@ from __future__ import annotations
 
 from collections import deque
 
-import networkx as nx
-
-from repro.partition.objective import Partition
+from repro.partition.objective import Adjacency, Partition, Weights, edges
+from repro.topology.graph import bfs_depths
 from repro.util.errors import PartitionError
 from repro.util.rng import make_rng
 
 
-def _spread_seeds(graph: nx.Graph, k: int, rng) -> list[str]:
+def _spread_seeds(adj: Adjacency, k: int, rng) -> list[str]:
     """k seeds far apart: first random, then repeated farthest-point."""
-    nodes = sorted(graph.nodes)
+    nodes = sorted(adj)
     seeds = [nodes[int(rng.integers(0, len(nodes)))]]
+    dist: dict[str, int] = {}  # hops to the nearest seed
     while len(seeds) < k:
-        dist: dict[str, int] = {}
-        for s in seeds:
-            for node, d in nx.single_source_shortest_path_length(graph, s).items():
-                dist[node] = min(dist.get(node, 1 << 30), d)
+        for node, d in bfs_depths(seeds[-1], adj).items():
+            dist[node] = min(dist.get(node, 1 << 30), d)
         # unreachable nodes (disconnected graphs) are infinitely far
         candidates = [n for n in nodes if n not in seeds]
         farthest = max(candidates, key=lambda n: dist.get(n, 1 << 31))
@@ -34,21 +32,24 @@ def _spread_seeds(graph: nx.Graph, k: int, rng) -> list[str]:
     return seeds
 
 
-def greedy_partition(graph: nx.Graph, num_parts: int, *, seed: int = 0) -> Partition:
-    """Balanced BFS growth into ``num_parts`` regions."""
-    n = graph.number_of_nodes()
+def greedy_partition(
+    weights: Weights, adj: Adjacency, num_parts: int, *, seed: int = 0
+) -> Partition:
+    """Balanced BFS growth into ``num_parts`` regions (node weights are
+    not consulted: regions balance by node count)."""
+    n = len(weights)
     if num_parts < 1 or num_parts > n:
         raise PartitionError(f"cannot split {n} nodes into {num_parts} parts")
     if num_parts == 1:
-        return Partition({u: 0 for u in graph.nodes}, 1)
+        return Partition(dict.fromkeys(weights, 0), 1)
 
-    rng = make_rng(seed, "greedy", n, graph.number_of_edges())
-    seeds = _spread_seeds(graph, num_parts, rng)
+    rng = make_rng(seed, "greedy", n, sum(1 for _ in edges(adj)))
+    seeds = _spread_seeds(adj, num_parts, rng)
     assign: dict[str, int] = {s: i for i, s in enumerate(seeds)}
     frontiers = [deque([s]) for s in seeds]
     sizes = [1] * num_parts
 
-    unassigned = set(graph.nodes) - set(seeds)
+    unassigned = set(weights) - set(seeds)
     while unassigned:
         # extend the smallest region that still has a frontier
         order = sorted(range(num_parts), key=lambda p: sizes[p])
@@ -56,7 +57,7 @@ def greedy_partition(graph: nx.Graph, num_parts: int, *, seed: int = 0) -> Parti
         for p in order:
             while frontiers[p]:
                 u = frontiers[p][0]
-                nxt = next((v for v in graph.neighbors(u) if v in unassigned), None)
+                nxt = next((v for v in adj[u] if v in unassigned), None)
                 if nxt is None:
                     frontiers[p].popleft()
                     continue
@@ -78,5 +79,5 @@ def greedy_partition(graph: nx.Graph, num_parts: int, *, seed: int = 0) -> Parti
             unassigned.discard(u)
 
     partition = Partition(assign, num_parts)
-    partition.validate(graph)
+    partition.validate(weights)
     return partition

@@ -15,16 +15,16 @@ same classic multilevel scheme from scratch:
 k-way partitions are produced by recursive bisection, which is how the
 original METIS paper (Karypis & Kumar, 1998) bootstraps k-way too.
 
-Every step works on one plain representation, converted once from the
-caller's ``nx.Graph``: node weights (``dict[str, int]`` in node order)
-and a weighted adjacency (``dict[str, dict[str, int]]``). The neighbour
-order of that adjacency is the one ``nx.Graph.copy()`` produces — a
-node's earlier neighbours in node order, then its own later neighbours
-in their original order. The matching's tie-breaks and the coarse
-graph's edge order follow it, so it is part of the output; an induced
-sub-graph in that order keeps it, so one conversion serves the whole
-recursion. Coarse node names are ``f"{u}+{v}"``: the refinement breaks
-gain ties by name, so the names are part of the output too.
+Every step works on one plain representation: node weights
+(``dict[str, int]`` in node order) and a weighted adjacency
+(``dict[str, dict[str, int]]``), re-ordered once from the caller's. In
+that order a node lists its neighbours earlier in node order first, in
+node order, then itself (a self-loop) and its later neighbours in the
+caller's order. The matching's tie-breaks and the coarse graph's edge
+order follow it, so it is part of the output; an induced sub-graph in
+that order keeps it, so one re-ordering serves the whole recursion.
+Coarse node names are ``f"{u}+{v}"``: the refinement breaks gain ties
+by name, so the names are part of the output too.
 
 The refinement keeps each node's gain and its count of external
 neighbours up to date move by move, and picks among a boundary set. No
@@ -34,30 +34,12 @@ smallest node name.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.partition.objective import Partition
+from repro.partition.objective import Adjacency, Partition, Weights, edges
 from repro.util.errors import PartitionError
 from repro.util.rng import make_rng
 
-if TYPE_CHECKING:
-    import networkx as nx
-
 #: allowed relative node-weight overshoot per side at each bisection
 BALANCE_TOLERANCE = 0.15
-
-#: node -> weight, in node order
-Weights = dict[str, int]
-#: node -> {neighbour -> edge weight}; a self-loop is the node itself
-Adjacency = dict[str, dict[str, int]]
-
-
-def _num_edges(adj: Adjacency) -> int:
-    ends = loops = 0
-    for u, nbrs in adj.items():
-        ends += len(nbrs)
-        loops += u in nbrs
-    return (ends + loops) // 2
 
 
 def _coarsen_once(
@@ -100,8 +82,8 @@ def _coarsen_once(
             cname = f"{u}+{v}"
             fine_to_coarse[u] = fine_to_coarse[v] = cname
             coarse_nw[cname] = nw[u] + nw[v]
-    # each fine edge once, in ``nx.Graph.edges()`` order (from its
-    # endpoint first in node order), merged into the coarse adjacency
+    # each fine edge once, from its endpoint first in node order (the
+    # order of ``edges()``), merged into the coarse adjacency
     coarse_adj: Adjacency = {c: {} for c in coarse_nw}
     done: set[str] = set()
     for u, nbrs in adj.items():
@@ -270,7 +252,7 @@ def _kl_refine(
 
 def _bisect(nw: Weights, adj: Adjacency, seed: int) -> dict[str, int]:
     """Full multilevel bisection."""
-    rng = make_rng(seed, "multilevel", len(nw), _num_edges(adj))
+    rng = make_rng(seed, "multilevel", len(nw), sum(1 for _ in edges(adj)))
     if len(nw) <= 1:
         return {n: 0 for n in nw}
 
@@ -337,18 +319,21 @@ def _split(nw: Weights, adj: Adjacency, num_parts: int, seed: int) -> dict[str, 
 
 
 def multilevel_partition(
-    graph: nx.Graph,
+    weights: Weights,
+    adj: Adjacency,
     num_parts: int,
     *,
     seed: int = 0,
 ) -> Partition:
-    """Partition ``graph`` into ``num_parts`` balanced low-cut parts.
+    """Partition the graph (``weights``, ``adj``) into ``num_parts``
+    balanced low-cut parts.
 
     Parameters
     ----------
-    graph:
-        Undirected graph; optional integer ``weight`` attributes on
-        nodes and edges are honored (default 1).
+    weights, adj:
+        Undirected graph: integer node weights and, per node, its
+        neighbours with integer edge weights, both listing the nodes in
+        the same order.
     num_parts:
         Number of parts (physical switches); must be >= 1 and <= |V|.
         When a bisection leaves a side fewer nodes than its share of
@@ -356,23 +341,20 @@ def multilevel_partition(
         rest.
     seed:
         Seed for the randomized matching/seeding steps; results are
-        deterministic for a given seed and node/edge insertion order,
+        deterministic for a given seed, node order and neighbour order,
         in every process: no result depends on the order of a set of
         node names, because every pick from one breaks ties by name.
 
-    The graph is converted once into node weights and a weighted
-    adjacency in ``nx.Graph.copy()`` neighbour order (see the module
-    docstring); the result is validated against ``graph`` once.
+    The adjacency is re-ordered once (see the module docstring); the
+    result is validated against ``weights`` once.
     """
     if num_parts < 1:
         raise PartitionError(f"num_parts must be >= 1, got {num_parts}")
-    nw: Weights = dict(graph.nodes(data="weight", default=1))
-    # rebuilt from edges(), each from its endpoint first in node order:
-    # the neighbour order nx.Graph.copy() gives
-    adj: Adjacency = {u: {} for u in nw}
-    for u, v, w in graph.edges(data="weight", default=1):
-        adj[u][v] = w
-        adj[v][u] = w
-    partition = Partition(_split(nw, adj, num_parts, seed), num_parts)
-    partition.validate(graph)
+    # rebuilt from edges(), each from its endpoint first in node order
+    ordered: Adjacency = {u: {} for u in weights}
+    for u, v, w in edges(adj):
+        ordered[u][v] = w
+        ordered[v][u] = w
+    partition = Partition(_split(weights, ordered, num_parts, seed), num_parts)
+    partition.validate(weights)
     return partition

@@ -16,10 +16,25 @@ The paper writes the combined objective as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import Iterator
 
 from repro.util.errors import PartitionError
+
+#: node -> weight, in node order
+Weights = dict[str, int]
+#: node -> {neighbour -> edge weight}; a self-loop is the node itself
+Adjacency = dict[str, dict[str, int]]
+
+
+def edges(adj: Adjacency) -> Iterator[tuple[str, str, int]]:
+    """Each edge of ``adj`` once, as ``(u, v, weight)``, from its
+    endpoint first in node order (a self-loop as ``(u, u, weight)``)."""
+    done: set[str] = set()
+    for u, nbrs in adj.items():
+        for v, w in nbrs.items():
+            if v not in done:
+                yield u, v, w
+        done.add(u)
 
 
 @dataclass(frozen=True)
@@ -60,10 +75,13 @@ class Partition:
             self._parts_cache = groups
         return self._parts_cache
 
-    def validate(self, graph: nx.Graph, *, allow_empty: bool = False) -> None:
-        if set(self.assignment) != set(graph.nodes):
-            missing = set(graph.nodes) - set(self.assignment)
-            extra = set(self.assignment) - set(graph.nodes)
+    def validate(self, weights: Weights, *, allow_empty: bool = False) -> None:
+        """Check that every node of ``weights`` — and nothing else — is
+        assigned a part in range, and (unless ``allow_empty``) that no
+        part is empty."""
+        if set(self.assignment) != set(weights):
+            missing = set(weights) - set(self.assignment)
+            extra = set(self.assignment) - set(weights)
             raise PartitionError(
                 f"partition/graph node mismatch (missing={sorted(missing)[:5]}, "
                 f"extra={sorted(extra)[:5]})"
@@ -77,23 +95,24 @@ class Partition:
                 raise PartitionError(f"empty part in partition (sizes={sizes})")
 
 
-def quality(graph: nx.Graph, partition: Partition) -> PartitionQuality:
-    """Compute :class:`PartitionQuality` for ``partition`` on ``graph``."""
-    partition.validate(graph, allow_empty=True)
+def quality(
+    weights: Weights, adj: Adjacency, partition: Partition
+) -> PartitionQuality:
+    """Compute :class:`PartitionQuality` for ``partition`` of the graph
+    (``weights``, ``adj``); edges count once each, whatever their weight."""
+    partition.validate(weights, allow_empty=True)
     k = partition.num_parts
     internal = [0] * k
     cut = 0
-    for u, v in graph.edges():
+    for u, v, _w in edges(adj):
         pu, pv = partition.part_of(u), partition.part_of(v)
         if pu == pv:
             internal[pu] += 1
         else:
             cut += 1
     sizes = [len(g) for g in partition.parts()]
-    nonzero = [e for e in internal if e] or [0]
     mean_edges = sum(internal) / k if k else 0.0
     imbalance = (max(internal) / mean_edges) if mean_edges > 0 else 1.0
-    _ = nonzero
     return PartitionQuality(
         num_parts=k,
         cut_edges=cut,
@@ -104,7 +123,8 @@ def quality(graph: nx.Graph, partition: Partition) -> PartitionQuality:
 
 
 def objective(
-    graph: nx.Graph,
+    weights: Weights,
+    adj: Adjacency,
     partition: Partition,
     *,
     alpha: float = 1.0,
@@ -117,7 +137,7 @@ def objective(
     balance pressure. Empty-edge parts get a large finite penalty so
     optimizers can still compare candidates.
     """
-    q = quality(graph, partition)
+    q = quality(weights, adj, partition)
     balance_term = 0.0
     for e in q.internal_edges:
         balance_term += (1.0 / e) if e > 0 else 2.0
@@ -125,7 +145,7 @@ def objective(
 
 
 def cut_edges_between(
-    graph: nx.Graph, partition: Partition
+    adj: Adjacency, partition: Partition
 ) -> dict[tuple[int, int], int]:
     """Inter-part edge counts keyed by ordered part pair (a < b).
 
@@ -133,7 +153,7 @@ def cut_edges_between(
     drives wiring reservation (§IV-B, Eq. 2).
     """
     counts: dict[tuple[int, int], int] = {}
-    for u, v in graph.edges():
+    for u, v, _w in edges(adj):
         pu, pv = partition.part_of(u), partition.part_of(v)
         if pu != pv:
             key = (min(pu, pv), max(pu, pv))

@@ -8,21 +8,19 @@ k eigenvectors with a small deterministic k-means.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
-from repro.partition.objective import Partition
+from repro.partition.objective import Adjacency, Partition, Weights, edges
 from repro.util.errors import PartitionError
 from repro.util.rng import make_rng
 
 
-def _laplacian(graph: nx.Graph, normalized: bool) -> tuple[np.ndarray, list[str]]:
-    nodes = sorted(graph.nodes)
+def _laplacian(adj: Adjacency, normalized: bool) -> tuple[np.ndarray, list[str]]:
+    nodes = sorted(adj)
     index = {n: i for i, n in enumerate(nodes)}
     n = len(nodes)
     a = np.zeros((n, n))
-    for u, v, data in graph.edges(data=True):
-        w = data.get("weight", 1.0)
+    for u, v, w in edges(adj):
         a[index[u], index[v]] = w
         a[index[v], index[u]] = w
     deg = a.sum(axis=1)
@@ -55,7 +53,8 @@ def _kmeans(points: np.ndarray, k: int, rng, iters: int = 64) -> np.ndarray:
 
 
 def spectral_partition(
-    graph: nx.Graph,
+    weights: Weights,
+    adj: Adjacency,
     num_parts: int,
     *,
     method: str = "ratiocut",
@@ -65,23 +64,25 @@ def spectral_partition(
 
     Parameters
     ----------
+    weights, adj:
+        The graph; node weights are not consulted, edge weights are.
     method:
         ``"ratiocut"`` (unnormalized Laplacian, Hagen & Kahng) or
         ``"ncut"`` (normalized Laplacian, Shi & Malik).
     """
     if method not in ("ratiocut", "ncut"):
         raise PartitionError(f"unknown spectral method {method!r}")
-    n = graph.number_of_nodes()
+    n = len(weights)
     if num_parts < 1 or num_parts > n:
         raise PartitionError(f"cannot split {n} nodes into {num_parts} parts")
     if num_parts == 1:
-        return Partition({u: 0 for u in graph.nodes}, 1)
+        return Partition(dict.fromkeys(weights, 0), 1)
 
     # imported here: only this comparator needs scipy, and importing it
     # at module top charged every ``import repro`` ~0.3 s and ~18 MiB
     from scipy.linalg import eigh
 
-    lap, nodes = _laplacian(graph, normalized=(method == "ncut"))
+    lap, nodes = _laplacian(adj, normalized=(method == "ncut"))
     # dense eigh is fine at testbed scale (hundreds of logical switches)
     _vals, vecs = eigh(lap)
     embedding = vecs[:, 1 : num_parts + 1 if num_parts > 2 else 2]
@@ -108,5 +109,5 @@ def spectral_partition(
     partition = Partition(
         {node: int(labels[i]) for i, node in enumerate(nodes)}, num_parts
     )
-    partition.validate(graph)
+    partition.validate(weights)
     return partition

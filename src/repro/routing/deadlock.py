@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.routing.table import RouteTable
 from repro.topology.graph import Topology
 from repro.util.errors import DeadlockError
@@ -33,7 +31,9 @@ class Channel:
         return f"{self.src}->{self.dst}@vc{self.vc}"
 
 
-def channel_dependency_graph(table: RouteTable) -> nx.DiGraph:
+def channel_dependency_graph(
+    table: RouteTable,
+) -> dict[Channel, dict[Channel, None]]:
     """Build the CDG by tracing every host pair through ``table``.
 
     Tracing (rather than statically enumerating rule combinations)
@@ -42,32 +42,67 @@ def channel_dependency_graph(table: RouteTable) -> nx.DiGraph:
     destination-based routing. The delivery hop is left out (a
     destination always drains); hops through *forwarding* hosts
     (BCube) are transit channels like any other.
+
+    A walk starts at the source's switch, or at the source host itself
+    when hosts forward, and each distinct (start, destination) pair is
+    walked once. The result maps each channel to its successors, both
+    in the order the walks first reach them.
     """
     topo: Topology = table.topology
-    cdg = nx.DiGraph()
-    for src in topo.hosts:
+    hosts = topo.hosts
+    cdg: dict[Channel, dict[Channel, None]] = {}
+    walked: dict[tuple[str, str], None] = {}
+    for src in hosts:
         start = src if table.allow_host_forwarding else topo.host_switch(src)
-        for dst in topo.hosts:
-            if src == dst or not table.has_route(start, dst):
+        for dst in hosts:
+            if src == dst or (start, dst) in walked:
+                continue
+            if not table.has_route(start, dst):
                 continue  # unreachable pair (e.g. failed attach link)
-            channels = [
-                Channel(node, nxt, hop.vc)
-                for node, hop, _link, nxt in table.walk(start, dst)
-                if nxt != dst
-            ]
-            cdg.add_nodes_from(channels)
-            cdg.add_edges_from(zip(channels, channels[1:]))
+            walked[(start, dst)] = None
+            held = None
+            for node, hop, _link, nxt in table.walk(start, dst):
+                if nxt == dst:
+                    break
+                channel = Channel(node, nxt, hop.vc)
+                cdg.setdefault(channel, {})
+                if held is not None:
+                    cdg[held][channel] = None
+                held = channel
     return cdg
 
 
 def find_cycle(table: RouteTable) -> list[Channel] | None:
-    """A channel cycle if one exists, else None."""
+    """A channel cycle if one exists, else None.
+
+    An iterative three-colour depth-first search over the CDG in its
+    own order; the cycle runs from the first channel the search
+    re-entered, so it is the same in every process.
+    """
     cdg = channel_dependency_graph(table)
-    try:
-        cycle_edges = nx.find_cycle(cdg)
-    except nx.NetworkXNoCycle:
-        return None
-    return [edge[0] for edge in cycle_edges]
+    # absent: unvisited; >= 0: on the current path, at that index;
+    # -1: finished, no cycle through it
+    state: dict[Channel, int] = {}
+    for root in cdg:
+        if root in state:
+            continue
+        state[root] = 0
+        path = [root]
+        stack = [iter(cdg[root])]
+        while stack:
+            for nxt in stack[-1]:
+                at = state.get(nxt)
+                if at is None:
+                    state[nxt] = len(path)
+                    path.append(nxt)
+                    stack.append(iter(cdg[nxt]))
+                    break
+                if at >= 0:
+                    return path[at:]
+            else:
+                stack.pop()
+                state[path.pop()] = -1
+    return None
 
 
 def assert_deadlock_free(table: RouteTable) -> None:

@@ -21,8 +21,6 @@ falls back to a global recompute (fresh BFS, controller-push timing).
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.routing.protocols import register_protocol
 from repro.routing.protocols.base import (
     ConvergenceReport,
@@ -34,7 +32,7 @@ from repro.routing.protocols.precomputed import (
     modeled_push_time,
 )
 from repro.routing.table import RouteTable
-from repro.topology.graph import Topology
+from repro.topology.graph import Topology, bfs_depths
 from repro.util.errors import RoutingError, TopologyError
 from repro.util.units import MICROSECONDS
 
@@ -74,22 +72,6 @@ class AdaptiveEgressProtocol(RoutingProtocol):
         }
 
     # --- internals ---------------------------------------------------------
-    def _bfs_dist(
-        self, topology: Topology, dst: str, failed: set[int]
-    ) -> dict[str, int]:
-        dist = {dst: 0}
-        queue = deque([dst])
-        while queue:
-            u = queue.popleft()
-            for link in topology.links_of(u):
-                if link.index in failed:
-                    continue
-                v = link.other(u)
-                if topology.is_switch(v) and v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
-
     def _candidates(
         self, topology: Topology, sw: str, dst: str, failed: set[int]
     ) -> list[str]:
@@ -115,9 +97,8 @@ class AdaptiveEgressProtocol(RoutingProtocol):
         """Distances on the graph without ``failed`` and every switch's
         best downhill egress toward each destination switch."""
         dests = sorted({topology.host_switch(h) for h in topology.hosts})
-        self._dist = {
-            dst: self._bfs_dist(topology, dst, failed) for dst in dests
-        }
+        live = topology.switch_neighbors(failed)
+        self._dist = {dst: bfs_depths(dst, live) for dst in dests}
         self._choice = {}
         for dst in dests:
             for sw in topology.switches:

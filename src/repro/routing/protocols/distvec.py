@@ -26,7 +26,7 @@ from repro.routing.protocols.base import (
     RoutingOutcome,
     RoutingProtocol,
 )
-from repro.topology.graph import Topology
+from repro.topology.graph import Topology, bfs_parents
 from repro.util.units import MILLISECONDS
 
 #: port-down signal latency at the failed link's endpoints
@@ -91,14 +91,7 @@ class DistanceVectorProtocol(RoutingProtocol):
         infinity = max(16, len(topology.switches))
         dests = self._destinations(topology)
         dist, via = self._dist, self._via
-        neighbors = {
-            sw: [
-                n
-                for n in self.live_neighbors(topology, sw, failed)
-                if topology.is_switch(n)
-            ]
-            for sw in topology.switches
-        }
+        neighbors = topology.switch_neighbors(failed)
         # endpoints of newly-failed links notice first and re-advertise
         changed = set()
         for idx in failed:
@@ -163,20 +156,9 @@ class DistanceVectorProtocol(RoutingProtocol):
 
     def _all_reachable(self, topology: Topology) -> bool:
         infinity = max(16, len(topology.switches))
-        import networkx as nx
-
-        g = topology.switch_graph()
-        g.remove_edges_from(
-            [
-                (topology.links[i].a.node, topology.links[i].b.node)
-                for i in self._failed
-                if topology.is_switch(topology.links[i].a.node)
-                and topology.is_switch(topology.links[i].b.node)
-            ]
-        )
+        live = topology.switch_neighbors(self._failed)
         for dst in self._destinations(topology):
-            reachable = set(nx.bfs_tree(g, dst))
-            for sw in reachable:
+            for sw in bfs_parents(dst, live):
                 if self._dist[sw][dst] >= infinity:
                     return False
         return True

@@ -29,40 +29,21 @@ from __future__ import annotations
 from collections import deque
 
 from repro.routing.table import Hop, RouteTable
-from repro.topology.graph import Topology
+from repro.topology.graph import Topology, bfs_depths
 from repro.util.errors import RoutingError
 
 _INF = float("inf")
 
 
-def _switch_order(
-    topology: Topology, failed_links: set[int]
-) -> dict[str, int]:
+def _switch_order(neighbors: dict[str, list[str]]) -> dict[str, int]:
     """BFS rank (level, then name) from a deterministic root over the
-    surviving switch graph; disconnected switches get ranks afterwards."""
-    switches = sorted(topology.switches)
+    surviving switch graph ``neighbors``; disconnected switches get
+    ranks afterwards."""
+    switches = sorted(neighbors)
     # root: the highest-degree surviving switch (shortest up paths),
     # name-tiebroken for determinism
-    def degree(sw: str) -> int:
-        return sum(
-            1
-            for link in topology.links_of(sw)
-            if link.index not in failed_links
-            and topology.is_switch(link.other(sw))
-        )
-
-    root = max(switches, key=lambda s: (degree(s), s))
-    level: dict[str, int] = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for link in topology.links_of(u):
-            if link.index in failed_links:
-                continue
-            v = link.other(u)
-            if topology.is_switch(v) and v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
+    root = max(switches, key=lambda s: (len(neighbors[s]), s))
+    level = bfs_depths(root, neighbors)
     ranked = sorted(level, key=lambda s: (level[s], s))
     order = {s: i for i, s in enumerate(ranked)}
     # disconnected remainder (severed islands) ranks after everything
@@ -89,19 +70,10 @@ def reroute_avoiding(
         if not 0 <= idx < len(topology.links):
             raise RoutingError(f"no link with index {idx}")
 
-    order = _switch_order(topology, failed_links)
-    table = RouteTable(topology, num_vcs=1)
-
     # adjacency over surviving switch links
-    neighbors: dict[str, list[tuple[str, int]]] = {
-        s: [] for s in topology.switches
-    }
-    for link in topology.switch_links:
-        if link.index in failed_links:
-            continue
-        a, b = link.a.node, link.b.node
-        neighbors[a].append((b, link.index))
-        neighbors[b].append((a, link.index))
+    neighbors = topology.switch_neighbors(failed_links)
+    order = _switch_order(neighbors)
+    table = RouteTable(topology, num_vcs=1)
 
     reachable_hosts = [
         h
@@ -119,7 +91,7 @@ def reroute_avoiding(
         queue = deque([root_sw])
         while queue:
             v = queue.popleft()
-            for u, _li in neighbors[v]:
+            for u in neighbors[v]:
                 if order[u] < order[v] and u not in down_dist:
                     down_dist[u] = down_dist[v] + 1
                     queue.append(u)
@@ -131,7 +103,7 @@ def reroute_avoiding(
         updown: dict[str, float] = {}
         for v in by_rank:
             best = down_dist.get(v, _INF)
-            for u, _li in neighbors[v]:
+            for u in neighbors[v]:
                 if order[u] < order[v]:  # an up move from v to u
                     best = min(best, updown.get(u, _INF) + 1)
             updown[v] = best
@@ -146,16 +118,16 @@ def reroute_avoiding(
             if down_dist.get(sw, _INF) == updown[sw]:
                 # descend: the down-neighbor one step closer to dst
                 cand = [
-                    (order[u], u, li)
-                    for u, li in neighbors[sw]
+                    (order[u], u)
+                    for u in neighbors[sw]
                     if order[u] > order[sw]
                     and down_dist.get(u, _INF) == down_dist[sw] - 1
                 ]
             else:
                 # climb: the up-neighbor on a shortest legal path
                 cand = [
-                    (order[u], u, li)
-                    for u, li in neighbors[sw]
+                    (order[u], u)
+                    for u in neighbors[sw]
                     if order[u] < order[sw]
                     and updown.get(u, _INF) + 1 == updown[sw]
                 ]
@@ -163,8 +135,8 @@ def reroute_avoiding(
                 raise RoutingError(
                     f"internal: no consistent up/down hop at {sw} for {dst}"
                 )
-            _rank, _u, link_index = min(cand)
-            link = topology.links[link_index]
+            _rank, nxt = min(cand)
+            link = topology.link_between(sw, nxt)
             table.set_hop(sw, dst, Hop(link.port_on(sw), 0))
 
     # every mutually-reachable host pair must still route

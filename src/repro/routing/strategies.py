@@ -22,11 +22,10 @@ which is what keeps the synthesized OpenFlow rule count at the
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 
 from repro.routing.table import Hop, RouteTable
 from repro.topology.diff import TopologyDiff, link_key
-from repro.topology.graph import Topology
+from repro.topology.graph import Topology, bfs_parents
 from repro.topology.torus import coords_of
 from repro.util.errors import RoutingError
 
@@ -45,32 +44,6 @@ def _host_port_hop(topo: Topology, switch: str, host: str, vc: int = 0) -> Hop:
 # Generic shortest path (BFS)
 # ---------------------------------------------------------------------------
 
-def _switch_neighbors(topo: Topology) -> dict[str, list[str]]:
-    """Per switch, its switch neighbors in link order: what a BFS
-    scans."""
-    is_switch = topo.is_switch
-    return {
-        sw: [nb for nb in topo.neighbors(sw) if is_switch(nb)]
-        for sw in topo.switches
-    }
-
-
-def _bfs_parents(root: str, sw_nbrs: dict[str, list[str]]) -> dict[str, str]:
-    """The BFS tree rooted at ``root`` as each reached switch's parent
-    (the root is its own): a switch adopts the first neighbor the BFS
-    reached it from. Unreachable switches are left out (table miss =
-    drop)."""
-    parent: dict[str, str] = {root: root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in sw_nbrs[u]:
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    return parent
-
-
 def _uplink_hop(topo: Topology, switch: str, parent: str) -> Hop:
     return Hop(topo.link_between(switch, parent).port_on(switch), 0)
 
@@ -82,13 +55,13 @@ def shortest_path_routes(topo: Topology) -> RouteTable:
     A BFS tree rooted at a destination's switch points every reachable
     switch along the tree toward that root, so it depends on the
     destination's switch, not on the host: it runs once per destination
-    switch (:func:`_bfs_parents`), and every host on that switch reuses
+    switch (:func:`bfs_parents`), and every host on that switch reuses
     the resulting hop list. Entries come out host by host in
     ``topo.hosts`` order, each host's switches in ``topo.switches``
     order."""
     table = RouteTable(topo, num_vcs=1)
     switches = topo.switches
-    sw_nbrs = _switch_neighbors(topo)
+    sw_nbrs = topo.switch_neighbors()
     # one hop per edge, built once: hops are identical across
     # destinations sharing an exit port, so a k-ary fat-tree allocates
     # O(ports), not O(routes). hop_to[v][u] leaves v on the v--u link
@@ -104,7 +77,7 @@ def shortest_path_routes(topo: Topology) -> RouteTable:
         root = topo.host_switch(dst)
         tree = trees.get(root)
         if tree is None:
-            parent = _bfs_parents(root, sw_nbrs)
+            parent = bfs_parents(root, sw_nbrs)
             tree = trees[root] = [
                 (sw, None if sw == root else hop_to[sw][parent[sw]])
                 for sw in switches
@@ -217,8 +190,8 @@ def repair_shortest_path(
             regrown = min(ra, rb) < rank(parent(b if ra < rb else a))
         if regrown:
             if sw_nbrs is None:
-                sw_nbrs = _switch_neighbors(topo)
-            redo = _bfs_parents(root, sw_nbrs)
+                sw_nbrs = topo.switch_neighbors()
+            redo = bfs_parents(root, sw_nbrs)
             if len(redo) != len(switches):  # an entry would disappear
                 return shortest_path_routes(topo), frozenset(switches)
         else:

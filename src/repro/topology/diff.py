@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.topology.graph import Topology
+from repro.topology.graph import Topology, bridges
 from repro.util.errors import TopologyError
 
 #: a link's identity across topology versions: sorted endpoint names
@@ -140,12 +140,10 @@ def rebuild(
 def removable_switch_links(topology: Topology) -> list[LinkKey]:
     """Switch-switch links whose removal keeps the topology connected
     (candidates for single-link-edit experiments)."""
-    import networkx as nx
-
-    graph = topology.to_networkx()
-    bridges = {link_key(a, b) for a, b in nx.bridges(graph)}
+    adjacency = {node: topology.neighbors(node) for node in topology.nodes}
+    cut = {link_key(a, b) for a, b in bridges(adjacency)}
     return [
         key
         for link in topology.switch_links
-        if (key := link_key(*link.endpoints)) not in bridges
+        if (key := link_key(*link.endpoints)) not in cut
     ]

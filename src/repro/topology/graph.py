@@ -13,10 +13,9 @@ disjoint; :meth:`Topology.connect` accepts any mix of the two.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator
-
-import networkx as nx
+from typing import Container, Iterable, Iterator, Mapping
 
 from repro.util.errors import TopologyError
 
@@ -284,25 +283,23 @@ class Topology:
     def num_host_links(self) -> int:
         return len(self.host_links)
 
-    # --- interop -------------------------------------------------------
-    def switch_graph(self) -> nx.Graph:
-        """The switch-to-switch graph (hosts dropped) as networkx."""
-        g = nx.Graph()
-        g.add_nodes_from(self._switches)
-        for l in self.switch_links:
-            g.add_edge(l.a.node, l.b.node, index=l.index)
-        return g
-
-    def to_networkx(self) -> nx.Graph:
-        """Full graph including hosts; node attr ``kind`` in {switch,host}."""
-        g = nx.Graph()
-        for s in self._switches:
-            g.add_node(s, kind="switch")
-        for h in self._hosts:
-            g.add_node(h, kind="host")
-        for l in self._links:
-            g.add_edge(l.a.node, l.b.node, index=l.index)
-        return g
+    def switch_neighbors(
+        self, failed_links: Container[int] = ()
+    ) -> dict[str, list[str]]:
+        """Per switch, its switch neighbours in link order (hosts
+        dropped), over the links whose index is not in ``failed_links``:
+        the graph that routing, partitioning, failure repair and bridge
+        search walk. Built fresh on every call, so the caller may edit
+        it."""
+        is_switch = self.is_switch
+        return {
+            sw: [
+                nb
+                for link, nb in zip(self.links_of(sw), self.neighbors(sw))
+                if is_switch(nb) and link.index not in failed_links
+            ]
+            for sw in self._switches
+        }
 
     # --- validation ----------------------------------------------------
     def validate(self) -> None:
@@ -334,23 +331,71 @@ class Topology:
             return False
         if self._nbrs is None:
             self._build_adjacency()
-        nbrs = self._nbrs
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            for nb in nbrs[stack.pop()]:  # type: ignore[index]
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(nodes)
-
-    # --- iteration helpers ----------------------------------------------
-    def switch_pairs(self) -> Iterator[tuple[str, str]]:
-        for l in self.switch_links:
-            yield l.a.node, l.b.node
+        reached = bfs_parents(nodes[0], self._nbrs)  # type: ignore[arg-type]
+        return len(reached) == len(nodes)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Topology({self.name!r}: {len(self._switches)} switches, "
             f"{len(self._hosts)} hosts, {len(self._links)} links)"
         )
+
+
+def bfs_parents(root: str, adjacency: Mapping[str, Iterable[str]]) -> dict[str, str]:
+    """The BFS tree rooted at ``root`` as each reached node's parent
+    (the root is its own): a node adopts the first neighbour the BFS
+    reached it from. Unreached nodes are left out; a parent always
+    comes before its children."""
+    parent: dict[str, str] = {root: root}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
+def bfs_depths(root: str, adjacency: Mapping[str, Iterable[str]]) -> dict[str, int]:
+    """Hops from ``root`` to each node it reaches, in BFS order."""
+    depth: dict[str, int] = {}
+    for node, parent in bfs_parents(root, adjacency).items():
+        depth[node] = depth[parent] + 1 if node != root else 0
+    return depth
+
+
+def bridges(adjacency: Mapping[str, Iterable[str]]) -> list[tuple[str, str]]:
+    """The bridges of a simple undirected graph — the edges whose
+    removal disconnects their endpoints — as (parent, child) pairs of
+    an iterative depth-first search (Tarjan's low-link test)."""
+    order: dict[str, int] = {}
+    low: dict[str, int] = {}
+    found: list[tuple[str, str]] = []
+    for root in adjacency:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack: list[tuple[str, str | None, Iterator[str]]] = [
+            (root, None, iter(adjacency[root]))
+        ]
+        while stack:
+            u, parent, nbrs = stack[-1]
+            for v in nbrs:
+                if v in order:
+                    # no parallel links: the one edge back to the
+                    # parent is the tree edge itself
+                    if v != parent and order[v] < low[u]:
+                        low[u] = order[v]
+                    continue
+                order[v] = low[v] = len(order)
+                stack.append((v, u, iter(adjacency[v])))
+                break
+            else:
+                stack.pop()
+                if parent is not None:
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+                    if low[u] > order[parent]:
+                        found.append((parent, u))
+    return found

@@ -38,8 +38,8 @@ def _random_tm(rng: np.random.Generator, topo: Topology) -> TrafficMatrix:
                 rng.uniform(0.05, 1.0)
             )
     link_load = {
-        link_key(a, b): float(rng.uniform(0.0, 1.0))
-        for a, b in topo.switch_pairs()
+        link_key(*l.endpoints): float(rng.uniform(0.0, 1.0))
+        for l in topo.switch_links
     }
     return TrafficMatrix(demand=demand, link_load=link_load)
 
@@ -53,7 +53,7 @@ def test_propose_is_deterministic_and_respects_budgets():
         tm = _random_tm(rng, topo)
         budget = PortBudget(
             max_degree=int(rng.integers(2, 5)),
-            max_switch_links=len(list(topo.switch_pairs()))
+            max_switch_links=topo.num_switch_links
             + int(rng.integers(0, 3)),
         )
         params = SearchParams(

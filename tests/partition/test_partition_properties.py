@@ -1,6 +1,5 @@
 """Property-based partitioning invariants on random connected graphs."""
 
-import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,14 +9,16 @@ from repro.partition import (
     multilevel_partition,
     quality,
 )
+from tests.partition.graphs import Graph
 
 
 @st.composite
 def connected_graphs(draw):
     n = draw(st.integers(min_value=2, max_value=24))
-    g = nx.Graph()
+    g = Graph()
     nodes = [f"n{i}" for i in range(n)]
-    g.add_nodes_from(nodes)
+    for u in nodes:
+        g.add_node(u)
     for i in range(1, n):
         j = draw(st.integers(min_value=0, max_value=i - 1))
         g.add_edge(nodes[i], nodes[j])
@@ -33,34 +34,34 @@ def connected_graphs(draw):
 @given(connected_graphs(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_multilevel_always_valid(g, data):
-    k = data.draw(st.integers(min_value=1, max_value=g.number_of_nodes()))
-    p = multilevel_partition(g, k)
-    p.validate(g)
+    k = data.draw(st.integers(min_value=1, max_value=len(g.weights)))
+    p = multilevel_partition(*g.args, k)
+    p.validate(g.weights)
     assert p.num_parts == k
 
 
 @given(connected_graphs(), st.integers(min_value=1, max_value=4))
 @settings(max_examples=40, deadline=None)
 def test_greedy_always_valid(g, k):
-    k = min(k, g.number_of_nodes())
-    p = greedy_partition(g, k)
-    p.validate(g)
+    k = min(k, len(g.weights))
+    p = greedy_partition(*g.args, k)
+    p.validate(g.weights)
 
 
 @given(connected_graphs(), st.integers(min_value=2, max_value=4))
 @settings(max_examples=40, deadline=None)
 def test_edge_accounting_conserved(g, k):
-    k = min(k, g.number_of_nodes())
-    p = multilevel_partition(g, k)
-    q = quality(g, p)
+    k = min(k, len(g.weights))
+    p = multilevel_partition(*g.args, k)
+    q = quality(*g.args, p)
     assert q.cut_edges + sum(q.internal_edges) == g.number_of_edges()
-    assert sum(q.nodes_per_part) == g.number_of_nodes()
+    assert sum(q.nodes_per_part) == len(g.weights)
 
 
 @given(connected_graphs())
 @settings(max_examples=40, deadline=None)
 def test_pairwise_cut_totals(g):
-    k = min(3, g.number_of_nodes())
-    p = multilevel_partition(g, k)
-    pairs = cut_edges_between(g, p)
-    assert sum(pairs.values()) == quality(g, p).cut_edges
+    k = min(3, len(g.weights))
+    p = multilevel_partition(*g.args, k)
+    pairs = cut_edges_between(g.adj, p)
+    assert sum(pairs.values()) == quality(*g.args, p).cut_edges

@@ -1,6 +1,5 @@
 """Graph partitioning: validity, quality, the paper's Fig. 7 cases."""
 
-import networkx as nx
 import pytest
 
 from repro.partition import (
@@ -11,9 +10,11 @@ from repro.partition import (
     partition_topology,
     quality,
     spectral_partition,
+    weighted_switch_graph,
 )
 from repro.topology import chain, dragonfly, fat_tree, torus2d
 from repro.util.errors import PartitionError
+from tests.partition.graphs import Graph, grid
 
 METHODS = ["multilevel", "spectral", "greedy", "ncut"]
 
@@ -21,7 +22,7 @@ METHODS = ["multilevel", "spectral", "greedy", "ncut"]
 @pytest.mark.parametrize("method", METHODS)
 def test_partition_is_valid(method, fattree4):
     p = partition_topology(fattree4, 2, method=method)
-    p.validate(fattree4.switch_graph())
+    p.validate(weighted_switch_graph(fattree4)[0])
     assert p.num_parts == 2
 
 
@@ -36,7 +37,7 @@ def test_fig7_case_a_torus_2way():
     inter-switch links."""
     topo = torus2d(4, 4)
     p = partition_topology(topo, 2, method="multilevel")
-    q = quality(topo.switch_graph(), p)
+    q = quality(*weighted_switch_graph(topo), p)
     assert q.cut_edges == 8
     assert q.nodes_per_part == (8, 8)
 
@@ -45,17 +46,17 @@ def test_fig7_case_b_torus_4way():
     """Fig. 7 Case B: 4 switches, 16 inter-switch links total."""
     topo = torus2d(4, 4)
     p = partition_topology(topo, 4, method="multilevel")
-    q = quality(topo.switch_graph(), p)
+    q = quality(*weighted_switch_graph(topo), p)
     assert q.cut_edges == 16
     assert q.nodes_per_part == (4, 4, 4, 4)
 
 
 def test_multilevel_beats_or_matches_greedy_on_dragonfly():
     topo = dragonfly(4, 9, 2)
-    g = topo.switch_graph()
+    g = weighted_switch_graph(topo)
     ml = partition_topology(topo, 3, method="multilevel")
     gr = partition_topology(topo, 3, method="greedy")
-    assert objective(g, ml) <= objective(g, gr)
+    assert objective(*g, ml) <= objective(*g, gr)
 
 
 def test_single_part():
@@ -77,43 +78,45 @@ def test_unknown_method_rejected():
 
 def test_cut_edges_between_sums_to_cut():
     topo = dragonfly(4, 9, 2)
-    g = topo.switch_graph()
+    weights, adj = weighted_switch_graph(topo)
     p = partition_topology(topo, 3)
-    pairs = cut_edges_between(g, p)
-    assert sum(pairs.values()) == quality(g, p).cut_edges
+    pairs = cut_edges_between(adj, p)
+    assert sum(pairs.values()) == quality(weights, adj, p).cut_edges
     for (a, b) in pairs:
         assert a < b
 
 
 def test_quality_internal_plus_cut_is_total():
     topo = fat_tree(4)
-    g = topo.switch_graph()
     p = partition_topology(topo, 2)
-    q = quality(g, p)
-    assert q.total_edges == g.number_of_edges()
+    q = quality(*weighted_switch_graph(topo), p)
+    assert q.total_edges == topo.num_switch_links
 
 
 def test_objective_penalizes_imbalance():
-    g = nx.path_graph([f"n{i}" for i in range(8)])
+    g = Graph()
+    for i in range(1, 8):
+        g.add_edge(f"n{i - 1}", f"n{i}")
     from repro.partition import Partition
 
     balanced = Partition({f"n{i}": (0 if i < 4 else 1) for i in range(8)}, 2)
     skewed = Partition({f"n{i}": (0 if i < 1 else 1) for i in range(8)}, 2)
-    assert objective(g, balanced) < objective(g, skewed)
+    assert objective(*g.args, balanced) < objective(*g.args, skewed)
 
 
 def test_spectral_2way_median_split_balanced():
     topo = torus2d(4, 4)
-    p = spectral_partition(topo.switch_graph(), 2)
+    p = spectral_partition(*weighted_switch_graph(topo), 2)
     sizes = [len(part) for part in p.parts()]
     assert max(sizes) - min(sizes) <= 2
 
 
 def test_greedy_handles_disconnected_graph():
-    g = nx.Graph()
-    g.add_edges_from([("a", "b"), ("c", "d")])
-    p = greedy_partition(g, 2)
-    p.validate(g)
+    g = Graph()
+    g.add_edge("a", "b")
+    g.add_edge("c", "d")
+    p = greedy_partition(*g.args, 2)
+    p.validate(g.weights)
 
 
 def test_multilevel_deterministic_per_seed():
@@ -130,18 +133,17 @@ def test_multilevel_splits_every_chain_into_every_feasible_part_count():
     now gets one part per node and the other side the rest."""
     for n in range(2, 30):
         topo = chain(n)
-        graph = topo.switch_graph()
+        weights, _adj = weighted_switch_graph(topo)
         for k in range(1, n + 1):
             p = partition_topology(topo, k)
-            p.validate(graph)
+            p.validate(weights)
             assert p.num_parts == k
 
 
 def test_multilevel_large_graph():
-    g = nx.grid_2d_graph(10, 10)
-    g = nx.relabel_nodes(g, {n: f"{n[0]}-{n[1]}" for n in g.nodes})
-    p = multilevel_partition(g, 4)
-    p.validate(g)
-    q = quality(g, p)
+    g = grid(10, 10)
+    p = multilevel_partition(*g.args, 4)
+    p.validate(g.weights)
+    q = quality(*g.args, p)
     # a 10x10 grid 4-way should cut well under half the edges
     assert q.cut_edges < g.number_of_edges() / 2

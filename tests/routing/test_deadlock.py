@@ -86,7 +86,8 @@ def test_cdg_excludes_host_channels():
     topo = ring4()
     table = clockwise_routes(topo, dateline=True)
     cdg = channel_dependency_graph(table)
-    for ch in cdg.nodes:
+    assert cdg
+    for ch in cdg:
         assert ch.src.startswith("r") and ch.dst.startswith("r")
 
 

@@ -14,6 +14,7 @@ from repro.routing.protocols import (
 from repro.routing.protocols.distvec import DistanceVectorProtocol
 from repro.routing.protocols.precomputed import modeled_push_time
 from repro.topology import chain, fat_tree
+from repro.topology.diff import removable_switch_links
 from repro.topology.zoo import build_zoo_topology, zoo_entry
 from repro.util.errors import RoutingError
 
@@ -21,14 +22,9 @@ from repro.util.errors import RoutingError
 def _fail_one_link(topo):
     """Index of some switch-switch link whose loss keeps the graph
     connected (fat-tree/chain have plenty)."""
-    import networkx as nx
-
-    graph = topo.switch_graph()
-    bridges = {frozenset(e) for e in nx.bridges(graph)}
-    for link in topo.switch_links:
-        if frozenset((link.a.node, link.b.node)) not in bridges:
-            return link.index
-    raise AssertionError("no non-bridge link")
+    removable = removable_switch_links(topo)
+    assert removable, "no non-bridge link"
+    return topo.link_between(*removable[0]).index
 
 
 # --- registry ---------------------------------------------------------------

@@ -341,21 +341,32 @@ def test_bench_suite_choices_track_bench_module():
     assert tuple(bench.choices) == BENCH_SUITES
 
 
-def test_importing_the_cli_does_not_import_scipy():
-    """Only the spectral comparator needs scipy; ``import repro`` must
-    not pay for it (checked in a fresh interpreter: this process may
-    already have run a spectral partition)."""
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    ``src`` (this process may already have imported anything)."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     subprocess.run(
-        [
-            sys.executable, "-c",
-            "import repro.cli, sys; assert 'scipy' not in sys.modules",
-        ],
-        env=env,
-        check=True,
-        timeout=60,
+        [sys.executable, "-c", code], env=env, check=True, timeout=60
+    )
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    """Only the spectral comparator needs scipy; ``import repro`` must
+    not pay for it."""
+    _run_fresh("import repro.cli, sys; assert 'scipy' not in sys.modules")
+
+
+def test_the_runtime_does_not_import_networkx():
+    """networkx is a test-only oracle: the CLI, the controller, the
+    campaign runner, the analyses and the HTTP service import none of
+    it."""
+    _run_fresh(
+        "import sys\n"
+        "import repro.cli, repro.core, repro.campaign, repro.analysis\n"
+        "import repro.service.app\n"
+        "assert 'networkx' not in sys.modules"
     )

@@ -124,19 +124,17 @@ def test_validate_rejects_host_to_host():
         t.validate()
 
 
-def test_to_networkx_kinds():
+def test_switch_neighbors_are_a_fresh_copy():
     t = make_simple()
-    g = t.to_networkx()
-    assert g.nodes["s0"]["kind"] == "switch"
-    assert g.nodes["h0"]["kind"] == "host"
-    assert g.number_of_edges() == 3
+    nbrs = t.switch_neighbors()
+    nbrs["s0"].remove("s1")
+    assert t.switch_neighbors()["s0"] == ["s1"]
+    assert t.neighbors("s0") == ["s1", "h0"]
 
 
-def test_switch_graph_drops_hosts():
+def test_switch_neighbors_drop_hosts():
     t = make_simple()
-    g = t.switch_graph()
-    assert set(g.nodes) == {"s0", "s1"}
-    assert g.number_of_edges() == 1
+    assert t.switch_neighbors() == {"s0": ["s1"], "s1": ["s0"]}
 
 
 def test_link_of_port_roundtrip():
