@@ -367,9 +367,8 @@ def _engineer_watch(args, config, cluster, budget, params, drive):
     control-plane service (DESIGN.md §8) instead of calling the
     controller directly, so engineering serializes with any other
     tenant operations the service is scheduling. Each applied step is
-    a tenant ``reconfigure``, i.e. a generation swap that pushes the
-    whole new rule set, not the incremental delta the one-shot
-    ``--steps`` mode pushes."""
+    a tenant ``reconfigure``: the same incremental edit the one-shot
+    ``--steps`` mode applies."""
     import asyncio
 
     from repro.engineering import TopologyEngineer

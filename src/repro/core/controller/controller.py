@@ -14,9 +14,10 @@ Four modules, mirroring Fig. 9:
 
 The paper has *one* deployment function (check → project → route → vet
 → push flow tables), and so does this module: every entry point that
-mutates the data plane — ``deploy``, ``deploy_prepared``,
-``swap_deployment``, ``undeploy``, ``undeploy_cookie``, ``reconfigure``
-(cold and incremental), ``update_routes``, ``fail_link``,
+mutates the data plane — ``deploy``, ``deploy_prepared``, ``edit``
+(incremental, or a cold generation swap of the one deployment),
+``reconfigure`` (``edit`` of the one live deployment), ``undeploy``,
+``undeploy_cookie``, ``update_routes``, ``fail_link``,
 ``restore_links``, ``install_flow_override``, ``reconcile`` — plans its
 change, calls the shared stages, and updates its own books. Each stage
 is written once (DESIGN.md §4b has the per-entry-point table):
@@ -27,8 +28,7 @@ is written once (DESIGN.md §4b has the per-entry-point table):
 2. **stage** — :meth:`SDTController._stage_generation` stages a
    generation change (a new rule set and/or cookie deletes of old
    generations, installs first or deletes first);
-   :func:`_with_discipline` (public face:
-   :meth:`SDTController.stage_swap`) is the update-discipline *policy*:
+   :func:`_with_discipline` is the update-discipline *policy*:
    make-before-break whenever the flow tables can hold both
    generations (equal-priority lookups prefer the earlier-installed
    entry, so there is no forwarding gap), break-before-make otherwise;
@@ -160,24 +160,37 @@ def _vet(routes: RouteTable, lossless: bool) -> RouteTable:
 
 
 # --- the mutation pipeline: update discipline -------------------------------
+def _priced(
+    txn: ControlTransaction, admit: Callable[[ControlTransaction], None] | None
+) -> ControlTransaction:
+    """``validate()`` a staged transaction, then hand it to the
+    caller's admission check (if any). Either may refuse with
+    ``CapacityError``: the change does not fit as staged."""
+    _stage("txn.validate", txn.validate)
+    if admit is not None:
+        admit(txn)
+    return txn
+
+
 def _with_discipline(
     stage: Callable[[bool], ControlTransaction],
-    prefer_make_before_break: bool = True,
+    admit: Callable[[ControlTransaction], None] | None = None,
 ) -> tuple[ControlTransaction, str]:
     """The update-discipline policy. ``stage(make_first)`` returns the
     staged transaction; make-before-break is tried first and priced
-    with ``validate()``, and when the hardware cannot hold both
-    generations (``CapacityError`` from the flow tables,
-    ``ProjectionError`` from the wiring) the change is staged
-    break-before-make instead — *unpriced*: its commit validates."""
-    if prefer_make_before_break:
-        try:
-            txn = stage(True)
-            _stage("txn.validate", txn.validate)
-            return txn, MAKE_BEFORE_BREAK
-        except (CapacityError, ProjectionError):
-            pass
-    return stage(False), BREAK_BEFORE_MAKE
+    (:func:`_priced`), and when it does not fit (``CapacityError`` from
+    the flow tables or from ``admit``, ``ProjectionError`` from the
+    wiring) the change is staged break-before-make instead. That one
+    is *unpriced* unless there is an ``admit`` to consult — its commit
+    validates."""
+    try:
+        return _priced(stage(True), admit), MAKE_BEFORE_BREAK
+    except (CapacityError, ProjectionError):
+        pass
+    txn = stage(False)
+    if admit is not None:
+        _priced(txn, admit)
+    return txn, BREAK_BEFORE_MAKE
 
 
 @dataclass
@@ -218,9 +231,9 @@ class Prepared:
     """Everything a deployment needs, computed before touching hardware.
 
     Produced by :meth:`SDTController.prepare` and consumed by
-    :meth:`SDTController.deploy_prepared` /
-    :meth:`SDTController.swap_deployment`, which release it themselves
-    if they fail. Callers that abandon a preparation on a hybrid rig
+    :meth:`SDTController.deploy_prepared`, which releases it itself if
+    it fails; :meth:`SDTController.edit` hands one to its ``admit``
+    check. Callers that abandon a preparation on a hybrid rig
     must hand it to :meth:`SDTController.release_preparation` so minted
     flex circuits are returned (everything else in a preparation is
     pure state).
@@ -261,7 +274,7 @@ class Mutation:
     #: rules in the generation this mutation installed
     rules: int | None = None
     #: control messages pushed / entries left untouched on the switches
-    #: (disruption accounting, uniform across swap and reconfigure)
+    #: (disruption accounting, uniform across cold and incremental edits)
     pushed: int | None = None
     unchanged: int | None = None
 
@@ -394,33 +407,13 @@ class SDTController:
                     txn.stage_rules(new)
             return txn
 
-    def stage_swap(
-        self,
-        label: str,
-        new: RuleSet,
-        olds: Iterable[Deployment],
-        *,
-        prefer_make_before_break: bool = True,
-    ) -> tuple[ControlTransaction, str]:
-        """Stage replacing the ``olds`` generations with ``new`` under
-        the update-discipline policy; returns ``(transaction,
-        discipline)`` with nothing committed. A make-before-break
-        result has passed ``validate()``; a break-before-make one has
-        not (``commit`` does). Admission control prices tenant swaps
-        through this, so it admits exactly what a commit can apply."""
-        deletes = [(old.rules.switches(), old.cookie) for old in olds]
-        return _with_discipline(
-            lambda make_first: self._stage_generation(
-                label, new, deletes, make_first=make_first
-            ),
-            prefer_make_before_break,
-        )
-
     # --- resource bookkeeping ------------------------------------------
-    def _occupied(self) -> set:
+    def _occupied(self, but: Deployment | None = None) -> set:
+        """Wiring resources the live deployments hold (except ``but``)."""
         used: set = set()
         for d in self.deployments:
-            used.update(d.projection.link_realization.values())
+            if d is not but:
+                used.update(d.projection.link_realization.values())
         return used
 
     def _require_live(self, deployment: Deployment) -> None:
@@ -701,57 +694,6 @@ class SDTController:
         (0.0 on pure-wiring rigs, where abandonment is free)."""
         return self._release_optics(prep.hybrid_plan)
 
-    def swap_deployment(
-        self,
-        old: Deployment,
-        prep: Prepared,
-        *,
-        prefer_make_before_break: bool = True,
-    ) -> tuple[Deployment, float]:
-        """Replace one live deployment with a prepared one, atomically.
-
-        Unlike :meth:`reconfigure` — which swaps *every* live deployment
-        and is therefore unusable on a shared pool — this exchanges a
-        single generation: one transaction stages the new rules and the
-        old cookie's deletes, committing make-before-break when the flow
-        tables can hold both generations and falling back to
-        break-before-make otherwise. Callers whose preparation *reuses*
-        the old deployment's wiring (projected with the old resources
-        excluded from ``exclude``) must pass
-        ``prefer_make_before_break=False``: both generations would
-        claim the same physical ports, so the old rules have to leave
-        first. Returns ``(new deployment, modeled swap time)`` — the
-        preparation's optical mint, the commit, and the old
-        generation's optical release. The call consumes ``prep``: a
-        failed call (``old`` not live, or a mid-commit failure, which
-        rolls every switch back with ``old`` still live) has already
-        released the preparation's flex circuits.
-        """
-        with self.mutation(
-            "swap", consumed=prep, topology=prep.topology.name
-        ) as m:
-            self._require_live(old)
-            txn, m.strategy = self.stage_swap(
-                f"swap {old.name}->{prep.topology.name}",
-                prep.rules,
-                [old],
-                prefer_make_before_break=prefer_make_before_break,
-            )
-            m.optical_mint = prep.optical_time
-            m.commit_time = txn.commit()
-            self.deployments.remove(old)
-            m.optical_release = self._release_optics(old.hybrid_plan)
-            deployment = self._register(
-                prep,
-                prep.optical_time + self._estimated_install_time(prep.rules),
-            )
-            m.rules = prep.rules.count()
-            # a generation swap pushes the new rules plus the old
-            # cookie's deletes; count them so disruption accounting is
-            # uniform across the incremental and swap reconfigure paths
-            m.pushed = m.rules + old.rules.count()
-        return deployment, m.modeled_time
-
     def undeploy(self, deployment: Deployment) -> float:
         """Remove a deployment's rules; returns modeled removal time.
 
@@ -794,45 +736,87 @@ class SDTController:
         *,
         active_hosts: list[str] | None = None,
     ) -> tuple[Deployment, float]:
-        """Swap every live deployment for ``config`` — the one-command
-        topology swap of Fig. 2. Returns (deployment, total modeled
-        reconfiguration time): no rewiring, no optics, just flow tables.
+        """The one-command topology swap of Fig. 2: :meth:`edit` the one
+        live deployment into ``config`` (or deploy it when nothing is
+        live). Returns (deployment, total modeled reconfiguration time):
+        no rewiring, no optics, just flow tables.
 
-        The swap is a single transaction. When the wiring and flow
-        tables can hold both generations at once it commits
-        make-before-break (new rules install first, shadowed by the old
-        generation until its delete lands — no forwarding gap);
-        otherwise it falls back to break-before-make. Either way a
-        mid-flight failure rolls every switch back to the previous
-        deployment's rules and leaves ``deployments`` untouched.
+        With more than one deployment live there is no "the" deployment
+        to edit: ``ConfigurationError``, nothing touched — name the one
+        to change with :meth:`edit`.
         """
+        if len(self.deployments) > 1:
+            raise ConfigurationError(
+                f"reconfigure edits the one live deployment, but "
+                f"{len(self.deployments)} are live; edit one of them"
+            )
+        if self.deployments:
+            return self.edit(
+                self.deployments[0], config, active_hosts=active_hosts
+            )
         with self.mutation("reconfigure") as m:
-            olds = list(self.deployments)
-            deployment = None
-            if not olds:
-                deployment = self.deploy(config, active_hosts=active_hosts)
-                m.commit_time = deployment.deployment_time
-            elif len(olds) == 1:
-                deployment = self._reconfigure_incremental(
-                    olds[0], config, active_hosts, m
-                )
+            deployment = self.deploy(config, active_hosts=active_hosts)
+            m.commit_time = deployment.deployment_time
+            m.span.set("topology", deployment.name)
+        return deployment, m.modeled_time
+
+    def edit(
+        self,
+        old: Deployment,
+        config: TopologyConfig | Topology,
+        *,
+        active_hosts: list[str] | None = None,
+        exclude: set | frozenset = frozenset(),
+        cookie: int | None = None,
+        admit: Callable[[ControlTransaction, Prepared], None] | None = None,
+    ) -> tuple[Deployment, float]:
+        """Edit one live deployment into ``config`` — the only
+        reconfigure path, for one user (:meth:`reconfigure`) and for
+        many (the tenant service). Returns (deployment, modeled time).
+
+        The edit is incremental when it can be (DESIGN.md §5b): only the
+        rule delta is pushed and the deployment keeps its cookie. When
+        it cannot, it is a cold generation swap of ``old`` alone, under
+        the update-discipline policy: make-before-break projects the new
+        topology alongside the live deployments, break-before-make
+        re-prepares on ``old``'s freed wiring and optics. Either way it
+        is one transaction, and a failure leaves ``old`` live with every
+        switch rolled back.
+
+        ``exclude`` adds wiring resources the new generation may not
+        claim (a tenant's host ports outside its lease); ``cookie`` is
+        the cold generation's cookie (default: the controller's next).
+        ``admit(txn, prep)`` is the caller's admission check: it sees
+        every staged transaction once ``validate()`` has priced it,
+        before the commit, and may refuse with ``CapacityError`` (this
+        staging does not fit: the edit tries the next one — incremental,
+        then make-before-break, then break-before-make) or with any
+        other error, which abandons the edit with nothing touched.
+        """
+        self._require_live(old)
+        with self.mutation("reconfigure") as m:
+            deployment = self._reconfigure_incremental(
+                old, config, active_hosts, exclude, admit, m
+            )
             if deployment is None:
                 deployment = self._reconfigure_cold(
-                    olds, config, active_hosts, m
+                    old, config, active_hosts, exclude, cookie, admit, m
                 )
             m.span.set("topology", deployment.name)
         return deployment, m.modeled_time
 
     def _reconfigure_cold(
         self,
-        olds: list[Deployment],
+        old: Deployment,
         config: TopologyConfig | Topology,
         active_hosts: list[str] | None,
+        exclude: set | frozenset,
+        cookie: int | None,
+        admit: Callable[[ControlTransaction, Prepared], None] | None,
         m: Mutation,
     ) -> Deployment:
-        """Swap whole generations: every old deployment's cookie delete
-        against a freshly prepared topology."""
-        deletes = [(old.rules.switches(), old.cookie) for old in olds]
+        """Swap a whole generation: ``old``'s cookie delete against a
+        freshly prepared topology."""
         prep: Prepared | None = None
 
         def stage(make_first: bool) -> ControlTransaction:
@@ -844,31 +828,33 @@ class SDTController:
                 # optics guard restores them if the swap fails past
                 # this point.
                 self._restore_ocs(m.ocs_before)  # drop aborted MBB mints
-                for old in olds:
-                    m.optical_release += self._release_optics(old.hybrid_plan)
-            # make-before-break projects alongside the live deployments
+                m.optical_release += self._release_optics(old.hybrid_plan)
+            # make-before-break projects alongside the live deployment
+            occupied = self._occupied(but=None if make_first else old)
             prep = self.prepare(
                 config,
                 active_hosts=active_hosts,
-                exclude=self._occupied() if make_first else set(),
+                exclude=occupied | exclude,
+                cookie=cookie,
             )
             return self._stage_generation(
                 f"reconfigure {prep.topology.name}",
                 prep.rules,
-                deletes,
+                [(old.rules.switches(), old.cookie)],
                 make_first=make_first,
             )
 
-        txn, m.strategy = _with_discipline(stage)
+        txn, m.strategy = _with_discipline(
+            stage, None if admit is None else lambda txn: admit(txn, prep)
+        )
         m.optical_mint = prep.optical_time
         m.commit_time = txn.commit()
         m.mode = "cold"
         m.rules = prep.rules.count()
-        m.pushed = m.rules + sum(o.rules.count() for o in olds)
-        for old in olds:
-            self.deployments.remove(old)
-            if m.strategy == MAKE_BEFORE_BREAK:
-                m.optical_release += self._release_optics(old.hybrid_plan)
+        m.pushed = m.rules + old.rules.count()
+        self.deployments.remove(old)
+        if m.strategy == MAKE_BEFORE_BREAK:
+            m.optical_release += self._release_optics(old.hybrid_plan)
         return self._register(
             prep,
             prep.optical_time + self._estimated_install_time(prep.rules),
@@ -879,6 +865,8 @@ class SDTController:
         old: Deployment,
         config: TopologyConfig | Topology,
         active_hosts: list[str] | None,
+        exclude: set | frozenset,
+        admit: Callable[[ControlTransaction, Prepared], None] | None,
         m: Mutation,
     ) -> Deployment | None:
         """Try the O(changed links) reconfiguration path (DESIGN.md §5b).
@@ -891,6 +879,8 @@ class SDTController:
         the FlowMod/strict-FlowDelete *delta* against live switch
         state — keeping the deployment's cookie,
         because this is an edit of the same generation, not a new one.
+        Added links may claim no resource another deployment holds, nor
+        any in ``exclude``.
 
         When the live routes are the shortest-path strategy's own output
         (:attr:`Deployment.routes_strategy`, not ``config.routing``: a
@@ -904,11 +894,13 @@ class SDTController:
         sub-switch.
 
         Returns ``None`` when the edit cannot be applied incrementally,
-        and the caller runs the cold swap instead: multiple or pruned
-        deployments, optics in play, active link failures, installed
-        per-flow overrides (they live outside ``rules``, a delta swap
-        would strand them), incompatible node edits, or added links that
-        the free wiring cannot host without re-placing survivors.
+        and the caller runs the cold swap instead: pruned deployments,
+        optics in play, active link failures, installed per-flow
+        overrides (they live outside ``rules``, a delta swap would
+        strand them), incompatible node edits, added links that the
+        free wiring cannot host without re-placing survivors, or a
+        delta that does not fit (the flow tables' or ``admit``'s
+        ``CapacityError``).
         """
         if (
             active_hosts is not None
@@ -935,10 +927,6 @@ class SDTController:
             routes = self._routes_for(topology, strategy)
         _vet(routes, lossless)
 
-        exclude: set = set()
-        for d in self.deployments:
-            if d is not old:
-                exclude.update(d.projection.link_realization.values())
         partition = _stage(
             "partition.extend", extend_partition, old.projection.partition, topology
         )
@@ -950,7 +938,7 @@ class SDTController:
                 old.projection,
                 topology,
                 partition,
-                exclude=exclude,
+                exclude=self._occupied(but=old) | exclude,
                 metadata_base=self._next_metadata,
             )
         except (CapacityError, ProjectionError):
@@ -961,7 +949,18 @@ class SDTController:
             unchanged = unchanged_blocks(
                 old.projection, old.rules, projection, moved, old.cookie
             )
-        rules = self._synthesize(projection, routes, old.cookie, unchanged)
+        prep = Prepared(
+            config=cfg,
+            topology=topology,
+            routes=routes,
+            projection=projection,
+            rules=self._synthesize(projection, routes, old.cookie, unchanged),
+            cookie=old.cookie,
+            lossless=lossless,
+            hybrid_plan=None,
+            optical_time=0.0,
+            routes_strategy=strategy,
+        )
         with trace.span("openflow.stage"):
             txn = ControlTransaction(
                 self.cluster.control,
@@ -971,9 +970,11 @@ class SDTController:
             # block came back from the rule cache unchanged are excluded
             # from the per-rule diff entirely (no FlowMod
             # materialization for them).
-            delta = split_ruleset_delta(old.rules, rules)
+            delta = split_ruleset_delta(old.rules, prep.rules)
             stats = txn.stage_delta(delta.old_mods, delta.new_mods)
         try:
+            if admit is not None:
+                _priced(txn, lambda txn: admit(txn, prep))
             m.commit_time = txn.commit()
         except CapacityError:
             # commit validates before touching hardware; the delta's
@@ -992,14 +993,14 @@ class SDTController:
         old.projection = projection
         old.routes = routes
         old.routes_strategy = strategy
-        old.rules = rules
+        old.rules = prep.rules
         old.lossless = lossless
-        old.deployment_time = self._estimated_install_time(rules)
+        old.deployment_time = self._estimated_install_time(prep.rules)
 
         m.strategy = MAKE_BEFORE_BREAK
         m.mode = "incremental"
         m.span.set("changes", diff.num_changes)
-        m.rules = rules.count()
+        m.rules = prep.rules.count()
         m.pushed = stats.pushed
         m.unchanged = stats.unchanged + delta.shared_rules
         return old
@@ -1020,8 +1021,14 @@ class SDTController:
             _vet(routes, deployment.lossless)
             cookie = self._next_cookie
             rules = self._synthesize(deployment.projection, routes, cookie)
-            txn, m.strategy = self.stage_swap(
-                f"update-routes {deployment.name}", rules, [deployment]
+            deletes = [(deployment.rules.switches(), deployment.cookie)]
+            txn, m.strategy = _with_discipline(
+                lambda make_first: self._stage_generation(
+                    f"update-routes {deployment.name}",
+                    rules,
+                    deletes,
+                    make_first=make_first,
+                )
             )
             m.commit_time = txn.commit()
             self._next_cookie += 1

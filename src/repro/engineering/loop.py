@@ -24,13 +24,9 @@ pure observation + search, ``finish()`` is bookkeeping; a driver that
 must apply the config through ``ControlPlaneService.submit`` (the
 ``repro engineer --watch`` mode) awaits between the two, while the
 synchronous :meth:`step` composes them around a direct
-``controller.reconfigure``. The two paths push different amounts: a
-tenant ``reconfigure`` through the service is a generation swap
-(``admit_swap`` + ``swap_deployment``: the whole new rule set goes in
-under a fresh cookie and the old cookie's rules come out), not the
-incremental delta. On a ring of 6 switches adding ``s0``–``s3``, the
-one-shot step pushes 10 rules and the ``--watch`` step 110, and the
-measured cap judges those 110.
+``controller.reconfigure``. Both apply the same incremental edit
+(:meth:`~repro.core.controller.controller.SDTController.edit`), so
+they push the same rules.
 """
 
 from __future__ import annotations

@@ -2,22 +2,23 @@
 
 The binding resources of a shared SDT pool are the per-switch TCAMs
 (§IV, Table 2), the cabled host ports, and the inter-switch/self links.
-Admission runs every check against the *exact* preparation that would
-be installed — not an estimate — and guarantees **zero mutation on
+Admission runs every check against the *exact* change that would be
+installed — not an estimate — and guarantees **zero mutation on
 reject**: a refused request leaves every flow table bit-identical to
 before it arrived, because
 
-* preparation (:meth:`~repro.core.controller.controller.SDTController.prepare`)
-  is pure — projection and rule synthesis touch no hardware;
-* pool capacity is priced by the controller's own update-discipline
-  policy
-  (:meth:`~repro.core.controller.controller.SDTController.stage_swap`):
-  the prepared rules — and, for a swap, the old cookie's deletes — are
-  staged exactly as the commit will stage them, make-before-break
-  first and break-before-make if that does not fit, and checked with
+* a deploy is vetted on its preparation
+  (:meth:`~repro.core.controller.controller.SDTController.prepare`),
+  which is pure — projection and rule synthesis touch no hardware —
+  and its pool capacity is priced with
   :meth:`~repro.openflow.transaction.ControlTransaction.validate`
-  (never ``commit``) — the same exact peak-entry simulation a commit
-  runs, so admission admits precisely what the controller can apply;
+  (never ``commit``);
+* an edit is vetted inside the controller's one per-deployment edit
+  (:meth:`~repro.core.controller.controller.SDTController.edit`):
+  :meth:`AdmissionController.admit_swap` sees every transaction the
+  edit stages, after ``validate()`` has priced it against the pool and
+  before it commits, so admission admits precisely what the controller
+  applies;
 * on a hybrid pool, flex circuits minted during preparation are
   released before the rejection is raised.
 
@@ -29,14 +30,16 @@ the necessary modification").
 
 from __future__ import annotations
 
+from typing import NoReturn
+
 from repro.core.controller.config import TopologyConfig
 from repro.core.controller.controller import (
-    BREAK_BEFORE_MAKE,
     Deployment,
     Prepared,
     SDTController,
 )
 from repro.hardware.wiring import HostPort
+from repro.openflow.transaction import ControlTransaction
 from repro.telemetry import metrics, trace
 from repro.tenancy.session import TenantSession
 from repro.topology.graph import Topology
@@ -60,119 +63,40 @@ class AdmissionController:
         with trace.span(
             "tenant.admission", tenant=session.tenant_id, op="deploy"
         ) as sp:
-            topology = self._build(config)
-            sp.set("topology", topology.name)
-            problems = self._host_quota_problems(session, topology, old=None)
-            if problems:
-                self._reject(session, problems)
-            prep = self._prepare(
-                session, config, exclude=self._exclude_for(session)
-            )
-            problems = self._post_prepare_problems(session, prep, old=None)
+            sp.set("topology", self.admit_topology(session, config).name)
+            try:
+                prep = self.controller.prepare(
+                    config,
+                    exclude=self.controller._occupied()
+                    | self.foreign_host_ports(session),
+                    cookie=session.next_cookie(),
+                )
+            except (CapacityError, ProjectionError) as exc:
+                self.reject(session, [str(exc)])
+            problems = self._steady_problems(session, prep, old=None)
+            try:
+                self.controller._stage_generation(
+                    f"admission {session.tenant_id}", prep.rules
+                ).validate()
+            except CapacityError as exc:
+                problems.append(str(exc))
             if problems:
                 self.controller.release_preparation(prep)
-                self._reject(session, problems)
+                self.reject(session, problems)
             self._count(session, admitted=True)
             return prep
 
-    def admit_swap(
-        self,
-        session: TenantSession,
-        old: Deployment,
-        config: TopologyConfig | Topology,
-    ) -> tuple[Prepared, bool]:
-        """Validate replacing ``old`` with ``config`` for this tenant.
-
-        Returns ``(preparation, make_before_break)``: when the pool can
-        hold both generations the preparation is projected *alongside*
-        the old deployment and the swap may go make-before-break;
-        otherwise the preparation reuses the old deployment's wiring
-        and the caller must swap break-before-make.
-        """
-        with trace.span(
-            "tenant.admission", tenant=session.tenant_id, op="swap"
-        ) as sp:
-            topology = self._build(config)
-            sp.set("topology", topology.name)
-            problems = self._host_quota_problems(session, topology, old=old)
-            if problems:
-                self._reject(session, problems)
-
-            occupied = self.controller._occupied()
-            foreign = self._foreign_host_ports(session)
-            old_resources = set(old.projection.link_realization.values())
-            try:
-                # make-before-break: project alongside the live generation
-                prep = self.controller.prepare(
-                    config,
-                    exclude=occupied | foreign,
-                    cookie=session.next_cookie(),
-                )
-                mbb = True
-            except (CapacityError, ProjectionError):
-                # the pool cannot hold both generations at once: reuse
-                # the old deployment's wiring (break-before-make)
-                prep = self._prepare(
-                    session,
-                    config,
-                    exclude=(occupied - old_resources) | foreign,
-                )
-                mbb = False
-            if mbb and not self._transient_share_ok(session, prep, old):
-                # both generations may fit the pool but would transiently
-                # exceed the tenant's own TCAM share: break first
-                mbb = False
-            problems = self._post_prepare_problems(session, prep, old, mbb)
-            if problems:
-                self.controller.release_preparation(prep)
-                self._reject(session, problems)
-            sp.set("make_before_break", mbb)
-            self._count(session, admitted=True)
-            return prep, mbb
-
-    # --- internals ------------------------------------------------------
-    @staticmethod
-    def _build(config: TopologyConfig | Topology) -> Topology:
-        return config if isinstance(config, Topology) else config.build()
-
-    def _exclude_for(self, session: TenantSession) -> set:
-        """Resources a tenant preparation may not claim: everything a
-        live deployment holds, plus every host port outside the
-        tenant's lease (the lease is the only place its hosts may
-        land)."""
-        return self.controller._occupied() | self._foreign_host_ports(session)
-
-    def _foreign_host_ports(self, session: TenantSession) -> set:
-        leased = set(session.lease)
-        return {
-            hp
-            for hp in self.controller.cluster.wiring.host_ports
-            if hp not in leased
-        }
-
-    def _prepare(
+    def admit_topology(
         self,
         session: TenantSession,
         config: TopologyConfig | Topology,
-        *,
-        exclude: set,
-    ) -> Prepared:
-        """Run the controller's pure preparation under admission
-        semantics: infeasibility is a rejection, not a crash."""
-        try:
-            return self.controller.prepare(
-                config, exclude=exclude, cookie=session.next_cookie()
-            )
-        except (CapacityError, ProjectionError) as exc:
-            self._reject(session, [str(exc)])
-            raise AssertionError("unreachable") from exc
-
-    def _host_quota_problems(
-        self,
-        session: TenantSession,
-        topology: Topology,
-        old: Deployment | None,
-    ) -> list[str]:
+        old: Deployment | None = None,
+    ) -> Topology:
+        """Build the requested topology and check it against the
+        host-port quota — the one check that needs no preparation.
+        ``old`` is the deployment an edit replaces: its host ports
+        count as freed."""
+        topology = config if isinstance(config, Topology) else config.build()
         freed = 0
         if old is not None:
             freed = sum(
@@ -182,28 +106,84 @@ class AdmissionController:
             )
         used = session.host_ports_used() - freed
         needed = len(topology.hosts)
-        problems = []
         if used + needed > session.quota.host_ports:
-            problems.append(
+            self.reject(session, [
                 f"needs {needed} host ports, {used} of the "
                 f"{session.quota.host_ports}-port quota already bound"
-            )
-        return problems
+            ])
+        return topology
 
-    def _post_prepare_problems(
+    def admit_swap(
         self,
         session: TenantSession,
+        old: Deployment,
+        txn: ControlTransaction,
         prep: Prepared,
-        old: Deployment | None,
-        make_before_break: bool = True,
+    ) -> None:
+        """Vet one staged attempt at editing ``old`` into ``prep``.
+
+        :meth:`~repro.core.controller.controller.SDTController.edit`
+        calls this, as its ``admit``, on every transaction it stages for
+        the tenant — after ``validate()`` has priced it against the pool
+        and before it commits. Steady-state problems (the per-switch
+        TCAM share once the edit lands, the optical budget) reject the
+        request with :class:`AdmissionError`. A transient peak over the
+        share (``txn.peak_entry_counts()``: an incremental delta's
+        additions, or both generations under make-before-break) refuses
+        only this staging, with ``CapacityError``; the edit goes on to
+        the next one, and break-before-make never peaks above the
+        steady state.
+        """
+        with trace.span(
+            "tenant.admission", tenant=session.tenant_id, op="swap"
+        ) as sp:
+            sp.set("topology", prep.topology.name)
+            problems = self._steady_problems(session, prep, old)
+            if problems:
+                self.reject(session, problems)
+            used = session.tcam_used()
+            switches = self.controller.cluster.switches
+            over = []
+            for sw, peak in sorted(txn.peak_entry_counts().items()):
+                at_peak = used.get(sw, 0) + peak - switches[sw].num_entries
+                if at_peak > session.quota.tcam_share:
+                    over.append(
+                        f"{sw}: would peak at {at_peak} flow entries "
+                        f"mid-commit, quota is {session.quota.tcam_share} "
+                        "per switch"
+                    )
+            if over:
+                raise CapacityError("; ".join(over))
+            self._count(session, admitted=True)
+
+    def foreign_host_ports(self, session: TenantSession) -> set:
+        """Every wired host port outside the tenant's lease — the lease
+        is the only place its hosts may land."""
+        leased = set(session.lease)
+        return {
+            hp
+            for hp in self.controller.cluster.wiring.host_ports
+            if hp not in leased
+        }
+
+    def reject(self, session: TenantSession, problems: list[str]) -> NoReturn:
+        """Refuse the tenant's request: always raises
+        :class:`AdmissionError`."""
+        self._count(session, admitted=False)
+        raise AdmissionError(
+            f"tenant {session.tenant_id!r} request rejected: "
+            + "; ".join(problems),
+            problems=problems,
+        )
+
+    # --- internals ------------------------------------------------------
+    def _steady_problems(
+        self, session: TenantSession, prep: Prepared, old: Deployment | None
     ) -> list[str]:
-        """Checks that need the exact preparation: per-switch TCAM
-        share, optical budget, and pool-wide transaction validation
-        (``make_before_break`` is the discipline the swap will ask the
-        controller for)."""
+        """The tenant's per-switch TCAM share and optical budget once
+        ``prep`` has replaced ``old`` (None for a deploy)."""
         problems: list[str] = []
 
-        # per-switch TCAM share (steady state after the mutation lands)
         used = session.tcam_used()
         if old is not None:
             for sw, n in old.rules.per_switch_counts().items():
@@ -216,7 +196,6 @@ class AdmissionController:
                     f"{session.quota.tcam_share} per switch"
                 )
 
-        # optical-circuit budget
         minted = (
             len(prep.hybrid_plan.circuits) if prep.hybrid_plan is not None else 0
         )
@@ -230,42 +209,7 @@ class AdmissionController:
                     f"would hold {after} optical circuits, budget is "
                     f"{session.quota.optical_circuits}"
                 )
-
-        # pool remaining capacity: the staging and validation the
-        # commit will run — including its make-before-break →
-        # break-before-make fallback — without committing (zero
-        # mutation on reject)
-        try:
-            txn, strategy = self.controller.stage_swap(
-                f"admission {session.tenant_id}",
-                prep.rules,
-                [] if old is None else [old],
-                prefer_make_before_break=make_before_break,
-            )
-            if strategy == BREAK_BEFORE_MAKE:
-                txn.validate()  # the fallback comes back unpriced
-        except CapacityError as exc:
-            problems.append(str(exc))
         return problems
-
-    def _transient_share_ok(
-        self, session: TenantSession, prep: Prepared, old: Deployment
-    ) -> bool:
-        """Whether old + new generations together stay within the
-        tenant's per-switch share (make-before-break's transient peak)."""
-        used = session.tcam_used()
-        for sw, n in prep.rules.per_switch_counts().items():
-            if used.get(sw, 0) + n > session.quota.tcam_share:
-                return False
-        return True
-
-    def _reject(self, session: TenantSession, problems: list[str]) -> None:
-        self._count(session, admitted=False)
-        raise AdmissionError(
-            f"tenant {session.tenant_id!r} request rejected: "
-            + "; ".join(problems),
-            problems=problems,
-        )
 
     @staticmethod
     def _count(session: TenantSession, *, admitted: bool) -> None:

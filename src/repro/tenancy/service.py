@@ -39,7 +39,12 @@ from repro.tenancy.session import (
     TenantSession,
 )
 from repro.topology.graph import Topology
-from repro.util.errors import AdmissionError, ConfigurationError
+from repro.util.errors import (
+    AdmissionError,
+    CapacityError,
+    ConfigurationError,
+    ProjectionError,
+)
 
 ConfigLike = TopologyConfig | Topology
 
@@ -307,10 +312,23 @@ class TestbedService:
                 raise ConfigurationError(
                     f"tenant {tenant_id!r} has no deployment {name!r}"
                 )
-            prep, mbb = self.admission.admit_swap(session, old, config)
-            deployment, _ = self.controller.swap_deployment(
-                old, prep, prefer_make_before_break=mbb
-            )
+            topology = self.admission.admit_topology(session, config, old)
+            if topology.name != name and topology.name in session.deployments:
+                raise ConfigurationError(
+                    f"tenant {tenant_id!r} already deploys {topology.name!r}"
+                )
+            try:
+                deployment, _ = self.controller.edit(
+                    old,
+                    config,
+                    exclude=self.admission.foreign_host_ports(session),
+                    cookie=session.next_cookie(),
+                    admit=partial(self.admission.admit_swap, session, old),
+                )
+            except (CapacityError, ProjectionError) as exc:
+                # no staging fits (wiring, flow tables or the tenant's
+                # share): refused before the commit touched a switch
+                self.admission.reject(session, [str(exc)])
             del session.deployments[name]
             session.deployments[deployment.name] = deployment
             self._after_commit(session)

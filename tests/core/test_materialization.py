@@ -123,19 +123,21 @@ def test_generation_swap_builds_no_flow_mod():
 
 def test_cold_reconfigure_builds_no_flow_mod():
     # a pool wired for both generations at once
-    chain3 = TopologyConfig("chain", {"num_switches": 3})
     controller = SDTController(build_pool_for_tenants(
-        [fat_tree(4), chain3.build(), torus2d(4, 4)], 2, EVAL_256x10G
+        [fat_tree(4), torus2d(4, 4)], 2, EVAL_256x10G
     ))
     first = controller.deploy(FT4)
-    second = controller.deploy(chain3)
     before = _materialized()
+    # a route-pruned edit is always a cold generation swap
     swapped, _t = controller.reconfigure(
-        TopologyConfig("torus2d", {"x": 4, "y": 4})
+        TopologyConfig("torus2d", {"x": 4, "y": 4}),
+        active_hosts=torus2d(4, 4).hosts,
     )
     assert controller.deployments == [swapped]
+    assert swapped.cookie != first.cookie
+    assert controller.last_commit_strategy == "make-before-break"
     assert _materialized() == before
-    for deployment in (first, second, swapped):
+    for deployment in (first, swapped):
         assert all(block._pairs is None for block in deployment.rules.blocks)
 
 

@@ -43,7 +43,11 @@ from repro.telemetry import (
 from repro.tenancy import TenantQuota, TestbedService, build_pool_for_tenants
 from repro.topology import chain, fat_tree, torus2d
 from repro.topology.diff import rebuild, removable_switch_links
-from repro.util.errors import AdmissionError, TransactionError
+from repro.util.errors import (
+    AdmissionError,
+    ConfigurationError,
+    TransactionError,
+)
 from repro.util.units import gbps
 from tests.core.test_hybrid import starved_cluster
 from tests.tenancy.conftest import run_op
@@ -121,15 +125,12 @@ def deploy_prepared(rig):
     return lambda: rig.controller.deploy_prepared(prep).deployment_time
 
 
-def swap_deployment(rig):
+def edit_cold(rig):
+    # the rig cannot hold both generations: a cold edit that reuses the
+    # old generation's wiring (break-before-make)
     c = rig.controller
     old = c.deploy(chain(4))
-    rig.mark()
-    # reuse the old generation's wiring: break-before-make
-    prep = c.prepare(
-        FT4, exclude=c._occupied() - set(old.projection.link_realization.values())
-    )
-    return lambda: c.swap_deployment(old, prep, prefer_make_before_break=False)[1]
+    return lambda: c.edit(old, FT4)[1]
 
 
 def undeploy(rig):
@@ -231,8 +232,9 @@ CASES = [
     Case(deploy, hybrid_rig, "deploy"),
     Case(deploy_prepared, pure_rig, "deploy"),
     Case(deploy_prepared, hybrid_rig, "deploy"),
-    Case(swap_deployment, pure_rig, "swap"),
-    Case(swap_deployment, hybrid_rig, "swap"),
+    # an edit is a reconfigure of the deployment it names
+    Case(edit_cold, pure_rig, "reconfigure"),
+    Case(edit_cold, hybrid_rig, "reconfigure"),
     Case(undeploy, pure_rig, "undeploy"),
     Case(undeploy, hybrid_rig, "undeploy"),
     # undeploy_cookie counts as an undeploy
@@ -251,12 +253,13 @@ CASES = [
     Case(install_flow_override, pure_rig, "flow_override"),
     Case(reconcile, pure_rig, "reconcile"),
 ]
-OPS = ("deploy", "swap", "undeploy", "reconfigure", "update_routes",
+OPS = ("deploy", "undeploy", "reconfigure", "update_routes",
        "fail_link", "restore_links", "flow_override", "reconcile")
-#: SDTController's eleven mutation entry points; ``reconfigure`` has a
-#: cold and an incremental path, so the table has a set-up for each
+#: SDTController's eleven mutation entry points; ``reconfigure`` (an
+#: ``edit`` of the one live deployment) has a cold and an incremental
+#: path, so the table has a set-up for each
 ENTRY_POINTS = {
-    "deploy", "deploy_prepared", "swap_deployment", "undeploy",
+    "deploy", "deploy_prepared", "edit", "undeploy",
     "undeploy_cookie", "reconfigure", "update_routes", "fail_link",
     "restore_links", "install_flow_override", "reconcile",
 }
@@ -361,12 +364,11 @@ def test_success_publishes_pinned_ops_and_one_modeled_time(case, registry):
 
 
 def test_hybrid_modeled_time_is_mint_plus_commit_plus_release(registry):
-    """Satellite 2. A swap whose preparation minted circuits used to
-    return the commit alone (0.05125 s here) and publish a third
-    number; now it is optical mint + commit + optical release
-    everywhere, like deploy and cold reconfigure."""
+    """A cold edit whose preparation minted circuits returns optical
+    mint + commit + optical release, like deploy, and publishes that
+    same number."""
     rig = hybrid_rig()
-    call = swap_deployment(rig)
+    call = edit_cold(rig)
     minted = 0.031  # OCS settle time for the fat-tree's circuits
     tracer = install_tracer(Tracer())
     try:
@@ -380,49 +382,72 @@ def test_hybrid_modeled_time_is_mint_plus_commit_plus_release(registry):
     )
     assert returned == minted + swap_commit  # chain(4) held no circuits
     assert returned == pytest.approx(0.08225)
-    assert tracer.spans("controller.swap")[0]["attrs"]["modeled_time"] == returned
+    (root,) = tracer.spans("controller.reconfigure")
+    assert root["attrs"]["modeled_time"] == returned
+    assert root["attrs"]["strategy"] == BREAK_BEFORE_MAKE
     assert registry.histogram("sdt_controller_mutation_seconds").snapshot(
-        op="swap"
+        op="reconfigure"
     ).total == returned
     assert removal > undeploy_commit
     assert not rig.controller.optical.circuits
 
 
-# --- satellite 1: a failed swap hands the preparation's optics back ----------
+# --- reconfigure edits the one live deployment ------------------------------
+
+def test_reconfigure_with_two_live_deployments_refuses_untouched(registry):
+    """With two deployments live, ``reconfigure`` has no one deployment
+    to edit: it refuses before any stage runs."""
+    rig = pure_rig()
+    c = rig.controller
+    first, second = c.deploy(chain(4)), c.deploy(chain(3))
+    before, published = rig.books(), _published(registry)
+    with pytest.raises(ConfigurationError, match="2 are live"):
+        c.reconfigure(TORUS44)
+    assert rig.books() == before
+    assert _published(registry) == published
+    assert c.deployments == [first, second]
+    # edit names the one to change and leaves the other live
+    edited, _ = c.edit(second, chain(5))
+    assert c.deployments == [first, edited]
+
+
+# --- a failed cold edit hands the new generation's optics back ---------------
 
 def test_failed_swap_releases_the_preparations_circuits():
-    """``_install`` and cold ``reconfigure`` always returned optics on a
-    failed commit; ``swap_deployment`` left the preparation's flex
-    circuits programmed forever (12 here) with ``old`` owning none."""
+    """A cold edit mints the new generation's flex circuits before it
+    commits (12 here, ``old`` owning none); a failed commit returns
+    them, so no flex port is stranded."""
     rig = hybrid_rig()
     c, ocs = rig.controller, rig.controller.optical
     old = c.deploy(chain(4))
     assert len(ocs.circuits) == 0
-    prep = c.prepare(
-        FT4, exclude=c._occupied() - set(old.projection.link_realization.values())
-    )
-    assert len(ocs.circuits) == 12
     rig.cluster.control.channel("phys1").fail_after(5)
     with pytest.raises(TransactionError):
-        c.swap_deployment(old, prep, prefer_make_before_break=False)
+        c.edit(old, FT4)
     assert c.deployments == [old]
     assert len(ocs.circuits) == 0
-    # nothing is stranded: the same swap goes through on a retry
-    prep = c.prepare(
-        FT4, exclude=c._occupied() - set(old.projection.link_realization.values())
-    )
-    c.swap_deployment(old, prep, prefer_make_before_break=False)
+    # nothing is stranded: the same edit goes through on a retry
+    c.edit(old, FT4)
+    assert c.last_commit_strategy == BREAK_BEFORE_MAKE
     assert len(ocs.circuits) == 12
 
 
-# --- satellite 3: admission prices swaps the way the controller commits ------
+# --- admission prices edits the way the controller commits -----------------
 
 TIGHT = SwitchSpec(
     model="tight", num_ports=64, port_rate=gbps(10), flow_table_capacity=40
 )
 CHAIN5 = TopologyConfig("chain", {"num_switches": 5, "hosts_per_switch": 1})
-CHAIN6 = TopologyConfig("chain", {"num_switches": 6, "hosts_per_switch": 1})
 CHAIN9 = TopologyConfig("chain", {"num_switches": 9, "hosts_per_switch": 1})
+#: chain-6 under fresh node names: no node survives the edit, so its
+#: delta is both whole generations and the edit is a cold swap
+FRESH_CHAIN6 = TopologyConfig("custom", {
+    "name": "chain-6",
+    "switches": [f"t{i}" for i in range(6)],
+    "hosts": [f"g{i}" for i in range(6)],
+    "links": [[f"t{i}", f"t{i + 1}"] for i in range(5)]
+    + [[f"g{i}", f"t{i}"] for i in range(6)],
+})
 
 
 @pytest.fixture()
@@ -436,7 +461,7 @@ def tight_service():
 
 
 # share 40: the tenant's own transient share already forces BBM; share
-# 100: only the pool's flow tables do, and swap_deployment falls back
+# 100: only the pool's flow tables do, and the edit falls back
 @pytest.mark.parametrize("tcam_share", [40, 100])
 def test_admission_admits_a_swap_that_fits_break_before_make(
     tight_service, tcam_share
@@ -450,7 +475,7 @@ def test_admission_admits_a_swap_that_fits_break_before_make(
     entries = {n: sw.num_entries for n, sw in svc.controller.cluster.switches.items()}
     assert entries == {"phys0": 23, "phys1": 15}
 
-    new = run_op(svc, "reconfigure", "t", name=dep.name, config=CHAIN6)
+    new = run_op(svc, "reconfigure", "t", name=dep.name, config=FRESH_CHAIN6)
 
     assert svc.controller.last_commit_strategy == BREAK_BEFORE_MAKE
     assert {

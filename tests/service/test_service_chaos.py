@@ -25,10 +25,13 @@ fully leased, and the evict can simply be retried.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
+from repro.core.controller.config import TopologyConfig
 from repro.recovery import uninstall_journal
+from repro.recovery.journal import JOURNAL_NAME
 from repro.service.app import ControlPlaneService
 from repro.util.errors import ConfigurationError
 
@@ -66,11 +69,41 @@ async def _crash(service: ControlPlaneService) -> None:
     uninstall_journal()
 
 
-@pytest.mark.parametrize("kill_after", [0, 1, 4, 9])
+#: alice's edits: chain-3 -> chain-4 commits as a delta; a chain-3 whose
+#: switch and host names trade places cannot be diffed (no node keeps
+#: its kind), so that edit falls back to a cold generation swap
+EDITS = {
+    "delta": (CONFIGS["alice"][1], "reconfigure-incremental alice-b"),
+    "cold": (
+        TopologyConfig("custom", {
+            "name": "alice-c",
+            "switches": ["h0", "h1", "h2"],
+            "hosts": ["s0", "s1", "s2"],
+            "links": [["h0", "h1"], ["h1", "h2"], ["h0", "s0"],
+                      ["h1", "s1"], ["h2", "s2"]],
+        }),
+        "reconfigure alice-c",
+    ),
+}
+
+
+def _last_intent_label(state_dir) -> str:
+    records = [
+        json.loads(line)
+        for line in (state_dir / JOURNAL_NAME).read_text().splitlines()
+    ]
+    return [r for r in records if r["type"] == "intent"][-1]["label"]
+
+
+@pytest.mark.parametrize("edit, kill_after", [
+    *(pytest.param("delta", n, id=str(n)) for n in (0, 1, 4, 9)),
+    *(pytest.param("cold", n, id=f"cold-{n}") for n in (0, 4, 9)),
+])
 def test_kill_mid_reconfigure_recovers_committed_state(
-    tmp_path, kill_after
+    tmp_path, edit, kill_after
 ):
     state_dir = tmp_path / "state"
+    config, label = EDITS[edit]
 
     async def phase_crash():
         service = await _boot(state_dir)
@@ -88,10 +121,11 @@ def test_kill_mid_reconfigure_recovers_committed_state(
         switch = _KillSwitch(service.testbed.cluster, kill_after)
         with pytest.raises(_Killed):
             await service.submit(
-                "reconfigure", "alice",
-                name="alice-a", config=CONFIGS["alice"][1],
+                "reconfigure", "alice", name="alice-a", config=config,
             )
         switch.disarm()
+        # the kill landed inside the commit of the edit path under test
+        assert _last_intent_label(state_dir) == label
         # the kill left the live cluster a hybrid; prove the hybrid is
         # NOT what the restart comes back to
         await _crash(service)

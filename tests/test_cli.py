@@ -241,6 +241,26 @@ def test_engineer_one_shot(ring_config, tmp_path, capsys):
     assert records[1]["outcome"] == "held"
 
 
+def test_engineer_watch_pushes_what_one_shot_pushes(ring_config, tmp_path):
+    """Through the service (``--watch``) a step is the same incremental
+    edit as a one-shot step: on ring-6 both push 10 rules."""
+    pushed = {}
+    for mode, flags in (
+        ("once", ["--steps", "1"]),
+        ("watch", ["--watch", "--max-steps", "1", "--interval", "0"]),
+    ):
+        out = tmp_path / f"{mode}.json"
+        assert main([
+            "engineer", ring_config, "--switches", "2", "--spec", "h3c",
+            "--traffic", "h0:h3:4194304", "--window", "0",
+            *flags, "--json", str(out),
+        ]) == 0
+        (record,) = json.loads(out.read_text())
+        assert record["outcome"] == "applied"
+        pushed[mode] = record["rules_pushed"]
+    assert pushed == {"once": 10, "watch": 10}
+
+
 def test_engineer_idle_network_holds(ring_config, capsys):
     rc = main([
         "engineer", ring_config, "--switches", "2", "--spec", "h3c",
