@@ -20,8 +20,10 @@ builds its rows in one place — one row producer per table,
   builds no entry either.
 * :meth:`CompiledBlock.pairs` — the per-message reading: the same rows
   as FlowMods, the per-rule control messages, *materialized* only for
-  consumers that need each message (journal, tracer, fault injection,
-  per-rule deltas) and counted by ``sdt_rules_materialized_total``.
+  consumers that need each message (journal, tracer, fault injection)
+  and counted by ``sdt_rules_materialized_total``. A row selection
+  reads just some of them: an incremental edit's delta builds only the
+  differing rows of each dirty block and its old self.
 
 :func:`block_columns` compiles a sub-switch into those columns in one
 pass over its route entries. The column tuple is the block's identity:
@@ -29,7 +31,9 @@ two blocks with equal columns emit the same rules, so the rule cache
 interns blocks by it, and a block shared between two rule generations
 (cache-hit identity) is proof that every rule in it is unchanged —
 which is what lets the transaction delta skip whole sub-switches
-without comparing (or even creating) their FlowMods.
+without comparing (or even creating) their FlowMods. Two blocks of the
+same sub-switch — same physical switch, metadata id and cookie — are
+compared column by column, row by row, again without a FlowMod.
 
 Columns are plain tuples: they are written once at compile time and
 read row by row — no array arithmetic ever runs on them.
@@ -37,6 +41,7 @@ read row by row — no array arithmetic ever runs on them.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import partial
 
 from repro.openflow.actions import (
@@ -49,7 +54,7 @@ from repro.openflow.actions import (
     WriteMetadata,
 )
 from repro.openflow.channel import FlowMod
-from repro.openflow.flowtable import FlowEntry, IndexKey, RowBuilder
+from repro.openflow.flowtable import FlowEntry, IndexKey
 from repro.openflow.match import Match
 from repro.telemetry import metrics
 from repro.util.errors import ProjectionError
@@ -75,6 +80,14 @@ Columns = tuple[
     tuple[str, ...], tuple[int, ...],
     tuple[str, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...],
 ]
+
+#: a row producer: a :data:`~repro.openflow.flowtable.RowBuilder` that
+#: also takes an optional list of row indices to build
+RowProducer = Callable[..., None]
+
+#: some of a block's rows, per table in table-id order (classification,
+#: routing): ascending indices into that table's columns
+RowSelection = tuple[list[int], list[int]]
 
 #: the flow tables' hash-index shapes of the three kinds of row a block
 #: holds (field names in repro.openflow.flowtable's canonical order)
@@ -154,7 +167,7 @@ class CompiledBlock:
         "phys_switch", "metadata_id", "cookie",
         "classify_switches", "classify_ports",
         "dsts", "in_vcs", "out_vcs", "out_ports",
-        "_pairs", "_tag", "_actions",
+        "_pairs", "_tag", "_actions", "_distinct",
     )
 
     def __init__(
@@ -184,6 +197,7 @@ class CompiledBlock:
         #: on first use, like ``_pairs``
         self._tag: tuple[Instruction, ...] | None = None
         self._actions: dict[tuple[int, int, int], tuple[Instruction, ...]] | None = None
+        self._distinct: bool | None = None
 
     @property
     def columns(self) -> Columns:
@@ -210,6 +224,18 @@ class CompiledBlock:
             )
         return counts
 
+    def distinct_routes(self) -> bool:
+        """Does every routing row match a (destination, incoming VC) of
+        its own? Synthesis guarantees it — a route table holds one entry
+        per pair — and a hand-built block may break it."""
+        if self._distinct is None:
+            n = len(self.dsts)
+            self._distinct = (
+                len(set(self.dsts)) == n
+                or len(set(zip(self.dsts, self.in_vcs))) == n
+            )
+        return self._distinct
+
     def _tag_instructions(self) -> tuple[Instruction, ...]:
         if self._tag is None:
             self._tag = (WriteMetadata(self.metadata_id), GotoTable(ROUTE_TABLE))
@@ -225,15 +251,15 @@ class CompiledBlock:
 
     def row_parts(
         self, switch: str
-    ) -> list[tuple[int, int, RowBuilder, list[tuple[Instruction, ...]]]]:
+    ) -> list[tuple[int, int, RowProducer, list[tuple[Instruction, ...]]]]:
         """This block's rows that land on ``switch``, unbuilt: per table
         with rows there — classification, then routing — ``(table id,
         rows, build, instructions)``. ``build(entries, keys)`` appends
         the rows as flow entries with the ``(shape, key)`` the hash index
-        files them under; ``instructions`` lists each distinct
-        instruction tuple among them once. This is the one place a
-        block's rows are laid out; :meth:`pairs` reads its FlowMods off
-        it."""
+        files them under (``build(entries, keys, indices)`` just the
+        selected ones); ``instructions`` lists each distinct instruction
+        tuple among them once. This is the one place a block's rows are
+        laid out; :meth:`pairs` reads its FlowMods off it."""
         parts = []
         rows = self.classify_switches.count(switch)
         if rows:
@@ -249,23 +275,46 @@ class CompiledBlock:
         return parts
 
     def classify_rows(
-        self, switch: str, entries: list[FlowEntry], keys: list[IndexKey]
+        self,
+        switch: str,
+        entries: list[FlowEntry],
+        keys: list[IndexKey],
+        rows: list[int] | None = None,
     ) -> None:
         """Table 0, port -> sub-switch classification: append the rows
-        on ``switch`` to ``entries`` and their index keys to ``keys``."""
+        on ``switch`` — of ``rows`` (indices into the classification
+        columns) if given — to ``entries`` and their index keys to
+        ``keys``."""
         instrs = self._tag_instructions()
         cookie = self.cookie
-        for sw, port in zip(self.classify_switches, self.classify_ports):
+        switches, ports = self.classify_switches, self.classify_ports
+        if rows is not None:
+            switches = [switches[i] for i in rows]
+            ports = [ports[i] for i in rows]
+        for sw, port in zip(switches, ports):
             if sw == switch:
                 entries.append(FlowEntry(
                     PRIORITY_CLASSIFY, _classify_match(port), instrs, cookie
                 ))
                 keys.append((_SHAPE_CLASSIFY, (port,)))
 
-    def route_rows(self, entries: list[FlowEntry], keys: list[IndexKey]) -> None:
+    def route_rows(
+        self,
+        entries: list[FlowEntry],
+        keys: list[IndexKey],
+        rows: list[int] | None = None,
+    ) -> None:
         """Table 1, destination-based routing within the sub-switch (on
-        its own physical switch): append the rows to ``entries`` and
-        their index keys to ``keys``."""
+        its own physical switch): append the rows — ``rows`` (indices
+        into the routing columns) if given — to ``entries`` and their
+        index keys to ``keys``."""
+        dsts, in_vcs = self.dsts, self.in_vcs
+        out_vcs, out_ports = self.out_vcs, self.out_ports
+        if rows is not None:
+            dsts = [dsts[i] for i in rows]
+            in_vcs = [in_vcs[i] for i in rows]
+            out_vcs = [out_vcs[i] for i in rows]
+            out_ports = [out_ports[i] for i in rows]
         cookie = self.cookie
         metadata_id = self.metadata_id
         add_entry = entries.append
@@ -278,9 +327,7 @@ class CompiledBlock:
         # the index keys metadata as Match.matches compares it: masked
         md_key = metadata_id & mask
         actions = self._route_actions()
-        for dst, action in zip(
-            self.dsts, zip(self.in_vcs, self.out_vcs, self.out_ports)
-        ):
+        for dst, action in zip(dsts, zip(in_vcs, out_vcs, out_ports)):
             instrs = actions[action]
             in_vc = action[0]
             if in_vc == NO_VC:
@@ -296,26 +343,32 @@ class CompiledBlock:
                 add_entry(FlowEntry(PRIORITY_ROUTE_EXACT, match, instrs, cookie))
                 add_key((_SHAPE_ROUTE_EXACT, (md_key, dst, in_vc)))
 
-    def pairs(self) -> tuple[tuple[str, FlowMod], ...]:
-        """Materialize (physical switch, FlowMod) rows, cached: per
-        switch, in :meth:`per_switch_counts` order, the rows
-        :meth:`row_parts` lays out for it, as control messages."""
-        if self._pairs is not None:
+    def pairs(
+        self, rows: RowSelection | None = None
+    ) -> tuple[tuple[str, FlowMod], ...]:
+        """Materialize (physical switch, FlowMod) rows: per switch, in
+        :meth:`per_switch_counts` order, the rows :meth:`row_parts` lays
+        out for it, as control messages. The whole block is cached;
+        ``rows`` selects some of its rows instead, built afresh."""
+        if rows is None and self._pairs is not None:
             return self._pairs
-        metrics.registry().counter("sdt_rules_materialized_total").inc(
-            self.count
-        )
         out: list[tuple[str, FlowMod]] = []
         for switch in self.per_switch_counts():
             for table_id, _rows, build, _instrs in self.row_parts(switch):
+                selected = None if rows is None else rows[table_id]
+                if selected is not None and not selected:
+                    continue
                 entries: list[FlowEntry] = []
-                build(entries, [])
+                build(entries, [], selected)
                 out.extend(
                     (switch, FlowMod(
                         table_id, e.priority, e.match, e.instructions, e.cookie
                     ))
                     for e in entries
                 )
+        metrics.registry().counter("sdt_rules_materialized_total").inc(len(out))
+        if rows is not None:
+            return tuple(out)
         self._pairs = tuple(out)
         return self._pairs
 

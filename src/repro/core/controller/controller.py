@@ -966,12 +966,19 @@ class SDTController:
                 self.cluster.control,
                 label=f"reconfigure-incremental {topology.name}",
             )
-            # Block-identity fast path: sub-switches whose compiled
-            # block came back from the rule cache unchanged are excluded
-            # from the per-rule diff entirely (no FlowMod
-            # materialization for them).
-            delta = split_ruleset_delta(old.rules, prep.rules)
-            stats = txn.stage_delta(delta.old_mods, delta.new_mods)
+            # Sub-switches whose compiled block came back from the rule
+            # cache unchanged are excluded from the per-rule diff
+            # entirely, and only the differing rows of the others are
+            # built as FlowMods.
+            delta = _stage(
+                "rules.split_delta", split_ruleset_delta, old.rules, prep.rules
+            )
+            stats = _stage(
+                "openflow.stage_delta",
+                txn.stage_delta,
+                delta.old_mods,
+                delta.new_mods,
+            )
         try:
             if admit is not None:
                 _priced(txn, lambda txn: admit(txn, prep))

@@ -34,6 +34,8 @@ from __future__ import annotations
 import threading
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne, or_
 
 from repro.core.columnar import (
     CLASSIFY_TABLE,
@@ -44,6 +46,7 @@ from repro.core.columnar import (
     ROUTE_TABLE,
     Columns,
     CompiledBlock,
+    RowSelection,
     block_columns,
 )
 from repro.core.projection.base import ProjectionResult
@@ -134,11 +137,21 @@ class RuleSet:
         return counts
 
 
-def _mods_of(blocks) -> dict[str, list[FlowMod]]:
-    """The blocks' FlowMods per physical switch, in block order."""
+def _mods_of(
+    blocks, rows: Mapping[int, RowSelection] | None = None
+) -> dict[str, list[FlowMod]]:
+    """The blocks' FlowMods per physical switch, in block order. A block
+    with a selection in ``rows`` (keyed by its ``id``) contributes only
+    the selected rows, and every switch it lands on keeps its key."""
     mods: dict[str, list[FlowMod]] = {}
     for block in blocks:
-        for phys, mod in block.pairs():
+        selection = rows.get(id(block)) if rows else None
+        if selection is not None:
+            for phys in block.per_switch_counts():
+                mods.setdefault(phys, [])
+            if not any(selection):
+                continue
+        for phys, mod in block.pairs(selection):
             bucket = mods.get(phys)
             if bucket is None:
                 mods[phys] = [mod]
@@ -340,8 +353,9 @@ def unchanged_blocks(
 @dataclass(frozen=True)
 class RulesDelta:
     """What :func:`split_ruleset_delta` found: per-switch FlowMod
-    mappings restricted to switches whose blocks actually changed,
-    plus the number of rules proven unchanged by block identity."""
+    mappings holding only rows that can differ, plus the number of
+    rules proven unchanged without a FlowMod — by block identity, or
+    row by row within a sub-switch's two blocks."""
 
     old_mods: dict[str, list[FlowMod]]
     new_mods: dict[str, list[FlowMod]]
@@ -349,29 +363,116 @@ class RulesDelta:
 
 
 def split_ruleset_delta(old: RuleSet, new: RuleSet) -> RulesDelta:
-    """Reduce two RuleSets to the switches that can differ.
+    """Reduce two RuleSets to the rows that can differ.
 
     Blocks present in both generations *by identity* (the RuleCache
-    returns the same object for unchanged columns) are proof
-    that every rule in them survives unchanged — their switches are
-    excluded from the mappings without materializing a single FlowMod.
-    Only switches touched by a non-shared block get their FlowMods built
-    for the transaction's per-rule diff.
+    returns the same object for unchanged columns) are proof that every
+    rule in them survives unchanged: they are left out without
+    materializing a single FlowMod. Every other (*dirty*) block is
+    paired with its old self, the dirty block of the other generation
+    with the same ``(phys_switch, metadata_id, cookie)``, and the two
+    are compared column by column: only the differing rows of paired
+    dirty blocks are built as FlowMods, in block order and pairs order,
+    and the equal ones count as shared. A block with no partner goes in
+    whole (an added or removed sub-switch, one moved to another switch
+    or under a new cookie), and so does every block whose key repeats
+    on either side. Each switch a dirty block lands on keeps its key,
+    in first-seen order, even with no differing row: the keys are the
+    delta's switch order, and with it commit and rollback order.
 
-    Correctness: a shared block contributes identical (switch, rule)
-    pairs to both sides, so removing it from both mappings leaves the
-    install/delete delta untouched; the per-rule diff then runs on the
-    remainder. Rule *sets* per switch are disjoint across blocks (each
-    block matches on its own metadata tag / in-ports), so a rule from
-    a changed block can never be double-counted against a shared one.
+    Correctness: a shared block, or a row equal in both blocks of a
+    pair, contributes the same (switch, rule) to both sides, so removing
+    it from both leaves ``stage_delta``'s installs, deletes and
+    modifications, and their order, untouched — as long as neither
+    generation repeats a rule identity on a switch. Where one does,
+    ``stage_delta`` must refuse the delta, so every dirty row goes in
+    (the rows a repeat could hide behind would otherwise be dropped).
     """
-    shared = {
-        id(b) for b in old.blocks
-    } & {id(b) for b in new.blocks}
+    shared = {id(b) for b in old.blocks} & {id(b) for b in new.blocks}
+    old_dirty = [b for b in old.blocks if id(b) not in shared]
+    new_dirty = [b for b in new.blocks if id(b) not in shared]
+    shared_rules = sum(b.count for b in old.blocks if id(b) in shared)
+    rows: dict[int, RowSelection] = {}
+    if not (_repeats_rules(old_dirty) or _repeats_rules(new_dirty)):
+        after = _by_subswitch(new_dirty)
+        for key, before in _by_subswitch(old_dirty).items():
+            partner = after.get(key)
+            if before is None or partner is None:
+                continue
+            old_rows, new_rows = _differing_rows(before, partner)
+            rows[id(before)], rows[id(partner)] = old_rows, new_rows
+            shared_rules += before.count - len(old_rows[0]) - len(old_rows[1])
     return RulesDelta(
-        old_mods=_mods_of(b for b in old.blocks if id(b) not in shared),
-        new_mods=_mods_of(b for b in new.blocks if id(b) not in shared),
-        shared_rules=sum(b.count for b in old.blocks if id(b) in shared),
+        old_mods=_mods_of(old_dirty, rows),
+        new_mods=_mods_of(new_dirty, rows),
+        shared_rules=shared_rules,
+    )
+
+
+def _repeats_rules(blocks: list[CompiledBlock]) -> bool:
+    """Does a rule identity repeat on one switch among ``blocks``? A
+    routing row's identity holds its block's metadata id and cookie and
+    lands on its block's switch, so it repeats only within a block (a
+    repeated destination and incoming VC) or across blocks that share a
+    key, which go in whole anyway; a classification row's identity is
+    its (switch, port, cookie)."""
+    classified = set()
+    rows = 0
+    for block in blocks:
+        if not block.distinct_routes():
+            return True
+        cookie = block.cookie
+        for switch, port in zip(block.classify_switches, block.classify_ports):
+            classified.add((switch, port, cookie))
+        rows += len(block.classify_ports)
+    return len(classified) != rows
+
+
+def _by_subswitch(
+    blocks: list[CompiledBlock],
+) -> dict[tuple[str, int, int], CompiledBlock | None]:
+    """``blocks`` by (phys_switch, metadata_id, cookie); ``None`` marks
+    a key that more than one block holds."""
+    out: dict[tuple[str, int, int], CompiledBlock | None] = {}
+    for block in blocks:
+        key = (block.phys_switch, block.metadata_id, block.cookie)
+        out[key] = None if key in out else block
+    return out
+
+
+def _differing_rows(
+    old: CompiledBlock, new: CompiledBlock
+) -> tuple[RowSelection, RowSelection]:
+    """The rows of two blocks of one sub-switch that are not equal in
+    both: their FlowMods are functions of the row's columns, given the
+    shared metadata id and cookie."""
+    old_classify, new_classify = _differing(
+        list(zip(old.classify_switches, old.classify_ports)),
+        list(zip(new.classify_switches, new.classify_ports)),
+    )
+    if old.dsts == new.dsts and old.in_vcs == new.in_vcs:
+        # the same match keys in the same order: compare actions in place
+        changed = map(ne, old.out_ports, new.out_ports)
+        if old.out_vcs != new.out_vcs:
+            changed = map(or_, changed, map(ne, old.out_vcs, new.out_vcs))
+        routes = list(compress(range(len(old.dsts)), changed))
+        return (old_classify, routes), (new_classify, routes)
+    old_routes, new_routes = _differing(
+        list(zip(old.dsts, old.in_vcs, old.out_vcs, old.out_ports)),
+        list(zip(new.dsts, new.in_vcs, new.out_vcs, new.out_ports)),
+    )
+    return (old_classify, old_routes), (new_classify, new_routes)
+
+
+def _differing(old: list[tuple], new: list[tuple]) -> tuple[list[int], list[int]]:
+    """Indices of the rows only ``old`` holds, and of those only ``new``
+    holds."""
+    if old == new:
+        return [], []
+    old_set, new_set = set(old), set(new)
+    return (
+        [i for i, row in enumerate(old) if row not in new_set],
+        [i for i, row in enumerate(new) if row not in old_set],
     )
 
 

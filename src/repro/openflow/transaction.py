@@ -65,7 +65,9 @@ class DeltaStats:
     installs: int
     #: strict FlowDeletes for entries only in the old generation
     deletes: int
-    #: entries shared by both generations, left untouched on-switch
+    #: entries in both mappings it was handed, left untouched on-switch;
+    #: rows the caller left out as unchanged are not counted (an
+    #: incremental edit adds ``RulesDelta.shared_rules``)
     unchanged: int
     #: identities in both generations whose instructions differ: each
     #: is counted once in ``installs`` and once in ``deletes``

@@ -12,7 +12,7 @@ deploy/undeploy build none; a journal or an armed channel fault each
 cost exactly the deployed rule set; a generation swap builds none
 either (the old generation is named by cookie and by the switches it
 sits on, and the swap's capacity check prices the new one from its
-row counts); an incremental edit costs only its dirty blocks.
+row counts); an incremental edit builds exactly the rows it stages.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SDTController, TopologyConfig, build_cluster_for
-from repro.core.rules import split_ruleset_delta
 from repro.hardware import EVAL_256x10G
+from repro.openflow import ControlTransaction
 from repro.recovery import CommitJournal, install_journal, uninstall_journal
 from repro.routing.strategies import shortest_path_routes
 from repro.telemetry import Tracer, install_tracer, metrics, uninstall_tracer
@@ -141,29 +141,43 @@ def test_cold_reconfigure_builds_no_flow_mod():
         assert all(block._pairs is None for block in deployment.rules.blocks)
 
 
-def test_incremental_edit_costs_only_its_dirty_blocks():
+def test_incremental_edit_materializes_exactly_what_it_stages(monkeypatch):
+    """Each staged message of a delta is built from one materialized
+    row — an install from its own FlowMod, a strict delete from the old
+    entry's — and no other row is built: not the rows of shared
+    blocks, nor the rows a dirty block shares with its old self. The
+    first edit runs on a cold rule cache, so every dirty block is
+    fresh; the restore gets the base's blocks back from the cache."""
+    staged = []
+    stage_delta = ControlTransaction.stage_delta
+
+    def recorded(txn, old_mods, new_mods):
+        staged.append(stage_delta(txn, old_mods, new_mods))
+        return staged[-1]
+
+    monkeypatch.setattr(ControlTransaction, "stage_delta", recorded)
     controller = _controller()
-    deployment = controller.deploy(TopologyConfig.from_topology(fat_tree(4)))
-    old_rules = deployment.rules
-    before = _materialized()
-    edited = rebuild(
-        deployment.topology,
-        drop_links={removable_switch_links(deployment.topology)[0]},
-    )
-    controller.reconfigure(TopologyConfig.from_topology(edited))
-    assert controller.last_commit_strategy  # the edit committed
-    delta = split_ruleset_delta(old_rules, deployment.rules)
-    shared = {id(b) for b in old_rules.blocks} & {
-        id(b) for b in deployment.rules.blocks
-    }
-    dirty = sum(
-        block.count
-        for rules in (old_rules, deployment.rules)
-        for block in rules.blocks
-        if id(block) not in shared
-    )
-    assert delta.shared_rules > 0 and dirty > 0
-    assert _materialized() == before + dirty
+    base = fat_tree(4)
+    deployment = controller.deploy(TopologyConfig.from_topology(base))
+    edited = rebuild(base, drop_links={removable_switch_links(base)[0]})
+    for topology in (edited, base):
+        old_rules = deployment.rules
+        before = _materialized()
+        controller.reconfigure(TopologyConfig.from_topology(topology))
+        assert controller.deployments == [deployment]  # edited in place
+        stats = staged[-1]
+        assert _materialized() == before + stats.pushed
+        shared = {id(b) for b in old_rules.blocks} & {
+            id(b) for b in deployment.rules.blocks
+        }
+        dirty = sum(
+            block.count
+            for rules in (old_rules, deployment.rules)
+            for block in rules.blocks
+            if id(block) not in shared
+        )
+        assert 0 < stats.pushed < dirty
+    assert len(staged) == 2
 
 
 def test_tenant_deploy_and_undeploy_build_no_flow_mod():

@@ -558,3 +558,19 @@ def test_stage_spans_cover_an_incremental_edit(registry):
     assert {"topology.diff", "partition.extend", "projection.delta",
             "openflow.stage", "txn.commit"} <= names
     assert share >= 0.8
+
+
+def test_an_incremental_edit_traces_its_delta_under_openflow_stage(registry):
+    """Where a delta's time goes, under the ledger's own names: the
+    row split, then the staging."""
+    rig = pure_rig()
+    rig.controller.deploy(TopologyConfig.from_topology(FT4))
+    tracer = install_tracer(Tracer())
+    try:
+        rig.controller.reconfigure(TopologyConfig.from_topology(FT4_EDITED))
+    finally:
+        uninstall_tracer()
+    (stage,) = tracer.spans("openflow.stage")
+    assert [
+        s["name"] for s in tracer.spans() if s["parent"] == stage["id"]
+    ] == ["rules.split_delta", "openflow.stage_delta"]
