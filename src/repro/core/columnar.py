@@ -3,9 +3,9 @@
 One :class:`CompiledBlock` is the compilation output for one
 sub-switch: a handful of *columns* (classification ports, route
 destinations, VC and output-port vectors) instead of a list of FlowMod
-objects. Blocks are what the :class:`~repro.core.rules.RuleCache`
-stores and what rule synthesis passes around, so the hot
-reconfiguration path moves O(columns) of data per sub-switch. A block
+objects. Blocks are what rule synthesis passes around and what one
+rule generation hands on to the next, so the hot reconfiguration path
+moves O(columns) of data per sub-switch. A block
 builds its rows in one place — one row producer per table,
 :meth:`CompiledBlock.classify_rows` and :meth:`CompiledBlock.route_rows`
 — and has two readings of them:
@@ -27,11 +27,12 @@ builds its rows in one place — one row producer per table,
 
 :func:`block_columns` compiles a sub-switch into those columns in one
 pass over its route entries. The column tuple is the block's identity:
-two blocks with equal columns emit the same rules, so the rule cache
-interns blocks by it, and a block shared between two rule generations
-(cache-hit identity) is proof that every rule in it is unchanged —
-which is what lets the transaction delta skip whole sub-switches
-without comparing (or even creating) their FlowMods. Two blocks of the
+two blocks with equal columns emit the same rules, so a generation
+compiled against the one it replaces keeps a sub-switch's old block
+when its columns are unchanged, and a block shared between two rule
+generations is proof that every rule in it is unchanged — which is
+what lets the transaction delta skip whole sub-switches without
+comparing (or even creating) their FlowMods. Two blocks of the
 same sub-switch — same physical switch, metadata id and cookie — are
 compared column by column, row by row, again without a FlowMod.
 
@@ -155,9 +156,9 @@ class CompiledBlock:
     * ``out_vcs`` / ``out_ports`` — the action columns.
 
     ``pairs()`` materializes the classic ``(phys_switch, FlowMod)``
-    sequence lazily and caches it on the block — blocks are shared
-    across rule generations via the RuleCache, so each block's FlowMods
-    are built at most once no matter how many deployments reuse it.
+    sequence lazily and caches it on the block — an unchanged block is
+    handed on from one rule generation to the next, so its FlowMods are
+    built at most once no matter how many generations reuse it.
     ``row_parts()`` reads the same rows as a bulk install, unbuilt; its
     producers build fresh flow entries per call (an entry belongs to
     one table).
@@ -167,7 +168,7 @@ class CompiledBlock:
         "phys_switch", "metadata_id", "cookie",
         "classify_switches", "classify_ports",
         "dsts", "in_vcs", "out_vcs", "out_ports",
-        "_pairs", "_tag", "_actions", "_distinct",
+        "_pairs", "_tag", "_actions", "_distinct", "__weakref__",
     )
 
     def __init__(
@@ -383,8 +384,9 @@ def block_columns(sub, host_map, entries, cookie: int) -> Columns:
     (phys dst address, in-VC, out-VC, phys out port) — and an entry
     whose destination or port got no hardware is dropped (route-usage
     pruning). The result is :class:`CompiledBlock`'s constructor
-    arguments in order, and the block's identity: the
-    :class:`~repro.core.rules.RuleCache` interns blocks by it.
+    arguments in order, and the block's identity:
+    :func:`~repro.core.rules.synthesize_rules` keeps an old block whose
+    columns equal it.
     """
     ports = sub.ports
     logical = sub.logical_switch

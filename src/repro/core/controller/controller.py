@@ -73,7 +73,6 @@ from repro.core.projection.hybrid import (
 from repro.core.projection.linkproj import LinkProjection
 from repro.core.projection.pruning import route_usage
 from repro.core.rules import (
-    RuleCache,
     RuleSet,
     flow_override,
     split_ruleset_delta,
@@ -310,15 +309,14 @@ class SDTController:
     _next_cookie: int = 1
     _next_metadata: int = 1
     monitor: NetworkMonitor = field(init=False)
-    #: the caches behind the incremental pipeline (DESIGN.md §5b)
-    rule_cache: RuleCache = field(init=False)
+    #: the partition memo behind check, deploy and the incremental
+    #: pipeline (DESIGN.md §5b)
     partition_cache: PartitionCache = field(init=False)
 
     def __post_init__(self) -> None:
         self.monitor = NetworkMonitor(
             self.cluster.control, port_rate=self.cluster.spec.port_rate
         )
-        self.rule_cache = RuleCache()
         self.partition_cache = PartitionCache()
 
     # --- the mutation pipeline: frame (optics guard + account) ----------
@@ -510,6 +508,7 @@ class SDTController:
         projection: ProjectionResult,
         routes: RouteTable,
         cookie: int,
+        previous: RuleSet | None = None,
         unchanged: dict | None = None,
     ) -> RuleSet:
         return _stage(
@@ -518,7 +517,7 @@ class SDTController:
             projection,
             routes,
             cookie=cookie,
-            cache=self.rule_cache,
+            previous=previous,
             unchanged=unchanged,
         )
 
@@ -874,7 +873,7 @@ class SDTController:
         Diffs the live topology against the requested one, re-projects
         only the changed links (placement stability keeps every
         surviving sub-switch on its physical switch, ports and metadata
-        tag included), re-synthesizes rules through the rule cache
+        tag included), re-synthesizes rules against the live generation
         (unchanged sub-switches get their block back), and stages only
         the FlowMod/strict-FlowDelete *delta* against live switch
         state — keeping the deployment's cookie,
@@ -954,7 +953,9 @@ class SDTController:
             topology=topology,
             routes=routes,
             projection=projection,
-            rules=self._synthesize(projection, routes, old.cookie, unchanged),
+            rules=self._synthesize(
+                projection, routes, old.cookie, old.rules, unchanged
+            ),
             cookie=old.cookie,
             lossless=lossless,
             hybrid_plan=None,
@@ -966,8 +967,8 @@ class SDTController:
                 self.cluster.control,
                 label=f"reconfigure-incremental {topology.name}",
             )
-            # Sub-switches whose compiled block came back from the rule
-            # cache unchanged are excluded from the per-rule diff
+            # Sub-switches whose compiled block came back from the live
+            # generation unchanged are excluded from the per-rule diff
             # entirely, and only the differing rows of the others are
             # built as FlowMods.
             delta = _stage(

@@ -22,16 +22,17 @@ Synthesis is *columnar*: each sub-switch compiles into one
 columns), and a :class:`RuleSet` is nothing but its blocks. It crosses
 the control channel as blocks too (:meth:`RuleSet.runs`); FlowMod
 objects are only materialized for consumers that need each message.
-Blocks are the unit of caching — see DESIGN.md "Data-plane performance
-architecture". The rule forms outside this pipeline — the flat ACL
-table of :mod:`repro.core.rules_acl` and the ECMP rules of
-:mod:`repro.core.rules_ecmp` — are plain ``{switch: [FlowMod]}``
-mappings, which ``ControlTransaction.stage_rules`` accepts as they are.
+Blocks are the unit of reuse: a generation compiled against the one it
+replaces hands every unchanged sub-switch its old block — see DESIGN.md
+§5b and "Data-plane performance architecture". The rule forms outside
+this pipeline — the flat ACL table of :mod:`repro.core.rules_acl` and
+the ECMP rules of :mod:`repro.core.rules_ecmp` — are plain
+``{switch: [FlowMod]}`` mappings, which
+``ControlTransaction.stage_rules`` accepts as they are.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from itertools import compress
@@ -44,7 +45,6 @@ from repro.core.columnar import (
     PRIORITY_ROUTE_EXACT,
     PRIORITY_ROUTE_WILD,
     ROUTE_TABLE,
-    Columns,
     CompiledBlock,
     RowSelection,
     block_columns,
@@ -66,7 +66,6 @@ __all__ = [
     "PRIORITY_ROUTE_WILD",
     "PRIORITY_OVERRIDE",
     "RuleSet",
-    "RuleCache",
     "synthesize_rules",
     "unchanged_blocks",
     "flow_override",
@@ -195,85 +194,36 @@ class _SwitchRun(FlowModRun):
         return [table for table in tables.values() if table.parts]
 
 
-class RuleCache:
-    """Interning cache of compiled blocks, keyed by their own columns.
-
-    A block's columns (:func:`~repro.core.columnar.block_columns`) are
-    every fact its rules are built from — physical switch, metadata
-    tag, cookie, classification ports, and the resolved destination /
-    VC / output-port rows — so equal columns mean equal rules, and any
-    change that could alter a single emitted FlowMod (rerouted traffic,
-    a re-projected port, a repartitioned neighbor shifting the
-    sub-switch to another physical switch, a new host address, a fresh
-    cookie) misses, while a sub-switch whose rows an edit left in
-    place hits. What the rules do not depend on does not split the
-    cache either: a logical port renumbering that leaves every row in
-    place hits. An incremental edit probes only its dirty set (DESIGN.md
-    §5b): the sub-switches whose routes moved or whose projection
-    changed. The rest get their old block from :func:`unchanged_blocks`
-    without a probe, counted as the hits their probes would have been;
-    such a block keeps its place in the LRU order.
-
-    A hit hands the *same* block object to the new RuleSet — block
-    identity is what :func:`split_ruleset_delta` uses to skip whole
-    sub-switches in the reconfiguration delta without materializing
-    their FlowMods. A stored key is the block's own column tuples, so
-    the cache keeps no second copy of the rows.
-    """
-
-    def __init__(self, max_entries: int = 8192) -> None:
-        self.max_entries = max_entries
-        self._store: dict[Columns, CompiledBlock] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: Columns) -> CompiledBlock | None:
-        with self._lock:
-            hit = self._store.get(key)
-            if hit is not None:
-                # move-to-back so eviction drops the least recently
-                # used, re-keyed by the block's own columns: the probe's
-                # equal tuples must not outlive it
-                del self._store[key]
-                self._store[hit.columns] = hit
-        metrics.registry().counter("sdt_rules_cache_total").inc(
-            1, result="hit" if hit is not None else "miss"
-        )
-        return hit
-
-    def put(self, compiled: CompiledBlock) -> None:
-        with self._lock:
-            while len(self._store) >= self.max_entries:
-                self._store.pop(next(iter(self._store)))
-            self._store[compiled.columns] = compiled
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._store.clear()
-
-
 def synthesize_rules(
     projection: ProjectionResult,
     routes: RouteTable,
     *,
     cookie: int = 1,
-    cache: RuleCache | None = None,
+    previous: RuleSet | None = None,
     unchanged: Mapping[str, CompiledBlock] | None = None,
 ) -> RuleSet:
     """Compile a projection + route table into per-switch rule blocks.
 
     Compilation runs sub-switch by sub-switch, one pass over its route
-    entries into the block's columns; with a ``cache``, a sub-switch
-    whose columns equal a previously compiled block's gets that block
-    back instead of a new one. ``unchanged`` maps logical switches to
-    blocks the caller has proved these inputs would compile to again
-    (:func:`unchanged_blocks`): they are handed back as they are, and
-    only the other sub-switches' rows are read and resolved. A reused
-    block counts as the cache hit its probe would have been. The output
-    is identical with and without a cache or reused blocks, a property
-    the differential tests pin down.
+    entries into the block's columns
+    (:func:`~repro.core.columnar.block_columns`: every fact its rules
+    are built from). ``previous`` is the rule set this generation
+    replaces: a sub-switch whose columns equal those of its old block —
+    the one block of ``previous`` with the same physical switch,
+    metadata id and cookie — gets that block object back instead of a
+    new one, and
+    block identity is what :func:`split_ruleset_delta` uses to skip a
+    whole sub-switch. Equal columns are equal rules, so anything that
+    could alter an emitted FlowMod (a rerouted row, a re-projected port,
+    another physical switch, tag or cookie) compiles a new block, and a
+    logical port renumbering that leaves every row in place does not.
+    ``unchanged`` maps logical switches to blocks the caller has proved
+    these inputs would compile to again (:func:`unchanged_blocks`): they
+    are handed back as they are, and only the other sub-switches' rows
+    are read and resolved. ``sdt_rules_cache_total`` counts each block
+    handed back as a ``hit`` and each block compiled as a ``miss``. The
+    output's rules are identical with and without ``previous`` or
+    ``unchanged``, a property the differential tests pin down.
     """
     if routes.topology is not projection.topology:
         # allow equal-by-structure tables but insist on matching names
@@ -284,34 +234,28 @@ def synthesize_rules(
             )
     topo = projection.topology
     unchanged = unchanged or {}
-
-    # Probe the cache for every sub-switch before storing any miss, so
-    # a put at capacity cannot evict a block this pass would hit.
+    # a sub-switch's old block, by the key its columns start with
+    old = {} if previous is None else _by_subswitch(previous.blocks)
     host_map = projection.host_map
-    plan: list[tuple[Columns | None, CompiledBlock | None]] = []
+    rules = RuleSet(cookie=cookie)
+    compiled = synthesized = 0
     for sw in topo.switches:
         block = unchanged.get(sw)
-        if block is not None:
-            plan.append((None, block))
-            continue
-        columns = block_columns(
-            projection.subswitches[sw], host_map, routes.entries_at(sw), cookie
-        )
-        plan.append((columns, None if cache is None else cache.get(columns)))
-    if cache is not None and unchanged:
-        metrics.registry().counter("sdt_rules_cache_total").inc(
-            len(unchanged), result="hit"
-        )
-
-    rules = RuleSet(cookie=cookie)
-    synthesized = 0
-    for columns, block in plan:
         if block is None:
-            block = CompiledBlock(*columns)
-            synthesized += block.count
-            if cache is not None:
-                cache.put(block)
+            columns = block_columns(
+                projection.subswitches[sw], host_map, routes.entries_at(sw), cookie
+            )
+            block = old.get(columns[:3])
+            if block is None or block.columns != columns:
+                block = CompiledBlock(*columns)
+                compiled += 1
+                synthesized += block.count
         rules.add_block(block)
+    lookups = metrics.registry().counter("sdt_rules_cache_total")
+    if compiled < len(rules.blocks):
+        lookups.inc(len(rules.blocks) - compiled, result="hit")
+    if compiled:
+        lookups.inc(compiled, result="miss")
     if synthesized:
         metrics.registry().counter("sdt_rules_synthesized_total").inc(
             synthesized
@@ -365,10 +309,11 @@ class RulesDelta:
 def split_ruleset_delta(old: RuleSet, new: RuleSet) -> RulesDelta:
     """Reduce two RuleSets to the rows that can differ.
 
-    Blocks present in both generations *by identity* (the RuleCache
-    returns the same object for unchanged columns) are proof that every
-    rule in them survives unchanged: they are left out without
-    materializing a single FlowMod. Every other (*dirty*) block is
+    Blocks present in both generations *by identity*
+    (:func:`synthesize_rules` hands a sub-switch whose columns did not
+    change its old block object) are proof that every rule in them
+    survives unchanged: they are left out without materializing a
+    single FlowMod. Every other (*dirty*) block is
     paired with its old self, the dirty block of the other generation
     with the same ``(phys_switch, metadata_id, cookie)``, and the two
     are compared column by column: only the differing rows of paired
@@ -431,8 +376,9 @@ def _repeats_rules(blocks: list[CompiledBlock]) -> bool:
 def _by_subswitch(
     blocks: list[CompiledBlock],
 ) -> dict[tuple[str, int, int], CompiledBlock | None]:
-    """``blocks`` by (phys_switch, metadata_id, cookie); ``None`` marks
-    a key that more than one block holds."""
+    """``blocks`` by (phys_switch, metadata_id, cookie) — a block's
+    sub-switch, the first three of its columns; ``None`` marks a key
+    that more than one block holds."""
     out: dict[tuple[str, int, int], CompiledBlock | None] = {}
     for block in blocks:
         key = (block.phys_switch, block.metadata_id, block.cookie)

@@ -275,27 +275,71 @@ class JournalReplay:
         ]
 
     def poll(self) -> int:
-        """Consume newly flushed journal records; returns how many."""
-        records, self._offset = tail_jsonl(
+        """Consume newly flushed journal records; returns how many.
+
+        Every record is decoded before any is applied: one this reader
+        cannot decode raises :class:`~repro.recovery.codec.CodecError`
+        naming its LSN and leaves the replay as the call found it (the
+        next call reads the same records again)."""
+        records, offset = tail_jsonl(
             self.state_dir / JOURNAL_NAME, self._offset
         )
-        for rec in records:
-            kind = rec["type"]
+        steps = [self._decode(rec) for rec in records]
+        self._offset = offset
+        for kind, lsn, payload in steps:
             if kind == "intent":
                 self._intents += 1
-                if rec["lsn"] > self.snapshot_lsn:
-                    self._pending[rec["lsn"]] = rec["ops"]
-            elif kind == "commit":
-                ops = self._pending.pop(rec["txn"], None)
-                if ops is not None:
+                if lsn > self.snapshot_lsn:
+                    self._pending[lsn] = payload
+            elif kind in ("commit", "abort"):
+                ops = self._pending.pop(payload, None)
+                if kind == "commit" and ops is not None:
                     self._apply(ops)
                     self.replayed += 1
-            elif kind == "abort":
-                self._pending.pop(rec["txn"], None)
-            elif kind == "session" and rec["lsn"] > self.snapshot_lsn:
-                self._apply_session(rec["session"], rec["next_index"])
+            elif kind == "session" and lsn > self.snapshot_lsn:
+                self._apply_session(*payload)
         self.journal_records += len(records)
         return len(records)
+
+    def _decode(self, rec: Any) -> tuple[str, int, Any]:
+        """One record as (type, LSN, what applying it takes): a past-
+        frontier intent's decoded messages per switch, the transaction a
+        commit or abort names, a session record's state and next index."""
+        try:
+            lsn = codec.field(rec, "lsn", (int,))
+            kind = codec.field(rec, "type", (str,))
+            fresh = lsn > self.snapshot_lsn
+            if kind == "intent" and fresh:
+                ops = codec.field(rec, "ops", (dict,)).items()
+                return kind, lsn, {
+                    sw: self._decode_ops(sw, msgs) for sw, msgs in ops
+                }
+            if kind in ("commit", "abort"):
+                return kind, lsn, codec.field(rec, "txn", (int,))
+            if kind == "session" and fresh:
+                session = codec.field(rec, "session", (dict,))
+                codec.field(session, "tenant", (str,))
+                next_index = codec.field(rec, "next_index", (int,))
+                return kind, lsn, (session, next_index)
+            return kind, lsn, None
+        except codec.CodecError as exc:
+            where = rec.get("lsn") if isinstance(rec, dict) else rec
+            raise codec.CodecError(
+                f"journal record {where!r:.60}: {exc}"
+            ) from exc
+
+    def _decode_ops(self, switch: str, messages: Any) -> list:
+        """One switch's staged messages, every FlowMod for a table the
+        switch's replayed pipeline has."""
+        width = len(self._tables.get(switch, ())) or self.num_tables
+        decoded = [
+            codec.decode_message(m)
+            for m in codec.typed(messages, (list,), switch)
+        ]
+        for msg in decoded:
+            if isinstance(msg, FlowMod) and not 0 <= msg.table_id < width:
+                raise codec.CodecError(f"{switch} has no table {msg.table_id}")
+        return decoded
 
     def _apply_session(self, session: dict, next_index: int) -> None:
         """Replace the tenant's session record in place; a new tenant
@@ -305,13 +349,12 @@ class JournalReplay:
         self._state["sessions"] = list(by_tenant.values())
         self._state.setdefault("service", {})["next_index"] = next_index
 
-    def _apply(self, ops: dict[str, list[dict]]) -> None:
+    def _apply(self, ops: dict[str, list]) -> None:
         for switch, messages in ops.items():
             tables = self._tables.get(switch)
             if tables is None:
                 tables = self._tables[switch] = self._new_tables()
-            for data in messages:
-                msg = codec.decode_message(data)
+            for msg in messages:
                 if isinstance(msg, FlowMod):
                     tables[msg.table_id].add(FlowEntry(
                         msg.priority, msg.match, msg.instructions,

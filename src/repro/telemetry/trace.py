@@ -11,6 +11,10 @@ This module gives every layer of the reproduction a common journal:
 * an **event** is a point-in-time record attached to the innermost
   open span (``txn.stage``, ``switch.packet_in``).
 
+Nesting is per thread: a span or event parents onto the innermost span
+its own thread has open, so work on the event loop and on the
+scheduler's worker never cross-parent.
+
 The trace records timing, not content: a ``txn.commit`` span carries
 each switch's modeled time (``switch_times``), while the per-message
 history of what reached the switches is the recovery commit journal's
@@ -44,6 +48,7 @@ or reconstruct the tree via ``parent`` ids.
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 from typing import Any, Callable
 
@@ -126,13 +131,20 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+class _OpenSpans(threading.local):
+    """One thread's open span ids, innermost last."""
+
+    def __init__(self) -> None:
+        self.ids: list[int] = []
+
+
 class Tracer:
     """Collects span/event records; export with :meth:`dump`."""
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self.clock = clock
         self._records: list[dict] = []
-        self._stack: list[int] = []
+        self._open = _OpenSpans()
         self._next_id = 1
         self._seq = 0
 
@@ -156,10 +168,10 @@ class Tracer:
         })
 
     def _close_span(self, span: Span, status: str) -> None:
-        if self._stack and self._stack[-1] == span.span_id:
-            self._stack.pop()
-        elif span.span_id in self._stack:  # closed out of order: unwind
-            while self._stack and self._stack.pop() != span.span_id:
+        if self._open.ids and self._open.ids[-1] == span.span_id:
+            self._open.ids.pop()
+        elif span.span_id in self._open.ids:  # closed out of order: unwind
+            while self._open.ids and self._open.ids.pop() != span.span_id:
                 pass
         self._records.append({
             "type": "span",
@@ -175,16 +187,18 @@ class Tracer:
 
     # --- recording API -------------------------------------------------
     def span(self, name: str, **attrs: Any) -> Span:
-        """Open a nested span (child of the innermost open span)."""
-        parent = self._stack[-1] if self._stack else None
+        """Open a nested span (child of the calling thread's innermost
+        open span)."""
+        parent = self._open.ids[-1] if self._open.ids else None
         span = Span(self, self._next_id, parent, name, dict(attrs))
         self._next_id += 1
-        self._stack.append(span.span_id)
+        self._open.ids.append(span.span_id)
         return span
 
     def event(self, name: str, **attrs: Any) -> None:
-        """Record an event on the innermost open span (or unparented)."""
-        parent = self._stack[-1] if self._stack else None
+        """Record an event on the calling thread's innermost open span
+        (or unparented)."""
+        parent = self._open.ids[-1] if self._open.ids else None
         self._record_event(parent, name, attrs)
 
     # --- query / export ------------------------------------------------

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import replace
+from types import SimpleNamespace
 
 from repro.core import SDTController, TopologyConfig, build_cluster_for
 from repro.core.projection.base import PhysPort, SubSwitch
 from repro.core.projection.delta import project_delta
 from repro.core.projection.linkproj import LinkProjection, empty_projection
-from repro.core.columnar import CompiledBlock, block_columns
-from repro.core.rules import RuleCache, synthesize_rules
+from repro.core.columnar import block_columns
+from repro.core.rules import RuleSet, synthesize_rules
 from repro.hardware import H3C_S6861
 from repro.routing import shortest_path_routes
 from repro.routing.table import Hop
@@ -66,8 +66,9 @@ def _assert_converged(controller: SDTController, deployment) -> None:
 
     * the delta push converged every switch to exactly the entries a
       full install of ``deployment.rules`` would have produced;
-    * cache-assisted synthesis equals a cache-free recompile of the
-      same projection + routes (the cache never changes the output).
+    * synthesis against the replaced generation equals a from-scratch
+      recompile of the same projection + routes (reusing old blocks
+      never changes the output).
     """
     live = _live_multiset(controller.cluster)
     expected = _rules_multiset(deployment.rules)
@@ -79,7 +80,6 @@ def _assert_converged(controller: SDTController, deployment) -> None:
         deployment.projection,
         deployment.routes,
         cookie=deployment.cookie,
-        cache=None,
     )
     assert _rules_multiset(scratch) == expected
     if deployment.config is not None and deployment.config.routing == "shortest-path":
@@ -126,7 +126,7 @@ def test_noop_reconfigure_pushes_nothing():
     dep, _ = controller.reconfigure(TopologyConfig.from_topology(FT4))
 
     assert _counter("sdt_reconfig_rules_pushed_total") == pushed0
-    # every sub-switch is clean: pure cache hits, zero recompiles
+    # every sub-switch is clean: every block handed back, none compiled
     assert _counter("sdt_rules_cache_total", result="hit") - hits0 == len(
         FT4.switches
     )
@@ -136,7 +136,7 @@ def test_noop_reconfigure_pushes_nothing():
 
 def test_routing_strategy_change_goes_incremental():
     """Same topology, new routing: an empty diff still re-vets routes,
-    and changed route entries miss the rule cache per dirty sub-switch."""
+    and a sub-switch whose route entries changed compiles a new block."""
     controller, _ = _rig(FT4)
     cfg = TopologyConfig.from_topology(FT4)
     dep = controller.deploy(cfg)
@@ -159,7 +159,7 @@ def test_routing_strategy_change_goes_incremental():
     _assert_converged(controller, dep2)
 
 
-def test_added_host_invalidates_rule_cache_and_reseeds_partition():
+def test_added_host_recompiles_every_block_and_reseeds_partition():
     controller, _ = _rig(FT4, spare_hosts=1)
     cfg = TopologyConfig.from_topology(FT4)
     controller.deploy(cfg)
@@ -200,28 +200,35 @@ def test_check_of_unchanged_topology_hits_partition_cache():
 HOSTS = {"h1": "10.0.0.1", "h2": "10.0.0.2"}
 
 
-def _compile(cache: RuleCache, sub: SubSwitch, entries, cookie: int = 1):
-    """One sub-switch through the cache, the way ``synthesize_rules``
-    compiles it: its columns, then the interned block (or a new one)."""
-    columns = block_columns(sub, HOSTS, entries, cookie)
-    block = cache.get(columns)
-    if block is None:
-        block = CompiledBlock(*columns)
-        cache.put(block)
+def _compile(sub: SubSwitch, entries, cookie: int = 1, previous=None):
+    """One sub-switch through ``synthesize_rules``, compiled against
+    ``previous``: the block its one-switch rule set holds."""
+    topology = SimpleNamespace(name="one", switches=["s0"])
+    projection = SimpleNamespace(
+        topology=topology, subswitches={"s0": sub}, host_map=HOSTS
+    )
+    routes = SimpleNamespace(topology=topology, entries_at=lambda sw: entries)
+    rules = synthesize_rules(
+        projection, routes, cookie=cookie, previous=previous
+    )
+    (block,) = rules.blocks
     return block
 
 
-def test_rule_cache_is_keyed_by_the_block_columns():
+def test_a_sub_switch_keeps_its_old_block_only_when_its_columns_are_equal():
     def sub(phys="phys0", tag=3, port=5, index=0):
         return SubSwitch("s0", phys, tag, ports={index: PhysPort(phys, port)})
 
     def row(dst="h1", in_vc=None, vc=0, index=0):
         return [("s0", dst, in_vc, Hop(Port("s0", index), vc))]
 
-    cache = RuleCache()
-    base = _compile(cache, sub(), row())
-    # identical inputs hit and return the very same block object
-    assert _compile(cache, sub(), row()) is base
+    base = _compile(sub(), row())
+    previous = RuleSet(cookie=1)
+    previous.add_block(base)
+    # identical inputs return the very same block object; without the
+    # generation they replace, they compile a new one
+    assert _compile(sub(), row(), previous=previous) is base
+    assert _compile(sub(), row()) is not base
 
     variants = {
         "new cookie (new generation)": (sub(), row(), 2),
@@ -232,15 +239,13 @@ def test_rule_cache_is_keyed_by_the_block_columns():
         "re-tagged metadata": (sub(tag=4), row(), 1),
     }
     for what, (s, entries, cookie) in variants.items():
-        assert cache.get(block_columns(s, HOSTS, entries, cookie)) is None, what
+        block = _compile(s, entries, cookie, previous=previous)
+        assert block is not base, what
+        assert block.columns == block_columns(s, HOSTS, entries, cookie), what
 
     # a logical port renumbering that leaves every row in place emits
-    # the same rules, so it is the same block
-    assert _compile(cache, sub(index=7), row(index=7)) is base
-
-    # each stored key is the block's own column tuples, not a copy
-    for key, block in cache._store.items():
-        assert all(map(operator.is_, key, block.columns))
+    # the same rules, so it keeps the same block
+    assert _compile(sub(index=7), row(index=7), previous=previous) is base
 
 
 # --- cold-path pinning ------------------------------------------------------
@@ -384,8 +389,9 @@ def test_incremental_matches_from_scratch_over_random_edit_sequences():
     """Seeded random topologies (200 by default), each walked through a random
     sequence of link drops/re-adds via ``reconfigure``. After every
     step the live switch state must be bit-identical to a from-scratch
-    install of the deployment's rules, and cache-assisted synthesis
-    must equal a cache-free recompile (see ``_assert_converged``)."""
+    install of the deployment's rules, and synthesis against the replaced
+    generation must equal a from-scratch recompile (see
+    ``_assert_converged``)."""
     cases = prop_cases(200)
     incremental_runs = 0
     for idx, rng in seeded_cases(cases, ROOT_SEED, "incremental-vs-scratch"):

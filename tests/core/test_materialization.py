@@ -38,8 +38,8 @@ def _materialized() -> float:
 
 
 def _controller() -> SDTController:
-    # a fresh controller has a cold rule cache: no block arrives with
-    # FlowMods some earlier test already built
+    # a fresh controller shares no block with another: no block arrives
+    # with FlowMods some earlier test already built
     return SDTController(
         build_cluster_for([fat_tree(4), torus2d(4, 4)], 2, EVAL_256x10G)
     )
@@ -145,9 +145,9 @@ def test_incremental_edit_materializes_exactly_what_it_stages(monkeypatch):
     """Each staged message of a delta is built from one materialized
     row — an install from its own FlowMod, a strict delete from the old
     entry's — and no other row is built: not the rows of shared
-    blocks, nor the rows a dirty block shares with its old self. The
-    first edit runs on a cold rule cache, so every dirty block is
-    fresh; the restore gets the base's blocks back from the cache."""
+    blocks, nor the rows a dirty block shares with its old self. Each
+    edit is compiled against the generation it replaces, so every
+    dirty block — of the first edit and of the restore — is fresh."""
     staged = []
     stage_delta = ControlTransaction.stage_delta
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -36,6 +37,40 @@ def test_span_nesting_and_parent_ids():
     by_name = {r["name"]: r for r in recs}
     assert by_name["inner"]["parent"] == by_name["outer"]["id"]
     assert by_name["outer"]["parent"] is None
+
+
+def test_spans_open_on_two_threads_do_not_cross_parent():
+    """A span (or event) opened on one thread parents onto that thread's
+    innermost open span, whatever another thread has open meanwhile."""
+    t = Tracer()
+    opened, looked = threading.Event(), threading.Event()
+    seen = {}
+
+    def worker():
+        with t.span("worker.op") as op:
+            opened.set()
+            assert looked.wait(10)
+            with t.span("worker.step") as step:
+                seen["step_parent"] = step.parent_id
+            seen["op"] = op.span_id
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    assert opened.wait(10)
+    with t.span("loop.request") as request:
+        t.event("loop.event")
+        with t.span("loop.child") as child:
+            seen["child_parent"] = child.parent_id
+    looked.set()
+    thread.join(10)
+
+    assert request.parent_id is None
+    assert t.events("loop.event")[0]["span"] == request.span_id
+    assert seen["child_parent"] == request.span_id
+    assert seen["step_parent"] == seen["op"]
+    by_name = {r["name"]: r for r in t.spans()}
+    assert by_name["worker.op"]["parent"] is None
+    assert by_name["loop.request"]["parent"] is None
 
 
 def test_events_attach_to_innermost_open_span():

@@ -311,7 +311,7 @@ def test_tenant_edit_sequences_match_from_scratch_on_a_shared_pool():
                 }, f"case {idx}"
                 scratch = synthesize_rules(
                     deployment.projection, deployment.routes,
-                    cookie=deployment.cookie, cache=None,
+                    cookie=deployment.cookie,
                 )
                 assert _rules_multiset(scratch) == _rules_multiset(deployment.rules)
                 assert {c: v for c, v in after.items() if not owns(c)} == {
