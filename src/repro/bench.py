@@ -103,6 +103,8 @@ _RECONFIG_COUNTERS: dict[str, tuple[str, dict[str, str]]] = {
     ),
     "partition_hits": ("sdt_partition_cache_total", {"result": "hit"}),
     "partition_misses": ("sdt_partition_cache_total", {"result": "miss"}),
+    "links_built": ("sdt_topology_links_built_total", {}),
+    "links_projected": ("sdt_projection_links_bound_total", {}),
 }
 
 
@@ -172,6 +174,10 @@ def run_scenario(scenario: Scenario) -> dict:
         "modeled_reconfigure_s": modeled,
         "partition_cache_hits_warm": warm_d["partition_hits"],
         "partition_cache_misses_warm": warm_d["partition_misses"],
+        # what the edit walked: links constructed into its topology,
+        # and links its projection allocated or bound again
+        "links_built_incremental": reconf_d["links_built"],
+        "links_projected_incremental": reconf_d["links_projected"],
         "cold_deploy_s": cold_s,
         "incremental_reconfigure_s": inc_s,
         "warm_check_s": warm_s,
@@ -180,8 +186,8 @@ def run_scenario(scenario: Scenario) -> dict:
 
 def run_reconfig_suite(quick: bool) -> dict:
     """The paper's headline operation (Fig. 2, Table II; DESIGN.md
-    §5b): a small logical edit costs O(changed links) — topology diff,
-    cached partition extension, delta projection, cache-hit synthesis,
+    §5b): a small logical edit costs O(changed links) — topology diff
+    and splice, partition extension, delta projection, reused blocks,
     a FlowMod/strict-delete delta push — not a redeploy."""
     return {
         "scenarios": [
@@ -909,6 +915,8 @@ SUITES: dict[str, Suite] = {
             "modeled_reconfigure_s": EQ,
             "partition_cache_hits_warm": EQ,
             "partition_cache_misses_warm": EQ,
+            "links_built_incremental": EQ,
+            "links_projected_incremental": EQ,
             "cold_deploy_s": INFO,
             "incremental_reconfigure_s": INFO,
             "warm_check_s": INFO,

@@ -26,6 +26,8 @@ from repro.topology import (
     torus3d,
     zoo_entry,
 )
+from repro.telemetry import metrics
+from repro.topology.diff import TopologyDiff, diff_config
 from repro.util.errors import ConfigurationError
 
 _GENERATORS = {
@@ -73,6 +75,16 @@ def _build_custom(params: dict) -> Topology:
     return topo
 
 
+def _links_built(count: int) -> None:
+    metrics.registry().counter(
+        "sdt_topology_links_built_total",
+        "logical links a config build connected, or an edit's splice "
+        "connected again (added, or kept at a node whose ports renumber); "
+        "a tenant edit's admission builds the requested topology once "
+        "more, and that build counts too",
+    ).inc(count)
+
+
 @dataclass
 class TopologyConfig:
     """One experiment's controller configuration."""
@@ -87,20 +99,56 @@ class TopologyConfig:
     def build(self) -> Topology:
         """Materialize the logical topology."""
         if self.kind == "custom":
-            return _build_custom(self.params)
-        try:
-            gen = _GENERATORS[self.kind]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown topology kind {self.kind!r}; choose from "
-                f"{sorted(_GENERATORS)} or 'custom'"
-            ) from None
-        try:
-            return gen(self.params)
-        except KeyError as missing:
-            raise ConfigurationError(
-                f"topology kind {self.kind!r} missing parameter {missing}"
-            ) from None
+            topology = _build_custom(self.params)
+        else:
+            try:
+                gen = _GENERATORS[self.kind]
+            except KeyError:
+                raise ConfigurationError(
+                    f"unknown topology kind {self.kind!r}; choose from "
+                    f"{sorted(_GENERATORS)} or 'custom'"
+                ) from None
+            try:
+                topology = gen(self.params)
+            except KeyError as missing:
+                raise ConfigurationError(
+                    f"topology kind {self.kind!r} missing parameter {missing}"
+                ) from None
+        _links_built(len(topology.links))
+        return topology
+
+    def diff_from(self, live: Topology) -> TopologyDiff | None:
+        """The diff taking ``live`` to this config's topology, read off
+        a custom config's lists without building anything
+        (:func:`~repro.topology.diff.diff_config`) — or None for a
+        generator config, or one whose surviving links leave ``live``'s
+        order: :meth:`build` that one and diff it whole."""
+        if self.kind != "custom":
+            return None
+        params = self.params
+        return diff_config(
+            live,
+            params.get("switches", []),
+            params.get("hosts", []),
+            params.get("links", []),
+        )
+
+    def splice(self, live: Topology, diff: TopologyDiff) -> Topology:
+        """:meth:`build`, made by editing ``live`` along ``diff`` (from
+        :meth:`diff_from`): equal to the build, port numbering and link
+        indices included, and validated."""
+        params = self.params
+        topology, built = live.spliced(
+            params.get("name", "custom"),
+            params.get("switches", []),
+            params.get("hosts", []),
+            params.get("links", []),
+            diff.kept,
+            diff.touched_nodes(),
+        )
+        topology.validate()
+        _links_built(built)
+        return topology
 
     @classmethod
     def from_topology(

@@ -22,7 +22,8 @@ mutates the data plane — ``deploy``, ``deploy_prepared``, ``edit``
 change, calls the shared stages, and updates its own books. Each stage
 is written once (DESIGN.md §4b has the per-entry-point table):
 
-1. **unpack + vet** — :func:`_unpack`,
+1. **unpack + vet** — :func:`_unpack` (:func:`_unpack_edit` for an
+   edit),
    :meth:`SDTController._routes_for`, :func:`_vet` (Deadlock Avoidance
    for lossless installs);
 2. **stage** — :meth:`SDTController._stage_generation` stages a
@@ -85,7 +86,7 @@ from repro.openflow.transaction import ControlTransaction
 from repro.partition.cache import PartitionCache, extend_partition
 from repro.partition.occupancy import occupancy_order
 from repro.routing.deadlock import assert_deadlock_free
-from repro.topology.diff import diff_topologies
+from repro.topology.diff import TopologyDiff, diff_topologies
 from repro.routing.repair import reroute_avoiding
 from repro.routing.strategies import (
     dragonfly_minimal_routes,
@@ -147,6 +148,37 @@ def _unpack(
         return config, None, "auto", True
     topology = _stage("topology.build", config.build)
     return topology, config, config.routing, config.lossless
+
+
+def _unpack_edit(
+    config: TopologyConfig | Topology, live: Topology
+) -> tuple[Topology, TopologyDiff, TopologyConfig | None, str, bool] | None:
+    """:func:`_unpack` for an edit of the topology ``live``, with the
+    diff from ``live`` — or None when a node changed kind, which no
+    incremental edit can follow. A custom config whose surviving links
+    keep their live order is diffed off its lists and spliced from
+    ``live`` (:meth:`TopologyConfig.splice`), so only what the edit
+    changes is constructed; any other request is built whole and
+    diffed. A topology the builder refuses raises either way."""
+    if isinstance(config, Topology):
+        topology, cfg, strategy, lossless = _unpack(config)
+        diff = None
+    else:
+        cfg, strategy, lossless = config, config.routing, config.lossless
+        try:
+            diff = _stage("topology.diff", config.diff_from, live)
+        except TopologyError:
+            return None
+        if diff is None:
+            topology = _stage("topology.build", config.build)
+        else:
+            topology = _stage("topology.build", config.splice, live, diff)
+    if diff is None:
+        try:
+            diff = _stage("topology.diff", diff_topologies, live, topology)
+        except TopologyError:
+            return None
+    return topology, diff, cfg, strategy, lossless
 
 
 def _vet(routes: RouteTable, lossless: bool) -> RouteTable:
@@ -870,10 +902,13 @@ class SDTController:
     ) -> Deployment | None:
         """Try the O(changed links) reconfiguration path (DESIGN.md §5b).
 
-        Diffs the live topology against the requested one, re-projects
-        only the changed links (placement stability keeps every
-        surviving sub-switch on its physical switch, ports and metadata
-        tag included), re-synthesizes rules against the live generation
+        Diffs the live topology against the requested one (splicing the
+        edited topology from the live one when the request keeps its
+        link order, :func:`_unpack_edit`), re-projects only the changed
+        links (placement stability keeps every surviving sub-switch on
+        its physical switch, ports and metadata tag included; every
+        other sub-switch is carried over unvisited), re-synthesizes
+        rules against the live generation
         (unchanged sub-switches get their block back), and stages only
         the FlowMod/strict-FlowDelete *delta* against live switch
         state — keeping the deployment's cookie,
@@ -910,11 +945,10 @@ class SDTController:
             or old.flow_overrides
         ):
             return None
-        topology, cfg, strategy, lossless = _unpack(config)
-        try:
-            diff = _stage("topology.diff", diff_topologies, old.topology, topology)
-        except TopologyError:
+        unpacked = _unpack_edit(config, old.topology)
+        if unpacked is None:
             return None
+        topology, diff, cfg, strategy, lossless = unpacked
 
         # the switches whose route entries moved, when only they did
         moved = None
@@ -939,6 +973,7 @@ class SDTController:
                 partition,
                 exclude=self._occupied(but=old) | exclude,
                 metadata_base=self._next_metadata,
+                diff=diff,
             )
         except (CapacityError, ProjectionError):
             return None

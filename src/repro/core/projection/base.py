@@ -12,6 +12,7 @@ realizes a link and what a reconfiguration costs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.hardware.wiring import HostPort, InterSwitchLink, SelfLink
@@ -75,6 +76,23 @@ class ProjectionResult:
     #: when set, the projection is partial: only the links/hosts a
     #: workload can reach were given hardware (route-usage pruning)
     usage: object | None = None
+    #: ``port_map`` inverted: each mapped physical port, as (physical
+    #: switch, port number), and its logical port (the first one
+    #: ``port_map`` lists, should two share it). Derived at construction
+    #: unless given; the allocator passes the one it kept in step, so an
+    #: edit checks its new ports against the survivors' without walking
+    #: them. Neither map changes after construction: an edit builds a
+    #: new result.
+    port_owners: dict[tuple[str, int], Port] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.port_owners is None:
+            owners: dict[tuple[str, int], Port] = {}
+            for lp, pp in self.port_map.items():
+                owners.setdefault((pp.switch, pp.port), lp)
+            self.port_owners = owners
 
     @property
     def phys_host_map(self) -> dict[str, str]:
@@ -95,12 +113,21 @@ class ProjectionResult:
     def _is_used_link(self, index: int) -> bool:
         return self.usage is None or self.usage.uses_link(index)
 
-    def validate(self) -> None:
-        """Structural sanity: every (used) logical port mapped exactly
-        once, to a port on the physical switch owning its logical
-        switch; every used link realized; every used host bound."""
-        seen: dict[PhysPort, Port] = {}
-        for sw in self.topology.switches:
+    def validate(self, switches: Iterable[str] | None = None) -> None:
+        """Structural sanity of the sub-switches of the logical
+        ``switches`` (default: all of them): each is projected onto the
+        physical switch its part owns; each (used) logical port of
+        theirs is mapped, to a port on that physical switch which no
+        other logical port holds; each used link at them is realized
+        and each used host attached to them bound. Ports elsewhere are
+        seen only through :attr:`port_owners`, so an edit checks only
+        the sub-switches it bound again."""
+        topology = self.topology
+        if switches is None:
+            switches = topology.switches
+        owners = self.port_owners
+        used_hosts = None if self.usage is None else set(self.usage.hosts)
+        for sw in switches:
             sub = self.subswitches.get(sw)
             if sub is None:
                 raise ProjectionError(f"logical switch {sw!r} not projected")
@@ -110,31 +137,32 @@ class ProjectionResult:
                     f"sub-switch {sw!r} on {sub.phys_switch!r} but partition "
                     f"says {expected_phys!r}"
                 )
-            for lp in self.topology.ports_of(sw):
-                link = self.topology.link_of_port(lp)
+            for link in topology.links_of(sw):
+                lp = link.port_on(sw)
+                used = self._is_used_link(link.index)
                 pp = self.port_map.get(lp)
                 if pp is None:
-                    if self._is_used_link(link.index):
+                    if used:
                         raise ProjectionError(f"logical port {lp} unmapped")
                     continue
                 if pp.switch != sub.phys_switch:
                     raise ProjectionError(
                         f"logical port {lp} mapped off-switch to {pp}"
                     )
-                if pp in seen:
+                holder = owners.get((pp.switch, pp.port))
+                if holder is not lp and holder != lp:
                     raise ProjectionError(
-                        f"physical port {pp} mapped twice ({seen[pp]} and {lp})"
+                        f"physical port {pp} mapped twice ({holder} and {lp})"
                     )
-                seen[pp] = lp
-        for link in self.topology.links:
-            if self._is_used_link(link.index) and link.index not in self.link_realization:
-                raise ProjectionError(f"logical link {link} not realized")
-        used_hosts = (
-            self.topology.hosts if self.usage is None else self.usage.hosts
-        )
-        for host in used_hosts:
-            if host not in self.host_map:
-                raise ProjectionError(f"logical host {host!r} not bound")
+                if used and link.index not in self.link_realization:
+                    raise ProjectionError(f"logical link {link} not realized")
+                host = link.other(sw)
+                if (
+                    topology.is_host(host)
+                    and (used_hosts is None or host in used_hosts)
+                    and host not in self.host_map
+                ):
+                    raise ProjectionError(f"logical host {host!r} not bound")
 
     # --- summary ----------------------------------------------------------
     def stats(self) -> dict[str, int]:

@@ -17,13 +17,18 @@ stability**:
 
 The result is a complete, validated :class:`ProjectionResult` for the
 *new* topology in which every untouched sub-switch projects to exactly
-the same physical ports as before — which is what lets cached rule
-synthesis hit and delta staging push O(changed links) messages.
+the same physical ports as before — which is what lets rule synthesis
+hand those sub-switches their old blocks back and delta staging push
+O(changed links) messages.
 
 The allocation itself is
 :func:`~repro.core.projection.linkproj.realize` — the routine a cold
 projection runs from the empty projection; this module adds only the
-preconditions that make its output placement-stable.
+preconditions that make its output placement-stable. Given the edit's
+diff, the work is O(changed links): only the added links are allocated,
+only the sub-switches whose ports the edit renumbers are bound again
+and validated, and everything else is carried over from the live
+projection.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from repro.core.projection.base import ProjectionResult
 from repro.core.projection.linkproj import realize, require_projectable
 from repro.hardware.cluster import PhysicalCluster
 from repro.partition.objective import Partition
+from repro.topology.diff import TopologyDiff, diff_topologies
 from repro.topology.graph import Topology
 from repro.util.errors import ProjectionError
 
@@ -44,6 +50,7 @@ def project_delta(
     *,
     exclude: set | None = None,
     metadata_base: int = 1,
+    diff: TopologyDiff | None = None,
 ) -> ProjectionResult:
     """Project ``new_topology`` by editing the live projection ``old``.
 
@@ -52,7 +59,11 @@ def project_delta(
     wiring resources owned by *other* coexisting deployments — the old
     projection's own resources are implicitly available for reuse.
     ``metadata_base`` numbers the sub-switches of added logical
-    switches; surviving sub-switches keep their tag.
+    switches; surviving sub-switches keep their tag. ``diff`` is the
+    edit's :class:`~repro.topology.diff.TopologyDiff` from
+    ``old.topology`` (default: computed here); the old projection's
+    topology was projectable, so only the hosts it touches are checked
+    again.
 
     Raises :class:`CapacityError` when the freed + spare wiring cannot
     host the added links (callers fall back to a full re-projection).
@@ -61,7 +72,9 @@ def project_delta(
         raise ProjectionError(
             "cannot incrementally edit a route-usage-pruned projection"
         )
-    require_projectable(new_topology)
+    if diff is None:
+        diff = diff_topologies(old.topology, new_topology)
+    require_projectable(new_topology, diff.touched_nodes())
     for sw in new_topology.switches:
         if sw in old.partition.assignment:
             if partition.part_of(sw) != old.partition.part_of(sw):
@@ -76,4 +89,5 @@ def project_delta(
         partition,
         exclude=exclude or set(),
         metadata_base=metadata_base,
+        diff=diff,
     )

@@ -22,9 +22,10 @@ live one).
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from repro.core.projection.base import (
+    LinkRealization,
     PhysPort,
     ProjectionResult,
     SubSwitch,
@@ -35,7 +36,8 @@ from repro.core.projection.base import (
 from repro.hardware.cluster import PhysicalCluster
 from repro.hardware.wiring import WiringPlan
 from repro.partition import Partition, partition_topology
-from repro.topology.diff import link_key
+from repro.telemetry import metrics
+from repro.topology.diff import TopologyDiff, diff_topologies
 from repro.topology.graph import Topology
 from repro.util.errors import CapacityError, ProjectionError
 
@@ -48,31 +50,39 @@ class Resource(NamedTuple):
     wired: Callable  # the cables wired on a switch (or switch pair)
     budget: str  # its key in plan_inter_switch_reservation's result
     remedy: str  # the paper's "necessary link modification"
+    #: one physical port of a cable, as (switch, port); no other
+    #: cable has it
+    port: Callable
 
 
 SELF_LINKS = Resource(
     "self-links", self_link_demand, WiringPlan.self_links_of,
     "self_links_per_switch", "add {} loop cables",
+    lambda c: (c.switch, c.port_a),
 )
 INTER_LINKS = Resource(
     "inter-switch links", inter_switch_link_demand,
     WiringPlan.inter_links_between,
     "inter_links_per_pair", "add {} cables",
+    lambda c: (c.switch_a, c.port_a),
 )
 HOST_PORTS = Resource(
     "host ports", host_port_demand, WiringPlan.hosts_of,
     "hosts_per_switch", "attach {} more hosts",
+    lambda c: (c.switch, c.port),
 )
 #: in ledger order
 RESOURCES = (SELF_LINKS, INTER_LINKS, HOST_PORTS)
 
 
-def require_projectable(topology: Topology) -> None:
+def require_projectable(
+    topology: Topology, hosts: Iterable[str] | None = None
+) -> None:
     """What every projection demands of its input: a valid topology
-    whose hosts are single-homed."""
+    whose hosts (or those of them in ``hosts``) are single-homed."""
     topology.validate()
-    for h in topology.hosts:
-        if topology.radix(h) > 1:
+    for h in topology.hosts if hosts is None else hosts:
+        if topology.is_host(h) and topology.radix(h) > 1:
             raise ProjectionError(
                 f"host {h!r} is multi-homed ({topology.radix(h)} NICs); "
                 "projection currently supports single-homed hosts "
@@ -104,37 +114,102 @@ def realize(
     exclude: set,
     metadata_base: int,
     usage=None,
+    diff: TopologyDiff | None = None,
 ) -> ProjectionResult:
     """The one allocator: give every (used) link of ``topology`` a
-    physical realization, starting from the projection ``old``.
+    physical realization, by editing the projection ``old`` along
+    ``diff`` (default: :func:`~repro.topology.diff.diff_topologies` of
+    the two topologies).
 
     A link that ``old`` already realized (same endpoint names) keeps its
     cable and physical ports, a sub-switch that ``old`` had keeps its
-    metadata tag; everything else takes the first free cable of the
-    right kind — free meaning not in ``exclude`` and not kept by a
-    surviving link — and the next tag from ``metadata_base`` (tag 0 means
-    unclassified). Raises :class:`CapacityError` when a pool runs dry.
+    metadata tag; an added link takes the first free cable of the right
+    kind — free meaning not in ``exclude`` and not held by a surviving
+    link — and an added sub-switch the next tag from ``metadata_base``
+    (tag 0 means unclassified). Only the sub-switches whose ports the
+    diff renumbers are bound again, and only they are validated; every
+    other sub-switch, port, host and cable is carried over from ``old``,
+    re-keyed where link indices shifted. A cold projection is the edit
+    of :func:`empty_projection` in which every link is added; ``usage``
+    leaves the added links it does not use without hardware. Raises
+    :class:`CapacityError` when a pool runs dry.
     """
+    if diff is None:
+        diff = diff_topologies(old.topology, topology)
     part_to_phys = dict(old.part_to_phys)
-    old_links = {link_key(*l.endpoints): l for l in old.topology.links}
-    was_of = {
-        link.index: old_links[key]
-        for link in topology.links
-        if (key := link_key(*link.endpoints)) in old_links
-    }
-    # cables a coexisting deployment or a surviving link holds
-    taken = exclude | {
-        old.link_realization[was.index] for was in was_of.values()
-    }
+    old_subs = old.subswitches
+    rebound = diff.rebound_nodes() if old_subs else frozenset()
+
+    next_meta = metadata_base
+    subswitches: dict[str, SubSwitch] = {}
+    fresh: list[SubSwitch] = []  # the sub-switches to bind and validate
+    for sw in topology.switches:
+        phys = part_to_phys[partition.part_of(sw)]
+        old_sub = old_subs.get(sw)
+        if old_sub is None:
+            meta, next_meta = next_meta, next_meta + 1
+        elif sw in rebound or old_sub.phys_switch != phys:
+            meta = old_sub.metadata_id
+        else:
+            subswitches[sw] = old_sub
+            continue
+        sub = subswitches[sw] = SubSwitch(sw, phys, meta)
+        fresh.append(sub)
+
+    # unbind every port of a fresh or removed sub-switch: its links'
+    # cables return to the pools unless a surviving link binds them again
+    port_map = dict(old.port_map)
+    owners = dict(old.port_owners)
+    for sw in (*(sub.logical_switch for sub in fresh), *diff.removed_switches):
+        if sw in old_subs:
+            for lp in old.topology.ports_of(sw):
+                pp = port_map.pop(lp, None)
+                if pp is not None:
+                    owners.pop((pp.switch, pp.port), None)
+    host_map = dict(old.host_map)
+    for host in diff.removed_hosts:
+        host_map.pop(host, None)
+
+    kept = diff.kept
+    added = [i for i, was in enumerate(kept) if was < 0]
+    bound = len(added)
+    if len(added) < len(kept):
+        # surviving links at a fresh sub-switch: the same physical
+        # ports, under the (possibly renumbered) new logical ports
+        old_links = old.topology.links
+        old_port_map = old.port_map
+        rebound_links = set()
+        for sub in fresh:
+            sw = sub.logical_switch
+            for link in topology.links_of(sw):
+                was = kept[link.index]
+                if was < 0:
+                    continue
+                lp = link.port_on(sw)
+                pp = old_port_map[old_links[was].port_on(sw)]
+                port_map[lp] = pp
+                owners.setdefault((pp.switch, pp.port), lp)
+                sub.ports[lp.index] = pp
+                rebound_links.add(link.index)
+        bound += len(rebound_links)
+
     pools: dict[tuple, list] = {}
+    # a cable is free unless excluded or a kept link holds its port; a
+    # cable taken below leaves its pool, so with nothing kept (a cold
+    # projection) no pool needs the port check
+    kept_ports = bool(owners)
 
     def take(resource: Resource, *switches: str):
         """The next free cable, for the ``link`` being realized."""
         pool = pools.get((resource, switches))
         if pool is None:
-            pool = pools[resource, switches] = [
-                c for c in resource.wired(wiring, *switches) if c not in taken
+            pool = [
+                c for c in resource.wired(wiring, *switches)
+                if c not in exclude
             ]
+            if kept_ports:
+                pool = [c for c in pool if resource.port(c) not in owners]
+            pools[resource, switches] = pool
         if not pool:
             raise CapacityError(
                 f"{'<->'.join(switches)}: ran out of {resource.kind} for "
@@ -142,37 +217,19 @@ def realize(
             )
         return pool.pop(0)
 
-    next_meta = metadata_base
-    subswitches: dict[str, SubSwitch] = {}
-    for sw in topology.switches:
-        old_sub = old.subswitches.get(sw)
-        if old_sub is None:
-            meta, next_meta = next_meta, next_meta + 1
-        else:
-            meta = old_sub.metadata_id
-        subswitches[sw] = SubSwitch(
-            logical_switch=sw,
-            phys_switch=part_to_phys[partition.part_of(sw)],
-            metadata_id=meta,
-        )
-
-    port_map: dict = {}
-    host_map: dict[str, str] = {}
-    link_realization: dict = {}
-    for link in topology.links:
-        if usage is not None and not usage.uses_link(link.index):
+    links = topology.links
+    cables: dict[int, LinkRealization] = {}
+    for i in added:
+        if usage is not None and not usage.uses_link(i):
+            bound -= 1
             continue
+        link = links[i]
         ends = [p for p in (link.a, link.b) if p.node in subswitches]
         homes = [subswitches[p.node].phys_switch for p in ends]
-        was = was_of.get(link.index)
-        if was is not None:
-            # stability: rebind the (possibly renumbered) new ports to
-            # the exact physical ports the old projection used
-            cable = old.link_realization[was.index]
-            phys_ports = [old.port_map[was.port_on(p.node)] for p in ends]
-        elif len(ends) == 1:
+        if len(ends) == 1:
             cable = take(HOST_PORTS, *homes)
             phys_ports = [PhysPort(cable.switch, cable.port)]
+            host_map[link.other(ends[0].node)] = cable.host
         elif homes[0] == homes[1]:
             cable = take(SELF_LINKS, homes[0])
             phys_ports = [
@@ -184,10 +241,21 @@ def realize(
             phys_ports = [PhysPort(n, cable.endpoint_on(n)) for n in homes]
         for logical, physical in zip(ends, phys_ports):
             port_map[logical] = physical
+            owners.setdefault((physical.switch, physical.port), logical)
             subswitches[logical.node].ports[logical.index] = physical
-        link_realization[link.index] = cable
-        if len(ends) == 1:
-            host_map[link.other(ends[0].node)] = cable.host
+        cables[i] = cable
+
+    old_cables = old.link_realization
+    link_realization = {
+        i: old_cables[was] if was >= 0 else cables[i]
+        for i, was in enumerate(kept)
+        if was >= 0 or i in cables
+    }
+    metrics.registry().counter(
+        "sdt_projection_links_bound_total",
+        "logical links a projection allocated a cable for or bound again "
+        "to the cable they keep",
+    ).inc(bound)
 
     result = ProjectionResult(
         topology=topology,
@@ -198,8 +266,9 @@ def realize(
         host_map=host_map,
         link_realization=link_realization,
         usage=usage,
+        port_owners=owners,
     )
-    result.validate()
+    result.validate(sub.logical_switch for sub in fresh)
     return result
 
 

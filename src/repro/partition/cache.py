@@ -62,10 +62,10 @@ class PartitionCache:
     Eviction is least-recently-*used*: a lookup hit refreshes the
     entry's recency. Seeded entries are additionally **pinned** until
     their first lookup — the incremental-reconfiguration path seeds the
-    edited topology's partition and relies on the warm re-check later
-    in the *same* reconfigure finding it, so an intervening burst of
-    unrelated partitions must not be able to evict it first. The pin is
-    consumed by that first lookup (the key then ages like any other).
+    edited topology's partition so that a *later* check or deploy of
+    that topology finds it, so an intervening burst of unrelated
+    partitions must not be able to evict it first. The pin is consumed
+    by that first lookup (the key then ages like any other).
     """
 
     def __init__(self, max_entries: int = 256) -> None:

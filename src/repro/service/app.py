@@ -47,6 +47,7 @@ from repro.recovery.servicestate import recover_service, service_extra
 from repro.service.asyncsched import AsyncScheduler, BackpressureError
 from repro.service.http import HttpRequest, HttpResponse, HttpServer
 from repro.telemetry import metrics
+from repro.tenancy.scheduler import SESSION_END_KINDS
 from repro.tenancy.service import TestbedService
 from repro.tenancy.session import TenantQuota
 from repro.util.errors import (
@@ -218,7 +219,7 @@ class ControlPlaneService:
         """Evict (or close) through the scheduler — the teardown
         serializes after everything the tenant already queued, and the
         lease release is journaled before the operation returns."""
-        if mode not in ("evict", "close"):
+        if mode not in SESSION_END_KINDS:
             raise ConfigurationError(f"unknown end-session mode {mode!r}")
         await self.submit(mode, tenant_id)
         return {"tenant": tenant_id, "state": self.testbed.sessions[tenant_id].state}

@@ -97,6 +97,11 @@ class Gauge:
     def value(self, **labels) -> float:
         return self._series.get(_label_key(labels), 0.0)
 
+    def remove(self, **labels) -> None:
+        """Drop the series of this label set, once what it measured is
+        gone (a no-op when there is none)."""
+        self._series.pop(_label_key(labels), None)
+
     def series(self) -> Iterator[tuple[dict, float]]:
         for key, v in sorted(self._series.items()):
             yield dict(key), v

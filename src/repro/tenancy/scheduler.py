@@ -10,7 +10,10 @@ execution:
   submitted them (a reconfigure never overtakes the deploy it edits);
 * **fair share across tenants** — the next operation is the queue head
   of the next tenant, round-robin in admission order, so a tenant
-  queueing 50 deploys cannot starve one queueing a single request;
+  queueing 50 deploys cannot starve one queueing a single request; a
+  tenant leaves the rotation once its session-ending operation
+  (``evict`` / ``close``) starts with nothing else of it queued, and
+  joins again at the end if it comes back;
 * **one at a time** — operations run one after another on one worker
   thread, off the caller's thread, so an asyncio front keeps serving
   while an operation runs.
@@ -29,6 +32,10 @@ from typing import Any, Callable
 
 from repro.telemetry import metrics, trace
 from repro.util.errors import ConfigurationError
+
+
+#: the operation kinds that end a tenant's session
+SESSION_END_KINDS = frozenset({"evict", "close"})
 
 
 @dataclass
@@ -80,18 +87,30 @@ class Scheduler:
     def _dispatch_locked(self) -> None:
         """Start the next operation if none is running (caller holds
         the lock): the queue head of the first tenant with work, walking
-        round-robin from the fair-share cursor."""
+        round-robin from the fair-share cursor. A tenant whose session
+        ends with the operation started here, and who has nothing else
+        queued, leaves the books; the tenant after it slides into its
+        place, which the cursor then names, so the walk over the
+        tenants still queued is the one it would have been."""
         if self._running is not None:
             return
-        n = len(self._tenant_order)
+        order = self._tenant_order
+        n = len(order)
         for i in range(n):
-            tenant = self._tenant_order[(self._rr + i) % n]
+            pos = (self._rr + i) % n
+            tenant = order[pos]
             queue = self._pending[tenant]
-            if queue:
-                self._rr = (self._rr + i + 1) % n
-                self._running = queue.popleft()
-                self._executor.submit(self._run, self._running)
-                return
+            if not queue:
+                continue
+            self._running = queue.popleft()
+            if queue or self._running.kind not in SESSION_END_KINDS:
+                self._rr = (pos + 1) % n
+            else:
+                del self._pending[tenant]
+                del order[pos]
+                self._rr = pos % (n - 1) if n > 1 else 0
+            self._executor.submit(self._run, self._running)
+            return
 
     def _run(self, op: Operation) -> None:
         with trace.span(

@@ -30,7 +30,7 @@ from repro.recovery.journal import active_journal
 from repro.telemetry import metrics, trace
 from repro.tenancy.admission import AdmissionController
 from repro.tenancy.isolation import IsolationVerifier
-from repro.tenancy.scheduler import Operation, Scheduler
+from repro.tenancy.scheduler import SESSION_END_KINDS, Operation, Scheduler
 from repro.tenancy.session import (
     SESSION_ACTIVE,
     SESSION_CLOSED,
@@ -229,8 +229,13 @@ class TestbedService:
             session.lease = ()
             self._journal_session(session)
             reg = metrics.registry()
-            reg.gauge("tenant_host_ports_leased").set(0, tenant=tenant_id)
-            reg.gauge("tenant_deployments").set(0, tenant=tenant_id)
+            # the tenant holds nothing now: its series go, not to zero
+            for gauge in (
+                "tenant_host_ports_leased",
+                "tenant_host_ports_used",
+                "tenant_deployments",
+            ):
+                reg.gauge(gauge).remove(tenant=tenant_id)
             reg.gauge("tenant_sessions_active").set(
                 sum(
                     1
@@ -277,7 +282,7 @@ class TestbedService:
             name = kwargs["name"]
             self._session(tenant_id).check_active()
             fn = partial(self._do_undeploy, tenant_id, name)
-        elif kind in ("evict", "close"):
+        elif kind in SESSION_END_KINDS:
             final = SESSION_EVICTED if kind == "evict" else SESSION_CLOSED
             fn = partial(self._end_session, tenant_id, final)
         else:

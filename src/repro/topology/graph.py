@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from repro.util.errors import TopologyError
 
@@ -77,45 +77,37 @@ class Topology:
     _hosts: dict[str, None] = field(default_factory=dict)
     _links: list[Link] = field(default_factory=list)
     _ports: dict[str, list[Port]] = field(default_factory=dict)
-    # port -> link resolution for routing/projection lookups
-    _port_link: dict[Port, Link] = field(default_factory=dict)
-    # lazily-built adjacency caches, maintained incrementally by
-    # connect(); partitioning, routing, and projection walk the graph
-    # heavily enough that per-call list rebuilds dominated their cost
-    _adj: dict[str, list[Link]] | None = field(
-        default=None, init=False, repr=False
+    # adjacency, kept current by every construction step: partitioning,
+    # routing and projection walk the graph heavily enough that
+    # per-call rebuilds dominated their cost. A node's links are in
+    # port order, so ``_adj[port.node][port.index]`` is a port's link.
+    _adj: dict[str, list[Link]] = field(default_factory=dict, repr=False)
+    _nbrs: dict[str, list[str]] = field(default_factory=dict, repr=False)
+    _pair_link: dict[tuple[str, str], Link] = field(
+        default_factory=dict, repr=False
     )
-    _nbrs: dict[str, list[str]] | None = field(
-        default=None, init=False, repr=False
-    )
-    _pair_link: dict[tuple[str, str], Link] | None = field(
-        default=None, init=False, repr=False
-    )
+    # set by a passing validate(), cleared by every construction step
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     # --- construction -------------------------------------------------
     def add_switch(self, name: str) -> str:
         """Register a logical switch; returns its name for chaining."""
-        self._check_fresh(name)
-        self._switches[name] = None
-        self._ports[name] = []
-        if self._adj is not None:
-            self._adj[name] = []
-            self._nbrs[name] = []  # type: ignore[index]
+        self._add_node(name, self._switches)
         return name
 
     def add_host(self, name: str) -> str:
         """Register a host (computing node)."""
-        self._check_fresh(name)
-        self._hosts[name] = None
-        self._ports[name] = []
-        if self._adj is not None:
-            self._adj[name] = []
-            self._nbrs[name] = []  # type: ignore[index]
+        self._add_node(name, self._hosts)
         return name
 
-    def _check_fresh(self, name: str) -> None:
+    def _add_node(self, name: str, kind: dict[str, None]) -> None:
         if name in self._switches or name in self._hosts:
             raise TopologyError(f"node {name!r} already exists in {self.name!r}")
+        kind[name] = None
+        self._ports[name] = []
+        self._adj[name] = []
+        self._nbrs[name] = []
+        self._valid = False
 
     def connect(self, a: str, b: str) -> Link:
         """Add an undirected link between nodes ``a`` and ``b``.
@@ -130,7 +122,7 @@ class Topology:
         for node in (a, b):
             if node not in self._ports:
                 raise TopologyError(f"unknown node {node!r} in {self.name!r}")
-        if b in self.neighbors(a):
+        if (a, b) in self._pair_link:
             raise TopologyError(f"parallel link {a!r}--{b!r} not supported")
         pa = Port(a, len(self._ports[a]))
         pb = Port(b, len(self._ports[b]))
@@ -138,19 +130,97 @@ class Topology:
         self._ports[a].append(pa)
         self._ports[b].append(pb)
         self._links.append(link)
-        self._port_link[pa] = link
-        self._port_link[pb] = link
-        if self._adj is not None:
-            # keep the caches current instead of invalidating: connect
-            # itself consults neighbors(), so an invalidate-on-write
-            # scheme would rebuild the whole adjacency once per link
-            self._adj[a].append(link)
-            self._adj[b].append(link)
-            self._nbrs[a].append(b)  # type: ignore[index]
-            self._nbrs[b].append(a)  # type: ignore[index]
-            self._pair_link[(a, b)] = link  # type: ignore[index]
-            self._pair_link[(b, a)] = link  # type: ignore[index]
+        self._adj[a].append(link)
+        self._adj[b].append(link)
+        self._nbrs[a].append(b)
+        self._nbrs[b].append(a)
+        self._pair_link[(a, b)] = link
+        self._pair_link[(b, a)] = link
+        self._valid = False
         return link
+
+    def spliced(
+        self,
+        name: str,
+        switches: Iterable[str],
+        hosts: Iterable[str],
+        links: Sequence[Sequence[str]],
+        kept: Sequence[int],
+        touched: Container[str],
+    ) -> tuple[Topology, int]:
+        """The topology that adds ``switches`` and ``hosts`` and then
+        connects each ``links`` pair in order, made by editing this one,
+        and how many links it connected: the added ones and the kept
+        ones at a touched node.
+
+        ``kept[i]`` is the index of this topology's link that
+        ``links[i]`` keeps — same endpoints, in the same order — or -1
+        for an added link; kept links appear in this topology's link
+        order. ``touched`` holds every endpoint of an added link, every
+        endpoint of a link nothing keeps, and every added node: the
+        nodes whose ports renumber. The result equals the build from
+        scratch, link indices and port numbers included. Only touched
+        nodes get new ports; a kept link after an edit point whose ports
+        did not move is re-indexed (a new :class:`Link` on the same
+        ports), every other kept link is shared, and the adjacency is
+        patched for the new links alone. Not validated.
+        """
+        new = Topology(name)
+        new._switches = dict.fromkeys(switches)
+        new._hosts = dict.fromkeys(hosts)
+        ports, adj, nbrs = new._ports, new._adj, new._nbrs
+        old_ports, old_adj, old_nbrs = self._ports, self._adj, self._nbrs
+        for node in (*new._switches, *new._hosts):
+            if node in touched or node not in old_ports:
+                # gets its links in order below
+                ports[node], adj[node], nbrs[node] = [], [], []
+            else:
+                ports[node] = old_ports[node].copy()
+                adj[node] = old_adj[node].copy()
+                nbrs[node] = old_nbrs[node].copy()
+        pair = dict(self._pair_link)
+        for node in touched:
+            for nb in old_nbrs.get(node, ()):
+                pair.pop((node, nb), None)
+                pair.pop((nb, node), None)
+        old_links = self._links
+        out = new._links
+        connected = 0
+        for i, (a, b) in enumerate(links):
+            w = kept[i]
+            new_a = a in touched
+            new_b = b in touched
+            if w == i and not (new_a or new_b):
+                out.append(old_links[i])
+                continue
+            if new_a:
+                pa = Port(a, len(ports[a]))
+            else:
+                pa = old_links[w].a
+            if new_b:
+                pb = Port(b, len(ports[b]))
+            else:
+                pb = old_links[w].b
+            link = Link(i, pa, pb)
+            out.append(link)
+            if new_a:
+                ports[a].append(pa)
+                adj[a].append(link)
+                nbrs[a].append(b)
+            else:
+                adj[a][pa.index] = link
+            if new_b:
+                ports[b].append(pb)
+                adj[b].append(link)
+                nbrs[b].append(a)
+            else:
+                adj[b][pb.index] = link
+            pair[(a, b)] = link
+            pair[(b, a)] = link
+            if new_a or new_b:
+                connected += 1
+        new._pair_link = pair
+        return new, connected
 
     # --- accessors ----------------------------------------------------
     @property
@@ -204,52 +274,33 @@ class Topology:
         return len(self.ports_of(node))
 
     def link_of_port(self, port: Port) -> Link:
-        try:
-            return self._port_link[port]
-        except KeyError:
-            raise TopologyError(f"port {port} has no link") from None
-
-    def _build_adjacency(self) -> None:
-        adj: dict[str, list[Link]] = {
-            node: [self._port_link[p] for p in ports]
-            for node, ports in self._ports.items()
-        }
-        self._adj = adj
-        self._nbrs = {
-            node: [l.other(node) for l in links]
-            for node, links in adj.items()
-        }
-        pair: dict[tuple[str, str], Link] = {}
-        for l in self._links:
-            a, b = l.a.node, l.b.node
-            pair[(a, b)] = l
-            pair[(b, a)] = l
-        self._pair_link = pair
+        links = self._adj.get(port.node)
+        if links is not None and 0 <= port.index < len(links):
+            return links[port.index]
+        raise TopologyError(f"port {port} has no link")
 
     def links_of(self, node: str) -> list[Link]:
-        """This node's links. The returned list is a shared cache —
-        treat it as read-only."""
-        if self._adj is None:
-            self._build_adjacency()
+        """This node's links, in port order. The returned list is the
+        topology's own — treat it as read-only."""
         try:
-            return self._adj[node]  # type: ignore[index]
+            return self._adj[node]
         except KeyError:
             raise TopologyError(f"unknown node {node!r}") from None
 
     def neighbors(self, node: str) -> list[str]:
-        """This node's neighbor names. The returned list is a shared
-        cache — treat it as read-only."""
-        if self._nbrs is None:
-            self._build_adjacency()
+        """This node's neighbor names, in port order. The returned list
+        is the topology's own — treat it as read-only."""
         try:
-            return self._nbrs[node]  # type: ignore[index]
+            return self._nbrs[node]
         except KeyError:
             raise TopologyError(f"unknown node {node!r}") from None
 
+    def find_link(self, a: str, b: str) -> Link | None:
+        """The link between ``a`` and ``b``, or None."""
+        return self._pair_link.get((a, b))
+
     def link_between(self, a: str, b: str) -> Link:
-        if self._pair_link is None:
-            self._build_adjacency()
-        link = self._pair_link.get((a, b))  # type: ignore[union-attr]
+        link = self._pair_link.get((a, b))
         if link is None:
             raise TopologyError(f"no link {a!r}--{b!r} in {self.name!r}")
         return link
@@ -303,7 +354,10 @@ class Topology:
 
     # --- validation ----------------------------------------------------
     def validate(self) -> None:
-        """Raise :class:`TopologyError` on structural inconsistencies."""
+        """Raise :class:`TopologyError` on structural inconsistencies.
+        A topology that passed is not walked again until it changes."""
+        if self._valid:
+            return
         if not self._switches:
             raise TopologyError(f"{self.name!r} has no switches")
         for h in self._hosts:
@@ -322,6 +376,7 @@ class Topology:
                 raise TopologyError(f"non-dense port numbering on {node!r}")
         if self._hosts and not self.is_connected():
             raise TopologyError(f"{self.name!r} is not connected")
+        self._valid = True
 
     def is_connected(self) -> bool:
         """Whether every node reaches every other over the links; a
@@ -329,9 +384,7 @@ class Topology:
         nodes = self.nodes
         if not nodes:
             return False
-        if self._nbrs is None:
-            self._build_adjacency()
-        reached = bfs_parents(nodes[0], self._nbrs)  # type: ignore[arg-type]
+        reached = bfs_parents(nodes[0], self._nbrs)
         return len(reached) == len(nodes)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

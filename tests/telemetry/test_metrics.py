@@ -49,6 +49,15 @@ def test_gauge_set_and_inc():
     assert g.value(port=2) == 0.0
 
 
+def test_gauge_remove_drops_only_that_series():
+    g = Gauge("sdt_test_gauge")
+    g.set(3, port=1)
+    g.set(4, port=2)
+    g.remove(port=1)
+    g.remove(port=9)  # no such series: nothing to drop
+    assert list(g.series()) == [({"port": 2}, 4.0)]
+
+
 def test_histogram_aggregates_and_buckets():
     h = Histogram("sdt_test_seconds", buckets=(1.0, 10.0))
     for v in (0.5, 2.0, 2.0, 100.0):

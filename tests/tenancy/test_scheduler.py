@@ -233,3 +233,39 @@ def test_shutdown_refuses_new_work(make_sched):
         sched.submit(
             Operation(kind="deploy", tenant_id="a", fn=lambda: None)
         )
+
+
+def test_churned_tenants_leave_the_rotation():
+    """A tenant leaves the scheduler's books with its session: after
+    300 short-lived tenants came and went, only the resident tenants
+    are in the rotation, and the tenants queued behind a departure are
+    still served round-robin."""
+    sched = Scheduler()
+    try:
+        record = []
+        residents = ["r0", "r1", "r2"]
+        for i in range(300):
+            churner = f"churn{i}"
+            for kind in ("deploy", "reconfigure", "close" if i % 2 else "evict"):
+                sched.submit(_op(churner, record, kind=kind))
+            sched.submit(_op(residents[i % 3], record, tag="tick"))
+        assert sched.drain(10)
+        assert set(sched._pending) == set(residents)
+        assert sched._tenant_order == residents
+
+        gate = threading.Event()
+        record.clear()
+        sched.submit(_op("r0", record, block=gate, tag="r0-0"))
+        sched.submit(_op("late", record, kind="close", tag="late-0"))
+        for i in (1, 2):
+            for tenant in residents:
+                sched.submit(_op(tenant, record, tag=f"{tenant}-{i}"))
+        gate.set()
+        assert sched.drain(10)
+        # one op of every queued tenant before anyone's second
+        assert sorted(record[1:5]) == ["late-0", "r0-1", "r1-1", "r2-1"]
+        assert sorted(record[5:]) == ["r0-2", "r1-2", "r2-2"]
+        assert set(sched._pending) == set(residents)
+        assert sched._tenant_order == residents
+    finally:
+        sched.shutdown()

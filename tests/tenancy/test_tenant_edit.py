@@ -323,3 +323,23 @@ def test_tenant_edit_sequences_match_from_scratch_on_a_shared_pool():
         finally:
             service.shutdown()
     assert incremental_runs >= cases // 2, incremental_runs
+
+
+def test_a_closed_session_leaves_no_gauge_series(service):
+    """Ending a session removes its tenant's per-tenant gauge series
+    instead of parking them at zero: a churning service would otherwise
+    export one dead series per tenant it ever admitted."""
+    service.open_session("alice", TenantQuota(host_ports=16, tcam_share=2000))
+    service.open_session("bob", TenantQuota(host_ports=16, tcam_share=2000))
+    run_op(service, "deploy", "alice", config=CHAIN3)
+    run_op(service, "deploy", "bob", config=CHAIN3)
+    run_op(service, "evict", "alice")
+    reg = metrics.registry()
+    for name in (
+        "tenant_host_ports_leased",
+        "tenant_host_ports_used",
+        "tenant_deployments",
+    ):
+        tenants = {labels.get("tenant") for labels, _ in reg.gauge(name).series()}
+        assert "alice" not in tenants, name
+        assert "bob" in tenants, name

@@ -186,6 +186,43 @@ def test_cold_fallback_fails_when_baseline_ran_incrementally():
     assert "mode is 'cold', baseline has 'incremental'" in problem
 
 
+def _mutant_problems(monkeypatch, owner, name, replacement) -> list[str]:
+    """The fattree-k4 reconfig scenario, rerun with ``owner.name``
+    replaced, against the committed baseline."""
+    monkeypatch.setattr(owner, name, replacement)
+    case = bench.run_scenario(SCENARIOS[0])
+    base = _baseline("reconfig")
+    return compare({**base, "scenarios": [case]}, base)
+
+
+def test_an_edit_that_builds_every_link_fails_the_built_count(monkeypatch):
+    from repro.core.controller.config import TopologyConfig
+
+    problems = _mutant_problems(
+        monkeypatch, TopologyConfig, "diff_from", lambda self, live: None
+    )
+    assert [p.split(" is ")[0] for p in problems] == [
+        "scenario=fattree-k4: links_built_incremental"
+    ]
+
+
+def test_an_edit_that_rebinds_every_link_fails_the_projected_count(monkeypatch):
+    from repro.topology.diff import TopologyDiff
+
+    def everything(diff):
+        return set(diff.touched_nodes()) | {
+            node for pair in bench.SCENARIOS[0].build().links
+            for node in pair.endpoints
+        }
+
+    problems = _mutant_problems(
+        monkeypatch, TopologyDiff, "rebound_nodes", everything
+    )
+    assert [p.split(" is ")[0] for p in problems] == [
+        "scenario=fattree-k4: links_projected_incremental"
+    ]
+
+
 def test_warm_partition_cache_miss_fails_incremental_scenarios():
     [problem] = _overwrite("reconfig", "case", "partition_cache_hits_warm", 0)
     assert "partition_cache_hits_warm is 0" in problem
