@@ -79,9 +79,7 @@ def _links_built(count: int) -> None:
     metrics.registry().counter(
         "sdt_topology_links_built_total",
         "logical links a config build connected, or an edit's splice "
-        "connected again (added, or kept at a node whose ports renumber); "
-        "a tenant edit's admission builds the requested topology once "
-        "more, and that build counts too",
+        "connected again (added, or kept at a node whose ports renumber)",
     ).inc(count)
 
 

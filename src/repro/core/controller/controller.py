@@ -89,13 +89,10 @@ from repro.routing.deadlock import assert_deadlock_free
 from repro.topology.diff import TopologyDiff, diff_topologies
 from repro.routing.repair import reroute_avoiding
 from repro.routing.strategies import (
-    dragonfly_minimal_routes,
-    fattree_updown_routes,
-    mesh_dimension_order_routes,
-    repair_shortest_path,
+    STRATEGIES,
+    repair_routes,
     routes_for,
-    shortest_path_routes,
-    torus_dateline_routes,
+    strategy_for,
 )
 from repro.routing.table import RouteTable
 from repro.telemetry import metrics, trace
@@ -107,13 +104,8 @@ from repro.util.errors import (
     TopologyError,
 )
 
-_STRATEGIES = {
-    "auto": routes_for,
-    "shortest-path": shortest_path_routes,
-    "fat-tree-updown": fattree_updown_routes,
-    "dragonfly-minimal": dragonfly_minimal_routes,
-    "dimension-order": mesh_dimension_order_routes,
-}
+#: what the Routing Strategy module calls, by registry key
+_STRATEGIES = {"auto": routes_for, **STRATEGIES}
 
 MAKE_BEFORE_BREAK = "make-before-break"
 BREAK_BEFORE_MAKE = "break-before-make"
@@ -522,18 +514,12 @@ class SDTController:
 
     # --- the mutation pipeline: routes -------------------------------------
     def _routes_for(self, topology: Topology, strategy: str) -> RouteTable:
-        """The Routing Strategy module."""
-        if strategy in _STRATEGIES:
-            return _stage("routing.routes", _STRATEGIES[strategy], topology)
-        if strategy.startswith("torus-dateline"):
-            dims = tuple(int(x) for x in topology.name.split("-")[1].split("x"))
-            return _stage(
-                "routing.routes", torus_dateline_routes, topology, dims
-            )
-        raise ConfigurationError(
-            f"unknown routing strategy {strategy!r}; choose from "
-            f"{sorted(_STRATEGIES)} or 'torus-dateline'"
-        )
+        """The Routing Strategy module: the table of the registry's
+        strategy that the routing name ``strategy`` selects
+        (:func:`~repro.routing.strategies.strategy_for`)."""
+        if strategy != "auto":
+            strategy = strategy_for(topology, strategy).name
+        return _stage("routing.routes", _STRATEGIES[strategy], topology)
 
     def _synthesize(
         self,
@@ -916,15 +902,15 @@ class SDTController:
         Added links may claim no resource another deployment holds, nor
         any in ``exclude``.
 
-        When the live routes are the shortest-path strategy's own output
+        When the live routes are a strategy's own output
         (:attr:`Deployment.routes_strategy`, not ``config.routing``: a
-        route update installs any table) and shortest-path is asked for
-        again, the routes are repaired from the live table
-        (:func:`~repro.routing.strategies.repair_shortest_path`) and
+        route update installs any table) and the requested routing
+        resolves to that same strategy, the routes are repaired from the
+        live table (:func:`~repro.routing.strategies.repair_routes`) and
         synthesis resolves only the sub-switches whose routes moved or
         whose projection changed; every other sub-switch keeps its block
-        unresolved (:func:`~repro.core.rules.unchanged_blocks`). Any
-        other strategy recomputes every route and resolves every
+        unresolved (:func:`~repro.core.rules.unchanged_blocks`). A
+        change of strategy recomputes every route and resolves every
         sub-switch.
 
         Returns ``None`` when the edit cannot be applied incrementally,
@@ -952,9 +938,12 @@ class SDTController:
 
         # the switches whose route entries moved, when only they did
         moved = None
-        if strategy == "shortest-path" and old.routes_strategy == strategy:
+        rule = strategy_for(topology, strategy)
+        if old.routes_strategy is not None and rule is strategy_for(
+            old.topology, old.routes_strategy
+        ):
             routes, moved = _stage(
-                "routing.routes", repair_shortest_path, old.routes, topology, diff
+                "routing.routes", repair_routes, old.routes, topology, diff, rule
             )
         else:
             routes = self._routes_for(topology, strategy)

@@ -153,10 +153,6 @@ class OpenFlowSwitch:
         ] = {}
         self._decisions_epoch = 0
         self.groups: dict[int, GroupEntry] = {}
-        # instruction tuples already validated for a given table —
-        # synthesis pools identical tuples across rules, so a bulk
-        # install validates each distinct tuple once, not once per rule
-        self._instr_ok: set[tuple[int, tuple]] = set()
         self.port_stats: dict[int, PortStats] = {
             p: PortStats() for p in range(1, num_ports + 1)
         }
@@ -374,14 +370,6 @@ class OpenFlowSwitch:
             )
 
     def _check_instructions(self, table_id: int, instructions) -> None:
-        key = (
-            (table_id, instructions)
-            if isinstance(instructions, tuple)
-            else None
-        )
-        if key is not None and key in self._instr_ok:
-            return
-        cacheable = True
         for ins in instructions:
             if isinstance(ins, GotoTable):
                 if ins.table <= table_id:
@@ -397,18 +385,12 @@ class OpenFlowSwitch:
                             f"switch {self.dpid}: Output({a.port}) out of "
                             f"range 1..{self.num_ports}"
                         )
-                    if isinstance(a, Group):
-                        # group existence is stateful (groups come and
-                        # go): never cache a verdict that involves one
-                        cacheable = False
-                        if a.group_id not in self.groups:
-                            raise SimulationError(
-                                f"switch {self.dpid}: rule references "
-                                f"missing group {a.group_id} (install the "
-                                "group first)"
-                            )
-        if key is not None and cacheable and len(self._instr_ok) < 65536:
-            self._instr_ok.add(key)
+                    if isinstance(a, Group) and a.group_id not in self.groups:
+                        raise SimulationError(
+                            f"switch {self.dpid}: rule references "
+                            f"missing group {a.group_id} (install the "
+                            "group first)"
+                        )
 
     # --- data plane -----------------------------------------------------
     def forward(
@@ -425,8 +407,7 @@ class OpenFlowSwitch:
         outcome is never stored if the walk ended in a table miss (the
         miss counter and ``switch.packet_in`` must fire per packet) or
         met a ``Group`` action (group membership changes without
-        touching a table). Like ``_instr_ok`` it stops growing at a
-        fixed size."""
+        touching a table). It stops growing at a fixed size."""
         if not 1 <= in_port <= self.num_ports:
             raise SimulationError(
                 f"switch {self.dpid}: packet on bad port {in_port}"

@@ -17,9 +17,10 @@ a host's NIC port index equals its level (ports added level 0..k).
 
 from __future__ import annotations
 
-from repro.routing.table import Hop, RouteTable
+from repro.routing.strategies import Rule, Step, Strategy, build_routes
+from repro.routing.table import RouteTable
 from repro.topology.graph import Topology
-from repro.util.errors import RoutingError, TopologyError
+from repro.util.errors import RoutingError
 
 
 def _host_digits(host: str) -> str:
@@ -36,54 +37,52 @@ def _switch_parts(switch: str) -> tuple[int, str]:
     return int(level_str), rest
 
 
-def bcube_routes(topo: Topology) -> RouteTable:
+def _digit_rule(topo: Topology) -> Rule:
     """Digit-correcting minimal routes for a BCube(n, k) topology."""
     hosts = topo.hosts
     if not hosts:
         raise RoutingError("BCube topology has no hosts")
     k_plus_1 = len(_host_digits(hosts[0]))
-    table = RouteTable(topo, num_vcs=1, allow_host_forwarding=True)
 
-    def first_diff_level(a: str, b: str) -> int:
-        """Highest level whose digit differs (digits are a_k..a_0, so
-        string position 0 is level k)."""
-        for pos in range(k_plus_1):
-            if a[pos] != b[pos]:
-                return k_plus_1 - 1 - pos
-        raise RoutingError("identical addresses")
-
-    for dst in hosts:
+    def rule(dst: str) -> list[Step]:
         dst_digits = _host_digits(dst)
-
-        # host entries: exit via the NIC of the first differing level
+        out: list[Step] = []
+        # host entries: exit via the NIC of the first differing level,
+        # the highest (digits are a_k..a_0: string position 0 is level k)
         for src in hosts:
             if src == dst:
                 continue
             digits = _host_digits(src)
-            level = first_diff_level(digits, dst_digits)
-            ports = topo.ports_of(src)
-            if level >= len(ports):
-                raise RoutingError(
-                    f"host {src!r} lacks a level-{level} NIC"
-                )
-            table.set_hop(src, dst, Hop(ports[level], 0))
-
+            level = next(
+                k_plus_1 - 1 - pos
+                for pos in range(k_plus_1) if digits[pos] != dst_digits[pos]
+            )
+            nics = topo.neighbors(src)
+            if level >= len(nics):
+                raise RoutingError(f"host {src!r} lacks a level-{level} NIC")
+            out.append((src, nics[level], 0))
         # switch entries: hand the packet to the attached host whose
         # level digit matches the destination's
         for sw in topo.switches:
             level, rest = _switch_parts(sw)
             pos = k_plus_1 - 1 - level
-            target_digits = rest[:pos] + dst_digits[pos] + rest[pos:]
-            target_host = f"h{target_digits}"
-            try:
-                link = topo.link_between(sw, target_host)
-            except TopologyError:
-                continue  # this switch column cannot carry dst traffic
-            table.set_hop(sw, dst, Hop(link.port_on(sw), 0))
-    return table
+            target = f"h{rest[:pos]}{dst_digits[pos]}{rest[pos:]}"
+            if topo.find_link(sw, target) is not None:
+                out.append((sw, target, 0))
+            # else this switch column cannot carry dst traffic
+        return out
+
+    return rule
 
 
-def hyper_bcube_routes(topo: Topology) -> RouteTable:
+BCUBE = Strategy("bcube", _digit_rule, hosts_forward=True)
+
+
+def bcube_routes(topo: Topology) -> RouteTable:
+    return build_routes(topo, BCUBE)
+
+
+def _two_level_rule(topo: Topology) -> Rule:
     """2-level HyperBCube routing (Lin et al., ICC 2012).
 
     Host (i, j) reaches (i2, j2) by fixing the column first (via its row
@@ -94,7 +93,6 @@ def hyper_bcube_routes(topo: Topology) -> RouteTable:
     Naming contract (:func:`repro.topology.bcube.hyper_bcube`): hosts
     ``h{i}{j}`` with NIC 0 on ``row{i}`` and NIC 1 on ``col{j}``.
     """
-    table = RouteTable(topo, num_vcs=1, allow_host_forwarding=True)
     hosts = topo.hosts
 
     def coords(host: str) -> tuple[str, str]:
@@ -102,29 +100,31 @@ def hyper_bcube_routes(topo: Topology) -> RouteTable:
             raise RoutingError(f"{host!r} is not a hyper-bcube host name")
         return host[1], host[2]
 
-    for dst in hosts:
+    def rule(dst: str) -> list[Step]:
         di, dj = coords(dst)
+        out: list[Step] = []
         for src in hosts:
             if src == dst:
                 continue
-            si, sj = coords(src)
-            ports = topo.ports_of(src)
-            if sj != dj:
-                table.set_hop(src, dst, Hop(ports[0], 0))  # row NIC
-            else:
-                table.set_hop(src, dst, Hop(ports[1], 0))  # column NIC
+            _si, sj = coords(src)
+            # the row NIC until the column is fixed, then the column NIC
+            out.append((src, topo.neighbors(src)[0 if sj != dj else 1], 0))
         for sw in topo.switches:
             if sw.startswith("row"):
-                i = sw[3:]
-                target = f"h{i}{dj}"
+                target = f"h{sw[3:]}{dj}"
             elif sw.startswith("col"):
-                j = sw[3:]
-                target = f"h{di}{j}"
+                target = f"h{di}{sw[3:]}"
             else:
                 raise RoutingError(f"{sw!r} is not a hyper-bcube switch name")
-            try:
-                link = topo.link_between(sw, target)
-            except TopologyError:
-                continue
-            table.set_hop(sw, dst, Hop(link.port_on(sw), 0))
-    return table
+            if topo.find_link(sw, target) is not None:
+                out.append((sw, target, 0))
+        return out
+
+    return rule
+
+
+HYPER_BCUBE = Strategy("hyper-bcube", _two_level_rule, hosts_forward=True)
+
+
+def hyper_bcube_routes(topo: Topology) -> RouteTable:
+    return build_routes(topo, HYPER_BCUBE)

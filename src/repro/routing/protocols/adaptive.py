@@ -31,6 +31,7 @@ from repro.routing.protocols.precomputed import (
     DETECTION_DELAY,
     modeled_push_time,
 )
+from repro.routing.strategies import next_switch_routes
 from repro.routing.table import RouteTable
 from repro.topology.graph import Topology, bfs_depths
 from repro.util.errors import RoutingError, TopologyError
@@ -109,7 +110,7 @@ class AdaptiveEgressProtocol(RoutingProtocol):
                     self._choice[(sw, dst)] = cands[0]
 
     def _build_table(self, topology: Topology) -> RouteTable:
-        return self.build_table(topology, lambda sw, dst: self._choice.get((sw, dst)))
+        return next_switch_routes(topology, lambda sw, dst: self._choice.get((sw, dst)))
 
     def _validate(self, topology: Topology, routes: RouteTable) -> bool:
         """Every host pair that should be reachable still traces."""

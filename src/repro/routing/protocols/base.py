@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable
 
-from repro.routing.table import Hop, RouteTable
+from repro.routing.table import RouteTable
 from repro.topology.graph import Topology
 
 
@@ -124,30 +123,6 @@ class RoutingProtocol(ABC):
             for link in topology.links_of(node)
             if link.index not in failed_links
         ]
-
-    @staticmethod
-    def build_table(
-        topology: Topology, next_switch: Callable[[str, str], str | None]
-    ) -> RouteTable:
-        """A one-VC destination table: each host's attachment switch
-        delivers out the host port, every other switch forwards toward
-        ``next_switch(switch, attachment)`` — no entry where that is
-        ``None`` (unreachable: packets drop)."""
-        table = RouteTable(topology, num_vcs=1)
-        items: list[tuple[str, str, int | None, Hop]] = []
-        for host in topology.hosts:
-            attach = topology.host_switch(host)
-            attach_port = topology.link_between(host, attach).port_on(attach)
-            for sw in topology.switches:
-                if sw == attach:
-                    items.append((sw, host, None, Hop(attach_port)))
-                    continue
-                nxt = next_switch(sw, attach)
-                if nxt is not None:
-                    port = topology.link_between(sw, nxt).port_on(sw)
-                    items.append((sw, host, None, Hop(port)))
-        table.set_hops(items)
-        return table
 
     def config_summary(self, topology: Topology) -> dict:
         """Deterministic size/hash digest of :meth:`generate_config`."""

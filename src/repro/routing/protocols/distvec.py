@@ -26,6 +26,7 @@ from repro.routing.protocols.base import (
     RoutingOutcome,
     RoutingProtocol,
 )
+from repro.routing.strategies import next_switch_routes
 from repro.topology.graph import Topology, bfs_parents
 from repro.util.units import MILLISECONDS
 
@@ -169,7 +170,7 @@ class DistanceVectorProtocol(RoutingProtocol):
         self._failed = set()
         self._reset_vectors(topology)
         rounds, messages = self._iterate(topology, set(), triggered=False)
-        routes = self.build_table(topology, lambda sw, dst: self._via[sw][dst])
+        routes = next_switch_routes(topology, lambda sw, dst: self._via[sw][dst])
         return RoutingOutcome(
             routes=routes,
             convergence=ConvergenceReport(
@@ -192,7 +193,7 @@ class DistanceVectorProtocol(RoutingProtocol):
         rounds, messages = self._iterate(
             topology, self._failed, triggered=True
         )
-        routes = self.build_table(topology, lambda sw, dst: self._via[sw][dst])
+        routes = next_switch_routes(topology, lambda sw, dst: self._via[sw][dst])
         return RoutingOutcome(
             routes=routes,
             convergence=ConvergenceReport(

@@ -24,13 +24,18 @@ from repro.routing.protocols.base import (
     RoutingProtocol,
 )
 from repro.routing.repair import reroute_avoiding
-from repro.routing.strategies import routes_for
+from repro.routing.strategies import routes_for, strategy_for
 from repro.routing.table import RouteTable
 from repro.topology.graph import Topology
 from repro.util.units import MILLISECONDS
 
 #: port-down signal latency (hardware LOS -> controller event)
 DETECTION_DELAY = 1 * MILLISECONDS
+
+
+def _per_switch(routes: RouteTable) -> Counter[str]:
+    """Entries per switch."""
+    return Counter(switch for switch, _dst, _vc, _hop in routes.entries())
 
 
 def modeled_push_time(routes: RouteTable) -> tuple[float, int]:
@@ -40,9 +45,7 @@ def modeled_push_time(routes: RouteTable) -> tuple[float, int]:
     plus its entry count times the install latency — the same model the
     controller's deployment-time estimate uses.
     """
-    per_switch: Counter[str] = Counter()
-    for switch, _dst, _vc, _hop in routes.entries():
-        per_switch[switch] += 1
+    per_switch = _per_switch(routes)
     if not per_switch:
         return (CONTROL_RTT, 0)
     worst = max(
@@ -58,15 +61,9 @@ class PrecomputedProtocol(RoutingProtocol):
 
     name = "precomputed"
 
-    def __init__(self, *, seed: int = 0) -> None:
-        super().__init__(seed=seed)
-        self._strategy: str = "?"
-
     def generate_config(self, topology: Topology) -> dict[str, dict]:
         routes = routes_for(topology)
-        per_switch: Counter[str] = Counter()
-        for switch, _dst, _vc, _hop in routes.entries():
-            per_switch[switch] += 1
+        per_switch = _per_switch(routes)
         return {
             switch: {
                 "protocol": "static",
@@ -77,22 +74,15 @@ class PrecomputedProtocol(RoutingProtocol):
         }
 
     def initial_routes(self, topology: Topology) -> RoutingOutcome:
-        routes = routes_for(topology)
+        strategy = strategy_for(topology)
+        routes = strategy(topology)
         time, flow_mods = modeled_push_time(routes)
-        known = (
-            "bcube", "hyperbcube", "fat-tree", "dragonfly", "mesh",
-            "torus2d", "torus3d",
-        )
-        self._strategy = next(
-            (k for k in known if topology.name.startswith(k)),
-            "shortest-path",
-        )
         return RoutingOutcome(
             routes=routes,
             convergence=ConvergenceReport(
                 time=time, rounds=1, messages=flow_mods, mode="cold"
             ),
-            details={"strategy": self._strategy, "entries": len(routes)},
+            details={"strategy": strategy.name, "entries": len(routes)},
         )
 
     def repair_routes(

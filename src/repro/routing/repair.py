@@ -27,8 +27,10 @@ table.
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 
-from repro.routing.table import Hop, RouteTable
+from repro.routing.strategies import Step, Strategy, build_routes
+from repro.routing.table import RouteTable
 from repro.topology.graph import Topology, bfs_depths
 from repro.util.errors import RoutingError
 
@@ -47,11 +49,8 @@ def _switch_order(neighbors: dict[str, list[str]]) -> dict[str, int]:
     ranked = sorted(level, key=lambda s: (level[s], s))
     order = {s: i for i, s in enumerate(ranked)}
     # disconnected remainder (severed islands) ranks after everything
-    nxt = len(order)
     for s in switches:
-        if s not in order:
-            order[s] = nxt
-            nxt += 1
+        order.setdefault(s, len(order))
     return order
 
 
@@ -73,7 +72,9 @@ def reroute_avoiding(
     # adjacency over surviving switch links
     neighbors = topology.switch_neighbors(failed_links)
     order = _switch_order(neighbors)
-    table = RouteTable(topology, num_vcs=1)
+    # up moves strictly decrease order, so a DP in increasing order of
+    # rank sees every up-neighbor before v
+    by_rank = sorted(topology.switches, key=lambda s: order[s])
 
     reachable_hosts = [
         h
@@ -82,9 +83,8 @@ def reroute_avoiding(
         not in failed_links
     ]
 
-    for dst in reachable_hosts:
-        root_sw = topology.host_switch(dst)
-
+    @cache
+    def toward(root_sw: str) -> list[Step]:
         # down_dist[v]: shortest pure-down path v -> root_sw (every hop
         # increases order, i.e. walks away from the up/down root)
         down_dist: dict[str, float] = {root_sw: 0}
@@ -96,10 +96,7 @@ def reroute_avoiding(
                     down_dist[u] = down_dist[v] + 1
                     queue.append(u)
 
-        # updown_dist[v]: shortest legal (up*, then down*) path length.
-        # Up moves strictly decrease order, so a DP in increasing order
-        # of rank sees every up-neighbor before v.
-        by_rank = sorted(topology.switches, key=lambda s: order[s])
+        # updown_dist[v]: shortest legal (up*, then down*) path length
         updown: dict[str, float] = {}
         for v in by_rank:
             best = down_dist.get(v, _INF)
@@ -108,10 +105,10 @@ def reroute_avoiding(
                     best = min(best, updown.get(u, _INF) + 1)
             updown[v] = best
 
+        steps: list[Step] = []
         for sw in topology.switches:
             if sw == root_sw:
-                attach = topology.link_between(sw, dst)
-                table.set_hop(sw, dst, Hop(attach.port_on(sw), 0))
+                steps.append((sw, None, 0))
                 continue
             if updown.get(sw, _INF) == _INF:
                 continue  # severed from dst
@@ -133,11 +130,17 @@ def reroute_avoiding(
                 ]
             if not cand:  # pragma: no cover - contradiction with updown
                 raise RoutingError(
-                    f"internal: no consistent up/down hop at {sw} for {dst}"
+                    f"internal: no consistent up/down hop at {sw} toward {root_sw}"
                 )
-            _rank, nxt = min(cand)
-            link = topology.link_between(sw, nxt)
-            table.set_hop(sw, dst, Hop(link.port_on(sw), 0))
+            steps.append((sw, min(cand)[1], 0))
+        return steps
+
+    reachable = set(reachable_hosts)
+
+    def rule(dst: str) -> list[Step]:
+        return toward(topology.host_switch(dst)) if dst in reachable else []
+
+    table = build_routes(topology, Strategy("updown-avoiding", lambda _t: rule))
 
     # every mutually-reachable host pair must still route
     for src in reachable_hosts:

@@ -1,4 +1,4 @@
-"""Table III routing strategies.
+"""Table III routing strategies, and the one driver that compiles them.
 
 Every strategy compiles a :class:`~repro.routing.table.RouteTable` for
 its topology family:
@@ -17,17 +17,225 @@ any            BFS shortest path           none (lossy/WAN use)
 All strategies are destination-based (see :mod:`repro.routing.table`),
 which is what keeps the synthesized OpenFlow rule count at the
 ~300-entries-per-switch level the paper reports (§VII-C).
+
+A :class:`Strategy` is only its *rule*: for one destination host, which
+node each switch (and, where hosts forward, each host) hands a packet
+to, per incoming VC, and on which VC it leaves. :func:`build_routes`
+owns everything else — the destination loop, the delivery hop, the
+``(node, neighbour, vc) -> Hop`` memo and the table writes — and
+:func:`repair_routes` derives an edited topology's table from the live
+one, re-deriving only the destinations the edit can move.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Iterable
 
 from repro.routing.table import Hop, RouteTable
-from repro.topology.diff import TopologyDiff, link_key
+from repro.topology.diff import TopologyDiff
 from repro.topology.graph import Topology, bfs_parents
 from repro.topology.torus import coords_of
-from repro.util.errors import RoutingError
+from repro.util.errors import ConfigurationError, RoutingError
+
+#: one rule step ``(node, next, out)``: ``node`` forwards a packet for
+#: the destination to ``next`` — None is the destination host itself,
+#: the delivery hop, which keeps the packet's VC. ``out`` is the VC it
+#: leaves on: an int (one VC-wildcard entry) or a tuple (one exact
+#: entry per in-VC ``i``, leaving on ``out[i]``). On a one-VC strategy
+#: every entry is a wildcard on VC 0, whatever ``out`` says.
+Step = tuple[str, str | None, int | tuple[int, ...]]
+#: a strategy's rule on one topology: destination host -> its steps
+Rule = Callable[[str], Iterable[Step]]
+
+
+@dataclass(frozen=True, eq=False)
+class Strategy:
+    """A destination-based routing rule that :func:`build_routes`
+    compiles. Calling it compiles a table."""
+
+    name: str
+    #: ``rule(topology)`` prepares the rule on one topology
+    rule: Callable[[Topology], Rule]
+    #: VCs the strategy routes on, or their count per topology
+    num_vcs: int | Callable[[Topology], int] = 1
+    #: server-centric: hosts forward transit packets
+    hosts_forward: bool = False
+    #: the rule reads a destination only through its switch, so the
+    #: hosts on one switch share their steps
+    per_switch: bool = False
+    #: ``touches(old, dst, diff)``: False when the edit ``diff`` leaves
+    #: the next node and out-VC of every entry of ``old`` (this
+    #: strategy's table on the topology ``diff`` starts from) toward
+    #: ``dst`` unchanged, so :func:`repair_routes` only renumbers ports;
+    #: for a :attr:`per_switch` rule the answer covers every host on
+    #: ``dst``'s switch. Without it every destination is re-derived.
+    touches: Callable[[RouteTable, str, TopologyDiff], bool] | None = None
+
+    def vcs(self, topology: Topology) -> int:
+        return self.num_vcs if isinstance(self.num_vcs, int) else self.num_vcs(topology)
+
+    def __call__(self, topology: Topology) -> RouteTable:
+        return build_routes(topology, self)
+
+
+# ---------------------------------------------------------------------------
+# The driver
+# ---------------------------------------------------------------------------
+
+class _Hops(dict):
+    """``(node, neighbour, vc) -> Hop`` on one topology, each built on
+    first use and shared by every entry that leaves by that port on
+    that VC."""
+
+    def __init__(self, topology: Topology) -> None:
+        super().__init__()
+        self.topology = topology
+
+    def __missing__(self, key: tuple[str, str, int]) -> Hop:
+        node, nbr, vc = key
+        hop = self[key] = Hop(self.topology.link_between(node, nbr).port_on(node), vc)
+        return hop
+
+
+def _expand(
+    steps: Iterable[Step], num_vcs: int
+) -> list[tuple[str, int | None, str | None, int]]:
+    """``(node, in_vc, next, out_vc)`` per entry of a rule's steps, in
+    order; in_vc None is a VC wildcard."""
+    if num_vcs == 1:  # every entry is a wildcard on VC 0
+        return [(node, None, nxt, 0) for node, nxt, _out in steps]
+    out: list[tuple[str, int | None, str | None, int]] = []
+    for node, nxt, vc in steps:
+        if nxt is None:  # the delivery keeps the VC
+            vc = tuple(range(num_vcs))
+        if isinstance(vc, int):
+            out.append((node, None, nxt, vc))
+        else:
+            out.extend([(node, i, nxt, o) for i, o in enumerate(vc)])
+    return out
+
+
+def build_routes(topology: Topology, strategy: Strategy) -> RouteTable:
+    """``strategy``'s table on ``topology``: every destination host in
+    ``topology.hosts`` order, each with its steps in the rule's order."""
+    num_vcs = strategy.vcs(topology)
+    rule, hops = strategy.rule(topology), _Hops(topology)
+    # per destination (switch): (node, hop) per wildcard entry and
+    # (node, in_vc, hop) per exact one; hop None is the delivery, which
+    # depends on the host
+    shared: dict[str, tuple[list, list]] = {}
+    wild: dict[tuple[str, str], Hop] = {}
+    exact: dict[tuple[str, str, int], Hop] = {}
+    for dst in topology.hosts:
+        key = topology.host_switch(dst) if strategy.per_switch else dst
+        if key not in shared:
+            steps = _expand(rule(dst), num_vcs)
+            shared[key] = ([
+                (node, None if nxt is None else hops[node, nxt, vc])
+                for node, in_vc, nxt, vc in steps if in_vc is None
+            ], [
+                (node, in_vc, None if nxt is None else hops[node, nxt, vc])
+                for node, in_vc, nxt, vc in steps if in_vc is not None
+            ])
+        wild_steps, exact_steps = shared[key]
+        wild.update({
+            (node, dst): h or hops[node, dst, 0] for node, h in wild_steps
+        })
+        exact.update({
+            (node, dst, vc): h or hops[node, dst, vc] for node, vc, h in exact_steps
+        })
+    return RouteTable(topology, num_vcs, strategy.hosts_forward, exact, wild)
+
+
+def repair_routes(
+    old: RouteTable, topology: Topology, diff: TopologyDiff, strategy: Strategy
+) -> tuple[RouteTable, frozenset[str]]:
+    """``strategy``'s table on ``topology``, derived from ``old`` —
+    which must be ``strategy``'s table on the topology ``diff`` starts
+    from — together with the nodes that have an entry whose hop moved.
+
+    A destination is derived again only where the strategy's
+    :attr:`~Strategy.touches` test (every destination without one) says
+    the edit can move it, and compared with ``old`` entry by entry. Of
+    every other destination only the entries at an edited link's
+    endpoints are looked at: their next node stays, their port can
+    renumber. ``old``'s keys and their order are kept
+    (:meth:`RouteTable.repaired`).
+
+    An edit that changes the node lists or a host's link, or reorders
+    surviving links, is built in full with every switch reported moved,
+    and so is one that would add or drop an entry."""
+    src = old.topology
+    num_vcs = strategy.vcs(topology)
+    touched = diff.touched_nodes()
+    kept = [i for i in diff.kept if i >= 0]
+    if (
+        src.switches != topology.switches
+        or src.hosts != topology.hosts
+        or old.num_vcs != num_vcs
+        or any(map(topology.is_host, touched))
+        or any(a >= b for a, b in zip(kept, kept[1:]))
+    ):
+        return build_routes(topology, strategy), frozenset(topology.switches)
+
+    rule, hops = None, _Hops(topology)
+    wild, exact = old._wild, old._exact
+    in_vcs = (None, *range(num_vcs)) if exact else (None,)
+    nodes = topology.nodes if strategy.hosts_forward else topology.switches
+    changed: dict[tuple, Hop] = {}
+
+    def old_hop(node: str, dst: str, in_vc: int | None) -> Hop | None:
+        return wild.get((node, dst)) if in_vc is None else exact.get((node, dst, in_vc))
+
+    def put(node: str, dsts: list[str], in_vc: int | None, hop: Hop, was: Hop) -> None:
+        # both hops leave ``node``: its port index and the VC decide
+        if hop is not was and (hop.port.index != was.port.index or hop.vc != was.vc):
+            for dst in dsts:
+                changed[(node, dst) if in_vc is None else (node, dst, in_vc)] = hop
+
+    groups: dict[str, list[str]] = {}
+    for dst in topology.hosts:
+        key = topology.host_switch(dst) if strategy.per_switch else dst
+        groups.setdefault(key, []).append(dst)
+    for dsts in groups.values():
+        rep = dsts[0]
+        whole = strategy.touches is None or strategy.touches(old, rep, diff)
+        if whole:
+            rule = rule or strategy.rule(topology)
+            steps = _expand(rule(rep), num_vcs)
+        else:  # the old next nodes, at the edited links' endpoints
+            steps = []
+            for node in touched:
+                for in_vc in in_vcs:
+                    was = old_hop(node, rep, in_vc)
+                    if was is not None:
+                        nxt = src.neighbors(node)[was.port.index]
+                        steps.append((node, in_vc, None if nxt == rep else nxt, was.vc))
+        for node, in_vc, nxt, out_vc in steps:
+            was = wild.get((node, rep)) if in_vc is None else exact.get((node, rep, in_vc))
+            if was is None:  # an entry would appear
+                return build_routes(topology, strategy), frozenset(topology.switches)
+            if nxt is None:  # the delivery: one hop per destination
+                for dst in dsts:
+                    put(node, [dst], in_vc, hops[node, dst, in_vc or 0],
+                        old_hop(node, dst, in_vc))
+            elif (
+                # an untouched node's ports kept their numbers
+                node in touched
+                or was.vc != out_vc
+                or src.neighbors(node)[was.port.index] != nxt
+            ):
+                put(node, dsts, in_vc, hops[node, nxt, out_vc], was)
+        if whole and len(steps) < len(nodes) * len(in_vcs) and len(steps) != sum(
+            (n, rep) in wild for n in nodes
+        ) + sum(
+            (n, rep, vc) in exact for n in nodes if exact for vc in range(num_vcs)
+        ):  # an entry would disappear
+            return build_routes(topology, strategy), frozenset(topology.switches)
+    return old.repaired(topology, changed), frozenset(key[0] for key in changed)
 
 
 def _stable_hash(*parts: object) -> int:
@@ -35,104 +243,32 @@ def _stable_hash(*parts: object) -> int:
     return int.from_bytes(h[:8], "little")
 
 
-def _host_port_hop(topo: Topology, switch: str, host: str, vc: int = 0) -> Hop:
-    link = topo.link_between(switch, host)
-    return Hop(link.port_on(switch), vc)
-
-
 # ---------------------------------------------------------------------------
 # Generic shortest path (BFS)
 # ---------------------------------------------------------------------------
 
-def _uplink_hop(topo: Topology, switch: str, parent: str) -> Hop:
-    return Hop(topo.link_between(switch, parent).port_on(switch), 0)
-
-
-def shortest_path_routes(topo: Topology) -> RouteTable:
-    """BFS shortest-path, destination-based. The WAN default and the
-    fallback for topologies without a dedicated strategy.
-
-    A BFS tree rooted at a destination's switch points every reachable
-    switch along the tree toward that root, so it depends on the
-    destination's switch, not on the host: it runs once per destination
-    switch (:func:`bfs_parents`), and every host on that switch reuses
-    the resulting hop list. Entries come out host by host in
-    ``topo.hosts`` order, each host's switches in ``topo.switches``
-    order."""
-    table = RouteTable(topo, num_vcs=1)
+def _bfs_rule(topo: Topology) -> Rule:
+    """A BFS tree rooted at a destination's switch points every
+    reachable switch along the tree toward that root; entries come out
+    in ``topo.switches`` order."""
     switches = topo.switches
     sw_nbrs = topo.switch_neighbors()
-    # one hop per edge, built once: hops are identical across
-    # destinations sharing an exit port, so a k-ary fat-tree allocates
-    # O(ports), not O(routes). hop_to[v][u] leaves v on the v--u link
-    hop_to = {
-        sw: {nb: _uplink_hop(topo, sw, nb) for nb in nbrs}
-        for sw, nbrs in sw_nbrs.items()
-    }
-    # per destination switch: (switch, hop toward it) in switch order,
-    # hop None at the root itself (its hop is the host's own port)
-    trees: dict[str, list[tuple[str, Hop | None]]] = {}
-    items: list[tuple[str, str, int | None, Hop]] = []
-    for dst in topo.hosts:
+
+    def rule(dst: str) -> list[Step]:
         root = topo.host_switch(dst)
-        tree = trees.get(root)
-        if tree is None:
-            parent = bfs_parents(root, sw_nbrs)
-            tree = trees[root] = [
-                (sw, None if sw == root else hop_to[sw][parent[sw]])
-                for sw in switches
-                if sw in parent
-            ]
-        host_hop = _host_port_hop(topo, root, dst)
-        items.extend([
-            (sw, dst, None, host_hop if hop is None else hop)
-            for sw, hop in tree
-        ])
-    table.set_hops(items)
-    return table
-
-
-def _rewired_switches(
-    old: Topology, new: Topology, diff: TopologyDiff
-) -> set[str] | None:
-    """The switches whose ports the edit renumbered — the endpoints of
-    the diff's links — or None when the edit is not a plain link edit
-    the repair can follow: a node or a host link changed, another
-    node's neighbors differ, or an endpoint's surviving neighbors
-    changed order (a reordered scan can change any BFS tree)."""
-    touched = diff.touched_nodes()
-    if (
-        old.switches != new.switches
-        or old.hosts != new.hosts
-        or not all(map(new.is_switch, touched))
-    ):
-        return None
-    for node in new.nodes:
-        if node not in touched and old.neighbors(node) != new.neighbors(node):
-            return None
-    for node in touched:
-        kept_old = [
-            nb for nb in old.neighbors(node)
-            if link_key(node, nb) not in diff.removed_links
+        parent = bfs_parents(root, sw_nbrs)
+        return [
+            (sw, None if sw == root else parent[sw], 0)
+            for sw in switches
+            if sw in parent
         ]
-        kept_new = [
-            nb for nb in new.neighbors(node)
-            if link_key(node, nb) not in diff.added_links
-        ]
-        if kept_old != kept_new:
-            return None
-    return touched
+
+    return rule
 
 
-def repair_shortest_path(
-    old: RouteTable, topo: Topology, diff: TopologyDiff
-) -> tuple[RouteTable, frozenset[str]]:
-    """``shortest_path_routes(topo)``, derived from ``old`` — which must
-    be ``shortest_path_routes`` of the topology ``diff`` starts from —
-    together with the switches that have an entry whose hop moved.
-
-    The BFS runs again only for the destination switches whose tree the
-    edit can change. The old tree, read off ``old``'s hops, decides:
+def _tree_touches(old: RouteTable, dst: str, diff: TopologyDiff) -> bool:
+    """Whether the edit can change the BFS tree rooted at ``dst``'s
+    switch. The old tree, read off ``old``'s hops, decides:
 
     * a removed link changes a tree only if it is a tree edge;
     * an added link a--b, with a the end the BFS dequeues first,
@@ -142,74 +278,69 @@ def repair_shortest_path(
       keeps its order. BFS dequeues by depth, then by the neighbor
       positions along the tree path, compared in order.
 
-    Every entry at an edited link's endpoint is derived again, host
-    hops included, because its ports renumber. ``old``'s keys and their
-    order are kept (:meth:`RouteTable.repaired`). An edit that adds or
-    removes a node, moves a host, reorders a node's neighbors or would
-    add or drop an entry falls back to the full strategy, with every
-    switch reported moved."""
+    An end outside the old tree (a switch the root did not reach) may
+    be reached now: that tree is derived again."""
     src = old.topology
-    switches = topo.switches
-    rewired = None
-    if not old._exact and len(old) == len(switches) * len(src.hosts):
-        rewired = _rewired_switches(src, topo, diff)
-    if rewired is None:
-        return shortest_path_routes(topo), frozenset(switches)
-
+    root = src.host_switch(dst)
     wild = old._wild
-    removed = [tuple(key) for key in diff.removed_links]
-    added = [tuple(key) for key in diff.added_links]
-    dsts_of: dict[str, list[str]] = {}
-    for dst in topo.hosts:
-        dsts_of.setdefault(topo.host_switch(dst), []).append(dst)
-    sw_nbrs = None
-    hops: dict[tuple[str, str], Hop] = {}
-    for root, dsts in dsts_of.items():
-        rep = dsts[0]
+    ranks: dict[str, tuple[int, tuple[int, ...]]] = {root: (0, ())}
 
-        def parent(v: str) -> str:
-            """v's parent in the old tree; the root is its own."""
-            if v == root:
-                return v
-            return src.link_of_port(wild[(v, rep)].port).other(v)
+    def parent(v: str) -> str:
+        """v's parent in the old tree; the root is its own."""
+        if v == root:
+            return v
+        return src.neighbors(v)[wild[(v, dst)].port.index]
 
-        def rank(v: str) -> tuple[int, list[int]]:
-            """v's place in the old BFS's dequeue order."""
-            path = []
-            while v != root:
-                p = parent(v)
-                path.append(src.neighbors(p).index(v))
-                v = p
-            return len(path), path[::-1]
+    def rank(v: str) -> tuple[int, tuple[int, ...]]:
+        """v's place in the old BFS's dequeue order, memoised along
+        the tree path."""
+        path = []
+        while v not in ranks:
+            p = parent(v)
+            path.append((v, p))
+            v = p
+        for v, p in reversed(path):
+            depth, pos = ranks[p]
+            ranks[v] = (depth + 1, (*pos, src.neighbors(p).index(v)))
+        return ranks[v]
 
-        regrown = any(parent(a) == b or parent(b) == a for a, b in removed)
-        for a, b in added:
-            if regrown:
-                break
+    try:
+        if any(parent(a) == b or parent(b) == a for a, b in diff.removed_links):
+            return True
+        for a, b in diff.added_links:
             ra, rb = rank(a), rank(b)
-            regrown = min(ra, rb) < rank(parent(b if ra < rb else a))
-        if regrown:
-            if sw_nbrs is None:
-                sw_nbrs = topo.switch_neighbors()
-            redo = bfs_parents(root, sw_nbrs)
-            if len(redo) != len(switches):  # an entry would disappear
-                return shortest_path_routes(topo), frozenset(switches)
-        else:
-            redo = {sw: parent(sw) for sw in rewired}
-        for sw, p in redo.items():
-            if sw == root:
-                if sw in rewired:
-                    for dst in dsts:
-                        hop = _host_port_hop(topo, sw, dst)
-                        if hop != wild[(sw, dst)]:
-                            hops[(sw, dst)] = hop
-            elif sw in rewired or p != parent(sw):
-                hop = _uplink_hop(topo, sw, p)
-                if hop != wild[(sw, rep)]:
-                    for dst in dsts:
-                        hops[(sw, dst)] = hop
-    table = old.repaired(topo, hops)
-    return table, frozenset(sw for sw, _dst in hops)
+            if min(ra, rb) < rank(parent(b if ra < rb else a)):
+                return True
+    except KeyError:
+        return True
+    return False
+
+
+#: BFS shortest path: the WAN default and the fallback for topologies
+#: without a dedicated strategy; one BFS per destination switch
+SHORTEST_PATH = Strategy(
+    "shortest-path", _bfs_rule, per_switch=True, touches=_tree_touches
+)
+
+
+def next_switch_routes(
+    topology: Topology, next_switch: Callable[[str, str], str | None]
+) -> RouteTable:
+    """A one-VC table from ``next_switch(switch, destination switch)``:
+    each host's switch delivers, every other switch forwards to the
+    switch it names — no entry where that is None (packets drop)."""
+
+    def rule(dst: str) -> list[Step]:
+        root = topology.host_switch(dst)
+        return [
+            (sw, None if sw == root else nxt, 0)
+            for sw in topology.switches
+            if sw == root or (nxt := next_switch(sw, root)) is not None
+        ]
+
+    return build_routes(
+        topology, Strategy("next-switch", lambda _topo: rule, per_switch=True)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +362,8 @@ def fattree_candidates(
     toward it — the host itself or the one downward switch when the
     destination lies below, else every uplink neighbor, sorted by name.
 
-    Up/down routing (:func:`fattree_updown_routes`) hashes one of them;
-    ECMP (:mod:`repro.core.rules_ecmp`) spreads flows over all of them.
+    Up/down routing (:data:`FATTREE_UPDOWN`) hashes one of them; ECMP
+    (:mod:`repro.core.rules_ecmp`) spreads flows over all of them.
     Resolving a neighbor to the switch's port is left to the caller, so
     up/down routing looks up only the uplink it picks.
     """
@@ -275,22 +406,28 @@ def fattree_candidates(
     return candidates
 
 
-def fattree_updown_routes(topo: Topology) -> RouteTable:
-    """Fat-Tree routing (the paper's "DFS" strategy).
-
-    Downward hops follow the unique path to the destination edge
+def _updown_rule(topo: Topology) -> Rule:
+    """Downward hops follow the unique path to the destination edge
     switch; upward hops pick deterministically (destination hash) among
     the up-links, which is the standard static load-spreading choice a
-    DFS over the fabric yields. Up-down paths cannot deadlock.
-    """
-    table = RouteTable(topo, num_vcs=1)
-    items: list[tuple[str, str, int | None, Hop]] = []
-    for (sw, dst), nbs in fattree_candidates(topo).items():
+    DFS over the fabric yields. Up-down paths cannot deadlock."""
+    candidates = fattree_candidates(topo)
+    switches = topo.switches
+
+    def rule(dst: str) -> list[Step]:
         # hash only a real choice: host and downward hops are unique
-        nb = nbs[_stable_hash(dst, sw) % len(nbs)] if len(nbs) > 1 else nbs[0]
-        items.append((sw, dst, None, Hop(topo.link_between(sw, nb).port_on(sw), 0)))
-    table.set_hops(items)
-    return table
+        out: list[Step] = []
+        for sw in switches:
+            nbs = candidates[(sw, dst)]
+            nb = nbs[_stable_hash(dst, sw) % len(nbs)] if len(nbs) > 1 else nbs[0]
+            out.append((sw, None if nb == dst else nb, 0))
+        return out
+
+    return rule
+
+
+#: Fat-Tree routing (the paper's "DFS" strategy)
+FATTREE_UPDOWN = Strategy("fat-tree-updown", _updown_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +441,10 @@ def _dragonfly_group(switch: str) -> int:
     return int(switch[1 : switch.index("r")])
 
 
-def dragonfly_minimal_routes(topo: Topology) -> RouteTable:
+def _minimal_rule(topo: Topology) -> Rule:
     """Minimal (local-global-local) dragonfly routing with the
     VC-changing deadlock avoidance of Dally & Aoki [44]: the global hop
-    lifts packets to VC 1, local hops preserve the incoming VC.
-    """
-    table = RouteTable(topo, num_vcs=2)
+    lifts packets to VC 1, local hops preserve the incoming VC."""
     switches = topo.switches
     groups: dict[int, list[str]] = {}
     for sw in switches:
@@ -324,154 +459,155 @@ def dragonfly_minimal_routes(topo: Topology) -> RouteTable:
             if topo.is_switch(nb) and _dragonfly_group(nb) != _dragonfly_group(sw):
                 global_neighbors[sw][_dragonfly_group(nb)] = nb
 
-    for dst in topo.hosts:
+    def rule(dst: str) -> list[Step]:
         dst_sw = topo.host_switch(dst)
         dst_group = _dragonfly_group(dst_sw)
+        out: list[Step] = []
         for sw in switches:
             my_group = _dragonfly_group(sw)
             if sw == dst_sw:
-                # deliver: preserve VC class on the host port
-                for vc in (0, 1):
-                    table.set_hop(sw, dst, _host_port_hop(topo, sw, dst, vc), in_vc=vc)
-                continue
-            if my_group == dst_group:
-                link = topo.link_between(sw, dst_sw)  # local full mesh
-                for vc in (0, 1):
-                    table.set_hop(sw, dst, Hop(link.port_on(sw), vc), in_vc=vc)
-                continue
-            # other group: do I own a global link to it?
-            target = global_neighbors[sw].get(dst_group)
-            if target is not None:
-                link = topo.link_between(sw, target)
-                table.set_hop(sw, dst, Hop(link.port_on(sw), 1))  # global hop: VC 1
-                continue
-            # find the local gateway router owning such a link
-            gateways = sorted(
-                r for r in groups[my_group] if dst_group in global_neighbors[r]
-            )
-            if not gateways:
-                raise RoutingError(
-                    f"group {my_group} has no global link to group {dst_group}"
+                out.append((sw, None, 0))
+            elif my_group == dst_group:
+                out.append((sw, dst_sw, (0, 1)))  # local full mesh: keep VC
+            elif dst_group in global_neighbors[sw]:
+                # global hop: VC 1
+                out.append((sw, global_neighbors[sw][dst_group], 1))
+            else:
+                # the local gateway router owning such a link: VC 0
+                gateways = sorted(
+                    r for r in groups[my_group] if dst_group in global_neighbors[r]
                 )
-            gw = gateways[_stable_hash(dst, my_group) % len(gateways)]
-            link = topo.link_between(sw, gw)
-            table.set_hop(sw, dst, Hop(link.port_on(sw), 0))  # local hop: VC 0
-    return table
+                if not gateways:
+                    raise RoutingError(
+                        f"group {my_group} has no global link to group {dst_group}"
+                    )
+                out.append(
+                    (sw, gateways[_stable_hash(dst, my_group) % len(gateways)], 0)
+                )
+        return out
+
+    return rule
+
+
+DRAGONFLY_MINIMAL = Strategy("dragonfly-minimal", _minimal_rule, num_vcs=2)
 
 
 # ---------------------------------------------------------------------------
-# Mesh dimension-order (X-Y / X-Y-Z)
+# Dimension order: mesh X-Y / X-Y-Z, torus with datelines (Clue-style [47])
 # ---------------------------------------------------------------------------
 
-def _grid_switch_by_coords(topo: Topology) -> dict[tuple[int, ...], str]:
-    return {coords_of(sw): sw for sw in topo.switches}
+def _torus_dims(topo: Topology) -> tuple[int, ...]:
+    # names are torus2d-XxY / torus3d-XxYxZ (see repro.topology.torus)
+    return tuple(int(x) for x in topo.name.split("-")[1].split("x"))
 
 
-def mesh_dimension_order_routes(topo: Topology) -> RouteTable:
-    """X-Y (2D) / X-Y-Z (3D) dimension-order mesh routing [45], [46].
+def _dimension_rule(topo: Topology, dims: tuple[int, ...] | None = None) -> Rule:
+    """Dimension-order routing: correct the first differing coordinate.
 
-    Deadlock-free by routing alone: dimension order forbids the turns
-    that close dependency cycles, so a single VC suffices.
-    """
-    table = RouteTable(topo, num_vcs=1)
-    by_coords = _grid_switch_by_coords(topo)
+    On a mesh (``dims`` None) this is X-Y (2D) / X-Y-Z (3D) routing
+    [45], [46], deadlock-free by routing alone: dimension order forbids
+    the turns that close dependency cycles, so a single VC suffices.
 
-    for dst in topo.hosts:
-        dst_sw = topo.host_switch(dst)
-        dst_c = coords_of(dst_sw)
+    On a torus it takes the shortest wrap direction, with the dateline
+    VC scheme the paper groups under "by routing and changing VC"
+    (Table III; Clue [47] is the adaptive refinement of the same
+    channel discipline). Each dimension ``i`` owns VC pair ``(2i,
+    2i+1)``: packets enter a dimension on its even VC and move to the
+    odd VC when crossing the wraparound edge ("dateline"). Entering a
+    new dimension resets to that dimension's even VC, which keeps the
+    channel-dependency graph acyclic (verified by the deadlock
+    tests)."""
+    by_coords = {coords_of(sw): sw for sw in topo.switches}
+
+    def rule(dst: str) -> list[Step]:
+        dst_c = coords_of(topo.host_switch(dst))
+        out: list[Step] = []
         for sw in topo.switches:
-            if sw == dst_sw:
-                table.set_hop(sw, dst, _host_port_hop(topo, sw, dst))
-                continue
             c = coords_of(sw)
+            if c == dst_c:
+                out.append((sw, None, 0))
+                continue
+            axis = next(i for i in range(len(c)) if c[i] != dst_c[i])
             nxt = list(c)
-            for axis in range(len(c)):
-                if c[axis] != dst_c[axis]:
-                    nxt[axis] += 1 if dst_c[axis] > c[axis] else -1
-                    break
-            nb = by_coords[tuple(nxt)]
-            link = topo.link_between(sw, nb)
-            table.set_hop(sw, dst, Hop(link.port_on(sw), 0))
-    return table
+            if dims is None:
+                nxt[axis] += 1 if dst_c[axis] > c[axis] else -1
+                out.append((sw, by_coords[tuple(nxt)], 0))
+                continue
+            k = dims[axis]
+            # the shorter way round; ties go forward
+            step = 1 if (dst_c[axis] - c[axis]) % k <= (c[axis] - dst_c[axis]) % k else -1
+            crosses = c[axis] == (k - 1 if step == 1 else 0)
+            nxt[axis] = (c[axis] + step) % k
+            # a fresh entry into this dimension starts uncrossed
+            vcs = tuple(
+                2 * axis + (1 if crosses else in_vc % 2 if in_vc // 2 == axis else 0)
+                for in_vc in range(2 * len(dims))
+            )
+            out.append((sw, by_coords[tuple(nxt)], vcs))
+        return out
+
+    return rule
 
 
-# ---------------------------------------------------------------------------
-# Torus dimension-order with datelines (Clue-style [47])
-# ---------------------------------------------------------------------------
+DIMENSION_ORDER = Strategy("dimension-order", _dimension_rule, per_switch=True)
+TORUS_DATELINE = Strategy(
+    "torus-dateline",
+    lambda topo: _dimension_rule(topo, _torus_dims(topo)),
+    num_vcs=lambda topo: 2 * len(_torus_dims(topo)),
+    per_switch=True,
+)
+
 
 def torus_dateline_routes(topo: Topology, dims: tuple[int, ...]) -> RouteTable:
-    """Dimension-order torus routing, shortest wrap direction, with the
-    dateline VC scheme the paper groups under "by routing and changing
-    VC" (Table III; Clue [47] is the adaptive refinement of the same
-    channel discipline).
-
-    Each dimension ``i`` owns VC pair ``(2i, 2i+1)``: packets enter a
-    dimension on its even VC and move to the odd VC when crossing the
-    wraparound edge ("dateline"). Entering a new dimension resets to
-    that dimension's even VC, which keeps the channel-dependency graph
-    acyclic (verified by the deadlock tests).
-    """
-    ndims = len(dims)
-    table = RouteTable(topo, num_vcs=2 * ndims)
-    by_coords = _grid_switch_by_coords(topo)
-
-    for dst in topo.hosts:
-        dst_sw = topo.host_switch(dst)
-        dst_c = coords_of(dst_sw)
-        for sw in topo.switches:
-            if sw == dst_sw:
-                for vc in range(2 * ndims):
-                    table.set_hop(sw, dst, _host_port_hop(topo, sw, dst, vc), in_vc=vc)
-                continue
-            c = coords_of(sw)
-            axis = next(i for i in range(ndims) if c[i] != dst_c[i])
-            k = dims[axis]
-            fwd = (dst_c[axis] - c[axis]) % k
-            back = (c[axis] - dst_c[axis]) % k
-            step = 1 if fwd <= back else -1  # ties go forward
-            nxt_coord = (c[axis] + step) % k
-            crosses = (step == 1 and c[axis] == k - 1) or (
-                step == -1 and c[axis] == 0
-            )
-            nxt = list(c)
-            nxt[axis] = nxt_coord
-            link = topo.link_between(sw, by_coords[tuple(nxt)])
-            port = link.port_on(sw)
-            for in_vc in range(2 * ndims):
-                if in_vc // 2 == axis:
-                    crossed_bit = in_vc % 2
-                else:
-                    crossed_bit = 0  # fresh entry into this dimension
-                out_vc = 2 * axis + (1 if crosses else crossed_bit)
-                table.set_hop(sw, dst, Hop(port, out_vc), in_vc=in_vc)
-    return table
+    rule = partial(_dimension_rule, dims=dims)
+    return replace(TORUS_DATELINE, rule=rule, num_vcs=2 * len(dims))(topo)
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher
+# The registry
 # ---------------------------------------------------------------------------
+
+#: the strategies a config names (``TopologyConfig.routing``); a name
+#: that starts with the torus entry's name selects that entry
+STRATEGIES: dict[str, Strategy] = {s.name: s for s in (
+    SHORTEST_PATH, FATTREE_UPDOWN, DRAGONFLY_MINIMAL, DIMENSION_ORDER, TORUS_DATELINE,
+)}
+
+#: the Table III strategies, called as functions of a topology
+shortest_path_routes = SHORTEST_PATH
+fattree_updown_routes = FATTREE_UPDOWN
+dragonfly_minimal_routes = DRAGONFLY_MINIMAL
+mesh_dimension_order_routes = DIMENSION_ORDER
+
+
+def strategy_for(topo: Topology, name: str = "auto") -> Strategy:
+    """The strategy routing ``name`` means on ``topo``. ``"auto"``
+    picks the Table III strategy of a generated topology by its name,
+    shortest-path for anything else. Raises ConfigurationError for a
+    name the registry does not hold."""
+    if name.startswith(TORUS_DATELINE.name):
+        return TORUS_DATELINE
+    if name in STRATEGIES:
+        return STRATEGIES[name]
+    if name != "auto":
+        named = sorted(["auto", *STRATEGIES.keys() - {TORUS_DATELINE.name}])
+        raise ConfigurationError(
+            f"unknown routing strategy {name!r}; choose from "
+            f"{named} or {TORUS_DATELINE.name!r}"
+        )
+    from repro.routing.bcube import BCUBE, HYPER_BCUBE
+
+    for prefix, strategy in (
+        ("bcube", BCUBE), ("hyperbcube", HYPER_BCUBE),
+        ("fat-tree", FATTREE_UPDOWN), ("dragonfly", DRAGONFLY_MINIMAL),
+        ("mesh", DIMENSION_ORDER),
+        ("torus2d", TORUS_DATELINE), ("torus3d", TORUS_DATELINE),
+    ):
+        if topo.name.startswith(prefix):
+            return strategy
+    return SHORTEST_PATH
+
 
 def routes_for(topo: Topology) -> RouteTable:
     """Pick the Table III strategy for a generated topology by name."""
-    name = topo.name
-    if name.startswith("bcube"):
-        from repro.routing.bcube import bcube_routes
-
-        return bcube_routes(topo)
-    if name.startswith("hyperbcube"):
-        from repro.routing.bcube import hyper_bcube_routes
-
-        return hyper_bcube_routes(topo)
-    if name.startswith("fat-tree"):
-        return fattree_updown_routes(topo)
-    if name.startswith("dragonfly"):
-        return dragonfly_minimal_routes(topo)
-    if name.startswith("mesh"):
-        return mesh_dimension_order_routes(topo)
-    if name.startswith("torus2d"):
-        dims = tuple(int(x) for x in name.split("-")[1].split("x"))
-        return torus_dateline_routes(topo, dims)
-    if name.startswith("torus3d"):
-        dims = tuple(int(x) for x in name.split("-")[1].split("x"))
-        return torus_dateline_routes(topo, dims)
-    return shortest_path_routes(topo)
+    return build_routes(topo, strategy_for(topo))

@@ -70,24 +70,6 @@ class RouteTable:
         else:
             self._exact[(switch, dst, in_vc)] = hop
 
-    def set_hops(
-        self, items: "list[tuple[str, str, int | None, Hop]]"
-    ) -> None:
-        """Bulk insert of (switch, dst, in_vc, hop) tuples for strategy
-        compilers. Skips :meth:`set_hop`'s per-entry validation — the
-        strategies construct hops directly from the topology's own
-        ports, and their output is validated end-to-end by path
-        tracing; per-call checks were a measurable slice of route
-        compilation at fat-tree k>=8 scale."""
-        self._keys_at = None
-        wild = self._wild
-        exact = self._exact
-        for sw, dst, in_vc, hop in items:
-            if in_vc is None:
-                wild[(sw, dst)] = hop
-            else:
-                exact[(sw, dst, in_vc)] = hop
-
     def next_hop(self, switch: str, dst: str, in_vc: int = 0) -> Hop:
         hop = self._exact.get((switch, dst, in_vc))
         if hop is None:
@@ -132,19 +114,22 @@ class RouteTable:
         ]
 
     def repaired(
-        self, topology: Topology, hops: dict[tuple[str, str], Hop]
+        self, topology: Topology, hops: dict[tuple, Hop]
     ) -> "RouteTable":
-        """A copy of this table on ``topology`` with the VC-wildcard
-        entries named in ``hops`` replaced. Every key of ``hops`` must
-        already be in the table: keys, and so the :meth:`entries`
-        order, are kept, and so are :meth:`entries_at`'s buckets."""
+        """A copy of this table on ``topology`` with the entries named
+        in ``hops`` replaced: ``(switch, dst)`` keys name VC-wildcard
+        entries, ``(switch, dst, in_vc)`` keys exact ones. Every key of
+        ``hops`` must already be in the table: keys, and so the
+        :meth:`entries` order, are kept, and so are
+        :meth:`entries_at`'s buckets."""
         wild = dict(self._wild)
-        wild.update(hops)
-        if len(wild) != len(self._wild):
+        exact = dict(self._exact)
+        for key, hop in hops.items():
+            (wild if len(key) == 2 else exact)[key] = hop
+        if len(wild) != len(self._wild) or len(exact) != len(self._exact):
             raise RoutingError("a repair may only replace existing entries")
         table = RouteTable(
-            topology, self.num_vcs, self.allow_host_forwarding,
-            dict(self._exact), wild,
+            topology, self.num_vcs, self.allow_host_forwarding, exact, wild,
         )
         table._keys_at = self._keys_at
         return table

@@ -43,7 +43,12 @@ from repro.openflow.transaction import ControlTransaction
 from repro.telemetry import metrics, trace
 from repro.tenancy.session import TenantSession
 from repro.topology.graph import Topology
-from repro.util.errors import AdmissionError, CapacityError, ProjectionError
+from repro.util.errors import (
+    AdmissionError,
+    CapacityError,
+    ConfigurationError,
+    ProjectionError,
+)
 
 
 class AdmissionController:
@@ -59,11 +64,11 @@ class AdmissionController:
     ) -> Prepared:
         """Validate a fresh deployment; returns the admitted preparation
         (install it with ``deploy_prepared``) or raises
-        :class:`AdmissionError` having touched nothing."""
+        :class:`AdmissionError` having touched nothing. The checks read
+        the preparation's topology: the request is built once."""
         with trace.span(
             "tenant.admission", tenant=session.tenant_id, op="deploy"
         ) as sp:
-            sp.set("topology", self.admit_topology(session, config).name)
             try:
                 prep = self.controller.prepare(
                     config,
@@ -72,7 +77,8 @@ class AdmissionController:
                     cookie=session.next_cookie(),
                 )
             except (CapacityError, ProjectionError) as exc:
-                self.reject(session, [str(exc)])
+                self.refuse(session, config, exc)
+            sp.set("topology", prep.topology.name)
             problems = self._steady_problems(session, prep, old=None)
             try:
                 self.controller._stage_generation(
@@ -86,32 +92,21 @@ class AdmissionController:
             self._count(session, admitted=True)
             return prep
 
-    def admit_topology(
+    def refuse(
         self,
         session: TenantSession,
         config: TopologyConfig | Topology,
+        exc: Exception,
         old: Deployment | None = None,
-    ) -> Topology:
-        """Build the requested topology and check it against the
-        host-port quota — the one check that needs no preparation.
-        ``old`` is the deployment an edit replaces: its host ports
-        count as freed."""
+    ) -> NoReturn:
+        """Reject a request no staging could place (``exc``: the
+        wiring's or the flow tables' refusal), naming the host-port
+        quota when the request exceeds it — the reason a tenant can
+        act on."""
         topology = config if isinstance(config, Topology) else config.build()
-        freed = 0
-        if old is not None:
-            freed = sum(
-                1
-                for r in old.projection.link_realization.values()
-                if isinstance(r, HostPort)
-            )
-        used = session.host_ports_used() - freed
-        needed = len(topology.hosts)
-        if used + needed > session.quota.host_ports:
-            self.reject(session, [
-                f"needs {needed} host ports, {used} of the "
-                f"{session.quota.host_ports}-port quota already bound"
-            ])
-        return topology
+        self.reject(
+            session, self._host_port_problems(session, topology, old) or [str(exc)]
+        )
 
     def admit_swap(
         self,
@@ -132,12 +127,20 @@ class AdmissionController:
         additions, or both generations under make-before-break) refuses
         only this staging, with ``CapacityError``; the edit goes on to
         the next one, and break-before-make never peaks above the
-        steady state.
+        steady state. A topology the tenant already deploys under
+        another name abandons the edit (ConfigurationError).
         """
         with trace.span(
             "tenant.admission", tenant=session.tenant_id, op="swap"
         ) as sp:
             sp.set("topology", prep.topology.name)
+            if prep.topology.name != old.name and (
+                prep.topology.name in session.deployments
+            ):
+                raise ConfigurationError(
+                    f"tenant {session.tenant_id!r} already deploys "
+                    f"{prep.topology.name!r}"
+                )
             problems = self._steady_problems(session, prep, old)
             if problems:
                 self.reject(session, problems)
@@ -180,9 +183,10 @@ class AdmissionController:
     def _steady_problems(
         self, session: TenantSession, prep: Prepared, old: Deployment | None
     ) -> list[str]:
-        """The tenant's per-switch TCAM share and optical budget once
-        ``prep`` has replaced ``old`` (None for a deploy)."""
-        problems: list[str] = []
+        """The tenant's host-port quota, per-switch TCAM share and
+        optical budget once ``prep`` has replaced ``old`` (None for a
+        deploy)."""
+        problems = self._host_port_problems(session, prep.topology, old)
 
         used = session.tcam_used()
         if old is not None:
@@ -210,6 +214,28 @@ class AdmissionController:
                     f"{session.quota.optical_circuits}"
                 )
         return problems
+
+    @staticmethod
+    def _host_port_problems(
+        session: TenantSession, topology: Topology, old: Deployment | None
+    ) -> list[str]:
+        """The host-port quota once ``topology`` has replaced ``old``
+        (None for a deploy), whose host ports count as freed."""
+        freed = 0
+        if old is not None:
+            freed = sum(
+                1
+                for r in old.projection.link_realization.values()
+                if isinstance(r, HostPort)
+            )
+        used = session.host_ports_used() - freed
+        needed = len(topology.hosts)
+        if used + needed > session.quota.host_ports:
+            return [
+                f"needs {needed} host ports, {used} of the "
+                f"{session.quota.host_ports}-port quota already bound"
+            ]
+        return []
 
     @staticmethod
     def _count(session: TenantSession, *, admitted: bool) -> None:

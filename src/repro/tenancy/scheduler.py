@@ -78,7 +78,7 @@ class Scheduler:
                 self._tenant_order.append(op.tenant_id)
             self._pending[op.tenant_id].append(op)
             metrics.registry().counter("tenant_ops_submitted_total").inc(
-                1, tenant=op.tenant_id, kind=op.kind
+                1, kind=op.kind
             )
             self._dispatch_locked()
         return op.future
@@ -121,12 +121,12 @@ class Scheduler:
             except BaseException as exc:  # delivered via the future
                 op.future.set_exception(exc)
                 metrics.registry().counter("tenant_ops_finished_total").inc(
-                    1, tenant=op.tenant_id, kind=op.kind, status="error"
+                    1, kind=op.kind, status="error"
                 )
             else:
                 op.future.set_result(result)
                 metrics.registry().counter("tenant_ops_finished_total").inc(
-                    1, tenant=op.tenant_id, kind=op.kind, status="ok"
+                    1, kind=op.kind, status="ok"
                 )
         with self._lock:
             self._running = None

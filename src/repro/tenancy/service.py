@@ -317,11 +317,6 @@ class TestbedService:
                 raise ConfigurationError(
                     f"tenant {tenant_id!r} has no deployment {name!r}"
                 )
-            topology = self.admission.admit_topology(session, config, old)
-            if topology.name != name and topology.name in session.deployments:
-                raise ConfigurationError(
-                    f"tenant {tenant_id!r} already deploys {topology.name!r}"
-                )
             try:
                 deployment, _ = self.controller.edit(
                     old,
@@ -333,7 +328,7 @@ class TestbedService:
             except (CapacityError, ProjectionError) as exc:
                 # no staging fits (wiring, flow tables or the tenant's
                 # share): refused before the commit touched a switch
-                self.admission.reject(session, [str(exc)])
+                self.admission.refuse(session, config, exc, old)
             del session.deployments[name]
             session.deployments[deployment.name] = deployment
             self._after_commit(session)

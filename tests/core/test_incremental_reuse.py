@@ -1,9 +1,9 @@
 """What a 1-link edit re-derives (DESIGN.md §5b, dirty set).
 
-On a shortest-path deployment the incremental path repairs the live
-route table instead of recomputing it, and hands every sub-switch whose
-routes did not move and whose projection is unchanged its old block
-without resolving its rows again. Both shortcuts must be invisible: the
+When an edit keeps the deployment's routing strategy, the incremental
+path repairs the live route table instead of recomputing it, and hands
+every sub-switch whose routes did not move and whose projection is
+unchanged its old block without resolving its rows again. Both shortcuts must be invisible: the
 routes equal the strategy's full output, the rules equal a cache-free
 synthesis, and a table the strategy did not build is never repaired.
 """
@@ -110,4 +110,39 @@ def test_a_strategy_change_resolves_every_subswitch(resolved, before, after):
     dep, _ = controller.reconfigure(replace(cfg, routing=after))
 
     assert sorted(resolved) == sorted(FT4.switches)
+    _assert_converged(controller, dep)
+
+
+#: a second uplink for agg0-0: up/down refuses every fat-tree link
+#: drop (some core loses its one way down into a pod), but routes an
+#: added link
+UPLINK = rebuild(FT4, add_links=[("agg0-0", "core1-0")])
+
+
+@pytest.mark.parametrize(
+    "before, after", [("fat-tree-updown", "fat-tree-updown"),
+                      ("auto", "fat-tree-updown")],
+)
+def test_any_strategy_is_repaired_when_it_stays(resolved, before, after):
+    """A routing name that resolves to the live table's strategy
+    repairs it: the routes equal the strategy's full output, and only
+    the sub-switches whose routes or projection moved are resolved."""
+    controller = SDTController(build_cluster_for([UPLINK], 4, H3C_S6861))
+    dep = controller.deploy(replace(TopologyConfig.from_topology(FT4), routing=before))
+    old_routes, old_projection = dep.routes, dep.projection
+    del resolved[:]
+
+    edited, _ = controller.reconfigure(
+        replace(TopologyConfig.from_topology(UPLINK), routing=after)
+    )
+
+    assert edited is dep  # the incremental path edits in place
+    assert _entries(dep.routes) == _entries(fattree_updown_routes(UPLINK))
+    clean = {
+        sw for sw in UPLINK.switches
+        if dep.routes.entries_at(sw) == old_routes.entries_at(sw)
+        and dep.projection.subswitches[sw] == old_projection.subswitches[sw]
+    }
+    assert 0 < len(clean) < len(UPLINK.switches)
+    assert sorted(resolved) == sorted(set(UPLINK.switches) - clean)
     _assert_converged(controller, dep)

@@ -1,19 +1,33 @@
-"""Shortest-path repair equals a full recompute.
+"""Route repair equals a full recompute, for every strategy.
 
-``repair_shortest_path`` derives the table of an edited topology from
-the live one, running the BFS again only for the destination switches
-whose tree the edit can change. Over seeded walks of link drops,
+``repair_routes`` derives the table of an edited topology from the live
+one, re-deriving only the destinations the strategy's ``touches`` test
+says the edit can move (shortest-path runs the BFS again only for the
+destination switches whose tree the edit can change) and every
+destination of a strategy without one. Over seeded walks of link drops,
 re-adds (the link comes back last, on new port numbers) and restores of
 an earlier topology (links come back where they were), every repaired
-table must equal ``shortest_path_routes`` of the new topology entry for
-entry and in order, and the switches it reports moved must cover every
-switch whose entries changed.
+table must equal the strategy's full build on the new topology entry
+for entry and in order, and the switches it reports moved must cover
+every switch whose entries changed. Each walk runs under every strategy
+the walked topology supports; an edit the strategy refuses must raise
+the same error from the repair as from the full build, and the walk
+goes on from the last topology the strategy accepted.
 """
 
 from __future__ import annotations
 
-from repro.routing.strategies import repair_shortest_path, shortest_path_routes
-from repro.topology import dragonfly, fat_tree, torus2d
+from repro.routing.strategies import (
+    DIMENSION_ORDER,
+    DRAGONFLY_MINIMAL,
+    FATTREE_UPDOWN,
+    SHORTEST_PATH,
+    TORUS_DATELINE,
+    build_routes,
+    repair_routes,
+    shortest_path_routes,
+)
+from repro.topology import dragonfly, fat_tree, mesh2d, torus2d
 from repro.topology.diff import (
     diff_topologies,
     link_keys,
@@ -22,6 +36,7 @@ from repro.topology.diff import (
 )
 from repro.topology.graph import Topology
 from repro.topology.zoo import build_zoo_topology, zoo_entry
+from repro.util.errors import ReproError
 from tests.proptools import prop_cases, random_topology, seeded_cases
 
 ROOT_SEED = 20261017
@@ -32,9 +47,23 @@ TOPOLOGIES = {
     "fat-tree-k8": lambda: fat_tree(8),
     "torus2d-5x5": lambda: torus2d(5, 5),
     "dragonfly-a4g9h2": lambda: dragonfly(4, 9, 2),
+    # two global links per group pair: a global drop can be routed around
+    "dragonfly-a4g5h2": lambda: dragonfly(4, 5, 2),
     "zoo-Interoute": lambda: build_zoo_topology(
         zoo_entry("Interoute"), hosts_per_switch=1
     ),
+    "mesh2d-4x4": lambda: mesh2d(4, 4),
+}
+
+#: the strategies each walked family supports
+STRATEGIES = {
+    "fat-tree-k4": (SHORTEST_PATH, FATTREE_UPDOWN),
+    "fat-tree-k8": (SHORTEST_PATH, FATTREE_UPDOWN),
+    "torus2d-5x5": (SHORTEST_PATH, TORUS_DATELINE),
+    "dragonfly-a4g9h2": (SHORTEST_PATH, DRAGONFLY_MINIMAL),
+    "dragonfly-a4g5h2": (SHORTEST_PATH, DRAGONFLY_MINIMAL),
+    "zoo-Interoute": (SHORTEST_PATH,),
+    "mesh2d-4x4": (SHORTEST_PATH, DIMENSION_ORDER),
 }
 
 
@@ -71,41 +100,66 @@ def _entries_by_switch(table) -> dict[str, list]:
     return out
 
 
-def _check_walk(base: Topology, rng, label: str) -> int:
-    """Walk ``base``, repairing step by step; returns how many steps
-    were repaired without the full-strategy fallback."""
-    table = shortest_path_routes(base)
-    before = _entries_by_switch(table)
-    repaired_steps = 0
-    for step, (old, new) in enumerate(_walk(rng, base)):
-        table.entries_at(new.switches[0])  # bucket it: repairs carry buckets
-        repaired, moved = repair_shortest_path(
-            table, new, diff_topologies(old, new)
-        )
-        full = shortest_path_routes(new)
-        where = f"{label} step {step}"
-        assert list(repaired.entries()) == list(full.entries()), where
-        after = _entries_by_switch(repaired)
-        changed = {sw for sw in after if after[sw] != before.get(sw)}
-        assert changed <= moved, f"{where}: unreported {changed - moved}"
-        for sw in new.switches:
-            assert repaired.entries_at(sw) == after.get(sw, []), where
-        repaired_steps += moved != frozenset(new.switches)
-        table, before = repaired, after
+def _refusal(fn, *args):
+    """What ``fn(*args)`` raises, as (type, message), or None."""
+    try:
+        fn(*args)
+    except ReproError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _check_walk(
+    base: Topology, rng, label: str, strategies=(SHORTEST_PATH,)
+) -> dict[str, int]:
+    """Walk ``base``, repairing step by step under each strategy;
+    returns per strategy how many steps were repaired without the
+    full-build fallback."""
+    steps = list(_walk(rng, base))
+    repaired_steps = dict.fromkeys((s.name for s in strategies), 0)
+    for strategy in strategies:
+        table = build_routes(base, strategy)
+        before = _entries_by_switch(table)
+        for step, (_old, new) in enumerate(steps):
+            old = table.topology  # the last topology the strategy took
+            where = f"{label} {strategy.name} step {step}"
+            diff = diff_topologies(old, new)
+            refused = _refusal(build_routes, new, strategy)
+            if refused is not None:
+                assert _refusal(repair_routes, table, new, diff, strategy) == refused, where
+                continue
+            table.entries_at(new.switches[0])  # bucket it: repairs carry buckets
+            repaired, moved = repair_routes(table, new, diff, strategy)
+            full = build_routes(new, strategy)
+            assert list(repaired.entries()) == list(full.entries()), where
+            after = _entries_by_switch(repaired)
+            changed = {sw for sw in after if after[sw] != before.get(sw)}
+            assert changed <= moved, f"{where}: unreported {changed - moved}"
+            for sw in new.switches:
+                assert repaired.entries_at(sw) == after.get(sw, []), where
+            repaired_steps[strategy.name] += moved != frozenset(new.switches)
+            table, before = repaired, after
     return repaired_steps
 
 
 def test_repair_equals_full_recompute():
     """Walks on the named topologies, one after the other."""
     bases = {name: build() for name, build in TOPOLOGIES.items()}
-    repaired_steps: dict[str, int] = {}
-    for idx, rng in seeded_cases(prop_cases(10), ROOT_SEED, "named"):
+    repaired_steps: dict[tuple[str, str], int] = {}
+    for idx, rng in seeded_cases(prop_cases(16), ROOT_SEED, "named"):
         name = list(bases)[idx % len(bases)]
-        repaired_steps[name] = repaired_steps.get(name, 0) + _check_walk(
-            bases[name], rng, f"{name} case {idx}"
+        walked = _check_walk(
+            bases[name], rng, f"{name} case {idx}", STRATEGIES[name]
         )
-    # the property must exercise the repair, not only its fallback
-    assert all(repaired_steps.values()), repaired_steps
+        for strategy, count in walked.items():
+            key = (name, strategy)
+            repaired_steps[key] = repaired_steps.get(key, 0) + count
+    # the property must exercise each strategy's repair, not only its
+    # fallback, on some topology
+    by_strategy: dict[str, int] = {}
+    for (_name, strategy), count in repaired_steps.items():
+        by_strategy[strategy] = by_strategy.get(strategy, 0) + count
+    assert all(by_strategy.values()), repaired_steps
 
 
 def test_repair_equals_full_recompute_on_random_topologies():
@@ -130,8 +184,8 @@ def test_reordered_links_fall_back_to_the_full_strategy():
         reordered.connect(link.a.node, link.b.node)
     diff = diff_topologies(base, reordered)
     assert diff.is_empty()
-    repaired, moved = repair_shortest_path(
-        shortest_path_routes(base), reordered, diff
+    repaired, moved = repair_routes(
+        shortest_path_routes(base), reordered, diff, SHORTEST_PATH
     )
     assert list(repaired.entries()) == list(
         shortest_path_routes(reordered).entries()
@@ -141,9 +195,10 @@ def test_reordered_links_fall_back_to_the_full_strategy():
 
 def test_an_unchanged_topology_moves_nothing():
     base = fat_tree(4)
-    table = shortest_path_routes(base)
-    repaired, moved = repair_shortest_path(
-        table, base, diff_topologies(base, base)
-    )
-    assert moved == frozenset()
-    assert list(repaired.entries()) == list(table.entries())
+    for strategy in (SHORTEST_PATH, FATTREE_UPDOWN):
+        table = build_routes(base, strategy)
+        repaired, moved = repair_routes(
+            table, base, diff_topologies(base, base), strategy
+        )
+        assert moved == frozenset()
+        assert list(repaired.entries()) == list(table.entries())
