@@ -910,8 +910,9 @@ class SDTController:
         synthesis resolves only the sub-switches whose routes moved or
         whose projection changed; every other sub-switch keeps its block
         unresolved (:func:`~repro.core.rules.unchanged_blocks`). A
-        change of strategy recomputes every route and resolves every
-        sub-switch.
+        change of strategy, or an edit the repair cannot take (a node
+        added or removed, say), recomputes every route through the
+        Routing Strategy module and resolves every sub-switch.
 
         Returns ``None`` when the edit cannot be applied incrementally,
         and the caller runs the cold swap instead: pruned deployments,
@@ -936,17 +937,17 @@ class SDTController:
             return None
         topology, diff, cfg, strategy, lossless = unpacked
 
-        # the switches whose route entries moved, when only they did
-        moved = None
+        # the table and the switches whose route entries moved, when
+        # only they did
+        repaired = None
         rule = strategy_for(topology, strategy)
         if old.routes_strategy is not None and rule is strategy_for(
             old.topology, old.routes_strategy
         ):
-            routes, moved = _stage(
+            repaired = _stage(
                 "routing.routes", repair_routes, old.routes, topology, diff, rule
             )
-        else:
-            routes = self._routes_for(topology, strategy)
+        routes, moved = repaired or (self._routes_for(topology, strategy), None)
         _vet(routes, lossless)
 
         partition = _stage(

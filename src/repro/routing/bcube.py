@@ -17,7 +17,7 @@ a host's NIC port index equals its level (ports added level 0..k).
 
 from __future__ import annotations
 
-from repro.routing.strategies import Rule, Step, Strategy, build_routes
+from repro.routing.strategies import PreparedRule, Step, Strategy, build_routes
 from repro.routing.table import RouteTable
 from repro.topology.graph import Topology
 from repro.util.errors import RoutingError
@@ -37,7 +37,7 @@ def _switch_parts(switch: str) -> tuple[int, str]:
     return int(level_str), rest
 
 
-def _digit_rule(topo: Topology) -> Rule:
+def _digit_rule(topo: Topology) -> PreparedRule:
     """Digit-correcting minimal routes for a BCube(n, k) topology."""
     hosts = topo.hosts
     if not hosts:
@@ -72,7 +72,7 @@ def _digit_rule(topo: Topology) -> Rule:
             # else this switch column cannot carry dst traffic
         return out
 
-    return rule
+    return rule, 1
 
 
 BCUBE = Strategy("bcube", _digit_rule, hosts_forward=True)
@@ -82,7 +82,7 @@ def bcube_routes(topo: Topology) -> RouteTable:
     return build_routes(topo, BCUBE)
 
 
-def _two_level_rule(topo: Topology) -> Rule:
+def _two_level_rule(topo: Topology) -> PreparedRule:
     """2-level HyperBCube routing (Lin et al., ICC 2012).
 
     Host (i, j) reaches (i2, j2) by fixing the column first (via its row
@@ -120,7 +120,7 @@ def _two_level_rule(topo: Topology) -> Rule:
                 out.append((sw, target, 0))
         return out
 
-    return rule
+    return rule, 1
 
 
 HYPER_BCUBE = Strategy("hyper-bcube", _two_level_rule, hosts_forward=True)

@@ -140,7 +140,7 @@ def reroute_avoiding(
     def rule(dst: str) -> list[Step]:
         return toward(topology.host_switch(dst)) if dst in reachable else []
 
-    table = build_routes(topology, Strategy("updown-avoiding", lambda _t: rule))
+    table = build_routes(topology, Strategy("updown-avoiding", lambda _t: (rule, 1)))
 
     # every mutually-reachable host pair must still route
     for src in reachable_hosts:

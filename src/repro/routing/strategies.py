@@ -49,6 +49,8 @@ from repro.util.errors import ConfigurationError, RoutingError
 Step = tuple[str, str | None, int | tuple[int, ...]]
 #: a strategy's rule on one topology: destination host -> its steps
 Rule = Callable[[str], Iterable[Step]]
+#: a rule prepared on one topology, with the number of VCs it routes on
+PreparedRule = tuple[Rule, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,10 +59,9 @@ class Strategy:
     compiles. Calling it compiles a table."""
 
     name: str
-    #: ``rule(topology)`` prepares the rule on one topology
-    rule: Callable[[Topology], Rule]
-    #: VCs the strategy routes on, or their count per topology
-    num_vcs: int | Callable[[Topology], int] = 1
+    #: ``rule(topology)`` prepares the rule on one topology, with the
+    #: number of VCs it routes on there
+    rule: Callable[[Topology], PreparedRule]
     #: server-centric: hosts forward transit packets
     hosts_forward: bool = False
     #: the rule reads a destination only through its switch, so the
@@ -73,9 +74,6 @@ class Strategy:
     #: for a :attr:`per_switch` rule the answer covers every host on
     #: ``dst``'s switch. Without it every destination is re-derived.
     touches: Callable[[RouteTable, str, TopologyDiff], bool] | None = None
-
-    def vcs(self, topology: Topology) -> int:
-        return self.num_vcs if isinstance(self.num_vcs, int) else self.num_vcs(topology)
 
     def __call__(self, topology: Topology) -> RouteTable:
         return build_routes(topology, self)
@@ -121,8 +119,7 @@ def _expand(
 def build_routes(topology: Topology, strategy: Strategy) -> RouteTable:
     """``strategy``'s table on ``topology``: every destination host in
     ``topology.hosts`` order, each with its steps in the rule's order."""
-    num_vcs = strategy.vcs(topology)
-    rule, hops = strategy.rule(topology), _Hops(topology)
+    (rule, num_vcs), hops = strategy.rule(topology), _Hops(topology)
     # per destination (switch): (node, hop) per wildcard entry and
     # (node, in_vc, hop) per exact one; hop None is the delivery, which
     # depends on the host
@@ -152,10 +149,11 @@ def build_routes(topology: Topology, strategy: Strategy) -> RouteTable:
 
 def repair_routes(
     old: RouteTable, topology: Topology, diff: TopologyDiff, strategy: Strategy
-) -> tuple[RouteTable, frozenset[str]]:
+) -> tuple[RouteTable, frozenset[str]] | None:
     """``strategy``'s table on ``topology``, derived from ``old`` —
     which must be ``strategy``'s table on the topology ``diff`` starts
-    from — together with the nodes that have an entry whose hop moved.
+    from — together with the nodes that have an entry whose hop moved;
+    None when the edit needs the full build.
 
     A destination is derived again only where the strategy's
     :attr:`~Strategy.touches` test (every destination without one) says
@@ -165,23 +163,22 @@ def repair_routes(
     renumber. ``old``'s keys and their order are kept
     (:meth:`RouteTable.repaired`).
 
-    An edit that changes the node lists or a host's link, or reorders
-    surviving links, is built in full with every switch reported moved,
-    and so is one that would add or drop an entry."""
+    The full build is needed for an edit that changes the node lists,
+    the VC count or a host's link, that reorders surviving links, or
+    that would add or drop an entry."""
     src = old.topology
-    num_vcs = strategy.vcs(topology)
     touched = diff.touched_nodes()
     kept = [i for i in diff.kept if i >= 0]
     if (
         src.switches != topology.switches
         or src.hosts != topology.hosts
-        or old.num_vcs != num_vcs
         or any(map(topology.is_host, touched))
         or any(a >= b for a, b in zip(kept, kept[1:]))
     ):
-        return build_routes(topology, strategy), frozenset(topology.switches)
-
-    rule, hops = None, _Hops(topology)
+        return None
+    (rule, num_vcs), hops = strategy.rule(topology), _Hops(topology)
+    if old.num_vcs != num_vcs:
+        return None
     wild, exact = old._wild, old._exact
     in_vcs = (None, *range(num_vcs)) if exact else (None,)
     nodes = topology.nodes if strategy.hosts_forward else topology.switches
@@ -204,7 +201,6 @@ def repair_routes(
         rep = dsts[0]
         whole = strategy.touches is None or strategy.touches(old, rep, diff)
         if whole:
-            rule = rule or strategy.rule(topology)
             steps = _expand(rule(rep), num_vcs)
         else:  # the old next nodes, at the edited links' endpoints
             steps = []
@@ -215,9 +211,9 @@ def repair_routes(
                         nxt = src.neighbors(node)[was.port.index]
                         steps.append((node, in_vc, None if nxt == rep else nxt, was.vc))
         for node, in_vc, nxt, out_vc in steps:
-            was = wild.get((node, rep)) if in_vc is None else exact.get((node, rep, in_vc))
+            was = old_hop(node, rep, in_vc)
             if was is None:  # an entry would appear
-                return build_routes(topology, strategy), frozenset(topology.switches)
+                return None
             if nxt is None:  # the delivery: one hop per destination
                 for dst in dsts:
                     put(node, [dst], in_vc, hops[node, dst, in_vc or 0],
@@ -234,7 +230,7 @@ def repair_routes(
         ) + sum(
             (n, rep, vc) in exact for n in nodes if exact for vc in range(num_vcs)
         ):  # an entry would disappear
-            return build_routes(topology, strategy), frozenset(topology.switches)
+            return None
     return old.repaired(topology, changed), frozenset(key[0] for key in changed)
 
 
@@ -247,15 +243,17 @@ def _stable_hash(*parts: object) -> int:
 # Generic shortest path (BFS)
 # ---------------------------------------------------------------------------
 
-def _bfs_rule(topo: Topology) -> Rule:
+def _bfs_rule(topo: Topology) -> PreparedRule:
     """A BFS tree rooted at a destination's switch points every
     reachable switch along the tree toward that root; entries come out
     in ``topo.switches`` order."""
     switches = topo.switches
-    sw_nbrs = topo.switch_neighbors()
+    sw_nbrs: dict[str, list[str]] = {}
 
     def rule(dst: str) -> list[Step]:
         root = topo.host_switch(dst)
+        if not sw_nbrs:  # built on first use: a repair may re-derive no tree
+            sw_nbrs.update(topo.switch_neighbors())
         parent = bfs_parents(root, sw_nbrs)
         return [
             (sw, None if sw == root else parent[sw], 0)
@@ -263,7 +261,7 @@ def _bfs_rule(topo: Topology) -> Rule:
             if sw in parent
         ]
 
-    return rule
+    return rule, 1
 
 
 def _tree_touches(old: RouteTable, dst: str, diff: TopologyDiff) -> bool:
@@ -339,7 +337,7 @@ def next_switch_routes(
         ]
 
     return build_routes(
-        topology, Strategy("next-switch", lambda _topo: rule, per_switch=True)
+        topology, Strategy("next-switch", lambda _topo: (rule, 1), per_switch=True)
     )
 
 
@@ -406,7 +404,7 @@ def fattree_candidates(
     return candidates
 
 
-def _updown_rule(topo: Topology) -> Rule:
+def _updown_rule(topo: Topology) -> PreparedRule:
     """Downward hops follow the unique path to the destination edge
     switch; upward hops pick deterministically (destination hash) among
     the up-links, which is the standard static load-spreading choice a
@@ -423,7 +421,7 @@ def _updown_rule(topo: Topology) -> Rule:
             out.append((sw, None if nb == dst else nb, 0))
         return out
 
-    return rule
+    return rule, 1
 
 
 #: Fat-Tree routing (the paper's "DFS" strategy)
@@ -441,7 +439,7 @@ def _dragonfly_group(switch: str) -> int:
     return int(switch[1 : switch.index("r")])
 
 
-def _minimal_rule(topo: Topology) -> Rule:
+def _minimal_rule(topo: Topology) -> PreparedRule:
     """Minimal (local-global-local) dragonfly routing with the
     VC-changing deadlock avoidance of Dally & Aoki [44]: the global hop
     lifts packets to VC 1, local hops preserve the incoming VC."""
@@ -486,10 +484,10 @@ def _minimal_rule(topo: Topology) -> Rule:
                 )
         return out
 
-    return rule
+    return rule, 2
 
 
-DRAGONFLY_MINIMAL = Strategy("dragonfly-minimal", _minimal_rule, num_vcs=2)
+DRAGONFLY_MINIMAL = Strategy("dragonfly-minimal", _minimal_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +499,7 @@ def _torus_dims(topo: Topology) -> tuple[int, ...]:
     return tuple(int(x) for x in topo.name.split("-")[1].split("x"))
 
 
-def _dimension_rule(topo: Topology, dims: tuple[int, ...] | None = None) -> Rule:
+def _dimension_rule(topo: Topology, dims: tuple[int, ...] | None = None) -> PreparedRule:
     """Dimension-order routing: correct the first differing coordinate.
 
     On a mesh (``dims`` None) this is X-Y (2D) / X-Y-Z (3D) routing
@@ -546,21 +544,19 @@ def _dimension_rule(topo: Topology, dims: tuple[int, ...] | None = None) -> Rule
             out.append((sw, by_coords[tuple(nxt)], vcs))
         return out
 
-    return rule
+    return rule, 1 if dims is None else 2 * len(dims)
 
 
 DIMENSION_ORDER = Strategy("dimension-order", _dimension_rule, per_switch=True)
 TORUS_DATELINE = Strategy(
     "torus-dateline",
     lambda topo: _dimension_rule(topo, _torus_dims(topo)),
-    num_vcs=lambda topo: 2 * len(_torus_dims(topo)),
     per_switch=True,
 )
 
 
 def torus_dateline_routes(topo: Topology, dims: tuple[int, ...]) -> RouteTable:
-    rule = partial(_dimension_rule, dims=dims)
-    return replace(TORUS_DATELINE, rule=rule, num_vcs=2 * len(dims))(topo)
+    return replace(TORUS_DATELINE, rule=partial(_dimension_rule, dims=dims))(topo)
 
 
 # ---------------------------------------------------------------------------

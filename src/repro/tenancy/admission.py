@@ -48,6 +48,7 @@ from repro.util.errors import (
     CapacityError,
     ConfigurationError,
     ProjectionError,
+    ReproError,
 )
 
 
@@ -65,7 +66,9 @@ class AdmissionController:
         """Validate a fresh deployment; returns the admitted preparation
         (install it with ``deploy_prepared``) or raises
         :class:`AdmissionError` having touched nothing. The checks read
-        the preparation's topology: the request is built once."""
+        the preparation's topology: the request is built once. The
+        host-port quota goes first: an over-quota request is rejected
+        with it alone, whatever else its preparation fails on."""
         with trace.span(
             "tenant.admission", tenant=session.tenant_id, op="deploy"
         ) as sp:
@@ -76,16 +79,18 @@ class AdmissionController:
                     | self.foreign_host_ports(session),
                     cookie=session.next_cookie(),
                 )
-            except (CapacityError, ProjectionError) as exc:
+            except ReproError as exc:
                 self.refuse(session, config, exc)
             sp.set("topology", prep.topology.name)
-            problems = self._steady_problems(session, prep, old=None)
-            try:
-                self.controller._stage_generation(
-                    f"admission {session.tenant_id}", prep.rules
-                ).validate()
-            except CapacityError as exc:
-                problems.append(str(exc))
+            problems = self._host_port_problems(session, prep.topology, None)
+            if not problems:
+                problems = self._steady_problems(session, prep, old=None)
+                try:
+                    self.controller._stage_generation(
+                        f"admission {session.tenant_id}", prep.rules
+                    ).validate()
+                except CapacityError as exc:
+                    problems.append(str(exc))
             if problems:
                 self.controller.release_preparation(prep)
                 self.reject(session, problems)
@@ -99,14 +104,16 @@ class AdmissionController:
         exc: Exception,
         old: Deployment | None = None,
     ) -> NoReturn:
-        """Reject a request no staging could place (``exc``: the
-        wiring's or the flow tables' refusal), naming the host-port
-        quota when the request exceeds it — the reason a tenant can
-        act on."""
+        """Fail a request whose preparation raised ``exc``, which
+        replaces ``old`` (None for a deploy). A request over the
+        host-port quota is rejected for that — the reason a tenant can
+        act on — and so is one no staging could place (the wiring's or
+        the flow tables' refusal); anything else re-raises ``exc``."""
         topology = config if isinstance(config, Topology) else config.build()
-        self.reject(
-            session, self._host_port_problems(session, topology, old) or [str(exc)]
-        )
+        problems = self._host_port_problems(session, topology, old)
+        if problems or isinstance(exc, ProjectionError):
+            self.reject(session, problems or [str(exc)])
+        raise exc
 
     def admit_swap(
         self,
@@ -127,13 +134,17 @@ class AdmissionController:
         additions, or both generations under make-before-break) refuses
         only this staging, with ``CapacityError``; the edit goes on to
         the next one, and break-before-make never peaks above the
-        steady state. A topology the tenant already deploys under
-        another name abandons the edit (ConfigurationError).
+        steady state. The host-port quota is checked first, then
+        whether the tenant already deploys the topology under another
+        name (ConfigurationError abandons the edit).
         """
         with trace.span(
             "tenant.admission", tenant=session.tenant_id, op="swap"
         ) as sp:
             sp.set("topology", prep.topology.name)
+            problems = self._host_port_problems(session, prep.topology, old)
+            if problems:
+                self.reject(session, problems)
             if prep.topology.name != old.name and (
                 prep.topology.name in session.deployments
             ):
@@ -183,10 +194,9 @@ class AdmissionController:
     def _steady_problems(
         self, session: TenantSession, prep: Prepared, old: Deployment | None
     ) -> list[str]:
-        """The tenant's host-port quota, per-switch TCAM share and
-        optical budget once ``prep`` has replaced ``old`` (None for a
-        deploy)."""
-        problems = self._host_port_problems(session, prep.topology, old)
+        """The tenant's per-switch TCAM share and optical budget once
+        ``prep`` has replaced ``old`` (None for a deploy)."""
+        problems: list[str] = []
 
         used = session.tcam_used()
         if old is not None:

@@ -39,12 +39,7 @@ from repro.tenancy.session import (
     TenantSession,
 )
 from repro.topology.graph import Topology
-from repro.util.errors import (
-    AdmissionError,
-    CapacityError,
-    ConfigurationError,
-    ProjectionError,
-)
+from repro.util.errors import AdmissionError, ConfigurationError, ReproError
 
 ConfigLike = TopologyConfig | Topology
 
@@ -325,9 +320,12 @@ class TestbedService:
                     cookie=session.next_cookie(),
                     admit=partial(self.admission.admit_swap, session, old),
                 )
-            except (CapacityError, ProjectionError) as exc:
-                # no staging fits (wiring, flow tables or the tenant's
-                # share): refused before the commit touched a switch
+            except AdmissionError:
+                raise
+            except ReproError as exc:
+                # over the host-port quota, or no staging fits (wiring,
+                # flow tables or the tenant's share): refused before the
+                # commit touched a switch; anything else re-raises
                 self.admission.refuse(session, config, exc, old)
             del session.deployments[name]
             session.deployments[deployment.name] = deployment

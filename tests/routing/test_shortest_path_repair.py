@@ -25,7 +25,6 @@ from repro.routing.strategies import (
     TORUS_DATELINE,
     build_routes,
     repair_routes,
-    shortest_path_routes,
 )
 from repro.topology import dragonfly, fat_tree, mesh2d, torus2d
 from repro.topology.diff import (
@@ -109,12 +108,20 @@ def _refusal(fn, *args):
     return None
 
 
+def _repair_or_build(table, new, diff, strategy):
+    """What an edit routes with: the repair, else the full build with
+    every switch moved."""
+    return repair_routes(table, new, diff, strategy) or (
+        build_routes(new, strategy), frozenset(new.switches)
+    )
+
+
 def _check_walk(
     base: Topology, rng, label: str, strategies=(SHORTEST_PATH,)
 ) -> dict[str, int]:
     """Walk ``base``, repairing step by step under each strategy;
     returns per strategy how many steps were repaired without the
-    full-build fallback."""
+    full build."""
     steps = list(_walk(rng, base))
     repaired_steps = dict.fromkeys((s.name for s in strategies), 0)
     for strategy in strategies:
@@ -126,10 +133,13 @@ def _check_walk(
             diff = diff_topologies(old, new)
             refused = _refusal(build_routes, new, strategy)
             if refused is not None:
-                assert _refusal(repair_routes, table, new, diff, strategy) == refused, where
+                assert _refusal(_repair_or_build, table, new, diff, strategy) == refused, where
                 continue
             table.entries_at(new.switches[0])  # bucket it: repairs carry buckets
-            repaired, moved = repair_routes(table, new, diff, strategy)
+            repaired_steps[strategy.name] += (
+                repair_routes(table, new, diff, strategy) is not None
+            )
+            repaired, moved = _repair_or_build(table, new, diff, strategy)
             full = build_routes(new, strategy)
             assert list(repaired.entries()) == list(full.entries()), where
             after = _entries_by_switch(repaired)
@@ -137,7 +147,6 @@ def _check_walk(
             assert changed <= moved, f"{where}: unreported {changed - moved}"
             for sw in new.switches:
                 assert repaired.entries_at(sw) == after.get(sw, []), where
-            repaired_steps[strategy.name] += moved != frozenset(new.switches)
             table, before = repaired, after
     return repaired_steps
 
@@ -154,8 +163,13 @@ def test_repair_equals_full_recompute():
         for strategy, count in walked.items():
             key = (name, strategy)
             repaired_steps[key] = repaired_steps.get(key, 0) + count
-    # the property must exercise each strategy's repair, not only its
-    # fallback, on some topology
+    # the property must exercise the shortest-path repair, not only the
+    # full build, on every topology, and each other strategy's repair
+    # on some topology
+    assert all(
+        count for (_name, strategy), count in repaired_steps.items()
+        if strategy == SHORTEST_PATH.name
+    ), repaired_steps
     by_strategy: dict[str, int] = {}
     for (_name, strategy), count in repaired_steps.items():
         by_strategy[strategy] = by_strategy.get(strategy, 0) + count
@@ -173,7 +187,8 @@ def test_repair_equals_full_recompute_on_random_topologies():
 
 def test_reordered_links_fall_back_to_the_full_strategy():
     """The same links in another order renumber ports with an empty
-    diff: the repair must notice and recompute everything."""
+    diff: the repair must notice and leave the table to the full
+    build."""
     base = fat_tree(4)
     reordered = Topology(base.name)
     for sw in base.switches:
@@ -184,13 +199,8 @@ def test_reordered_links_fall_back_to_the_full_strategy():
         reordered.connect(link.a.node, link.b.node)
     diff = diff_topologies(base, reordered)
     assert diff.is_empty()
-    repaired, moved = repair_routes(
-        shortest_path_routes(base), reordered, diff, SHORTEST_PATH
-    )
-    assert list(repaired.entries()) == list(
-        shortest_path_routes(reordered).entries()
-    )
-    assert moved == frozenset(reordered.switches)
+    for strategy in (SHORTEST_PATH, FATTREE_UPDOWN):
+        assert repair_routes(build_routes(base, strategy), reordered, diff, strategy) is None
 
 
 def test_an_unchanged_topology_moves_nothing():

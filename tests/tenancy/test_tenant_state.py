@@ -7,15 +7,21 @@ operation counters keep one series per operation kind (and status),
 not one per tenant ever served, and no switch keeps an instruction of
 a generation it deleted outside its flow tables. A tenant deploy or
 edit builds the requested topology once: admission reads the topology
-the controller builds.
+the controller builds, and still rejects an over-quota request for its
+quota first.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
 
 from repro.core.controller.config import TopologyConfig
 from repro.openflow.actions import WriteMetadata
 from repro.telemetry import metrics
 from repro.tenancy import TenantQuota, TestbedService, build_pool_for_tenants
+from repro.util.errors import AdmissionError, ConfigurationError
 from tests.tenancy.conftest import SPEC, run_op
 
 SESSIONS = 300
@@ -124,5 +130,32 @@ def test_a_tenant_deploy_and_edit_each_build_once():
             service, "reconfigure", "t", name=deployment.name, config=_chain(4)
         )
         assert _links_built() - before == chain4
+    finally:
+        service.shutdown()
+
+
+def test_the_host_port_quota_goes_before_other_refusals():
+    """An over-quota request is rejected for the quota, touching
+    nothing, although its preparation fails for another reason (an
+    unknown routing name); within the quota that reason surfaces."""
+    service = _service()
+    try:
+        service.open_session("t", TenantQuota(host_ports=4, tcam_share=2000))
+        tables = lambda: {n: sw.entry_keys() for n, sw in service.cluster.switches.items()}
+        bad = lambda n: replace(_chain(n), routing="no-such-routing")
+        before = tables()
+        with pytest.raises(AdmissionError, match="host ports"):
+            run_op(service, "deploy", "t", config=bad(5))
+        with pytest.raises(ConfigurationError, match="no-such-routing"):
+            run_op(service, "deploy", "t", config=bad(3))
+        assert tables() == before
+
+        deployment = run_op(service, "deploy", "t", config=_chain(3))
+        before = tables()
+        with pytest.raises(AdmissionError, match="host ports"):
+            run_op(service, "reconfigure", "t", name=deployment.name, config=bad(5))
+        with pytest.raises(ConfigurationError, match="no-such-routing"):
+            run_op(service, "reconfigure", "t", name=deployment.name, config=bad(4))
+        assert tables() == before
     finally:
         service.shutdown()
