@@ -22,8 +22,8 @@ mutates the data plane — ``deploy``, ``deploy_prepared``, ``edit``
 change, calls the shared stages, and updates its own books. Each stage
 is written once (DESIGN.md §4b has the per-entry-point table):
 
-1. **unpack + vet** — :func:`_unpack` (:func:`_unpack_edit` for an
-   edit),
+1. **request + vet** — :meth:`SDTController.request` (the topology,
+   built or spliced once per operation),
    :meth:`SDTController._routes_for`, :func:`_vet` (Deadlock Avoidance
    for lossless installs);
 2. **stage** — :meth:`SDTController._stage_generation` stages a
@@ -130,47 +130,22 @@ def _stage(name: str, fn: Callable, *args, **kwargs):
         sp.close()
 
 
-# --- the mutation pipeline: unpack + vet -----------------------------------
-def _unpack(
-    config: TopologyConfig | Topology,
-) -> tuple[Topology, TopologyConfig | None, str, bool]:
-    """``(topology, config, routing strategy, lossless)`` of a request;
-    a bare :class:`Topology` takes the config defaults."""
-    if isinstance(config, Topology):
-        return config, None, "auto", True
-    topology = _stage("topology.build", config.build)
-    return topology, config, config.routing, config.lossless
+# --- the mutation pipeline: request + vet ----------------------------------
+@dataclass(frozen=True)
+class Request:
+    """What one operation asks for, built once
+    (:meth:`SDTController.request`): every staging the operation tries
+    reads it, and so does tenant admission."""
 
-
-def _unpack_edit(
-    config: TopologyConfig | Topology, live: Topology
-) -> tuple[Topology, TopologyDiff, TopologyConfig | None, str, bool] | None:
-    """:func:`_unpack` for an edit of the topology ``live``, with the
-    diff from ``live`` — or None when a node changed kind, which no
-    incremental edit can follow. A custom config whose surviving links
-    keep their live order is diffed off its lists and spliced from
-    ``live`` (:meth:`TopologyConfig.splice`), so only what the edit
-    changes is constructed; any other request is built whole and
-    diffed. A topology the builder refuses raises either way."""
-    if isinstance(config, Topology):
-        topology, cfg, strategy, lossless = _unpack(config)
-        diff = None
-    else:
-        cfg, strategy, lossless = config, config.routing, config.lossless
-        try:
-            diff = _stage("topology.diff", config.diff_from, live)
-        except TopologyError:
-            return None
-        if diff is None:
-            topology = _stage("topology.build", config.build)
-        else:
-            topology = _stage("topology.build", config.splice, live, diff)
-    if diff is None:
-        try:
-            diff = _stage("topology.diff", diff_topologies, live, topology)
-        except TopologyError:
-            return None
-    return topology, diff, cfg, strategy, lossless
+    topology: Topology
+    config: TopologyConfig | None
+    #: the routing name asked for ("auto" for a bare topology)
+    routing: str
+    lossless: bool
+    #: the diff from the live topology an edit replaces; None for a
+    #: deploy, or when a node changed kind, which no incremental edit
+    #: can follow
+    diff: TopologyDiff | None = None
 
 
 def _vet(routes: RouteTable, lossless: bool) -> RouteTable:
@@ -442,12 +417,16 @@ class SDTController:
         if deployment not in self.deployments:
             raise ConfigurationError(f"{deployment.name!r} is not deployed")
 
-    def _require_free_cookie(self, cookie: int) -> None:
-        """Cookie-disjointness across live deployments is the foundation
-        of every isolation guarantee (cookie deletes, per-tenant
-        ledgers, the multi-tenant verifier), so a cookie reuse is
-        refused as a hard error rather than silently merging two
-        deployments' rules."""
+    def _free_cookie(self, cookie: int | None) -> int:
+        """The cookie a new generation takes: the controller's next one
+        (``cookie`` None), or ``cookie`` once no live deployment holds
+        it. Cookie-disjointness across live deployments is the
+        foundation of every isolation guarantee (cookie deletes,
+        per-tenant ledgers, the multi-tenant verifier), so a cookie
+        reuse is refused as a hard error rather than silently merging
+        two deployments' rules."""
+        if cookie is None:
+            return self._next_cookie
         holder = next(
             (d.name for d in self.deployments if d.cookie == cookie), None
         )
@@ -456,6 +435,7 @@ class SDTController:
                 f"cookie {cookie} already tags live deployment {holder!r}; "
                 "coexisting deployments need disjoint cookies"
             )
+        return cookie
 
     def _projector(self, exclude: set | None = None) -> LinkProjection:
         excl = self._occupied() if exclude is None else exclude
@@ -477,30 +457,18 @@ class SDTController:
         )
 
     # --- Topology Customization: checking function ----------------------
-    def check(self, config: TopologyConfig) -> list[str]:
-        """Validate a config against the wiring; returns deficiency
-        messages (empty = deployable)."""
-        topology = config.build()
+    def check(self, config: TopologyConfig | Request) -> list[str]:
+        """Validate a config against the wiring, then pre-estimate its
+        flow-entry demand against the switch TCAMs (§VII-C); returns
+        deficiency messages (empty = deployable)."""
+        req = self.request(config)
         projector = self._projector()
-        partition, problems = projector.check(topology)
+        partition, problems = projector.check(req.topology)
         if problems:
             return problems  # port deficits make projection moot
-        projection = projector.project(topology, partition)
-        problems.extend(
-            self._flow_capacity_problems(topology, config, projection)
-        )
-        return problems
-
-    def _flow_capacity_problems(
-        self,
-        topology: Topology,
-        config: TopologyConfig,
-        projection: ProjectionResult,
-    ) -> list[str]:
-        """§VII-C: pre-estimate flow-entry demand against switch TCAMs."""
-        routes = self._routes_for(topology, config.routing)
+        projection = projector.project(req.topology, partition)
+        routes = self._routes_for(req.topology, req.routing)
         rules = self._synthesize(projection, routes, cookie=0)
-        problems = []
         for name, count in rules.per_switch_counts().items():
             sw = self.cluster.switches[name]
             if count > sw.free_entries:
@@ -539,10 +507,48 @@ class SDTController:
             unchanged=unchanged,
         )
 
+    # --- the mutation pipeline: request ------------------------------------
+    def request(
+        self,
+        config: TopologyConfig | Topology | Request,
+        live: Topology | None = None,
+    ) -> Request:
+        """The :class:`Request` ``config`` makes, its topology built
+        once; for an edit of the topology ``live``, with the diff from
+        ``live``. A custom config whose surviving links keep their live
+        order is diffed off its lists and spliced from ``live``
+        (:meth:`TopologyConfig.splice`), so only what the edit changes
+        is constructed; any other request is built whole and diffed. A
+        bare :class:`Topology` takes the config defaults, a
+        :class:`Request` is returned as it is, and a topology the
+        builder refuses raises."""
+        if isinstance(config, Request):
+            return config
+        diff = None
+        if isinstance(config, Topology):
+            topology, cfg, routing, lossless = config, None, "auto", True
+        else:
+            cfg, routing, lossless = config, config.routing, config.lossless
+            if live is not None:
+                try:
+                    diff = _stage("topology.diff", config.diff_from, live)
+                except TopologyError:
+                    live = None  # a node changed kind
+            if diff is None:
+                topology = _stage("topology.build", config.build)
+            else:
+                topology = _stage("topology.build", config.splice, live, diff)
+        if live is not None and diff is None:
+            try:
+                diff = _stage("topology.diff", diff_topologies, live, topology)
+            except TopologyError:
+                pass  # a node changed kind
+        return Request(topology, cfg, routing, lossless, diff)
+
     # --- preparation (pure: no hardware mutation except optics) ----------
     def prepare(
         self,
-        config: TopologyConfig | Topology,
+        config: TopologyConfig | Topology | Request,
         *,
         routes: RouteTable | None = None,
         active_hosts: list[str] | None = None,
@@ -561,19 +567,31 @@ class SDTController:
         namespaces; a cookie already owned by a live deployment is
         refused here, before any rule is synthesized against it.
         """
-        if cookie is None:
-            cookie = self._next_cookie
-        else:
-            self._require_free_cookie(cookie)
-        topology, cfg, strategy, lossless = _unpack(config)
+        cookie = self._free_cookie(cookie)
+        req = self.request(config)
         routes_strategy = None
         if routes is None:
-            routes = self._routes_for(topology, strategy)
-            routes_strategy = strategy
-        _vet(routes, lossless)
+            routes = self._routes_for(req.topology, req.routing)
+            routes_strategy = req.routing
+        _vet(routes, req.lossless)
+        return self._prepared(
+            req, routes, routes_strategy, active_hosts, exclude, cookie
+        )
 
+    def _prepared(
+        self,
+        req: Request,
+        routes: RouteTable,
+        routes_strategy: str | None,
+        active_hosts: list[str] | None,
+        exclude: set | None,
+        cookie: int,
+    ) -> Prepared:
+        """Project a request along its vetted ``routes`` and synthesize
+        its rules — what each cold staging of an edit does again, since
+        its wiring exclusions differ."""
         usage = (
-            route_usage(topology, routes, active_hosts)
+            route_usage(req.topology, routes, active_hosts)
             if active_hosts is not None
             else None
         )
@@ -581,23 +599,23 @@ class SDTController:
         projector = self._projector(exclude)
         if self.optical is None:
             projection = _stage(
-                "projection.project", projector.project, topology, usage=usage
+                "projection.project", projector.project, req.topology, usage=usage
             )
         else:
             projection, hybrid_plan, optical_time = _stage(
                 "projection.project",
                 HybridLinkProjection(projector, self.optical).project,
-                topology,
+                req.topology,
                 usage=usage,
             )
         return Prepared(
-            config=cfg,
-            topology=topology,
+            config=req.config,
+            topology=req.topology,
             routes=routes,
             projection=projection,
             rules=self._synthesize(projection, routes, cookie),
             cookie=cookie,
-            lossless=lossless,
+            lossless=req.lossless,
             hybrid_plan=hybrid_plan,
             optical_time=optical_time,
             routes_strategy=routes_strategy,
@@ -605,7 +623,7 @@ class SDTController:
 
     def _register(self, prep: Prepared, deployment_time: float) -> Deployment:
         """Adopt a committed preparation as a live deployment."""
-        self._require_free_cookie(prep.cookie)
+        self._free_cookie(prep.cookie)
         deployment = Deployment(
             config=prep.config,
             topology=prep.topology,
@@ -697,7 +715,7 @@ class SDTController:
         m.rules = prep.rules.count()
         # _register re-checks, but catching a collision before the
         # commit keeps the reject zero-mutation
-        self._require_free_cookie(prep.cookie)
+        self._free_cookie(prep.cookie)
         txn = self._stage_generation(
             f"deploy {prep.topology.name}", prep.rules
         )
@@ -780,7 +798,7 @@ class SDTController:
     def edit(
         self,
         old: Deployment,
-        config: TopologyConfig | Topology,
+        config: TopologyConfig | Topology | Request,
         *,
         active_hosts: list[str] | None = None,
         exclude: set | frozenset = frozenset(),
@@ -791,14 +809,29 @@ class SDTController:
         reconfigure path, for one user (:meth:`reconfigure`) and for
         many (the tenant service). Returns (deployment, modeled time).
 
+        The edit plans once: its request is built once (a
+        :class:`Request` made against ``old.topology`` is taken as it
+        is), and its route table is built and vetted once — repaired
+        from ``old``'s when the live table is the requested strategy's
+        own output (:attr:`Deployment.routes_strategy`), built whole
+        otherwise. Every staging it then tries reads that plan.
+
         The edit is incremental when it can be (DESIGN.md §5b): only the
         rule delta is pushed and the deployment keeps its cookie. When
         it cannot, it is a cold generation swap of ``old`` alone, under
         the update-discipline policy: make-before-break projects the new
         topology alongside the live deployments, break-before-make
-        re-prepares on ``old``'s freed wiring and optics. Either way it
-        is one transaction, and a failure leaves ``old`` live with every
-        switch rolled back.
+        projects it again on ``old``'s freed wiring and optics. Either
+        way it is one transaction, and a failure leaves ``old`` live
+        with every switch rolled back.
+
+        It is cold from the start for a pruned edit (``active_hosts``
+        or a pruned ``old``), with optics in play, with link failures
+        marked, with per-flow overrides installed (they live outside
+        ``rules``, a delta swap would strand them) or when a node
+        changed kind. A taken ``cookie`` is refused before anything
+        else when the edit is cold from the start, and before routing
+        when its diff turns it cold.
 
         ``exclude`` adds wiring resources the new generation may not
         claim (a tenant's host ports outside its lease); ``cookie`` is
@@ -812,12 +845,42 @@ class SDTController:
         """
         self._require_live(old)
         with self.mutation("reconfigure") as m:
-            deployment = self._reconfigure_incremental(
-                old, config, active_hosts, exclude, admit, m
+            cold = bool(
+                active_hosts is not None
+                or old.projection.usage is not None
+                or old.hybrid_plan is not None
+                or self.optical is not None
+                or old.failed_links
+                or old.flow_overrides
+            )
+            if cold:  # a taken cookie is refused first, as prepare does
+                self._free_cookie(cookie)
+            req = self.request(config, None if cold else old.topology)
+            if not cold and req.diff is None:  # a node changed kind
+                cold = True
+                self._free_cookie(cookie)
+
+            # the table, and the switches whose route entries moved when
+            # only they did
+            repaired = None
+            if not cold and old.routes_strategy is not None:
+                rule = strategy_for(req.topology, req.routing)
+                if rule is strategy_for(old.topology, old.routes_strategy):
+                    repaired = _stage(
+                        "routing.routes", repair_routes,
+                        old.routes, req.topology, req.diff, rule,
+                    )
+            routes, moved = repaired or (
+                self._routes_for(req.topology, req.routing), None
+            )
+            _vet(routes, req.lossless)
+
+            deployment = None if cold else self._reconfigure_incremental(
+                old, req, routes, moved, exclude, admit, m
             )
             if deployment is None:
                 deployment = self._reconfigure_cold(
-                    old, config, active_hosts, exclude, cookie, admit, m
+                    old, req, routes, active_hosts, exclude, cookie, admit, m
                 )
             m.span.set("topology", deployment.name)
         return deployment, m.modeled_time
@@ -825,15 +888,17 @@ class SDTController:
     def _reconfigure_cold(
         self,
         old: Deployment,
-        config: TopologyConfig | Topology,
+        req: Request,
+        routes: RouteTable,
         active_hosts: list[str] | None,
         exclude: set | frozenset,
         cookie: int | None,
         admit: Callable[[ControlTransaction, Prepared], None] | None,
         m: Mutation,
     ) -> Deployment:
-        """Swap a whole generation: ``old``'s cookie delete against a
-        freshly prepared topology."""
+        """Swap a whole generation: ``old``'s cookie delete against the
+        request projected and synthesized afresh for each staging."""
+        cookie = self._free_cookie(cookie)
         prep: Prepared | None = None
 
         def stage(make_first: bool) -> ControlTransaction:
@@ -848,11 +913,8 @@ class SDTController:
                 m.optical_release += self._release_optics(old.hybrid_plan)
             # make-before-break projects alongside the live deployment
             occupied = self._occupied(but=None if make_first else old)
-            prep = self.prepare(
-                config,
-                active_hosts=active_hosts,
-                exclude=occupied | exclude,
-                cookie=cookie,
+            prep = self._prepared(
+                req, routes, req.routing, active_hosts, occupied | exclude, cookie
             )
             return self._stage_generation(
                 f"reconfigure {prep.topology.name}",
@@ -880,21 +942,21 @@ class SDTController:
     def _reconfigure_incremental(
         self,
         old: Deployment,
-        config: TopologyConfig | Topology,
-        active_hosts: list[str] | None,
+        req: Request,
+        routes: RouteTable,
+        moved: frozenset[str] | None,
         exclude: set | frozenset,
         admit: Callable[[ControlTransaction, Prepared], None] | None,
         m: Mutation,
     ) -> Deployment | None:
-        """Try the O(changed links) reconfiguration path (DESIGN.md §5b).
+        """Try the O(changed links) reconfiguration path (DESIGN.md §5b)
+        along the request's diff from the live topology and its vetted
+        ``routes``.
 
-        Diffs the live topology against the requested one (splicing the
-        edited topology from the live one when the request keeps its
-        link order, :func:`_unpack_edit`), re-projects only the changed
-        links (placement stability keeps every surviving sub-switch on
-        its physical switch, ports and metadata tag included; every
-        other sub-switch is carried over unvisited), re-synthesizes
-        rules against the live generation
+        Re-projects only the changed links (placement stability keeps
+        every surviving sub-switch on its physical switch, ports and
+        metadata tag included; every other sub-switch is carried over
+        unvisited), re-synthesizes rules against the live generation
         (unchanged sub-switches get their block back), and stages only
         the FlowMod/strict-FlowDelete *delta* against live switch
         state — keeping the deployment's cookie,
@@ -902,54 +964,22 @@ class SDTController:
         Added links may claim no resource another deployment holds, nor
         any in ``exclude``.
 
-        When the live routes are a strategy's own output
-        (:attr:`Deployment.routes_strategy`, not ``config.routing``: a
-        route update installs any table) and the requested routing
-        resolves to that same strategy, the routes are repaired from the
-        live table (:func:`~repro.routing.strategies.repair_routes`) and
-        synthesis resolves only the sub-switches whose routes moved or
-        whose projection changed; every other sub-switch keeps its block
-        unresolved (:func:`~repro.core.rules.unchanged_blocks`). A
-        change of strategy, or an edit the repair cannot take (a node
-        added or removed, say), recomputes every route through the
-        Routing Strategy module and resolves every sub-switch.
+        ``moved`` is the set of switches whose route entries moved when
+        ``routes`` is a repair of the live table
+        (:func:`~repro.routing.strategies.repair_routes`): synthesis
+        then resolves only the sub-switches whose routes moved or whose
+        projection changed, and every other sub-switch keeps its block
+        unresolved (:func:`~repro.core.rules.unchanged_blocks`). None
+        (a change of strategy, or an edit the repair cannot take)
+        resolves every sub-switch.
 
         Returns ``None`` when the edit cannot be applied incrementally,
-        and the caller runs the cold swap instead: pruned deployments,
-        optics in play, active link failures, installed per-flow
-        overrides (they live outside ``rules``, a delta swap would
-        strand them), incompatible node edits, added links that the
+        and the caller runs the cold swap instead: added links that the
         free wiring cannot host without re-placing survivors, or a
         delta that does not fit (the flow tables' or ``admit``'s
         ``CapacityError``).
         """
-        if (
-            active_hosts is not None
-            or old.projection.usage is not None
-            or old.hybrid_plan is not None
-            or self.optical is not None
-            or old.failed_links
-            or old.flow_overrides
-        ):
-            return None
-        unpacked = _unpack_edit(config, old.topology)
-        if unpacked is None:
-            return None
-        topology, diff, cfg, strategy, lossless = unpacked
-
-        # the table and the switches whose route entries moved, when
-        # only they did
-        repaired = None
-        rule = strategy_for(topology, strategy)
-        if old.routes_strategy is not None and rule is strategy_for(
-            old.topology, old.routes_strategy
-        ):
-            repaired = _stage(
-                "routing.routes", repair_routes, old.routes, topology, diff, rule
-            )
-        routes, moved = repaired or (self._routes_for(topology, strategy), None)
-        _vet(routes, lossless)
-
+        topology, diff = req.topology, req.diff
         partition = _stage(
             "partition.extend", extend_partition, old.projection.partition, topology
         )
@@ -974,7 +1004,7 @@ class SDTController:
                 old.projection, old.rules, projection, moved, old.cookie
             )
         prep = Prepared(
-            config=cfg,
+            config=req.config,
             topology=topology,
             routes=routes,
             projection=projection,
@@ -982,10 +1012,10 @@ class SDTController:
                 projection, routes, old.cookie, old.rules, unchanged
             ),
             cookie=old.cookie,
-            lossless=lossless,
+            lossless=req.lossless,
             hybrid_plan=None,
             optical_time=0.0,
-            routes_strategy=strategy,
+            routes_strategy=req.routing,
         )
         with trace.span("openflow.stage"):
             txn = ControlTransaction(
@@ -1021,13 +1051,13 @@ class SDTController:
         # partitioner from scratch
         self.partition_cache.seed(topology, partition, seed=self.seed)
         self._next_metadata += len(diff.added_switches)
-        old.config = cfg
+        old.config = req.config
         old.topology = topology
         old.projection = projection
         old.routes = routes
-        old.routes_strategy = strategy
+        old.routes_strategy = req.routing
         old.rules = prep.rules
-        old.lossless = lossless
+        old.lossless = req.lossless
         old.deployment_time = self._estimated_install_time(prep.rules)
 
         m.strategy = MAKE_BEFORE_BREAK

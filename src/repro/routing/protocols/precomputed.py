@@ -61,8 +61,19 @@ class PrecomputedProtocol(RoutingProtocol):
 
     name = "precomputed"
 
+    def __init__(self, *, seed: int = 0) -> None:
+        super().__init__(seed=seed)
+        #: the last topology routed and its table: a cell's config
+        #: summary and its initial routes read one table
+        self._routed: tuple[Topology, RouteTable] | None = None
+
+    def _routes(self, topology: Topology) -> RouteTable:
+        if self._routed is None or self._routed[0] is not topology:
+            self._routed = (topology, routes_for(topology))
+        return self._routed[1]
+
     def generate_config(self, topology: Topology) -> dict[str, dict]:
-        routes = routes_for(topology)
+        routes = self._routes(topology)
         per_switch = _per_switch(routes)
         return {
             switch: {
@@ -75,7 +86,7 @@ class PrecomputedProtocol(RoutingProtocol):
 
     def initial_routes(self, topology: Topology) -> RoutingOutcome:
         strategy = strategy_for(topology)
-        routes = strategy(topology)
+        routes = self._routes(topology)
         time, flow_mods = modeled_push_time(routes)
         return RoutingOutcome(
             routes=routes,

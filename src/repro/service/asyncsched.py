@@ -91,7 +91,7 @@ class AsyncScheduler:
             retry = self.retry_after(depth)
             metrics.registry().counter(
                 "sdt_service_backpressure_total"
-            ).inc(1, tenant=op.tenant_id, kind=op.kind)
+            ).inc(1, kind=op.kind)
             raise BackpressureError(
                 f"service queue is full ({depth}/{self.max_pending} "
                 f"operations pending); retry in {retry:.2f}s",

@@ -7,6 +7,9 @@ installed — not an estimate — and guarantees **zero mutation on
 reject**: a refused request leaves every flow table bit-identical to
 before it arrived, because
 
+* a request is built once (:meth:`AdmissionController.admit_request`)
+  and its host-port quota checked on that topology, before anything is
+  routed, projected or synthesized;
 * a deploy is vetted on its preparation
   (:meth:`~repro.core.controller.controller.SDTController.prepare`),
   which is pure — projection and rule synthesis touch no hardware —
@@ -36,6 +39,7 @@ from repro.core.controller.config import TopologyConfig
 from repro.core.controller.controller import (
     Deployment,
     Prepared,
+    Request,
     SDTController,
 )
 from repro.hardware.wiring import HostPort
@@ -48,7 +52,6 @@ from repro.util.errors import (
     CapacityError,
     ConfigurationError,
     ProjectionError,
-    ReproError,
 )
 
 
@@ -60,60 +63,77 @@ class AdmissionController:
         self.controller = controller
 
     # --- public API -----------------------------------------------------
+    def admit_request(
+        self,
+        session: TenantSession,
+        config: TopologyConfig | Topology,
+        old: Deployment | None = None,
+    ) -> Request:
+        """Build the tenant's request once — an edit of ``old`` (None
+        for a deploy) against ``old``'s topology — and check the
+        host-port quota on it: an over-quota request is rejected for
+        that alone, the reason a tenant can act on, before anything is
+        routed, projected or synthesized."""
+        request = self.controller.request(
+            config, None if old is None else old.topology
+        )
+        freed = 0
+        if old is not None:  # the edited deployment's host ports
+            freed = sum(
+                1
+                for r in old.projection.link_realization.values()
+                if isinstance(r, HostPort)
+            )
+        used = session.host_ports_used() - freed
+        needed = len(request.topology.hosts)
+        if used + needed > session.quota.host_ports:
+            self.reject(session, [
+                f"needs {needed} host ports, {used} of the "
+                f"{session.quota.host_ports}-port quota already bound"
+            ])
+        return request
+
     def admit_deploy(
         self, session: TenantSession, config: TopologyConfig | Topology
     ) -> Prepared:
         """Validate a fresh deployment; returns the admitted preparation
         (install it with ``deploy_prepared``) or raises
-        :class:`AdmissionError` having touched nothing. The checks read
-        the preparation's topology: the request is built once. The
-        host-port quota goes first: an over-quota request is rejected
-        with it alone, whatever else its preparation fails on."""
+        :class:`AdmissionError` having touched nothing. The host-port
+        quota goes first (:meth:`admit_request`); the preparation reads
+        the same request."""
         with trace.span(
             "tenant.admission", tenant=session.tenant_id, op="deploy"
         ) as sp:
+            # one cookie per request, refused or not
+            cookie = session.next_cookie()
+            request = self.admit_request(session, config)
+            sp.set("topology", request.topology.name)
             try:
                 prep = self.controller.prepare(
-                    config,
+                    request,
                     exclude=self.controller._occupied()
                     | self.foreign_host_ports(session),
-                    cookie=session.next_cookie(),
+                    cookie=cookie,
                 )
-            except ReproError as exc:
-                self.refuse(session, config, exc)
-            sp.set("topology", prep.topology.name)
-            problems = self._host_port_problems(session, prep.topology, None)
-            if not problems:
-                problems = self._steady_problems(session, prep, old=None)
-                try:
-                    self.controller._stage_generation(
-                        f"admission {session.tenant_id}", prep.rules
-                    ).validate()
-                except CapacityError as exc:
-                    problems.append(str(exc))
+            except ProjectionError as exc:
+                self.refuse(session, exc)
+            problems = self._steady_problems(session, prep, old=None)
+            try:
+                self.controller._stage_generation(
+                    f"admission {session.tenant_id}", prep.rules
+                ).validate()
+            except CapacityError as exc:
+                problems.append(str(exc))
             if problems:
                 self.controller.release_preparation(prep)
                 self.reject(session, problems)
-            self._count(session, admitted=True)
+            self._count(admitted=True)
             return prep
 
-    def refuse(
-        self,
-        session: TenantSession,
-        config: TopologyConfig | Topology,
-        exc: Exception,
-        old: Deployment | None = None,
-    ) -> NoReturn:
-        """Fail a request whose preparation raised ``exc``, which
-        replaces ``old`` (None for a deploy). A request over the
-        host-port quota is rejected for that — the reason a tenant can
-        act on — and so is one no staging could place (the wiring's or
-        the flow tables' refusal); anything else re-raises ``exc``."""
-        topology = config if isinstance(config, Topology) else config.build()
-        problems = self._host_port_problems(session, topology, old)
-        if problems or isinstance(exc, ProjectionError):
-            self.reject(session, problems or [str(exc)])
-        raise exc
+    def refuse(self, session: TenantSession, exc: ProjectionError) -> NoReturn:
+        """Reject a request no staging could place: the wiring's or the
+        flow tables' refusal ``exc``, as :class:`AdmissionError`."""
+        self.reject(session, [str(exc)])
 
     def admit_swap(
         self,
@@ -134,17 +154,15 @@ class AdmissionController:
         additions, or both generations under make-before-break) refuses
         only this staging, with ``CapacityError``; the edit goes on to
         the next one, and break-before-make never peaks above the
-        steady state. The host-port quota is checked first, then
-        whether the tenant already deploys the topology under another
-        name (ConfigurationError abandons the edit).
+        steady state. Whether the tenant already deploys the topology
+        under another name is checked first (ConfigurationError
+        abandons the edit); the host-port quota went before the edit
+        began (:meth:`admit_request`).
         """
         with trace.span(
             "tenant.admission", tenant=session.tenant_id, op="swap"
         ) as sp:
             sp.set("topology", prep.topology.name)
-            problems = self._host_port_problems(session, prep.topology, old)
-            if problems:
-                self.reject(session, problems)
             if prep.topology.name != old.name and (
                 prep.topology.name in session.deployments
             ):
@@ -168,7 +186,7 @@ class AdmissionController:
                     )
             if over:
                 raise CapacityError("; ".join(over))
-            self._count(session, admitted=True)
+            self._count(admitted=True)
 
     def foreign_host_ports(self, session: TenantSession) -> set:
         """Every wired host port outside the tenant's lease — the lease
@@ -183,7 +201,7 @@ class AdmissionController:
     def reject(self, session: TenantSession, problems: list[str]) -> NoReturn:
         """Refuse the tenant's request: always raises
         :class:`AdmissionError`."""
-        self._count(session, admitted=False)
+        self._count(admitted=False)
         raise AdmissionError(
             f"tenant {session.tenant_id!r} request rejected: "
             + "; ".join(problems),
@@ -226,33 +244,9 @@ class AdmissionController:
         return problems
 
     @staticmethod
-    def _host_port_problems(
-        session: TenantSession, topology: Topology, old: Deployment | None
-    ) -> list[str]:
-        """The host-port quota once ``topology`` has replaced ``old``
-        (None for a deploy), whose host ports count as freed."""
-        freed = 0
-        if old is not None:
-            freed = sum(
-                1
-                for r in old.projection.link_realization.values()
-                if isinstance(r, HostPort)
-            )
-        used = session.host_ports_used() - freed
-        needed = len(topology.hosts)
-        if used + needed > session.quota.host_ports:
-            return [
-                f"needs {needed} host ports, {used} of the "
-                f"{session.quota.host_ports}-port quota already bound"
-            ]
-        return []
-
-    @staticmethod
-    def _count(session: TenantSession, *, admitted: bool) -> None:
+    def _count(*, admitted: bool) -> None:
         metrics.registry().counter("tenant_admission_total").inc(
-            1,
-            tenant=session.tenant_id,
-            decision="admitted" if admitted else "rejected",
+            1, decision="admitted" if admitted else "rejected"
         )
 
 

@@ -39,7 +39,7 @@ from repro.tenancy.session import (
     TenantSession,
 )
 from repro.topology.graph import Topology
-from repro.util.errors import AdmissionError, ConfigurationError, ReproError
+from repro.util.errors import AdmissionError, ConfigurationError, ProjectionError
 
 ConfigLike = TopologyConfig | Topology
 
@@ -102,22 +102,13 @@ class TestbedService:
             reg.gauge("tenant_host_ports_leased").set(
                 len(lease), tenant=tenant_id
             )
-            reg.gauge("tenant_sessions_active").set(
-                sum(
-                    1
-                    for s in self.sessions.values()
-                    if s.state == SESSION_ACTIVE
-                )
-            )
+            reg.gauge("tenant_sessions_active").set(len(self._active()))
             return session
 
     def _allocate_lease(
         self, tenant_id: str, count: int
     ) -> tuple[HostPort, ...]:
-        taken: set[HostPort] = set()
-        for s in self.sessions.values():
-            if s.state == SESSION_ACTIVE:
-                taken.update(s.lease)
+        taken = {hp for s in self._active() for hp in s.lease}
         free_by_switch: dict[str, list[HostPort]] = {}
         for hp in self.cluster.wiring.host_ports:
             if hp not in taken:
@@ -231,13 +222,11 @@ class TestbedService:
                 "tenant_deployments",
             ):
                 reg.gauge(gauge).remove(tenant=tenant_id)
-            reg.gauge("tenant_sessions_active").set(
-                sum(
-                    1
-                    for s in self.sessions.values()
-                    if s.state == SESSION_ACTIVE
+            for name in self.cluster.switches:
+                reg.gauge("tenant_tcam_entries").remove(
+                    tenant=tenant_id, switch=name
                 )
-            )
+            reg.gauge("tenant_sessions_active").set(len(self._active()))
             self._verify()
 
     def _session(self, tenant_id: str) -> TenantSession:
@@ -312,21 +301,20 @@ class TestbedService:
                 raise ConfigurationError(
                     f"tenant {tenant_id!r} has no deployment {name!r}"
                 )
+            cookie = session.next_cookie()  # one per request, refused or not
+            request = self.admission.admit_request(session, config, old)
             try:
                 deployment, _ = self.controller.edit(
                     old,
-                    config,
+                    request,
                     exclude=self.admission.foreign_host_ports(session),
-                    cookie=session.next_cookie(),
+                    cookie=cookie,
                     admit=partial(self.admission.admit_swap, session, old),
                 )
-            except AdmissionError:
-                raise
-            except ReproError as exc:
-                # over the host-port quota, or no staging fits (wiring,
-                # flow tables or the tenant's share): refused before the
-                # commit touched a switch; anything else re-raises
-                self.admission.refuse(session, config, exc, old)
+            except ProjectionError as exc:
+                # no staging fits (wiring, flow tables or the tenant's
+                # share): refused before the commit touched a switch
+                self.admission.refuse(session, exc)
             del session.deployments[name]
             session.deployments[deployment.name] = deployment
             self._after_commit(session)
@@ -355,11 +343,12 @@ class TestbedService:
         )
         self._verify()
 
+    def _active(self) -> list[TenantSession]:
+        return [s for s in self.sessions.values() if s.state == SESSION_ACTIVE]
+
     def _verify(self) -> None:
         """Re-prove cross-tenant isolation against actual switch state."""
-        self.verifier.verify(
-            [s for s in self.sessions.values() if s.state == SESSION_ACTIVE]
-        )
+        self.verifier.verify(self._active())
 
     # --- observability ----------------------------------------------------
     def status(self) -> dict:

@@ -120,3 +120,27 @@ def test_render_report_mentions_protocols_and_failures(tmp_path):
     assert "distvec" in text and "precomputed" in text
     assert "lossy" in text and "ideal" in text
     assert "4/4 cells ok" in text
+
+
+def test_a_precomputed_cell_builds_its_route_table_once(monkeypatch):
+    """The cell's config summary and its initial routes read one table:
+    every smoke cell of the precomputed protocol routes its topology
+    once (its repair is a different table)."""
+    from repro.campaign import smoke_spec
+    from repro.campaign.runner import run_cell
+    from repro.routing import strategies
+
+    built = []
+    build_routes = strategies.build_routes
+
+    def counting(topology, strategy, *args, **kwargs):
+        built.append(strategy.name)
+        return build_routes(topology, strategy, *args, **kwargs)
+
+    monkeypatch.setattr(strategies, "build_routes", counting)
+    cells = [c for c in smoke_spec().expand() if c.protocol == "precomputed"]
+    assert cells
+    for cell in cells:
+        built.clear()
+        assert run_cell(cell)["status"] == "ok"
+        assert built == ["shortest-path"], cell.cell_id

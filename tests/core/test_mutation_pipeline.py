@@ -574,3 +574,77 @@ def test_an_incremental_edit_traces_its_delta_under_openflow_stage(registry):
     assert [
         s["name"] for s in tracer.spans() if s["parent"] == stage["id"]
     ] == ["rules.split_delta", "openflow.stage_delta"]
+
+
+# --- one request per operation ------------------------------------------------
+
+def _links_built(reg: MetricsRegistry) -> float:
+    counter = reg.get("sdt_topology_links_built_total")
+    return 0.0 if counter is None else counter.value()
+
+
+def test_a_cold_edit_builds_routes_and_vets_its_topology_once(registry):
+    """A fat-tree k=4 → 4×4 torus edit tries the incremental path, then
+    make-before-break, then commits break-before-make: the torus is
+    built, routed and vetted once for all three."""
+    rig = pure_rig()
+    rig.controller.deploy(TopologyConfig("fat-tree", {"k": 4}))
+    torus_links = len(TORUS44.build().links)
+    before = _links_built(registry)
+    tracer = install_tracer(Tracer())
+    try:
+        rig.controller.reconfigure(TORUS44)
+    finally:
+        uninstall_tracer()
+    assert rig.controller.last_commit_strategy == BREAK_BEFORE_MAKE
+    assert _links_built(registry) - before == torus_links == 48
+    (root,) = tracer.spans("controller.reconfigure")
+    stages = Counter(
+        s["name"] for s in tracer.spans() if s["parent"] == root["id"]
+    )
+    assert stages["topology.build"] == 1
+    assert stages["routing.routes"] == 1
+    assert stages["routing.deadlock"] == 1
+
+
+@pytest.fixture()
+def quota_service():
+    pool = build_pool_for_tenants(
+        [CHAIN9.build(), CHAIN9.build()], 2, TIGHT, spare_hosts=4
+    )
+    svc = TestbedService(pool)
+    svc.open_session("t", TenantQuota(host_ports=4, tcam_share=100))
+    yield svc
+    svc.shutdown()
+
+
+def test_an_over_quota_tenant_request_builds_once_and_prepares_nothing(
+    quota_service, registry
+):
+    """The host-port quota is read off the requested topology before
+    any routing, projection or synthesis: an over-quota deploy or edit
+    builds its topology once and is refused with the quota alone."""
+    svc = quota_service
+    deployment = run_op(svc, "deploy", "t", config=TopologyConfig(
+        "chain", {"num_switches": 3, "hosts_per_switch": 1}
+    ))
+    chain5_links = len(CHAIN5.build().links)
+    for kind, kwargs, problems in (
+        ("deploy", {}, ["needs 5 host ports, 3 of the 4-port quota already bound"]),
+        ("reconfigure", {"name": deployment.name},
+         ["needs 5 host ports, 0 of the 4-port quota already bound"]),
+    ):
+        before = _links_built(registry)
+        tracer = install_tracer(Tracer())
+        try:
+            with pytest.raises(AdmissionError) as refused:
+                run_op(svc, kind, "t", config=CHAIN5, **kwargs)
+        finally:
+            uninstall_tracer()
+        assert refused.value.problems == problems
+        assert _links_built(registry) - before == chain5_links
+        names = {s["name"] for s in tracer.spans()}
+        assert not names & {
+            "routing.routes", "projection.project", "projection.delta",
+            "rules.synthesize",
+        }, kind

@@ -110,7 +110,7 @@ def test_refused_edit_is_bit_identical(service, tenant, config, problem):
     session, deployment = tenant
     before, books = _tables(service.cluster), _books(service)
     rejected = _counter(
-        "tenant_admission_total", tenant="t", decision="rejected"
+        "tenant_admission_total", decision="rejected"
     )
     with pytest.raises(AdmissionError, match=problem) as refusal:
         run_op(service, "reconfigure", "t", name=deployment.name, config=config)
@@ -119,7 +119,7 @@ def test_refused_edit_is_bit_identical(service, tenant, config, problem):
     assert _books(service) == books
     assert session.deployments == {deployment.name: deployment}
     assert _counter(
-        "tenant_admission_total", tenant="t", decision="rejected"
+        "tenant_admission_total", decision="rejected"
     ) == rejected + 1
 
 

@@ -3,8 +3,9 @@ builds.
 
 A long-running service serves sessions without end. Once the sessions
 it served are over, what it holds for them must be gone: the tenant
-operation counters keep one series per operation kind (and status),
-not one per tenant ever served, and no switch keeps an instruction of
+operation and admission counters keep one series per operation kind
+(status, decision), not one per tenant ever served, an ended tenant's
+per-switch entry gauges go with it, and no switch keeps an instruction of
 a generation it deleted outside its flow tables. A tenant deploy or
 edit builds the requested topology once: admission reads the topology
 the controller builds, and still rejects an over-quota request for its
@@ -101,7 +102,10 @@ def _churn(probe):
 
 
 def test_churned_sessions_leave_no_operation_counter_series():
-    counters = ("tenant_ops_submitted_total", "tenant_ops_finished_total")
+    counters = (
+        "tenant_ops_submitted_total", "tenant_ops_finished_total",
+        "tenant_admission_total", "tenant_tcam_entries",
+    )
     before, after = _churn(lambda _s: {name: _label_sets(name) for name in counters})
     assert after == before
 
