@@ -597,12 +597,17 @@ def _churn_profile(sessions_total: int) -> dict:
         finally:
             await service.stop()
 
+    indexed = "tenant_isolation_projections_indexed_total"
+    before = _counter(indexed)
     wall, storm_record = asyncio.run(drive())
     return {
         "sessions_target": sessions_total,
         **counts,
         "storm": storm_record,
         "final_entries": sum(sw.num_entries for sw in pool.switches.values()),
+        # projections the isolation verifier indexed: each committed
+        # one once, however many commits it stays live across
+        "projections_indexed": int(_counter(indexed) - before),
         "churn_wall_s": wall,
         "sessions_per_s": sessions_total / wall if wall > 0 else 0.0,
         "latency": {
@@ -949,6 +954,7 @@ SUITES: dict[str, Suite] = {
             "evictions": EQ,
             "errors": 0,
             "final_entries": 0,
+            "projections_indexed": EQ,
             "storm.submitted": EQ,
             "storm.accepted": EQ,
             "storm.backpressure_rejected": EQ,

@@ -72,7 +72,7 @@ from repro.core.projection.hybrid import (
     release_circuits,
 )
 from repro.core.projection.linkproj import LinkProjection
-from repro.core.projection.pruning import route_usage
+from repro.core.projection.pruning import UsageSet, route_usage
 from repro.core.rules import (
     RuleSet,
     flow_override,
@@ -155,6 +155,16 @@ def _vet(routes: RouteTable, lossless: bool) -> RouteTable:
     if lossless:
         _stage("routing.deadlock", assert_deadlock_free, routes)
     return routes
+
+
+def _usage(
+    req: Request, routes: RouteTable, active_hosts: list[str] | None
+) -> UsageSet | None:
+    """What route-usage pruning keeps of the request: the links and
+    hosts on ``routes`` between ``active_hosts`` (None: no pruning)."""
+    if active_hosts is None:
+        return None
+    return route_usage(req.topology, routes, active_hosts)
 
 
 # --- the mutation pipeline: update discipline -------------------------------
@@ -575,7 +585,8 @@ class SDTController:
             routes_strategy = req.routing
         _vet(routes, req.lossless)
         return self._prepared(
-            req, routes, routes_strategy, active_hosts, exclude, cookie
+            req, routes, routes_strategy,
+            _usage(req, routes, active_hosts), exclude, cookie,
         )
 
     def _prepared(
@@ -583,18 +594,13 @@ class SDTController:
         req: Request,
         routes: RouteTable,
         routes_strategy: str | None,
-        active_hosts: list[str] | None,
+        usage: UsageSet | None,
         exclude: set | None,
         cookie: int,
     ) -> Prepared:
-        """Project a request along its vetted ``routes`` and synthesize
-        its rules — what each cold staging of an edit does again, since
-        its wiring exclusions differ."""
-        usage = (
-            route_usage(req.topology, routes, active_hosts)
-            if active_hosts is not None
-            else None
-        )
+        """Project a request along its vetted ``routes``, pruned to
+        ``usage``, and synthesize its rules — what each cold staging of
+        an edit does again, since its wiring exclusions differ."""
         hybrid_plan, optical_time = None, 0.0
         projector = self._projector(exclude)
         if self.optical is None:
@@ -880,7 +886,8 @@ class SDTController:
             )
             if deployment is None:
                 deployment = self._reconfigure_cold(
-                    old, req, routes, active_hosts, exclude, cookie, admit, m
+                    old, req, routes, _usage(req, routes, active_hosts),
+                    exclude, cookie, admit, m,
                 )
             m.span.set("topology", deployment.name)
         return deployment, m.modeled_time
@@ -890,14 +897,15 @@ class SDTController:
         old: Deployment,
         req: Request,
         routes: RouteTable,
-        active_hosts: list[str] | None,
+        usage: UsageSet | None,
         exclude: set | frozenset,
         cookie: int | None,
         admit: Callable[[ControlTransaction, Prepared], None] | None,
         m: Mutation,
     ) -> Deployment:
         """Swap a whole generation: ``old``'s cookie delete against the
-        request projected and synthesized afresh for each staging."""
+        request projected and synthesized afresh for each staging (the
+        route usage it is pruned to is the same for every staging)."""
         cookie = self._free_cookie(cookie)
         prep: Prepared | None = None
 
@@ -914,7 +922,7 @@ class SDTController:
             # make-before-break projects alongside the live deployment
             occupied = self._occupied(but=None if make_first else old)
             prep = self._prepared(
-                req, routes, req.routing, active_hosts, occupied | exclude, cookie
+                req, routes, req.routing, usage, occupied | exclude, cookie
             )
             return self._stage_generation(
                 f"reconfigure {prep.topology.name}",

@@ -93,21 +93,51 @@ class WiringPlan:
     inter_links: list[InterSwitchLink] = field(default_factory=list)
     host_ports: list[HostPort] = field(default_factory=list)
     flex_ports: list[FlexPort] = field(default_factory=list)
+    #: the cable lists the index was built from, their lengths, and the
+    #: index (see :meth:`_index`)
+    _indexed: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # --- queries -------------------------------------------------------
     @property
     def switches(self) -> list[str]:
         return list(self.num_ports)
 
+    def _index(self) -> tuple[dict, dict, dict, frozenset]:
+        """Self-links and host ports per switch, inter-switch links per
+        switch pair, and the set of host ports. A plan's lists only
+        grow while it is being cabled (:func:`default_wiring` appends,
+        then validates), so the index is rebuilt whenever a list is
+        another object or another length than when it was built: a
+        plan still being appended to never reads a stale one."""
+        lists = (self.self_links, self.inter_links, self.host_ports)
+        sizes = tuple(map(len, lists))
+        held = self._indexed
+        if (
+            held is not None
+            and held[1] == sizes
+            and all(a is b for a, b in zip(held[0], lists))
+        ):
+            return held[2]
+        selfs: dict[str, list[SelfLink]] = {}
+        for s in self.self_links:
+            selfs.setdefault(s.switch, []).append(s)
+        pairs: dict[frozenset, list[InterSwitchLink]] = {}
+        for l in self.inter_links:
+            pairs.setdefault(frozenset((l.switch_a, l.switch_b)), []).append(l)
+        hosts: dict[str, list[HostPort]] = {}
+        for h in self.host_ports:
+            hosts.setdefault(h.switch, []).append(h)
+        index = selfs, pairs, hosts, frozenset(self.host_ports)
+        self._indexed = (lists, sizes, index)
+        return index
+
     def self_links_of(self, switch: str) -> list[SelfLink]:
-        return [s for s in self.self_links if s.switch == switch]
+        return list(self._index()[0].get(switch, ()))
 
     def inter_links_between(self, a: str, b: str) -> list[InterSwitchLink]:
-        return [
-            l
-            for l in self.inter_links
-            if {l.switch_a, l.switch_b} == {a, b}
-        ]
+        return list(self._index()[1].get(frozenset((a, b)), ()))
 
     def inter_links_of(self, switch: str) -> list[InterSwitchLink]:
         return [
@@ -115,7 +145,12 @@ class WiringPlan:
         ]
 
     def hosts_of(self, switch: str) -> list[HostPort]:
-        return [h for h in self.host_ports if h.switch == switch]
+        return list(self._index()[2].get(switch, ()))
+
+    def host_port_set(self) -> frozenset[HostPort]:
+        """Every host port, as a set (held with the index: set algebra
+        on it hashes no port again)."""
+        return self._index()[3]
 
     def flex_ports_of(self, switch: str) -> list[FlexPort]:
         return [f for f in self.flex_ports if f.switch == switch]

@@ -48,13 +48,20 @@ work on the parts as they are; every other reader (lookup, snapshot,
 iteration, a strict or match delete, ``count_strict``, a loose
 ``add_batch``) builds them first.
 
-Every membership change also bumps the table's **mutation epoch**, a
-one-element list (``_epoch``) that anything memoising over
-:meth:`FlowTable.lookup` results compares against. Every write path
-ends in :meth:`~FlowTable.add_batch`, :meth:`~FlowTable.add_pending`,
-``_drop_pending``, ``_unfile`` or :meth:`~FlowTable.clear`, so those
-bump it and nothing else needs to; building pending rows changes no
-membership and leaves it alone. An
+Every write path ends in :meth:`~FlowTable.add_batch`,
+:meth:`~FlowTable.add_pending`, ``_drop_pending``, ``_unfile`` or
+:meth:`~FlowTable.clear`, and those are the only places membership
+changes. Each of them keeps two things in step with it:
+
+* the **per-cookie counts** (``_cookies``: cookie -> entries, stored
+  and pending, never a zero count), so
+  :meth:`~FlowTable.cookie_counts` reads them instead of walking the
+  store, and a cookie delete whose cookie has no stored entry left
+  skips the store;
+* the **mutation epoch**, a one-element list (``_epoch``) that
+  anything memoising over :meth:`FlowTable.lookup` results compares
+  against. Building pending rows changes no membership and touches
+  neither. An
 :class:`~repro.openflow.switch.OpenFlowSwitch` makes its tables share
 one cell, so one comparison tells it whether *any* of them changed —
 however the change arrived.
@@ -185,6 +192,10 @@ class FlowTable:
     )
     #: rows across ``_pending``
     _pending_rows: int = field(init=False, repr=False, default=0)
+    #: entries per cookie, stored and pending (no zero counts)
+    _cookies: dict[int, int] = field(
+        init=False, repr=False, default_factory=dict
+    )
     #: next serial to stamp (monotonic for the table's lifetime)
     _next_seq: int = field(init=False, repr=False, default=0)
     #: mutation epoch cell: ``_epoch[0]`` grows on every membership
@@ -209,6 +220,9 @@ class FlowTable:
         self._epoch[0] += 1
         if self._pending:
             self._materialize()
+        counts = self._cookies
+        for e in batch:
+            counts[e.cookie] = counts.get(e.cookie, 0) + 1
         keys = [_shape_key(e.match) for e in batch]
         self._next_seq = self._file(batch, keys, self._next_seq)
 
@@ -222,9 +236,11 @@ class FlowTable:
         self._epoch[0] += 1
         nseq = self._next_seq
         pending = self._pending
+        counts = self._cookies
         for rows, cookie, build in parts:
             if rows:
                 pending.append((nseq, rows, cookie, build))
+                counts[cookie] = counts.get(cookie, 0) + rows
                 nseq += rows
         self._pending_rows += nseq - self._next_seq
         self._next_seq = nseq
@@ -280,6 +296,8 @@ class FlowTable:
         dropped = 0
         if match is None and priority is None:
             dropped = self._drop_pending(cookie)
+            if cookie is not None and cookie not in self._cookies:
+                return dropped  # no stored entry carries it
         elif self._pending:
             self._materialize()
         if match is not None and priority is not None:
@@ -299,10 +317,14 @@ class FlowTable:
     def _drop_pending(self, cookie: int | None) -> int:
         """Drop the pending parts carrying ``cookie`` (``None`` = all);
         returns the rows dropped."""
-        kept = [
-            p for p in self._pending if cookie is not None and p[2] != cookie
-        ]
-        dropped = self._pending_rows - sum(p[1] for p in kept)
+        kept = []
+        dropped = 0
+        for part in self._pending:
+            if cookie is not None and part[2] != cookie:
+                kept.append(part)
+            else:
+                dropped += part[1]
+                self._uncount(part[2], part[1])
         if dropped:
             self._epoch[0] += 1
             self._pending = kept
@@ -340,6 +362,7 @@ class FlowTable:
         """Take one member out of the store and out of its bucket."""
         self._epoch[0] += 1
         del self._store[entry.serial]
+        self._uncount(entry.cookie, 1)
         sk = _shape_key(entry.match)
         if sk is None:
             bucket = self._wild
@@ -354,9 +377,17 @@ class FlowTable:
             if not buckets:
                 del self._shapes[shape]
 
+    def _uncount(self, cookie: int, n: int) -> None:
+        left = self._cookies[cookie] - n
+        if left:
+            self._cookies[cookie] = left
+        else:
+            del self._cookies[cookie]
+
     def clear(self) -> int:
         n = len(self)
         self._epoch[0] += 1
+        self._cookies.clear()
         self._store.clear()
         self._shapes.clear()
         self._wild.clear()
@@ -383,12 +414,9 @@ class FlowTable:
         self.add_batch(entries)
 
     def cookie_counts(self) -> Counter[int]:
-        """Entries per cookie (an unordered walk of the store, plus the
-        pending parts' row counts)."""
-        counts = Counter(e.cookie for e in self._store.values())
-        for _serial, rows, cookie, _build in self._pending:
-            counts[cookie] += rows
-        return counts
+        """Entries per cookie, stored and pending (a copy of the counts
+        every write keeps; nothing is walked or built)."""
+        return Counter(self._cookies)
 
     # --- lookup --------------------------------------------------------
     def lookup(

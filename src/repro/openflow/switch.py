@@ -13,7 +13,6 @@ the TCAM limit that §VII-C identifies as SDT's scarcest resource.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -305,16 +304,18 @@ class OpenFlowSwitch:
         """Installed entries carrying ``cookie`` (None = all entries)."""
         if cookie is None:
             return self.num_entries
-        return self.occupancy_by_cookie().get(cookie, 0)
+        return sum(t._cookies.get(cookie, 0) for t in self.tables)
 
     def occupancy_by_cookie(self) -> dict[int, int]:
         """Installed entries per cookie — the switch-side ledger of
         per-deployment (and, through cookie namespaces, per-tenant)
-        TCAM consumption that admission control charges quotas against."""
-        counts: Counter[int] = Counter()
+        TCAM consumption that admission control charges quotas against.
+        Read off each table's maintained counts: nothing is walked."""
+        counts: dict[int, int] = {}
         for t in self.tables:
-            counts.update(t.cookie_counts())
-        return dict(counts)
+            for cookie, n in t._cookies.items():
+                counts[cookie] = counts.get(cookie, 0) + n
+        return counts
 
     def entry_keys(self) -> list[tuple[int, int, Match, int]]:
         """Every installed entry as a (table, priority, match, cookie)

@@ -188,15 +188,18 @@ class AdmissionController:
                 raise CapacityError("; ".join(over))
             self._count(admitted=True)
 
-    def foreign_host_ports(self, session: TenantSession) -> set:
+    def foreign_host_ports(self, session: TenantSession) -> frozenset:
         """Every wired host port outside the tenant's lease — the lease
-        is the only place its hosts may land."""
-        leased = set(session.lease)
-        return {
-            hp
-            for hp in self.controller.cluster.wiring.host_ports
-            if hp not in leased
-        }
+        is the only place its hosts may land. The wiring never changes,
+        so the set is computed once per lease and held with the session
+        (:attr:`TenantSession.foreign_ports`) until the session ends."""
+        held = session.foreign_ports
+        if held is None or held[0] is not session.lease:
+            wired = self.controller.cluster.wiring.host_port_set()
+            held = session.foreign_ports = (
+                session.lease, wired - set(session.lease)
+            )
+        return held[1]
 
     def reject(self, session: TenantSession, problems: list[str]) -> NoReturn:
         """Refuse the tenant's request: always raises

@@ -18,14 +18,27 @@ switch state* after every commit:
 Violations raise :class:`~repro.util.errors.IsolationError` — they are
 invariant breaches, never expected outcomes. Each verification also
 publishes the per-tenant occupancy gauges (``tenant_*`` series) that
-make the shared pool observable.
+make the shared pool observable, and removes the series of a (tenant,
+switch) pair that holds nothing any more.
+
+A commit re-proves all three without re-walking the pool. The flow
+tables keep per-cookie counts, so (1) and (3) read a few counts per
+switch. For (2) the verifier keeps an **ownership index**: per wiring
+resource and per physical host, the tenants whose projections claim it,
+with counts. It is keyed by projection object (an incremental edit
+swaps ``Deployment.projection`` in place; a projection is never changed
+after it is made), so a pass indexes only the projections it has not
+seen and drops the ones that are gone. Only when the index holds a
+shared resource or host, or a host port outside its tenant's lease,
+does the full walk run, to word the problems exactly as it always has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
+from repro.core.projection.base import ProjectionResult
 from repro.hardware.cluster import PhysicalCluster
 from repro.hardware.wiring import HostPort
 from repro.telemetry import metrics, trace
@@ -46,11 +59,36 @@ class IsolationReport:
         return not self.problems
 
 
+class _Claim(NamedTuple):
+    """What one projection of one session claims, as indexed."""
+
+    #: the lease its host ports were checked against
+    lease: tuple[HostPort, ...]
+    #: pinned, so the ids in the index key stay theirs
+    session: TenantSession
+    projection: ProjectionResult
+    #: its cables, then its physical hosts as ``("host", name)``
+    owned: tuple
+    #: bound host ports outside the lease
+    breaches: int
+
+
 class IsolationVerifier:
     """Audits switch + lease state against the tenant ledgers."""
 
     def __init__(self, cluster: PhysicalCluster) -> None:
         self.cluster = cluster
+        #: (id(session), id(projection)) -> its claim, for every live
+        #: projection of the sessions last verified
+        self._claims: dict[tuple[int, int], _Claim] = {}
+        #: wiring resource / physical host -> {tenant: claims}
+        self._owners: dict[object, dict[str, int]] = {}
+        #: entries of ``_owners`` with more than one tenant
+        self._shared = 0
+        #: bound host ports outside their lease, across the claims
+        self._breaches = 0
+        #: (tenant, switch) series the last pass published
+        self._published: set[tuple[str, str]] = set()
 
     def verify(
         self, sessions: Iterable[TenantSession], *, strict: bool = True
@@ -63,7 +101,8 @@ class IsolationVerifier:
             report = IsolationReport()
             self._check_cookie_ownership(sessions, report)
             self._check_flow_tables(sessions, report)
-            self._check_wiring(sessions, report)
+            if self._index(sessions):
+                self._check_wiring(sessions, report)
             self._publish(report)
             if strict and not report.ok:
                 raise IsolationError(
@@ -126,6 +165,80 @@ class IsolationVerifier:
                         f"entries, over its {share}-entry share"
                     )
 
+    def _index(self, sessions: list[TenantSession]) -> bool:
+        """Bring the ownership index up to the sessions' projections;
+        True when it holds a shared resource or host, or a host port
+        outside its lease (what :meth:`_check_wiring` reports)."""
+        claims = self._claims
+        live: dict[tuple[int, int], _Claim] = {}
+        indexed = 0
+        for s in sessions:
+            for d in s.deployments.values():
+                key = (id(s), id(d.projection))
+                if key in live:  # two deployments, one projection
+                    continue
+                claim = claims.get(key)
+                if claim is None or claim.lease is not s.lease:
+                    if claim is not None:
+                        self._unclaim(claim)
+                    claim = self._claim(s, d.projection)
+                    indexed += 1
+                live[key] = claim
+        for key, claim in claims.items():
+            if key not in live:
+                self._unclaim(claim)
+        self._claims = live
+        if indexed:
+            metrics.registry().counter(
+                "tenant_isolation_projections_indexed_total"
+            ).inc(indexed)
+        return bool(self._shared or self._breaches)
+
+    def _claim(
+        self, session: TenantSession, projection: ProjectionResult
+    ) -> _Claim:
+        leased = set(session.lease)
+        cables = projection.link_realization.values()
+        claim = _Claim(
+            session.lease,
+            session,
+            projection,
+            (*cables, *(("host", h) for h in projection.host_map.values())),
+            sum(
+                1 for r in cables
+                if isinstance(r, HostPort) and r not in leased
+            ),
+        )
+        self._breaches += claim.breaches
+        owners = self._owners
+        tenant = claim.session.tenant_id
+        for thing in claim.owned:
+            per = owners.get(thing)
+            if per is None:
+                owners[thing] = {tenant: 1}
+            elif tenant in per:
+                per[tenant] += 1
+            else:
+                per[tenant] = 1
+                self._shared += len(per) == 2
+        return claim
+
+    def _unclaim(self, claim: _Claim) -> None:
+        self._breaches -= claim.breaches
+        owners = self._owners
+        tenant = claim.session.tenant_id
+        for thing in claim.owned:
+            per = owners[thing]
+            left = per[tenant] - 1
+            if left:
+                per[tenant] = left
+                continue
+            del per[tenant]
+            if not per:
+                del owners[thing]
+            else:
+                self._shared -= len(per) == 1
+
     def _check_wiring(
         self, sessions: list[TenantSession], report: IsolationReport
     ) -> None:
@@ -156,12 +269,17 @@ class IsolationVerifier:
                     host_owner[phys] = s.tenant_id
 
     # --- telemetry ------------------------------------------------------
-    @staticmethod
-    def _publish(report: IsolationReport) -> None:
+    def _publish(self, report: IsolationReport) -> None:
+        """Set each (tenant, switch) entry count observed, and remove
+        the series the last pass set that this one did not observe."""
         reg = metrics.registry()
+        gauge = reg.gauge("tenant_tcam_entries")
+        published = set()
         for tenant, per_switch in report.tenant_entries.items():
             for name, count in per_switch.items():
-                reg.gauge("tenant_tcam_entries").set(
-                    count, tenant=tenant, switch=name
-                )
+                gauge.set(count, tenant=tenant, switch=name)
+                published.add((tenant, name))
+        for tenant, name in self._published - published:
+            gauge.remove(tenant=tenant, switch=name)
+        self._published = published
         reg.gauge("tenant_isolation_violations").set(len(report.problems))

@@ -213,6 +213,7 @@ class TestbedService:
             session.adopted = {}
             session.state = final_state
             session.lease = ()
+            session.foreign_ports = None
             self._journal_session(session)
             reg = metrics.registry()
             # the tenant holds nothing now: its series go, not to zero

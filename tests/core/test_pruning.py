@@ -70,3 +70,36 @@ def test_pruned_projection_validates_only_used(torus444, torus_routes):
     assert realized == set(
         l.index for l in torus444.links if usage.uses_link(l.index)
     )
+
+
+def test_a_pruned_cold_edit_traces_its_route_usage_once(monkeypatch):
+    """Every staging of a cold edit prunes to the same usage: the
+    request, its table and the active hosts are the same for all of
+    them, so the usage is traced once per edit, not once per staging."""
+    import repro.core.controller.controller as controller_module
+    from repro.core import SDTController, TopologyConfig, build_cluster_for
+    from repro.core.controller.controller import BREAK_BEFORE_MAKE
+    from repro.hardware import H3C_S6861
+    from repro.testbed import select_nodes
+    from repro.topology import fat_tree, torus2d
+
+    ft4 = TopologyConfig("fat-tree", {"k": 4})
+    torus = TopologyConfig("torus2d", {"x": 4, "y": 4})
+    # room for one of them at a time: make-before-break cannot fit
+    cluster = build_cluster_for([fat_tree(4), torus2d(4, 4)], 2, H3C_S6861)
+    controller = SDTController(cluster)
+    controller.deploy(ft4)
+    calls = []
+    traced = controller_module.route_usage
+
+    def counting(*args):
+        calls.append(args)
+        return traced(*args)
+
+    monkeypatch.setattr(controller_module, "route_usage", counting)
+    deployment, _ = controller.reconfigure(
+        torus, active_hosts=select_nodes(torus.build(), 6)
+    )
+    assert controller.last_commit_strategy == BREAK_BEFORE_MAKE
+    assert deployment.projection.usage is not None
+    assert len(calls) == 1

@@ -102,3 +102,42 @@ def test_used_ports_accounting():
                           inter_links_per_pair=1)
     used = plan.used_ports("a")
     assert len(used) + len(plan.free_ports("a")) == 10
+
+
+def test_queries_equal_a_filter_of_the_lists_while_the_plan_grows():
+    """Per-switch and per-pair answers come from an index; a plan that
+    is still being cabled after a query must never read a stale one."""
+    from dataclasses import replace
+
+    plan = WiringPlan(num_ports={"a": 16, "b": 16})
+
+    def agree():
+        for sw in ("a", "b"):
+            assert plan.hosts_of(sw) == [
+                h for h in plan.host_ports if h.switch == sw
+            ]
+            assert plan.self_links_of(sw) == [
+                s for s in plan.self_links if s.switch == sw
+            ]
+        for pair in (("a", "b"), ("b", "a"), ("a", "a")):
+            assert plan.inter_links_between(*pair) == [
+                l for l in plan.inter_links
+                if {l.switch_a, l.switch_b} == set(pair)
+            ]
+        assert plan.host_port_set() == frozenset(plan.host_ports)
+
+    agree()
+    plan.host_ports.append(HostPort("a", 1, "h0"))
+    agree()
+    plan.self_links.append(SelfLink("b", 1, 2))
+    plan.inter_links.append(InterSwitchLink("a", 2, "b", 3))
+    agree()
+    plan.host_ports = [HostPort("b", 4, "h1")]  # a new list, same length
+    agree()
+    # an answer is a copy: the caller cannot edit the index
+    plan.hosts_of("b").clear()
+    agree()
+    # a plan made from another (the hybrid projector's) has its own
+    grown = replace(plan, self_links=[*plan.self_links, SelfLink("a", 5, 6)])
+    assert grown.self_links_of("a") == [SelfLink("a", 5, 6)]
+    assert plan.self_links_of("a") == []

@@ -223,6 +223,28 @@ def test_an_edit_that_rebinds_every_link_fails_the_projected_count(monkeypatch):
     ]
 
 
+def test_a_verifier_that_rewalks_every_projection_fails_the_indexed_count(
+    monkeypatch,
+):
+    from repro.tenancy.isolation import IsolationVerifier
+
+    index = IsolationVerifier._index
+
+    def rewalk(self, sessions):
+        for claim in self._claims.values():
+            self._unclaim(claim)
+        self._claims = {}
+        return index(self, sessions)
+
+    monkeypatch.setattr(IsolationVerifier, "_index", rewalk)
+    case = bench._churn_profile(bench.CHURN_SESSIONS_QUICK)
+    base = _baseline("churn")
+    problems = compare({**base, "profiles": [case]}, base)
+    assert [p.split(" is ")[0] for p in problems] == [
+        f"sessions_target={bench.CHURN_SESSIONS_QUICK}: projections_indexed"
+    ]
+
+
 def test_warm_partition_cache_miss_fails_incremental_scenarios():
     [problem] = _overwrite("reconfig", "case", "partition_cache_hits_warm", 0)
     assert "partition_cache_hits_warm is 0" in problem
