@@ -71,7 +71,7 @@ from repro.core.projection.hybrid import (
     live_circuits,
     release_circuits,
 )
-from repro.core.projection.linkproj import LinkProjection
+from repro.core.projection.linkproj import HOST_PORTS, SELF_LINKS, FreeWiring, LinkProjection
 from repro.core.projection.pruning import UsageSet, route_usage
 from repro.core.rules import (
     RuleSet,
@@ -84,7 +84,6 @@ from repro.hardware.cluster import PhysicalCluster
 from repro.hardware.optical import OpticalCircuitSwitch
 from repro.openflow.transaction import ControlTransaction
 from repro.partition.cache import PartitionCache, extend_partition
-from repro.partition.occupancy import occupancy_order
 from repro.routing.deadlock import assert_deadlock_free
 from repro.topology.diff import TopologyDiff, diff_topologies
 from repro.routing.repair import reroute_avoiding
@@ -415,13 +414,17 @@ class SDTController:
             return txn
 
     # --- resource bookkeeping ------------------------------------------
-    def _occupied(self, but: Deployment | None = None) -> set:
-        """Wiring resources the live deployments hold (except ``but``)."""
-        used: set = set()
+    def _free(
+        self, but: Deployment | None = None, lease: Iterable | None = None
+    ) -> FreeWiring:
+        """The wiring a staging may bind: every cable no live deployment
+        but ``but`` holds, and of the host ports only those in a
+        tenant's ``lease`` (None: all of them)."""
+        held: set = set()
         for d in self.deployments:
             if d is not but:
-                used.update(d.projection.link_realization.values())
-        return used
+                held.update(d.projection.link_realization.values())
+        return FreeWiring(self.cluster.wiring, held, lease)
 
     def _require_live(self, deployment: Deployment) -> None:
         if deployment not in self.deployments:
@@ -447,11 +450,23 @@ class SDTController:
             )
         return cookie
 
-    def _projector(self, exclude: set | None = None) -> LinkProjection:
-        excl = self._occupied() if exclude is None else exclude
+    def _projector(self, free: FreeWiring) -> LinkProjection:
+        """A projection binding ``free``. Under ``"occupancy"`` its parts
+        go to the switches most-headroom-first: most free flow entries
+        (the binding resource, Table 2), then free host ports, then
+        free self-links, then name."""
         phys_names = None
         if self.placement == "occupancy":
-            phys_names = occupancy_order(self.cluster, excl)
+            switches = self.cluster.switches
+            phys_names = sorted(
+                switches,
+                key=lambda n: (
+                    -switches[n].free_entries,
+                    -len(free.cables(HOST_PORTS, n)),
+                    -len(free.cables(SELF_LINKS, n)),
+                    n,
+                ),
+            )
         elif self.placement != "fixed":
             raise ConfigurationError(
                 f"unknown placement policy {self.placement!r}; "
@@ -460,7 +475,7 @@ class SDTController:
         return LinkProjection(
             self.cluster,
             seed=self.seed,
-            exclude=excl,
+            free=free,
             metadata_base=self._next_metadata,
             partition_cache=self.partition_cache,
             phys_names=phys_names,
@@ -472,7 +487,7 @@ class SDTController:
         flow-entry demand against the switch TCAMs (§VII-C); returns
         deficiency messages (empty = deployable)."""
         req = self.request(config)
-        projector = self._projector()
+        projector = self._projector(self._free())
         partition, problems = projector.check(req.topology)
         if problems:
             return problems  # port deficits make projection moot
@@ -562,7 +577,7 @@ class SDTController:
         *,
         routes: RouteTable | None = None,
         active_hosts: list[str] | None = None,
-        exclude: set | None = None,
+        lease: Iterable | None = None,
         cookie: int | None = None,
     ) -> Prepared:
         """Build, vet, and project a topology; synthesize its rules.
@@ -572,7 +587,8 @@ class SDTController:
         a single control message. Only the optical circuit switch is
         touched (flex circuits are minted here); callers must release
         the returned preparation (:meth:`release_preparation`) if they
-        abandon it. ``cookie`` overrides the controller's sequential
+        abandon it. ``lease`` confines its hosts to a tenant's leased
+        host ports. ``cookie`` overrides the controller's sequential
         cookie — the multi-tenant service allocates from per-tenant
         namespaces; a cookie already owned by a live deployment is
         refused here, before any rule is synthesized against it.
@@ -586,7 +602,8 @@ class SDTController:
         _vet(routes, req.lossless)
         return self._prepared(
             req, routes, routes_strategy,
-            _usage(req, routes, active_hosts), exclude, cookie,
+            _usage(req, routes, active_hosts), self._free(lease=lease),
+            cookie,
         )
 
     def _prepared(
@@ -595,14 +612,15 @@ class SDTController:
         routes: RouteTable,
         routes_strategy: str | None,
         usage: UsageSet | None,
-        exclude: set | None,
+        free: FreeWiring,
         cookie: int,
     ) -> Prepared:
         """Project a request along its vetted ``routes``, pruned to
-        ``usage``, and synthesize its rules — what each cold staging of
-        an edit does again, since its wiring exclusions differ."""
+        ``usage``, onto the wiring ``free``, and synthesize its rules —
+        what each cold staging of an edit does again, since its free
+        wiring differs."""
         hybrid_plan, optical_time = None, 0.0
-        projector = self._projector(exclude)
+        projector = self._projector(free)
         if self.optical is None:
             projection = _stage(
                 "projection.project", projector.project, req.topology, usage=usage
@@ -807,7 +825,7 @@ class SDTController:
         config: TopologyConfig | Topology | Request,
         *,
         active_hosts: list[str] | None = None,
-        exclude: set | frozenset = frozenset(),
+        lease: Iterable | None = None,
         cookie: int | None = None,
         admit: Callable[[ControlTransaction, Prepared], None] | None = None,
     ) -> tuple[Deployment, float]:
@@ -839,8 +857,8 @@ class SDTController:
         else when the edit is cold from the start, and before routing
         when its diff turns it cold.
 
-        ``exclude`` adds wiring resources the new generation may not
-        claim (a tenant's host ports outside its lease); ``cookie`` is
+        ``lease`` confines the new generation's hosts to a tenant's
+        leased host ports; ``cookie`` is
         the cold generation's cookie (default: the controller's next).
         ``admit(txn, prep)`` is the caller's admission check: it sees
         every staged transaction once ``validate()`` has priced it,
@@ -882,12 +900,12 @@ class SDTController:
             _vet(routes, req.lossless)
 
             deployment = None if cold else self._reconfigure_incremental(
-                old, req, routes, moved, exclude, admit, m
+                old, req, routes, moved, lease, admit, m
             )
             if deployment is None:
                 deployment = self._reconfigure_cold(
                     old, req, routes, _usage(req, routes, active_hosts),
-                    exclude, cookie, admit, m,
+                    lease, cookie, admit, m,
                 )
             m.span.set("topology", deployment.name)
         return deployment, m.modeled_time
@@ -898,7 +916,7 @@ class SDTController:
         req: Request,
         routes: RouteTable,
         usage: UsageSet | None,
-        exclude: set | frozenset,
+        lease: Iterable | None,
         cookie: int | None,
         admit: Callable[[ControlTransaction, Prepared], None] | None,
         m: Mutation,
@@ -920,10 +938,8 @@ class SDTController:
                 self._restore_ocs(m.ocs_before)  # drop aborted MBB mints
                 m.optical_release += self._release_optics(old.hybrid_plan)
             # make-before-break projects alongside the live deployment
-            occupied = self._occupied(but=None if make_first else old)
-            prep = self._prepared(
-                req, routes, req.routing, usage, occupied | exclude, cookie
-            )
+            free = self._free(but=None if make_first else old, lease=lease)
+            prep = self._prepared(req, routes, req.routing, usage, free, cookie)
             return self._stage_generation(
                 f"reconfigure {prep.topology.name}",
                 prep.rules,
@@ -953,7 +969,7 @@ class SDTController:
         req: Request,
         routes: RouteTable,
         moved: frozenset[str] | None,
-        exclude: set | frozenset,
+        lease: Iterable | None,
         admit: Callable[[ControlTransaction, Prepared], None] | None,
         m: Mutation,
     ) -> Deployment | None:
@@ -970,7 +986,7 @@ class SDTController:
         state — keeping the deployment's cookie,
         because this is an edit of the same generation, not a new one.
         Added links may claim no resource another deployment holds, nor
-        any in ``exclude``.
+        a host port outside ``lease``.
 
         ``moved`` is the set of switches whose route entries moved when
         ``routes`` is a repair of the live table
@@ -999,7 +1015,7 @@ class SDTController:
                 old.projection,
                 topology,
                 partition,
-                exclude=self._occupied(but=old) | exclude,
+                free=self._free(but=old, lease=lease),
                 metadata_base=self._next_metadata,
                 diff=diff,
             )
@@ -1102,6 +1118,9 @@ class SDTController:
                 )
             )
             m.commit_time = txn.commit()
+            # a generation swap, counted as a cold edit counts one
+            m.rules = rules.count()
+            m.pushed = m.rules + deployment.rules.count()
             self._next_cookie += 1
             deployment.routes = routes
             deployment.routes_strategy = None

@@ -12,6 +12,7 @@ from repro.core.projection.base import (
 )
 from repro.core.projection.hybrid import HybridLinkProjection, HybridPlan
 from repro.core.projection.linkproj import (
+    FreeWiring,
     LinkProjection,
     plan_inter_switch_reservation,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "self_link_demand",
     "HybridLinkProjection",
     "HybridPlan",
+    "FreeWiring",
     "LinkProjection",
     "plan_inter_switch_reservation",
     "UsageSet",

@@ -34,7 +34,7 @@ projection.
 from __future__ import annotations
 
 from repro.core.projection.base import ProjectionResult
-from repro.core.projection.linkproj import realize, require_projectable
+from repro.core.projection.linkproj import FreeWiring, realize, require_projectable
 from repro.hardware.cluster import PhysicalCluster
 from repro.partition.objective import Partition
 from repro.topology.diff import TopologyDiff, diff_topologies
@@ -48,16 +48,17 @@ def project_delta(
     new_topology: Topology,
     partition: Partition,
     *,
-    exclude: set | None = None,
+    free: FreeWiring | None = None,
     metadata_base: int = 1,
     diff: TopologyDiff | None = None,
 ) -> ProjectionResult:
     """Project ``new_topology`` by editing the live projection ``old``.
 
     ``partition`` must pin every surviving switch to its old part (use
-    :func:`~repro.partition.cache.extend_partition`). ``exclude`` holds
-    wiring resources owned by *other* coexisting deployments — the old
-    projection's own resources are implicitly available for reuse.
+    :func:`~repro.partition.cache.extend_partition`). ``free`` is the
+    wiring the edit may bind (default: all of the cluster's): it leaves
+    out what *other* coexisting deployments hold, while the old
+    projection's own cables stay in it for reuse.
     ``metadata_base`` numbers the sub-switches of added logical
     switches; surviving sub-switches keep their tag. ``diff`` is the
     edit's :class:`~repro.topology.diff.TopologyDiff` from
@@ -83,11 +84,10 @@ def project_delta(
                     "placement stability requires it to keep its part"
                 )
     return realize(
-        cluster.wiring,
+        FreeWiring(cluster.wiring) if free is None else free,
         old,
         new_topology,
         partition,
-        exclude=exclude or set(),
         metadata_base=metadata_base,
         diff=diff,
     )

@@ -12,13 +12,14 @@ link (ends on different switches) in ~tens of milliseconds.
 :class:`~repro.core.projection.linkproj.LinkProjection`:
 
 1. partition through the wrapped projector (its placement order,
-   partition cache and exclusions apply unchanged) and read its deficit
-   ledger against the fixed wiring;
+   partition cache and free wiring apply unchanged) and read its
+   deficit ledger against the fixed wiring;
 2. convert every self-link / inter-switch-link deficit into flex-port
    circuits (host-port deficits cannot be fixed optically and still
    fail);
-3. have the wrapped projector allocate against the augmented wiring and
-   report the optical reconfiguration time alongside the result.
+3. have the wrapped projector allocate against the augmented wiring,
+   through the same free-wiring view rebuilt over the augmented plan,
+   and report the optical reconfiguration time alongside the result.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ class HybridLinkProjection:
             f
             for f in self.projector.cluster.wiring.flex_ports_of(switch)
             if self.optical.connected_to(f.ocs_port) is None
-            and f not in self.projector.exclude
         ]
 
     # --- planning ----------------------------------------------------------
@@ -183,5 +183,7 @@ class HybridLinkProjection:
             ],
         )
         augmented.validate()
-        result = self.projector.allocate(topology, partition, usage, augmented)
+        result = self.projector.allocate(
+            topology, partition, usage, self.projector.free.over(augmented)
+        )
         return result, plan, optical_time

@@ -17,7 +17,9 @@ once: :meth:`LinkProjection.partition_for`, :meth:`LinkProjection.ledger`
 circuits by :mod:`~repro.core.projection.hybrid`) and :func:`realize`
 (a cold projection is a delta from :func:`empty_projection`;
 :func:`~repro.core.projection.delta.project_delta` runs it from the
-live one).
+live one). What a staging may bind is one :class:`FreeWiring` view,
+which the ledger, the allocator and the controller's headroom ranking
+all read.
 """
 
 from __future__ import annotations
@@ -75,6 +77,38 @@ HOST_PORTS = Resource(
 RESOURCES = (SELF_LINKS, INTER_LINKS, HOST_PORTS)
 
 
+class FreeWiring:
+    """The wiring one staging may bind: the cables of ``wiring`` no
+    other live deployment holds (``held``), and of the host ports only
+    those in a tenant's ``lease`` (None: all). :meth:`cables` is
+    computed once per view, so the deficit ledger, the allocator and
+    the headroom ranking test each cable once."""
+
+    def __init__(
+        self, wiring: WiringPlan, held=frozenset(), lease=None
+    ) -> None:
+        self.wiring, self.held = wiring, held
+        self.lease = None if lease is None else frozenset(lease)
+        self._free: dict[tuple, tuple] = {}
+
+    def cables(self, resource: Resource, *switches: str) -> tuple:
+        """The free cables of ``resource`` on a switch (or between a
+        pair, in either order), in wiring order."""
+        key = (resource, *sorted(switches))
+        if key not in self._free:
+            held = self.held
+            lease = self.lease if resource is HOST_PORTS else None
+            self._free[key] = tuple(
+                c for c in resource.wired(self.wiring, *switches)
+                if c not in held and (lease is None or c in lease)
+            )
+        return self._free[key]
+
+    def over(self, wiring: WiringPlan) -> FreeWiring:
+        """The same holdings and lease over another plan."""
+        return FreeWiring(wiring, self.held, self.lease)
+
+
 def require_projectable(
     topology: Topology, hosts: Iterable[str] | None = None
 ) -> None:
@@ -106,12 +140,11 @@ def empty_projection(names: list[str], num_parts: int) -> ProjectionResult:
 
 
 def realize(
-    wiring: WiringPlan,
+    free: FreeWiring,
     old: ProjectionResult,
     topology: Topology,
     partition: Partition,
     *,
-    exclude: set,
     metadata_base: int,
     usage=None,
     diff: TopologyDiff | None = None,
@@ -123,9 +156,9 @@ def realize(
 
     A link that ``old`` already realized (same endpoint names) keeps its
     cable and physical ports, a sub-switch that ``old`` had keeps its
-    metadata tag; an added link takes the first free cable of the right
-    kind — free meaning not in ``exclude`` and not held by a surviving
-    link — and an added sub-switch the next tag from ``metadata_base``
+    metadata tag; an added link takes the first cable of the right kind
+    that ``free`` lists and no surviving link holds, and an added
+    sub-switch the next tag from ``metadata_base``
     (tag 0 means unclassified). Only the sub-switches whose ports the
     diff renumbers are bound again, and only they are validated; every
     other sub-switch, port, host and cable is carried over from ``old``,
@@ -194,8 +227,8 @@ def realize(
         bound += len(rebound_links)
 
     pools: dict[tuple, list] = {}
-    # a cable is free unless excluded or a kept link holds its port; a
-    # cable taken below leaves its pool, so with nothing kept (a cold
+    # a free cable is taken unless a kept link holds its port; a cable
+    # taken below leaves its pool, so with nothing kept (a cold
     # projection) no pool needs the port check
     kept_ports = bool(owners)
 
@@ -204,11 +237,9 @@ def realize(
         pool = pools.get((resource, switches))
         if pool is None:
             pool = [
-                c for c in resource.wired(wiring, *switches)
-                if c not in exclude
+                c for c in free.cables(resource, *switches)
+                if not kept_ports or resource.port(c) not in owners
             ]
-            if kept_ports:
-                pool = [c for c in pool if resource.port(c) not in owners]
             pools[resource, switches] = pool
         if not pool:
             raise CapacityError(
@@ -280,15 +311,15 @@ class LinkProjection:
         cluster: PhysicalCluster,
         *,
         seed: int = 0,
-        exclude: set | None = None,
+        free: FreeWiring | None = None,
         metadata_base: int = 1,
         partition_cache=None,
         phys_names: list[str] | None = None,
     ) -> None:
-        """``exclude`` holds wiring resources (SelfLink / InterSwitchLink
-        / HostPort objects) already claimed by a coexisting deployment;
-        ``metadata_base`` offsets sub-switch metadata ids so coexisting
-        topologies never share a tag (§VI-B isolation).
+        """``free`` is the wiring this projection may bind (default:
+        all of the cluster's); ``metadata_base`` offsets sub-switch
+        metadata ids so coexisting topologies never share a tag (§VI-B
+        isolation).
         ``partition_cache`` (a
         :class:`~repro.partition.cache.PartitionCache`) memoizes the
         partitioning stage by content hash — re-checking or re-deploying
@@ -300,7 +331,7 @@ class LinkProjection:
         switches with the most remaining capacity."""
         self.cluster = cluster
         self.seed = seed
-        self.exclude = exclude or set()
+        self.free = FreeWiring(cluster.wiring) if free is None else free
         self.metadata_base = metadata_base
         self.partition_cache = partition_cache
         if phys_names is None:
@@ -339,7 +370,7 @@ class LinkProjection:
         per switch (self-links, host ports) or switch pair (inter-switch
         links) with a demand — self-links first, then inter-switch
         links, then host ports, each in part order. ``available`` counts
-        the wired cables no coexisting deployment holds."""
+        the free cables (:class:`FreeWiring`)."""
         rows = []
         for resource in RESOURCES:
             for parts, needed in sorted(
@@ -348,10 +379,7 @@ class LinkProjection:
                 if isinstance(parts, int):
                     parts = (parts,)
                 switches = tuple(self.names[p] for p in parts)
-                have = sum(
-                    c not in self.exclude
-                    for c in resource.wired(self.cluster.wiring, *switches)
-                )
+                have = len(self.free.cables(resource, *switches))
                 rows.append((resource, switches, needed, have))
         return rows
 
@@ -386,17 +414,16 @@ class LinkProjection:
         topology: Topology,
         partition: Partition,
         usage=None,
-        wiring: WiringPlan | None = None,
+        free: FreeWiring | None = None,
     ) -> ProjectionResult:
-        """:func:`realize` from the empty projection, over this
-        cluster's wiring (or ``wiring``: the hybrid projector's
-        optically augmented copy of it)."""
+        """:func:`realize` from the empty projection, binding this
+        projection's free wiring (or ``free``: the hybrid projector's
+        view of the optically augmented plan)."""
         return realize(
-            wiring or self.cluster.wiring,
+            self.free if free is None else free,
             empty_projection(self.names, partition.num_parts),
             topology,
             partition,
-            exclude=self.exclude,
             metadata_base=self.metadata_base,
             usage=usage,
         )

@@ -104,13 +104,13 @@ class WiringPlan:
     def switches(self) -> list[str]:
         return list(self.num_ports)
 
-    def _index(self) -> tuple[dict, dict, dict, frozenset]:
-        """Self-links and host ports per switch, inter-switch links per
-        switch pair, and the set of host ports. A plan's lists only
-        grow while it is being cabled (:func:`default_wiring` appends,
-        then validates), so the index is rebuilt whenever a list is
-        another object or another length than when it was built: a
-        plan still being appended to never reads a stale one."""
+    def _index(self) -> tuple[dict, dict, dict]:
+        """Self-links and host ports per switch, and inter-switch links
+        per switch pair. A plan's lists only grow while it is being
+        cabled (:func:`default_wiring` appends, then validates), so the
+        index is rebuilt whenever a list is another object or another
+        length than when it was built: a plan still being appended to
+        never reads a stale one."""
         lists = (self.self_links, self.inter_links, self.host_ports)
         sizes = tuple(map(len, lists))
         held = self._indexed
@@ -129,7 +129,7 @@ class WiringPlan:
         hosts: dict[str, list[HostPort]] = {}
         for h in self.host_ports:
             hosts.setdefault(h.switch, []).append(h)
-        index = selfs, pairs, hosts, frozenset(self.host_ports)
+        index = selfs, pairs, hosts
         self._indexed = (lists, sizes, index)
         return index
 
@@ -146,11 +146,6 @@ class WiringPlan:
 
     def hosts_of(self, switch: str) -> list[HostPort]:
         return list(self._index()[2].get(switch, ()))
-
-    def host_port_set(self) -> frozenset[HostPort]:
-        """Every host port, as a set (held with the index: set algebra
-        on it hashes no port again)."""
-        return self._index()[3]
 
     def flex_ports_of(self, switch: str) -> list[FlexPort]:
         return [f for f in self.flex_ports if f.switch == switch]

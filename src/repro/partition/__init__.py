@@ -12,7 +12,6 @@ from functools import partial
 
 from repro.partition.greedy import greedy_partition
 from repro.partition.multilevel import multilevel_partition
-from repro.partition.occupancy import occupancy_order, switch_headroom
 from repro.partition.objective import (
     Adjacency,
     Partition,
@@ -70,9 +69,7 @@ __all__ = [
     "greedy_partition",
     "multilevel_partition",
     "objective",
-    "occupancy_order",
     "partition_topology",
-    "switch_headroom",
     "quality",
     "spectral_partition",
     "Weights",

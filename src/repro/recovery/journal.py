@@ -22,7 +22,7 @@ A crash leaves the tail in one of three shapes, all safe:
   recovered controller rebuilds from snapshot + *committed* intents,
   which is exactly the all-or-nothing contract.
 * a torn final line → :func:`repro.telemetry.tail_jsonl` leaves it
-  unconsumed.
+  unconsumed, and a restarted journal cuts it off before it appends.
 * a clean commit/abort → normal.
 
 A tenant session that opens or ends writes one more kind:
@@ -65,7 +65,10 @@ class CommitJournal:
     """Append-only JSONL journal with monotonic LSNs.
 
     Reopening an existing journal file continues its LSN sequence, so
-    a restarted controller appends where the crashed one stopped.
+    a restarted controller appends where the crashed one stopped: a
+    torn final line is truncated away first, so the next record starts
+    on a line of its own instead of being glued onto the fragment. A
+    corrupt complete line refuses the open (``ValueError``).
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -74,12 +77,15 @@ class CommitJournal:
         self._next_lsn = 0
         self.commits_total = 0
         if self.path.exists():
-            records, _ = tail_jsonl(self.path)
+            records, end = tail_jsonl(self.path)
             if records:
                 self._next_lsn = max(r["lsn"] for r in records) + 1
                 self.commits_total = sum(
                     1 for r in records if r["type"] == "commit"
                 )
+            if end < self.path.stat().st_size:
+                with self.path.open("r+b") as fh:
+                    fh.truncate(end)
 
     # --- writing ------------------------------------------------------
     def _append(self, record: dict[str, Any]) -> int:

@@ -279,11 +279,15 @@ class JournalReplay:
 
         Every record is decoded before any is applied: one this reader
         cannot decode raises :class:`~repro.recovery.codec.CodecError`
-        naming its LSN and leaves the replay as the call found it (the
-        next call reads the same records again)."""
-        records, offset = tail_jsonl(
-            self.state_dir / JOURNAL_NAME, self._offset
-        )
+        naming its LSN (a corrupt line: its byte offset) and leaves the
+        replay as the call found it (the next call reads the same
+        records again)."""
+        try:
+            records, offset = tail_jsonl(
+                self.state_dir / JOURNAL_NAME, self._offset
+            )
+        except ValueError as exc:
+            raise codec.CodecError(f"journal {exc}") from exc
         steps = [self._decode(rec) for rec in records]
         self._offset = offset
         for kind, lsn, payload in steps:

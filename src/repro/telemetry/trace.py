@@ -246,9 +246,11 @@ def tail_jsonl(path: str | Path, offset: int = 0) -> tuple[list[dict], int]:
     Returns ``(records, new_offset)`` where ``new_offset`` points just
     past the last *complete* record consumed — pass it back on the next
     call to tail a file another process is appending to. A torn final
-    line (no trailing newline yet, or half-flushed JSON) is left
-    unconsumed: it stays before ``new_offset``'s frontier and will be
-    re-read once the writer finishes it. Blank lines are skipped.
+    line (no trailing newline yet) is left unconsumed: it stays before
+    ``new_offset``'s frontier and will be re-read once the writer
+    finishes it. A complete line that is not a JSON object is corrupt,
+    not torn: it raises ``ValueError`` naming its byte offset, so no
+    record after it is silently dropped. Blank lines are skipped.
     Missing files read as empty.
     """
     p = Path(path)
@@ -266,11 +268,15 @@ def tail_jsonl(path: str | Path, offset: int = 0) -> tuple[list[dict], int]:
             break
         if raw.strip():
             try:
-                records.append(json.loads(raw.decode("utf-8")))
-            except (ValueError, UnicodeDecodeError):
-                # half-flushed record: stop without consuming it (or
-                # anything after it) so a later call retries in order
-                break
+                record = json.loads(raw.decode("utf-8"))
+            except ValueError:  # UnicodeDecodeError included
+                record = raw
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"record {record!r:.60} at byte {cursor} is not a "
+                    "JSON object"
+                )
+            records.append(record)
         cursor += advance
     return records, cursor
 

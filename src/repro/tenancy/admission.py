@@ -110,10 +110,7 @@ class AdmissionController:
             sp.set("topology", request.topology.name)
             try:
                 prep = self.controller.prepare(
-                    request,
-                    exclude=self.controller._occupied()
-                    | self.foreign_host_ports(session),
-                    cookie=cookie,
+                    request, lease=session.lease, cookie=cookie
                 )
             except ProjectionError as exc:
                 self.refuse(session, exc)
@@ -187,19 +184,6 @@ class AdmissionController:
             if over:
                 raise CapacityError("; ".join(over))
             self._count(admitted=True)
-
-    def foreign_host_ports(self, session: TenantSession) -> frozenset:
-        """Every wired host port outside the tenant's lease — the lease
-        is the only place its hosts may land. The wiring never changes,
-        so the set is computed once per lease and held with the session
-        (:attr:`TenantSession.foreign_ports`) until the session ends."""
-        held = session.foreign_ports
-        if held is None or held[0] is not session.lease:
-            wired = self.controller.cluster.wiring.host_port_set()
-            held = session.foreign_ports = (
-                session.lease, wired - set(session.lease)
-            )
-        return held[1]
 
     def reject(self, session: TenantSession, problems: list[str]) -> NoReturn:
         """Refuse the tenant's request: always raises

@@ -213,7 +213,6 @@ class TestbedService:
             session.adopted = {}
             session.state = final_state
             session.lease = ()
-            session.foreign_ports = None
             self._journal_session(session)
             reg = metrics.registry()
             # the tenant holds nothing now: its series go, not to zero
@@ -308,7 +307,7 @@ class TestbedService:
                 deployment, _ = self.controller.edit(
                     old,
                     request,
-                    exclude=self.admission.foreign_host_ports(session),
+                    lease=session.lease,
                     cookie=cookie,
                     admit=partial(self.admission.admit_swap, session, old),
                 )

@@ -113,11 +113,6 @@ class TenantSession:
     #: before the crash is not reconstructed.
     adopted: dict[int, dict[str, int]] = field(default_factory=dict)
     _next_seq: int = 0
-    #: the lease and every wired host port outside it, as admission
-    #: last computed them; dropped when the session ends
-    foreign_ports: tuple[tuple[HostPort, ...], frozenset] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     # --- cookie namespace ----------------------------------------------
     @property

@@ -145,7 +145,6 @@ def test_optical_rig_keeps_occupancy_placement_and_the_partition_cache():
     for every rig, so the placement policy and the partition cache hold
     on an optical rig too (they used to be dropped on the way)."""
     from repro.core import TopologyConfig
-    from repro.partition import occupancy_order
     from repro.telemetry import metrics
 
     names = ["phys0", "phys1", "phys2"]
@@ -162,7 +161,7 @@ def test_optical_rig_keeps_occupancy_placement_and_the_partition_cache():
     taken = set(first.projection.part_to_phys.values())
     assert len(taken) == 2
 
-    emptiest = occupancy_order(cluster, controller._occupied())[:2]
+    emptiest = controller._projector(controller._free()).names[:2]
     assert set(emptiest) != taken  # the untouched switch now ranks first
     config = TopologyConfig.from_topology(chain(2, hosts_per_switch=2))
     second = controller.deploy(config)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.projection import (
+    FreeWiring,
     LinkProjection,
     host_port_demand,
     inter_switch_link_demand,
@@ -94,7 +95,9 @@ def test_exclude_prevents_resource_reuse(chain8):
     cluster = PhysicalCluster.build(1, H3C_S6861, hosts_per_switch=16)
     first = LinkProjection(cluster).project(chain8)
     used = set(first.link_realization.values())
-    second = LinkProjection(cluster, exclude=used).project(chain8)
+    second = LinkProjection(
+        cluster, free=FreeWiring(cluster.wiring, used)
+    ).project(chain8)
     assert not used & set(second.link_realization.values())
 
 

@@ -124,7 +124,6 @@ def test_queries_equal_a_filter_of_the_lists_while_the_plan_grows():
                 l for l in plan.inter_links
                 if {l.switch_a, l.switch_b} == set(pair)
             ]
-        assert plan.host_port_set() == frozenset(plan.host_ports)
 
     agree()
     plan.host_ports.append(HostPort("a", 1, "h0"))

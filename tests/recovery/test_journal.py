@@ -75,3 +75,26 @@ def test_install_uninstall_roundtrip(tmp_path):
     assert active_journal() is journal
     assert uninstall_journal() is journal
     assert active_journal() is None
+
+
+def test_a_restart_after_a_torn_tail_keeps_every_later_commit(tmp_path):
+    """The restarted journal cuts the torn fragment off before it
+    appends: its records start on a line of their own, replay sees
+    them, and a second restart hands out fresh LSNs."""
+    from repro.recovery import JournalReplay
+    from repro.recovery.journal import JOURNAL_NAME
+
+    path = tmp_path / JOURNAL_NAME
+    journal = CommitJournal(path)
+    journal.append_commit(journal.append_intent("deploy", _ops(MOD)))
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write('{"lsn": 2, "type": "inte')  # crash mid-flush
+
+    restarted = CommitJournal(path)
+    restarted.append_commit(restarted.append_intent("edit", _ops(MOD)))
+    again = CommitJournal(path)
+    assert [r["lsn"] for r in again.read()] == [0, 1, 2, 3]
+    assert len(again) == 4
+    replay = JournalReplay(tmp_path, num_tables=2)
+    assert replay.poll() == 4
+    assert replay.replayed == 2

@@ -1,8 +1,8 @@
 """A tenant ``reconfigure`` is the controller's one per-deployment edit.
 
 Through :class:`TestbedService` an edit reaches
-``SDTController.edit`` with the tenant's foreign host ports excluded and
-admission vetting each staged transaction before it commits. So the
+``SDTController.edit`` with the tenant's host-port lease as its
+``lease`` and admission vetting each staged transaction before it commits. So the
 edit is incremental whenever the direct ``reconfigure`` would be, pushes
 the same rules, and a refusal still touches no switch.
 """
