@@ -160,12 +160,12 @@ class TopologyConfig:
     ) -> "TopologyConfig":
         """``topology`` as a self-contained, deployable custom config.
 
-        Routing is pinned to shortest-path because it works on *edited*
-        topologies too: the named strategies dispatch on generator
-        structure and may refuse a fat-tree missing a link. Lossy by
-        default so the Deadlock Avoidance module does not veto an edit
-        whose mechanics are what the caller is exercising. ``name``
-        renames the topology (deployments are keyed by it).
+        Routing is pinned to shortest-path, which routes any connected
+        edit: dimension order and dragonfly minimal refuse a missing
+        link, and the perf ledger's edit workloads read this pin. Lossy
+        by default so the Deadlock Avoidance module does not veto an
+        edit whose mechanics are what the caller is exercising.
+        ``name`` renames the topology (deployments are keyed by it).
         """
         return cls(
             kind="custom",

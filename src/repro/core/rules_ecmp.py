@@ -8,14 +8,15 @@ substrate: table-1 rules point at a per-(sub-switch, uplink-set) group
 whose buckets are the candidate ports; the switch hashes the 5-tuple.
 
 This module synthesizes that deployment for a projected fat-tree from
-the same candidate walk up/down routing hashes over
-(:func:`repro.routing.strategies.fattree_candidates`): table 0 is the
-standard pipeline's classification, downward hops stay plain
-destination rules (the downward path is unique), upward hops go through
-SELECT groups. The result is a plain ``{switch: [FlowMod]}`` mapping,
-the per-message form ``ControlTransaction.stage_rules`` accepts. A
-companion experiment (``tests/core/test_ecmp.py``) shows flows
-spreading over cores and the resulting ACT gain on adversarial traffic.
+the up*/down* candidates up/down routing hashes over
+(:func:`repro.routing.strategies.fattree_candidates`; on a fat-tree
+missing links, only uplinks that still lead to the destination): table
+0 is the standard pipeline's classification, a single candidate stays a
+plain destination rule, several go through a SELECT group. The result
+is a plain ``{switch: [FlowMod]}`` mapping, the per-message form
+``ControlTransaction.stage_rules`` accepts. A companion experiment
+(``tests/core/test_ecmp.py``) shows flows spreading over cores and the
+resulting ACT gain on adversarial traffic.
 """
 
 from __future__ import annotations

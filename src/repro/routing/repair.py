@@ -8,14 +8,11 @@ with one failed link, the BFS trees collectively wrap rings and the
 channel dependency graph acquires a cycle (see
 ``tests/core/test_failures.py``).
 
-The classical fix (Autonet, InfiniBand) is **up*/down*** routing:
-
-1. order the surviving switches by BFS from a root; an edge's *up*
-   direction points toward the smaller (closer-to-root) order;
-2. legal paths climb zero or more up edges, then descend zero or more
-   down edges — never down-then-up;
-3. the CDG is acyclic because up channels only depend on up channels of
-   strictly smaller order (and down likewise in reverse).
+The classical fix (Autonet, InfiniBand) is **up*/down*** routing,
+computed by :func:`repro.routing.strategies.updown`, the core that
+also routes a fat-tree: the surviving switches are ranked by BFS from
+a root, and a legal path climbs toward the root, then descends — never
+down-then-up — so the CDG stays acyclic.
 
 :func:`reroute_avoiding` computes destination-based up*/down* tables
 that avoid the failed links, so the repaired fabric stays PFC-safe with
@@ -26,15 +23,10 @@ table.
 
 from __future__ import annotations
 
-from collections import deque
-from functools import cache
-
-from repro.routing.strategies import Step, Strategy, build_routes
+from repro.routing.strategies import Step, Strategy, build_routes, updown
 from repro.routing.table import RouteTable
 from repro.topology.graph import Topology, bfs_depths
 from repro.util.errors import RoutingError
-
-_INF = float("inf")
 
 
 def _switch_order(neighbors: dict[str, list[str]]) -> dict[str, int]:
@@ -69,85 +61,24 @@ def reroute_avoiding(
         if not 0 <= idx < len(topology.links):
             raise RoutingError(f"no link with index {idx}")
 
-    # adjacency over surviving switch links
     neighbors = topology.switch_neighbors(failed_links)
-    order = _switch_order(neighbors)
-    # up moves strictly decrease order, so a DP in increasing order of
-    # rank sees every up-neighbor before v
-    by_rank = sorted(topology.switches, key=lambda s: order[s])
-
-    reachable_hosts = [
-        h
+    reachable = {  # an ordered set: errors name hosts in topology order
+        h: None
         for h in topology.hosts
         if topology.link_between(topology.host_switch(h), h).index
         not in failed_links
-    ]
-
-    @cache
-    def toward(root_sw: str) -> list[Step]:
-        # down_dist[v]: shortest pure-down path v -> root_sw (every hop
-        # increases order, i.e. walks away from the up/down root)
-        down_dist: dict[str, float] = {root_sw: 0}
-        queue = deque([root_sw])
-        while queue:
-            v = queue.popleft()
-            for u in neighbors[v]:
-                if order[u] < order[v] and u not in down_dist:
-                    down_dist[u] = down_dist[v] + 1
-                    queue.append(u)
-
-        # updown_dist[v]: shortest legal (up*, then down*) path length
-        updown: dict[str, float] = {}
-        for v in by_rank:
-            best = down_dist.get(v, _INF)
-            for u in neighbors[v]:
-                if order[u] < order[v]:  # an up move from v to u
-                    best = min(best, updown.get(u, _INF) + 1)
-            updown[v] = best
-
-        steps: list[Step] = []
-        for sw in topology.switches:
-            if sw == root_sw:
-                steps.append((sw, None, 0))
-                continue
-            if updown.get(sw, _INF) == _INF:
-                continue  # severed from dst
-            if down_dist.get(sw, _INF) == updown[sw]:
-                # descend: the down-neighbor one step closer to dst
-                cand = [
-                    (order[u], u)
-                    for u in neighbors[sw]
-                    if order[u] > order[sw]
-                    and down_dist.get(u, _INF) == down_dist[sw] - 1
-                ]
-            else:
-                # climb: the up-neighbor on a shortest legal path
-                cand = [
-                    (order[u], u)
-                    for u in neighbors[sw]
-                    if order[u] < order[sw]
-                    and updown.get(u, _INF) + 1 == updown[sw]
-                ]
-            if not cand:  # pragma: no cover - contradiction with updown
-                raise RoutingError(
-                    f"internal: no consistent up/down hop at {sw} toward {root_sw}"
-                )
-            steps.append((sw, min(cand)[1], 0))
-        return steps
-
-    reachable = set(reachable_hosts)
+    }
+    toward = updown(topology, neighbors, _switch_order(neighbors), reachable)
 
     def rule(dst: str) -> list[Step]:
-        return toward(topology.host_switch(dst)) if dst in reachable else []
+        if dst not in reachable:
+            return []
+        root = topology.host_switch(dst)
+        hops = toward(root)
+        return [
+            (sw, None if sw == root else hops[sw][0], 0)
+            for sw in topology.switches
+            if sw == root or sw in hops
+        ]
 
-    table = build_routes(topology, Strategy("updown-avoiding", lambda _t: (rule, 1)))
-
-    # every mutually-reachable host pair must still route
-    for src in reachable_hosts:
-        src_sw = topology.host_switch(src)
-        for dst in reachable_hosts:
-            if src != dst and not table.has_route(src_sw, dst):
-                raise RoutingError(
-                    f"failure set severs {src}->{dst}: no surviving path"
-                )
-    return table
+    return build_routes(topology, Strategy("updown-avoiding", lambda _t: (rule, 1)))

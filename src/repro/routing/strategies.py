@@ -30,8 +30,9 @@ one, re-deriving only the destinations the edit can move.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable
 
 from repro.routing.table import Hop, RouteTable
@@ -51,6 +52,8 @@ Step = tuple[str, str | None, int | tuple[int, ...]]
 Rule = Callable[[str], Iterable[Step]]
 #: a rule prepared on one topology, with the number of VCs it routes on
 PreparedRule = tuple[Rule, int]
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,13 +345,89 @@ def next_switch_routes(
 
 
 # ---------------------------------------------------------------------------
+# up*/down*
+# ---------------------------------------------------------------------------
+
+def updown(
+    topology: Topology,
+    neighbors: dict[str, list[str]],
+    rank: dict[str, int],
+    hosts: Iterable[str],
+) -> Callable[[str], dict[str, tuple[str, ...]]]:
+    """up*/down* routing over the switch graph ``neighbors`` of
+    ``topology``.
+
+    ``rank`` orders the switches: a move to a smaller rank is *up*, to
+    a larger one *down*. A legal path climbs zero or more up moves,
+    then descends zero or more down moves — never down-then-up — so
+    routes along legal paths close no channel dependency cycle on one
+    VC.
+
+    Returns ``toward(root)``, memoised per destination switch: for every
+    switch other than ``root`` with a legal path to it, the neighbours
+    on a shortest legal path in (rank, name) order. A switch descends
+    wherever a pure-down path is as short as any legal one. Every
+    switch holding one of ``hosts`` must reach every other's: one that
+    cannot raises :class:`RoutingError` naming the host pair.
+    """
+    at: dict[str, str] = {}  # host switch -> its first host, for errors
+    for h in hosts:
+        at.setdefault(topology.host_switch(h), h)
+    order = {sw: (r, sw) for sw, r in rank.items()}
+    ups = {v: sorted((u for u in nbs if rank[u] < rank[v]), key=order.__getitem__)
+           for v, nbs in neighbors.items()}
+    downs = {v: sorted((u for u in nbs if rank[u] > rank[v]), key=order.__getitem__)
+             for v, nbs in neighbors.items()}
+    # an up move's far end ranks lower: this order settles it first
+    by_rank = sorted(neighbors, key=rank.__getitem__)
+
+    @cache
+    def toward(root: str) -> dict[str, tuple[str, ...]]:
+        down = {root: 0}  # the shortest pure-down path to root
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for u in ups[v]:  # u moves down to v
+                if u not in down:
+                    down[u] = down[v] + 1
+                    queue.append(u)
+        legal: dict[str, int] = {}  # the shortest legal path to root
+        for v in by_rank:
+            best = min([down.get(v, _INF), *(legal[u] + 1 for u in ups[v] if u in legal)])
+            if best < _INF:
+                legal[v] = best
+        hops: dict[str, tuple[str, ...]] = {}
+        for v, d in legal.items():
+            if v == root:
+                continue
+            if down.get(v) == d:  # descend
+                hops[v] = tuple(u for u in downs[v] if down.get(u) == d - 1)
+            else:  # climb
+                hops[v] = tuple(u for u in ups[v] if legal.get(u) == d - 1)
+            if not hops[v]:  # pragma: no cover - contradicts legal
+                raise RoutingError(
+                    f"internal: no consistent up/down hop at {v} toward {root}"
+                )
+        for sw, h in at.items():
+            if sw != root and sw not in hops:
+                raise RoutingError(
+                    f"the topology severs {h}->{at[root]}: no legal up*/down* path"
+                )
+        return hops
+
+    return toward
+
+
+# ---------------------------------------------------------------------------
 # Fat-Tree up/down
 # ---------------------------------------------------------------------------
 
-def _fattree_tier(switch: str) -> str:
-    for tier in ("core", "agg", "edge"):
+def _fattree_tier(switch: str) -> int:
+    """A fat-tree switch's tier as its up*/down* rank: core 0, agg 1,
+    edge 2."""
+    for rank, tier in enumerate(("core", "agg", "edge")):
         if switch.startswith(tier):
-            return tier
+            return rank
     raise RoutingError(f"{switch!r} is not a fat-tree switch name")
 
 
@@ -356,59 +435,36 @@ def fattree_candidates(
     topo: Topology,
 ) -> dict[tuple[str, str], tuple[str, ...]]:
     """The fat-tree's equivalent next hops: for every (switch,
-    destination host), in destination-then-switch order, the neighbors
-    toward it — the host itself or the one downward switch when the
-    destination lies below, else every uplink neighbor, sorted by name.
+    destination host) with a legal up*/down* path, tiers as the rank,
+    in destination-then-switch order, the neighbors toward it — the
+    host itself at its switch, else those on a shortest legal path, by
+    name (on an intact fat-tree, the one downward switch when the
+    destination lies below, else every uplink). Raises
+    :class:`RoutingError` when a host's switch cannot reach another's.
 
     Up/down routing (:data:`FATTREE_UPDOWN`) hashes one of them; ECMP
     (:mod:`repro.core.rules_ecmp`) spreads flows over all of them.
     Resolving a neighbor to the switch's port is left to the caller, so
     up/down routing looks up only the uplink it picks.
     """
-    # each switch's downward (in neighbor order) and upward neighbors
-    downs: dict[str, list[str]] = {}
-    ups: dict[str, tuple[str, ...]] = {}
-    for sw in topo.switches:
-        tier = _fattree_tier(sw)
-        nbs = [nb for nb in topo.neighbors(sw) if topo.is_switch(nb)]
-        child = {"core": "agg", "agg": "edge"}.get(tier)
-        parent = {"edge": "agg", "agg": "core"}.get(tier)
-        downs[sw] = [nb for nb in nbs if _fattree_tier(nb) == child]
-        ups[sw] = tuple(sorted(nb for nb in nbs if _fattree_tier(nb) == parent))
-
-    # downward reachability: which hosts live below each switch
-    below: dict[str, set[str]] = {s: set() for s in topo.switches}
-    for h in topo.hosts:
-        below[topo.host_switch(h)].add(h)
-    # edges feed aggs, aggs feed cores (2 sweeps are enough: 3 tiers)
-    for _ in range(2):
-        for sw in topo.switches:
-            for nb in downs[sw]:
-                below[sw] |= below[nb]
-
+    rank = {sw: _fattree_tier(sw) for sw in topo.switches}
+    toward = updown(topo, topo.switch_neighbors(), rank, topo.hosts)
     candidates: dict[tuple[str, str], tuple[str, ...]] = {}
     for dst in topo.hosts:
-        dst_sw = topo.host_switch(dst)
+        root = topo.host_switch(dst)
+        hops = toward(root)
         for sw in topo.switches:
-            if sw == dst_sw:
-                candidates[(sw, dst)] = (dst,)
-                continue
-            # downward if some child subtree holds dst
-            down = next((nb for nb in downs[sw] if dst in below[nb]), None)
-            if down is not None:
-                candidates[(sw, dst)] = (down,)
-                continue
-            if not ups[sw]:
-                raise RoutingError(f"{sw} cannot reach {dst}")
-            candidates[(sw, dst)] = ups[sw]
+            if sw == root or sw in hops:
+                candidates[(sw, dst)] = (dst,) if sw == root else hops[sw]
     return candidates
 
 
 def _updown_rule(topo: Topology) -> PreparedRule:
-    """Downward hops follow the unique path to the destination edge
-    switch; upward hops pick deterministically (destination hash) among
-    the up-links, which is the standard static load-spreading choice a
-    DFS over the fabric yields. Up-down paths cannot deadlock."""
+    """Up*/down* with the tiers as the rank: a unique hop is taken, a
+    choice is hashed on (destination, switch), the standard static
+    load-spreading choice a DFS over the fabric yields. Up-down paths
+    cannot deadlock; a degraded fat-tree routes around its missing
+    links, and a switch with no legal path gets no entry."""
     candidates = fattree_candidates(topo)
     switches = topo.switches
 
@@ -416,9 +472,10 @@ def _updown_rule(topo: Topology) -> PreparedRule:
         # hash only a real choice: host and downward hops are unique
         out: list[Step] = []
         for sw in switches:
-            nbs = candidates[(sw, dst)]
-            nb = nbs[_stable_hash(dst, sw) % len(nbs)] if len(nbs) > 1 else nbs[0]
-            out.append((sw, None if nb == dst else nb, 0))
+            nbs = candidates.get((sw, dst))
+            if nbs:
+                nb = nbs[_stable_hash(dst, sw) % len(nbs)] if len(nbs) > 1 else nbs[0]
+                out.append((sw, None if nb == dst else nb, 0))
         return out
 
     return rule, 1
