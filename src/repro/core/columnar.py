@@ -374,49 +374,84 @@ class CompiledBlock:
         return self._pairs
 
 
-def block_columns(sub, host_map, entries, cookie: int) -> Columns:
+def block_columns(sub, host_map, routes, cookie: int) -> Columns:
     """One sub-switch's compiled rules, as its block's columns.
 
-    ``entries`` are the route-table entries through ``sub``'s logical
-    switch, as :meth:`~repro.routing.table.RouteTable.entries` yields
-    them; ``host_map`` gives a host's physical address. In one pass
-    each entry is resolved to the physical facts its rule depends on —
-    (phys dst address, in-VC, out-VC, phys out port) — and an entry
-    whose destination or port got no hardware is dropped (route-usage
-    pruning). The result is :class:`CompiledBlock`'s constructor
-    arguments in order, and the block's identity:
+    ``routes`` are the route-table entries through ``sub``'s logical
+    switch as :meth:`~repro.routing.table.RouteTable.maps_at` gives
+    them — wildcard entries by destination, exact ones by (destination,
+    in-VC) — or a list of (switch, dst, in_vc, hop) entries in
+    :meth:`~repro.routing.table.RouteTable.entries` order, which are
+    filed that way first; ``host_map`` gives a host's physical address.
+    Each distinct hop is resolved once to the physical facts its rules
+    depend on — out-VC and physical out port — and every entry becomes
+    a row (phys dst address, in-VC, out-VC, phys out port), wildcard
+    rows first; an entry whose destination or port got no hardware is
+    dropped (route-usage pruning). The result is :class:`CompiledBlock`'s
+    constructor arguments in order, and the block's identity:
     :func:`~repro.core.rules.synthesize_rules` keeps an old block whose
     columns equal it.
     """
+    wild, exact = _filed(routes) if isinstance(routes, list) else routes
     ports = sub.ports
     logical = sub.logical_switch
     classify = sorted(ports.items())
-    dsts = []
-    in_vcs = []
-    out_vcs = []
-    out_ports = []
-    for _switch, dst, in_vc, hop in entries:
-        phys_dst = host_map.get(dst)
-        if phys_dst is None:
-            continue
-        port = hop.port
-        phys_out = ports.get(port.index)
-        if phys_out is None:
-            continue
-        if port.node != logical:
-            raise ProjectionError(f"port {port} is not on {logical!r}")
-        dsts.append(phys_dst)
-        in_vcs.append(NO_VC if in_vc is None else in_vc)
-        out_vcs.append(hop.vc)
-        out_ports.append(phys_out.port)
+    hops = [*wild.values(), *exact.values()]
+    dsts = [*wild, *[dst for dst, _vc in exact]]
+    in_vcs = [NO_VC] * len(wild) + [vc for _dst, vc in exact]
+    # each distinct hop resolved once, keyed by identity (a Hop hashes
+    # in Python): its out-VC, and its physical out port — None when the
+    # port got no hardware
+    keys = [*map(id, hops)]
+    distinct = dict(zip(keys, hops))
+    out_vc: dict[int, int] = {}
+    out_port: dict[int, int | None] = {}
+    stray = set()  # hops whose port is on another switch
+    for key, hop in distinct.items():
+        phys_out = ports.get(hop.port.index)
+        out_vc[key] = hop.vc
+        out_port[key] = None if phys_out is None else phys_out.port
+        if phys_out is not None and hop.port.node != logical:
+            stray.add(key)
+    if None in out_port.values() or not (
+        host_map.keys() >= wild.keys()
+        and all(dst in host_map for dst, _vc in exact)
+    ):
+        # the rows whose destination and port got hardware
+        rows = [
+            i for i, (dst, key) in enumerate(zip(dsts, keys))
+            if dst in host_map and out_port[key] is not None
+        ]
+        dsts = [dsts[i] for i in rows]
+        in_vcs = [in_vcs[i] for i in rows]
+        keys = [keys[i] for i in rows]
+    if stray and not stray.isdisjoint(keys):
+        port = distinct[next(key for key in keys if key in stray)].port
+        raise ProjectionError(f"port {port} is not on {logical!r}")
+    vcs = set(out_vc.values())
     return (
         sub.phys_switch,
         sub.metadata_id,
         cookie,
         tuple(pp.switch for _idx, pp in classify),
         tuple(pp.port for _idx, pp in classify),
-        tuple(dsts),
+        tuple(map(host_map.__getitem__, dsts)),
         tuple(in_vcs),
-        tuple(out_vcs),
-        tuple(out_ports),
+        # one VC for every hop, the common case, needs no pass
+        (vcs.pop(),) * len(keys) if len(vcs) == 1
+        else tuple(map(out_vc.__getitem__, keys)),
+        tuple(map(out_port.__getitem__, keys)),
     )
+
+
+def _filed(entries) -> tuple[dict, dict]:
+    """(switch, dst, in_vc, hop) entries filed as
+    :meth:`~repro.routing.table.RouteTable.maps_at` files a switch's."""
+    wild: dict = {}
+    exact: dict = {}
+    for _switch, dst, in_vc, hop in entries:
+        if in_vc is None:
+            wild[dst] = hop
+        else:
+            exact[dst, in_vc] = hop
+    return wild, exact

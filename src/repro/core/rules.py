@@ -243,7 +243,7 @@ def synthesize_rules(
         block = unchanged.get(sw)
         if block is None:
             columns = block_columns(
-                projection.subswitches[sw], host_map, routes.entries_at(sw), cookie
+                projection.subswitches[sw], host_map, routes.maps_at(sw), cookie
             )
             block = old.get(columns[:3])
             if block is None or block.columns != columns:

@@ -57,7 +57,7 @@ def synthesize_ecmp(
     mods: dict[str, list[FlowMod]] = {}
     for sw in topo.switches:
         block = CompiledBlock(
-            *block_columns(projection.subswitches[sw], {}, (), cookie)
+            *block_columns(projection.subswitches[sw], {}, ({}, {}), cookie)
         )
         for phys, mod in block.pairs():
             mods.setdefault(phys, []).append(mod)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import Callable, Iterable
 
-from repro.routing.table import Hop, RouteTable
+from repro.routing.table import _NONE, Hop, RouteTable
 from repro.topology.diff import TopologyDiff
 from repro.topology.graph import Topology, bfs_parents
 from repro.topology.torus import coords_of
@@ -123,31 +123,50 @@ def build_routes(topology: Topology, strategy: Strategy) -> RouteTable:
     """``strategy``'s table on ``topology``: every destination host in
     ``topology.hosts`` order, each with its steps in the rule's order."""
     (rule, num_vcs), hops = strategy.rule(topology), _Hops(topology)
-    # per destination (switch): (node, hop) per wildcard entry and
-    # (node, in_vc, hop) per exact one; hop None is the delivery, which
-    # depends on the host
-    shared: dict[str, tuple[list, list]] = {}
-    wild: dict[tuple[str, str], Hop] = {}
-    exact: dict[tuple[str, str, int], Hop] = {}
+    table = RouteTable(topology, num_vcs, strategy.hosts_forward)
+    wild, exact, order = table._wild, table._exact, table._order
+    # per destination (switch): its run of entries, then its forwarding
+    # entries as (the node's map, hop) and (map, in_vc, hop), and its
+    # deliveries as (map, node, in_vc): a delivery's hop depends on the
+    # host
+    shared: dict[str, tuple] = {}
     for dst in topology.hosts:
         key = topology.host_switch(dst) if strategy.per_switch else dst
-        if key not in shared:
-            steps = _expand(rule(dst), num_vcs)
-            shared[key] = ([
-                (node, None if nxt is None else hops[node, nxt, vc])
-                for node, in_vc, nxt, vc in steps if in_vc is None
-            ], [
-                (node, in_vc, None if nxt is None else hops[node, nxt, vc])
-                for node, in_vc, nxt, vc in steps if in_vc is not None
-            ])
-        wild_steps, exact_steps = shared[key]
-        wild.update({
-            (node, dst): h or hops[node, dst, 0] for node, h in wild_steps
-        })
-        exact.update({
-            (node, dst, vc): h or hops[node, dst, vc] for node, vc, h in exact_steps
-        })
-    return RouteTable(topology, num_vcs, strategy.hosts_forward, exact, wild)
+        plan = shared.get(key)
+        if plan is None:
+            run_wild, run_exact = [], []
+            forward_wild, forward_exact, deliveries = [], [], []
+            for node, in_vc, nxt, vc in _expand(rule(dst), num_vcs):
+                maps = wild if in_vc is None else exact
+                at = maps.get(node)
+                if at is None:
+                    at = maps[node] = {}
+                if in_vc is None:
+                    run_wild.append(node)
+                else:
+                    run_exact.append((node, in_vc))
+                if nxt is None:
+                    deliveries.append((at, node, in_vc))
+                elif in_vc is None:
+                    forward_wild.append((at, hops[node, nxt, vc]))
+                else:
+                    forward_exact.append((at, in_vc, hops[node, nxt, vc]))
+            plan = shared[key] = (
+                tuple(run_wild), tuple(run_exact),
+                forward_wild, forward_exact, deliveries,
+            )
+        run_wild, run_exact, forward_wild, forward_exact, deliveries = plan
+        order.append((dst, run_wild, run_exact))
+        for at, hop in forward_wild:
+            at[dst] = hop
+        for at, in_vc, hop in forward_exact:
+            at[dst, in_vc] = hop
+        for at, node, in_vc in deliveries:
+            if in_vc is None:
+                at[dst] = hops[node, dst, 0]
+            else:
+                at[dst, in_vc] = hops[node, dst, in_vc]
+    return table
 
 
 def repair_routes(
@@ -188,7 +207,9 @@ def repair_routes(
     changed: dict[tuple, Hop] = {}
 
     def old_hop(node: str, dst: str, in_vc: int | None) -> Hop | None:
-        return wild.get((node, dst)) if in_vc is None else exact.get((node, dst, in_vc))
+        if in_vc is None:
+            return wild.get(node, _NONE).get(dst)
+        return exact.get(node, _NONE).get((dst, in_vc))
 
     def put(node: str, dsts: list[str], in_vc: int | None, hop: Hop, was: Hop) -> None:
         # both hops leave ``node``: its port index and the VC decide
@@ -229,16 +250,17 @@ def repair_routes(
             ):
                 put(node, dsts, in_vc, hops[node, nxt, out_vc], was)
         if whole and len(steps) < len(nodes) * len(in_vcs) and len(steps) != sum(
-            (n, rep) in wild for n in nodes
+            rep in wild.get(n, _NONE) for n in nodes
         ) + sum(
-            (n, rep, vc) in exact for n in nodes if exact for vc in range(num_vcs)
+            (rep, vc) in exact.get(n, _NONE)
+            for n in nodes if exact for vc in range(num_vcs)
         ):  # an entry would disappear
             return None
     return old.repaired(topology, changed), frozenset(key[0] for key in changed)
 
 
-def _stable_hash(*parts: object) -> int:
-    h = hashlib.sha256("|".join(map(repr, parts)).encode()).digest()
+def _stable_hash(a: object, b: object) -> int:
+    h = hashlib.sha256(f"{a!r}|{b!r}".encode()).digest()
     return int.from_bytes(h[:8], "little")
 
 
@@ -290,7 +312,7 @@ def _tree_touches(old: RouteTable, dst: str, diff: TopologyDiff) -> bool:
         """v's parent in the old tree; the root is its own."""
         if v == root:
             return v
-        return src.neighbors(v)[wild[(v, dst)].port.index]
+        return src.neighbors(v)[wild[v][dst].port.index]
 
     def rank(v: str) -> tuple[int, tuple[int, ...]]:
         """v's place in the old BFS's dequeue order, memoised along

@@ -6,18 +6,26 @@ the outgoing port and VC. That is exactly what compiles into compact
 OpenFlow rules (one per sub-switch x destination), so the route table
 is the common currency between :mod:`repro.routing` strategies, the
 SDT rule synthesizer, and the simulator.
+
+A table is stored the way its readers read it, switch by switch: rule
+synthesis compiles one sub-switch from its switch's entries, and a
+packet is forwarded by one switch's lookup. No tuple-keyed copy of the
+table exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
 from repro.topology.graph import Link, Port, Topology
 from repro.util.errors import RoutingError
 
 #: a route longer than this is a forwarding loop
 MAX_HOPS = 512
+
+#: the entries of a kind at a switch that has none (never written)
+_NONE: Mapping = {}
 
 
 @dataclass(frozen=True)
@@ -35,6 +43,14 @@ class RouteTable:
     Entries with ``in_vc=None`` are VC wildcards (match any incoming
     VC); exact-VC entries take precedence. ``num_vcs`` records how many
     VCs the strategy needs (1 = no deadlock VCs).
+
+    The table is stored per switch, the way rule synthesis and packet
+    forwarding read it: each switch's wildcard entries map destination
+    -> hop, its exact ones (destination, in-VC) -> hop, each in
+    :meth:`entries` order. That order — every wildcard entry, then
+    every exact one, each in the order first written — is kept as runs
+    of one destination's nodes: :func:`~repro.routing.strategies.build_routes`
+    hands every host on one switch the same run of steps.
     """
 
     topology: Topology
@@ -42,14 +58,22 @@ class RouteTable:
     #: server-centric topologies (BCube) let *hosts* forward transit
     #: packets between their NICs; set to permit host entries
     allow_host_forwarding: bool = False
-    _exact: dict[tuple[str, str, int], Hop] = field(default_factory=dict)
-    _wild: dict[tuple[str, str], Hop] = field(default_factory=dict)
-    #: per switch, the keys of its wildcard and its exact-VC entries in
-    #: :meth:`entries` order: built by the first :meth:`entries_at`,
-    #: dropped by every write, shared by a :meth:`repaired` copy
-    _keys_at: dict[
-        str, tuple[list[tuple[str, str]], list[tuple[str, str, int]]]
-    ] | None = field(default=None, init=False, repr=False, compare=False)
+    #: per switch, its VC-wildcard entries: dst -> hop
+    _wild: dict[str, dict[str, Hop]] = field(default_factory=dict)
+    #: per switch, its exact-VC entries: (dst, in_vc) -> hop
+    _exact: dict[str, dict[tuple[str, int], Hop]] = field(default_factory=dict)
+    #: the :meth:`entries` order, as runs ``(dst, switches, (switch,
+    #: in_vc) pairs)`` of one destination's wildcard and exact entries;
+    #: :meth:`set_hop` extends its own runs' lists in place, and
+    #: :meth:`repaired` hands its copy tuples
+    _order: list[tuple[str, Sequence[str], Sequence[tuple[str, int]]]] = field(
+        default_factory=list, compare=False, repr=False
+    )
+    #: ids of the per-switch maps no other table shares: only these are
+    #: written in place, every other one is copied on its first write
+    _owned: set[int] = field(
+        default_factory=set, init=False, compare=False, repr=False
+    )
 
     def set_hop(
         self, switch: str, dst: str, hop: Hop, *, in_vc: int | None = None
@@ -64,53 +88,61 @@ class RouteTable:
             )
         if not 0 <= hop.vc < self.num_vcs:
             raise RoutingError(f"hop VC {hop.vc} out of range (num_vcs={self.num_vcs})")
-        self._keys_at = None
-        if in_vc is None:
-            self._wild[(switch, dst)] = hop
-        else:
-            self._exact[(switch, dst, in_vc)] = hop
+        maps, key = (self._wild, dst) if in_vc is None else (self._exact, (dst, in_vc))
+        at = maps.get(switch)
+        if at is None or id(at) not in self._owned:
+            at = maps[switch] = {} if at is None else dict(at)
+            self._owned.add(id(at))
+        if key not in at:  # a new entry: last in its kind's order
+            order = self._order
+            if not order or order[-1][0] != dst or type(order[-1][1]) is not list:
+                order.append((dst, [], []))
+            if in_vc is None:
+                order[-1][1].append(switch)  # type: ignore[union-attr]
+            else:
+                order[-1][2].append((switch, in_vc))  # type: ignore[union-attr]
+        at[key] = hop
 
     def next_hop(self, switch: str, dst: str, in_vc: int = 0) -> Hop:
-        hop = self._exact.get((switch, dst, in_vc))
+        at = self._exact.get(switch)
+        hop = at.get((dst, in_vc)) if at else None
         if hop is None:
-            hop = self._wild.get((switch, dst))
+            at = self._wild.get(switch)
+            hop = at.get(dst) if at else None
         if hop is None:
             raise RoutingError(f"no route at {switch!r} for dst {dst!r} vc={in_vc}")
         return hop
 
     def has_route(self, switch: str, dst: str, in_vc: int = 0) -> bool:
-        return (switch, dst, in_vc) in self._exact or (switch, dst) in self._wild
+        return (
+            (dst, in_vc) in self._exact.get(switch, _NONE)
+            or dst in self._wild.get(switch, _NONE)
+        )
 
-    def entries(self):
+    def entries(self) -> Iterator[tuple[str, str, int | None, Hop]]:
         """Iterate (switch, dst, in_vc|None, hop) for rule synthesis."""
-        for (sw, dst), hop in self._wild.items():
-            yield sw, dst, None, hop
-        for (sw, dst, vc), hop in self._exact.items():
-            yield sw, dst, vc, hop
+        wild, exact = self._wild, self._exact
+        for dst, switches, _pairs in self._order:
+            for sw in switches:
+                yield sw, dst, None, wild[sw][dst]
+        for dst, _switches, pairs in self._order:
+            for sw, vc in pairs:
+                yield sw, dst, vc, exact[sw][dst, vc]
+
+    def maps_at(
+        self, switch: str
+    ) -> tuple[Mapping[str, Hop], Mapping[tuple[str, int], Hop]]:
+        """``switch``'s entries as the table holds them: its wildcard
+        entries by destination and its exact ones by (destination,
+        in-VC), each in :meth:`entries` order. These are the table's own
+        maps: read them, never write them."""
+        return self._wild.get(switch, _NONE), self._exact.get(switch, _NONE)
 
     def entries_at(self, switch: str) -> list[tuple[str, str, int | None, Hop]]:
-        """:meth:`entries` at one switch, in their order. The first call
-        buckets the table's keys by switch; later calls, and a
-        :meth:`repaired` copy, reuse the buckets."""
-        if self._keys_at is None:
-            at: dict[
-                str, tuple[list[tuple[str, str]], list[tuple[str, str, int]]]
-            ] = {}
-            for keys, which in ((self._wild, 0), (self._exact, 1)):
-                for key in keys:
-                    bucket = at.get(key[0])
-                    if bucket is None:
-                        bucket = at[key[0]] = ([], [])
-                    bucket[which].append(key)  # type: ignore[arg-type]
-            self._keys_at = at
-        bucket = self._keys_at.get(switch)
-        if bucket is None:
-            return []
-        wild, exact = self._wild, self._exact
-        return [
-            (switch, key[1], None, wild[key]) for key in bucket[0]
-        ] + [
-            (switch, key[1], key[2], exact[key]) for key in bucket[1]
+        """:meth:`entries` at one switch, in their order."""
+        wild, exact = self.maps_at(switch)
+        return [(switch, dst, None, hop) for dst, hop in wild.items()] + [
+            (switch, dst, vc, hop) for (dst, vc), hop in exact.items()
         ]
 
     def repaired(
@@ -120,22 +152,32 @@ class RouteTable:
         in ``hops`` replaced: ``(switch, dst)`` keys name VC-wildcard
         entries, ``(switch, dst, in_vc)`` keys exact ones. Every key of
         ``hops`` must already be in the table: keys, and so the
-        :meth:`entries` order, are kept, and so are
-        :meth:`entries_at`'s buckets."""
-        wild = dict(self._wild)
-        exact = dict(self._exact)
+        :meth:`entries` order, are kept. Only the maps of the switches
+        it changes are copied; the rest are shared, and each table
+        copies a shared map before its first write to it."""
+        wild, exact = dict(self._wild), dict(self._exact)
+        owned: set[int] = set()
         for key, hop in hops.items():
-            (wild if len(key) == 2 else exact)[key] = hop
-        if len(wild) != len(self._wild) or len(exact) != len(self._exact):
-            raise RoutingError("a repair may only replace existing entries")
+            maps, entry = (wild, key[1]) if len(key) == 2 else (exact, key[1:])
+            at = maps.get(key[0])
+            if at is None or entry not in at:
+                raise RoutingError("a repair may only replace existing entries")
+            if id(at) not in owned:
+                at = maps[key[0]] = dict(at)
+                owned.add(id(at))
+            at[entry] = hop
+        self._owned.clear()  # every map of this table is shared now
         table = RouteTable(
-            topology, self.num_vcs, self.allow_host_forwarding, exact, wild,
+            topology, self.num_vcs, self.allow_host_forwarding, wild, exact, [
+                run if type(run[1]) is tuple else (run[0], tuple(run[1]), tuple(run[2]))
+                for run in self._order
+            ],
         )
-        table._keys_at = self._keys_at
+        table._owned = owned
         return table
 
     def __len__(self) -> int:
-        return len(self._exact) + len(self._wild)
+        return sum(map(len, self._wild.values())) + sum(map(len, self._exact.values()))
 
     # --- path tracing ----------------------------------------------------
     def walk(self, src: str, dst: str) -> Iterator[tuple[str, Hop, Link, str]]:
@@ -160,8 +202,8 @@ class RouteTable:
             # next_hop's lookup inlined (it is most of a walk's cost);
             # a miss falls through to next_hop for its dead-end error
             hop = (
-                (exact.get((node, dst, vc)) if exact else None)
-                or wild.get((node, dst))
+                (exact.get(node, _NONE).get((dst, vc)) if exact else None)
+                or wild.get(node, _NONE).get(dst)
                 or self.next_hop(node, dst, vc)
             )
             link = topo.link_of_port(hop.port)

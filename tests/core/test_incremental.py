@@ -207,7 +207,11 @@ def _compile(sub: SubSwitch, entries, cookie: int = 1, previous=None):
     projection = SimpleNamespace(
         topology=topology, subswitches={"s0": sub}, host_map=HOSTS
     )
-    routes = SimpleNamespace(topology=topology, entries_at=lambda sw: entries)
+    wild = {dst: hop for _sw, dst, in_vc, hop in entries if in_vc is None}
+    exact = {
+        (dst, in_vc): hop for _sw, dst, in_vc, hop in entries if in_vc is not None
+    }
+    routes = SimpleNamespace(topology=topology, maps_at=lambda sw: (wild, exact))
     rules = synthesize_rules(
         projection, routes, cookie=cookie, previous=previous
     )
