@@ -8,7 +8,7 @@ rule generation hands on to the next, so the hot reconfiguration path
 moves O(columns) of data per sub-switch. A block
 builds its rows in one place — one row producer per table,
 :meth:`CompiledBlock.classify_rows` and :meth:`CompiledBlock.route_rows`
-— and has two readings of them:
+— and has three readings of them:
 
 * :meth:`CompiledBlock.row_parts` — the install reading: per table, the
   row count, the producer and the distinct instruction tuples the
@@ -24,6 +24,11 @@ builds its rows in one place — one row producer per table,
   and counted by ``sdt_rules_materialized_total``. A row selection
   reads just some of them: an incremental edit's delta builds only the
   differing rows of each dirty block and its old self.
+* :meth:`CompiledBlock.modify_run` — the delta reading of routing rows
+  an edit reroutes in place: each built once, as the flow entry and
+  index key the switch files, into one
+  :class:`~repro.openflow.switch.ModifyRun` that stands for their
+  strict deletes and installs.
 
 :func:`block_columns` compiles a sub-switch into those columns in one
 pass over its route entries. The column tuple is the block's identity:
@@ -54,9 +59,9 @@ from repro.openflow.actions import (
     SetVC,
     WriteMetadata,
 )
-from repro.openflow.channel import FlowMod
 from repro.openflow.flowtable import FlowEntry, IndexKey
 from repro.openflow.match import Match
+from repro.openflow.switch import FlowMod, ModifyRun
 from repro.telemetry import metrics
 from repro.util.errors import ProjectionError
 
@@ -244,10 +249,22 @@ class CompiledBlock:
 
     def _route_actions(self) -> dict[tuple[int, int, int], tuple[Instruction, ...]]:
         if self._actions is None:
-            actions = dict.fromkeys(zip(self.in_vcs, self.out_vcs, self.out_ports))
-            for action in actions:
-                actions[action] = route_instructions(*action)
-            self._actions = actions
+            in_vcs, out_vcs = set(self.in_vcs), set(self.out_vcs)
+            if len(in_vcs) == 1 and len(out_vcs) == 1:
+                # one VC pair, the common case: the distinct out ports
+                # are the distinct actions, found without a tuple per row
+                (in_vc,), (out_vc,) = in_vcs, out_vcs
+                actions = [
+                    (in_vc, out_vc, port)
+                    for port in dict.fromkeys(self.out_ports)
+                ]
+            else:
+                actions = dict.fromkeys(
+                    zip(self.in_vcs, self.out_vcs, self.out_ports)
+                )
+            self._actions = {
+                action: route_instructions(*action) for action in actions
+            }
         return self._actions
 
     def row_parts(
@@ -344,6 +361,20 @@ class CompiledBlock:
                 add_entry(FlowEntry(PRIORITY_ROUTE_EXACT, match, instrs, cookie))
                 add_key((_SHAPE_ROUTE_EXACT, (md_key, dst, in_vc)))
 
+    def modify_run(self, rows: list[int]) -> ModifyRun:
+        """The routing rows ``rows`` as a :class:`ModifyRun`: rows whose
+        identities the block's old self holds with other actions, each
+        built once — its flow entry and index key — for the switch to
+        file as it is. Counted in ``sdt_rules_materialized_total`` as
+        the messages it stands for, a delete and an install per row."""
+        entries: list[FlowEntry] = []
+        keys: list[IndexKey] = []
+        self.route_rows(entries, keys, rows)
+        metrics.registry().counter("sdt_rules_materialized_total").inc(
+            2 * len(entries)
+        )
+        return ModifyRun(ROUTE_TABLE, entries, keys)
+
     def pairs(
         self, rows: RowSelection | None = None
     ) -> tuple[tuple[str, FlowMod], ...]:
@@ -380,9 +411,7 @@ def block_columns(sub, host_map, routes, cookie: int) -> Columns:
     ``routes`` are the route-table entries through ``sub``'s logical
     switch as :meth:`~repro.routing.table.RouteTable.maps_at` gives
     them — wildcard entries by destination, exact ones by (destination,
-    in-VC) — or a list of (switch, dst, in_vc, hop) entries in
-    :meth:`~repro.routing.table.RouteTable.entries` order, which are
-    filed that way first; ``host_map`` gives a host's physical address.
+    in-VC); ``host_map`` gives a host's physical address.
     Each distinct hop is resolved once to the physical facts its rules
     depend on — out-VC and physical out port — and every entry becomes
     a row (phys dst address, in-VC, out-VC, phys out port), wildcard
@@ -392,7 +421,7 @@ def block_columns(sub, host_map, routes, cookie: int) -> Columns:
     :func:`~repro.core.rules.synthesize_rules` keeps an old block whose
     columns equal it.
     """
-    wild, exact = _filed(routes) if isinstance(routes, list) else routes
+    wild, exact = routes
     ports = sub.ports
     logical = sub.logical_switch
     classify = sorted(ports.items())
@@ -443,15 +472,3 @@ def block_columns(sub, host_map, routes, cookie: int) -> Columns:
         tuple(map(out_port.__getitem__, keys)),
     )
 
-
-def _filed(entries) -> tuple[dict, dict]:
-    """(switch, dst, in_vc, hop) entries filed as
-    :meth:`~repro.routing.table.RouteTable.maps_at` files a switch's."""
-    wild: dict = {}
-    exact: dict = {}
-    for _switch, dst, in_vc, hop in entries:
-        if in_vc is None:
-            wild[dst] = hop
-        else:
-            exact[dst, in_vc] = hop
-    return wild, exact

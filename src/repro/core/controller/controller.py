@@ -1049,7 +1049,8 @@ class SDTController:
             # Sub-switches whose compiled block came back from the live
             # generation unchanged are excluded from the per-rule diff
             # entirely, and only the differing rows of the others are
-            # built as FlowMods.
+            # built: routing rows rerouted in place as one ModifyRun
+            # per block, any other row as a FlowMod.
             delta = _stage(
                 "rules.split_delta", split_ruleset_delta, old.rules, prep.rules
             )

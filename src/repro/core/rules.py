@@ -51,9 +51,8 @@ from repro.core.columnar import (
 )
 from repro.core.projection.base import ProjectionResult
 from repro.openflow.actions import ApplyActions, Output, SetQueue, SetVC
-from repro.openflow.channel import FlowMod
 from repro.openflow.match import Match
-from repro.openflow.switch import FlowModRun, PendingRows
+from repro.openflow.switch import FlowMod, FlowModRun, ModifyRun, PendingRows
 from repro.routing.table import RouteTable
 from repro.telemetry import metrics
 from repro.util.errors import ProjectionError
@@ -137,25 +136,31 @@ class RuleSet:
 
 
 def _mods_of(
-    blocks, rows: Mapping[int, RowSelection] | None = None
-) -> dict[str, list[FlowMod]]:
+    blocks,
+    rows: Mapping[int, RowSelection] | None = None,
+    modified: Mapping[int, list[int]] | None = None,
+) -> dict[str, list[FlowMod | ModifyRun]]:
     """The blocks' FlowMods per physical switch, in block order. A block
     with a selection in ``rows`` (keyed by its ``id``) contributes only
-    the selected rows, and every switch it lands on keeps its key."""
-    mods: dict[str, list[FlowMod]] = {}
+    the selected rows, and every switch it lands on keeps its key; its
+    routing rows in ``modified`` (same key) follow them as one
+    :class:`ModifyRun`, where its own routing rows would have come."""
+    mods: dict[str, list[FlowMod | ModifyRun]] = {}
     for block in blocks:
         selection = rows.get(id(block)) if rows else None
         if selection is not None:
             for phys in block.per_switch_counts():
                 mods.setdefault(phys, [])
-            if not any(selection):
-                continue
-        for phys, mod in block.pairs(selection):
-            bucket = mods.get(phys)
-            if bucket is None:
-                mods[phys] = [mod]
-            else:
-                bucket.append(mod)
+        if selection is None or any(selection):
+            for phys, mod in block.pairs(selection):
+                bucket = mods.get(phys)
+                if bucket is None:
+                    mods[phys] = [mod]
+                else:
+                    bucket.append(mod)
+        routes = modified.get(id(block)) if modified else None
+        if routes:
+            mods[block.phys_switch].append(block.modify_run(routes))
     return mods
 
 
@@ -299,10 +304,13 @@ class RulesDelta:
     """What :func:`split_ruleset_delta` found: per-switch FlowMod
     mappings holding only rows that can differ, plus the number of
     rules proven unchanged without a FlowMod — by block identity, or
-    row by row within a sub-switch's two blocks."""
+    row by row within a sub-switch's two blocks. Routing rows a paired
+    block reroutes in place are modified rules: ``new_mods`` holds them
+    as one :class:`ModifyRun` per block, and ``old_mods`` leaves their
+    old forms out (``ControlTransaction.stage_delta`` takes both)."""
 
     old_mods: dict[str, list[FlowMod]]
-    new_mods: dict[str, list[FlowMod]]
+    new_mods: dict[str, list[FlowMod | ModifyRun]]
     shared_rules: int
 
 
@@ -317,11 +325,15 @@ def split_ruleset_delta(old: RuleSet, new: RuleSet) -> RulesDelta:
     paired with its old self, the dirty block of the other generation
     with the same ``(phys_switch, metadata_id, cookie)``, and the two
     are compared column by column: only the differing rows of paired
-    dirty blocks are built as FlowMods, in block order and pairs order,
-    and the equal ones count as shared. A block with no partner goes in
-    whole (an added or removed sub-switch, one moved to another switch
-    or under a new cookie), and so does every block whose key repeats
-    on either side. Each switch a dirty block lands on keeps its key,
+    dirty blocks are built, in block order and pairs order, and the
+    equal ones count as shared. Where both blocks hold the same match
+    keys in the same order, a differing routing row keeps its identity
+    and changes its actions: it is built once, from the new block, into
+    that block's :class:`ModifyRun`, and its old form is not built at
+    all; every other differing row is built as a FlowMod. A block with
+    no partner goes in whole (an added or removed sub-switch, one moved
+    to another switch or under a new cookie), and so does every block
+    whose key repeats on either side. Each switch a dirty block lands on keeps its key,
     in first-seen order, even with no differing row: the keys are the
     delta's switch order, and with it commit and rollback order.
 
@@ -332,24 +344,35 @@ def split_ruleset_delta(old: RuleSet, new: RuleSet) -> RulesDelta:
     generation repeats a rule identity on a switch. Where one does,
     ``stage_delta`` must refuse the delta, so every dirty row goes in
     (the rows a repeat could hide behind would otherwise be dropped).
+    Where none does, a rerouted routing row's identity — its block's
+    switch, metadata id and cookie, its destination and incoming VC —
+    is held by no other dirty row on either side (a block key that
+    repeats leaves its blocks unpaired), so ``stage_delta`` would find
+    it modified, and place it among the modified rules in new order:
+    exactly where its :class:`ModifyRun` sits.
     """
     shared = {id(b) for b in old.blocks} & {id(b) for b in new.blocks}
     old_dirty = [b for b in old.blocks if id(b) not in shared]
     new_dirty = [b for b in new.blocks if id(b) not in shared]
     shared_rules = sum(b.count for b in old.blocks if id(b) in shared)
     rows: dict[int, RowSelection] = {}
+    modified: dict[int, list[int]] = {}
     if not (_repeats_rules(old_dirty) or _repeats_rules(new_dirty)):
         after = _by_subswitch(new_dirty)
         for key, before in _by_subswitch(old_dirty).items():
             partner = after.get(key)
             if before is None or partner is None:
                 continue
-            old_rows, new_rows = _differing_rows(before, partner)
+            old_rows, new_rows, routes = _differing_rows(before, partner)
             rows[id(before)], rows[id(partner)] = old_rows, new_rows
-            shared_rules += before.count - len(old_rows[0]) - len(old_rows[1])
+            if routes:
+                modified[id(partner)] = routes
+            shared_rules += (
+                before.count - len(old_rows[0]) - len(old_rows[1]) - len(routes)
+            )
     return RulesDelta(
         old_mods=_mods_of(old_dirty, rows),
-        new_mods=_mods_of(new_dirty, rows),
+        new_mods=_mods_of(new_dirty, rows, modified),
         shared_rules=shared_rules,
     )
 
@@ -388,10 +411,13 @@ def _by_subswitch(
 
 def _differing_rows(
     old: CompiledBlock, new: CompiledBlock
-) -> tuple[RowSelection, RowSelection]:
+) -> tuple[RowSelection, RowSelection, list[int]]:
     """The rows of two blocks of one sub-switch that are not equal in
     both: their FlowMods are functions of the row's columns, given the
-    shared metadata id and cookie."""
+    shared metadata id and cookie. Routing rows that keep their match
+    key in place and change their actions — same identity, other
+    instructions: modified rules — come apart, as row indices into
+    both blocks' routing columns."""
     old_classify, new_classify = _differing(
         list(zip(old.classify_switches, old.classify_ports)),
         list(zip(new.classify_switches, new.classify_ports)),
@@ -402,12 +428,12 @@ def _differing_rows(
         if old.out_vcs != new.out_vcs:
             changed = map(or_, changed, map(ne, old.out_vcs, new.out_vcs))
         routes = list(compress(range(len(old.dsts)), changed))
-        return (old_classify, routes), (new_classify, routes)
+        return (old_classify, []), (new_classify, []), routes
     old_routes, new_routes = _differing(
         list(zip(old.dsts, old.in_vcs, old.out_vcs, old.out_ports)),
         list(zip(new.dsts, new.in_vcs, new.out_vcs, new.out_ports)),
     )
-    return (old_classify, old_routes), (new_classify, new_routes)
+    return (old_classify, old_routes), (new_classify, new_routes), []
 
 
 def _differing(old: list[tuple], new: list[tuple]) -> tuple[list[int], list[int]]:

@@ -14,10 +14,18 @@ accumulates *modeled* time; nothing sleeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable
 
-from repro.openflow.match import Match
-from repro.openflow.switch import FlowModRun, OpenFlowSwitch, SwitchSnapshot
+from repro.openflow.switch import (
+    FlowDelete,
+    FlowMessages,
+    FlowMod,
+    FlowModRun,
+    ModifyRun,
+    OpenFlowSwitch,
+    SwitchSnapshot,
+)
+from repro.openflow.switch import flow_messages as flow_messages
 from repro.util.errors import ChannelError
 from repro.util.units import MICROSECONDS, MILLISECONDS
 
@@ -25,67 +33,6 @@ from repro.util.units import MICROSECONDS, MILLISECONDS
 #: the one definition; the routing protocols' push-time model imports it
 FLOW_INSTALL_LATENCY = 250 * MICROSECONDS
 CONTROL_RTT = 1 * MILLISECONDS
-
-
-class FlowMod(NamedTuple):
-    """An ADD flow-mod (the only kind SDT deployment needs, plus
-    cookie-based bulk DELETE below).
-
-    A NamedTuple for the same reason as :class:`Match`: cold deploys
-    construct one per rule and delta staging hashes whole rule
-    generations, and tuples do both at C speed. The nested-instruction
-    hash cost is amortized by :class:`ApplyActions`'s memoized hash on
-    the pooled instruction objects.
-    """
-
-    table_id: int
-    priority: int
-    match: Match
-    instructions: tuple
-    cookie: int = 0
-
-
-@dataclass(frozen=True)
-class FlowDelete:
-    """Delete entries matching every non-``None`` field.
-
-    The classic SDT teardown is cookie-only (``FlowDelete(cookie=c)``
-    retires one deployment generation; all-``None`` wipes the switch).
-    The incremental reconfigurer additionally sets ``table_id`` /
-    ``priority`` / ``match`` for an OFPFC_DELETE_STRICT that removes a
-    single stale entry while its unchanged neighbors stay installed.
-    """
-
-    cookie: int | None = None
-    table_id: int | None = None
-    priority: int | None = None
-    match: Match | None = None
-
-    @property
-    def strict(self) -> bool:
-        """Does this delete name one entry identity (table, priority,
-        match and cookie all given), as the incremental reconfigurer's
-        strict deletes do?"""
-        return (
-            self.table_id is not None
-            and self.priority is not None
-            and self.match is not None
-            and self.cookie is not None
-        )
-
-
-def flow_messages(
-    staged: Iterable[FlowMod | FlowDelete | FlowModRun],
-) -> Iterator[FlowMod | FlowDelete]:
-    """``staged`` message by message: every :class:`FlowModRun` gives
-    way to the FlowMods it stands for. This is where a run's FlowMods
-    get built, so only consumers that need each message (the journal's
-    intent record, capacity simulation across deletes) come here."""
-    for msg in staged:
-        if isinstance(msg, FlowModRun):
-            yield from msg
-        else:
-            yield msg
 
 
 @dataclass(frozen=True)
@@ -174,58 +121,102 @@ class ControlChannel:
             return {p: s for p, s in self.switch.port_stats.items()}
         raise TypeError(f"unknown control message {msg!r}")
 
-    def send_batch(self, mods: list[FlowMod] | FlowModRun) -> None:
-        """Apply a run of FlowMods as one bulk install.
+    def send_batch(
+        self, messages: Iterable[FlowMod] | FlowModRun | FlowMessages
+    ) -> None:
+        """Apply a batch of messages in one switch pass.
 
-        Observable behavior is identical to ``for m in mods: send(m)``
-        — per-message latency accounting and per-message fault injection
-        (an armed :meth:`fail_after` fires on exactly the same message
-        it would have fired on, with every earlier mod applied) — but
-        the hardware install itself goes through
-        :meth:`OpenFlowSwitch.add_flow_batch`, amortizing table
-        maintenance across the batch.
+        ``messages`` is a list of FlowMods, one :class:`FlowModRun`, or
+        a switch's whole staged list as :func:`flow_messages` reads it
+        (what ``ControlTransaction.commit`` hands over: FlowMods,
+        FlowDeletes, FlowModRuns and ModifyRuns in staging order).
+        Observable behavior is identical to ``for m in messages:
+        send(m)`` — per-message latency accounting and per-message fault
+        injection (an armed :meth:`fail_after` fires on exactly the same
+        message it would have fired on, with every earlier message
+        applied) — but the hardware applies the batch through
+        :meth:`OpenFlowSwitch.add_flow_batch`, one pass that amortizes
+        validation, capacity checks and table maintenance.
 
-        ``mods`` may be a :class:`FlowModRun`: it counts (``len``) as
-        the FlowMods it stands for and is handed to the switch whole,
-        so on the bulk path none of them is ever built. Which path runs
-        is read off the channel's own state, never chosen by the
-        caller: only an armed fault needs each message, and iterating
-        the run supplies them. The channel emits no trace events — the
-        per-message history is the recovery commit journal's, and the
-        trace's ``txn.commit`` span records each switch's modeled time.
+        Which path runs is read off the channel's own state, never
+        chosen by the caller: only an armed fault needs each message,
+        and iterating ``messages`` supplies them (building a run's
+        FlowMods). Otherwise nothing is built: a run's rows go to the
+        tables pending, a ModifyRun's built entries are filed as they
+        are. The channel emits no trace events — the per-message history
+        is the recovery commit journal's, and the trace's ``txn.commit``
+        span records each switch's modeled time.
 
-        One intentional divergence: when the switch rejects a mod during
-        up-front batch *validation* (a :class:`SimulationError`, e.g. a
-        bad table id), nothing from the batch is applied, whereas the
-        sequential loop would have installed the good prefix. That is
-        strictly safer — the transaction layer rolls back from its
-        snapshot either way — and stats still count exactly the messages
-        the switch saw: every applied mod plus the one that failed,
+        One intentional divergence: when the switch rejects an install
+        during up-front *validation* (a :class:`SimulationError`, e.g. a
+        bad table id), nothing of its batch — the consecutive FlowMods,
+        or the run, it arrived in — is applied, whereas the sequential
+        loop would have installed the good prefix. That is strictly
+        safer — the transaction layer rolls back from its snapshot
+        either way — and stats still count exactly the messages the
+        switch saw: every applied message plus the one that failed,
         matching what sequential :meth:`send` would have accumulated at
         the point of a mid-batch capacity failure.
         """
         if self._fail_countdown is not None:
             # an armed fault keeps exact per-message semantics trivially
-            for m in mods:
+            for m in messages:
                 self.send(m)
             return
-        before = self.switch.num_entries
+        if isinstance(messages, FlowMessages):
+            staged = messages.staged
+        elif isinstance(messages, FlowModRun):
+            staged = [messages]
+        else:
+            staged = list(messages)
+        reached = [0]
         try:
-            self.switch.add_flow_batch(mods)
-        except Exception:
-            # partial batch: add_flow_batch installed a prefix (possibly
-            # empty) before raising. Count the applied mods plus the one
-            # that failed — identical to the sequential loop, where each
-            # send() bumps stats before add_flow can raise — so
-            # RollbackReport's reverted-entry math reconciles with what
-            # was actually on the switch.
-            applied = self.switch.num_entries - before
-            attempted = min(applied + 1, len(mods))
-            self.stats.flow_mods += attempted
-            self.stats.modeled_time += self.flow_install_latency * attempted
-            raise
-        self.stats.flow_mods += len(mods)
-        self.stats.modeled_time += self.flow_install_latency * len(mods)
+            self.switch.add_flow_batch(staged, reached)
+        finally:
+            self._charge(staged, reached[0])
+
+    def _charge(self, staged, reached: int) -> None:
+        """Count the first ``reached`` messages of ``staged`` in the
+        stats, grouped as the channel has always charged a commit: a run
+        of consecutive FlowMods, and a FlowModRun, as one bulk install
+        (the latency times its messages); a delete, and each message of
+        a ModifyRun, one by one. The grouping fixes the order of the
+        float additions, and with it every modeled time."""
+        stats = self.stats
+        latency = self.flow_install_latency
+        mods = 0  # consecutive FlowMods not charged yet
+        for msg in staged:
+            if reached <= 0:
+                break
+            if isinstance(msg, FlowMod):
+                mods += 1
+                reached -= 1
+                continue
+            if mods:
+                stats.flow_mods += mods
+                stats.modeled_time += latency * mods
+                mods = 0
+            if isinstance(msg, FlowDelete):
+                stats.flow_deletes += 1
+                stats.modeled_time += latency
+                reached -= 1
+            elif isinstance(msg, FlowModRun):
+                n = min(len(msg), reached)
+                stats.flow_mods += n
+                stats.modeled_time += latency * n
+                reached -= n
+            elif isinstance(msg, ModifyRun):
+                n = min(2 * len(msg.entries), reached)
+                stats.flow_deletes += (n + 1) // 2
+                stats.flow_mods += n // 2
+                elapsed = stats.modeled_time
+                for _ in range(n):
+                    elapsed += latency
+                stats.modeled_time = elapsed
+                reached -= n
+        if mods:
+            stats.flow_mods += mods
+            stats.modeled_time += latency * mods
 
     # --- transaction support ------------------------------------------
     def snapshot_rules(self) -> SwitchSnapshot:

@@ -12,7 +12,10 @@ computed where it is read (:meth:`FlowTable.snapshot`, iteration) by a
 stable sort on priority, which over arrival order yields the documented
 *(priority desc, arrival asc)* sequence. Writes therefore cost
 O(entries written), whatever the table holds — an incremental
-reconfiguration sends hundreds of one-entry batches per commit.
+reconfiguration deletes and re-adds hundreds of single entries per
+commit (:meth:`FlowTable.remove_strict`, :meth:`FlowTable.put` and
+:meth:`FlowTable.add_batch`, each handed the ``(shape, key)`` the
+switch computed once).
 
 Lookup is **hash-first**: every entry whose match constrains only
 exact-comparable fields (the common case — SDT synthesis emits
@@ -49,8 +52,9 @@ iteration, a strict or match delete, ``count_strict``, a loose
 ``add_batch``) builds them first.
 
 Every write path ends in :meth:`~FlowTable.add_batch`,
-:meth:`~FlowTable.add_pending`, ``_drop_pending``, ``_unfile`` or
-:meth:`~FlowTable.clear`, and those are the only places membership
+:meth:`~FlowTable.put`, :meth:`~FlowTable.add_pending`,
+``_drop_pending``, ``_unfile`` or :meth:`~FlowTable.clear`, and those
+are the only places membership
 changes. Each of them keeps two things in step with it:
 
 * the **per-cookie counts** (``_cookies``: cookie -> entries, stored
@@ -154,6 +158,8 @@ _priority = attrgetter("priority")
 
 #: a hash-index ``(shape, key)``, or ``None`` for the fallback scan
 IndexKey = tuple[tuple[str, ...], tuple] | None
+#: an index key not yet computed (``None`` is a key: the fallback scan)
+_UNKEYED = object()
 #: appends a part's rows to ``entries`` and their index keys to ``keys``
 RowBuilder = Callable[[list[FlowEntry], list[IndexKey]], None]
 
@@ -209,13 +215,18 @@ class FlowTable:
         """Insert one entry. It ranks after every equal-priority
         incumbent (OpenFlow's 'first added wins' among equal-priority
         overlapping entries, as commodity switches do)."""
-        self.add_batch((entry,))
+        self.put(entry, _shape_key(entry.match))
 
-    def add_batch(self, entries: Iterable[FlowEntry]) -> None:
+    def add_batch(
+        self,
+        entries: Iterable[FlowEntry],
+        keys: Sequence[IndexKey] | None = None,
+    ) -> None:
         """Insert entries in order; each is stamped with the next serial
         and filed once in the store and once in the index, under the
-        ``(shape, key)`` its match gives. Pending rows are built first:
-        they arrived earlier, so they keep the lower serials."""
+        ``(shape, key)`` its match gives — ``keys``, if the caller holds
+        them already. Pending rows are built first: they arrived
+        earlier, so they keep the lower serials."""
         batch = list(entries)
         self._epoch[0] += 1
         if self._pending:
@@ -223,8 +234,20 @@ class FlowTable:
         counts = self._cookies
         for e in batch:
             counts[e.cookie] = counts.get(e.cookie, 0) + 1
-        keys = [_shape_key(e.match) for e in batch]
+        if keys is None:
+            keys = [_shape_key(e.match) for e in batch]
         self._next_seq = self._file(batch, keys, self._next_seq)
+
+    def put(self, entry: FlowEntry, sk: IndexKey) -> None:
+        """Insert one entry whose match files under ``sk`` — its
+        :func:`_shape_key`, which the caller already holds. Same effect
+        as :meth:`add`."""
+        self._epoch[0] += 1
+        if self._pending:
+            self._materialize()
+        counts = self._cookies
+        counts[entry.cookie] = counts.get(entry.cookie, 0) + 1
+        self._next_seq = self._file((entry,), (sk,), self._next_seq)
 
     def add_pending(self, parts: Iterable[tuple[int, int, RowBuilder]]) -> None:
         """Install ``(rows, cookie, build)`` parts in order without
@@ -293,6 +316,8 @@ class FlowTable:
         """Remove entries by cookie / exact match / priority (``None``
         fields are wildcards); returns count. A delete that filters on
         the cookie alone drops matching pending parts unbuilt."""
+        if match is not None and priority is not None:
+            return self.remove_strict(match, priority, cookie, _shape_key(match))
         dropped = 0
         if match is None and priority is None:
             dropped = self._drop_pending(cookie)
@@ -300,19 +325,29 @@ class FlowTable:
                 return dropped  # no stored entry carries it
         elif self._pending:
             self._materialize()
-        if match is not None and priority is not None:
-            victims = self._strict_victims(match, priority, cookie)
-        else:
-            victims = [
-                e
-                for e in self._store.values()
-                if (cookie is None or e.cookie == cookie)
-                and (match is None or e.match == match)
-                and (priority is None or e.priority == priority)
-            ]
+        victims = [
+            e
+            for e in self._store.values()
+            if (cookie is None or e.cookie == cookie)
+            and (match is None or e.match == match)
+            and (priority is None or e.priority == priority)
+        ]
         for e in victims:
-            self._unfile(e)
+            self._unfile(e, _shape_key(e.match))
         return dropped + len(victims)
+
+    def remove_strict(
+        self, match: Match, priority: int, cookie: int | None, sk: IndexKey
+    ) -> int:
+        """A strict :meth:`remove` (``cookie`` may be ``None``) whose
+        match files under ``sk``: its victims are found in that one
+        bucket, and leave it by that key. Returns the count."""
+        if self._pending:
+            self._materialize()
+        victims = self._strict_victims(match, priority, cookie, sk)
+        for e in victims:
+            self._unfile(e, sk)
+        return len(victims)
 
     def _drop_pending(self, cookie: int | None) -> int:
         """Drop the pending parts carrying ``cookie`` (``None`` = all);
@@ -332,20 +367,28 @@ class FlowTable:
         return dropped
 
     def count_strict(
-        self, *, match: Match, priority: int, cookie: int | None = None
+        self,
+        *,
+        match: Match,
+        priority: int,
+        cookie: int | None = None,
+        sk: IndexKey | object = _UNKEYED,
     ) -> int:
         """How many entries a strict :meth:`remove` with these filters
-        would take, found the same way, without removing them."""
+        would take, found the same way, without removing them. ``sk``
+        is the match's (shape, key), if the caller holds it."""
         if self._pending:
             self._materialize()
-        return len(self._strict_victims(match, priority, cookie))
+        if sk is _UNKEYED:
+            sk = _shape_key(match)
+        return len(self._strict_victims(match, priority, cookie, sk))
 
     def _strict_victims(
-        self, match: Match, priority: int, cookie: int | None
+        self, match: Match, priority: int, cookie: int | None, sk: IndexKey
     ) -> list[FlowEntry]:
-        """A strict delete's victims: the match's own (shape, key)
-        names the only bucket (or the fallback list) they can sit in."""
-        sk = _shape_key(match)
+        """A strict delete's victims: the match's own (shape, key),
+        ``sk``, names the only bucket (or the fallback list) they can
+        sit in."""
         if sk is None:
             candidates: Iterable[FlowEntry] = self._wild
         else:
@@ -358,12 +401,12 @@ class FlowTable:
             and e.priority == priority
         ]
 
-    def _unfile(self, entry: FlowEntry) -> None:
-        """Take one member out of the store and out of its bucket."""
+    def _unfile(self, entry: FlowEntry, sk: IndexKey) -> None:
+        """Take one member out of the store and out of its bucket,
+        ``sk`` (the (shape, key) its match files under)."""
         self._epoch[0] += 1
         del self._store[entry.serial]
         self._uncount(entry.cookie, 1)
-        sk = _shape_key(entry.match)
         if sk is None:
             bucket = self._wild
         else:

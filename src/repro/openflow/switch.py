@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.openflow.actions import (
     ApplyActions,
@@ -30,7 +30,9 @@ from repro.openflow.groups import GroupEntry
 from repro.openflow.flowtable import (
     FlowEntry,
     FlowTable,
+    IndexKey,
     RowBuilder,
+    _shape_key,
     remove_from_tables,
 )
 from repro.openflow.match import Match, PacketHeader
@@ -78,6 +80,53 @@ class SwitchSnapshot:
         return sum(len(t) for t in self.tables)
 
 
+class FlowMod(NamedTuple):
+    """An ADD flow-mod (the only kind SDT deployment needs, plus
+    cookie-based bulk DELETE below).
+
+    A NamedTuple for the same reason as :class:`Match`: cold deploys
+    construct one per rule and delta staging hashes whole rule
+    generations, and tuples do both at C speed. The nested-instruction
+    hash cost is amortized by :class:`ApplyActions`'s memoized hash on
+    the pooled instruction objects.
+    """
+
+    table_id: int
+    priority: int
+    match: Match
+    instructions: tuple
+    cookie: int = 0
+
+
+@dataclass(frozen=True)
+class FlowDelete:
+    """Delete entries matching every non-``None`` field.
+
+    The classic SDT teardown is cookie-only (``FlowDelete(cookie=c)``
+    retires one deployment generation; all-``None`` wipes the switch).
+    The incremental reconfigurer additionally sets ``table_id`` /
+    ``priority`` / ``match`` for an OFPFC_DELETE_STRICT that removes a
+    single stale entry while its unchanged neighbors stay installed.
+    """
+
+    cookie: int | None = None
+    table_id: int | None = None
+    priority: int | None = None
+    match: Match | None = None
+
+    @property
+    def strict(self) -> bool:
+        """Does this delete name one entry identity (table, priority,
+        match and cookie all given), as the incremental reconfigurer's
+        strict deletes do?"""
+        return (
+            self.table_id is not None
+            and self.priority is not None
+            and self.match is not None
+            and self.cookie is not None
+        )
+
+
 class PendingRows(NamedTuple):
     """The rows one bulk install adds to one table, not yet built, with
     what the switch validates before accepting them."""
@@ -118,6 +167,66 @@ class FlowModRun(ABC):
         come in the run's message order — so the serials they reserve
         and their equal-priority tie-breaks equal the per-message
         install's — and their counts add up to ``len()``."""
+
+
+class ModifyRun:
+    """Rules that keep their identity and change their instructions,
+    staged for one switch as one message.
+
+    Each row stands for two messages, the per-entry break-before-make
+    of an incremental delta: the strict delete of the row's identity
+    (table, priority, match, cookie), then its install. Rows arrive
+    built — a flow entry and the ``(shape, key)`` its match files under
+    — so the switch deletes by that key and files that entry, and the
+    FlowDeletes and FlowMods are built only for consumers that need
+    each message (iteration; see :func:`flow_messages`).
+    """
+
+    __slots__ = ("table_id", "entries", "keys")
+
+    def __init__(
+        self, table_id: int, entries: list[FlowEntry], keys: list[IndexKey]
+    ) -> None:
+        self.table_id = table_id
+        self.entries = entries
+        self.keys = keys
+
+    def __iter__(self) -> Iterator[FlowDelete | FlowMod]:
+        tid = self.table_id
+        for e in self.entries:
+            yield FlowDelete(
+                cookie=e.cookie, table_id=tid, priority=e.priority, match=e.match
+            )
+            yield FlowMod(tid, e.priority, e.match, e.instructions, e.cookie)
+
+
+class FlowMessages:
+    """A switch's staged messages, read message by message: every
+    :class:`FlowModRun` gives way to the FlowMods it stands for, every
+    :class:`ModifyRun` to its deletes and installs. Iterating is where
+    those get built, so only consumers that need each message (the
+    journal's intent record, an armed channel fault, capacity
+    simulation across deletes) iterate. ``staged`` is the list as
+    staged: what :meth:`OpenFlowSwitch.add_flow_batch` takes in one
+    pass."""
+
+    __slots__ = ("staged",)
+
+    def __init__(self, staged: Sequence) -> None:
+        self.staged = staged
+
+    def __iter__(self) -> Iterator[FlowMod | FlowDelete]:
+        for msg in self.staged:
+            if isinstance(msg, (FlowModRun, ModifyRun)):
+                yield from msg
+            else:
+                yield msg
+
+
+def flow_messages(staged: Sequence) -> FlowMessages:
+    """``staged`` (FlowMods, FlowDeletes, FlowModRuns, ModifyRuns) as
+    the control messages it stands for, one by one."""
+    return FlowMessages(staged)
 
 
 class OpenFlowSwitch:
@@ -179,87 +288,181 @@ class OpenFlowSwitch:
         self._check_table(table_id)
         self._check_instructions(table_id, instructions)
         if self.num_entries >= self.flow_table_capacity:
-            raise CapacityError(
-                f"switch {self.dpid}: flow table full "
-                f"({self.flow_table_capacity} entries)"
-            )
+            raise self._full()
         entry = FlowEntry(priority, match, tuple(instructions), cookie=cookie)
         self.tables[table_id].add(entry)
         if trace.enabled():
             self._publish_occupancy()
         return entry
 
-    def add_flow_batch(self, mods) -> None:
-        """Install a batch of FlowMod-shaped messages (anything with
-        ``table_id``/``priority``/``match``/``instructions``/``cookie``)
-        in order, amortizing validation and capacity checks across the
-        batch.
+    def add_flow_batch(
+        self,
+        messages: Iterable[FlowMod | FlowDelete | ModifyRun] | FlowModRun,
+        reached: list[int] | None = None,
+    ) -> None:
+        """Apply one switch's staged messages — FlowMods, FlowDeletes,
+        FlowModRuns and ModifyRuns, or one FlowModRun alone — in staging
+        order, in one pass.
 
-        Semantics match a sequential :meth:`add_flow` loop exactly: if
-        the TCAM budget runs out mid-batch, every entry *before* the
-        overflowing one is installed and :class:`CapacityError` is
-        raised for the first that does not fit — the per-message
-        behavior transactions rely on for rollback accounting.
+        The result is a per-message loop's (:meth:`add_flow` per
+        install, :meth:`remove_flows` per delete): the same entries,
+        serials and order, and if the TCAM budget runs out, every
+        message before the overflowing install is applied and
+        :class:`CapacityError` is raised for it. The pass keeps the free
+        entry count as a local, checks each distinct (table,
+        instructions) pair once, and computes each entry's (shape, key)
+        once: a strict delete finds its victims by its match's key, and
+        an install right after it that carries the same match object (a
+        modified rule) files under that key.
+
+        Installs are validated a batch at a time, as a bulk install
+        validates its batch: each maximal run of consecutive FlowMods,
+        and each FlowModRun, is checked before any of it is applied, so
+        a bad table id or instruction among them applies none of that
+        batch (a per-message loop would have applied the good prefix).
 
         A :class:`FlowModRun` that fits is installed from its
         :meth:`~FlowModRun.pending_rows` without a FlowMod or a flow
-        entry being built: capacity is checked once for the run, table
-        ids once per table and each distinct instruction tuple once,
-        then each table holds its rows pending
-        (:meth:`FlowTable.add_pending`) until a reader needs them. The
-        tables read exactly as the per-message install leaves them. A
-        run that would overflow is expanded and takes the per-message
-        path, which installs the exact prefix.
+        entry being built: the table ids and each distinct instruction
+        tuple are checked once, then each table holds its rows pending
+        (:meth:`FlowTable.add_pending`) until a reader needs them. A run
+        that would overflow is expanded and installed message by
+        message, which installs the exact prefix. A
+        :class:`ModifyRun`'s rows arrive built and are filed as they are.
+
+        ``reached``, if given, has its first item set to the messages
+        the pass reached — a FlowModRun counting as its FlowMods, a
+        ModifyRun as two per row —: every one applied, plus the one that
+        raised, if any.
         """
-        if isinstance(mods, FlowModRun) and len(mods) <= self.free_entries:
-            tables = mods.pending_rows()
-            # like the loop below, validate everything before any
-            # table changes
-            for rows in tables:
-                self._check_table(rows.table_id)
-                for instructions in rows.instructions:
-                    self._check_instructions(rows.table_id, instructions)
-            for rows in tables:
-                self.tables[rows.table_id].add_pending(rows.parts)
-            if trace.enabled():
-                self._publish_occupancy()
-            return
-        mods = list(mods)
+        if isinstance(messages, FlowModRun):
+            messages = [messages]
+        elif not isinstance(messages, list):
+            messages = list(messages)
+        tables = self.tables
         free = self.flow_table_capacity - self.num_entries
-        overflow = len(mods) > free
-        if overflow:
-            mods, rejected = mods[:free], mods[free:]
-        by_table: dict[int, list[FlowEntry]] = {}
-        # synthesis pools instruction tuples, so batches repeat a small
-        # set of (table, instructions) combinations — validate each
-        # distinct one once per batch, keyed by identity (the mods list
-        # pins the tuples, so ids are stable for the loop's duration)
-        checked: set[tuple[int, int]] = set()
-        for m in mods:
-            tid = m.table_id
-            ck = (tid, id(m.instructions))
-            if ck not in checked:
-                self._check_table(tid)
-                self._check_instructions(tid, m.instructions)
-                checked.add(ck)
-            by_table.setdefault(tid, []).append(FlowEntry(
-                m.priority, m.match, tuple(m.instructions), cookie=m.cookie
-            ))
-        for table_id, batch in by_table.items():
-            self.tables[table_id].add_batch(batch)
-        if trace.enabled():
-            self._publish_occupancy()
-        if overflow:
-            # validate the doomed message too, so a bad mod is still
-            # reported as such rather than masked by the full table
-            self._check_table(rejected[0].table_id)
-            self._check_instructions(
-                rejected[0].table_id, rejected[0].instructions
-            )
-            raise CapacityError(
-                f"switch {self.dpid}: flow table full "
-                f"({self.flow_table_capacity} entries)"
-            )
+        # (table, id(instructions)) -> instructions, kept so ids stay
+        # unique while the pass runs
+        checked: dict[tuple[int, int], tuple] = {}
+        done = 0
+        last_match = last_key = None
+        i, n = 0, len(messages)
+        try:
+            while i < n:
+                msg = messages[i]
+                i += 1
+                if isinstance(msg, FlowMod):
+                    j = i
+                    while j < n and isinstance(messages[j], FlowMod):
+                        j += 1
+                    group, i = messages[i - 1:j], j
+                elif isinstance(msg, FlowDelete):
+                    if msg.strict and 0 <= msg.table_id < len(tables):
+                        last_match = msg.match
+                        last_key = _shape_key(last_match)
+                        free += tables[msg.table_id].remove_strict(
+                            last_match, msg.priority, msg.cookie, last_key
+                        )
+                    else:
+                        free += self.remove_flows(
+                            cookie=msg.cookie,
+                            table_id=msg.table_id,
+                            priority=msg.priority,
+                            match=msg.match,
+                        )
+                    done += 1
+                    continue
+                elif isinstance(msg, ModifyRun):
+                    # per row: the strict delete of its identity, then
+                    # its install, each by the row's own key
+                    tid = msg.table_id
+                    if not 0 <= tid < len(tables):
+                        # the first delete removes nothing, the first
+                        # install is refused
+                        done += 1
+                        self._check_table(tid)
+                    table = tables[tid]
+                    for entry, key in zip(msg.entries, msg.keys):
+                        free += table.remove_strict(
+                            entry.match, entry.priority, entry.cookie, key
+                        )
+                        done += 1
+                        self._check_once(checked, tid, entry.instructions)
+                        if free <= 0:
+                            raise self._full()
+                        table.put(entry, key)
+                        free -= 1
+                        done += 1
+                    continue
+                elif isinstance(msg, FlowModRun):
+                    if len(msg) > free:
+                        group = list(msg)
+                    else:
+                        runs = msg.pending_rows()
+                        for rows in runs:
+                            self._check_table(rows.table_id)
+                            for instructions in rows.instructions:
+                                self._check_once(
+                                    checked, rows.table_id, instructions
+                                )
+                        for rows in runs:
+                            tables[rows.table_id].add_pending(rows.parts)
+                        free -= len(msg)
+                        done += len(msg)
+                        continue
+                else:
+                    raise TypeError(f"unknown control message {msg!r}")
+                # a batch of installs: validate and build what fits, then
+                # file it table by table (serials are per table)
+                fits = group[:free] if len(group) > free else group
+                by_table: dict[int, tuple[list[FlowEntry], list[IndexKey]]] = {}
+                for m in fits:
+                    tid, match = m.table_id, m.match
+                    self._check_once(checked, tid, m.instructions)
+                    if tid not in by_table:
+                        by_table[tid] = ([], [])
+                    entries, keys = by_table[tid]
+                    entries.append(FlowEntry(
+                        m.priority, match, tuple(m.instructions), cookie=m.cookie
+                    ))
+                    keys.append(
+                        last_key if match is last_match else _shape_key(match)
+                    )
+                for tid, (entries, keys) in by_table.items():
+                    tables[tid].add_batch(entries, keys)
+                free -= len(fits)
+                done += len(fits)
+                if len(fits) < len(group):
+                    # validate the doomed message too, so a bad mod is
+                    # still reported as such rather than masked by the
+                    # full table
+                    doomed = group[len(fits)]
+                    self._check_once(checked, doomed.table_id, doomed.instructions)
+                    raise self._full()
+        except (CapacityError, SimulationError):
+            done += 1  # the message that raised
+            raise
+        finally:
+            if reached is not None:
+                reached[0] = done
+            if done and trace.enabled():
+                self._publish_occupancy()
+
+    def _check_once(self, checked: dict, table_id: int, instructions) -> None:
+        """Validate a (table, instructions) pair unless ``checked``
+        holds it already (by identity: synthesis pools instruction
+        tuples, so a batch repeats a few of them)."""
+        ck = (table_id, id(instructions))
+        if ck not in checked:
+            self._check_table(table_id)
+            self._check_instructions(table_id, instructions)
+            checked[ck] = instructions
+
+    def _full(self) -> CapacityError:
+        return CapacityError(
+            f"switch {self.dpid}: flow table full "
+            f"({self.flow_table_capacity} entries)"
+        )
 
     def _publish_occupancy(self) -> None:
         metrics.registry().gauge("sdt_switch_table_entries").set(

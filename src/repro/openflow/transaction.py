@@ -49,12 +49,12 @@ from repro.openflow.channel import (
     FlowMod,
     flow_messages,
 )
-from repro.openflow.switch import FlowModRun, SwitchSnapshot
+from repro.openflow.switch import FlowModRun, ModifyRun, SwitchSnapshot
 from repro.telemetry import metrics, trace
 from repro.util.errors import CapacityError, TransactionError
 
 #: messages a transaction may stage
-StagedMessage = FlowMod | FlowDelete | FlowModRun
+StagedMessage = FlowMod | FlowDelete | FlowModRun | ModifyRun
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,9 @@ class ControlTransaction:
                 staged[1] += 1
             elif isinstance(msg, FlowModRun):
                 staged[0] += len(msg)
+            elif isinstance(msg, ModifyRun):
+                staged[0] += len(msg.entries)
+                staged[1] += len(msg.entries)
             else:
                 raise TransactionError(
                     f"{self._tag}: cannot stage {type(msg).__name__} "
@@ -176,7 +179,7 @@ class ControlTransaction:
     def stage_delta(
         self,
         old_mods: Mapping[str, Iterable[FlowMod]],
-        new_mods: Mapping[str, Iterable[FlowMod]],
+        new_mods: Mapping[str, Iterable[FlowMod | ModifyRun]],
     ) -> DeltaStats:
         """Stage only the difference between two rule generations.
 
@@ -195,6 +198,14 @@ class ControlTransaction:
         *before* its install (a per-entry break-before-make; OpenFlow
         has OFPFC_MODIFY for this, which this channel does not model).
 
+        ``new_mods`` may also hold :class:`ModifyRun` messages: rules
+        the caller already knows to be modified (their old forms are
+        left out of ``old_mods``), whose identities no other rule of
+        either generation on that switch holds. Each is staged as it is,
+        at its place among the modified rules — in ``new_mods`` order —
+        and counted as the installs, deletes and modifications it stands
+        for; no FlowMod of it is built.
+
         Each generation must be duplicate-free per switch under that
         identity (rule synthesis guarantees this: matches are keyed by
         port or by (metadata, dst, vc)); a duplicate would make a
@@ -210,7 +221,13 @@ class ControlTransaction:
         # order, never a set's (which follows the string-hash seed)
         for name in dict.fromkeys([*old_mods, *new_mods]):
             old_list = list(old_mods.get(name, ()))
-            new_list = list(new_mods.get(name, ()))
+            in_order = list(new_mods.get(name, ()))
+            runs = [m for m in in_order if isinstance(m, ModifyRun)]
+            new_list = (
+                [m for m in in_order if not isinstance(m, ModifyRun)]
+                if runs else in_order
+            )
+            known = sum(len(run.entries) for run in runs)
             old_keys = {identity(m) for m in old_list}
             new_keys = {identity(m) for m in new_list}
             if (
@@ -225,14 +242,14 @@ class ControlTransaction:
             added = [m for m in new_list if m not in old_set]
             removed = [m for m in old_list if m not in new_set]
             unchanged += len(old_list) - len(removed)
-            installs += len(added)
-            deletes += len(removed)
+            installs += len(added) + known
+            deletes += len(removed) + known
 
             removed_keys = {identity(m) for m in removed}
             fresh = [m for m in added if identity(m) not in removed_keys]
             modified = [m for m in added if identity(m) in removed_keys]
             modified_keys = {identity(m) for m in modified}
-            n_modified += len(modified)
+            n_modified += len(modified) + known
 
             def strict_delete(m: FlowMod) -> FlowDelete:
                 return FlowDelete(
@@ -243,10 +260,21 @@ class ControlTransaction:
                 )
 
             self.stage(name, *fresh)
+            if runs:
+                # the known modifications take their place among the
+                # others, in new_mods order
+                chosen = set(map(id, modified))
+                modified = [
+                    m for m in in_order
+                    if isinstance(m, ModifyRun) or id(m) in chosen
+                ]
             for mod in modified:
-                # a strict delete is built from the identity alone, and
-                # the old entry shares this mod's
-                self.stage(name, strict_delete(mod), mod)
+                if isinstance(mod, ModifyRun):
+                    self.stage(name, mod)
+                else:
+                    # a strict delete is built from the identity alone,
+                    # and the old entry shares this mod's
+                    self.stage(name, strict_delete(mod), mod)
             self.stage(
                 name,
                 *(
@@ -299,8 +327,9 @@ class ControlTransaction:
                 # staged run's FlowMods) at all
                 peaks[name] = switch.num_entries + installs
             elif all(msg.strict for msg in flow_deletes):
+                # a ModifyRun's deletes are strict too
                 peaks[name] = self._strict_peak(switch, msgs)
-            elif all(
+            elif len(flow_deletes) == deletes and all(
                 msg.priority is None and msg.match is None
                 for msg in flow_deletes
             ):
@@ -359,23 +388,44 @@ class ControlTransaction:
         staged: dict[tuple, int] = {}
         #: identities whose live entries a delete already took
         cleared: set[tuple] = set()
-        for msg in flow_messages(msgs):
-            key = (msg.table_id, msg.priority, msg.match, msg.cookie)
-            if isinstance(msg, FlowMod):
-                staged[key] = staged.get(key, 0) + 1
-                count += 1
-                if count > peak:
-                    peak = count
+        for item in msgs:
+            if isinstance(item, ModifyRun):
+                # per row, a delete of its identity then its install,
+                # counted in the table by the row's own key
+                tid = item.table_id
+                table = tables[tid] if 0 <= tid < len(tables) else None
+                for e, sk in zip(item.entries, item.keys):
+                    key = (tid, e.priority, e.match, e.cookie)
+                    removed = staged.get(key, 0)
+                    if key not in cleared:
+                        cleared.add(key)
+                        if table is not None:
+                            removed += table.count_strict(
+                                match=e.match, priority=e.priority,
+                                cookie=e.cookie, sk=sk,
+                            )
+                    staged[key] = 1
+                    count += 1 - removed
+                    if count > peak:
+                        peak = count
                 continue
-            removed = staged.pop(key, 0)
-            if key not in cleared:
-                cleared.add(key)
-                if 0 <= msg.table_id < len(tables):
-                    removed += tables[msg.table_id].count_strict(
-                        match=msg.match, priority=msg.priority,
-                        cookie=msg.cookie,
-                    )
-            count -= removed
+            for msg in item if isinstance(item, FlowModRun) else (item,):
+                key = (msg.table_id, msg.priority, msg.match, msg.cookie)
+                if isinstance(msg, FlowMod):
+                    staged[key] = staged.get(key, 0) + 1
+                    count += 1
+                    if count > peak:
+                        peak = count
+                    continue
+                removed = staged.pop(key, 0)
+                if key not in cleared:
+                    cleared.add(key)
+                    if 0 <= msg.table_id < len(tables):
+                        removed += tables[msg.table_id].count_strict(
+                            match=msg.match, priority=msg.priority,
+                            cookie=msg.cookie,
+                        )
+                count -= removed
         return peak
 
     @classmethod
@@ -489,23 +539,10 @@ class ControlTransaction:
                     current = name
                     channel = self.control.channel(name)
                     snapshots[name] = channel.snapshot_rules()
-                    # send maximal runs of consecutive FlowMods as one
-                    # bulk install (a staged FlowModRun is one already);
-                    # deletes and barriers stay one-by-one
-                    run: list[FlowMod] = []
-                    for msg in self._ops[name]:
-                        if isinstance(msg, FlowMod):
-                            run.append(msg)
-                            continue
-                        if run:
-                            channel.send_batch(run)
-                            run = []
-                        if isinstance(msg, FlowModRun):
-                            channel.send_batch(msg)
-                        else:
-                            channel.send(msg)
-                    if run:
-                        channel.send_batch(run)
+                    # the switch's staged list is one channel call and
+                    # one switch pass; message by message only under an
+                    # armed fault
+                    channel.send_batch(flow_messages(self._ops[name]))
                     channel.send(BarrierRequest())
             except Exception as exc:
                 with trace.span("txn.rollback", label=self.label) as rb:

@@ -200,6 +200,17 @@ def test_check_of_unchanged_topology_hits_partition_cache():
 HOSTS = {"h1": "10.0.0.1", "h2": "10.0.0.2"}
 
 
+def _maps(entries):
+    """(switch, dst, in_vc, hop) entries as ``RouteTable.maps_at`` files
+    a switch's: wildcard ones by destination, exact ones by
+    (destination, in-VC)."""
+    wild = {dst: hop for _sw, dst, in_vc, hop in entries if in_vc is None}
+    exact = {
+        (dst, in_vc): hop for _sw, dst, in_vc, hop in entries if in_vc is not None
+    }
+    return wild, exact
+
+
 def _compile(sub: SubSwitch, entries, cookie: int = 1, previous=None):
     """One sub-switch through ``synthesize_rules``, compiled against
     ``previous``: the block its one-switch rule set holds."""
@@ -207,11 +218,8 @@ def _compile(sub: SubSwitch, entries, cookie: int = 1, previous=None):
     projection = SimpleNamespace(
         topology=topology, subswitches={"s0": sub}, host_map=HOSTS
     )
-    wild = {dst: hop for _sw, dst, in_vc, hop in entries if in_vc is None}
-    exact = {
-        (dst, in_vc): hop for _sw, dst, in_vc, hop in entries if in_vc is not None
-    }
-    routes = SimpleNamespace(topology=topology, maps_at=lambda sw: (wild, exact))
+    maps = _maps(entries)
+    routes = SimpleNamespace(topology=topology, maps_at=lambda sw: maps)
     rules = synthesize_rules(
         projection, routes, cookie=cookie, previous=previous
     )
@@ -245,7 +253,9 @@ def test_a_sub_switch_keeps_its_old_block_only_when_its_columns_are_equal():
     for what, (s, entries, cookie) in variants.items():
         block = _compile(s, entries, cookie, previous=previous)
         assert block is not base, what
-        assert block.columns == block_columns(s, HOSTS, entries, cookie), what
+        assert block.columns == block_columns(
+            s, HOSTS, _maps(entries), cookie
+        ), what
 
     # a logical port renumbering that leaves every row in place emits
     # the same rules, so it keeps the same block
